@@ -19,10 +19,12 @@ report stream.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, field
 
@@ -134,6 +136,12 @@ class RunReport:
 # I/O helpers
 
 
+# Read once at import: os.umask can only be read by setting it, which would
+# race between threads writing files at the same time.
+_UMASK = os.umask(0o077)
+os.umask(_UMASK)
+
+
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -156,13 +164,25 @@ def _load_matrix(path: str) -> tuple[np.ndarray, str]:
 
 
 def _write_atomic(path: str, text: str) -> str:
-    tmp = os.path.join(
-        os.path.dirname(path) or ".", f".{os.path.basename(path)}.tmp"
-    )
+    """Write text to path through a uniquely named temporary file beside it.
+
+    Concurrent writers to the same path each rename a complete file into
+    place, so the last rename wins and no reader sees a partial file.
+    """
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
+        fd, tmp = tempfile.mkstemp(
+            prefix=f".{os.path.basename(path)}.", suffix=".tmp", dir=os.path.dirname(path) or "."
+        )
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                # mkstemp creates 0600; give the mode open(path, "w") would
+                os.fchmod(handle.fileno(), 0o666 & ~_UMASK)
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
     except OSError as exc:
         raise PreconditionError(f"cannot write {path}: {exc}") from None
     return _digest(text.encode())
@@ -192,10 +212,7 @@ def _resolve_tolerance(args) -> Tolerance:
         kwargs["rank_rel"] = args.tol_rank
     if residual is not None:
         kwargs["residual_abs"] = residual
-    try:
-        return Tolerance(**kwargs)
-    except ValueError as exc:
-        raise PreconditionError(str(exc)) from None
+    return Tolerance(**kwargs)
 
 
 # --------------------------------------------------------------------------
@@ -207,8 +224,9 @@ def _cmd_pinv(args, tol: Tolerance) -> tuple[RunReport, int]:
     if not args.input:
         raise PreconditionError("pinv needs --input")
     a, in_digest = _load_matrix(args.input)
+    factorization = svd(a, tol)
     if args.method == "svd":
-        x = pinv(a, tol)
+        x = pinv(a, tol, factorization)
     elif args.method == "normal":
         x = pinv_normal_equations(a, tol)
     elif args.method == "rank-completion":
@@ -226,7 +244,7 @@ def _cmd_pinv(args, tol: Tolerance) -> tuple[RunReport, int]:
         method=args.method,
         rows=a.shape[0],
         cols=a.shape[1],
-        rank=svd(a, tol).rank,
+        rank=factorization.rank,
         max_penrose_residual=float(max(residuals.residuals.values())),
         residual_bound=check_tol.residual_abs,
         passed=bool(residuals.passed),
@@ -416,7 +434,9 @@ def _cmd_verify(args, tol: Tolerance) -> tuple[RunReport, int]:
     x, _ = _load_matrix(args.aux)
     check_tol = tol.scaled_for(a)
     pen = penrose_residuals(a, x, check_tol)
-    chars = characterization_residuals(a, x, check_tol)
+    # check_tol keeps tol's rank_rel, so svd(a, tol) is also svd(a, check_tol)
+    factorization = svd(a, tol)
+    chars = characterization_residuals(a, x, check_tol, factorization)
     every = {**pen.residuals, **chars.residuals}
     passed = bool(pen.passed and chars.passed)
     report = RunReport(
@@ -424,7 +444,7 @@ def _cmd_verify(args, tol: Tolerance) -> tuple[RunReport, int]:
         method=None,
         rows=a.shape[0],
         cols=a.shape[1],
-        rank=svd(a, tol).rank,
+        rank=factorization.rank,
         max_penrose_residual=float(max(pen.residuals.values())),
         residual_bound=check_tol.residual_abs,
         passed=passed,

@@ -44,13 +44,16 @@ class ResidualReport:
         return name, self.residuals[name]
 
 
-def pinv(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def pinv(
+    a: np.ndarray, tol: Tolerance = DEFAULT_TOL, factorization: SvdFactorization | None = None
+) -> np.ndarray:
     """Moore-Penrose inverse via the in-repo SVD.
 
     Only singular values above the rank cutoff are inverted, so rank-deficient
-    and zero matrices need no special-casing.
+    and zero matrices need no special-casing. A caller that already holds
+    svd(a, tol) passes it as factorization.
     """
-    f = svd(a, tol)
+    f = factorization if factorization is not None else svd(a, tol)
     ur, vr = f.cutoff_slices
     if f.rank == 0:
         return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128)
@@ -95,7 +98,10 @@ def is_134_inverse(a: np.ndarray, x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -
 
 
 def characterization_residuals(
-    a: np.ndarray, x: np.ndarray, tol: Tolerance = DEFAULT_TOL
+    a: np.ndarray,
+    x: np.ndarray,
+    tol: Tolerance = DEFAULT_TOL,
+    factorization: SvdFactorization | None = None,
 ) -> ResidualReport:
     """Residuals of the six equivalent characterization systems.
 
@@ -106,9 +112,11 @@ def characterization_residuals(
       (iv)  XA P_R(A*) = P_R(A*)   and X P_N(A*) = 0
       (v)   XA = P_R(A*)           and N(X) = N(A*)
       (vi)  AX = P_R(A)            and XA = P_R(X)
+
+    factorization, if given, is svd(a, tol) and saves recomputing it.
     """
     _check_shapes(a, x)
-    p_range_a, p_null_a_adj, p_range_a_adj, p_null_a = projectors(a, tol)
+    p_range_a, p_null_a_adj, p_range_a_adj, p_null_a = projectors(a, tol, factorization)
     p_range_x, p_null_x_adj, _, p_null_x = projectors(x, tol)
     ax = a @ x
     xa = x @ a

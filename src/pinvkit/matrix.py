@@ -9,6 +9,7 @@ enough to round-trip any double exactly.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 
@@ -39,15 +40,18 @@ class Tolerance:
 
     rank_rel is the relative singular-value cutoff factor (the rank cutoff is
     rank_rel * sigma_max * max(rows, cols)); residual_abs is the absolute
-    residual bound used by the verification predicates.
+    residual bound used by the verification predicates. Both must be finite
+    and strictly positive.
     """
 
     rank_rel: float = UNIT_ROUNDOFF
     residual_abs: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not (self.rank_rel > 0 and self.residual_abs > 0):
-            raise ValueError("tolerances must be strictly positive")
+        # an infinite residual bound would pass any candidate inverse
+        knobs = (self.rank_rel, self.residual_abs)
+        if not all(math.isfinite(knob) and knob > 0 for knob in knobs):
+            raise PreconditionError("tolerances must be finite and strictly positive")
 
     def rank_cutoff(self, sigma_max: float, rows: int, cols: int) -> float:
         return self.rank_rel * sigma_max * max(rows, cols)

@@ -3,14 +3,21 @@
 from __future__ import annotations
 
 import json
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from pinvkit.cli import main
+import pinvkit.cli
+import pinvkit.core
+from pinvkit.cli import _write_atomic, main
 from pinvkit.core import gen_random_matrix, pinv
 from pinvkit.graphdist import tree_build, wheel_pinv
+from pinvkit.linalg import svd
 from pinvkit.matrix import (
+    PreconditionError,
     dumps_generator_json,
     dumps_matrix_json,
     loads_matrix_csv,
@@ -267,6 +274,25 @@ def test_verify_pinv_of_every_method_passes(tmp_path, capsys):
         assert code == 0
 
 
+@pytest.mark.parametrize("command", ["pinv", "verify"])
+def test_dense_commands_factor_the_input_once(tmp_path, capsys, monkeypatch, command):
+    a = gen_random_matrix(19, 5, 4, rank=2)
+    src = write_matrix(tmp_path / "a.json", a)
+    aux = write_matrix(tmp_path / "x.json", pinv(a))
+    factored = []
+
+    def counting_svd(m, *args, **kwargs):
+        factored.append(np.array_equal(m, a))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(pinvkit.cli, "svd", counting_svd)
+    monkeypatch.setattr(pinvkit.core, "svd", counting_svd)
+    argv = ["pinv", "--input", src] if command == "pinv" else ["verify", "--input", src, "--aux", aux]
+    code, report = run(capsys, argv)
+    assert code == 0 and report["rank"] == 2
+    assert factored.count(True) == 1
+
+
 # --------------------------------------------------------------------------
 # gen
 
@@ -364,6 +390,64 @@ def test_env_var_invalid_exits_1(tmp_path, monkeypatch):
 def test_negative_tolerance_exits_3(tmp_path):
     a = write_matrix(tmp_path / "a.json", np.eye(2))
     assert main(["pinv", "--input", a, "--tol-residual", "-1"]) == 3
+
+
+@pytest.mark.parametrize("flag", ["--tol-residual", "--tol-rank"])
+def test_infinite_tolerance_flag_exits_3(tmp_path, flag):
+    # an infinite bound would pass this wrong inverse
+    a = write_matrix(tmp_path / "a.json", np.diag([2.0, 1.0]))
+    x = write_matrix(tmp_path / "x.json", np.diag([3.0, -4.0]))
+    assert main(["verify", "--input", a, "--aux", x, flag, "inf"]) == 3
+
+
+def test_infinite_tolerance_env_var_exits_3(tmp_path, monkeypatch):
+    a = write_matrix(tmp_path / "a.json", np.diag([2.0, 1.0]))
+    x = write_matrix(tmp_path / "x.json", np.diag([3.0, -4.0]))
+    monkeypatch.setenv("PINVKIT_TOL_RESIDUAL", "inf")
+    assert main(["verify", "--input", a, "--aux", x]) == 3
+
+
+def test_concurrent_writes_leave_one_complete_file(tmp_path):
+    path = str(tmp_path / "x.csv")
+    texts = [letter * (100_000 + 50_000 * index) + "\n" for index, letter in enumerate("abcd")]
+    barrier = threading.Barrier(len(texts), timeout=30)
+    errors = []
+
+    def writer(text):
+        try:
+            for _ in range(20):
+                barrier.wait()
+                _write_atomic(path, text)
+        except Exception as exc:  # reported below; a thread cannot fail the test
+            errors.append(exc)
+            barrier.abort()
+
+    threads = [threading.Thread(target=writer, args=(text,)) for text in texts]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    with open(path, encoding="utf-8") as handle:
+        assert handle.read() in texts
+    assert os.listdir(tmp_path) == ["x.csv"]
+    umask = os.umask(0o077)
+    os.umask(umask)
+    assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_failed_write_removes_temp_file(tmp_path):
+    target = tmp_path / "x.json"
+    target.mkdir()  # os.replace cannot put a file over a directory
+    with pytest.raises(PreconditionError):
+        _write_atomic(str(target), "{}")
+    assert os.listdir(tmp_path) == ["x.json"]
 
 
 def test_pretty_output_is_table(tmp_path, capsys):

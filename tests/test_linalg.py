@@ -1,10 +1,16 @@
 """In-repo SVD and solver checks against their stated accuracy bounds."""
 
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
+import pinvkit
+from pinvkit.circulant import block_pattern_generator, circ_materialize
 from pinvkit.linalg import (
     SvdFactorization,
+    _round_robin,
     cholesky_factor,
     cholesky_solve,
     hermitian_eigenvalues,
@@ -142,3 +148,123 @@ def test_hermitian_eigenvalues_match_diagonal():
 
 def test_hermitian_eigenvalues_zero():
     assert np.array_equal(hermitian_eigenvalues(np.zeros((3, 3))), np.zeros(3))
+
+
+# --------------------------------------------------------------------------
+# kernel cases checked against numpy.linalg.svd, an oracle used by tests only
+
+
+def _assert_sigma_matches_oracle(a, f: SvdFactorization, rel):
+    want = np.linalg.svd(a, compute_uv=False)
+    assert np.max(np.abs(f.sigma - want)) <= rel * max(want[0], 1e-300)
+
+
+def test_svd_block_pattern_circulant_converges():
+    # 0.9*1 - 1.1*pattern(3, 8) at n = 32: columns at roundoff level in the
+    # null space once kept a pair rotating for every allowed sweep
+    a = circ_materialize(0.9 * np.ones(32) - 1.1 * block_pattern_generator(3, 8))
+    f = svd(a)
+    _assert_factorization(a, f)
+    _assert_sigma_matches_oracle(a, f, 1e-13)
+    assert f.rank == np.linalg.matrix_rank(a)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_svd_zero_singular_value_multiplicity(exact):
+    rng = np.random.default_rng(31)
+    if exact:
+        # duplicated, dependent and zero columns: rank 3, so sigma = 0 six times
+        x = _random_complex(rng, 9, 3)
+        a = np.hstack([x, np.zeros((9, 2)), 2.0 * x[:, :1], x[:, 1:] - x[:, :2], np.zeros((9, 1))])
+        zeros = 6
+    else:
+        a = _random_complex(rng, 12, 4) @ _random_complex(rng, 4, 10)
+        zeros = 6
+    f = svd(a)
+    _assert_factorization(a, f)
+    _assert_sigma_matches_oracle(a, f, 1e-13)
+    assert f.rank == min(a.shape) - zeros
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_svd_graded_relative_accuracy(seed):
+    # D1 A D2 with scales over 1e-8..1e8 (Demmel-Veselic): the singular
+    # values span ~1e31, and Jacobi must get the smallest one to relative
+    # accuracy. The oracle's own smallest value is unreliable here, so it is
+    # taken as 1 / sigma_max(G^-1) with G^-1 = D2^-1 A^-1 D1^-1.
+    rng = np.random.default_rng(900 + seed)
+    n = 8
+    a = _random_complex(rng, n, n)
+    d1 = 10.0 ** rng.permutation(np.linspace(-8.0, 8.0, n))
+    d2 = 10.0 ** rng.permutation(np.linspace(-8.0, 8.0, n))
+    g = d1[:, None] * a * d2[None, :]
+    g_inv = np.linalg.inv(a) / d2[:, None] / d1[None, :]
+    f = svd(g)
+    assert f.sigma[0] / f.sigma[-1] > 1e25
+    want_max = np.linalg.svd(g, compute_uv=False)[0]
+    want_min = 1.0 / np.linalg.svd(g_inv, compute_uv=False)[0]
+    assert abs(f.sigma[0] - want_max) <= 1e-12 * want_max
+    assert abs(f.sigma[-1] - want_min) <= 1e-12 * want_min
+
+
+@pytest.mark.parametrize("exponent", [-300, -170, 170, 300])
+def test_svd_extreme_scales(exponent):
+    # squared column norms would underflow or overflow at these scales
+    rng = np.random.default_rng(abs(exponent))
+    base = _random_complex(rng, 6, 4)
+    scale = 10.0**exponent
+    f = svd(base * scale)
+    want = np.linalg.svd(base, compute_uv=False)
+    assert np.max(np.abs(f.sigma / scale - want)) <= 1e-14 * want[0]
+    assert f.rank == 4
+    assert frobenius(dagger(f.u) @ f.u - np.eye(6)) <= 10 * UNIT_ROUNDOFF * 6
+    assert frobenius(dagger(f.v) @ f.v - np.eye(4)) <= 10 * UNIT_ROUNDOFF * 4
+    recon = f.u[:, :4] @ np.diag(f.sigma / scale) @ dagger(f.v)
+    assert frobenius(recon - base) <= 100 * UNIT_ROUNDOFF * frobenius(base) * 6
+
+
+@pytest.mark.parametrize("shape", [(1, 7), (7, 1), (1, 1), (1, 40), (40, 1)])
+def test_svd_single_row_or_column(shape):
+    rng = np.random.default_rng(sum(shape))
+    a = _random_complex(rng, *shape)
+    f = svd(a)
+    _assert_factorization(a, f)
+    _assert_sigma_matches_oracle(a, f, 1e-14)
+    assert f.rank == 1
+
+
+def test_svd_tall_rank_one_u_unitary():
+    rng = np.random.default_rng(128)
+    m = 128
+    a = _random_complex(rng, m, 1) @ _random_complex(rng, 1, 4)
+    f = svd(a)
+    assert frobenius(dagger(f.u) @ f.u - np.eye(m)) <= 10 * UNIT_ROUNDOFF * m
+    _assert_factorization(a, f)
+    _assert_sigma_matches_oracle(a, f, 1e-14)
+    assert f.rank == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 31, 32])
+def test_round_robin_pairs_each_couple_once(n):
+    rounds = _round_robin(n)
+    assert len(rounds) == (n - 1 if n % 2 == 0 else n)
+    seen = []
+    for p, q in rounds:
+        assert np.all(p < q) and np.all(q < n) and np.all(p >= 0)
+        members = np.concatenate([p, q])
+        assert len(set(members.tolist())) == members.size  # disjoint within a round
+        seen.extend(zip(p.tolist(), q.tolist()))
+    assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+
+def test_library_source_avoids_numpy_linalg():
+    # the kernels stay in-repo: no module of the package may use numpy.linalg
+    package = pathlib.Path(pinvkit.__file__).parent
+    pattern = re.compile(r"\b(?:numpy|np)\s*\.\s*linalg\b|\bfrom\s+numpy\s+import\b[^\n]*\blinalg\b")
+    offenders = [
+        f"{path.name}:{number}"
+        for path in sorted(package.rglob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if pattern.search(line)
+    ]
+    assert offenders == []

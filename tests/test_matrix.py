@@ -5,6 +5,7 @@ import pytest
 
 from pinvkit.matrix import (
     MatrixFormatError,
+    PreconditionError,
     Tolerance,
     as_matrix,
     dumps_generator_json,
@@ -38,6 +39,13 @@ def test_tolerance_positive():
         Tolerance(rank_rel=0.0)
     with pytest.raises(ValueError):
         Tolerance(residual_abs=-1e-9)
+
+
+@pytest.mark.parametrize("knob", ["rank_rel", "residual_abs"])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_tolerance_finite(knob, value):
+    with pytest.raises(PreconditionError):
+        Tolerance(**{knob: value})
 
 
 @pytest.mark.parametrize(
