@@ -228,14 +228,14 @@ def _cmd_pinv(args, tol: Tolerance) -> tuple[RunReport, int]:
     if args.method == "svd":
         x = pinv(a, tol, factorization)
     elif args.method == "normal":
-        x = pinv_normal_equations(a, tol)
+        x = pinv_normal_equations(a, tol, factorization)
     elif args.method == "rank-completion":
-        x = rank_completion_pinv(a, tol=tol)
+        x = rank_completion_pinv(a, tol=tol, factorization=factorization)
     else:
         if not args.aux:
             raise PreconditionError("pair method needs --aux with the completing matrix")
         b, _ = _load_matrix(args.aux)
-        x = completion_pinv_pair(a, b, tol=tol)
+        x = completion_pinv_pair(a, b, tol=tol, factorization=factorization)
     check_tol = tol.scaled_for(a)
     residuals = penrose_residuals(a, x, check_tol)
     out_digest = _write_matrix(args.output, x) if args.output else None
@@ -362,8 +362,10 @@ def _cmd_tree(args, tol: Tolerance) -> tuple[RunReport, int]:
     text = _read_text(args.input)
     edges = loads_tree_csv(text)
     tree = tree_build(edges, tol)
+    # tree_pinv certifies rank n - 1 from D tau = 0 and the invertible
+    # shifted matrix, so the report needs no SVD of D
     x = tree_pinv(tree, alpha=args.alpha, tol=tol)
-    u, rebuilt = tree_u_and_reconstruction(tree, alpha=args.alpha, tol=tol)
+    u, rebuilt = tree_u_and_reconstruction(tree, tol=tol, dpinv=x)
     check_tol = tol.scaled_for(tree.D)
     residuals = penrose_residuals(tree.D, x, check_tol)
     ones = np.ones(tree.n)
@@ -376,7 +378,7 @@ def _cmd_tree(args, tol: Tolerance) -> tuple[RunReport, int]:
         method="shift-inverse",
         rows=tree.n,
         cols=tree.n,
-        rank=svd(tree.D, tol).rank,
+        rank=tree.n - 1,
         max_penrose_residual=float(max(residuals.residuals.values())),
         residual_bound=check_tol.residual_abs,
         passed=bool(residuals.passed),
@@ -396,8 +398,10 @@ def _cmd_tree(args, tol: Tolerance) -> tuple[RunReport, int]:
 
 def _cmd_wheel(args, tol: Tolerance) -> tuple[RunReport, int]:
     started = time.perf_counter()
-    wheel = wheel_build(args.n, tol)
-    inv134, dpinv = wheel_pinv(args.n, tol)
+    # wheel_build certifies rank n - 1 from D a = 0 and the verified
+    # inverse of D + a a^t
+    wheel = wheel_build(args.n)
+    inv134, dpinv = wheel_pinv(wheel, tol)
     check_tol = tol.scaled_for(wheel.D)
     residuals = penrose_residuals(wheel.D, dpinv, check_tol)
     identities = wheel_z_identities(args.n)

@@ -139,14 +139,17 @@ def characterization_residuals(
     return ResidualReport(systems, tol)
 
 
-def pinv_normal_equations(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def pinv_normal_equations(
+    a: np.ndarray, tol: Tolerance = DEFAULT_TOL, factorization: SvdFactorization | None = None
+) -> np.ndarray:
     """Pseudoinverse through the Gram matrices.
 
     Full column rank: (A*A)^-1 A* by a Cholesky solve. Full row rank:
-    A* (AA*)^-1. Otherwise the general form (A*A)^+ A*.
+    A* (AA*)^-1. Otherwise the general form (A*A)^+ A*. The rank comes from
+    factorization, svd(a, tol), computed here when the caller has none.
     """
     m, n = a.shape
-    f = svd(a, tol)
+    f = factorization if factorization is not None else svd(a, tol)
     a_adj = dagger(a)
     if f.rank == n:
         low = cholesky_factor(a_adj @ a)

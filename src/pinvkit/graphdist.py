@@ -6,6 +6,9 @@ null vector yields an invertible matrix whose ordinary inverse is a
 {1,3,4}-inverse of D. Subtracting the matching dyad from that inverse gives
 the Moore-Penrose inverse in closed form. For wheels the inverse itself is
 known entrywise through an integer vector z, checked here exactly.
+
+Neither family calls the dense SVD: the known null vector bounds rank(D)
+by n - 1 from above, and the invertible completion bounds it from below.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .circulant import circ_materialize, circ_mul
 from .core import penrose_residuals
-from .linalg import hermitian_eigenvalues, inverse, lu_solve, svd
+from .linalg import hermitian_eigenvalues, inverse, lu_factor
 from .matrix import (
     DEFAULT_TOL,
     PreconditionError,
@@ -194,6 +197,17 @@ def _auto_alpha(tree: TreeMatrices) -> float:
     return 1.0
 
 
+def _shift_alpha(tree: TreeMatrices, alpha: float | None, tol: Tolerance) -> float:
+    """Validated shift weight: the tree is zero-sum and alpha is nonzero."""
+    _require_zero_sum(tree, tol)
+    if alpha is None:
+        alpha = _auto_alpha(tree)
+    alpha = float(alpha)
+    if alpha == 0.0:
+        raise PreconditionError("alpha must be nonzero")
+    return alpha
+
+
 def tree_shift_inverse(
     tree: TreeMatrices, alpha: float | None = None, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray:
@@ -204,12 +218,7 @@ def tree_shift_inverse(
     which is symmetric and fixes D from either side. The shifted matrix M
     itself is not such an inverse; taking it for one confuses M with M^-1.
     """
-    _require_zero_sum(tree, tol)
-    if alpha is None:
-        alpha = _auto_alpha(tree)
-    alpha = float(alpha)
-    if alpha == 0.0:
-        raise PreconditionError("alpha must be nonzero")
+    alpha = _shift_alpha(tree, alpha, tol)
     m = tree.D + alpha * np.outer(tree.tau, tree.tau)
     return np.real(inverse(m))
 
@@ -219,23 +228,25 @@ def tree_pinv(
 ) -> np.ndarray:
     """Moore-Penrose inverse of a zero-sum tree distance matrix.
 
-    Two routes are computed and compared: the explicit form
-    M^-1 - tau tau^t / (alpha ||tau||^4) with M = D + alpha tau tau^t, and the
-    solution of M X = I - tau tau^t/||tau||^2. The result is independent of
-    alpha. A singular M (impossible for a genuine zero-sum tree) surfaces as
-    a hard error from the solver.
+    M = D + alpha tau tau^t is LU-factored once, and that factorization
+    serves two routes that are computed and compared: the explicit form
+    M^-1 - tau tau^t / (alpha ||tau||^4), and the solution of
+    M X = I - tau tau^t/||tau||^2. The result is independent of alpha. A
+    singular M (impossible for a genuine zero-sum tree) surfaces as a hard
+    error from the factorization.
+
+    A normal return certifies rank(D) = n - 1 without an SVD: tree_build
+    checked D tau = 0 for the zero-sum tree, and tau != 0 (e^t tau = 2), so
+    rank(D) <= n - 1; every pivot of M cleared the singularity threshold, so
+    M is invertible and its rank-one downdate D has rank >= n - 1; and the
+    result passed the four Penrose residuals.
     """
-    _require_zero_sum(tree, tol)
-    if alpha is None:
-        alpha = _auto_alpha(tree)
-    alpha = float(alpha)
-    if alpha == 0.0:
-        raise PreconditionError("alpha must be nonzero")
+    alpha = _shift_alpha(tree, alpha, tol)
     tau = tree.tau
     tau_sq = float(tau @ tau)
-    m = tree.D + alpha * np.outer(tau, tau)
-    explicit = np.real(inverse(m)) - np.outer(tau, tau) / (alpha * tau_sq**2)
-    equation = np.real(lu_solve(m, np.eye(tree.n) - np.outer(tau, tau) / tau_sq))
+    lu = lu_factor(tree.D + alpha * np.outer(tau, tau))
+    explicit = np.real(lu.inverse()) - np.outer(tau, tau) / (alpha * tau_sq**2)
+    equation = np.real(lu.solve(np.eye(tree.n) - np.outer(tau, tau) / tau_sq))
     gap = frobenius(explicit - equation)
     bound = tol.scaled_for(tree.D).residual_abs * max(1.0, frobenius(explicit))
     if gap > bound:
@@ -250,33 +261,36 @@ def tree_pinv(
 
 
 def tree_u_and_reconstruction(
-    tree: TreeMatrices, alpha: float | None = None, tol: Tolerance = DEFAULT_TOL
+    tree: TreeMatrices,
+    alpha: float | None = None,
+    tol: Tolerance = DEFAULT_TOL,
+    dpinv: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Recover u with D^+ = -L/2 + u tau^t + tau u^t and rebuild D^+.
 
-    D^+ e comes from a single linear solve against the shifted matrix, no
-    full pseudoinverse needed: D^+ e = M^-1 e - 2 tau/(alpha ||tau||^4), using
-    tau^t e = 2. Then u = (D^+ e - (e^t D^+ e / 4) tau) / 2; the minus sign
-    is forced by D^+ tau = 0, which pins tau^t u to tau^t L tau/(4 ||tau||^2).
-    When tau^t L tau is nonzero the closed form
+    dpinv is the verified tree_pinv(tree, ...) when the caller already holds
+    it; otherwise it is computed here with the given alpha. D^+ e is read off
+    it, which is the solve D^+ e = M^-1 e - 2 tau/(alpha ||tau||^4) against
+    the one factorization of M that tree_pinv made (tau^t e = 2). Then
+    u = (D^+ e - (e^t D^+ e / 4) tau) / 2; the minus sign is forced by
+    D^+ tau = 0, which pins tau^t u to tau^t L tau/(4 ||tau||^2). When
+    tau^t L tau is nonzero the closed form
 
         u = (L tau / ||tau||^2 - (tau^t L tau / (2 ||tau||^4)) tau) / 2
 
     is evaluated as well and the two must agree; a mismatch on a valid tree
     is reported as a verification failure rather than reconciled. Finally the
-    reconstruction -L/2 + u tau^t + tau u^t is checked against tree_pinv.
+    reconstruction -L/2 + u tau^t + tau u^t is checked against D^+. The rank
+    n - 1 is certified by tree_pinv, not recomputed.
     """
-    _require_zero_sum(tree, tol)
-    if alpha is None:
-        alpha = _auto_alpha(tree)
-    alpha = float(alpha)
-    if alpha == 0.0:
-        raise PreconditionError("alpha must be nonzero")
+    if dpinv is None:
+        dpinv = tree_pinv(tree, alpha, tol)
+    else:
+        _require_zero_sum(tree, tol)
     tau = tree.tau
     tau_sq = float(tau @ tau)
     ones = np.ones(tree.n)
-    m = tree.D + alpha * np.outer(tau, tau)
-    dpinv_e = np.real(lu_solve(m, ones)) - (2.0 / (alpha * tau_sq**2)) * tau
+    dpinv_e = dpinv @ ones
     u = 0.5 * (dpinv_e - (float(ones @ dpinv_e) / 4.0) * tau)
 
     quad = float(tau @ tree.L @ tau)
@@ -289,9 +303,8 @@ def tree_u_and_reconstruction(
             )
 
     rebuilt = -tree.L / 2.0 + np.outer(u, tau) + np.outer(tau, u)
-    direct = tree_pinv(tree, alpha, tol)
-    gap = frobenius(rebuilt - direct)
-    if gap > tol.scaled_for(tree.D).residual_abs * max(1.0, frobenius(direct)):
+    gap = frobenius(rebuilt - dpinv)
+    if gap > tol.scaled_for(tree.D).residual_abs * max(1.0, frobenius(dpinv)):
         raise VerificationError(f"reconstruction differs from tree_pinv by {gap:.3e}")
     return u, rebuilt
 
@@ -309,7 +322,8 @@ class WheelGraph:
     because any detour through the hub has length 2. a spans the null space
     of D, z24 holds the 24-scaled integer vector describing the inverse of
     D + a a^t, and v is the alternating rim generator with a a^t rim block
-    circ(v).
+    circ(v). inv134 is that inverse, verified by wheel_build; it is a
+    {1,3,4}-inverse of D.
     """
 
     n: int
@@ -317,6 +331,7 @@ class WheelGraph:
     a: np.ndarray
     z24: np.ndarray
     v: np.ndarray
+    inv134: np.ndarray
 
     @property
     def z(self) -> np.ndarray:
@@ -408,12 +423,23 @@ def wheel_z_identities(n: int, z24=None) -> dict[str, bool]:
     return report
 
 
-def wheel_build(n: int, tol: Tolerance = DEFAULT_TOL) -> WheelGraph:
-    """Construct the wheel distance data and verify its null space.
+def wheel_build(n: int) -> WheelGraph:
+    """Construct the wheel distance data and certify rank(D) = n - 1.
 
-    Asserts D a = 0 exactly (all entries are small integers, so the float
-    products are exact) and rank(D) = n - 1 through the singular value
-    factorization.
+    The rank is proved by two checks, with no SVD:
+
+    - D a = 0 holds exactly (all entries are small integers, so the float
+      products are exact), hence rank(D) <= n - 1;
+    - the closed-form inverse of D + a a^t,
+
+        (D + a a^t)^-1 = [[-2(n-1)(n-3), (n-1) e^t], [(n-1) e, circ(z)]] / (n-1)^2,
+
+      built from the integer vector z24 = 24 z, must give
+      ||(D + a a^t) X - I||_F <= 1e-10 max(1, ||D + a a^t||_F). A residual
+      below 1 makes D + a a^t invertible, so its rank-one downdate D has
+      rank >= n - 1.
+
+    The verified inverse travels in the returned WheelGraph as inv134.
     """
     _require_odd_wheel(n)
     m = n - 1
@@ -427,45 +453,44 @@ def wheel_build(n: int, tol: Tolerance = DEFAULT_TOL) -> WheelGraph:
     v = np.array([(-1.0) ** k for k in range(m)])
     if float(np.max(np.abs(d @ a))) != 0.0:
         raise VerificationError("D a = 0 failed in exact integer arithmetic")
-    rank = svd(d, tol).rank
-    if rank != n - 1:
-        raise VerificationError(f"wheel distance matrix has rank {rank}, expected {n - 1}")
-    return WheelGraph(n=n, D=d, a=a, z24=wheel_z(n), v=v)
-
-
-def wheel_pinv(n: int, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form {1,3,4}-inverse and Moore-Penrose inverse of the wheel.
-
-    The completed matrix D + a a^t is invertible with
-
-        (D + a a^t)^-1 = [[-2(n-1)(n-3), (n-1) e^t], [(n-1) e, circ(z)]] / (n-1)^2,
-
-    and this inverse is a {1,3,4}-inverse of D. Subtracting the null-space
-    dyad yields the pseudoinverse:
-
-        D^+ = (D + a a^t)^-1 - a a^t / (n-1)^2,
-
-    whose rim block is circ(z - v)/(n-1)^2 since a a^t has rim block circ(v).
-    Both claims are verified before returning: the product against D + a a^t
-    must be the identity to 1e-10, and D^+ must pass the Penrose residuals.
-    """
-    wheel = wheel_build(n, tol)
-    m = n - 1
+    z24 = wheel_z(n)
     inv134 = np.empty((n, n))
     inv134[0, 0] = -2.0 * (n - 3) / m
     inv134[0, 1:] = 1.0 / m
     inv134[1:, 0] = 1.0 / m
-    inv134[1:, 1:] = circ_materialize(wheel.z24.astype(float) / 24.0).real / m**2
-    completed = wheel.D + np.outer(wheel.a, wheel.a)
+    inv134[1:, 1:] = circ_materialize(z24.astype(float) / 24.0).real / m**2
+    completed = d + np.outer(a, a)
     residual = frobenius(completed @ inv134 - np.eye(n))
     if residual > 1e-10 * max(1.0, frobenius(completed)):
         raise VerificationError(f"(D + a a^t) inverse check failed: residual {residual:.3e}")
-    dpinv = inv134 - np.outer(wheel.a, wheel.a) / m**2
+    return WheelGraph(n=n, D=d, a=a, z24=z24, v=v, inv134=inv134)
+
+
+def wheel_pinv(
+    wheel: int | WheelGraph, tol: Tolerance = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form {1,3,4}-inverse and Moore-Penrose inverse of the wheel.
+
+    wheel is a WheelGraph from wheel_build, or the vertex count n, in which
+    case the wheel is built here. Its inv134 = (D + a a^t)^-1, already
+    verified by wheel_build (which thereby certified rank(D) = n - 1), is a
+    {1,3,4}-inverse of D. Subtracting the null-space dyad yields the
+    pseudoinverse:
+
+        D^+ = (D + a a^t)^-1 - a a^t / (n-1)^2,
+
+    whose rim block is circ(z - v)/(n-1)^2 since a a^t has rim block circ(v).
+    D^+ must pass the Penrose residuals before it is returned.
+    """
+    if not isinstance(wheel, WheelGraph):
+        wheel = wheel_build(wheel)
+    m = wheel.n - 1
+    dpinv = wheel.inv134 - np.outer(wheel.a, wheel.a) / m**2
     report = penrose_residuals(wheel.D, dpinv, tol.scaled_for(wheel.D))
     if not report.passed:
         name, value = report.worst
         raise VerificationError(f"wheel pseudoinverse failed {name} with residual {value:.3e}")
-    return inv134, dpinv
+    return wheel.inv134, dpinv
 
 
 def wheel_properties(n: int, tol: Tolerance = DEFAULT_TOL) -> dict[str, bool]:
@@ -485,8 +510,8 @@ def wheel_properties(n: int, tol: Tolerance = DEFAULT_TOL) -> dict[str, bool]:
 
     where L~ = -2 (M^-1 - (4/(n-1)) w w^t) P.
     """
-    wheel = wheel_build(n, tol)
-    inv134, dpinv = wheel_pinv(n, tol)
+    wheel = wheel_build(n)
+    inv134, dpinv = wheel_pinv(wheel, tol)
     m = n - 1
     proj = np.eye(n) - np.outer(wheel.a, wheel.a) / m
     w = np.full(n, 0.25)

@@ -198,42 +198,71 @@ def svd(a: np.ndarray, tol: Tolerance = DEFAULT_TOL, max_sweeps: int = 60) -> Sv
     return SvdFactorization(u=u, sigma=sigma, v=v, rank=rank)
 
 
-def lu_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a @ x = rhs for square a by LU with partial pivoting.
+@dataclass(frozen=True)
+class LuFactorization:
+    """P A = L U from partial pivoting, packed the LAPACK way.
+
+    lu holds the unit lower factor L below its diagonal and U on and above
+    it; perm lists, for each row of P A, the row of A it came from. One
+    factorization serves any number of solves.
+    """
+
+    lu: np.ndarray
+    perm: np.ndarray
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve A x = rhs for a vector or a matrix of right-hand sides."""
+        lu = self.lu
+        n = lu.shape[0]
+        x = np.array(rhs, dtype=np.complex128, copy=True)
+        squeeze = x.ndim == 1
+        if squeeze:
+            x = x[:, None]
+        if x.shape[0] != n:
+            raise PreconditionError("right-hand side has the wrong number of rows")
+        x = x[self.perm]
+        for k in range(n):
+            x[k + 1 :] -= np.outer(lu[k + 1 :, k], x[k])
+        for k in range(n - 1, -1, -1):
+            x[k] = (x[k] - lu[k, k + 1 :] @ x[k + 1 :]) / lu[k, k]
+        return x[:, 0] if squeeze else x
+
+    def inverse(self) -> np.ndarray:
+        return self.solve(eye(self.lu.shape[0]))
+
+
+def lu_factor(a: np.ndarray) -> LuFactorization:
+    """LU factorization of a square matrix with partial pivoting.
 
     Raises PreconditionError when a pivot falls below the numerical-zero
     threshold (the matrix is singular at working precision).
     """
-    a = np.array(a, dtype=np.complex128, copy=True)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise PreconditionError("lu_solve needs a square matrix")
-    x = np.array(rhs, dtype=np.complex128, copy=True)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[:, None]
-    if x.shape[0] != n:
-        raise PreconditionError("right-hand side has the wrong number of rows")
-
-    scale = float(np.max(np.abs(a))) if n else 0.0
+    lu = np.array(a, dtype=np.complex128, copy=True)
+    n = lu.shape[0]
+    if lu.shape != (n, n):
+        raise PreconditionError("LU factorization needs a square matrix")
+    perm = np.arange(n)
+    scale = float(np.max(np.abs(lu))) if n else 0.0
     tiny = 10.0 * n * UNIT_ROUNDOFF * max(scale, 1e-300)
     for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[piv, k]) <= tiny:
+        piv = k + int(np.argmax(np.abs(lu[k:, k])))
+        if abs(lu[piv, k]) <= tiny:
             raise PreconditionError("matrix is singular at working precision")
         if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            x[[k, piv]] = x[[piv, k]]
-        mult = a[k + 1 :, k] / a[k, k]
-        a[k + 1 :, k + 1 :] -= np.outer(mult, a[k, k + 1 :])
-        x[k + 1 :] -= np.outer(mult, x[k])
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
-    return x[:, 0] if squeeze else x
+            lu[[k, piv]] = lu[[piv, k]]
+            perm[[k, piv]] = perm[[piv, k]]
+        lu[k + 1 :, k] /= lu[k, k]
+        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
+    return LuFactorization(lu=lu, perm=perm)
+
+
+def lu_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a @ x = rhs for square a by LU with partial pivoting."""
+    return lu_factor(a).solve(rhs)
 
 
 def inverse(a: np.ndarray) -> np.ndarray:
-    return lu_solve(a, eye(a.shape[0]))
+    return lu_factor(a).inverse()
 
 
 def cholesky_factor(h: np.ndarray) -> np.ndarray | None:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
+_SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 
 
 class MatrixFormatError(ValueError):
@@ -90,7 +91,21 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def frobenius(a: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.abs(np.asarray(a)) ** 2)))
+    """Frobenius norm, safe for entries near the ends of the float range.
+
+    The plain sum of squares is kept whenever it is a normal finite number.
+    It overflows to inf for entries above ~1e154 and loses digits to
+    underflow below ~1e-154; only then is the sum redone on a / max|a_ij|.
+    """
+    mag = np.abs(np.asarray(a))
+    with np.errstate(over="ignore", under="ignore"):
+        total = np.sum(mag**2)
+        if _SMALLEST_NORMAL <= total < np.inf or not mag.any():
+            return float(np.sqrt(total))
+        top = float(np.max(mag))
+        if not np.isfinite(top):
+            return top
+        return top * float(np.sqrt(np.sum((mag / top) ** 2)))
 
 
 def eye(n: int) -> np.ndarray:

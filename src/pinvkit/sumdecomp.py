@@ -15,7 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import pinv, projectors
-from .linalg import cholesky_factor, cholesky_solve, inverse, lu_solve, random_unitary, svd
+from .linalg import (
+    SvdFactorization,
+    cholesky_factor,
+    cholesky_solve,
+    inverse,
+    lu_solve,
+    random_unitary,
+    svd,
+)
 from .matrix import (
     DEFAULT_TOL,
     PreconditionError,
@@ -230,14 +238,16 @@ def _validate_completion(a: np.ndarray, comp: CompletionData, tol: Tolerance) ->
         raise PreconditionError("completion weights must be nonzero")
 
 
-def auto_completion(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> CompletionData:
+def auto_completion(
+    a: np.ndarray, tol: Tolerance = DEFAULT_TOL, factorization: SvdFactorization | None = None
+) -> CompletionData:
     """Full null-space completion from the SVD, weights d_k = sigma_1.
 
     The scale-matched weight keeps the completed matrix's conditioning close
-    to that of A itself.
+    to that of A itself. factorization, if given, is svd(a, tol).
     """
     m, n = a.shape
-    f = svd(a, tol)
+    f = factorization if factorization is not None else svd(a, tol)
     q = min(m, n)
     p = q - f.rank
     weight = f.sigma[0] if f.rank > 0 else 1.0
@@ -253,6 +263,7 @@ def rank_completion_pinv(
     comp: CompletionData | None = None,
     tol: Tolerance = DEFAULT_TOL,
     mode: str = "auto",
+    factorization: SvdFactorization | None = None,
 ) -> np.ndarray:
     """Pseudoinverse by completing the null spaces with weighted dyads.
 
@@ -266,14 +277,18 @@ def rank_completion_pinv(
                  (A*A + sum |d_k|^2 f_k f_k*) X = M*
       gram-right n >= m, full completion: the mirrored solve
       pinv       any completion: SVD pseudoinverse of M
+
+    A is factored once, for the rank and the default completion;
+    factorization, if given, is svd(a, tol) and saves that too.
     """
     a = as_matrix(a)
     m, n = a.shape
+    fa = factorization if factorization is not None else svd(a, tol)
     if comp is None:
-        comp = auto_completion(a, tol)
+        comp = auto_completion(a, tol, fa)
     _validate_completion(a, comp, tol)
     f, g, d = comp.f_basis, comp.g_basis, comp.d
-    full = comp.count == min(m, n) - svd(a, tol).rank
+    full = comp.count == min(m, n) - fa.rank
     dyads_back = (f / d) @ dagger(g)  # sum_k (1/d_k) f_k g_k*
     completed = a + (g * d) @ dagger(f)
 
@@ -311,7 +326,11 @@ def rank_completion_pinv(
 
 
 def completion_pinv_pair(
-    a: np.ndarray, b: np.ndarray, mode: str = "auto", tol: Tolerance = DEFAULT_TOL
+    a: np.ndarray,
+    b: np.ndarray,
+    mode: str = "auto",
+    tol: Tolerance = DEFAULT_TOL,
+    factorization: SvdFactorization | None = None,
 ) -> np.ndarray:
     """Pseudoinverse of A from a single completing partner B.
 
@@ -323,6 +342,8 @@ def completion_pinv_pair(
                   A^+ = (A+B)^-1 - B^+, checked against both projector
                   equations (A+B) X = P_N(B*) and X (A+B) = P_N(B)
       auto        invertible if possible, else the applicable gram direction
+
+    A and B are each factored once; factorization, if given, is svd(a, tol).
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -330,7 +351,7 @@ def completion_pinv_pair(
         raise PreconditionError("A and B must have the same shape")
     m, n = a.shape
     scaled = tol.residual_abs * max(1.0, frobenius(a) * frobenius(b))
-    fa = svd(a, tol)
+    fa = factorization if factorization is not None else svd(a, tol)
     fb = svd(b, tol)
     range_bstar_in_null_a = frobenius(a @ dagger(b)) <= scaled
     range_b_in_null_astar = frobenius(dagger(a) @ b) <= scaled
@@ -387,8 +408,8 @@ def completion_pinv_pair(
             raise PreconditionError(
                 "invertible mode needs R(B*) = N(A) with R(B) <= N(A*), or the mirrored pair"
             )
-        x = inverse(a + b) - pinv(b, tol)
-        _, p_null_b_adj, _, p_null_b = projectors(b, tol)
+        x = inverse(a + b) - pinv(b, tol, fb)
+        _, p_null_b_adj, _, p_null_b = projectors(b, tol, fb)
         bound = tol.scaled_for(a + b).residual_abs
         left = frobenius((a + b) @ x - p_null_b_adj)
         right = frobenius(x @ (a + b) - p_null_b)
@@ -431,8 +452,8 @@ def fill_fishkind_pinv(
     p_range_a2, _, p_range_a2_adj, _ = projectors(a2, tol, factorization=f2)
     left = pinv(p_range_a2_adj @ p_null_a1, tol)
     right = pinv(p_null_a1_adj @ p_range_a2, tol)
-    x1 = pinv(a1, tol)
-    x2 = pinv(a2, tol)
+    x1 = pinv(a1, tol, f1)
+    x2 = pinv(a2, tol, f2)
     return (eye(n) - left) @ x1 @ (eye(n) - right) + left @ x2 @ right
 
 

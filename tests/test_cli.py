@@ -6,6 +6,7 @@ import json
 import os
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -458,3 +459,15 @@ def test_pretty_output_is_table(tmp_path, capsys):
     assert out.startswith("command")
     assert "passed" in out
     assert not out.lstrip().startswith("{")
+
+
+def test_pinv_at_1e200_scale_passes_without_warnings(tmp_path, capsys):
+    a = np.array([[3.0, 1.0], [0.0, 2.0]]) * 1e200
+    src = write_matrix(tmp_path / "a.json", a)
+    out = tmp_path / "x.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, report = run(capsys, ["pinv", "--input", src, "--output", str(out)])
+    assert code == 0 and report["rank"] == 2 and report["passed"]
+    want = np.array([[2.0, -1.0], [0.0, 3.0]]) / 6e200
+    np.testing.assert_allclose(read_matrix(out), want, rtol=1e-14, atol=1e-214)

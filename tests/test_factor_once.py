@@ -1,0 +1,181 @@
+"""Every route factors its inputs once, and the structured routes prove rank
+from their own certificates instead of the dense SVD.
+
+Calls are counted by routing every module-level binding of a function
+through a recorder, so calls made through names imported elsewhere are seen
+too. The SVD oracle runs inside these tests only, never on a route's path.
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+import pytest
+
+import pinvkit
+import pinvkit.circulant
+import pinvkit.cli
+import pinvkit.core
+import pinvkit.graphdist
+import pinvkit.linalg
+import pinvkit.sumdecomp
+from pinvkit.cli import main
+from pinvkit.core import gen_random_matrix, pinv
+from pinvkit.graphdist import gen_zero_sum_tree, wheel_build, wheel_z
+from pinvkit.linalg import lu_factor, svd
+from pinvkit.matrix import VerificationError, dagger, dumps_matrix_json, dumps_tree_csv
+from pinvkit.sumdecomp import fill_fishkind_pinv, gen_rank_additive_pair
+
+MODULES = (
+    pinvkit,
+    pinvkit.circulant,
+    pinvkit.cli,
+    pinvkit.core,
+    pinvkit.graphdist,
+    pinvkit.linalg,
+    pinvkit.sumdecomp,
+)
+
+
+def record_calls(monkeypatch, func) -> list[np.ndarray]:
+    """Record the first argument of every call to func, wherever it is bound."""
+    seen = []
+
+    def recording(first, *args, **kwargs):
+        seen.append(np.array(first, copy=True))
+        return func(first, *args, **kwargs)
+
+    for module in MODULES:
+        for attr, value in list(vars(module).items()):
+            if value is func:
+                monkeypatch.setattr(module, attr, recording)
+    return seen
+
+
+def count_equal(seen, a) -> int:
+    return sum(1 for m in seen if m.shape == a.shape and np.array_equal(m, a))
+
+
+def run(capsys, argv):
+    code = main(argv)
+    out = capsys.readouterr().out
+    return code, json.loads(out) if out.strip() else None
+
+
+def write_tree(tmp_path, tree) -> str:
+    path = tmp_path / "tree.csv"
+    path.write_text(dumps_tree_csv(tree.edges))
+    return str(path)
+
+
+def write_matrix(path, a) -> str:
+    path.write_text(dumps_matrix_json(np.asarray(a, dtype=np.complex128)))
+    return str(path)
+
+
+# --------------------------------------------------------------------------
+# call counts
+
+
+def test_wheel_and_tree_commands_make_no_svd_calls(tmp_path, capsys, monkeypatch):
+    src = write_tree(tmp_path, gen_zero_sum_tree(5, 40))
+    calls = record_calls(monkeypatch, svd)
+    code, report = run(capsys, ["wheel", "--n", "61"])
+    assert code == 0 and report["rank"] == 60
+    code, report = run(capsys, ["tree", "--input", src])
+    assert code == 0 and report["rank"] == 39
+    assert len(calls) == 0
+
+
+def test_wheel_command_builds_the_wheel_once(capsys, monkeypatch):
+    calls = record_calls(monkeypatch, wheel_build)
+    code, _ = run(capsys, ["wheel", "--n", "9"])
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_tree_command_factors_the_shifted_matrix_once(tmp_path, capsys, monkeypatch):
+    tree = gen_zero_sum_tree(11, 24)
+    src = write_tree(tmp_path, tree)
+    calls = record_calls(monkeypatch, lu_factor)
+    code, _ = run(capsys, ["tree", "--input", src, "--alpha", "0.5"])
+    assert code == 0
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], tree.D + 0.5 * np.outer(tree.tau, tree.tau))
+    calls.clear()
+    code, _ = run(capsys, ["tree", "--input", src])
+    assert code == 0 and len(calls) == 1
+
+
+def _pair_partner(a, rank, invertible, rng):
+    """B with R(B*) = N(A); with invertible, also R(B) = N(A*)."""
+    f = svd(a)
+    n = a.shape[0]
+    coef = rng.standard_normal((n - rank, n - rank)) + 1j * rng.standard_normal((n - rank, n - rank))
+    if invertible:
+        left = f.u[:, rank:] @ coef
+    else:
+        left = rng.standard_normal((n, n - rank)) + 1j * rng.standard_normal((n, n - rank))
+    return left @ dagger(f.v[:, rank:])
+
+
+@pytest.mark.parametrize("method", ["normal", "rank-completion", "pair-gram", "pair-invertible"])
+def test_dense_methods_factor_each_input_once(tmp_path, capsys, monkeypatch, method):
+    a = gen_random_matrix(23, 6, 6, rank=3)
+    argv = ["pinv", "--input", write_matrix(tmp_path / "a.json", a)]
+    b = None
+    if method.startswith("pair"):
+        b = _pair_partner(a, 3, method == "pair-invertible", np.random.default_rng(4))
+        argv += ["--method", "pair", "--aux", write_matrix(tmp_path / "b.json", b)]
+    else:
+        argv += ["--method", method]
+    calls = record_calls(monkeypatch, svd)
+    code, report = run(capsys, argv)
+    assert code == 0 and report["rank"] == 3
+    assert count_equal(calls, a) == 1
+    if b is not None:
+        assert count_equal(calls, b) == 1
+
+
+def test_fill_fishkind_factors_each_matrix_once(monkeypatch):
+    a1, a2 = gen_rank_additive_pair(3, 8)
+    calls = record_calls(monkeypatch, svd)
+    x = fill_fishkind_pinv(a1, a2)
+    assert count_equal(calls, a1) == 1
+    assert count_equal(calls, a2) == 1
+    assert count_equal(calls, a1 + a2) == 1
+    np.testing.assert_allclose(x, pinv(a1 + a2), atol=1e-9)
+
+
+# --------------------------------------------------------------------------
+# certificates
+
+
+def test_certified_wheel_rank_matches_the_oracle(capsys):
+    for n in range(5, 62, 2):
+        code, report = run(capsys, ["wheel", "--n", str(n)])
+        assert code == 0
+        assert report["rank"] == svd(wheel_build(n).D).rank == n - 1
+
+
+def test_certified_tree_rank_matches_the_oracle(tmp_path, capsys):
+    for seed, n in enumerate(range(3, 61, 3)):
+        tree = gen_zero_sum_tree(100 + seed, n)
+        code, report = run(capsys, ["tree", "--input", write_tree(tmp_path, tree)])
+        assert code == 0
+        assert report["rank"] == svd(tree.D).rank == n - 1
+
+
+def test_perturbed_wheel_z_breaks_the_certificate(capsys, monkeypatch):
+    def perturbed(n):
+        z24 = wheel_z(n).copy()
+        z24[0] += 1
+        z24[1] -= 1
+        return z24
+
+    monkeypatch.setattr(pinvkit.graphdist, "wheel_z", perturbed)
+    with pytest.raises(VerificationError):
+        wheel_build(9)
+    assert main(["wheel", "--n", "9"]) == 2
+    assert capsys.readouterr().out == ""

@@ -15,6 +15,7 @@ from pinvkit.linalg import (
     cholesky_solve,
     hermitian_eigenvalues,
     inverse,
+    lu_factor,
     lu_solve,
     random_unitary,
     svd,
@@ -108,6 +109,49 @@ def test_lu_solve_vector_rhs():
 def test_lu_solve_singular_raises():
     with pytest.raises(PreconditionError):
         lu_solve(np.ones((3, 3), dtype=complex), np.eye(3, dtype=complex))
+
+
+def _interleaved_lu_solve(a, rhs):
+    """Reference: elimination applied to the right-hand side as it goes."""
+    a = np.array(a, dtype=np.complex128)
+    x = np.array(rhs, dtype=np.complex128)
+    squeeze = x.ndim == 1
+    if squeeze:
+        x = x[:, None]
+    n = a.shape[0]
+    for k in range(n):
+        piv = k + int(np.argmax(np.abs(a[k:, k])))
+        a[[k, piv]] = a[[piv, k]]
+        x[[k, piv]] = x[[piv, k]]
+        mult = a[k + 1 :, k] / a[k, k]
+        a[k + 1 :, k + 1 :] -= np.outer(mult, a[k, k + 1 :])
+        x[k + 1 :] -= np.outer(mult, x[k])
+    for k in range(n - 1, -1, -1):
+        x[k] = (x[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
+    return x[:, 0] if squeeze else x
+
+
+def test_lu_factor_serves_many_solves_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 7, 24):
+        a = _random_complex(rng, n, n)
+        lu = lu_factor(a)
+        lower = np.tril(lu.lu, -1) + np.eye(n)
+        assert frobenius(a[lu.perm] - lower @ np.triu(lu.lu)) <= 1e-13 * frobenius(a)
+        for _ in range(3):
+            b = _random_complex(rng, n, 2)
+            np.testing.assert_array_equal(lu.solve(b), _interleaved_lu_solve(a, b))
+            np.testing.assert_array_equal(lu.solve(b[:, 0]), _interleaved_lu_solve(a, b[:, 0]))
+        np.testing.assert_array_equal(lu.inverse(), _interleaved_lu_solve(a, np.eye(n)))
+
+
+def test_lu_factor_rejects_singular_and_mismatched_inputs():
+    with pytest.raises(PreconditionError):
+        lu_factor(np.ones((3, 3), dtype=complex))
+    with pytest.raises(PreconditionError):
+        lu_factor(np.ones((2, 3), dtype=complex))
+    with pytest.raises(PreconditionError):
+        lu_factor(np.eye(3, dtype=complex)).solve(np.ones(2))
 
 
 def test_cholesky_solves_hpd():

@@ -1,5 +1,7 @@
 """Carrier validation, literals, and file-format round trips."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from pinvkit.matrix import (
     dumps_matrix_json,
     dumps_tree_csv,
     format_complex,
+    frobenius,
     loads_generator_json,
     loads_matrix_csv,
     loads_matrix_json,
@@ -145,3 +148,22 @@ def test_tree_csv_round_trip():
         loads_tree_csv("1,2\n")
     with pytest.raises(MatrixFormatError):
         loads_tree_csv("1,2,x\n")
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e200, 1.0, 1e-170, 1e-300])
+def test_frobenius_at_extreme_scales(scale):
+    a = np.array([[3.0, 1.0], [0.0, 2.0j]]) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert frobenius(a) == pytest.approx(np.sqrt(14.0) * scale, rel=1e-15, abs=0.0)
+
+
+def test_frobenius_keeps_the_plain_sum_in_range():
+    rng = np.random.default_rng(5)
+    for shape in [(1, 1), (3, 7), (40, 40)]:
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert frobenius(a) == float(np.sqrt(np.sum(np.abs(a) ** 2)))
+    assert frobenius(np.zeros((2, 3))) == 0.0
+    assert frobenius(np.zeros((0, 3))) == 0.0
+    assert frobenius(np.array([[np.inf, 1.0]])) == np.inf
+    assert np.isnan(frobenius(np.array([[np.nan, 1.0]])))
