@@ -11,16 +11,19 @@ spectral route.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from .core import ResidualReport
 from .matrix import (
     DEFAULT_TOL,
     PreconditionError,
     Tolerance,
     as_vector,
+    frobenius,
 )
 
 
@@ -52,12 +55,19 @@ class Spectrum:
     support: tuple[int, ...]
 
 
+def _circ_rows(gen: np.ndarray) -> np.ndarray:
+    """Read-only view with entry (i, j) = gen[(j - i) mod n].
+
+    Row i is gen rotated right by i, the window of the doubled generator
+    that starts at n - i.
+    """
+    n = gen.shape[0]
+    return sliding_window_view(np.concatenate((gen, gen))[1:], n)[::-1]
+
+
 def circ_materialize(gen) -> np.ndarray:
     """Dense matrix with entry (i, j) = gen[(j - i) mod n]."""
-    gen = as_vector(gen, min_len=2)
-    n = gen.shape[0]
-    idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    out = gen[idx]
+    out = _circ_rows(as_vector(gen, min_len=2)).copy()
     out.flags.writeable = False
     return out
 
@@ -82,40 +92,74 @@ def shift_power(n: int, l: int) -> np.ndarray:
 def circ_mul(a, b) -> np.ndarray:
     """Generator of circ(a) @ circ(b), the cyclic convolution of a and b.
 
-    Computed with Python scalars so integer generators multiply exactly.
+    The first row of circ(a) circ(b) is a @ circ(b): one numpy product in
+    the inputs' own dtype, so integer generators multiply exactly. Integer
+    inputs whose products could pass int64 are multiplied as Python
+    integers, which do not wrap.
     """
-    a_list = a.tolist() if isinstance(a, np.ndarray) else list(a)
-    b_list = b.tolist() if isinstance(b, np.ndarray) else list(b)
-    n = len(a_list)
-    if len(b_list) != n:
+    a = np.asarray(a)
+    b = np.asarray(b)
+    n = a.shape[0]
+    if b.shape[0] != n:
+        raise PreconditionError(f"generator lengths differ: {n} vs {b.shape[0]}")
+    if a.dtype.kind in "iu" and b.dtype.kind in "iu":
+        peak = n * max(map(abs, a.tolist())) * max(map(abs, b.tolist()))
+        if peak > np.iinfo(np.int64).max:
+            a, b = a.astype(object), b.astype(object)
+    return a @ _circ_rows(b)
+
+
+def _adjoint_generator(gen: np.ndarray) -> np.ndarray:
+    """Generator of circ(gen)*, which is circ(conj(rho(gen)))."""
+    return np.conj(np.roll(gen[::-1], 1))
+
+
+def circ_penrose_residuals(gen, xgen, tol: Tolerance = DEFAULT_TOL) -> ResidualReport:
+    """Residuals of the four Penrose equations for circ(xgen) as a candidate
+    inverse of circ(gen), computed on generators.
+
+    Sums, products and adjoints of circulants are circulant, and
+    ||circ(h)||_F = sqrt(n) ||h||, so each residual is sqrt(n) times the
+    norm of a residual generator. The first row of circ(g) M is g @ M,
+    taken against the materialized matrix rather than through the spectrum,
+    so the check shares no arithmetic with the spectral route. In exact
+    arithmetic these are the dense residuals; the cost is O(n^2), not O(n^3).
+    """
+    gen = as_vector(gen, min_len=2)
+    xgen = as_vector(xgen, min_len=2)
+    if xgen.shape != gen.shape:
         raise PreconditionError(
-            f"generator lengths differ: {n} vs {len(b_list)}"
+            f"generator lengths differ: {gen.shape[0]} vs {xgen.shape[0]}"
         )
-    out = [
-        sum(a_list[j] * b_list[(i - j) % n] for j in range(n))
-        for i in range(n)
-    ]
-    return np.asarray(out)
-
-
-@lru_cache(maxsize=32)
-def _fourier_matrix(n: int) -> np.ndarray:
-    k = np.arange(n)
-    f = np.exp(-2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
-    f.flags.writeable = False
-    return f
+    c = circ_materialize(gen)
+    x = circ_materialize(xgen)
+    ax = gen @ x
+    xa = xgen @ c
+    scale = math.sqrt(gen.shape[0])
+    return ResidualReport(
+        {
+            "penrose1": scale * frobenius(ax @ c - gen),
+            "penrose2": scale * frobenius(xa @ x - xgen),
+            "penrose3": scale * frobenius(_adjoint_generator(ax) - ax),
+            "penrose4": scale * frobenius(_adjoint_generator(xa) - xa),
+        },
+        tol,
+    )
 
 
 def circ_spectrum(gen, tol: Tolerance = DEFAULT_TOL) -> Spectrum:
     """Eigenvalues lambda_k = sum_l gen[l] exp(2 pi i k l / n).
 
-    circ(gen) = conj(F) diag(lambda) F for the unitary DFT matrix F. The
-    support collects indices with |lambda_k| above residual_abs relative to
-    the largest eigenvalue magnitude.
+    circ(gen) = conj(F) diag(lambda) F for the unitary DFT matrix F, so
+    lambda is the unnormalized inverse FFT of gen. The support collects
+    indices with |lambda_k| above residual_abs relative to the largest
+    eigenvalue magnitude.
     """
+    # imported on first use: numpy does not load numpy.fft on import
+    from numpy import fft
+
     gen = as_vector(gen, min_len=2)
-    n = gen.shape[0]
-    values = np.sqrt(n) * (np.conj(_fourier_matrix(n)) @ gen)
+    values = fft.ifft(gen, norm="forward")
     magnitudes = np.abs(values)
     cutoff = tol.residual_abs * float(magnitudes.max(initial=0.0))
     support = tuple(int(i) for i in np.nonzero(magnitudes > cutoff)[0])
@@ -123,10 +167,10 @@ def circ_spectrum(gen, tol: Tolerance = DEFAULT_TOL) -> Spectrum:
 
 
 def generator_from_spectrum(values) -> np.ndarray:
-    """Inverse transform: gen = (1/sqrt(n)) F @ values."""
-    values = as_vector(values, min_len=2)
-    n = values.shape[0]
-    return (_fourier_matrix(n) @ values) / np.sqrt(n)
+    """Inverse transform: gen = (1/sqrt(n)) F @ values, the FFT over n."""
+    from numpy import fft
+
+    return fft.fft(as_vector(values, min_len=2), norm="forward")
 
 
 def circ_pinv_spectral(gen, tol: Tolerance = DEFAULT_TOL) -> Circulant:

@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -31,8 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circulant import (
+    block_pattern_generator,
     block_pattern_pinv,
-    circ_materialize,
+    circ_penrose_residuals,
     circ_pinv_spectral,
     circ_spectrum,
     two_term_pinv,
@@ -62,6 +64,7 @@ from .matrix import (
     PreconditionError,
     Tolerance,
     VerificationError,
+    dumps_circulant_csv,
     dumps_generator_json,
     dumps_matrix_csv,
     dumps_matrix_json,
@@ -167,17 +170,19 @@ def _write_atomic(path: str, text: str) -> str:
     """Write text to path through a uniquely named temporary file beside it.
 
     Concurrent writers to the same path each rename a complete file into
-    place, so the last rename wins and no reader sees a partial file.
+    place, so the last rename wins and no reader sees a partial file. The
+    text is encoded once; the digest is of the bytes written.
     """
+    data = text.encode()
     try:
         fd, tmp = tempfile.mkstemp(
             prefix=f".{os.path.basename(path)}.", suffix=".tmp", dir=os.path.dirname(path) or "."
         )
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            with os.fdopen(fd, "wb") as handle:
                 # mkstemp creates 0600; give the mode open(path, "w") would
                 os.fchmod(handle.fileno(), 0o666 & ~_UMASK)
-                handle.write(text)
+                handle.write(data)
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):
@@ -185,7 +190,7 @@ def _write_atomic(path: str, text: str) -> str:
             raise
     except OSError as exc:
         raise PreconditionError(f"cannot write {path}: {exc}") from None
-    return _digest(text.encode())
+    return _digest(data)
 
 
 def _write_matrix(path: str, a: np.ndarray) -> str:
@@ -320,20 +325,19 @@ def _cmd_circ(args, tol: Tolerance) -> tuple[RunReport, int]:
         if args.alpha is None or args.beta is None or args.k is None or args.q is None:
             raise PreconditionError("block method needs --alpha, --beta, --k and --q")
         result = block_pattern_pinv(args.alpha, args.beta, args.k, args.q, tol)
-        pattern = np.asarray(([args.k] + [-1] * args.k) * args.q, dtype=np.complex128)
+        pattern = block_pattern_generator(args.k, args.q)
         gen = args.alpha * np.ones(pattern.shape[0], dtype=np.complex128) + args.beta * pattern
 
-    c = circ_materialize(gen)
-    x = circ_materialize(result.gen)
-    check_tol = tol.scaled_for(c)
-    residuals = penrose_residuals(c, x, check_tol)
+    # verified and written from the generators: ||circ(g)||_F = sqrt(n) ||g||
+    check_tol = tol.scaled_by(math.sqrt(gen.shape[0]) * frobenius(gen))
+    residuals = circ_penrose_residuals(gen, result.gen, check_tol)
     spectrum = circ_spectrum(gen, tol)
     out_digest = None
     if args.output:
         if args.output.endswith(".json"):
             out_digest = _write_atomic(args.output, dumps_generator_json(result.gen))
         elif args.output.endswith(".csv"):
-            out_digest = _write_atomic(args.output, dumps_matrix_csv(x))
+            out_digest = _write_atomic(args.output, dumps_circulant_csv(result.gen))
         else:
             raise PreconditionError(
                 f"unknown output format for {args.output}; use .json or .csv"

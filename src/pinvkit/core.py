@@ -145,8 +145,9 @@ def pinv_normal_equations(
     """Pseudoinverse through the Gram matrices.
 
     Full column rank: (A*A)^-1 A* by a Cholesky solve. Full row rank:
-    A* (AA*)^-1. Otherwise the general form (A*A)^+ A*. The rank comes from
-    factorization, svd(a, tol), computed here when the caller has none.
+    A* (AA*)^-1. Otherwise the general form (A*A)^+ A*, where
+    (A*A)^+ = V_r Sigma_r^-2 V_r* comes from the same factorization,
+    svd(a, tol), computed here when the caller has none.
     """
     m, n = a.shape
     f = factorization if factorization is not None else svd(a, tol)
@@ -159,7 +160,10 @@ def pinv_normal_equations(
         low = cholesky_factor(a @ a_adj)
         if low is not None:
             return dagger(cholesky_solve(low, a))
-    return pinv(a_adj @ a, tol) @ a_adj
+    if f.rank == 0:
+        return np.zeros((n, m), dtype=np.complex128)
+    _, vr = f.cutoff_slices
+    return (vr / f.sigma[: f.rank] ** 2) @ (dagger(vr) @ a_adj)
 
 
 def gen_random_matrix(

@@ -59,7 +59,11 @@ class Tolerance:
 
     def scaled_for(self, a: np.ndarray) -> "Tolerance":
         """Tolerance whose residual bound is scaled by max(1, ||a||_F)."""
-        return Tolerance(self.rank_rel, self.residual_abs * max(1.0, frobenius(a)))
+        return self.scaled_by(frobenius(a))
+
+    def scaled_by(self, norm: float) -> "Tolerance":
+        """Tolerance whose residual bound is scaled by max(1, norm)."""
+        return Tolerance(self.rank_rel, self.residual_abs * max(1.0, norm))
 
 
 DEFAULT_TOL = Tolerance()
@@ -126,6 +130,23 @@ def format_complex(z: complex) -> str:
     return f"{format_float(z.real)}{sign}{format_float(abs(z.imag))}i"
 
 
+# Cell templates for the batched writers: "%.17g" is format_float, and
+# "%.17g%+.17gi" is format_complex, signed zeros included.
+_CSV_CELL = "%.17g%+.17gi"
+_JSON_PAIR = "[%.17g, %.17g]"
+
+
+def _format_rows(a: np.ndarray, cell: str, sep: str) -> list[str]:
+    """Each row of the complex 2-D array a as its cells joined by sep.
+
+    A row is one %-format of the (re, im) pairs, so no Python code runs
+    per entry.
+    """
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    template = sep.join([cell] * a.shape[1])
+    return [template % tuple(row) for row in a.view(np.float64).tolist()]
+
+
 _BARE_UNIT = re.compile(r"(?:^|(?<=[+-]))j")
 
 
@@ -161,9 +182,7 @@ def parse_generator(text: str) -> np.ndarray:
 def dumps_matrix_json(a: np.ndarray) -> str:
     a = np.asarray(a, dtype=np.complex128)
     m, n = a.shape
-    pairs = ", ".join(
-        f"[{format_float(z.real)}, {format_float(z.imag)}]" for z in a.ravel()
-    )
+    pairs = ", ".join(_format_rows(a, _JSON_PAIR, ", "))
     return f'{{"rows": {m}, "cols": {n}, "data": [{pairs}]}}\n'
 
 
@@ -192,13 +211,26 @@ def loads_matrix_json(text: str) -> np.ndarray:
     return as_matrix(np.array(flat, dtype=np.complex128).reshape(rows, cols))
 
 
-# CSV alternative: one row per line, comma-separated complex literals.
+# CSV alternative: one row per line, comma-separated complex literals. The
+# writers join a trailing "" rather than append "\n", which would copy the
+# whole text once more.
 
 
 def dumps_matrix_csv(a: np.ndarray) -> str:
-    a = np.asarray(a, dtype=np.complex128)
-    lines = [",".join(format_complex(z) for z in row) for row in a]
-    return "\n".join(lines) + "\n"
+    return "\n".join([*_format_rows(a, _CSV_CELL, ","), ""])
+
+
+def dumps_circulant_csv(gen) -> str:
+    """CSV of the circulant with first row gen, from its n formatted cells.
+
+    Row i is the cells rotated right by i, a slice of the doubled list, so
+    the text equals dumps_matrix_csv(circ_materialize(gen)) byte for byte.
+    """
+    gen = as_vector(gen, min_len=2)
+    n = gen.shape[0]
+    cells = _format_rows(gen[None, :], _CSV_CELL, ",")[0].split(",")
+    doubled = cells + cells
+    return "\n".join([*(",".join(doubled[n - i : 2 * n - i]) for i in range(n)), ""])
 
 
 def loads_matrix_csv(text: str) -> np.ndarray:
@@ -223,9 +255,7 @@ def loads_matrix_csv(text: str) -> np.ndarray:
 
 def dumps_generator_json(gen: np.ndarray) -> str:
     gen = np.asarray(gen, dtype=np.complex128)
-    pairs = ", ".join(
-        f"[{format_float(z.real)}, {format_float(z.imag)}]" for z in gen
-    )
+    pairs = _format_rows(gen[None, :], _JSON_PAIR, ", ")[0]
     return f'{{"n": {gen.size}, "gen": [{pairs}]}}\n'
 
 

@@ -19,12 +19,19 @@ import pinvkit.cli
 import pinvkit.core
 import pinvkit.graphdist
 import pinvkit.linalg
+import pinvkit.matrix
 import pinvkit.sumdecomp
 from pinvkit.cli import main
-from pinvkit.core import gen_random_matrix, pinv
+from pinvkit.core import gen_random_matrix, penrose_residuals, pinv
 from pinvkit.graphdist import gen_zero_sum_tree, wheel_build, wheel_z
 from pinvkit.linalg import lu_factor, svd
-from pinvkit.matrix import VerificationError, dagger, dumps_matrix_json, dumps_tree_csv
+from pinvkit.matrix import (
+    VerificationError,
+    dagger,
+    dumps_matrix_csv,
+    dumps_matrix_json,
+    dumps_tree_csv,
+)
 from pinvkit.sumdecomp import fill_fishkind_pinv, gen_rank_additive_pair
 
 MODULES = (
@@ -34,6 +41,7 @@ MODULES = (
     pinvkit.core,
     pinvkit.graphdist,
     pinvkit.linalg,
+    pinvkit.matrix,
     pinvkit.sumdecomp,
 )
 
@@ -136,6 +144,39 @@ def test_dense_methods_factor_each_input_once(tmp_path, capsys, monkeypatch, met
     assert count_equal(calls, a) == 1
     if b is not None:
         assert count_equal(calls, b) == 1
+
+
+def test_normal_method_on_rank_deficient_input_makes_one_svd(tmp_path, capsys, monkeypatch):
+    # (A*A)^+ A* comes from the factorization of A, not from an SVD of A*A
+    a = gen_random_matrix(31, 16, 16, rank=8)
+    calls = record_calls(monkeypatch, svd)
+    code, report = run(
+        capsys, ["pinv", "--input", write_matrix(tmp_path / "a.json", a), "--method", "normal"]
+    )
+    assert code == 0 and report["rank"] == 8
+    assert len(calls) == 1 and count_equal(calls, a) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--gen", "1.5,-0.25+2i,0.5,3,-1i,0.125"],
+        ["--method", "two-term", "--alpha", "1.3", "--beta", "-1.3", "--n", "12", "--k", "4"],
+        ["--method", "two-term", "--gen", "0,2-1i,0.5,0,0"],
+        ["--method", "zero-sum", "--gen", "1,-2,0.5,0.5", "--alpha", "0.7"],
+        ["--method", "block", "--alpha", "1.5", "--beta", "-0.7", "--k", "3", "--q", "4"],
+    ],
+)
+def test_circ_csv_output_skips_the_dense_check_and_writer(tmp_path, capsys, monkeypatch, argv):
+    dense_checks = record_calls(monkeypatch, penrose_residuals)
+    dense_writes = record_calls(monkeypatch, dumps_matrix_csv)
+    code, report = run(capsys, ["circ", *argv, "--output", str(tmp_path / "x.csv")])
+    assert code == 0 and report["passed"]
+    assert dense_checks == [] and dense_writes == []
+    # the recorders do see the dense command's calls
+    a = write_matrix(tmp_path / "a.json", gen_random_matrix(3, 4, 4))
+    code, _ = run(capsys, ["pinv", "--input", a, "--output", str(tmp_path / "a.csv")])
+    assert code == 0 and len(dense_checks) == 1 and len(dense_writes) == 1
 
 
 def test_fill_fishkind_factors_each_matrix_once(monkeypatch):
