@@ -151,9 +151,10 @@ def circ_spectrum(gen, tol: Tolerance = DEFAULT_TOL) -> Spectrum:
     """Eigenvalues lambda_k = sum_l gen[l] exp(2 pi i k l / n).
 
     circ(gen) = conj(F) diag(lambda) F for the unitary DFT matrix F, so
-    lambda is the unnormalized inverse FFT of gen. The support collects
-    indices with |lambda_k| above residual_abs relative to the largest
-    eigenvalue magnitude.
+    lambda is the unnormalized inverse FFT of gen. circ(gen) is normal, so
+    |lambda| are its singular values, and the support collects the indices
+    with |lambda_k| above tol.rank_cutoff(max |lambda|, n, n): the rank rule
+    of the SVD oracle.
     """
     # imported on first use: numpy does not load numpy.fft on import
     from numpy import fft
@@ -161,7 +162,7 @@ def circ_spectrum(gen, tol: Tolerance = DEFAULT_TOL) -> Spectrum:
     gen = as_vector(gen, min_len=2)
     values = fft.ifft(gen, norm="forward")
     magnitudes = np.abs(values)
-    cutoff = tol.residual_abs * float(magnitudes.max(initial=0.0))
+    cutoff = tol.rank_cutoff(float(magnitudes.max(initial=0.0)), gen.shape[0], gen.shape[0])
     support = tuple(int(i) for i in np.nonzero(magnitudes > cutoff)[0])
     return Spectrum(values, support)
 

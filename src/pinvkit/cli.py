@@ -27,7 +27,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .circulant import (
     zero_sum_shift_pinv,
 )
 from .core import (
+    ResidualReport,
     characterization_residuals,
     gen_random_matrix,
     penrose_residuals,
@@ -118,22 +119,6 @@ class RunReport:
     output_digest: str | None = None
     extras: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "method": self.method,
-            "rows": self.rows,
-            "cols": self.cols,
-            "rank": self.rank,
-            "max_penrose_residual": self.max_penrose_residual,
-            "residual_bound": self.residual_bound,
-            "passed": self.passed,
-            "wall_time_s": self.wall_time_s,
-            "input_digest": self.input_digest,
-            "output_digest": self.output_digest,
-            "extras": self.extras,
-        }
-
 
 # --------------------------------------------------------------------------
 # I/O helpers
@@ -193,16 +178,30 @@ def _write_atomic(path: str, text: str) -> str:
     return _digest(data)
 
 
-def _write_matrix(path: str, a: np.ndarray) -> str:
+def _write_output(path: str | None, value, to_json, to_csv) -> str | None:
+    """Write value in the format the path's extension names; return the
+    digest of the bytes written, or None when no path was given."""
+    if not path:
+        return None
     if path.endswith(".json"):
-        return _write_atomic(path, dumps_matrix_json(a))
+        return _write_atomic(path, to_json(value))
     if path.endswith(".csv"):
-        return _write_atomic(path, dumps_matrix_csv(a))
-    raise PreconditionError(f"unknown matrix format for {path}; use .json or .csv")
+        return _write_atomic(path, to_csv(value))
+    raise PreconditionError(f"unknown output format for {path}; use .json or .csv")
+
+
+def _verdict(penrose: ResidualReport, also_passed: bool = True) -> dict:
+    """The report's verdict fields, from a Penrose check whose tolerance is
+    the bound it was held to."""
+    return {
+        "max_penrose_residual": float(penrose.worst[1]),
+        "residual_bound": penrose.tolerance.residual_abs,
+        "passed": bool(penrose.passed and also_passed),
+    }
 
 
 def _resolve_tolerance(args) -> Tolerance:
-    residual = getattr(args, "tol_residual", None)
+    residual = args.tol_residual
     if residual is None:
         env = os.environ.get("PINVKIT_TOL_RESIDUAL")
         if env is not None:
@@ -213,7 +212,7 @@ def _resolve_tolerance(args) -> Tolerance:
                     f"PINVKIT_TOL_RESIDUAL is not a float: {env!r}"
                 ) from None
     kwargs = {}
-    if getattr(args, "tol_rank", None) is not None:
+    if args.tol_rank is not None:
         kwargs["rank_rel"] = args.tol_rank
     if residual is not None:
         kwargs["residual_abs"] = residual
@@ -221,11 +220,11 @@ def _resolve_tolerance(args) -> Tolerance:
 
 
 # --------------------------------------------------------------------------
-# subcommands
+# subcommands: each parses its inputs, computes, verifies and returns one
+# report; main times it and derives the exit code from report.passed
 
 
-def _cmd_pinv(args, tol: Tolerance) -> tuple[RunReport, int]:
-    started = time.perf_counter()
+def _cmd_pinv(args, tol: Tolerance) -> RunReport:
     if not args.input:
         raise PreconditionError("pinv needs --input")
     a, in_digest = _load_matrix(args.input)
@@ -241,23 +240,16 @@ def _cmd_pinv(args, tol: Tolerance) -> tuple[RunReport, int]:
             raise PreconditionError("pair method needs --aux with the completing matrix")
         b, _ = _load_matrix(args.aux)
         x = completion_pinv_pair(a, b, tol=tol, factorization=factorization)
-    check_tol = tol.scaled_for(a)
-    residuals = penrose_residuals(a, x, check_tol)
-    out_digest = _write_matrix(args.output, x) if args.output else None
-    report = RunReport(
+    return RunReport(
         command="pinv",
         method=args.method,
         rows=a.shape[0],
         cols=a.shape[1],
         rank=factorization.rank,
-        max_penrose_residual=float(max(residuals.residuals.values())),
-        residual_bound=check_tol.residual_abs,
-        passed=bool(residuals.passed),
-        wall_time_s=time.perf_counter() - started,
+        **_verdict(penrose_residuals(a, x, tol.scaled_for(a))),
         input_digest=in_digest,
-        output_digest=out_digest,
+        output_digest=_write_output(args.output, x, dumps_matrix_json, dumps_matrix_csv),
     )
-    return report, EXIT_OK if residuals.passed else EXIT_RESIDUAL
 
 
 def _two_term_from_generator(gen: np.ndarray) -> tuple[complex, complex, int]:
@@ -284,8 +276,7 @@ def _two_term_from_generator(gen: np.ndarray) -> tuple[complex, complex, int]:
     return complex(gen[p]), complex(gen[(p + 1) % n]), p + 1
 
 
-def _cmd_circ(args, tol: Tolerance) -> tuple[RunReport, int]:
-    started = time.perf_counter()
+def _cmd_circ(args, tol: Tolerance) -> RunReport:
     if args.gen is not None and args.input:
         raise PreconditionError("give --gen or --input, not both")
     gen = None
@@ -306,17 +297,17 @@ def _cmd_circ(args, tol: Tolerance) -> tuple[RunReport, int]:
         if gen is not None:
             alpha, beta, k_pos = _two_term_from_generator(gen)
             n = gen.shape[0]
+        elif args.alpha is None or args.beta is None or args.n is None:
+            raise PreconditionError("two-term without --gen needs --alpha, --beta and --n")
         else:
-            if args.alpha is None or args.beta is None or args.n is None:
-                raise PreconditionError(
-                    "two-term without --gen needs --alpha, --beta and --n"
-                )
             alpha, beta, n = args.alpha, args.beta, args.n
             k_pos = args.k if args.k is not None else 1
-            gen = np.zeros(n, dtype=np.complex128)
-            gen[(k_pos - 1) % n] = alpha
-            gen[k_pos % n] = beta
+        # two_term_pinv validates n and k_pos before a generator is built from them
         result = two_term_pinv(alpha, beta, n, k_pos, tol)
+        if gen is None:
+            gen = np.zeros(n, dtype=np.complex128)
+            gen[k_pos - 1] = alpha
+            gen[k_pos % n] = beta
     elif args.method == "zero-sum":
         if gen is None:
             raise PreconditionError("zero-sum method needs a generator (--gen or --input)")
@@ -329,38 +320,27 @@ def _cmd_circ(args, tol: Tolerance) -> tuple[RunReport, int]:
         gen = args.alpha * np.ones(pattern.shape[0], dtype=np.complex128) + args.beta * pattern
 
     # verified and written from the generators: ||circ(g)||_F = sqrt(n) ||g||
-    check_tol = tol.scaled_by(math.sqrt(gen.shape[0]) * frobenius(gen))
-    residuals = circ_penrose_residuals(gen, result.gen, check_tol)
+    n = gen.shape[0]
+    residuals = circ_penrose_residuals(
+        gen, result.gen, tol.scaled_by(math.sqrt(n) * frobenius(gen))
+    )
     spectrum = circ_spectrum(gen, tol)
-    out_digest = None
-    if args.output:
-        if args.output.endswith(".json"):
-            out_digest = _write_atomic(args.output, dumps_generator_json(result.gen))
-        elif args.output.endswith(".csv"):
-            out_digest = _write_atomic(args.output, dumps_circulant_csv(result.gen))
-        else:
-            raise PreconditionError(
-                f"unknown output format for {args.output}; use .json or .csv"
-            )
-    report = RunReport(
+    return RunReport(
         command="circ",
         method=args.method,
-        rows=gen.shape[0],
-        cols=gen.shape[0],
+        rows=n,
+        cols=n,
         rank=len(spectrum.support),
-        max_penrose_residual=float(max(residuals.residuals.values())),
-        residual_bound=check_tol.residual_abs,
-        passed=bool(residuals.passed),
-        wall_time_s=time.perf_counter() - started,
+        **_verdict(residuals),
         input_digest=in_digest,
-        output_digest=out_digest,
+        output_digest=_write_output(
+            args.output, result.gen, dumps_generator_json, dumps_circulant_csv
+        ),
         extras={"support": [int(i) for i in spectrum.support]},
     )
-    return report, EXIT_OK if residuals.passed else EXIT_RESIDUAL
 
 
-def _cmd_tree(args, tol: Tolerance) -> tuple[RunReport, int]:
-    started = time.perf_counter()
+def _cmd_tree(args, tol: Tolerance) -> RunReport:
     if not args.input:
         raise PreconditionError("tree needs --input with an edge CSV")
     text = _read_text(args.input)
@@ -370,59 +350,43 @@ def _cmd_tree(args, tol: Tolerance) -> tuple[RunReport, int]:
     # shifted matrix, so the report needs no SVD of D
     x = tree_pinv(tree, alpha=args.alpha, tol=tol)
     u, rebuilt = tree_u_and_reconstruction(tree, tol=tol, dpinv=x)
-    check_tol = tol.scaled_for(tree.D)
-    residuals = penrose_residuals(tree.D, x, check_tol)
-    ones = np.ones(tree.n)
-    dl_residual = frobenius(
-        tree.D @ tree.L - (np.outer(ones, tree.tau) - 2.0 * np.eye(tree.n))
-    )
-    out_digest = _write_matrix(args.output, x) if args.output else None
-    report = RunReport(
+    residuals = penrose_residuals(tree.D, x, tol.scaled_for(tree.D))
+    dl_identity = np.outer(np.ones(tree.n), tree.tau) - 2.0 * np.eye(tree.n)
+    return RunReport(
         command="tree",
         method="shift-inverse",
         rows=tree.n,
         cols=tree.n,
         rank=tree.n - 1,
-        max_penrose_residual=float(max(residuals.residuals.values())),
-        residual_bound=check_tol.residual_abs,
-        passed=bool(residuals.passed),
-        wall_time_s=time.perf_counter() - started,
+        **_verdict(residuals),
         input_digest=_digest(text.encode()),
-        output_digest=out_digest,
+        output_digest=_write_output(args.output, x, dumps_matrix_json, dumps_matrix_csv),
         extras={
             "alpha": "auto" if args.alpha is None else float(args.alpha),
             "weight_sum": tree.weight_sum,
             "u": [float(value) for value in u],
             "reconstruction_gap": frobenius(rebuilt - x),
-            "dl_identity_residual": dl_residual,
+            "dl_identity_residual": frobenius(tree.D @ tree.L - dl_identity),
         },
     )
-    return report, EXIT_OK if residuals.passed else EXIT_RESIDUAL
 
 
-def _cmd_wheel(args, tol: Tolerance) -> tuple[RunReport, int]:
-    started = time.perf_counter()
+def _cmd_wheel(args, tol: Tolerance) -> RunReport:
     # wheel_build certifies rank n - 1 from D a = 0 and the verified
     # inverse of D + a a^t
     wheel = wheel_build(args.n)
     inv134, dpinv = wheel_pinv(wheel, tol)
-    check_tol = tol.scaled_for(wheel.D)
-    residuals = penrose_residuals(wheel.D, dpinv, check_tol)
+    residuals = penrose_residuals(wheel.D, dpinv, tol.scaled_for(wheel.D))
     identities = wheel_z_identities(args.n)
-    out_digest = _write_matrix(args.output, dpinv) if args.output else None
     eig_residual = float(np.max(np.abs(inv134 @ wheel.a - wheel.a / (args.n - 1))))
-    report = RunReport(
+    return RunReport(
         command="wheel",
         method="closed-form",
         rows=args.n,
         cols=args.n,
         rank=args.n - 1,
-        max_penrose_residual=float(max(residuals.residuals.values())),
-        residual_bound=check_tol.residual_abs,
-        passed=bool(residuals.passed) and all(identities.values()),
-        wall_time_s=time.perf_counter() - started,
-        input_digest=None,
-        output_digest=out_digest,
+        **_verdict(residuals, all(identities.values())),
+        output_digest=_write_output(args.output, dpinv, dumps_matrix_json, dumps_matrix_csv),
         extras={
             "n": args.n,
             "z24": [int(value) for value in wheel.z24],
@@ -430,12 +394,9 @@ def _cmd_wheel(args, tol: Tolerance) -> tuple[RunReport, int]:
             "eigvector_residual": eig_residual,
         },
     )
-    code = EXIT_OK if report.passed else EXIT_RESIDUAL
-    return report, code
 
 
-def _cmd_verify(args, tol: Tolerance) -> tuple[RunReport, int]:
-    started = time.perf_counter()
+def _cmd_verify(args, tol: Tolerance) -> RunReport:
     if not args.input or not args.aux:
         raise PreconditionError("verify needs --input (matrix) and --aux (candidate inverse)")
     a, in_digest = _load_matrix(args.input)
@@ -446,26 +407,18 @@ def _cmd_verify(args, tol: Tolerance) -> tuple[RunReport, int]:
     factorization = svd(a, tol)
     chars = characterization_residuals(a, x, check_tol, factorization)
     every = {**pen.residuals, **chars.residuals}
-    passed = bool(pen.passed and chars.passed)
-    report = RunReport(
+    return RunReport(
         command="verify",
-        method=None,
         rows=a.shape[0],
         cols=a.shape[1],
         rank=factorization.rank,
-        max_penrose_residual=float(max(pen.residuals.values())),
-        residual_bound=check_tol.residual_abs,
-        passed=passed,
-        wall_time_s=time.perf_counter() - started,
+        **_verdict(pen, chars.passed),
         input_digest=in_digest,
-        output_digest=None,
         extras={"residuals": {key: float(value) for key, value in every.items()}},
     )
-    return report, EXIT_OK if passed else EXIT_RESIDUAL
 
 
-def _cmd_gen(args, tol: Tolerance) -> tuple[RunReport, int]:
-    started = time.perf_counter()
+def _cmd_gen(args, tol: Tolerance) -> RunReport:
     prefix = args.output or "instance"
     files: list[dict] = []
     extras: dict = {"kind": args.kind, "seed": args.seed}
@@ -498,27 +451,25 @@ def _cmd_gen(args, tol: Tolerance) -> tuple[RunReport, int]:
         emit(f"{prefix}.json", dumps_matrix_json(a))
 
     extras["files"] = files
-    report = RunReport(
-        command="gen",
-        method=args.kind,
-        wall_time_s=time.perf_counter() - started,
-        extras=extras,
-    )
-    return report, EXIT_OK
+    return RunReport(command="gen", method=args.kind, extras=extras)
 
 
 # --------------------------------------------------------------------------
 # wiring
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", help="input file (.json or .csv)")
-    parser.add_argument("--aux", help="secondary input file")
-    parser.add_argument("--output", help="output file, or filename prefix for gen")
+def _add_common(parser: argparse.ArgumentParser, **files: str) -> None:
+    """Add the file flags the subcommand reads, named with their help texts,
+    then the tolerance and report flags that every subcommand reads."""
+    for name, text in files.items():
+        parser.add_argument(f"--{name}", help=text)
     parser.add_argument("--tol-rank", type=float, help="relative rank cutoff factor")
     parser.add_argument("--tol-residual", type=float, help="absolute residual bound")
-    parser.add_argument("--seed", type=int, default=0, help="generator seed")
     parser.add_argument("--pretty", action="store_true", help="aligned table instead of JSON")
+
+
+MATRIX_IN = "matrix file (.json or .csv)"
+MATRIX_OUT = "write the pseudoinverse here (.json or .csv)"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -531,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["svd", "normal", "rank-completion", "pair"],
         default="svd",
     )
-    _add_common(cmd)
+    _add_common(cmd, input=MATRIX_IN, aux="completing matrix for --method pair", output=MATRIX_OUT)
     cmd.set_defaults(handler=_cmd_pinv)
 
     cmd = commands.add_parser("circ", help="closed-form circulant pseudoinverse")
@@ -546,21 +497,25 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--k", type=int)
     cmd.add_argument("--q", type=int)
     cmd.add_argument("--n", type=int)
-    _add_common(cmd)
+    _add_common(
+        cmd,
+        input="generator JSON file",
+        output="write the pseudoinverse as a generator (.json) or a matrix (.csv)",
+    )
     cmd.set_defaults(handler=_cmd_circ)
 
     cmd = commands.add_parser("tree", help="zero-sum tree distance pseudoinverse")
     cmd.add_argument("--alpha", type=float, help="completion weight (default: auto)")
-    _add_common(cmd)
+    _add_common(cmd, input="edge CSV file", output=MATRIX_OUT)
     cmd.set_defaults(handler=_cmd_tree)
 
     cmd = commands.add_parser("wheel", help="odd wheel distance pseudoinverse")
     cmd.add_argument("--n", type=int, required=True, help="vertex count, odd and >= 5")
-    _add_common(cmd)
+    _add_common(cmd, output=MATRIX_OUT)
     cmd.set_defaults(handler=_cmd_wheel)
 
     cmd = commands.add_parser("verify", help="check a candidate pseudoinverse")
-    _add_common(cmd)
+    _add_common(cmd, input=MATRIX_IN, aux="candidate pseudoinverse (.json or .csv)")
     cmd.set_defaults(handler=_cmd_verify)
 
     cmd = commands.add_parser("gen", help="write seeded test instances")
@@ -572,7 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--cols", type=int)
     cmd.add_argument("--k", type=int, help="family size, or rank for random-matrix")
     cmd.add_argument("--n", type=int)
-    _add_common(cmd)
+    cmd.add_argument("--seed", type=int, default=0, help="generator seed")
+    _add_common(cmd, output="filename prefix (default: instance)")
     cmd.set_defaults(handler=_cmd_gen)
 
     return parser
@@ -590,7 +546,7 @@ def _flatten(payload: dict, prefix: str = "") -> list[tuple[str, str]]:
 
 
 def _print_report(report: RunReport, pretty: bool) -> None:
-    payload = report.to_dict()
+    payload = asdict(report)
     if not pretty:
         print(json.dumps(payload))
         return
@@ -606,9 +562,9 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"pinvkit: error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    started = time.perf_counter()
     try:
-        tol = _resolve_tolerance(args)
-        report, code = args.handler(args, tol)
+        report = args.handler(args, _resolve_tolerance(args))
     except MatrixFormatError as exc:
         print(f"pinvkit: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -618,8 +574,9 @@ def main(argv: list[str] | None = None) -> int:
     except (PreconditionError, ConvergenceError) as exc:
         print(f"pinvkit: precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    report.wall_time_s = time.perf_counter() - started
     _print_report(report, args.pretty)
-    return code
+    return EXIT_OK if report.passed else EXIT_RESIDUAL
 
 
 def run() -> None:

@@ -170,6 +170,8 @@ def gen_random_matrix(
     seed: int, rows: int, cols: int, rank: int | None = None
 ) -> np.ndarray:
     """Seeded complex test matrix, optionally with forced rank deficiency."""
+    if rows < 1 or cols < 1:
+        raise PreconditionError(f"need rows and cols >= 1, got {rows}x{cols}")
     rng = np.random.default_rng(seed)
     if rank is None:
         return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))

@@ -71,10 +71,13 @@ class TreeMatrices:
         return float(sum(w for _, _, w in self.edges))
 
 
-def _require_zero_sum(tree: TreeMatrices, tol: Tolerance) -> None:
-    total = abs(tree.weight_sum)
+def _is_zero_sum(tree: TreeMatrices, tol: Tolerance) -> bool:
     scale = sum(abs(w) for _, _, w in tree.edges)
-    if total > tol.residual_abs * max(1.0, scale):
+    return abs(tree.weight_sum) <= tol.residual_abs * max(1.0, scale)
+
+
+def _require_zero_sum(tree: TreeMatrices, tol: Tolerance) -> None:
+    if not _is_zero_sum(tree, tol):
         raise PreconditionError(
             f"edge weights sum to {tree.weight_sum:.6g}, not zero; "
             "the closed-form routes need a zero-sum tree"
@@ -155,7 +158,7 @@ def tree_build(edges, tol: Tolerance = DEFAULT_TOL) -> TreeMatrices:
     dl_residual = frobenius(d @ lap - (np.outer(ones, tau) - 2.0 * np.eye(n)))
     if dl_residual > 1e-10 * scale:
         raise VerificationError(f"D L = e tau^t - 2I failed with residual {dl_residual:.3e}")
-    if abs(tree.weight_sum) <= tol.residual_abs * max(1.0, sum(abs(w) for _, _, w in triples)):
+    if _is_zero_sum(tree, tol):
         dtau = float(np.max(np.abs(d @ tau)))
         if dtau > 1e-10 * max(1.0, frobenius(d)):
             raise VerificationError(f"D tau = 0 failed with residual {dtau:.3e}")
@@ -183,6 +186,15 @@ def gen_zero_sum_tree(seed: int, n: int) -> TreeMatrices:
         return tree_build(edges)
 
 
+def _tau_quad(tree: TreeMatrices) -> float | None:
+    """tau^t L tau, or None when it is negligible against ||L||_F ||tau||^2."""
+    tau_sq = float(tree.tau @ tree.tau)
+    quad = float(tree.tau @ tree.L @ tree.tau)
+    if abs(quad) > 1e-7 * max(1.0, frobenius(tree.L) * tau_sq):
+        return quad
+    return None
+
+
 def _auto_alpha(tree: TreeMatrices) -> float:
     """Shift weight for the rank-one completion D + alpha tau tau^t.
 
@@ -190,11 +202,8 @@ def _auto_alpha(tree: TreeMatrices) -> float:
     intermediate inverse best conditioned and matches the closed-form u
     route. Falls back to 1 when tau^t L tau is negligible.
     """
-    quad = float(tree.tau @ tree.L @ tree.tau)
-    gate = 1e-7 * max(1.0, frobenius(tree.L) * float(tree.tau @ tree.tau))
-    if abs(quad) > gate:
-        return 2.0 / quad
-    return 1.0
+    quad = _tau_quad(tree)
+    return 1.0 if quad is None else 2.0 / quad
 
 
 def _shift_alpha(tree: TreeMatrices, alpha: float | None, tol: Tolerance) -> float:
@@ -293,8 +302,8 @@ def tree_u_and_reconstruction(
     dpinv_e = dpinv @ ones
     u = 0.5 * (dpinv_e - (float(ones @ dpinv_e) / 4.0) * tau)
 
-    quad = float(tau @ tree.L @ tau)
-    if abs(quad) > 1e-7 * max(1.0, frobenius(tree.L) * tau_sq):
+    quad = _tau_quad(tree)
+    if quad is not None:
         closed = 0.5 * (tree.L @ tau / tau_sq - (quad / (2.0 * tau_sq**2)) * tau)
         gap = float(np.max(np.abs(u - closed)))
         if gap > 1e-9 * max(1.0, float(np.max(np.abs(u)))):

@@ -515,6 +515,8 @@ def gen_rank_additive_pair(
     Rejection-sampled: random low-rank factor products are rank-additive for
     almost every draw, so the loop terminates immediately in practice.
     """
+    if n < 2:
+        raise PreconditionError(f"a rank-additive pair needs n >= 2, got {n}")
     rng = np.random.default_rng(seed)
     for _ in range(100):
         r1 = int(rng.integers(1, n))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 import threading
 import warnings
@@ -13,6 +14,7 @@ import pytest
 
 import pinvkit.cli
 import pinvkit.core
+from pinvkit.circulant import circ_materialize, circ_pinv_spectral, generator_from_spectrum
 from pinvkit.cli import _write_atomic, main
 from pinvkit.core import gen_random_matrix, pinv
 from pinvkit.graphdist import tree_build, wheel_pinv
@@ -21,6 +23,7 @@ from pinvkit.matrix import (
     PreconditionError,
     dumps_generator_json,
     dumps_matrix_json,
+    frobenius,
     loads_matrix_csv,
     loads_matrix_json,
     loads_tree_csv,
@@ -172,6 +175,23 @@ def test_circ_two_term_rejects_non_adjacent(capsys):
 
 def test_circ_block_needs_all_params(capsys):
     assert main(["circ", "--method", "block", "--alpha", "1", "--beta", "1"]) == 3
+
+
+def test_circ_rank_follows_the_oracle_rule(tmp_path, capsys):
+    # one eigenvalue at 1e-11 relative: above the SVD cutoff
+    # rank_rel * max|lambda| * n (about 2e-15), so the rank is 8, not 7
+    gen = generator_from_spectrum(
+        np.array([1, 2, 1.5, 1e-11, 3, 2.5, 1.2, 0.8], dtype=np.complex128)
+    )
+    src = tmp_path / "gen.json"
+    src.write_text(dumps_generator_json(gen))
+    _, report = run(capsys, ["circ", "--input", str(src)])
+    c = circ_materialize(gen)
+    assert report["rank"] == svd(c).rank == 8
+    oracle = pinv(c)
+    x = circ_materialize(circ_pinv_spectral(gen).gen)
+    # cond(c) is 3e11, so a first-order forward error of about 3e-5
+    assert frobenius(x - oracle) <= 1e-4 * frobenius(oracle)
 
 
 def test_circ_block_runs(tmp_path, capsys):
@@ -357,10 +377,89 @@ def test_gen_random_matrix_with_rank(tmp_path, capsys):
         ["no-such-command"],
         [],
         ["circ", "--gen", "1", "--method", "spectral"],
+        # flags a subcommand does not read are rejected, not ignored
+        ["wheel", "--n", "5", "--input", "a.json"],
+        ["verify", "--output", "x.json"],
+        ["pinv", "--seed", "3"],
+        ["tree", "--aux", "b.csv"],
     ],
 )
 def test_parse_failures_exit_1(argv):
     assert main(argv) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["circ", "--method", "two-term", "--alpha", "1", "--beta", "2", "--n", "0"],
+        ["circ", "--method", "two-term", "--alpha", "1", "--beta", "2", "--n", "-3"],
+        ["gen", "rank-additive-pair", "--n", "1"],
+        ["gen", "random-matrix", "--rows", "-1"],
+        ["gen", "random-matrix", "--rows", "0"],
+    ],
+)
+def test_bad_sizes_exit_3_and_write_nothing(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 3
+    assert list(tmp_path.iterdir()) == []
+
+
+SHARED_FLAGS = {"--help", "--tol-rank", "--tol-residual", "--pretty"}
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("pinv", {"--method", "--input", "--aux", "--output"}),
+        ("circ", {"--method", "--gen", "--alpha", "--beta", "--k", "--q", "--n",
+                  "--input", "--output"}),
+        ("tree", {"--alpha", "--input", "--output"}),
+        ("wheel", {"--n", "--output"}),
+        ("verify", {"--input", "--aux"}),
+        ("gen", {"--rows", "--cols", "--k", "--n", "--seed", "--output"}),
+    ],
+)
+def test_help_lists_only_the_flags_the_handler_reads(capsys, command, flags):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == flags | SHARED_FLAGS
+
+
+REPORT_KEYS = [
+    "command", "method", "rows", "cols", "rank", "max_penrose_residual",
+    "residual_bound", "passed", "wall_time_s", "input_digest", "output_digest", "extras",
+]
+
+
+@pytest.mark.parametrize(
+    "command, extras",
+    [
+        ("pinv", []),
+        ("circ", ["support"]),
+        ("tree", ["alpha", "weight_sum", "u", "reconstruction_gap", "dl_identity_residual"]),
+        ("wheel", ["n", "z24", "z_identities", "eigvector_residual"]),
+        ("verify", ["residuals"]),
+        ("gen", ["kind", "seed", "weight_sum", "files"]),
+    ],
+)
+def test_report_key_order_and_wall_time(tmp_path, capsys, command, extras):
+    a = write_matrix(tmp_path / "a.json", np.diag([2.0, 1.0]))
+    x = write_matrix(tmp_path / "x.json", np.diag([0.5, 1.0]))
+    tree = tmp_path / "t.csv"
+    tree.write_text("1,2,1\n2,3,-1\n")
+    argv = {
+        "pinv": ["pinv", "--input", a],
+        "circ": ["circ", "--gen", "2,0,1"],
+        "tree": ["tree", "--input", str(tree)],
+        "wheel": ["wheel", "--n", "5"],
+        "verify": ["verify", "--input", a, "--aux", x],
+        "gen": ["gen", "zero-sum-tree", "--output", str(tmp_path / "g")],
+    }[command]
+    code, report = run(capsys, argv)
+    assert code == 0
+    assert list(report) == REPORT_KEYS
+    assert list(report["extras"]) == extras
+    assert report["wall_time_s"] > 0
 
 
 def test_malformed_matrix_json_exits_1(tmp_path):
