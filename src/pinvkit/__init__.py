@@ -6,6 +6,8 @@ algebra, and distance matrices of zero-sum weighted trees and odd wheel
 graphs.
 """
 
+from types import ModuleType as _ModuleType
+
 from .matrix import (
     DEFAULT_TOL,
     UNIT_ROUNDOFF,
@@ -81,70 +83,9 @@ from .graphdist import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_TOL",
-    "UNIT_ROUNDOFF",
-    "Circulant",
-    "CompletionData",
-    "ConvergenceError",
-    "MatrixFormatError",
-    "OperatorFamily",
-    "OrthogonalityCertificate",
-    "PreconditionError",
-    "ResidualReport",
-    "Spectrum",
-    "SvdFactorization",
-    "Tolerance",
-    "TreeMatrices",
-    "VerificationError",
-    "WheelGraph",
-    "as_matrix",
-    "as_vector",
-    "auto_completion",
-    "block_pattern_coefficients",
-    "block_pattern_generator",
-    "block_pattern_pinv",
-    "characterization_residuals",
-    "check_orthogonality",
-    "circ_materialize",
-    "circ_mul",
-    "circ_penrose_residuals",
-    "circ_pinv_spectral",
-    "circ_spectrum",
-    "completion_pinv_pair",
-    "dagger",
-    "fill_fishkind_pinv",
-    "frobenius",
-    "gen_random_matrix",
-    "gen_rank_additive_pair",
-    "gen_shared_subspace_triple",
-    "gen_svd_block_family",
-    "gen_zero_sum_tree",
-    "generator_from_spectrum",
-    "hermitian_eigenvalues",
-    "is_134_inverse",
-    "penrose_residuals",
-    "pinv",
-    "pinv_invertible_projector_eq",
-    "pinv_normal_equations",
-    "pinv_sum",
-    "pinv_via_gram_equation",
-    "projectors",
-    "random_unitary",
-    "rank_completion_pinv",
-    "rho",
-    "shift_power",
-    "support_split_pinv",
-    "svd",
-    "tree_build",
-    "tree_pinv",
-    "tree_shift_inverse",
-    "tree_u_and_reconstruction",
-    "two_term_pinv",
-    "wheel_build",
-    "wheel_pinv",
-    "wheel_properties",
-    "wheel_z",
-    "wheel_z_identities",
-    "zero_sum_shift_pinv",
-]
+# every name imported above; the submodules themselves are not exported
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import ResidualReport
+from .core import ResidualReport, penrose_bounds
 from .matrix import (
     DEFAULT_TOL,
     PreconditionError,
@@ -123,7 +123,8 @@ def circ_penrose_residuals(gen, xgen, tol: Tolerance = DEFAULT_TOL) -> ResidualR
     norm of a residual generator. The first row of circ(g) M is g @ M,
     taken against the materialized matrix rather than through the spectrum,
     so the check shares no arithmetic with the spectral route. In exact
-    arithmetic these are the dense residuals; the cost is O(n^2), not O(n^3).
+    arithmetic these are the dense residuals, held to the dense bounds of
+    penrose_bounds; the cost is O(n^2), not O(n^3).
     """
     gen = as_vector(gen, min_len=2)
     xgen = as_vector(xgen, min_len=2)
@@ -143,7 +144,7 @@ def circ_penrose_residuals(gen, xgen, tol: Tolerance = DEFAULT_TOL) -> ResidualR
             "penrose3": scale * frobenius(_adjoint_generator(ax) - ax),
             "penrose4": scale * frobenius(_adjoint_generator(xa) - xa),
         },
-        tol,
+        penrose_bounds(scale * frobenius(gen), scale * frobenius(xgen), c.shape, tol),
     )
 
 

@@ -22,7 +22,6 @@ import argparse
 import contextlib
 import hashlib
 import json
-import math
 import os
 import sys
 import tempfile
@@ -191,32 +190,26 @@ def _write_output(path: str | None, value, to_json, to_csv) -> str | None:
 
 
 def _verdict(penrose: ResidualReport, also_passed: bool = True) -> dict:
-    """The report's verdict fields, from a Penrose check whose tolerance is
-    the bound it was held to."""
+    """The report's verdict fields: the residual and bound of the Penrose
+    equation nearest its bound, and whether every check passed."""
+    name, residual = penrose.worst
     return {
-        "max_penrose_residual": float(penrose.worst[1]),
-        "residual_bound": penrose.tolerance.residual_abs,
+        "max_penrose_residual": float(residual),
+        "residual_bound": float(penrose.bounds[name]),
         "passed": bool(penrose.passed and also_passed),
     }
 
 
 def _resolve_tolerance(args) -> Tolerance:
     residual = args.tol_residual
-    if residual is None:
-        env = os.environ.get("PINVKIT_TOL_RESIDUAL")
-        if env is not None:
-            try:
-                residual = float(env)
-            except ValueError:
-                raise MatrixFormatError(
-                    f"PINVKIT_TOL_RESIDUAL is not a float: {env!r}"
-                ) from None
-    kwargs = {}
-    if args.tol_rank is not None:
-        kwargs["rank_rel"] = args.tol_rank
-    if residual is not None:
-        kwargs["residual_abs"] = residual
-    return Tolerance(**kwargs)
+    env = os.environ.get("PINVKIT_TOL_RESIDUAL")
+    if residual is None and env is not None:
+        try:
+            residual = float(env)
+        except ValueError:
+            raise MatrixFormatError(f"PINVKIT_TOL_RESIDUAL is not a float: {env!r}") from None
+    given = {"rank_rel": args.tol_rank, "residual_rel": residual}
+    return Tolerance(**{knob: value for knob, value in given.items() if value is not None})
 
 
 # --------------------------------------------------------------------------
@@ -246,7 +239,7 @@ def _cmd_pinv(args, tol: Tolerance) -> RunReport:
         rows=a.shape[0],
         cols=a.shape[1],
         rank=factorization.rank,
-        **_verdict(penrose_residuals(a, x, tol.scaled_for(a))),
+        **_verdict(penrose_residuals(a, x, tol)),
         input_digest=in_digest,
         output_digest=_write_output(args.output, x, dumps_matrix_json, dumps_matrix_csv),
     )
@@ -289,9 +282,9 @@ def _cmd_circ(args, tol: Tolerance) -> RunReport:
         gen = loads_generator_json(text)
         in_digest = _digest(text.encode())
 
+    if gen is None and args.method in ("spectral", "zero-sum"):
+        raise PreconditionError(f"{args.method} method needs a generator (--gen or --input)")
     if args.method == "spectral":
-        if gen is None:
-            raise PreconditionError("spectral method needs a generator (--gen or --input)")
         result = circ_pinv_spectral(gen, tol)
     elif args.method == "two-term":
         if gen is not None:
@@ -309,8 +302,6 @@ def _cmd_circ(args, tol: Tolerance) -> RunReport:
             gen[k_pos - 1] = alpha
             gen[k_pos % n] = beta
     elif args.method == "zero-sum":
-        if gen is None:
-            raise PreconditionError("zero-sum method needs a generator (--gen or --input)")
         result = zero_sum_shift_pinv(gen, alpha=args.alpha, tol=tol)
     else:
         if args.alpha is None or args.beta is None or args.k is None or args.q is None:
@@ -319,11 +310,9 @@ def _cmd_circ(args, tol: Tolerance) -> RunReport:
         pattern = block_pattern_generator(args.k, args.q)
         gen = args.alpha * np.ones(pattern.shape[0], dtype=np.complex128) + args.beta * pattern
 
-    # verified and written from the generators: ||circ(g)||_F = sqrt(n) ||g||
+    # verified and written from the generators
     n = gen.shape[0]
-    residuals = circ_penrose_residuals(
-        gen, result.gen, tol.scaled_by(math.sqrt(n) * frobenius(gen))
-    )
+    residuals = circ_penrose_residuals(gen, result.gen, tol)
     spectrum = circ_spectrum(gen, tol)
     return RunReport(
         command="circ",
@@ -350,7 +339,7 @@ def _cmd_tree(args, tol: Tolerance) -> RunReport:
     # shifted matrix, so the report needs no SVD of D
     x = tree_pinv(tree, alpha=args.alpha, tol=tol)
     u, rebuilt = tree_u_and_reconstruction(tree, tol=tol, dpinv=x)
-    residuals = penrose_residuals(tree.D, x, tol.scaled_for(tree.D))
+    residuals = penrose_residuals(tree.D, x, tol)
     dl_identity = np.outer(np.ones(tree.n), tree.tau) - 2.0 * np.eye(tree.n)
     return RunReport(
         command="tree",
@@ -374,10 +363,10 @@ def _cmd_tree(args, tol: Tolerance) -> RunReport:
 def _cmd_wheel(args, tol: Tolerance) -> RunReport:
     # wheel_build certifies rank n - 1 from D a = 0 and the verified
     # inverse of D + a a^t
-    wheel = wheel_build(args.n)
+    wheel = wheel_build(args.n, tol)
     inv134, dpinv = wheel_pinv(wheel, tol)
-    residuals = penrose_residuals(wheel.D, dpinv, tol.scaled_for(wheel.D))
-    identities = wheel_z_identities(args.n)
+    residuals = penrose_residuals(wheel.D, dpinv, tol)
+    identities = wheel_z_identities(args.n, wheel.z24)
     eig_residual = float(np.max(np.abs(inv134 @ wheel.a - wheel.a / (args.n - 1))))
     return RunReport(
         command="wheel",
@@ -401,11 +390,9 @@ def _cmd_verify(args, tol: Tolerance) -> RunReport:
         raise PreconditionError("verify needs --input (matrix) and --aux (candidate inverse)")
     a, in_digest = _load_matrix(args.input)
     x, _ = _load_matrix(args.aux)
-    check_tol = tol.scaled_for(a)
-    pen = penrose_residuals(a, x, check_tol)
-    # check_tol keeps tol's rank_rel, so svd(a, tol) is also svd(a, check_tol)
+    pen = penrose_residuals(a, x, tol)
     factorization = svd(a, tol)
-    chars = characterization_residuals(a, x, check_tol, factorization)
+    chars = characterization_residuals(a, x, tol, factorization)
     every = {**pen.residuals, **chars.residuals}
     return RunReport(
         command="verify",
@@ -464,10 +451,35 @@ def _add_common(parser: argparse.ArgumentParser, **files: str) -> None:
     for name, text in files.items():
         parser.add_argument(f"--{name}", help=text)
     parser.add_argument("--tol-rank", type=float, help="relative rank cutoff factor")
-    parser.add_argument("--tol-residual", type=float, help="absolute residual bound")
+    parser.add_argument(
+        "--tol-residual", type=float, help="relative residual bound factor (default 1e-12)"
+    )
     parser.add_argument("--pretty", action="store_true", help="aligned table instead of JSON")
 
 
+def _check_reads(args) -> None:
+    """Refuse a flag that the chosen method (or gen kind) does not read."""
+    choice_key, reads = args.reads
+    choice = getattr(args, choice_key)
+    unread = set().union(*reads.values()) - reads[choice]
+    given = sorted(f"--{name}" for name in unread if getattr(args, name) is not None)
+    if given:
+        raise _UsageError(f"{args.command} {choice} does not read {', '.join(given)}")
+
+
+# the method-specific flags each method of circ, and each kind of gen, reads
+CIRC_READS = {
+    "spectral": {"gen", "input"},
+    "two-term": {"gen", "input", "alpha", "beta", "n", "k"},
+    "zero-sum": {"gen", "input", "alpha"},
+    "block": {"alpha", "beta", "k", "q"},
+}
+GEN_READS = {
+    "sum-family": {"rows", "cols", "k"},
+    "zero-sum-tree": {"n"},
+    "rank-additive-pair": {"n"},
+    "random-matrix": {"rows", "cols", "k"},
+}
 MATRIX_IN = "matrix file (.json or .csv)"
 MATRIX_OUT = "write the pseudoinverse here (.json or .csv)"
 
@@ -502,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
         input="generator JSON file",
         output="write the pseudoinverse as a generator (.json) or a matrix (.csv)",
     )
-    cmd.set_defaults(handler=_cmd_circ)
+    cmd.set_defaults(handler=_cmd_circ, reads=("method", CIRC_READS))
 
     cmd = commands.add_parser("tree", help="zero-sum tree distance pseudoinverse")
     cmd.add_argument("--alpha", type=float, help="completion weight (default: auto)")
@@ -529,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--n", type=int)
     cmd.add_argument("--seed", type=int, default=0, help="generator seed")
     _add_common(cmd, output="filename prefix (default: instance)")
-    cmd.set_defaults(handler=_cmd_gen)
+    cmd.set_defaults(handler=_cmd_gen, reads=("kind", GEN_READS))
 
     return parser
 
@@ -559,6 +571,8 @@ def _print_report(report: RunReport, pretty: bool) -> None:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if hasattr(args, "reads"):
+            _check_reads(args)
     except _UsageError as exc:
         print(f"pinvkit: error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -9,7 +9,8 @@ are not unique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -23,13 +24,13 @@ CHARACTERIZATION_KEYS = ("char_i", "char_ii", "char_iii", "char_iv", "char_v", "
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Named Frobenius residuals compared against an absolute bound."""
+    """Named Frobenius residuals, each held to its own bound."""
 
     residuals: Mapping[str, float]
-    tolerance: Tolerance = field(default=DEFAULT_TOL)
+    bounds: Mapping[str, float]
 
     def check(self, name: str) -> bool:
-        return self.residuals[name] <= self.tolerance.residual_abs
+        return self.residuals[name] <= self.bounds[name]
 
     @property
     def passed(self) -> bool:
@@ -40,8 +41,31 @@ class ResidualReport:
 
     @property
     def worst(self) -> tuple[str, float]:
-        name = max(self.residuals, key=self.residuals.__getitem__)
+        """The key with the largest residual/bound ratio, and its residual."""
+        name = max(self.residuals, key=lambda k: bound_ratio(self.residuals[k], self.bounds[k]))
         return name, self.residuals[name]
+
+
+def bound_ratio(residual: float, bound: float) -> float:
+    """residual / bound, where a zero bound admits only a zero residual."""
+    return residual / bound if bound > 0 else (math.inf if residual > 0 else 0.0)
+
+
+def penrose_bounds(norm_a: float, norm_x: float, shape, tol: Tolerance) -> dict[str, float]:
+    """Bounds of the four Penrose residuals of a candidate X for an m x n A.
+
+    Each is tau times the norms its equation is built from (Higham 2002),
+    with k = ||A||_F ||X||_F: k ||A|| for AXA - A, k ||X|| for XAX - X, and
+    k for the symmetry of AX and XA. Every singular value a pseudoinverse
+    inverts exceeds tol.rank_cutoff, so a true A^+ has
+    k <= min(m, n) / (rank_rel max(m, n)); a larger candidate gets bound 0
+    on every equation, so inflating X cannot loosen the check.
+    """
+    k = norm_a * norm_x
+    if k > min(shape) / (tol.rank_rel * max(shape)):
+        k = 0.0
+    bounds = (tol.bound(k, norm_a), tol.bound(k, norm_x), tol.bound(k), tol.bound(k))
+    return dict(zip(PENROSE_KEYS, bounds))
 
 
 def pinv(
@@ -88,7 +112,7 @@ def penrose_residuals(a: np.ndarray, x: np.ndarray, tol: Tolerance = DEFAULT_TOL
             "penrose3": frobenius(dagger(ax) - ax),
             "penrose4": frobenius(dagger(xa) - xa),
         },
-        tol,
+        penrose_bounds(frobenius(a), frobenius(x), a.shape, tol),
     )
 
 
@@ -105,7 +129,10 @@ def characterization_residuals(
 ) -> ResidualReport:
     """Residuals of the six equivalent characterization systems.
 
-    Each entry is the max Frobenius residual over that system's equations:
+    Each equation is held to the penrose_bounds entry of its scale: k for
+    the products AX, XA and the projector differences, k ||A|| for XAA*, and
+    k ||X|| for XAX, XX*A* and X P_N(A*). A system's entry is its equation
+    with the largest residual/bound ratio:
       (i)   AX = P_R(A)            and N(X*) = N(A)
       (ii)  AX = P_R(A), XA = P_R(A*), XAX = X
       (iii) XAA* = A*              and XX*A* = X
@@ -121,22 +148,27 @@ def characterization_residuals(
     ax = a @ x
     xa = x @ a
     a_adj = dagger(a)
+    by_ka, by_kx, by_k, _ = penrose_bounds(frobenius(a), frobenius(x), a.shape, tol).values()
 
-    r_ax = frobenius(ax - p_range_a)
-    r_xa = frobenius(xa - p_range_a_adj)
+    ax_eq = (frobenius(ax - p_range_a), by_k)
+    xa_eq = (frobenius(xa - p_range_a_adj), by_k)
     systems = {
-        "char_i": max(r_ax, frobenius(p_null_x_adj - p_null_a)),
-        "char_ii": max(r_ax, r_xa, frobenius(xa @ x - x)),
-        "char_iii": max(
-            frobenius(x @ a @ a_adj - a_adj), frobenius(x @ dagger(x) @ a_adj - x)
-        ),
-        "char_iv": max(
-            frobenius(xa @ p_range_a_adj - p_range_a_adj), frobenius(x @ p_null_a_adj)
-        ),
-        "char_v": max(r_xa, frobenius(p_null_x - p_null_a_adj)),
-        "char_vi": max(r_ax, frobenius(xa - p_range_x)),
+        "char_i": [ax_eq, (frobenius(p_null_x_adj - p_null_a), by_k)],
+        "char_ii": [ax_eq, xa_eq, (frobenius(xa @ x - x), by_kx)],
+        "char_iii": [
+            (frobenius(x @ a @ a_adj - a_adj), by_ka),
+            (frobenius(x @ dagger(x) @ a_adj - x), by_kx),
+        ],
+        "char_iv": [
+            (frobenius(xa @ p_range_a_adj - p_range_a_adj), by_k),
+            (frobenius(x @ p_null_a_adj), by_kx),
+        ],
+        "char_v": [xa_eq, (frobenius(p_null_x - p_null_a_adj), by_k)],
+        "char_vi": [ax_eq, (frobenius(xa - p_range_x), by_k)],
     }
-    return ResidualReport(systems, tol)
+    worst = [max(eqs, key=lambda eq: bound_ratio(*eq)) for eqs in systems.values()]
+    residuals, bounds = zip(*worst)
+    return ResidualReport(dict(zip(systems, residuals)), dict(zip(systems, bounds)))
 
 
 def pinv_normal_equations(

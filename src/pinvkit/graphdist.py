@@ -72,8 +72,7 @@ class TreeMatrices:
 
 
 def _is_zero_sum(tree: TreeMatrices, tol: Tolerance) -> bool:
-    scale = sum(abs(w) for _, _, w in tree.edges)
-    return abs(tree.weight_sum) <= tol.residual_abs * max(1.0, scale)
+    return abs(tree.weight_sum) <= tol.bound(sum(abs(w) for _, _, w in tree.edges))
 
 
 def _require_zero_sum(tree: TreeMatrices, tol: Tolerance) -> None:
@@ -93,7 +92,8 @@ def tree_build(edges, tol: Tolerance = DEFAULT_TOL) -> TreeMatrices:
 
     Two structural identities are verified on every build: L e = 0 holds by
     construction, and D L = e tau^t - 2I is checked numerically. When the
-    weights sum to zero, D tau = 0 is checked as well.
+    weights sum to zero, D tau = 0 is checked as well. Each residual is held
+    to tol.bound of the norms of its two factors.
     """
     triples = []
     for entry in edges:
@@ -153,14 +153,14 @@ def tree_build(edges, tol: Tolerance = DEFAULT_TOL) -> TreeMatrices:
     tau = 2.0 - delta
     tree = TreeMatrices(n=n, edges=tuple(triples), D=d, L=lap, delta=delta, tau=tau)
 
-    scale = max(1.0, frobenius(d) * frobenius(lap))
+    norm_d = frobenius(d)
     ones = np.ones(n)
     dl_residual = frobenius(d @ lap - (np.outer(ones, tau) - 2.0 * np.eye(n)))
-    if dl_residual > 1e-10 * scale:
+    if dl_residual > tol.bound(norm_d, frobenius(lap)):
         raise VerificationError(f"D L = e tau^t - 2I failed with residual {dl_residual:.3e}")
     if _is_zero_sum(tree, tol):
-        dtau = float(np.max(np.abs(d @ tau)))
-        if dtau > 1e-10 * max(1.0, frobenius(d)):
+        dtau = frobenius(d @ tau)
+        if dtau > tol.bound(norm_d, frobenius(tau)):
             raise VerificationError(f"D tau = 0 failed with residual {dtau:.3e}")
     return tree
 
@@ -186,23 +186,24 @@ def gen_zero_sum_tree(seed: int, n: int) -> TreeMatrices:
         return tree_build(edges)
 
 
-def _tau_quad(tree: TreeMatrices) -> float | None:
-    """tau^t L tau, or None when it is negligible against ||L||_F ||tau||^2."""
+def _tau_quad(tree: TreeMatrices, tol: Tolerance) -> float | None:
+    """tau^t L tau, or None when it is within tol.bound(||L||_F, ||tau||^2)
+    of zero."""
     tau_sq = float(tree.tau @ tree.tau)
     quad = float(tree.tau @ tree.L @ tree.tau)
-    if abs(quad) > 1e-7 * max(1.0, frobenius(tree.L) * tau_sq):
+    if abs(quad) > tol.bound(frobenius(tree.L), tau_sq):
         return quad
     return None
 
 
-def _auto_alpha(tree: TreeMatrices) -> float:
+def _auto_alpha(tree: TreeMatrices, tol: Tolerance) -> float:
     """Shift weight for the rank-one completion D + alpha tau tau^t.
 
     Any nonzero alpha gives the same pseudoinverse; 2/(tau^t L tau) makes the
     intermediate inverse best conditioned and matches the closed-form u
     route. Falls back to 1 when tau^t L tau is negligible.
     """
-    quad = _tau_quad(tree)
+    quad = _tau_quad(tree, tol)
     return 1.0 if quad is None else 2.0 / quad
 
 
@@ -210,7 +211,7 @@ def _shift_alpha(tree: TreeMatrices, alpha: float | None, tol: Tolerance) -> flo
     """Validated shift weight: the tree is zero-sum and alpha is nonzero."""
     _require_zero_sum(tree, tol)
     if alpha is None:
-        alpha = _auto_alpha(tree)
+        alpha = _auto_alpha(tree, tol)
     alpha = float(alpha)
     if alpha == 0.0:
         raise PreconditionError("alpha must be nonzero")
@@ -253,16 +254,20 @@ def tree_pinv(
     alpha = _shift_alpha(tree, alpha, tol)
     tau = tree.tau
     tau_sq = float(tau @ tau)
-    lu = lu_factor(tree.D + alpha * np.outer(tau, tau))
-    explicit = np.real(lu.inverse()) - np.outer(tau, tau) / (alpha * tau_sq**2)
+    shifted = tree.D + alpha * np.outer(tau, tau)
+    lu = lu_factor(shifted)
+    inv = np.real(lu.inverse())
+    explicit = inv - np.outer(tau, tau) / (alpha * tau_sq**2)
     equation = np.real(lu.solve(np.eye(tree.n) - np.outer(tau, tau) / tau_sq))
     gap = frobenius(explicit - equation)
-    bound = tol.scaled_for(tree.D).residual_abs * max(1.0, frobenius(explicit))
+    # each route carries the forward error of an LU inverse, cond(M) ||M^-1||
+    norm_inv = frobenius(inv)
+    bound = tol.bound(frobenius(shifted), norm_inv, norm_inv)
     if gap > bound:
         raise VerificationError(
             f"inverse and equation routes disagree: {gap:.3e} > {bound:.3e}"
         )
-    report = penrose_residuals(tree.D, explicit, tol.scaled_for(tree.D))
+    report = penrose_residuals(tree.D, explicit, tol)
     if not report.passed:
         name, value = report.worst
         raise VerificationError(f"tree pseudoinverse failed {name} with residual {value:.3e}")
@@ -301,19 +306,21 @@ def tree_u_and_reconstruction(
     ones = np.ones(tree.n)
     dpinv_e = dpinv @ ones
     u = 0.5 * (dpinv_e - (float(ones @ dpinv_e) / 4.0) * tau)
+    # u and the rebuilt D^+ inherit the forward error of D^+, cond(D) ||D^+||
+    norm_d, norm_x = frobenius(tree.D), frobenius(dpinv)
 
-    quad = _tau_quad(tree)
+    quad = _tau_quad(tree, tol)
     if quad is not None:
         closed = 0.5 * (tree.L @ tau / tau_sq - (quad / (2.0 * tau_sq**2)) * tau)
-        gap = float(np.max(np.abs(u - closed)))
-        if gap > 1e-9 * max(1.0, float(np.max(np.abs(u)))):
+        gap = frobenius(u - closed)
+        if gap > tol.bound(norm_d, norm_x, frobenius(dpinv_e)):
             raise VerificationError(
                 f"definition and closed-form u disagree by {gap:.3e} on a valid tree"
             )
 
     rebuilt = -tree.L / 2.0 + np.outer(u, tau) + np.outer(tau, u)
     gap = frobenius(rebuilt - dpinv)
-    if gap > tol.scaled_for(tree.D).residual_abs * max(1.0, frobenius(dpinv)):
+    if gap > tol.bound(norm_d, norm_x, norm_x):
         raise VerificationError(f"reconstruction differs from tree_pinv by {gap:.3e}")
     return u, rebuilt
 
@@ -432,7 +439,7 @@ def wheel_z_identities(n: int, z24=None) -> dict[str, bool]:
     return report
 
 
-def wheel_build(n: int) -> WheelGraph:
+def wheel_build(n: int, tol: Tolerance = DEFAULT_TOL) -> WheelGraph:
     """Construct the wheel distance data and certify rank(D) = n - 1.
 
     The rank is proved by two checks, with no SVD:
@@ -443,10 +450,10 @@ def wheel_build(n: int) -> WheelGraph:
 
         (D + a a^t)^-1 = [[-2(n-1)(n-3), (n-1) e^t], [(n-1) e, circ(z)]] / (n-1)^2,
 
-      built from the integer vector z24 = 24 z, must give
-      ||(D + a a^t) X - I||_F <= 1e-10 max(1, ||D + a a^t||_F). A residual
-      below 1 makes D + a a^t invertible, so its rank-one downdate D has
-      rank >= n - 1.
+      built from the integer vector z24 = 24 z, must give a residual
+      ||(D + a a^t) X - I||_F within tol.bound(||D + a a^t||_F, ||X||_F)
+      and below 1. A residual below 1 makes D + a a^t invertible, so its
+      rank-one downdate D has rank >= n - 1.
 
     The verified inverse travels in the returned WheelGraph as inv134.
     """
@@ -470,7 +477,7 @@ def wheel_build(n: int) -> WheelGraph:
     inv134[1:, 1:] = circ_materialize(z24.astype(float) / 24.0).real / m**2
     completed = d + np.outer(a, a)
     residual = frobenius(completed @ inv134 - np.eye(n))
-    if residual > 1e-10 * max(1.0, frobenius(completed)):
+    if residual > tol.bound(frobenius(completed), frobenius(inv134)) or residual >= 1.0:
         raise VerificationError(f"(D + a a^t) inverse check failed: residual {residual:.3e}")
     return WheelGraph(n=n, D=d, a=a, z24=z24, v=v, inv134=inv134)
 
@@ -492,10 +499,10 @@ def wheel_pinv(
     D^+ must pass the Penrose residuals before it is returned.
     """
     if not isinstance(wheel, WheelGraph):
-        wheel = wheel_build(wheel)
+        wheel = wheel_build(wheel, tol)
     m = wheel.n - 1
     dpinv = wheel.inv134 - np.outer(wheel.a, wheel.a) / m**2
-    report = penrose_residuals(wheel.D, dpinv, tol.scaled_for(wheel.D))
+    report = penrose_residuals(wheel.D, dpinv, tol)
     if not report.passed:
         name, value = report.worst
         raise VerificationError(f"wheel pseudoinverse failed {name} with residual {value:.3e}")
@@ -506,20 +513,21 @@ def wheel_properties(n: int, tol: Tolerance = DEFAULT_TOL) -> dict[str, bool]:
     """Structural identities tying the wheel inverse to a Laplacian.
 
     With M = D + a a^t, P = I - a a^t/(n-1) the projector onto the range of
-    D, and w = (5-n, 1, ..., 1)/4:
+    D, w = (5-n, 1, ..., 1)/4 and S = M^-1 - (4/(n-1)) w w^t:
 
-      eigvector          M^-1 a = a/(n-1), max deviation at most 1e-10
+      eigvector          M^-1 a = a/(n-1)
       projector_product  D^+ = M^-1 P
       laplacian_kernel   (recovered L~) e = 0
       laplacian_rank     rank(L~) = n - 2
-      laplacian_psd      min eigenvalue of L~ at least -1e-9 ||L~||_F
+      laplacian_psd      L~ has no negative eigenvalue
       pinv_split         D^+ = -L~/2 + (4/(n-1)) w w^t
-      shifted_nsd        P (M^-1 - (4/(n-1)) w w^t) P has max eigenvalue
-                         at most 1e-9 times its norm scale
+      shifted_nsd        P S P has no positive eigenvalue
 
-    where L~ = -2 (M^-1 - (4/(n-1)) w w^t) P.
+    where L~ = -2 S P. Each equality, and each zero or sign of an
+    eigenvalue, is decided to within tol.bound of the norms of the factors
+    its two sides are built from.
     """
-    wheel = wheel_build(n)
+    wheel = wheel_build(n, tol)
     inv134, dpinv = wheel_pinv(wheel, tol)
     m = n - 1
     proj = np.eye(n) - np.outer(wheel.a, wheel.a) / m
@@ -527,19 +535,20 @@ def wheel_properties(n: int, tol: Tolerance = DEFAULT_TOL) -> dict[str, bool]:
     w[0] = (5.0 - n) / 4.0
     shifted = inv134 - (4.0 / m) * np.outer(w, w)
     lap = -2.0 * shifted @ proj
-    lap_scale = max(1.0, frobenius(lap))
     lap_eigs = hermitian_eigenvalues(lap, tol)
     projected = proj @ shifted @ proj
     projected_eigs = hermitian_eigenvalues(projected, tol)
+    norm_inv, norm_proj = frobenius(inv134), frobenius(proj)
+    # the rounding carried by lap = -2 S P, and by every identity built on it
+    lap_noise = tol.bound(2.0 * frobenius(shifted), norm_proj)
     report = {
-        "eigvector": float(np.max(np.abs(inv134 @ wheel.a - wheel.a / m))) <= 1e-10,
-        "projector_product": frobenius(dpinv - inv134 @ proj)
-        <= tol.scaled_for(wheel.D).residual_abs * max(1.0, frobenius(dpinv)),
-        "laplacian_kernel": float(np.max(np.abs(lap @ np.ones(n)))) <= 1e-10 * lap_scale,
-        "laplacian_rank": int(np.sum(np.abs(lap_eigs) > tol.residual_abs * lap_scale)) == n - 2,
-        "laplacian_psd": float(lap_eigs.min()) >= -1e-9 * frobenius(lap),
-        "pinv_split": frobenius(dpinv - (-lap / 2.0 + (4.0 / m) * np.outer(w, w)))
-        <= tol.scaled_for(wheel.D).residual_abs * max(1.0, frobenius(dpinv)),
-        "shifted_nsd": float(projected_eigs.max()) <= 1e-9 * max(1.0, frobenius(projected)),
+        "eigvector": frobenius(inv134 @ wheel.a - wheel.a / m)
+        <= tol.bound(norm_inv, frobenius(wheel.a)),
+        "projector_product": frobenius(dpinv - inv134 @ proj) <= tol.bound(norm_inv, norm_proj),
+        "laplacian_kernel": frobenius(lap @ np.ones(n)) <= lap_noise * np.sqrt(n),
+        "laplacian_rank": int(np.sum(np.abs(lap_eigs) > lap_noise)) == n - 2,
+        "laplacian_psd": float(lap_eigs.min()) >= -lap_noise,
+        "pinv_split": frobenius(dpinv - (-lap / 2.0 + (4.0 / m) * np.outer(w, w))) <= lap_noise,
+        "shifted_nsd": float(projected_eigs.max()) <= lap_noise * norm_proj,
     }
     return report

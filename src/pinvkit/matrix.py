@@ -17,6 +17,7 @@ import numpy as np
 
 UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
 _SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
+_LARGEST = float(np.finfo(np.float64).max)
 
 
 class MatrixFormatError(ValueError):
@@ -37,33 +38,44 @@ class VerificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Shared numerical knobs.
+    """The two numerical knobs, each a relative factor.
 
-    rank_rel is the relative singular-value cutoff factor (the rank cutoff is
-    rank_rel * sigma_max * max(rows, cols)); residual_abs is the absolute
-    residual bound used by the verification predicates. Both must be finite
-    and strictly positive.
+    rank_rel sets the singular-value cutoff: rank_cutoff is
+    rank_rel * sigma_max * max(rows, cols). residual_rel (tau) sets every
+    residual bound: bound(*norms) is tau times the norms of the factors the
+    checked identity is built from, so a check reads the same at any scale.
+    Both must be finite and strictly positive.
     """
 
     rank_rel: float = UNIT_ROUNDOFF
-    residual_abs: float = 1e-9
+    residual_rel: float = 1e-12
 
     def __post_init__(self) -> None:
         # an infinite residual bound would pass any candidate inverse
-        knobs = (self.rank_rel, self.residual_abs)
+        knobs = (self.rank_rel, self.residual_rel)
         if not all(math.isfinite(knob) and knob > 0 for knob in knobs):
             raise PreconditionError("tolerances must be finite and strictly positive")
 
     def rank_cutoff(self, sigma_max: float, rows: int, cols: int) -> float:
         return self.rank_rel * sigma_max * max(rows, cols)
 
-    def scaled_for(self, a: np.ndarray) -> "Tolerance":
-        """Tolerance whose residual bound is scaled by max(1, ||a||_F)."""
-        return self.scaled_by(frobenius(a))
+    def bound(self, *norms: float) -> float:
+        """residual_rel times the product of norms, formed on mantissas and
+        exponents apart: it leaves the float range only when the bound does,
+        and then saturates, so an infinite residual still fails."""
+        mantissa, exponent = math.frexp(self.residual_rel)
+        for norm in norms:
+            frac, exp = math.frexp(norm)
+            mantissa, exponent = mantissa * frac, exponent + exp
+        try:
+            return math.ldexp(mantissa, exponent)
+        except OverflowError:
+            return _LARGEST
 
-    def scaled_by(self, norm: float) -> "Tolerance":
-        """Tolerance whose residual bound is scaled by max(1, norm)."""
-        return Tolerance(self.rank_rel, self.residual_abs * max(1.0, norm))
+    def scaled_for(self, a: np.ndarray) -> "Tolerance":
+        """This tolerance: bound() scales every check. Kept for callers of
+        the former absolute bound, such as the benchmark's own check."""
+        return self
 
 
 DEFAULT_TOL = Tolerance()

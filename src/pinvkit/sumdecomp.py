@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import pinv, projectors
+from .core import bound_ratio, pinv, projectors
 from .linalg import (
     SvdFactorization,
     cholesky_factor,
@@ -71,9 +71,9 @@ class OperatorFamily:
 class OrthogonalityCertificate:
     """Pairwise product norms certifying mutually orthogonal ranges.
 
-    holds is true when both maxima are at most residual_abs * max(1,
-    max_k ||A_k||_F^2); worst_pair is the (k', k) index pair attaining the
-    larger scaled violation (None for K = 1).
+    holds is true when every pair's products are within
+    tol.bound(||A_k'||_F, ||A_k||_F); worst_pair is the (k', k) index pair
+    with the largest product against that bound (None for K = 1).
     """
 
     pairwise_left: float
@@ -90,21 +90,22 @@ def check_orthogonality(
     Both inclusions are tested in the equivalent product form
     A_k'* A_k = 0 and A_k' A_k* = 0.
     """
+    norms = [frobenius(m) for m in fam.members]
     left = right = 0.0
     worst: tuple[int, int] | None = None
+    worst_ratio = -1.0
     for kp, a_kp in enumerate(fam.members):
         for k, a_k in enumerate(fam.members):
             if k == kp:
                 continue
             lhs = frobenius(dagger(a_kp) @ a_k)
             rhs = frobenius(a_kp @ dagger(a_k))
-            if worst is None or max(lhs, rhs) > max(left, right):
-                worst = (kp, k)
+            ratio = bound_ratio(max(lhs, rhs), tol.bound(norms[kp], norms[k]))
+            if ratio > worst_ratio:
+                worst, worst_ratio = (kp, k), ratio
             left = max(left, lhs)
             right = max(right, rhs)
-    scale = max(1.0, max(frobenius(m) ** 2 for m in fam.members))
-    holds = left <= tol.residual_abs * scale and right <= tol.residual_abs * scale
-    return OrthogonalityCertificate(left, right, holds, worst if len(fam) > 1 else None)
+    return OrthogonalityCertificate(left, right, worst_ratio <= 1.0, worst)
 
 
 def _require_certificate(fam: OperatorFamily, tol: Tolerance) -> None:
@@ -143,20 +144,15 @@ def pinv_via_gram_equation(
     _require_certificate(fam, tol)
     if not 0 <= k0 < len(fam):
         raise PreconditionError(f"k0 must index a member, got {k0}")
-    a_k0 = fam.members[k0]
-    if side == "left":
-        gram = np.sum([dagger(m) @ m for m in fam.members], axis=0)
-        low = cholesky_factor(gram)
-        if low is not None:
-            return cholesky_solve(low, dagger(a_k0))
-        return pinv(gram, tol) @ dagger(a_k0)
-    if side == "right":
-        gram = np.sum([m @ dagger(m) for m in fam.members], axis=0)
-        low = cholesky_factor(gram)
-        if low is not None:
-            return dagger(cholesky_solve(low, a_k0))
-        return dagger(a_k0) @ pinv(gram, tol)
-    raise PreconditionError(f"side must be 'left' or 'right', got {side!r}")
+    if side not in ("left", "right"):
+        raise PreconditionError(f"side must be 'left' or 'right', got {side!r}")
+    # the right side is the left side of the adjoint family, adjoined
+    members = fam.members if side == "left" else [dagger(m) for m in fam.members]
+    gram = np.sum([dagger(m) @ m for m in members], axis=0)
+    low = cholesky_factor(gram)
+    rhs = dagger(members[k0])
+    x = cholesky_solve(low, rhs) if low is not None else pinv(gram, tol) @ rhs
+    return x if side == "left" else dagger(x)
 
 
 def pinv_invertible_projector_eq(
@@ -174,17 +170,17 @@ def pinv_invertible_projector_eq(
     m, n = total.shape
     if m != n:
         raise PreconditionError("family sum must be square")
-    if svd(total, tol).rank != n:
+    f = svd(total, tol)
+    if f.rank != n:
         raise PreconditionError("family sum is not invertible at tolerance")
     rest = fam.deflated(k0)
     _, p_null_rest_adj, _, p_null_rest = projectors(rest, tol)
     x = lu_solve(total, p_null_rest_adj)
-    scaled = tol.scaled_for(total)
+    # x carries the solve's forward error, cond(total) ||x||
     dual = frobenius(x @ total - p_null_rest)
-    if dual > scaled.residual_abs:
-        raise VerificationError(
-            f"dual projector equation residual {dual:.3e} exceeds {scaled.residual_abs:.3e}"
-        )
+    bound = tol.bound(f.sigma[0] / f.sigma[-1], frobenius(x), frobenius(total))
+    if dual > bound:
+        raise VerificationError(f"dual projector equation residual {dual:.3e} exceeds {bound:.3e}")
     return x
 
 
@@ -224,15 +220,17 @@ def _validate_completion(a: np.ndarray, comp: CompletionData, tol: Tolerance) ->
     m, n = a.shape
     if f.shape[0] != n or g.shape[0] != m:
         raise PreconditionError("completion basis dimensions do not match the matrix")
-    bound = tol.residual_abs * max(1.0, float(p))
-    if frobenius(dagger(f) @ f - eye(p)) > bound:
+    # ||f||_F^2 = p for an orthonormal basis, and likewise for g
+    if frobenius(dagger(f) @ f - eye(p)) > tol.bound(p):
         raise PreconditionError("f_basis is not orthonormal")
-    if frobenius(dagger(g) @ g - eye(p)) > bound:
+    if frobenius(dagger(g) @ g - eye(p)) > tol.bound(p):
         raise PreconditionError("g_basis is not orthonormal")
-    scaled = tol.scaled_for(a)
-    if frobenius(a @ f) > scaled.residual_abs:
+    # rounding, plus the singular values below the rank cutoff that A f keeps
+    norm_a = frobenius(a)
+    bound = (tol.bound(norm_a) + tol.rank_cutoff(norm_a, m, n)) * np.sqrt(p)
+    if frobenius(a @ f) > bound:
         raise PreconditionError("f_basis does not lie in the null space of A")
-    if frobenius(dagger(a) @ g) > scaled.residual_abs:
+    if frobenius(dagger(a) @ g) > bound:
         raise PreconditionError("g_basis does not lie in the null space of A*")
     if np.any(np.abs(d) == 0.0):
         raise PreconditionError("completion weights must be nonzero")
@@ -304,22 +302,18 @@ def rank_completion_pinv(
         if m != n or not full:
             raise PreconditionError("inverse mode needs a square matrix and full completion")
         return inverse(completed) - dyads_back
-    if mode == "gram-left":
-        if m < n or not full:
-            raise PreconditionError("gram-left mode needs m >= n and full completion")
-        gram = dagger(a) @ a + (f * (np.abs(d) ** 2)) @ dagger(f)
-        low = cholesky_factor(gram)
+    if mode in ("gram-left", "gram-right"):
+        # gram-right is gram-left for A*, whose completion swaps f and g
+        left = mode == "gram-left"
+        if (m < n if left else m > n) or not full:
+            shape = "m >= n" if left else "n >= m"
+            raise PreconditionError(f"{mode} mode needs {shape} and full completion")
+        op, basis, c = (a, f, completed) if left else (dagger(a), g, dagger(completed))
+        low = cholesky_factor(dagger(op) @ op + (basis * (np.abs(d) ** 2)) @ dagger(basis))
         if low is None:
             raise PreconditionError("completed Gram matrix is not positive definite")
-        return cholesky_solve(low, dagger(completed)) - dyads_back
-    if mode == "gram-right":
-        if m > n or not full:
-            raise PreconditionError("gram-right mode needs n >= m and full completion")
-        gram = a @ dagger(a) + (g * (np.abs(d) ** 2)) @ dagger(g)
-        low = cholesky_factor(gram)
-        if low is None:
-            raise PreconditionError("completed Gram matrix is not positive definite")
-        return dagger(cholesky_solve(low, completed)) - dyads_back
+        x = cholesky_solve(low, dagger(c))
+        return (x if left else dagger(x)) - dyads_back
     if mode == "pinv":
         return pinv(completed, tol) - dyads_back
     raise PreconditionError(f"unknown rank completion mode {mode!r}")
@@ -350,22 +344,21 @@ def completion_pinv_pair(
     if a.shape != b.shape:
         raise PreconditionError("A and B must have the same shape")
     m, n = a.shape
-    scaled = tol.residual_abs * max(1.0, frobenius(a) * frobenius(b))
+    # rounding, plus the singular values below A's rank cutoff that A B* keeps
+    norm_a = frobenius(a)
+    bound = (tol.bound(norm_a) + tol.rank_cutoff(norm_a, m, n)) * frobenius(b)
     fa = factorization if factorization is not None else svd(a, tol)
     fb = svd(b, tol)
-    range_bstar_in_null_a = frobenius(a @ dagger(b)) <= scaled
-    range_b_in_null_astar = frobenius(dagger(a) @ b) <= scaled
+    range_bstar_in_null_a = frobenius(a @ dagger(b)) <= bound
+    range_b_in_null_astar = frobenius(dagger(a) @ b) <= bound
     fills_null_a = range_bstar_in_null_a and fb.rank == n - fa.rank
     fills_null_astar = range_b_in_null_astar and fb.rank == m - fa.rank
+    sum_invertible = (fills_null_a and range_b_in_null_astar) or (
+        fills_null_astar and range_bstar_in_null_a
+    )
 
     if mode == "auto":
-        if m == n and (
-            (fills_null_a and range_b_in_null_astar)
-            or (fills_null_astar and range_bstar_in_null_a)
-        ):
-            mode = "invertible"
-        else:
-            mode = "gram"
+        mode = "invertible" if m == n and sum_invertible else "gram"
     if mode == "gram":
         if fills_null_a:
             mode = "gram-left"
@@ -401,22 +394,20 @@ def completion_pinv_pair(
     if mode == "invertible":
         if m != n:
             raise PreconditionError("invertible mode needs square matrices")
-        if not (
-            (fills_null_a and range_b_in_null_astar)
-            or (fills_null_astar and range_bstar_in_null_a)
-        ):
+        if not sum_invertible:
             raise PreconditionError(
                 "invertible mode needs R(B*) = N(A) with R(B) <= N(A*), or the mirrored pair"
             )
-        x = inverse(a + b) - pinv(b, tol, fb)
+        total = a + b
+        inv = inverse(total)
+        x = inv - pinv(b, tol, fb)
         _, p_null_b_adj, _, p_null_b = projectors(b, tol, fb)
-        bound = tol.scaled_for(a + b).residual_abs
-        left = frobenius((a + b) @ x - p_null_b_adj)
-        right = frobenius(x @ (a + b) - p_null_b)
+        bound = tol.bound(frobenius(total), frobenius(inv))
+        left = frobenius(total @ x - p_null_b_adj)
+        right = frobenius(x @ total - p_null_b)
         if max(left, right) > bound:
             raise VerificationError(
-                f"projector equation residuals left {left:.3e} / right {right:.3e} "
-                f"exceed {bound:.3e}"
+                f"projector equation residuals {left:.3e} / {right:.3e} exceed {bound:.3e}"
             )
         return x
     raise PreconditionError(f"unknown pair completion mode {mode!r}")

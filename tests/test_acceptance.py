@@ -77,7 +77,7 @@ def test_criterion_1_oracle_self_consistency():
         if not (pen.passed and char.passed):
             failures += 1
         top = max(max(pen.residuals.values()), max(char.residuals.values()))
-        worst = max(worst, top / scaled.residual_abs)
+        worst = max(worst, top / (1e-9 * max(1.0, frobenius(a))))
     elapsed = time.perf_counter() - start
     ok = failures == 0 and elapsed < 30.0
     _finish(

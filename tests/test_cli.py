@@ -16,11 +16,12 @@ import pinvkit.cli
 import pinvkit.core
 from pinvkit.circulant import circ_materialize, circ_pinv_spectral, generator_from_spectrum
 from pinvkit.cli import _write_atomic, main
-from pinvkit.core import gen_random_matrix, pinv
+from pinvkit.core import gen_random_matrix, penrose_residuals, pinv
 from pinvkit.graphdist import tree_build, wheel_pinv
 from pinvkit.linalg import svd
 from pinvkit.matrix import (
     PreconditionError,
+    Tolerance,
     dumps_generator_json,
     dumps_matrix_json,
     frobenius,
@@ -185,7 +186,8 @@ def test_circ_rank_follows_the_oracle_rule(tmp_path, capsys):
     )
     src = tmp_path / "gen.json"
     src.write_text(dumps_generator_json(gen))
-    _, report = run(capsys, ["circ", "--input", str(src)])
+    code, report = run(capsys, ["circ", "--input", str(src)])
+    assert code == 0
     c = circ_materialize(gen)
     assert report["rank"] == svd(c).rank == 8
     oracle = pinv(c)
@@ -382,6 +384,9 @@ def test_gen_random_matrix_with_rank(tmp_path, capsys):
         ["verify", "--output", "x.json"],
         ["pinv", "--seed", "3"],
         ["tree", "--aux", "b.csv"],
+        # and so are flags that the chosen method or kind does not read
+        ["circ", "--gen", "1,2,3", "--method", "spectral", "--alpha", "7", "--k", "2"],
+        ["gen", "zero-sum-tree", "--rows", "5"],
     ],
 )
 def test_parse_failures_exit_1(argv):
@@ -476,7 +481,10 @@ def test_env_var_sets_residual_bound(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PINVKIT_TOL_RESIDUAL", "0.1")
     code, report = run(capsys, ["verify", "--input", a, "--aux", x])
     assert code == 0
-    assert report["residual_bound"] == pytest.approx(0.2)
+    # the bound of the equation nearest its bound, relative factor 0.1
+    tol = Tolerance(residual_rel=0.1)
+    rep = penrose_residuals(np.diag([2.0, 0.0]), np.diag([0.5 + 1e-5, 0.0]), tol)
+    assert report["residual_bound"] == pytest.approx(rep.bounds[rep.worst[0]])
     # explicit flag wins over the environment
     assert main(["verify", "--input", a, "--aux", x, "--tol-residual", "1e-9"]) == 2
 

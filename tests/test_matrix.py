@@ -41,10 +41,10 @@ def test_tolerance_positive():
     with pytest.raises(ValueError):
         Tolerance(rank_rel=0.0)
     with pytest.raises(ValueError):
-        Tolerance(residual_abs=-1e-9)
+        Tolerance(residual_rel=-1e-9)
 
 
-@pytest.mark.parametrize("knob", ["rank_rel", "residual_abs"])
+@pytest.mark.parametrize("knob", ["rank_rel", "residual_rel"])
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_tolerance_finite(knob, value):
     with pytest.raises(PreconditionError):
