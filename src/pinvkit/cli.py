@@ -202,14 +202,21 @@ def _verdict(penrose: ResidualReport, also_passed: bool = True) -> dict:
 
 def _resolve_tolerance(args) -> Tolerance:
     residual = args.tol_residual
-    env = os.environ.get("PINVKIT_TOL_RESIDUAL")
-    if residual is None and env is not None:
-        try:
-            residual = float(env)
-        except ValueError:
-            raise MatrixFormatError(f"PINVKIT_TOL_RESIDUAL is not a float: {env!r}") from None
-    given = {"rank_rel": args.tol_rank, "residual_rel": residual}
-    return Tolerance(**{knob: value for knob, value in given.items() if value is not None})
+    if residual is None:
+        env = os.environ.get("PINVKIT_TOL_RESIDUAL")
+        if env is not None:
+            try:
+                residual = float(env)
+            except ValueError:
+                raise MatrixFormatError(
+                    f"PINVKIT_TOL_RESIDUAL is not a float: {env!r}"
+                ) from None
+    kwargs = {}
+    if args.tol_rank is not None:
+        kwargs["rank_rel"] = args.tol_rank
+    if residual is not None:
+        kwargs["residual_rel"] = residual
+    return Tolerance(**kwargs)
 
 
 # --------------------------------------------------------------------------
@@ -282,9 +289,9 @@ def _cmd_circ(args, tol: Tolerance) -> RunReport:
         gen = loads_generator_json(text)
         in_digest = _digest(text.encode())
 
-    if gen is None and args.method in ("spectral", "zero-sum"):
-        raise PreconditionError(f"{args.method} method needs a generator (--gen or --input)")
     if args.method == "spectral":
+        if gen is None:
+            raise PreconditionError("spectral method needs a generator (--gen or --input)")
         result = circ_pinv_spectral(gen, tol)
     elif args.method == "two-term":
         if gen is not None:
@@ -302,6 +309,8 @@ def _cmd_circ(args, tol: Tolerance) -> RunReport:
             gen[k_pos - 1] = alpha
             gen[k_pos % n] = beta
     elif args.method == "zero-sum":
+        if gen is None:
+            raise PreconditionError("zero-sum method needs a generator (--gen or --input)")
         result = zero_sum_shift_pinv(gen, alpha=args.alpha, tol=tol)
     else:
         if args.alpha is None or args.beta is None or args.k is None or args.q is None:
@@ -461,7 +470,11 @@ def _check_reads(args) -> None:
     """Refuse a flag that the chosen method (or gen kind) does not read."""
     choice_key, reads = args.reads
     choice = getattr(args, choice_key)
-    unread = set().union(*reads.values()) - reads[choice]
+    allowed = reads[choice]
+    if choice == "two-term" and (args.gen is not None or args.input):
+        # the generator fixes alpha, beta, n and k
+        allowed = {"gen", "input"}
+    unread = set().union(*reads.values()) - allowed
     given = sorted(f"--{name}" for name in unread if getattr(args, name) is not None)
     if given:
         raise _UsageError(f"{args.command} {choice} does not read {', '.join(given)}")

@@ -56,15 +56,27 @@ def penrose_bounds(norm_a: float, norm_x: float, shape, tol: Tolerance) -> dict[
 
     Each is tau times the norms its equation is built from (Higham 2002),
     with k = ||A||_F ||X||_F: k ||A|| for AXA - A, k ||X|| for XAX - X, and
-    k for the symmetry of AX and XA. Every singular value a pseudoinverse
-    inverts exceeds tol.rank_cutoff, so a true A^+ has
+    k for the symmetry of AX and XA. AXA - A also keeps the singular values
+    of A that the rank rule drops, at most rho ||A||_F in norm with
+    rho = sqrt(min(m, n)) tol.rank_cutoff(1, m, n), so the check never
+    rejects the rank the rule chose. The equations are symmetric in A and
+    X, and XAX - X likewise keeps rho ||X||_F: what a route leaves of the
+    dropped part of A in X lies below X's own rank cutoff. Every singular
+    value a pseudoinverse inverts exceeds tol.rank_cutoff, so a true A^+ has
     k <= min(m, n) / (rank_rel max(m, n)); a larger candidate gets bound 0
     on every equation, so inflating X cannot loosen the check.
     """
+    m, n = shape
     k = norm_a * norm_x
-    if k > min(shape) / (tol.rank_rel * max(shape)):
-        k = 0.0
-    bounds = (tol.bound(k, norm_a), tol.bound(k, norm_x), tol.bound(k), tol.bound(k))
+    if k > min(m, n) / (tol.rank_rel * max(m, n)):
+        return dict.fromkeys(PENROSE_KEYS, 0.0)
+    rho = math.sqrt(min(m, n)) * tol.rank_cutoff(1.0, m, n)
+    bounds = (
+        tol.bound(k, norm_a) + rho * norm_a,
+        tol.bound(k, norm_x) + rho * norm_x,
+        tol.bound(k),
+        tol.bound(k),
+    )
     return dict(zip(PENROSE_KEYS, bounds))
 
 
@@ -130,8 +142,8 @@ def characterization_residuals(
     """Residuals of the six equivalent characterization systems.
 
     Each equation is held to the penrose_bounds entry of its scale: k for
-    the products AX, XA and the projector differences, k ||A|| for XAA*, and
-    k ||X|| for XAX, XX*A* and X P_N(A*). A system's entry is its equation
+    the products AX, XA and the projector differences, the AXA - A entry
+    for XAA*, and the XAX - X entry for XAX, XX*A* and X P_N(A*). A system's entry is its equation
     with the largest residual/bound ratio:
       (i)   AX = P_R(A)            and N(X*) = N(A)
       (ii)  AX = P_R(A), XA = P_R(A*), XAX = X

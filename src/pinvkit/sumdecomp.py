@@ -144,15 +144,20 @@ def pinv_via_gram_equation(
     _require_certificate(fam, tol)
     if not 0 <= k0 < len(fam):
         raise PreconditionError(f"k0 must index a member, got {k0}")
-    if side not in ("left", "right"):
-        raise PreconditionError(f"side must be 'left' or 'right', got {side!r}")
-    # the right side is the left side of the adjoint family, adjoined
-    members = fam.members if side == "left" else [dagger(m) for m in fam.members]
-    gram = np.sum([dagger(m) @ m for m in members], axis=0)
-    low = cholesky_factor(gram)
-    rhs = dagger(members[k0])
-    x = cholesky_solve(low, rhs) if low is not None else pinv(gram, tol) @ rhs
-    return x if side == "left" else dagger(x)
+    a_k0 = fam.members[k0]
+    if side == "left":
+        gram = np.sum([dagger(m) @ m for m in fam.members], axis=0)
+        low = cholesky_factor(gram)
+        if low is not None:
+            return cholesky_solve(low, dagger(a_k0))
+        return pinv(gram, tol) @ dagger(a_k0)
+    if side == "right":
+        gram = np.sum([m @ dagger(m) for m in fam.members], axis=0)
+        low = cholesky_factor(gram)
+        if low is not None:
+            return dagger(cholesky_solve(low, a_k0))
+        return dagger(a_k0) @ pinv(gram, tol)
+    raise PreconditionError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def pinv_invertible_projector_eq(
@@ -302,18 +307,22 @@ def rank_completion_pinv(
         if m != n or not full:
             raise PreconditionError("inverse mode needs a square matrix and full completion")
         return inverse(completed) - dyads_back
-    if mode in ("gram-left", "gram-right"):
-        # gram-right is gram-left for A*, whose completion swaps f and g
-        left = mode == "gram-left"
-        if (m < n if left else m > n) or not full:
-            shape = "m >= n" if left else "n >= m"
-            raise PreconditionError(f"{mode} mode needs {shape} and full completion")
-        op, basis, c = (a, f, completed) if left else (dagger(a), g, dagger(completed))
-        low = cholesky_factor(dagger(op) @ op + (basis * (np.abs(d) ** 2)) @ dagger(basis))
+    if mode == "gram-left":
+        if m < n or not full:
+            raise PreconditionError("gram-left mode needs m >= n and full completion")
+        gram = dagger(a) @ a + (f * (np.abs(d) ** 2)) @ dagger(f)
+        low = cholesky_factor(gram)
         if low is None:
             raise PreconditionError("completed Gram matrix is not positive definite")
-        x = cholesky_solve(low, dagger(c))
-        return (x if left else dagger(x)) - dyads_back
+        return cholesky_solve(low, dagger(completed)) - dyads_back
+    if mode == "gram-right":
+        if m > n or not full:
+            raise PreconditionError("gram-right mode needs n >= m and full completion")
+        gram = a @ dagger(a) + (g * (np.abs(d) ** 2)) @ dagger(g)
+        low = cholesky_factor(gram)
+        if low is None:
+            raise PreconditionError("completed Gram matrix is not positive definite")
+        return dagger(cholesky_solve(low, completed)) - dyads_back
     if mode == "pinv":
         return pinv(completed, tol) - dyads_back
     raise PreconditionError(f"unknown rank completion mode {mode!r}")
@@ -353,12 +362,15 @@ def completion_pinv_pair(
     range_b_in_null_astar = frobenius(dagger(a) @ b) <= bound
     fills_null_a = range_bstar_in_null_a and fb.rank == n - fa.rank
     fills_null_astar = range_b_in_null_astar and fb.rank == m - fa.rank
-    sum_invertible = (fills_null_a and range_b_in_null_astar) or (
-        fills_null_astar and range_bstar_in_null_a
-    )
 
     if mode == "auto":
-        mode = "invertible" if m == n and sum_invertible else "gram"
+        if m == n and (
+            (fills_null_a and range_b_in_null_astar)
+            or (fills_null_astar and range_bstar_in_null_a)
+        ):
+            mode = "invertible"
+        else:
+            mode = "gram"
     if mode == "gram":
         if fills_null_a:
             mode = "gram-left"
@@ -394,7 +406,10 @@ def completion_pinv_pair(
     if mode == "invertible":
         if m != n:
             raise PreconditionError("invertible mode needs square matrices")
-        if not sum_invertible:
+        if not (
+            (fills_null_a and range_b_in_null_astar)
+            or (fills_null_astar and range_bstar_in_null_a)
+        ):
             raise PreconditionError(
                 "invertible mode needs R(B*) = N(A) with R(B) <= N(A*), or the mirrored pair"
             )
@@ -407,7 +422,8 @@ def completion_pinv_pair(
         right = frobenius(x @ total - p_null_b)
         if max(left, right) > bound:
             raise VerificationError(
-                f"projector equation residuals {left:.3e} / {right:.3e} exceed {bound:.3e}"
+                f"projector equation residuals left {left:.3e} / right {right:.3e} "
+                f"exceed {bound:.3e}"
             )
         return x
     raise PreconditionError(f"unknown pair completion mode {mode!r}")

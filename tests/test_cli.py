@@ -387,6 +387,10 @@ def test_gen_random_matrix_with_rank(tmp_path, capsys):
         # and so are flags that the chosen method or kind does not read
         ["circ", "--gen", "1,2,3", "--method", "spectral", "--alpha", "7", "--k", "2"],
         ["gen", "zero-sum-tree", "--rows", "5"],
+        # two-term takes alpha, beta, n and k from a given generator
+        ["circ", "--method", "two-term", "--gen", "0,1,2,0",
+         "--alpha", "5", "--n", "9", "--k", "3"],
+        ["circ", "--method", "two-term", "--input", "g.json", "--beta", "2"],
     ],
 )
 def test_parse_failures_exit_1(argv):

@@ -2,8 +2,10 @@
 
 Every Penrose residual is held to tau times the norms its equation is built
 from, with k = ||A||_F ||X||_F: k ||A|| for AXA - A, k ||X|| for XAX - X and k
-for the symmetry of AX and XA; a candidate whose k exceeds what the rank
-rule allows gets bound 0. numpy.linalg is the oracle here: the correct X is
+for the symmetry of AX and XA. AXA - A and XAX - X also allow what the rank
+rule drops, rho ||A||_F and rho ||X||_F with rho = sqrt(min(m, n)) rank
+cutoffs of 1; a candidate whose k exceeds what the rank rule allows gets
+bound 0. numpy.linalg is the oracle here: the correct X is
 built from factors that numpy.linalg.qr or numpy.linalg.svd produced.
 """
 
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinvkit import DEFAULT_TOL, penrose_residuals, pinv
+from pinvkit import DEFAULT_TOL, Tolerance, penrose_residuals, pinv
 from pinvkit.cli import main
 from pinvkit.matrix import dumps_matrix_json
 
@@ -48,8 +50,8 @@ def log_spaced(r, kappa):
     return np.logspace(0.0, -math.log10(kappa), r)
 
 
-def passes(a, x):
-    return penrose_residuals(a, x).passed
+def passes(a, x, tol=DEFAULT_TOL):
+    return penrose_residuals(a, x, tol).passed
 
 
 @RULE
@@ -202,7 +204,7 @@ def test_inflating_x_cannot_loosen_the_check(seed, m, n, log_size):
 # the wrong-rank boundary against the rank rule
 
 
-def wrong_rank_boundary(seed, n):
+def wrong_rank_boundary(seed, n, tol):
     """The smallest singular value s at which the rank n-1 candidate that
     drops s starts to fail, for A = U diag(1, ..., 1, s) V*, by bisection
     on log10(s)."""
@@ -213,22 +215,29 @@ def wrong_rank_boundary(seed, n):
         sigma[-1] = 10.0**mid
         a, _, u, v = frame(seed, n, n, sigma)
         dropped = v[:, :-1] @ u[:, :-1].conj().T
-        low, high = (mid, high) if passes(a, dropped) else (low, mid)
+        low, high = (mid, high) if passes(a, dropped, tol) else (low, mid)
     return 10.0**high
 
 
+@pytest.mark.parametrize("rank_rel", [DEFAULT_TOL.rank_rel, 1e-14])
 @settings(derandomize=True, database=None, deadline=None, max_examples=10)
 @given(SEEDS, st.integers(2, 12))
-def test_wrong_rank_boundary_is_a_stated_factor_above_the_rank_rule(seed, n):
+def test_wrong_rank_boundary_is_a_stated_factor_above_the_rank_rule(rank_rel, seed, n):
     # Dropping s leaves AXA - A = -s u_n v_n*, against the bound
-    # tau ||A||_F^2 ||X||_F = tau (n - 1 + s^2) sqrt(n - 1). So the candidate
-    # passes exactly while s stays below about tau (n - 1)^1.5: a factor
-    # between 1 and (tau / rank_rel) sqrt(n) above the rank cutoff rank_rel n,
-    # below which the rank rule drops s as well.
-    cutoff = DEFAULT_TOL.rank_cutoff(1.0, n, n)
-    boundary = wrong_rank_boundary(seed, n)
-    assert boundary == pytest.approx(TAU * (n - 1) ** 1.5, rel=1e-3)
-    assert cutoff < boundary <= (TAU / DEFAULT_TOL.rank_rel) * math.sqrt(n) * cutoff
+    # tau ||A||_F^2 ||X||_F + rho ||A||_F, with rho = sqrt(n) rank_cutoff(1),
+    # ||A||_F about sqrt(n - 1) and ||X||_F = sqrt(n - 1). So the candidate
+    # passes exactly while s stays below about tau (n - 1)^1.5 + rho sqrt(n - 1):
+    # a factor between 1 and (tau / rank_rel) sqrt(n) + n above the rank
+    # cutoff rank_rel n, below which the rank rule drops s as well. The
+    # bisection finds it to within the residual's own rounding, about
+    # eps n, which is under 1e-3 of it; at rank_rel 1e-14 the rho term is
+    # 3-4% of the boundary, so the check tells the two rules apart.
+    tol = Tolerance(rank_rel=rank_rel)
+    cutoff = tol.rank_cutoff(1.0, n, n)
+    expected = TAU * (n - 1) ** 1.5 + math.sqrt(n) * tol.rank_cutoff(math.sqrt(n - 1), n, n)
+    boundary = wrong_rank_boundary(seed, n, tol)
+    assert boundary == pytest.approx(expected, rel=1e-3, abs=0.0)
+    assert cutoff < boundary <= ((TAU / rank_rel) * math.sqrt(n) + n) * cutoff
 
 
 # --------------------------------------------------------------------------
@@ -264,11 +273,15 @@ def test_verify_command_rejects_zero_for_a_tiny_matrix(tmp_path, capsys):
     assert not passes(a, np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("dropped", [1e-11, 1e-9])
 @pytest.mark.parametrize("method", ["svd", "rank-completion"])
-def test_coarse_rank_cutoff_is_honoured_by_every_route(tmp_path, capsys, method):
-    # --tol-rank 1e-10 drops the singular value 1e-11, and the completion
-    # basis the route builds for it must pass the route's own null-space gate
-    a, _, _, _ = frame(3, 6, 6, [3.0, 2.0, 1.0, 0.5, 1e-11])
+def test_coarse_rank_cutoff_is_honoured_by_every_route(tmp_path, capsys, method, dropped):
+    # --tol-rank 1e-10 drops the singular value `dropped` (the cutoff is
+    # 1.8e-9); the completion basis the route builds for it must pass the
+    # route's own null-space gate, and the Penrose check must pass even where
+    # `dropped` exceeds tau k ||A||: AXA - A keeps `dropped`, and the
+    # completion's X keeps about dropped / 9 in the dropped directions
+    a, _, _, _ = frame(3, 6, 6, [3.0, 2.0, 1.0, 0.5, dropped])
     argv = ["pinv", "--input", "a", "--method", method, "--tol-rank", "1e-10"]
     code, report = cli(tmp_path, capsys, argv, a=a)
     assert code == 0 and report["rank"] == 4
