@@ -1,0 +1,191 @@
+"""Layer timings of the closed-form routes: dense versus structured paths.
+
+It times, as the median of several repeats:
+
+- fill_fishkind.five_svd  the former route, kept here: both projector
+                          products formed n x n and inverted by their own
+                          SVDs, five n x n SVDs in all
+- fill_fishkind.cores     fill_fishkind_pinv, which inverts the products
+                          through cores with rank(A2) rows or columns
+  at the closed-form workload's five (n, rank A1, rank A2) slots and at
+  (32, 12, 14);
+- tree.per_root_bfs       the former path sums, a BFS from every root with
+                          numpy scalar steps, kept here
+- tree.tree_build         tree_build as a whole: one BFS, the ancestor
+                          product, the Laplacian and its two checks
+  on zero-sum trees with n = 20 to 60 vertices;
+- parser.build            building the parser, as main did on every call
+- parser.parse            parse_args on the parser main now keeps, per subcommand.
+
+It checks that both Fill-Fishkind routes agree to 1e-12 relative and that
+both tree routes give the same distances to 1e-13 of max|D|, and writes the
+medians in milliseconds with the machine's description to a JSON file.
+Only the standard library, numpy and pinvkit are used.
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 bench/closed_form_layers.py
+    PYTHONPATH=src python3 bench/closed_form_layers.py --out x.json --repeats 3
+
+The first form writes BENCH_closed-form.json in the current directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from collections import deque
+
+import numpy as np
+
+from pinvkit.cli import build_parser
+from pinvkit.core import pinv, projectors
+from pinvkit.graphdist import gen_zero_sum_tree, tree_build
+from pinvkit.linalg import svd
+from pinvkit.matrix import DEFAULT_TOL, PreconditionError, eye, frobenius
+from pinvkit.sumdecomp import fill_fishkind_pinv
+
+# (n, rank A1, rank A2): the closed-form workload's slots, then one larger pair
+FILL_FISHKIND_SLOTS = ((6, 2, 3), (8, 3, 4), (8, 2, 2), (10, 4, 5), (12, 3, 6), (32, 12, 14))
+TREE_SIZES = (20, 30, 40, 50, 60)
+ARGV = {
+    "pinv": ["pinv", "--method", "pair", "--input", "a.json", "--aux", "b.json",
+             "--output", "x.csv"],
+    "circ": ["circ", "--method", "zero-sum", "--gen", "1,-1,0", "--alpha", "2"],
+    "tree": ["tree", "--input", "t.csv", "--output", "x.json"],
+    "wheel": ["wheel", "--n", "61", "--output", "x.csv"],
+}
+
+
+def five_svd_fill_fishkind(a1: np.ndarray, a2: np.ndarray, tol=DEFAULT_TOL) -> np.ndarray:
+    """The former fill_fishkind_pinv, with its tie and additivity tests."""
+    n = a1.shape[0]
+    f1, f2, fs = svd(a1, tol), svd(a2, tol), svd(a1 + a2, tol)
+    for f in (f1, f2, fs):
+        cutoff = tol.rank_cutoff(f.sigma[0] if f.sigma.size else 0.0, n, n)
+        if cutoff > 0 and np.any((f.sigma > cutoff / 4.0) & (f.sigma <= cutoff * 4.0)):
+            raise PreconditionError("a singular value ties with the rank cutoff")
+    if fs.rank != f1.rank + f2.rank:
+        raise PreconditionError("rank additivity fails")
+    _, p_null_a1_adj, _, p_null_a1 = projectors(a1, tol, factorization=f1)
+    p_range_a2, _, p_range_a2_adj, _ = projectors(a2, tol, factorization=f2)
+    left = pinv(p_range_a2_adj @ p_null_a1, tol)
+    right = pinv(p_null_a1_adj @ p_range_a2, tol)
+    x1, x2 = pinv(a1, tol, f1), pinv(a2, tol, f2)
+    return (eye(n) - left) @ x1 @ (eye(n) - right) + left @ x2 @ right
+
+
+def per_root_path_sums(edges, n: int) -> np.ndarray:
+    """The former path sums of tree_build: one BFS from every root."""
+    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for i, j, w in edges:
+        adjacency[i - 1].append((j - 1, w))
+        adjacency[j - 1].append((i - 1, w))
+    d = np.zeros((n, n))
+    for root in range(n):
+        dist = np.full(n, np.nan)
+        dist[root] = 0.0
+        queue = deque([root])
+        while queue:
+            at = queue.popleft()
+            for nxt, w in adjacency[at]:
+                if np.isnan(dist[nxt]):
+                    dist[nxt] = dist[at] + w
+                    queue.append(nxt)
+        d[root] = dist
+    return d
+
+
+def low_rank(rng: np.random.Generator, n: int, r: int) -> np.ndarray:
+    g = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+    h = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
+    return g @ h
+
+
+def median_ms(funcs: dict, repeats: int) -> dict:
+    """Median time of each function; each repeat runs them all in turn, so
+    drift in the host's speed reaches before and after alike."""
+    times = {name: [] for name in funcs}
+    for _ in range(repeats):
+        for name, func in funcs.items():
+            start = time.perf_counter()
+            func()
+            times[name].append(time.perf_counter() - start)
+    return {name: 1e3 * statistics.median(values) for name, values in times.items()}
+
+
+def measure_fill_fishkind(n: int, r1: int, r2: int, repeats: int) -> dict:
+    rng = np.random.default_rng(100 * n + 10 * r1 + r2)
+    a1, a2 = low_rank(rng, n, r1), low_rank(rng, n, r2)
+    before, after = five_svd_fill_fishkind(a1, a2), fill_fishkind_pinv(a1, a2)
+    gap = frobenius(after - before) / frobenius(before)
+    return {
+        "n": n, "r1": r1, "r2": r2,
+        "median_ms": median_ms({
+            "fill_fishkind.five_svd": lambda: five_svd_fill_fishkind(a1, a2),
+            "fill_fishkind.cores": lambda: fill_fishkind_pinv(a1, a2),
+        }, repeats),
+        "checks": {"relative_gap": gap, "agree": gap <= 1e-12},
+    }
+
+
+def measure_tree(n: int, repeats: int) -> dict:
+    edges = gen_zero_sum_tree(n, n).edges
+    before, after = per_root_path_sums(edges, n), tree_build(edges).D
+    gap = float(np.max(np.abs(after - before)) / np.max(np.abs(before)))
+    return {
+        "n": n,
+        "median_ms": median_ms({
+            "tree.per_root_bfs": lambda: per_root_path_sums(edges, n),
+            "tree.tree_build": lambda: tree_build(edges),
+        }, repeats),
+        "checks": {"relative_gap": gap, "agree": gap <= 1e-13},
+    }
+
+
+def measure_parser(repeats: int) -> dict:
+    parser = build_parser()
+    funcs = {"parser.build": build_parser.__wrapped__}
+    for command, argv in ARGV.items():
+        funcs[f"parser.parse.{command}"] = lambda argv=argv: parser.parse_args(argv)
+    return {"median_ms": median_ms(funcs, repeats)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", default="BENCH_closed-form.json")
+    parser.add_argument("--repeats", type=int, default=7)
+    args = parser.parse_args(argv)
+    fill_fishkind = [measure_fill_fishkind(*slot, args.repeats) for slot in FILL_FISHKIND_SLOTS]
+    trees = [measure_tree(n, args.repeats) for n in TREE_SIZES]
+    payload = {
+        "label": "closed-form",
+        "repeats": args.repeats,
+        "machine": {
+            "platform": platform.platform(),
+            "machine": platform.machine(),
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default"),
+        },
+        "fill_fishkind": fill_fishkind,
+        "tree": trees,
+        "parser": measure_parser(args.repeats),
+    }
+    with open(args.out, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
+    for row in fill_fishkind + trees:
+        label = f"n={row['n']:2d}" + (f" r={row['r1']}+{row['r2']}" if "r1" in row else "")
+        ms = row["median_ms"]
+        print(f"{label:<14}" + "  ".join(f"{key} {value:.2f}" for key, value in ms.items()))
+    print("  ".join(f"{key} {value:.3f}" for key, value in payload["parser"]["median_ms"].items()))
+    return 0 if all(row["checks"]["agree"] for row in fill_fishkind + trees) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -497,7 +498,10 @@ MATRIX_IN = "matrix file (.json or .csv)"
 MATRIX_OUT = "write the pseudoinverse here (.json or .csv)"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first main call, not at
+    import. parse_args leaves it unchanged, so no call sees another's flags."""
     parser = _Parser(prog="pinvkit", description="structure-exploiting pseudoinverses")
     commands = parser.add_subparsers(dest="command", required=True, metavar="command")
 

@@ -13,7 +13,6 @@ by n - 1 from above, and the invertible completion bounds it from below.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,22 +125,28 @@ def tree_build(edges, tol: Tolerance = DEFAULT_TOL) -> TreeMatrices:
         adjacency[i - 1].append((j - 1, w))
         adjacency[j - 1].append((i - 1, w))
 
-    # Path sums by BFS from every root. n-1 edges plus full reachability
-    # from vertex 0 rules out cycles, so each vertex is settled once.
-    d = np.zeros((n, n))
-    for root in range(n):
-        dist = np.full(n, np.nan)
-        dist[root] = 0.0
-        queue = deque([root])
-        while queue:
-            at = queue.popleft()
-            for nxt, w in adjacency[at]:
-                if np.isnan(dist[nxt]):
-                    dist[nxt] = dist[at] + w
-                    queue.append(nxt)
-        if np.any(np.isnan(dist)):
-            raise PreconditionError("edge list is disconnected")
-        d[root] = dist
+    # One BFS from vertex 0 records each vertex's parent-edge weight up[v] and
+    # its ancestor-or-self row anc[v] (anc[v, u] = 1 when u lies on the path
+    # from the root to v). With s = anc @ up the root path sums,
+    # D = s e^t + e s^t - 2 (anc diag(up)) anc^t: the last term sums the edges
+    # the two root paths share. n-1 edges plus full reachability from vertex 0
+    # rule out cycles, so each vertex is settled once.
+    up = np.zeros(n)
+    anc = np.zeros((n, n))
+    anc[0, 0] = 1.0
+    order = [0]
+    for at in order:  # order doubles as the BFS queue
+        for nxt, w in adjacency[at]:
+            if not anc[nxt, nxt]:
+                up[nxt] = w
+                anc[nxt] = anc[at]
+                anc[nxt, nxt] = 1.0
+                order.append(nxt)
+    if len(order) < n:
+        raise PreconditionError("edge list is disconnected")
+    s = anc @ up
+    d = s[:, None] + s[None, :] - 2.0 * ((anc * up) @ anc.T)
+    np.fill_diagonal(d, 0.0)
 
     lap = np.zeros((n, n))
     for i, j, w in triples:

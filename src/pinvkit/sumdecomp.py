@@ -10,7 +10,7 @@ Fill-Fishkind projector formula for rank-additive pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -429,6 +429,14 @@ def completion_pinv_pair(
     raise PreconditionError(f"unknown pair completion mode {mode!r}")
 
 
+def _core_pinv(core: np.ndarray, n: int, tol: Tolerance) -> np.ndarray:
+    """core^+ for the n x n product V core N* with orthonormal V and N: both have
+    the same singular values, so the core keeps rank_cutoff(sigma_max, n, n)."""
+    f = svd(core, tol)
+    cutoff = tol.rank_cutoff(np.max(f.sigma, initial=0.0), n, n)
+    return pinv(core, tol, replace(f, rank=int(np.count_nonzero(f.sigma > cutoff))))
+
+
 def fill_fishkind_pinv(
     a1: np.ndarray, a2: np.ndarray, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray:
@@ -437,6 +445,10 @@ def fill_fishkind_pinv(
     Requires rank(A1 + A2) = rank(A1) + rank(A2). Singular values within a
     factor of 4 of the rank cutoff make the numerical rank ambiguous; such
     ties are rejected rather than guessed.
+
+    L = (P_R(A2*) P_N(A1))^+ = N1 (V2* N1)^+ V2* and R = (P_N(A1*) P_R(A2))^+
+    = U2 (M1* U2)^+ M1*, from the null-space columns N1, M1 of svd(A1) and the
+    range columns U2, V2 of svd(A2), so each core has rank(A2) rows or columns.
     """
     a1 = as_matrix(a1)
     a2 = as_matrix(a2)
@@ -455,10 +467,10 @@ def fill_fishkind_pinv(
             f"rank additivity fails: rank(A1+A2) = {fs.rank}, "
             f"rank(A1) + rank(A2) = {f1.rank} + {f2.rank}"
         )
-    _, p_null_a1_adj, _, p_null_a1 = projectors(a1, tol, factorization=f1)
-    p_range_a2, _, p_range_a2_adj, _ = projectors(a2, tol, factorization=f2)
-    left = pinv(p_range_a2_adj @ p_null_a1, tol)
-    right = pinv(p_null_a1_adj @ p_range_a2, tol)
+    u2, v2 = f2.cutoff_slices
+    null1, conull1 = f1.v[:, f1.rank :], f1.u[:, f1.rank :]
+    left = null1 @ _core_pinv(dagger(v2) @ null1, n, tol) @ dagger(v2)
+    right = u2 @ _core_pinv(dagger(conull1) @ u2, n, tol) @ dagger(conull1)
     x1 = pinv(a1, tol, f1)
     x2 = pinv(a2, tol, f2)
     return (eye(n) - left) @ x1 @ (eye(n) - right) + left @ x2 @ right

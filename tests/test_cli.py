@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import subprocess
 import sys
 import threading
 import warnings
@@ -582,3 +583,133 @@ def test_pinv_at_1e200_scale_passes_without_warnings(tmp_path, capsys):
     assert code == 0 and report["rank"] == 2 and report["passed"]
     want = np.array([[2.0, -1.0], [0.0, 3.0]]) / 6e200
     np.testing.assert_allclose(read_matrix(out), want, rtol=1e-14, atol=1e-214)
+
+
+# --------------------------------------------------------------------------
+# one parser per process
+
+
+def test_importing_the_cli_does_not_build_the_parser():
+    code = (
+        "import pinvkit.cli as cli; before = cli.build_parser.cache_info().currsize; "
+        "cli.main(['wheel', '--n', '5']); print(before, cli.build_parser.cache_info().currsize)"
+    )
+    package_root = os.path.dirname(os.path.dirname(pinvkit.cli.__file__))
+    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip().splitlines()[-1] == "0 1"
+
+
+def test_main_builds_the_parser_once(capsys):
+    pinvkit.cli.build_parser.cache_clear()
+    for n in ("5", "7", "9"):
+        assert main(["wheel", "--n", n]) == 0
+    assert pinvkit.cli.build_parser.cache_info().misses == 1
+
+
+def test_back_to_back_calls_do_not_share_flags(tmp_path, capsys, monkeypatch):
+    seen = []
+    resolve = pinvkit.cli._resolve_tolerance
+
+    def recording(args):
+        seen.append(args)
+        return resolve(args)
+
+    monkeypatch.setattr(pinvkit.cli, "_resolve_tolerance", recording)
+    zero_sum = ["circ", "--gen", "1,-1,0", "--method", "zero-sum"]
+    assert run(capsys, [*zero_sum, "--alpha", "2"])[0] == 0
+    # the shifted route needs an alpha, so a leaked --alpha 2 would exit 0
+    assert run(capsys, zero_sum)[0] == 3
+    assert seen[0].alpha == 2 and seen[1].alpha is None
+
+    a = write_matrix(tmp_path / "a.json", np.diag([2.0, 1.0]))
+    code, report = run(capsys, ["pinv", "--method", "normal", "--input", a])
+    assert code == 0 and report["method"] == "normal"
+    code, report = run(capsys, ["pinv", "--input", a])
+    assert code == 0 and report["method"] == "svd"
+
+
+def test_usage_errors_exit_1_with_the_parser_cached(capsys):
+    assert main(["wheel", "--n", "5"]) == 0
+    assert main(["wheel", "--n", "5", "--input", "a.json"]) == 1
+    assert main(["pinv", "--method", "qr"]) == 1
+    assert main(["wheel", "--n", "5"]) == 0
+
+
+class _StdoutPerThread:
+    """A stdout that keeps what each thread prints apart."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.text: dict[int, list[str]] = {}
+
+    def write(self, chunk):
+        with self.lock:
+            self.text.setdefault(threading.get_ident(), []).append(chunk)
+        return len(chunk)
+
+    def flush(self):
+        pass
+
+    def report(self):
+        return json.loads("".join(self.text.pop(threading.get_ident())))
+
+
+def test_threads_calling_main_give_the_sequential_reports(tmp_path, monkeypatch):
+    a = write_matrix(tmp_path / "a.json", np.diag([2.0, 0.0, 1.0]))
+    tree = tmp_path / "t.csv"
+    tree.write_text("1,2,1\n2,3,-1\n2,4,0.5\n4,5,-0.5\n")
+
+    def argvs(tag):
+        out = tmp_path / tag
+        out.mkdir(exist_ok=True)
+        return [
+            ["pinv", "--method", "normal", "--input", a, "--output", str(out / "x.json")],
+            ["circ", "--gen", "2,0,1", "--output", str(out / "g.csv")],
+            ["tree", "--input", str(tree), "--output", str(out / "t.json")],
+            ["wheel", "--n", "9", "--output", str(out / "w.csv")],
+        ]
+
+    def bare(report):
+        report.pop("wall_time_s")
+        return report
+
+    stdout = _StdoutPerThread()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    want = []
+    for argv in argvs("sequential"):
+        assert main(argv) == 0
+        want.append(bare(stdout.report()))
+
+    got: list = [None] * 4
+    barrier = threading.Barrier(4, timeout=30)
+
+    def call(index, argv):
+        try:
+            barrier.wait()
+            got[index] = [(main(argv), bare(stdout.report())) for _ in range(5)]
+        except Exception as exc:  # reported below; a thread cannot fail the test
+            got[index] = exc
+            barrier.abort()
+
+    threads = [
+        threading.Thread(target=call, args=(index, argv))
+        for index, argv in enumerate(argvs("threaded"))
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [[(0, report)] * 5 for report in want]
+    for name in ("x.json", "g.csv", "t.json", "w.csv"):
+        sequential = (tmp_path / "sequential" / name).read_bytes()
+        assert (tmp_path / "threaded" / name).read_bytes() == sequential

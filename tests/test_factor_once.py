@@ -181,11 +181,16 @@ def test_circ_csv_output_skips_the_dense_check_and_writer(tmp_path, capsys, monk
 
 def test_fill_fishkind_factors_each_matrix_once(monkeypatch):
     a1, a2 = gen_rank_additive_pair(3, 8)
+    r2 = svd(a2).rank
     calls = record_calls(monkeypatch, svd)
     x = fill_fishkind_pinv(a1, a2)
     assert count_equal(calls, a1) == 1
     assert count_equal(calls, a2) == 1
     assert count_equal(calls, a1 + a2) == 1
+    # the projector products are inverted through cores with r2 rows or columns
+    cores = [m for m in calls if not any(count_equal([m], b) for b in (a1, a2, a1 + a2))]
+    assert cores and r2 < 8
+    assert all(min(m.shape) <= r2 for m in cores)
     np.testing.assert_allclose(x, pinv(a1 + a2), atol=1e-9)
 
 

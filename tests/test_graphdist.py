@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,7 @@ def test_tree_build_dl_identity_exact_on_rational_weights():
         ([(1, 1, 1.0)], "self-loop"),
         ([(1, 2, 0.0)], "nonzero"),
         ([(1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0), (3, 5, -3.0)], "disconnected"),
+        ([(1, 2, 1.0), (2, 3, 1.0), (3, 1, -2.0), (4, 5, 1.0)], "disconnected"),
         ([(1, 2, 1.0), (2, 3, 1.0), (1, 3, -2.0)], "needs 2 edges"),
         ([(1, 2, 1.0), (2, 1, -1.0), (3, 4, 2.0)], "duplicate edge"),
         ([(1, 3, 1.0)], "labels must be"),
@@ -78,6 +81,64 @@ def test_tree_build_dl_identity_exact_on_rational_weights():
 def test_tree_build_rejects_malformed_edges(edges, message):
     with pytest.raises(PreconditionError, match=message):
         tree_build(edges)
+
+
+def per_root_distances(edges, n):
+    """Path sums by a separate BFS from every root, one vertex at a time."""
+    adjacency = [[] for _ in range(n)]
+    for i, j, w in edges:
+        adjacency[i - 1].append((j - 1, w))
+        adjacency[j - 1].append((i - 1, w))
+    d = np.zeros((n, n))
+    for root in range(n):
+        dist = {root: 0.0}
+        queue = deque([root])
+        while queue:
+            at = queue.popleft()
+            for nxt, w in adjacency[at]:
+                if nxt not in dist:
+                    dist[nxt] = dist[at] + w
+                    queue.append(nxt)
+        assert len(dist) == n
+        d[root] = [dist[v] for v in range(n)]
+    return d
+
+
+def random_tree(rng, n):
+    """Each vertex attaches to a random earlier one; labels are shuffled so
+    that vertex 1 is no special place, and weights take both signs."""
+    labels = rng.permutation(n) + 1
+    signs = rng.choice([-1.0, 1.0], size=n - 1)
+    weights = signs * rng.uniform(0.5, 2.0, size=n - 1)
+    return [
+        (int(labels[v]), int(labels[rng.integers(v)]), float(weights[v - 1]))
+        for v in range(1, n)
+    ]
+
+
+def assert_distances_match_per_root(edges, n):
+    got = tree_build(edges).D
+    want = per_root_distances(edges, n)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.all(np.diag(got) == 0.0)
+
+
+@pytest.mark.parametrize("n", range(2, 61))
+def test_tree_distances_match_per_root_bfs_on_random_trees(n):
+    rng = np.random.default_rng(1000 + n)
+    assert_distances_match_per_root(random_tree(rng, n), n)
+
+
+def test_tree_distances_match_per_root_bfs_on_a_long_path_and_a_star():
+    rng = np.random.default_rng(5)
+    weights = rng.choice([-1.0, 1.0], size=199) * rng.uniform(0.5, 2.0, size=199)
+    labels = rng.permutation(200) + 1
+    path = [(int(labels[k]), int(labels[k + 1]), float(weights[k])) for k in range(199)]
+    assert_distances_match_per_root(path, 200)
+    star = [(1, k, (-1.0) ** k * (1.0 + k / 10)) for k in range(2, 31)]
+    assert_distances_match_per_root(star, 30)
+    leaf_star = [(k, 30, (-1.0) ** k * (1.0 + k / 10)) for k in range(1, 30)]
+    assert_distances_match_per_root(leaf_star, 30)
 
 
 def test_gen_zero_sum_tree_is_deterministic_and_zero_sum():

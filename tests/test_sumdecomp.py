@@ -371,6 +371,56 @@ def test_fill_fishkind_random_pairs_match_oracle():
         assert frobenius(got - want) <= 1e-8 * max(1.0, frobenius(want))
 
 
+def dense_fill_fishkind(a1, a2, tol=DEFAULT_TOL):
+    """The five-SVD route: both projector products formed n x n and inverted
+    by their own SVDs (svd(A1 + A2) only decided rank additivity)."""
+    n = a1.shape[0]
+    f1, f2 = svd(a1, tol), svd(a2, tol)
+    _, p_null_a1_adj, _, p_null_a1 = projectors(a1, tol, factorization=f1)
+    p_range_a2, _, p_range_a2_adj, _ = projectors(a2, tol, factorization=f2)
+    left = pinv(p_range_a2_adj @ p_null_a1, tol)
+    right = pinv(p_null_a1_adj @ p_range_a2, tol)
+    x1, x2 = pinv(a1, tol, f1), pinv(a2, tol, f2)
+    return (eye(n) - left) @ x1 @ (eye(n) - right) + left @ x2 @ right
+
+
+def low_rank(rng, n, r):
+    g = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+    h = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
+    return g @ h
+
+
+def assert_fill_fishkind_matches_dense_and_numpy(a1, a2):
+    got = fill_fishkind_pinv(a1, a2)
+    want = dense_fill_fishkind(a1, a2)
+    assert frobenius(got - want) <= 1e-12 * frobenius(want)
+    reference = np.linalg.pinv(a1 + a2, rcond=1e-10)
+    assert frobenius(got - reference) <= 1e-8 * frobenius(reference)
+
+
+@pytest.mark.parametrize("n", range(2, 33))
+def test_fill_fishkind_cores_match_the_dense_route(n):
+    rng = np.random.default_rng(700 + n)
+    r1 = int(rng.integers(1, n))
+    r2 = int(rng.integers(1, n - r1 + 1))
+    assert_fill_fishkind_matches_dense_and_numpy(low_rank(rng, n, r1), low_rank(rng, n, r2))
+
+
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_fill_fishkind_cores_at_the_rank_extremes(n):
+    rng = np.random.default_rng(n)
+    zero = np.zeros((n, n), dtype=np.complex128)
+    some = low_rank(rng, n, n // 2)
+    full = low_rank(rng, n, n)
+    for a1, a2 in [
+        (some, zero),  # A2 = 0
+        (zero, some),  # A1 = 0
+        (full, zero),  # A1 invertible, A2 = 0
+        (some, low_rank(rng, n, n - n // 2)),  # r1 + r2 = n
+    ]:
+        assert_fill_fishkind_matches_dense_and_numpy(a1, a2)
+
+
 def test_fill_fishkind_rejects_non_additive_rank():
     a = basis_dyad(3, 0, 0)
     with pytest.raises(PreconditionError, match="rank additivity"):
