@@ -71,11 +71,11 @@ def test_tree_build_dl_identity_exact_on_rational_weights():
         ([(1, 1, 1.0)], "self-loop"),
         ([(1, 2, 0.0)], "nonzero"),
         ([(1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0), (3, 5, -3.0)], "disconnected"),
-        ([(1, 2, 1.0), (2, 3, 1.0), (3, 1, -2.0), (4, 5, 1.0)], "disconnected"),
         ([(1, 2, 1.0), (2, 3, 1.0), (1, 3, -2.0)], "needs 2 edges"),
         ([(1, 2, 1.0), (2, 1, -1.0), (3, 4, 2.0)], "duplicate edge"),
         ([(1, 3, 1.0)], "labels must be"),
         ([], "at least two"),
+        ([(1, 2, 1.0), (2, 3, 1.0), (3, 1, -2.0), (4, 5, 1.0)], "disconnected"),
     ],
 )
 def test_tree_build_rejects_malformed_edges(edges, message):
