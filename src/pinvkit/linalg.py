@@ -5,14 +5,20 @@ the right orthogonalize the columns, so V stays unitary to machine precision
 and singular values come out with high relative accuracy. Column pairs are
 visited in the Brent-Luk round-robin order: each sweep is n-1 rounds (n for
 odd n), and every round holds up to n/2 disjoint pairs, so a whole round is
-rotated by one set of array operations. A pair is rotated only while
+rotated by one set of array operations. The columns of B and V are kept as
+the rows of one array [B | V], ordered so that a round's p-columns fill its
+first half and its q-columns the second; a round works on the two halves as
+views, and one precomputed row permutation moves the array on to the next
+round. A pair is rotated only while
 |b_p* b_q| > sqrt(m) * eps * ||b_p|| ||b_q||, the stopping test of LAPACK's
 one-sided Jacobi (Drmac-Veselic 2008); the sqrt(m) covers the rounding of
-inner products formed straight from the columns. The iteration runs on a
-copy scaled by a power of two, so squared norms neither overflow nor
-underflow at extreme scales. Missing columns of U, for rank-deficient or
-tall inputs, come from the Householder reflectors that reduce the accepted
-columns to triangular form.
+inner products formed straight from the columns. A pair that passes it gets
+the exact identity rotation. Before each sweep one Gram product B B* applies
+the same test to every pair at once, so convergence is certified without a
+sweep that rotates nothing. The iteration runs on a copy scaled by a power of
+two, so squared norms neither overflow nor underflow at extreme scales.
+Missing columns of U, for rank-deficient or tall inputs, come from the
+Householder reflectors that reduce the accepted columns to triangular form.
 
 The solvers (partial-pivot LU, Cholesky) are the plain textbook algorithms;
 they exist so the closed-form paths never have to fall back to an external
@@ -21,6 +27,7 @@ linear-algebra backend.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +86,33 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
+@functools.lru_cache(maxsize=64)
+def _sweep_schedule(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The rounds of _round_robin(n) as row layouts and the moves between them.
+
+    A layout orders size = n + n%2 rows so that row k of the first half
+    meets row k + size/2 of the second: p sits in the first half and q in
+    the second, so every pair keeps its p < q roles. For odd n, the column
+    that sits a round out is placed opposite the phantom row n. Returns the
+    first round's layout and, for each round, the row permutation that takes
+    its layout to the next round's; the last one leads back to the first, so
+    every sweep starts from the same layout. n = 0 has no rounds, and its
+    one empty layout keeps the sweep loop uniform. The arrays are read-only
+    and cached per n, since building them costs as much as a few rounds.
+    """
+    layouts = []
+    for p, q in _round_robin(n):
+        if n % 2:
+            idle = np.setdiff1d(np.arange(n), np.concatenate((p, q)))
+            p, q = np.concatenate((p, idle)), np.append(q, n)
+        layouts.append(np.concatenate((p, q)))
+    layouts = layouts or [np.arange(0)]
+    steps = tuple(np.argsort(here)[after] for here, after in zip(layouts, layouts[1:] + layouts[:1]))
+    for table in (layouts[0], *steps):
+        table.flags.writeable = False
+    return layouts[0], steps
+
+
 def _complete_orthonormal(cols: np.ndarray, total: int) -> np.ndarray:
     """Extend orthonormal columns (total x k) to a full unitary (total x total).
 
@@ -113,15 +147,35 @@ def _squared_norms(rows: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", flat, flat)
 
 
+def _certified(bt: np.ndarray, norms2: np.ndarray, threshold: float) -> bool:
+    """Whether every pair of rows of bt passes the Jacobi stopping test.
+
+    One Gram product B B* gives every b_p* b_q at once; the test is the one
+    a round applies, |b_p* b_q| <= threshold * ||b_p|| ||b_q||. Rows zeroed
+    as dead give zero entries, which always pass.
+    """
+    gram = np.abs(bt @ bt.conj().T)
+    np.fill_diagonal(gram, 0.0)
+    root = np.sqrt(norms2)
+    return not np.any(gram > np.outer(threshold * root, root))
+
+
 def svd(a: np.ndarray, tol: Tolerance = DEFAULT_TOL, max_sweeps: int = 60) -> SvdFactorization:
     """One-sided Jacobi SVD of a complex matrix, in round-robin order.
 
-    Each round computes ||b_p||^2, ||b_q||^2 and b_p* b_q for all its pairs
-    straight from the current columns, drops the pairs that pass the
-    stopping test |b_p* b_q| <= sqrt(m) * eps * ||b_p|| ||b_q|| or hold a
-    dead column, and rotates the rest at once. U is b with its columns
-    normalized, completed to a unitary by Householder reflectors. Raises
-    ConvergenceError if a sweep still rotates after max_sweeps sweeps.
+    The columns of B and V are the rows of one array [B | V], so one set of
+    operations rotates both. Each round lays its pairs out as two halves,
+    p-rows over q-rows, computes ||b_p||^2, ||b_q||^2 and b_p* b_q straight
+    from the current columns, and rotates every pair at once; a pair that
+    passes the stopping test |b_p* b_q| <= sqrt(m) * eps * ||b_p|| ||b_q||
+    or holds a dead column gets the exact identity (c = 1, s = 0). One row
+    permutation then moves the array to the next round's layout. Before each
+    sweep one Gram product B B* certifies convergence by the same test, so
+    no sweep is spent confirming it; max_sweeps bounds the sweeps that
+    rotate, and ConvergenceError is raised if the columns are not certified
+    after that many. U is b with its columns normalized, completed to a
+    unitary by Householder reflectors. Raises PreconditionError on inf or
+    nan entries.
     """
     a = np.asarray(a, dtype=np.complex128)
     m, n = a.shape
@@ -133,54 +187,74 @@ def svd(a: np.ndarray, tol: Tolerance = DEFAULT_TOL, max_sweeps: int = 60) -> Sv
     # below ~1e-154, so the iteration runs on a copy scaled by a power of
     # two, which is exact, to entries below 1; sigma is scaled back at the end.
     top = float(np.max(np.abs(a), initial=0.0))
+    if not np.isfinite(top):
+        raise PreconditionError("svd input has an inf or nan entry")
     scale = 2.0 ** -np.frexp(top)[1] if top > 0.0 else 1.0
-    # Rows of bt and vt are the columns of b and v, so a round gathers and
-    # scatters contiguous rows.
-    bt = np.array(a.T * scale, dtype=np.complex128, order="C")
-    vt = eye(n)
-    rounds = _round_robin(n)
+    # Row j of w holds column j of b and of v; for odd n a zero phantom row
+    # pads the layout to an even size. Rows sit in the current round's
+    # layout, so a round acts on the halves w[:h] and w[h:] as views, and
+    # every sweep ends back in the first round's layout.
+    size = n + n % 2
+    h = size // 2
+    w = np.zeros((size, m + n), dtype=np.complex128)
+    w[:n, :m] = a.T * scale
+    w[:n, m:] = eye(n)
     threshold = np.sqrt(m) * _EPS
     # Columns ground down to far below roundoff noise are frozen at zero;
     # repeated rotations among members of a multiple zero singular value
     # would otherwise shrink them without bound, toward denormal livelock.
     # The floor sits at u^3 ||A||_F, not u^2: a graded matrix (D1 A D2 with
     # scales over 1e-8..1e8) has genuine singular values near 1e-32 ||A||_F.
-    dead_floor = (UNIT_ROUNDOFF**3 * frobenius(bt)) ** 2
-    for _ in range(max_sweeps):
-        dead = _squared_norms(bt) <= dead_floor
+    dead_floor = (UNIT_ROUNDOFF**3 * frobenius(w[:n, :m])) ** 2
+    first, steps = _sweep_schedule(n)
+    w = w[first]
+    for sweep in range(max_sweeps + 1):
+        norms2 = _squared_norms(w[:, :m])
+        dead = norms2 <= dead_floor
         if np.any(dead):
-            bt[dead] = 0.0
-        rotated = False
-        for p, q in rounds:
-            bp, bq = bt[p], bt[q]
-            app, aqq = _squared_norms(bp), _squared_norms(bq)
-            apq = np.einsum("ij,ij->i", bp.conj(), bq)
-            gam = np.abs(apq)
-            live = (app > dead_floor) & (aqq > dead_floor)
-            live &= gam > threshold * np.sqrt(app) * np.sqrt(aqq)
-            if not np.any(live):
-                continue
-            rotated = True
-            if not np.all(live):
-                p, q, bp, bq = p[live], q[live], bp[live], bq[live]
-                app, aqq, apq, gam = app[live], aqq[live], apq[live], gam[live]
-            # Real rotation (c, s) after the phase diag(1, conj(apq)/|apq|);
-            # together they zero b_p* b_q.
-            phase = np.conj(apq / gam)[:, None]
-            zeta = (aqq - app) / (2.0 * gam)
-            t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
-            c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
-            s = c * t[:, None]
-            bt[p], bt[q] = c * bp - (s * phase) * bq, s * bp + (c * phase) * bq
-            vp, vq = vt[p], vt[q]
-            vt[p], vt[q] = c * vp - (s * phase) * vq, s * vp + (c * phase) * vq
-        if not rotated:
+            w[dead, :m] = 0.0
+        if _certified(w[:, :m], norms2, threshold):
             break
-    else:
-        raise ConvergenceError(
-            f"one-sided Jacobi SVD did not converge within {max_sweeps} sweeps"
-        )
+        if sweep == max_sweeps:
+            raise ConvergenceError(
+                f"one-sided Jacobi SVD did not converge within {max_sweeps} sweeps"
+            )
+        rotated = False
+        for step in steps:
+            norms2 = _squared_norms(w[:, :m])
+            root = np.sqrt(norms2)
+            alive = norms2 > dead_floor
+            app, aqq = norms2[:h], norms2[h:]
+            apq = np.einsum("ij,ij->i", w[:h, :m].conj(), w[h:, :m])
+            gam = np.abs(apq)
+            live = alive[:h] & alive[h:] & (gam > threshold * root[:h] * root[h:])
+            if live.any():
+                rotated = True
+                # Real rotation (c, s) after the phase diag(1, conj(apq)/|apq|);
+                # together they zero b_p* b_q. Pairs that are not live get
+                # phase 1 and t = 0, so c = 1 and s = 0 leave them exactly.
+                idle = ~live
+                gam[idle] = 1.0
+                phase = np.conj(apq / gam)
+                phase[idle] = 1.0
+                zeta = (aqq - app) / (2.0 * gam)
+                t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
+                t[idle] = 0.0
+                c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
+                s = c * t[:, None]
+                phase = phase[:, None]
+                wp, wq, w = w[:h], w[h:], np.empty_like(w)
+                np.subtract(c * wp, (s * phase) * wq, out=w[:h])
+                np.add(s * wp, (c * phase) * wq, out=w[h:])
+            w = w[step]
+        if not rotated:
+            # Every round passed the test although the Gram product did not:
+            # the two disagree only by rounding, and this sweep confirmed
+            # convergence the way each round tests it.
+            break
 
+    w = w[np.argsort(first)[:n]]
+    bt, vt = w[:, :m], w[:, m:]
     norms = np.sqrt(_squared_norms(bt))
     order = np.argsort(-norms, kind="stable")
     norms = norms[order]

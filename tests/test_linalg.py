@@ -9,8 +9,12 @@ import pytest
 import pinvkit
 from pinvkit.circulant import block_pattern_generator, circ_materialize
 from pinvkit.linalg import (
+    _EPS,
     SvdFactorization,
+    _complete_orthonormal,
     _round_robin,
+    _squared_norms,
+    _sweep_schedule,
     cholesky_factor,
     cholesky_solve,
     hermitian_eigenvalues,
@@ -20,7 +24,16 @@ from pinvkit.linalg import (
     random_unitary,
     svd,
 )
-from pinvkit.matrix import UNIT_ROUNDOFF, PreconditionError, dagger, frobenius
+from pinvkit.matrix import (
+    DEFAULT_TOL,
+    UNIT_ROUNDOFF,
+    ConvergenceError,
+    PreconditionError,
+    Tolerance,
+    dagger,
+    eye,
+    frobenius,
+)
 
 
 def _random_complex(rng, m, n):
@@ -312,3 +325,217 @@ def test_library_source_avoids_numpy_linalg():
         if pattern.search(line)
     ]
     assert offenders == []
+
+
+# --------------------------------------------------------------------------
+# the kernel against its former self: one Brent-Luk round per numpy step,
+# pairs gathered and scattered by index, and a final sweep that rotates
+# nothing to confirm convergence. Kept verbatim as the reference.
+
+
+def reference_jacobi_svd(
+    a: np.ndarray, tol: Tolerance = DEFAULT_TOL, max_sweeps: int = 60
+) -> SvdFactorization:
+    a = np.asarray(a, dtype=np.complex128)
+    m, n = a.shape
+    if m < n:
+        f = reference_jacobi_svd(dagger(a), tol, max_sweeps)
+        return SvdFactorization(u=f.v, sigma=f.sigma, v=f.u, rank=f.rank)
+
+    top = float(np.max(np.abs(a), initial=0.0))
+    scale = 2.0 ** -np.frexp(top)[1] if top > 0.0 else 1.0
+    bt = np.array(a.T * scale, dtype=np.complex128, order="C")
+    vt = eye(n)
+    rounds = _round_robin(n)
+    threshold = np.sqrt(m) * _EPS
+    dead_floor = (UNIT_ROUNDOFF**3 * frobenius(bt)) ** 2
+    for _ in range(max_sweeps):
+        dead = _squared_norms(bt) <= dead_floor
+        if np.any(dead):
+            bt[dead] = 0.0
+        rotated = False
+        for p, q in rounds:
+            bp, bq = bt[p], bt[q]
+            app, aqq = _squared_norms(bp), _squared_norms(bq)
+            apq = np.einsum("ij,ij->i", bp.conj(), bq)
+            gam = np.abs(apq)
+            live = (app > dead_floor) & (aqq > dead_floor)
+            live &= gam > threshold * np.sqrt(app) * np.sqrt(aqq)
+            if not np.any(live):
+                continue
+            rotated = True
+            if not np.all(live):
+                p, q, bp, bq = p[live], q[live], bp[live], bq[live]
+                app, aqq, apq, gam = app[live], aqq[live], apq[live], gam[live]
+            phase = np.conj(apq / gam)[:, None]
+            zeta = (aqq - app) / (2.0 * gam)
+            t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
+            c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
+            s = c * t[:, None]
+            bt[p], bt[q] = c * bp - (s * phase) * bq, s * bp + (c * phase) * bq
+            vp, vq = vt[p], vt[q]
+            vt[p], vt[q] = c * vp - (s * phase) * vq, s * vp + (c * phase) * vq
+        if not rotated:
+            break
+    else:
+        raise ConvergenceError(
+            f"one-sided Jacobi SVD did not converge within {max_sweeps} sweeps"
+        )
+
+    norms = np.sqrt(_squared_norms(bt))
+    order = np.argsort(-norms, kind="stable")
+    norms = norms[order]
+    b = bt[order].T
+    v = vt[order].T
+
+    nonzero = norms > 0.0
+    u_cols = b[:, nonzero] / norms[nonzero]
+    u = _complete_orthonormal(u_cols, m) if u_cols.shape[1] < m else u_cols
+    sigma = norms / scale
+
+    sigma_max = sigma[0] if sigma.size else 0.0
+    cutoff = tol.rank_cutoff(sigma_max, m, n)
+    rank = int(np.count_nonzero(sigma > cutoff))
+    return SvdFactorization(u=u, sigma=sigma, v=v, rank=rank)
+
+
+# (rows, cols, rank) of every slot of the benchmark's dense-oracle workload
+DENSE_ORACLE_SHAPES = sorted({
+    (64, 64, 64), (32, 32, 32), (32, 32, 16), (16, 16, 16), (16, 16, 8), (16, 16, 12),
+    (12, 12, 12), (12, 12, 6), (12, 12, 9), (10, 10, 10), (10, 10, 5), (8, 8, 8),
+    (8, 8, 4), (8, 8, 6), (8, 8, 3), (128, 4, 1), (96, 4, 1), (64, 4, 1), (48, 4, 1),
+    (32, 4, 1), (16, 4, 1),
+})
+
+
+def _low_rank(rng, m, n, r):
+    if r >= min(m, n):
+        return _random_complex(rng, m, n)
+    return _random_complex(rng, m, r) @ _random_complex(rng, r, n)
+
+
+def _assert_matches_reference(a):
+    f, ref = svd(a), reference_jacobi_svd(a)
+    m, n = a.shape
+    assert f.rank == ref.rank
+    assert f.sigma.shape == ref.sigma.shape
+    assert np.max(np.abs(f.sigma - ref.sigma), initial=0.0) <= 1e-13 * max(ref.sigma[0], 1e-300)
+    assert frobenius(dagger(f.u) @ f.u - np.eye(m)) <= 10 * UNIT_ROUNDOFF * m
+    # V's departure from unitarity grows with the sweeps: the reference's own
+    # reaches about 12 u n at n = 33 and 64, past the 10 u n that smaller
+    # cases keep, so V may go as far as the reference's and no further.
+    v_gap, ref_v_gap = (frobenius(dagger(g.v) @ g.v - np.eye(n)) for g in (f, ref))
+    assert v_gap <= max(10 * UNIT_ROUNDOFF * n, ref_v_gap)
+
+
+@pytest.mark.parametrize("shape", DENSE_ORACLE_SHAPES, ids=lambda s: "%dx%d-r%d" % s)
+def test_svd_matches_reference_at_dense_oracle_shapes(shape):
+    m, n, r = shape
+    _assert_matches_reference(_low_rank(np.random.default_rng(m * 1000 + n * 10 + r), m, n, r))
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(1, 1), (3, 3), (5, 5), (9, 9), (33, 33), (7, 3), (3, 7), (40, 5), (5, 40),
+     (1, 9), (9, 1), (1, 33), (33, 1)],
+)
+def test_svd_matches_reference_at_odd_and_thin_shapes(shape):
+    rng = np.random.default_rng(sum(shape) + 7)
+    _assert_matches_reference(_random_complex(rng, *shape))
+    if min(shape) > 2:
+        _assert_matches_reference(_low_rank(rng, *shape, min(shape) // 2))
+
+
+def test_svd_matches_reference_on_zero_and_repeated_zero_sigma():
+    for shape in [(1, 1), (4, 4), (5, 3), (3, 5)]:
+        _assert_matches_reference(np.zeros(shape, dtype=complex))
+    rng = np.random.default_rng(41)
+    x = _random_complex(rng, 9, 3)
+    exact = np.hstack([x, np.zeros((9, 2)), 2.0 * x[:, :1], x[:, 1:] - x[:, :2], np.zeros((9, 1))])
+    _assert_matches_reference(exact)
+    _assert_matches_reference(exact.T)
+
+
+def test_svd_matches_reference_on_block_circulant():
+    _assert_matches_reference(circ_materialize(0.9 * np.ones(32) - 1.1 * block_pattern_generator(3, 8)))
+
+
+@pytest.mark.parametrize("n", range(1, 34))
+def test_sweep_schedule_pairs_each_couple_once(n):
+    # Follow the labels through one sweep of row moves: each round pairs row
+    # k with row k + size/2, and every couple p < q of real columns meets
+    # exactly once, p in the first half. For odd n the phantom row n always
+    # sits in the second half opposite a column that rests that round.
+    first, steps = _sweep_schedule(n)
+    size = n + n % 2
+    half = size // 2
+    assert sorted(first.tolist()) == list(range(size))
+    labels = first.copy()
+    seen = []
+    for step in steps:
+        p, q = labels[:half], labels[half:]
+        assert np.all(p < q)
+        assert not np.any(p == n)
+        seen.extend((int(i), int(j)) for i, j in zip(p, q) if j < n)
+        if n % 2:
+            assert np.count_nonzero(q == n) == 1
+        labels = labels[step]
+    np.testing.assert_array_equal(labels, first)  # each sweep ends where it began
+    assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+
+def _fewest_sweeps(kernel, a):
+    """Smallest max_sweeps with which kernel(a) returns: doubling, then bisection."""
+
+    def returns(sweeps):
+        try:
+            kernel(a, max_sweeps=sweeps)
+        except ConvergenceError:
+            return False
+        return True
+
+    low, high = -1, 1  # kernel(a, max_sweeps=low) raises, and so far high is untried
+    while not returns(high):
+        assert high < 60
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if returns(mid) else (mid, high)
+    return high
+
+
+@pytest.mark.parametrize("shape", DENSE_ORACLE_SHAPES, ids=lambda s: "%dx%d-r%d" % s)
+def test_gram_certificate_saves_the_confirming_sweep(shape):
+    # the reference spends a last sweep that rotates nothing; the Gram
+    # certificate stops after the last sweep that rotates
+    m, n, r = shape
+    a = _low_rank(np.random.default_rng(m * 1000 + n * 10 + r + 1), m, n, r)
+    sweeps = _fewest_sweeps(svd, a)
+    assert sweeps >= 1
+    reference_jacobi_svd(a, max_sweeps=sweeps + 1)
+    with pytest.raises(ConvergenceError):
+        reference_jacobi_svd(a, max_sweeps=sweeps)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 13])
+def test_orthogonal_columns_are_not_rotated(n):
+    rng = np.random.default_rng(60 + n)
+    d = np.diag(rng.uniform(0.5, 4.0, n) * np.exp(2j * np.pi * rng.random(n)))
+    d[n // 2, n // 2] = d[0, 0]  # a repeated singular value
+    for a in (d, random_unitary(rng, n) @ d):
+        f = svd(a, max_sweeps=0)
+        perm = np.abs(f.v)
+        assert np.all((perm == 0.0) | (perm == 1.0))
+        np.testing.assert_array_equal(perm.sum(axis=0), np.ones(n))
+        np.testing.assert_array_equal(perm.sum(axis=1), np.ones(n))
+        _assert_factorization(a, f)
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (3, 5), (1, 1)], ids=["tall", "wide", "1x1"])
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_svd_rejects_non_finite_entries(shape, part, value):
+    a = np.ones(shape, dtype=complex)
+    a[-1, 0] = complex(value, 2.0) if part == "real" else complex(2.0, value)
+    with pytest.raises(PreconditionError):
+        svd(a)
