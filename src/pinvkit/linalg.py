@@ -103,8 +103,9 @@ def _sweep_schedule(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     layouts = []
     for p, q in _round_robin(n):
         if n % 2:
-            idle = np.setdiff1d(np.arange(n), np.concatenate((p, q)))
-            p, q = np.concatenate((p, idle)), np.append(q, n)
+            idle = np.ones(n, dtype=bool)
+            idle[p] = idle[q] = False
+            p, q = np.concatenate((p, np.flatnonzero(idle))), np.append(q, n)
         layouts.append(np.concatenate((p, q)))
     layouts = layouts or [np.arange(0)]
     steps = tuple(np.argsort(here)[after] for here, after in zip(layouts, layouts[1:] + layouts[:1]))
