@@ -28,6 +28,7 @@ linear-algebra backend.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,14 +210,14 @@ def svd(a: np.ndarray, tol: Tolerance = DEFAULT_TOL, max_sweeps: int = 60) -> Sv
     dead_floor = (UNIT_ROUNDOFF**3 * frobenius(w[:n, :m])) ** 2
     first, steps = _sweep_schedule(n)
     w = w[first]
-    for sweep in range(max_sweeps + 1):
+    for sweep in itertools.count():
         norms2 = _squared_norms(w[:, :m])
         dead = norms2 <= dead_floor
         if np.any(dead):
             w[dead, :m] = 0.0
         if _certified(w[:, :m], norms2, threshold):
             break
-        if sweep == max_sweeps:
+        if sweep >= max_sweeps:
             raise ConvergenceError(
                 f"one-sided Jacobi SVD did not converge within {max_sweeps} sweeps"
             )
