@@ -539,3 +539,10 @@ def test_svd_rejects_non_finite_entries(shape, part, value):
     a[-1, 0] = complex(value, 2.0) if part == "real" else complex(2.0, value)
     with pytest.raises(PreconditionError):
         svd(a)
+
+
+def test_negative_max_sweeps_raises():
+    a = np.arange(6.0).reshape(3, 2).astype(complex)
+    for sweeps in (-1, 0):
+        with pytest.raises(ConvergenceError):
+            svd(a, max_sweeps=sweeps)
