@@ -14,10 +14,23 @@ For each size n it times, as the median of several repeats:
 - spectrum.dft       the dense DFT matrix product that circ_spectrum used
 - spectrum.fft       circ_spectrum
 - cli.circ_csv       pinvkit circ --gen ... --output x.csv, in process
+- write.former       the former file writer: the whole CSV text joined,
+                     encoded, hashed by one sha256 call and written
+- write.streamed     _write_atomic on circulant_csv_blocks: rows as slices
+                     of one encoded buffer, written and hashed in ~1 MB blocks
+- parse.gen_*        a --gen argument and a generator JSON file, read cell
+                     by cell (former) and in bulk (parse_generator,
+                     loads_generator_json)
 
-It checks that each pair of writers gives the same bytes, and writes the
-medians in milliseconds with the machine's description to a JSON file.
-Only the standard library, numpy and pinvkit are used.
+and, for square matrices of order 8 to 64 (the dense-oracle inputs):
+
+- parse.csv_*        a matrix CSV, read cell by cell and by loads_matrix_csv
+- parse.json_*       a matrix JSON, read entry by entry and by loads_matrix_json
+
+It checks that each pair of writers gives the same bytes (and digests) and
+each pair of parsers the same bits, and writes the medians in milliseconds
+with the machine's description to a JSON file. Only the standard library,
+numpy and pinvkit are used.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 bench/circ_layers.py
     PYTHONPATH=src python3 bench/circ_layers.py --out x.json --repeats 3
@@ -29,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -48,16 +62,32 @@ from pinvkit.circulant import (
     circ_pinv_spectral,
     circ_spectrum,
 )
+from pinvkit.cli import _write_atomic
 from pinvkit.cli import main as cli_main
 from pinvkit.core import penrose_residuals
 from pinvkit.matrix import (
     DEFAULT_TOL,
+    _CSV_CELL,
+    _format_rows,
+    _loads_matrix_csv_per_cell,
+    _pair,
+    as_matrix,
+    as_vector,
+    circulant_csv_blocks,
     dumps_circulant_csv,
+    dumps_generator_json,
     dumps_matrix_csv,
+    dumps_matrix_json,
     format_complex,
+    loads_generator_json,
+    loads_matrix_csv,
+    loads_matrix_json,
+    parse_complex,
+    parse_generator,
 )
 
 SIZES = (64, 192, 512)
+MATRIX_SIZES = (8, 16, 32, 64)
 
 
 def entrywise_csv(a: np.ndarray) -> str:
@@ -73,6 +103,44 @@ def dft_spectrum(gen: np.ndarray) -> np.ndarray:
     n = gen.shape[0]
     k = np.arange(n)
     return np.exp(2j * np.pi * np.outer(k, k) / n) @ gen
+
+
+def former_circulant_csv(gen) -> str:
+    """The former circulant writer: the whole text as one str."""
+    gen = as_vector(gen, min_len=2)
+    n = gen.shape[0]
+    cells = _format_rows(gen[None, :], _CSV_CELL, ",")[0].split(",")
+    doubled = cells + cells
+    return "\n".join([*(",".join(doubled[n - i : 2 * n - i]) for i in range(n)), ""])
+
+
+def former_write(path: str, text: str) -> str:
+    """The former file writer: encode the whole text, write it through a
+    temporary file beside path, hash it with one sha256 call."""
+    data = text.encode()
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".")
+    with os.fdopen(fd, "wb") as handle:
+        handle.write(data)
+    os.replace(tmp, path)
+    return hashlib.sha256(data).hexdigest()
+
+
+def former_generator(text: str):
+    return as_vector([parse_complex(part) for part in text.split(",")], min_len=2)
+
+
+def former_generator_json(text: str):
+    return as_vector([_pair(entry, "generator JSON") for entry in json.loads(text)["gen"]])
+
+
+def former_matrix_json(text: str):
+    obj = json.loads(text)
+    flat = [_pair(entry, "matrix JSON") for entry in obj["data"]]
+    return as_matrix(np.array(flat, dtype=np.complex128).reshape(obj["rows"], obj["cols"]))
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def median_ms(func, repeats: int) -> float:
@@ -94,6 +162,7 @@ def measure(n: int, repeats: int, workdir: str) -> dict:
     pattern_list = pattern.tolist()
     arg = "--gen=" + ",".join(format_complex(z) for z in gen)
     out = os.path.join(workdir, "x.csv")
+    gen_json = dumps_generator_json(gen)
 
     def cli_circ_csv():
         with contextlib.redirect_stdout(io.StringIO()):
@@ -111,6 +180,12 @@ def measure(n: int, repeats: int, workdir: str) -> dict:
         "spectrum.dft": median_ms(lambda: dft_spectrum(gen), repeats),
         "spectrum.fft": median_ms(lambda: circ_spectrum(gen), repeats),
         "cli.circ_csv": median_ms(cli_circ_csv, repeats),
+        "write.former": median_ms(lambda: former_write(out, former_circulant_csv(xgen)), repeats),
+        "write.streamed": median_ms(lambda: _write_atomic(out, circulant_csv_blocks(xgen)), repeats),
+        "parse.gen_former": median_ms(lambda: former_generator(arg[6:]), repeats),
+        "parse.gen_bulk": median_ms(lambda: parse_generator(arg[6:]), repeats),
+        "parse.gen_json_former": median_ms(lambda: former_generator_json(gen_json), repeats),
+        "parse.gen_json_bulk": median_ms(lambda: loads_generator_json(gen_json), repeats),
     }
     dense = penrose_residuals(c, x, tol)
     structured = circ_penrose_residuals(gen, xgen, tol)
@@ -122,9 +197,32 @@ def measure(n: int, repeats: int, workdir: str) -> dict:
         "penrose_circulant_max": max(structured.residuals.values()),
         "penrose_bounds": dict(dense.bounds),
         "same_verdict": dense.passed == structured.passed,
+        "write_identical": former_write(out, former_circulant_csv(xgen))
+        == _write_atomic(out, circulant_csv_blocks(xgen))
+        == hashlib.sha256(dumps_circulant_csv(xgen).encode()).hexdigest(),
+        "parse_identical": same_bits(former_generator(arg[6:]), parse_generator(arg[6:]))
+        and same_bits(former_generator_json(gen_json), loads_generator_json(gen_json)),
     }
     return {"n": n, "csv_bytes": len(dumps_circulant_csv(xgen)), "median_ms": timings,
             "checks": checks}
+
+
+def measure_matrix_parse(n: int, repeats: int) -> dict:
+    rng = np.random.default_rng(1000 + n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    csv_text, json_text = dumps_matrix_csv(a), dumps_matrix_json(a)
+    timings = {
+        "parse.csv_former": median_ms(lambda: _loads_matrix_csv_per_cell(csv_text), repeats),
+        "parse.csv_bulk": median_ms(lambda: loads_matrix_csv(csv_text), repeats),
+        "parse.json_former": median_ms(lambda: former_matrix_json(json_text), repeats),
+        "parse.json_bulk": median_ms(lambda: loads_matrix_json(json_text), repeats),
+    }
+    checks = {
+        "csv_identical": same_bits(_loads_matrix_csv_per_cell(csv_text), loads_matrix_csv(csv_text)),
+        "json_identical": same_bits(former_matrix_json(json_text), loads_matrix_json(json_text)),
+    }
+    return {"n": n, "csv_bytes": len(csv_text), "json_bytes": len(json_text),
+            "median_ms": timings, "checks": checks}
 
 
 def main(argv=None) -> int:
@@ -134,6 +232,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as workdir:
         rows = [measure(n, args.repeats, workdir) for n in SIZES]
+    parse_rows = [measure_matrix_parse(n, args.repeats) for n in MATRIX_SIZES]
     payload = {
         "label": "circ-io",
         "repeats": args.repeats,
@@ -146,15 +245,18 @@ def main(argv=None) -> int:
             "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default"),
         },
         "sizes": rows,
+        "matrix_parse": parse_rows,
     }
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
-    for row in rows:
+    for row in rows + parse_rows:
         ms = row["median_ms"]
         print(f"n={row['n']:4d}  " + "  ".join(f"{key} {value:.2f}" for key, value in ms.items()))
-    ok = all(row["checks"]["csv_identical"] and row["checks"]["cli_csv_identical"]
-             and row["checks"]["mul_identical"] and row["checks"]["same_verdict"] for row in rows)
+    flags = ("csv_identical", "cli_csv_identical", "mul_identical", "same_verdict",
+             "write_identical", "parse_identical", "json_identical")
+    ok = all(row["checks"][flag] for row in rows + parse_rows for flag in flags
+             if flag in row["checks"])
     return 0 if ok else 1
 
 

@@ -27,7 +27,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -65,7 +65,7 @@ from .matrix import (
     PreconditionError,
     Tolerance,
     VerificationError,
-    dumps_circulant_csv,
+    circulant_csv_blocks,
     dumps_generator_json,
     dumps_matrix_csv,
     dumps_matrix_json,
@@ -151,14 +151,19 @@ def _load_matrix(path: str) -> tuple[np.ndarray, str]:
     raise MatrixFormatError(f"unknown matrix format for {path}; use .json or .csv")
 
 
-def _write_atomic(path: str, text: str) -> str:
-    """Write text to path through a uniquely named temporary file beside it.
+def _write_atomic(path: str, data) -> str:
+    """Write data, a str or an iterable of bytes blocks, to path through a
+    uniquely named temporary file beside it; return the sha256 of the bytes
+    written.
 
     Concurrent writers to the same path each rename a complete file into
-    place, so the last rename wins and no reader sees a partial file. The
-    text is encoded once; the digest is of the bytes written.
+    place, so the last rename wins and no reader sees a partial file. Each
+    block goes to the file and to the digest as it comes, so a text built
+    in blocks is never held whole. If the blocks fail, the temporary file
+    is removed and the old file at path stays.
     """
-    data = text.encode()
+    blocks = (data.encode(),) if isinstance(data, str) else data
+    digest = hashlib.sha256()
     try:
         fd, tmp = tempfile.mkstemp(
             prefix=f".{os.path.basename(path)}.", suffix=".tmp", dir=os.path.dirname(path) or "."
@@ -167,7 +172,9 @@ def _write_atomic(path: str, text: str) -> str:
             with os.fdopen(fd, "wb") as handle:
                 # mkstemp creates 0600; give the mode open(path, "w") would
                 os.fchmod(handle.fileno(), 0o666 & ~_UMASK)
-                handle.write(data)
+                for block in blocks:
+                    handle.write(block)
+                    digest.update(block)
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):
@@ -175,7 +182,7 @@ def _write_atomic(path: str, text: str) -> str:
             raise
     except OSError as exc:
         raise PreconditionError(f"cannot write {path}: {exc}") from None
-    return _digest(data)
+    return digest.hexdigest()
 
 
 def _write_output(path: str | None, value, to_json, to_csv) -> str | None:
@@ -333,7 +340,7 @@ def _cmd_circ(args, tol: Tolerance) -> RunReport:
         **_verdict(residuals),
         input_digest=in_digest,
         output_digest=_write_output(
-            args.output, result.gen, dumps_generator_json, dumps_circulant_csv
+            args.output, result.gen, dumps_generator_json, circulant_csv_blocks
         ),
         extras={"support": [int(i) for i in spectrum.support]},
     )
@@ -575,7 +582,8 @@ def _flatten(payload: dict, prefix: str = "") -> list[tuple[str, str]]:
 
 
 def _print_report(report: RunReport, pretty: bool) -> None:
-    payload = asdict(report)
+    # the fields as they are: json.dumps reads extras without a deep copy
+    payload = {item.name: getattr(report, item.name) for item in fields(report)}
     if not pretty:
         print(json.dumps(payload))
         return

@@ -8,6 +8,7 @@ enough to round-trip any double exactly.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -179,12 +180,38 @@ def parse_complex(text: str) -> complex:
     return z
 
 
+def _parse_cells(cells: str) -> np.ndarray | None:
+    """The comma-separated literals in cells as one complex128 vector, or
+    None when any of them is not a finite literal.
+
+    parse_complex's rules applied to all cells at once: one lowercasing and
+    unit swap, a strip of every cell, the bare-unit rule as replacements (a
+    unit at a cell's start follows a comma or starts the text), and one
+    finiteness check.
+    """
+    text = ",".join(map(str.strip, cells.lower().replace("i", "j").split(",")))
+    text = text.replace("+j", "+1j").replace("-j", "-1j").replace(",j", ",1j")
+    if text.startswith("j"):
+        text = "1" + text
+    try:
+        values = np.array(list(map(complex, text.split(","))), dtype=np.complex128)
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
 def parse_generator(text: str) -> np.ndarray:
-    """Parse a comma-separated list of complex literals into a vector."""
-    parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) < 2:
+    """Parse a comma-separated list of complex literals into a vector.
+
+    Every entry counts: an empty one is a bad literal, as in a CSV cell.
+    """
+    if text.count(",") < 1:
         raise MatrixFormatError("generator needs at least 2 entries")
-    return as_vector([parse_complex(p) for p in parts], min_len=2)
+    values = _parse_cells(text)
+    if values is None:
+        return as_vector([parse_complex(part) for part in text.split(",")], min_len=2)
+    values.flags.writeable = False
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +231,30 @@ def _pair(entry, what: str) -> complex:
     re_, im = entry
     if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in (re_, im)):
         raise MatrixFormatError(f"{what}: entry parts must be numbers")
-    return complex(re_, im)
+    try:
+        return complex(re_, im)
+    except OverflowError:
+        raise MatrixFormatError(f"{what}: entry parts must lie in the float range") from None
+
+
+def _pairs(data: list, what: str) -> np.ndarray:
+    """The [re, im] entries of a JSON list as a complex128 vector.
+
+    json.loads gives numbers the exact types int and float (bool is its
+    own type), so three passes over the types check every entry and one
+    np.array call converts them. When a check fails, _pair reads entry by
+    entry and names the first bad one.
+    """
+    if set(map(type, data)) == {list} and set(map(len, data)) == {2}:
+        parts = list(itertools.chain.from_iterable(data))
+        if set(map(type, parts)) <= {int, float}:
+            try:
+                return np.array(parts, dtype=np.float64).view(np.complex128)
+            except OverflowError:
+                raise MatrixFormatError(
+                    f"{what}: entry parts must lie in the float range"
+                ) from None
+    return np.array([_pair(entry, what) for entry in data], dtype=np.complex128)
 
 
 def loads_matrix_json(text: str) -> np.ndarray:
@@ -219,8 +269,7 @@ def loads_matrix_json(text: str) -> np.ndarray:
         raise MatrixFormatError("rows/cols must be positive integers")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise MatrixFormatError(f"data must hold rows*cols = {rows * cols} entries")
-    flat = [_pair(entry, "matrix JSON") for entry in data]
-    return as_matrix(np.array(flat, dtype=np.complex128).reshape(rows, cols))
+    return as_matrix(_pairs(data, "matrix JSON").reshape(rows, cols))
 
 
 # CSV alternative: one row per line, comma-separated complex literals. The
@@ -232,20 +281,43 @@ def dumps_matrix_csv(a: np.ndarray) -> str:
     return "\n".join([*_format_rows(a, _CSV_CELL, ","), ""])
 
 
-def dumps_circulant_csv(gen) -> str:
-    """CSV of the circulant with first row gen, from its n formatted cells.
+# circulant CSV rows go out in blocks of about this many bytes
+_BLOCK_BYTES = 1 << 20
 
-    Row i is the cells rotated right by i, a slice of the doubled list, so
-    the text equals dumps_matrix_csv(circ_materialize(gen)) byte for byte.
+
+def circulant_csv_blocks(gen):
+    """Yield the bytes of dumps_circulant_csv(gen) as blocks of whole rows,
+    each about _BLOCK_BYTES long and at least one row.
+
+    Every row holds all n cells, so every row has the same length. Row i is
+    the cells rotated right by i: a memoryview slice of the encoded first
+    row doubled, starting at cell n - i. A block joins its rows' slices, so
+    the text is neither built whole nor encoded.
     """
     gen = as_vector(gen, min_len=2)
     n = gen.shape[0]
-    cells = _format_rows(gen[None, :], _CSV_CELL, ",")[0].split(",")
-    doubled = cells + cells
-    return "\n".join([*(",".join(doubled[n - i : 2 * n - i]) for i in range(n)), ""])
+    first = _format_rows(gen[None, :], _CSV_CELL, ",")[0].encode()
+    doubled = memoryview(first + b"," + first)
+    commas = np.flatnonzero(np.frombuffer(first, dtype=np.uint8) == ord(","))
+    # start of row i: cell 0 for i = 0, else the cell after comma n - 1 - i
+    starts = [0, *(commas[::-1] + 1).tolist()]
+    width = len(first)
+    step = max(1, _BLOCK_BYTES // (width + 1))
+    for k in range(0, n, step):
+        yield b"\n".join([*(doubled[s : s + width] for s in starts[k : k + step]), b""])
 
 
-def loads_matrix_csv(text: str) -> np.ndarray:
+def dumps_circulant_csv(gen) -> str:
+    """CSV of the circulant with first row gen, from its n formatted cells.
+
+    The text equals dumps_matrix_csv(circ_materialize(gen)) byte for byte.
+    """
+    return b"".join(circulant_csv_blocks(gen)).decode()
+
+
+def _loads_matrix_csv_per_cell(text: str) -> np.ndarray:
+    """loads_matrix_csv read cell by cell with parse_complex: the reference
+    for the bulk read, and the source of its error messages."""
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -260,6 +332,27 @@ def loads_matrix_csv(text: str) -> np.ndarray:
     if any(len(r) != width for r in rows):
         raise MatrixFormatError("ragged CSV rows")
     return as_matrix(rows)
+
+
+def loads_matrix_csv(text: str) -> np.ndarray:
+    """Parse one row per line of comma-separated complex literals; blank
+    lines are skipped.
+
+    The cells of all rows are read at once. When a row is ragged or a cell
+    does not read, the text is read again cell by cell, which raises the
+    error of the first bad line.
+    """
+    rows = [line for line in text.splitlines() if line.strip()]
+    if not rows:
+        raise MatrixFormatError("empty CSV matrix")
+    values = None
+    if len({row.count(",") for row in rows}) == 1:
+        values = _parse_cells(",".join(rows))
+    if values is None:
+        return _loads_matrix_csv_per_cell(text)
+    a = values.reshape(len(rows), -1)
+    a.flags.writeable = False
+    return a
 
 
 # circulant generator JSON: {"n": n, "gen": [[re, im], ...]}
@@ -283,7 +376,7 @@ def loads_generator_json(text: str) -> np.ndarray:
         raise MatrixFormatError("n must be an integer >= 2")
     if not isinstance(gen, list) or len(gen) != n:
         raise MatrixFormatError("gen must hold n entries")
-    return as_vector([_pair(entry, "generator JSON") for entry in gen], min_len=2)
+    return as_vector(_pairs(gen, "generator JSON"), min_len=2)
 
 
 # tree edge CSV: lines "i,j,w" with 1-based vertices and a real weight

@@ -8,6 +8,7 @@ FFT spectrum are compared with their defining sums.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -29,11 +30,12 @@ from pinvkit.circulant import (
     two_term_pinv,
     zero_sum_shift_pinv,
 )
-from pinvkit.cli import main
+from pinvkit.cli import _write_atomic, main
 from pinvkit.core import penrose_residuals
 from pinvkit.matrix import (
     DEFAULT_TOL,
     PreconditionError,
+    circulant_csv_blocks,
     dumps_circulant_csv,
     dumps_generator_json,
     dumps_matrix_csv,
@@ -113,6 +115,29 @@ def test_circulant_csv_rows_are_right_rotations():
     text = dumps_circulant_csv(np.array([1, 2, 3, 4j]))
     assert text == "1+0i,2+0i,3+0i,0+4i\n0+4i,1+0i,2+0i,3+0i\n3+0i,0+4i,1+0i,2+0i\n2+0i,3+0i,0+4i,1+0i\n"
     np.testing.assert_array_equal(loads_matrix_csv(text), circ_materialize([1, 2, 3, 4j]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 511, 512])
+def test_streamed_circulant_csv_equals_the_text_and_its_digest(tmp_path, n):
+    rng = np.random.default_rng(900 + n)
+    if n >= 16:
+        gen = special_generator(rng, n)
+    else:
+        gen = np.array([complex(-0.0, -0.0), complex(1.7976931348623157e308, -5e-324),
+                        complex(5e-324, -0.0)])[:n]
+    want = dumps_circulant_csv(gen).encode()
+    assert want == dumps_matrix_csv(circ_materialize(gen)).encode()
+    if n <= 64:
+        assert want == entrywise_csv(circ_materialize(gen)).encode()
+    blocks = [bytes(block) for block in circulant_csv_blocks(gen)]
+    assert b"".join(blocks) == want
+    row = len(want) // n
+    assert all(len(block) % row == 0 for block in blocks)  # whole rows
+    assert (len(blocks) > 1) == (n >= 511)  # a 10 MB text spans several blocks
+    path = tmp_path / "x.csv"
+    digest = _write_atomic(str(path), circulant_csv_blocks(gen))
+    assert path.read_bytes() == want
+    assert digest == hashlib.sha256(want).hexdigest()
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (6, 5), (40, 33)])

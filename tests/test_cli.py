@@ -478,6 +478,24 @@ def test_malformed_matrix_json_exits_1(tmp_path):
     assert main(["pinv", "--input", str(path)]) == 1
 
 
+@pytest.mark.parametrize("gen", ["1,,0", "1,0,", ",1,0"])
+def test_circ_empty_generator_entry_exits_1(capsys, gen):
+    assert main(["circ", f"--gen={gen}"]) == 1
+    assert "bad complex literal: ''" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["pinv", "circ"])
+@pytest.mark.parametrize("part", ["1" + "0" * 400, "true"], ids=["huge-int", "bool"])
+def test_json_part_beyond_float_range_or_bool_exits_1(tmp_path, capsys, command, part):
+    path = tmp_path / "in.json"
+    if command == "pinv":
+        path.write_text(f'{{"rows": 1, "cols": 2, "data": [[{part}, 0], [0, 0]]}}')
+    else:
+        path.write_text(f'{{"n": 2, "gen": [[0, 0], [0, {part}]]}}')
+    assert main([command, "--input", str(path)]) == 1
+    assert "parse error" in capsys.readouterr().err
+
+
 def test_env_var_sets_residual_bound(tmp_path, capsys, monkeypatch):
     a = write_matrix(tmp_path / "a.json", np.diag([2.0, 0.0]))
     x = write_matrix(tmp_path / "x.json", np.diag([0.5 + 1e-5, 0.0]))
@@ -561,6 +579,20 @@ def test_failed_write_removes_temp_file(tmp_path):
     with pytest.raises(PreconditionError):
         _write_atomic(str(target), "{}")
     assert os.listdir(tmp_path) == ["x.json"]
+
+
+def test_failing_block_source_keeps_the_old_file(tmp_path):
+    target = tmp_path / "x.csv"
+    target.write_bytes(b"old\n")
+
+    def blocks():
+        yield b"1+0i,2+0i\n" * 1000
+        raise RuntimeError("block source failed")
+
+    with pytest.raises(RuntimeError, match="block source failed"):
+        _write_atomic(str(target), blocks())
+    assert os.listdir(tmp_path) == ["x.csv"]
+    assert target.read_bytes() == b"old\n"
 
 
 def test_pretty_output_is_table(tmp_path, capsys):
