@@ -67,8 +67,6 @@ from pinvkit.cli import main as cli_main
 from pinvkit.core import penrose_residuals
 from pinvkit.matrix import (
     DEFAULT_TOL,
-    _CSV_CELL,
-    _format_rows,
     _loads_matrix_csv_per_cell,
     _pair,
     as_matrix,
@@ -103,15 +101,6 @@ def dft_spectrum(gen: np.ndarray) -> np.ndarray:
     n = gen.shape[0]
     k = np.arange(n)
     return np.exp(2j * np.pi * np.outer(k, k) / n) @ gen
-
-
-def former_circulant_csv(gen) -> str:
-    """The former circulant writer: the whole text as one str."""
-    gen = as_vector(gen, min_len=2)
-    n = gen.shape[0]
-    cells = _format_rows(gen[None, :], _CSV_CELL, ",")[0].split(",")
-    doubled = cells + cells
-    return "\n".join([*(",".join(doubled[n - i : 2 * n - i]) for i in range(n)), ""])
 
 
 def former_write(path: str, text: str) -> str:
@@ -180,7 +169,7 @@ def measure(n: int, repeats: int, workdir: str) -> dict:
         "spectrum.dft": median_ms(lambda: dft_spectrum(gen), repeats),
         "spectrum.fft": median_ms(lambda: circ_spectrum(gen), repeats),
         "cli.circ_csv": median_ms(cli_circ_csv, repeats),
-        "write.former": median_ms(lambda: former_write(out, former_circulant_csv(xgen)), repeats),
+        "write.former": median_ms(lambda: former_write(out, dumps_circulant_csv(xgen)), repeats),
         "write.streamed": median_ms(lambda: _write_atomic(out, circulant_csv_blocks(xgen)), repeats),
         "parse.gen_former": median_ms(lambda: former_generator(arg[6:]), repeats),
         "parse.gen_bulk": median_ms(lambda: parse_generator(arg[6:]), repeats),
@@ -197,7 +186,7 @@ def measure(n: int, repeats: int, workdir: str) -> dict:
         "penrose_circulant_max": max(structured.residuals.values()),
         "penrose_bounds": dict(dense.bounds),
         "same_verdict": dense.passed == structured.passed,
-        "write_identical": former_write(out, former_circulant_csv(xgen))
+        "write_identical": former_write(out, dumps_circulant_csv(xgen))
         == _write_atomic(out, circulant_csv_blocks(xgen))
         == hashlib.sha256(dumps_circulant_csv(xgen).encode()).hexdigest(),
         "parse_identical": same_bits(former_generator(arg[6:]), parse_generator(arg[6:]))

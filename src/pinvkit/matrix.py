@@ -242,18 +242,16 @@ def _pairs(data: list, what: str) -> np.ndarray:
 
     json.loads gives numbers the exact types int and float (bool is its
     own type), so three passes over the types check every entry and one
-    np.array call converts them. When a check fails, _pair reads entry by
-    entry and names the first bad one.
+    np.array call converts them. When a check or the conversion fails,
+    _pair reads entry by entry and names the first bad one.
     """
     if set(map(type, data)) == {list} and set(map(len, data)) == {2}:
         parts = list(itertools.chain.from_iterable(data))
         if set(map(type, parts)) <= {int, float}:
             try:
                 return np.array(parts, dtype=np.float64).view(np.complex128)
-            except OverflowError:
-                raise MatrixFormatError(
-                    f"{what}: entry parts must lie in the float range"
-                ) from None
+            except OverflowError:  # an integer beyond the float range
+                pass
     return np.array([_pair(entry, what) for entry in data], dtype=np.complex128)
 
 
@@ -281,6 +279,20 @@ def dumps_matrix_csv(a: np.ndarray) -> str:
     return "\n".join([*_format_rows(a, _CSV_CELL, ","), ""])
 
 
+def dumps_circulant_csv(gen) -> str:
+    """CSV of the circulant with first row gen, from its n formatted cells.
+
+    Row i is the cells rotated right by i, a slice of the doubled list, so
+    the text equals dumps_matrix_csv(circ_materialize(gen)) byte for byte.
+    The str form of circulant_csv_blocks, and the reference for its bytes.
+    """
+    gen = as_vector(gen, min_len=2)
+    n = gen.shape[0]
+    cells = _format_rows(gen[None, :], _CSV_CELL, ",")[0].split(",")
+    doubled = cells + cells
+    return "\n".join([*(",".join(doubled[n - i : 2 * n - i]) for i in range(n)), ""])
+
+
 # circulant CSV rows go out in blocks of about this many bytes
 _BLOCK_BYTES = 1 << 20
 
@@ -305,14 +317,6 @@ def circulant_csv_blocks(gen):
     step = max(1, _BLOCK_BYTES // (width + 1))
     for k in range(0, n, step):
         yield b"\n".join([*(doubled[s : s + width] for s in starts[k : k + step]), b""])
-
-
-def dumps_circulant_csv(gen) -> str:
-    """CSV of the circulant with first row gen, from its n formatted cells.
-
-    The text equals dumps_matrix_csv(circ_materialize(gen)) byte for byte.
-    """
-    return b"".join(circulant_csv_blocks(gen)).decode()
 
 
 def _loads_matrix_csv_per_cell(text: str) -> np.ndarray:
