@@ -149,7 +149,8 @@ def measure(n: int, repeats: int, workdir: str) -> dict:
     tol = DEFAULT_TOL
     pattern = block_pattern_generator(3, n // 4)
     pattern_list = pattern.tolist()
-    arg = "--gen=" + ",".join(format_complex(z) for z in gen)
+    gen_text = ",".join(format_complex(z) for z in gen)
+    arg = "--gen=" + gen_text
     out = os.path.join(workdir, "x.csv")
     gen_json = dumps_generator_json(gen)
 
@@ -171,8 +172,8 @@ def measure(n: int, repeats: int, workdir: str) -> dict:
         "cli.circ_csv": median_ms(cli_circ_csv, repeats),
         "write.former": median_ms(lambda: former_write(out, dumps_circulant_csv(xgen)), repeats),
         "write.streamed": median_ms(lambda: _write_atomic(out, circulant_csv_blocks(xgen)), repeats),
-        "parse.gen_former": median_ms(lambda: former_generator(arg[6:]), repeats),
-        "parse.gen_bulk": median_ms(lambda: parse_generator(arg[6:]), repeats),
+        "parse.gen_former": median_ms(lambda: former_generator(gen_text), repeats),
+        "parse.gen_bulk": median_ms(lambda: parse_generator(gen_text), repeats),
         "parse.gen_json_former": median_ms(lambda: former_generator_json(gen_json), repeats),
         "parse.gen_json_bulk": median_ms(lambda: loads_generator_json(gen_json), repeats),
     }
@@ -189,7 +190,7 @@ def measure(n: int, repeats: int, workdir: str) -> dict:
         "write_identical": former_write(out, dumps_circulant_csv(xgen))
         == _write_atomic(out, circulant_csv_blocks(xgen))
         == hashlib.sha256(dumps_circulant_csv(xgen).encode()).hexdigest(),
-        "parse_identical": same_bits(former_generator(arg[6:]), parse_generator(arg[6:]))
+        "parse_identical": same_bits(former_generator(gen_text), parse_generator(gen_text))
         and same_bits(former_generator_json(gen_json), loads_generator_json(gen_json)),
     }
     return {"n": n, "csv_bytes": len(dumps_circulant_csv(xgen)), "median_ms": timings,
