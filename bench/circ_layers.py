@@ -46,13 +46,11 @@ import hashlib
 import io
 import json
 import os
-import platform
-import statistics
 import sys
 import tempfile
-import time
 
 import numpy as np
+from ledger import median_ms, write_ledger
 
 from pinvkit.circulant import (
     block_pattern_generator,
@@ -132,15 +130,6 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def median_ms(func, repeats: int) -> float:
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        func()
-        times.append(time.perf_counter() - start)
-    return 1e3 * statistics.median(times)
-
-
 def measure(n: int, repeats: int, workdir: str) -> dict:
     rng = np.random.default_rng(n)
     gen = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -159,24 +148,24 @@ def measure(n: int, repeats: int, workdir: str) -> dict:
             if cli_main(["circ", arg, "--output", out]) != 0:
                 raise RuntimeError("circ command failed")
 
-    timings = {
-        "csv.entrywise": median_ms(lambda: entrywise_csv(circ_materialize(xgen)), repeats),
-        "csv.dense_batched": median_ms(lambda: dumps_matrix_csv(circ_materialize(xgen)), repeats),
-        "csv.circulant": median_ms(lambda: dumps_circulant_csv(xgen), repeats),
-        "penrose.dense": median_ms(lambda: penrose_residuals(c, x, tol), repeats),
-        "penrose.circulant": median_ms(lambda: circ_penrose_residuals(gen, xgen, tol), repeats),
-        "mul.python_loop": median_ms(lambda: python_loop_mul(pattern_list, pattern_list), repeats),
-        "mul.numpy": median_ms(lambda: circ_mul(pattern, pattern), repeats),
-        "spectrum.dft": median_ms(lambda: dft_spectrum(gen), repeats),
-        "spectrum.fft": median_ms(lambda: circ_spectrum(gen), repeats),
-        "cli.circ_csv": median_ms(cli_circ_csv, repeats),
-        "write.former": median_ms(lambda: former_write(out, dumps_circulant_csv(xgen)), repeats),
-        "write.streamed": median_ms(lambda: _write_atomic(out, circulant_csv_blocks(xgen)), repeats),
-        "parse.gen_former": median_ms(lambda: former_generator(gen_text), repeats),
-        "parse.gen_bulk": median_ms(lambda: parse_generator(gen_text), repeats),
-        "parse.gen_json_former": median_ms(lambda: former_generator_json(gen_json), repeats),
-        "parse.gen_json_bulk": median_ms(lambda: loads_generator_json(gen_json), repeats),
-    }
+    timings = median_ms({
+        "csv.entrywise": lambda: entrywise_csv(circ_materialize(xgen)),
+        "csv.dense_batched": lambda: dumps_matrix_csv(circ_materialize(xgen)),
+        "csv.circulant": lambda: dumps_circulant_csv(xgen),
+        "penrose.dense": lambda: penrose_residuals(c, x, tol),
+        "penrose.circulant": lambda: circ_penrose_residuals(gen, xgen, tol),
+        "mul.python_loop": lambda: python_loop_mul(pattern_list, pattern_list),
+        "mul.numpy": lambda: circ_mul(pattern, pattern),
+        "spectrum.dft": lambda: dft_spectrum(gen),
+        "spectrum.fft": lambda: circ_spectrum(gen),
+        "cli.circ_csv": cli_circ_csv,
+        "write.former": lambda: former_write(out, dumps_circulant_csv(xgen)),
+        "write.streamed": lambda: _write_atomic(out, circulant_csv_blocks(xgen)),
+        "parse.gen_former": lambda: former_generator(gen_text),
+        "parse.gen_bulk": lambda: parse_generator(gen_text),
+        "parse.gen_json_former": lambda: former_generator_json(gen_json),
+        "parse.gen_json_bulk": lambda: loads_generator_json(gen_json),
+    }, repeats)
     dense = penrose_residuals(c, x, tol)
     structured = circ_penrose_residuals(gen, xgen, tol)
     checks = {
@@ -201,12 +190,12 @@ def measure_matrix_parse(n: int, repeats: int) -> dict:
     rng = np.random.default_rng(1000 + n)
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     csv_text, json_text = dumps_matrix_csv(a), dumps_matrix_json(a)
-    timings = {
-        "parse.csv_former": median_ms(lambda: _loads_matrix_csv_per_cell(csv_text), repeats),
-        "parse.csv_bulk": median_ms(lambda: loads_matrix_csv(csv_text), repeats),
-        "parse.json_former": median_ms(lambda: former_matrix_json(json_text), repeats),
-        "parse.json_bulk": median_ms(lambda: loads_matrix_json(json_text), repeats),
-    }
+    timings = median_ms({
+        "parse.csv_former": lambda: _loads_matrix_csv_per_cell(csv_text),
+        "parse.csv_bulk": lambda: loads_matrix_csv(csv_text),
+        "parse.json_former": lambda: former_matrix_json(json_text),
+        "parse.json_bulk": lambda: loads_matrix_json(json_text),
+    }, repeats)
     checks = {
         "csv_identical": same_bits(_loads_matrix_csv_per_cell(csv_text), loads_matrix_csv(csv_text)),
         "json_identical": same_bits(former_matrix_json(json_text), loads_matrix_json(json_text)),
@@ -223,23 +212,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         rows = [measure(n, args.repeats, workdir) for n in SIZES]
     parse_rows = [measure_matrix_parse(n, args.repeats) for n in MATRIX_SIZES]
-    payload = {
-        "label": "circ-io",
-        "repeats": args.repeats,
-        "machine": {
-            "platform": platform.platform(),
-            "machine": platform.machine(),
-            "cpu_count": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default"),
-        },
-        "sizes": rows,
-        "matrix_parse": parse_rows,
-    }
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    write_ledger(args.out, "circ-io", args.repeats, sizes=rows, matrix_parse=parse_rows)
     for row in rows + parse_rows:
         ms = row["median_ms"]
         print(f"n={row['n']:4d}  " + "  ".join(f"{key} {value:.2f}" for key, value in ms.items()))

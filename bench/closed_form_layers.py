@@ -31,15 +31,11 @@ The first form writes BENCH_closed-form.json in the current directory.
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
-import statistics
 import sys
-import time
 from collections import deque
 
 import numpy as np
+from ledger import median_ms, write_ledger
 
 from pinvkit.cli import build_parser
 from pinvkit.core import pinv, projectors
@@ -105,18 +101,6 @@ def low_rank(rng: np.random.Generator, n: int, r: int) -> np.ndarray:
     return g @ h
 
 
-def median_ms(funcs: dict, repeats: int) -> dict:
-    """Median time of each function; each repeat runs them all in turn, so
-    drift in the host's speed reaches before and after alike."""
-    times = {name: [] for name in funcs}
-    for _ in range(repeats):
-        for name, func in funcs.items():
-            start = time.perf_counter()
-            func()
-            times[name].append(time.perf_counter() - start)
-    return {name: 1e3 * statistics.median(values) for name, values in times.items()}
-
-
 def measure_fill_fishkind(n: int, r1: int, r2: int, repeats: int) -> dict:
     rng = np.random.default_rng(100 * n + 10 * r1 + r2)
     a1, a2 = low_rank(rng, n, r1), low_rank(rng, n, r2)
@@ -161,24 +145,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     fill_fishkind = [measure_fill_fishkind(*slot, args.repeats) for slot in FILL_FISHKIND_SLOTS]
     trees = [measure_tree(n, args.repeats) for n in TREE_SIZES]
-    payload = {
-        "label": "closed-form",
-        "repeats": args.repeats,
-        "machine": {
-            "platform": platform.platform(),
-            "machine": platform.machine(),
-            "cpu_count": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default"),
-        },
-        "fill_fishkind": fill_fishkind,
-        "tree": trees,
-        "parser": measure_parser(args.repeats),
-    }
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    payload = write_ledger(
+        args.out, "closed-form", args.repeats,
+        fill_fishkind=fill_fishkind, tree=trees, parser=measure_parser(args.repeats),
+    )
     for row in fill_fishkind + trees:
         label = f"n={row['n']:2d}" + (f" r={row['r1']}+{row['r2']}" if "r1" in row else "")
         ms = row["median_ms"]

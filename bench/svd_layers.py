@@ -27,14 +27,10 @@ The first form writes BENCH_svd.json in the current directory.
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
-import statistics
 import sys
-import time
 
 import numpy as np
+from ledger import median_ms, write_ledger
 
 from pinvkit.linalg import (
     _EPS,
@@ -163,18 +159,6 @@ def fewest_sweeps(kernel, a: np.ndarray) -> int:
     return high
 
 
-def median_ms(funcs: dict, repeats: int) -> dict:
-    """Median time of each function; each repeat runs them all in turn, so
-    drift in the host's speed reaches before and after alike."""
-    times = {name: [] for name in funcs}
-    for _ in range(repeats):
-        for name, func in funcs.items():
-            start = time.perf_counter()
-            func()
-            times[name].append(time.perf_counter() - start)
-    return {name: 1e3 * statistics.median(values) for name, values in times.items()}
-
-
 def measure(m: int, n: int, r: int, repeats: int) -> dict:
     a = low_rank(np.random.default_rng(1000 * m + 10 * n + r), m, n, r)
     ref, new = reference_svd(a), svd(a)
@@ -208,25 +192,13 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args(argv)
     rows = [measure(*shape, args.repeats) for shape in SHAPES]
-    payload = {
-        "label": "svd",
-        "repeats": args.repeats,
-        "machine": {
-            "platform": platform.platform(),
-            "machine": platform.machine(),
-            "cpu_count": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default"),
-        },
-        "shapes": rows,
-        "total_median_ms": {
+    payload = write_ledger(
+        args.out, "svd", args.repeats,
+        shapes=rows,
+        total_median_ms={
             name: sum(row["kernels"][name]["median_ms"] for row in rows) for name in KERNELS
         },
-    }
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    )
     for row in rows:
         ref, new = row["kernels"]["reference"], row["kernels"]["svd"]
         print(

@@ -423,6 +423,8 @@ def _cmd_verify(args, tol: Tolerance) -> RunReport:
 
 
 def _cmd_gen(args, tol: Tolerance) -> RunReport:
+    if args.seed < 0:
+        raise PreconditionError(f"seed must be non-negative, got {args.seed}")
     prefix = args.output or "instance"
     files: list[dict] = []
     extras: dict = {"kind": args.kind, "seed": args.seed}
@@ -472,6 +474,17 @@ def _add_common(parser: argparse.ArgumentParser, **files: str) -> None:
         "--tol-residual", type=float, help="relative residual bound factor (default 1e-12)"
     )
     parser.add_argument("--pretty", action="store_true", help="aligned table instead of JSON")
+
+
+def _finite_float(text: str) -> float:
+    """A real flag value; nan and the infinities are refused like bad text."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _check_reads(args) -> None:
@@ -541,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.set_defaults(handler=_cmd_circ, reads=("method", CIRC_READS))
 
     cmd = commands.add_parser("tree", help="zero-sum tree distance pseudoinverse")
-    cmd.add_argument("--alpha", type=float, help="completion weight (default: auto)")
+    cmd.add_argument("--alpha", type=_finite_float, help="completion weight (default: auto)")
     _add_common(cmd, input="edge CSV file", output=MATRIX_OUT)
     cmd.set_defaults(handler=_cmd_tree)
 

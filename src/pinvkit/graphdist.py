@@ -280,17 +280,13 @@ def tree_pinv(
 
 
 def tree_u_and_reconstruction(
-    tree: TreeMatrices,
-    alpha: float | None = None,
-    tol: Tolerance = DEFAULT_TOL,
-    dpinv: np.ndarray | None = None,
+    tree: TreeMatrices, dpinv: np.ndarray, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
     """Recover u with D^+ = -L/2 + u tau^t + tau u^t and rebuild D^+.
 
-    dpinv is the verified tree_pinv(tree, ...) when the caller already holds
-    it; otherwise it is computed here with the given alpha. D^+ e is read off
-    it, which is the solve D^+ e = M^-1 e - 2 tau/(alpha ||tau||^4) against
-    the one factorization of M that tree_pinv made (tau^t e = 2). Then
+    dpinv is the verified tree_pinv(tree, ...) that the caller holds. D^+ e
+    is read off it, which is the solve D^+ e = M^-1 e - 2 tau/(alpha ||tau||^4)
+    against the one factorization of M that tree_pinv made (tau^t e = 2). Then
     u = (D^+ e - (e^t D^+ e / 4) tau) / 2; the minus sign is forced by
     D^+ tau = 0, which pins tau^t u to tau^t L tau/(4 ||tau||^2). When
     tau^t L tau is nonzero the closed form
@@ -302,10 +298,7 @@ def tree_u_and_reconstruction(
     reconstruction -L/2 + u tau^t + tau u^t is checked against D^+. The rank
     n - 1 is certified by tree_pinv, not recomputed.
     """
-    if dpinv is None:
-        dpinv = tree_pinv(tree, alpha, tol)
-    else:
-        _require_zero_sum(tree, tol)
+    _require_zero_sum(tree, tol)
     tau = tree.tau
     tau_sq = float(tau @ tau)
     ones = np.ones(tree.n)
@@ -487,24 +480,18 @@ def wheel_build(n: int, tol: Tolerance = DEFAULT_TOL) -> WheelGraph:
     return WheelGraph(n=n, D=d, a=a, z24=z24, v=v, inv134=inv134)
 
 
-def wheel_pinv(
-    wheel: int | WheelGraph, tol: Tolerance = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def wheel_pinv(wheel: WheelGraph, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form {1,3,4}-inverse and Moore-Penrose inverse of the wheel.
 
-    wheel is a WheelGraph from wheel_build, or the vertex count n, in which
-    case the wheel is built here. Its inv134 = (D + a a^t)^-1, already
-    verified by wheel_build (which thereby certified rank(D) = n - 1), is a
-    {1,3,4}-inverse of D. Subtracting the null-space dyad yields the
-    pseudoinverse:
+    The wheel's inv134 = (D + a a^t)^-1, already verified by wheel_build
+    (which thereby certified rank(D) = n - 1), is a {1,3,4}-inverse of D.
+    Subtracting the null-space dyad yields the pseudoinverse:
 
         D^+ = (D + a a^t)^-1 - a a^t / (n-1)^2,
 
     whose rim block is circ(z - v)/(n-1)^2 since a a^t has rim block circ(v).
     D^+ must pass the Penrose residuals before it is returned.
     """
-    if not isinstance(wheel, WheelGraph):
-        wheel = wheel_build(wheel, tol)
     m = wheel.n - 1
     dpinv = wheel.inv134 - np.outer(wheel.a, wheel.a) / m**2
     report = penrose_residuals(wheel.D, dpinv, tol)

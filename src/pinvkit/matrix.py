@@ -263,7 +263,8 @@ def loads_matrix_json(text: str) -> np.ndarray:
     if not isinstance(obj, dict) or not {"rows", "cols", "data"} <= set(obj):
         raise MatrixFormatError('matrix JSON needs "rows", "cols", "data"')
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0):
+    # exact int: json.loads reads true as a bool, and bool subclasses int
+    if not (type(rows) is int and type(cols) is int and rows > 0 and cols > 0):
         raise MatrixFormatError("rows/cols must be positive integers")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise MatrixFormatError(f"data must hold rows*cols = {rows * cols} entries")
@@ -376,7 +377,7 @@ def loads_generator_json(text: str) -> np.ndarray:
     if not isinstance(obj, dict) or not {"n", "gen"} <= set(obj):
         raise MatrixFormatError('generator JSON needs "n" and "gen"')
     n, gen = obj["n"], obj["gen"]
-    if not (isinstance(n, int) and n >= 2):
+    if not (type(n) is int and n >= 2):
         raise MatrixFormatError("n must be an integer >= 2")
     if not isinstance(gen, list) or len(gen) != n:
         raise MatrixFormatError("gen must hold n entries")

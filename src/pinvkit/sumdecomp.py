@@ -265,21 +265,19 @@ def rank_completion_pinv(
     a: np.ndarray,
     comp: CompletionData | None = None,
     tol: Tolerance = DEFAULT_TOL,
-    mode: str = "auto",
     factorization: SvdFactorization | None = None,
 ) -> np.ndarray:
     """Pseudoinverse by completing the null spaces with weighted dyads.
 
     With M = A + sum_k d_k g_k f_k*, the identity A^+ = M^+ - sum_k (1/d_k)
     f_k g_k* holds for any orthonormal null-space subsets and nonzero
-    weights. Modes:
+    weights. The input picks the form of M^+:
 
-      auto       pick the cheapest applicable branch below
-      inverse    square matrix, full completion: one LU inverse of M
-      gram-left  m >= n, full completion: Hermitian solve of
-                 (A*A + sum |d_k|^2 f_k f_k*) X = M*
-      gram-right n >= m, full completion: the mirrored solve
-      pinv       any completion: SVD pseudoinverse of M
+      square, full completion  one LU inverse of M
+      m > n, full completion   Hermitian solve of
+                               (A*A + sum |d_k|^2 f_k f_k*) X = M*
+      m < n, full completion   the mirrored solve
+      partial completion       SVD pseudoinverse of M
 
     A is factored once, for the rank and the default completion;
     factorization, if given, is svd(a, tol) and saves that too.
@@ -291,60 +289,39 @@ def rank_completion_pinv(
         comp = auto_completion(a, tol, fa)
     _validate_completion(a, comp, tol)
     f, g, d = comp.f_basis, comp.g_basis, comp.d
-    full = comp.count == min(m, n) - fa.rank
     dyads_back = (f / d) @ dagger(g)  # sum_k (1/d_k) f_k g_k*
     completed = a + (g * d) @ dagger(f)
 
-    if mode == "auto":
-        if not full:
-            mode = "pinv"
-        elif m == n:
-            mode = "inverse"
-        else:
-            mode = "gram-left" if m > n else "gram-right"
-
-    if mode == "inverse":
-        if m != n or not full:
-            raise PreconditionError("inverse mode needs a square matrix and full completion")
-        return inverse(completed) - dyads_back
-    if mode == "gram-left":
-        if m < n or not full:
-            raise PreconditionError("gram-left mode needs m >= n and full completion")
-        gram = dagger(a) @ a + (f * (np.abs(d) ** 2)) @ dagger(f)
-        low = cholesky_factor(gram)
-        if low is None:
-            raise PreconditionError("completed Gram matrix is not positive definite")
-        return cholesky_solve(low, dagger(completed)) - dyads_back
-    if mode == "gram-right":
-        if m > n or not full:
-            raise PreconditionError("gram-right mode needs n >= m and full completion")
-        gram = a @ dagger(a) + (g * (np.abs(d) ** 2)) @ dagger(g)
-        low = cholesky_factor(gram)
-        if low is None:
-            raise PreconditionError("completed Gram matrix is not positive definite")
-        return dagger(cholesky_solve(low, completed)) - dyads_back
-    if mode == "pinv":
+    if comp.count != min(m, n) - fa.rank:
         return pinv(completed, tol) - dyads_back
-    raise PreconditionError(f"unknown rank completion mode {mode!r}")
+    if m == n:
+        return inverse(completed) - dyads_back
+    if m > n:
+        low = cholesky_factor(dagger(a) @ a + (f * (np.abs(d) ** 2)) @ dagger(f))
+    else:
+        low = cholesky_factor(a @ dagger(a) + (g * (np.abs(d) ** 2)) @ dagger(g))
+    if low is None:
+        raise PreconditionError("completed Gram matrix is not positive definite")
+    if m > n:
+        return cholesky_solve(low, dagger(completed)) - dyads_back
+    return dagger(cholesky_solve(low, completed)) - dyads_back
 
 
 def completion_pinv_pair(
     a: np.ndarray,
     b: np.ndarray,
-    mode: str = "auto",
     tol: Tolerance = DEFAULT_TOL,
     factorization: SvdFactorization | None = None,
 ) -> np.ndarray:
     """Pseudoinverse of A from a single completing partner B.
 
-    Modes:
-      gram-left   R(B*) = N(A): solve (A*A + B*B) X = A*
-      gram-right  R(B) = N(A*): solve X (AA* + BB*) = A*
-      gram        whichever of the two directions applies
-      invertible  square, R(B*) = N(A) and R(B) <= N(A*) (or mirrored):
-                  A^+ = (A+B)^-1 - B^+, checked against both projector
-                  equations (A+B) X = P_N(B*) and X (A+B) = P_N(B)
-      auto        invertible if possible, else the applicable gram direction
+    The geometry of B picks the form:
+
+      square, R(B*) = N(A) and R(B) <= N(A*) (or mirrored):
+                     A^+ = (A+B)^-1 - B^+, checked against both projector
+                     equations (A+B) X = P_N(B*) and X (A+B) = P_N(B)
+      else R(B*) = N(A): solve (A*A + B*B) X = A*
+      else R(B) = N(A*): solve X (AA* + BB*) = A*
 
     A and B are each factored once; factorization, if given, is svd(a, tol).
     """
@@ -363,56 +340,9 @@ def completion_pinv_pair(
     fills_null_a = range_bstar_in_null_a and fb.rank == n - fa.rank
     fills_null_astar = range_b_in_null_astar and fb.rank == m - fa.rank
 
-    if mode == "auto":
-        if m == n and (
-            (fills_null_a and range_b_in_null_astar)
-            or (fills_null_astar and range_bstar_in_null_a)
-        ):
-            mode = "invertible"
-        else:
-            mode = "gram"
-    if mode == "gram":
-        if fills_null_a:
-            mode = "gram-left"
-        elif fills_null_astar:
-            mode = "gram-right"
-        else:
-            raise PreconditionError(
-                "B completes neither null space of A: need R(B*) = N(A) or R(B) = N(A*)"
-            )
-
-    if mode == "gram-left":
-        if not range_bstar_in_null_a:
-            raise PreconditionError("R(B*) is not contained in N(A): A B* is not zero")
-        if fb.rank != n - fa.rank:
-            raise PreconditionError(
-                f"R(B*) does not fill N(A): rank(B) = {fb.rank}, need {n - fa.rank}"
-            )
-        low = cholesky_factor(dagger(a) @ a + dagger(b) @ b)
-        if low is None:
-            raise PreconditionError("A*A + B*B is not positive definite at tolerance")
-        return cholesky_solve(low, dagger(a))
-    if mode == "gram-right":
-        if not range_b_in_null_astar:
-            raise PreconditionError("R(B) is not contained in N(A*): A* B is not zero")
-        if fb.rank != m - fa.rank:
-            raise PreconditionError(
-                f"R(B) does not fill N(A*): rank(B) = {fb.rank}, need {m - fa.rank}"
-            )
-        low = cholesky_factor(a @ dagger(a) + b @ dagger(b))
-        if low is None:
-            raise PreconditionError("AA* + BB* is not positive definite at tolerance")
-        return dagger(cholesky_solve(low, a))
-    if mode == "invertible":
-        if m != n:
-            raise PreconditionError("invertible mode needs square matrices")
-        if not (
-            (fills_null_a and range_b_in_null_astar)
-            or (fills_null_astar and range_bstar_in_null_a)
-        ):
-            raise PreconditionError(
-                "invertible mode needs R(B*) = N(A) with R(B) <= N(A*), or the mirrored pair"
-            )
+    if m == n and (
+        (fills_null_a and range_b_in_null_astar) or (fills_null_astar and range_bstar_in_null_a)
+    ):
         total = a + b
         inv = inverse(total)
         x = inv - pinv(b, tol, fb)
@@ -426,7 +356,20 @@ def completion_pinv_pair(
                 f"exceed {bound:.3e}"
             )
         return x
-    raise PreconditionError(f"unknown pair completion mode {mode!r}")
+    if fills_null_a:
+        low = cholesky_factor(dagger(a) @ a + dagger(b) @ b)
+        if low is None:
+            raise PreconditionError("A*A + B*B is not positive definite at tolerance")
+        return cholesky_solve(low, dagger(a))
+    if fills_null_astar:
+        low = cholesky_factor(a @ dagger(a) + b @ dagger(b))
+        if low is None:
+            raise PreconditionError("AA* + BB* is not positive definite at tolerance")
+        return dagger(cholesky_solve(low, a))
+    raise PreconditionError(
+        "B completes neither null space of A: need R(B*) = N(A) or R(B) = N(A*); "
+        f"rank(B) = {fb.rank}, dim N(A) = {n - fa.rank}, dim N(A*) = {m - fa.rank}"
+    )
 
 
 def _core_pinv(core: np.ndarray, n: int, tol: Tolerance) -> np.ndarray:

@@ -208,8 +208,9 @@ def test_criterion_5_wheel_exact_identities():
     ]
     worst = 0.0
     for n in range(5, 26, 2):
-        _, dpinv = wheel_pinv(n)
-        oracle = pinv(wheel_build(n).D).real
+        wheel = wheel_build(n)
+        _, dpinv = wheel_pinv(wheel)
+        oracle = pinv(wheel.D).real
         worst = max(worst, float(np.max(np.abs(dpinv - oracle))))
     elapsed = time.perf_counter() - start
     ok = not broken and worst <= 1e-9 and elapsed < 20.0
@@ -237,7 +238,7 @@ def test_criterion_6_zero_sum_tree_suite():
         scale = max(1.0, frobenius(tree.D))
         worst_pen = max(worst_pen, max(pen.residuals.values()) / scale)
         worst_alpha = max(worst_alpha, frobenius(x1 - x2))
-        _, rebuilt = tree_u_and_reconstruction(tree)
+        _, rebuilt = tree_u_and_reconstruction(tree, tree_pinv(tree))
         worst_rec = max(worst_rec, frobenius(rebuilt - x1))
         identity = np.outer(np.ones(tree.n), tree.tau) - 2.0 * np.eye(tree.n)
         worst_dl = max(worst_dl, float(np.max(np.abs(tree.D @ tree.L - identity))))

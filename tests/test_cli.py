@@ -18,7 +18,7 @@ import pinvkit.core
 from pinvkit.circulant import circ_materialize, circ_pinv_spectral, generator_from_spectrum
 from pinvkit.cli import _write_atomic, main
 from pinvkit.core import gen_random_matrix, penrose_residuals, pinv
-from pinvkit.graphdist import tree_build, wheel_pinv
+from pinvkit.graphdist import tree_build, wheel_build, wheel_pinv
 from pinvkit.linalg import svd
 from pinvkit.matrix import (
     PreconditionError,
@@ -244,11 +244,21 @@ def test_tree_bad_edge_file_exits_1(tmp_path):
     assert main(["tree", "--input", str(src)]) == 1
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "1e400"])
+def test_tree_non_finite_alpha_exits_1_without_warnings(tmp_path, capsys, alpha):
+    src = tmp_path / "t.csv"
+    src.write_text("1,2,1\n2,3,-1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["tree", "--input", str(src), f"--alpha={alpha}"]) == 1
+    assert "not a finite number" in capsys.readouterr().err
+
+
 def test_wheel_5_matches_module(tmp_path, capsys):
     out = tmp_path / "w.json"
     code, report = run(capsys, ["wheel", "--n", "5", "--output", str(out)])
     assert code == 0
-    _, dpinv = wheel_pinv(5)
+    _, dpinv = wheel_pinv(wheel_build(5))
     np.testing.assert_allclose(read_matrix(out).real, dpinv, atol=1e-13)
     assert report["extras"]["z24"] == [-72, -24, 120, -24]
     assert all(report["extras"]["z_identities"].values())
@@ -414,6 +424,15 @@ def test_bad_sizes_exit_3_and_write_nothing(tmp_path, monkeypatch, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("kind", ["random-matrix", "sum-family", "zero-sum-tree",
+                                  "rank-additive-pair"])
+def test_gen_negative_seed_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys, kind):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", kind, "--seed=-1"]) == 3
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 SHARED_FLAGS = {"--help", "--tol-rank", "--tol-residual", "--pretty"}
 
 
@@ -476,6 +495,17 @@ def test_malformed_matrix_json_exits_1(tmp_path):
     path = tmp_path / "a.json"
     path.write_text('{"rows": 2, "cols": 2, "data": [[0, 0]]}')
     assert main(["pinv", "--input", str(path)]) == 1
+
+
+@pytest.mark.parametrize("command", ["pinv", "verify"])
+@pytest.mark.parametrize("rows, cols", [("true", "true"), ("1", "true"), ("true", "1")])
+def test_boolean_json_sizes_exit_1(tmp_path, capsys, command, rows, cols):
+    path = str(tmp_path / "a.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(f'{{"rows": {rows}, "cols": {cols}, "data": [[1, 0]]}}')
+    aux = ["--aux", path] if command == "verify" else []
+    assert main([command, "--input", path, *aux]) == 1
+    assert "rows/cols must be positive integers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("gen", ["1,,0", "1,0,", ",1,0"])

@@ -24,15 +24,23 @@ import pinvkit.sumdecomp
 from pinvkit.cli import main
 from pinvkit.core import gen_random_matrix, penrose_residuals, pinv
 from pinvkit.graphdist import gen_zero_sum_tree, wheel_build, wheel_z
-from pinvkit.linalg import lu_factor, svd
+from pinvkit.linalg import cholesky_factor, inverse, lu_factor, svd
 from pinvkit.matrix import (
     VerificationError,
     dagger,
     dumps_matrix_csv,
     dumps_matrix_json,
     dumps_tree_csv,
+    frobenius,
 )
-from pinvkit.sumdecomp import fill_fishkind_pinv, gen_rank_additive_pair
+from pinvkit.sumdecomp import (
+    CompletionData,
+    auto_completion,
+    completion_pinv_pair,
+    fill_fishkind_pinv,
+    gen_rank_additive_pair,
+    rank_completion_pinv,
+)
 
 MODULES = (
     pinvkit,
@@ -192,6 +200,79 @@ def test_fill_fishkind_factors_each_matrix_once(monkeypatch):
     assert cores and r2 < 8
     assert all(min(m.shape) <= r2 for m in cores)
     np.testing.assert_allclose(x, pinv(a1 + a2), atol=1e-9)
+
+
+# --------------------------------------------------------------------------
+# completion forms: the input picks the factorization
+
+
+def record_forms(monkeypatch) -> dict[str, list[np.ndarray]]:
+    return {
+        "inverse": record_calls(monkeypatch, inverse),
+        "cholesky": record_calls(monkeypatch, cholesky_factor),
+        "svd": record_calls(monkeypatch, svd),
+    }
+
+
+def assert_matches_pinv(x, want):
+    assert frobenius(x - want) <= 1e-9 * frobenius(want)
+
+
+@pytest.mark.parametrize(
+    "rows,cols,partial,form",
+    [
+        (5, 5, False, "inverse"),
+        (6, 4, False, "gram-left"),
+        (4, 6, False, "gram-right"),
+        (6, 4, True, "pinv"),
+    ],
+)
+def test_rank_completion_input_picks_its_form(monkeypatch, rows, cols, partial, form):
+    a = gen_random_matrix(41, rows, cols, rank=2 if partial else min(rows, cols) - 2)
+    comp = auto_completion(a)
+    if partial:
+        comp = CompletionData(comp.f_basis[:, :1], comp.g_basis[:, :1], comp.d[:1])
+    completed = a + (comp.g_basis * comp.d) @ dagger(comp.f_basis)
+    want = pinv(a)
+    calls = record_forms(monkeypatch)
+    x = rank_completion_pinv(a, comp)
+    assert_matches_pinv(x, want)
+    assert count_equal(calls["svd"], a) == 1
+    if form == "inverse":
+        assert count_equal(calls["inverse"], completed) == 1 and calls["cholesky"] == []
+    elif form == "pinv":
+        assert count_equal(calls["svd"], completed) == 1
+        assert calls["inverse"] == [] and calls["cholesky"] == []
+    else:
+        # the left Gram matrix is M*M (n x n), the right one MM* (m x m)
+        left = form == "gram-left"
+        gram = dagger(completed) @ completed if left else completed @ dagger(completed)
+        assert calls["inverse"] == [] and len(calls["cholesky"]) == 1
+        got = calls["cholesky"][0]
+        assert got.shape == gram.shape and frobenius(got - gram) <= 1e-9 * frobenius(gram)
+
+
+@pytest.mark.parametrize("form", ["invertible", "gram-left", "gram-right"])
+def test_pair_completion_input_picks_its_form(monkeypatch, form):
+    if form == "gram-right":
+        a = np.array([[1.0, 0.0, 0.0]], dtype=np.complex128)  # 1 x 3, N(A*) = 0
+        b = np.zeros((1, 3), dtype=np.complex128)
+    else:
+        a = gen_random_matrix(23, 6, 6, rank=3)
+        # B = C N*, with C in N(A*) for the invertible form and random otherwise
+        b = _pair_partner(a, 3, form == "invertible", np.random.default_rng(4))
+    want = pinv(a)
+    calls = record_forms(monkeypatch)
+    x = completion_pinv_pair(a, b)
+    assert_matches_pinv(x, want)
+    if form == "invertible":
+        assert count_equal(calls["inverse"], a + b) == 1 and calls["cholesky"] == []
+    elif form == "gram-left":
+        assert calls["inverse"] == []
+        assert count_equal(calls["cholesky"], dagger(a) @ a + dagger(b) @ b) == 1
+    else:
+        assert calls["inverse"] == []
+        assert count_equal(calls["cholesky"], a @ dagger(a) + b @ dagger(b)) == 1
 
 
 # --------------------------------------------------------------------------

@@ -187,7 +187,7 @@ def test_tree_pinv_refuses_nonzero_weight_sum():
     with pytest.raises(PreconditionError, match="zero-sum"):
         tree_pinv(tree)
     with pytest.raises(PreconditionError, match="zero-sum"):
-        tree_u_and_reconstruction(tree)
+        tree_u_and_reconstruction(tree, pinv(tree.D).real)
 
 
 def test_tree_pinv_rejects_zero_alpha():
@@ -220,7 +220,7 @@ def test_shift_inverse_is_134_on_random_trees():
 def test_u_path3_frozen():
     # tau^t L tau = 0 here, so only the definitional route runs
     tree = tree_build(PATH3_EDGES)
-    u, rebuilt = tree_u_and_reconstruction(tree)
+    u, rebuilt = tree_u_and_reconstruction(tree, tree_pinv(tree))
     np.testing.assert_allclose(u, [0.25, 0.0, -0.25], atol=1e-14)
     np.testing.assert_allclose(rebuilt, PATH3_D / 2.0, atol=1e-13)
 
@@ -233,14 +233,14 @@ def test_u_dual_routes_agree_on_random_trees():
         tree = gen_zero_sum_tree(seed, 5 + seed)
         if abs(float(tree.tau @ tree.L @ tree.tau)) > 1e-7:
             hit_closed_form += 1
-        u, rebuilt = tree_u_and_reconstruction(tree)
+        u, rebuilt = tree_u_and_reconstruction(tree, tree_pinv(tree))
         np.testing.assert_allclose(rebuilt, pinv(tree.D), atol=1e-8)
     assert hit_closed_form >= 5
 
 
 def test_u_reconstruction_matches_tree_pinv():
     tree = gen_zero_sum_tree(33, 14)
-    _, rebuilt = tree_u_and_reconstruction(tree)
+    _, rebuilt = tree_u_and_reconstruction(tree, tree_pinv(tree))
     np.testing.assert_allclose(rebuilt, tree_pinv(tree), atol=1e-10)
 
 
@@ -251,7 +251,7 @@ def test_u_definition_from_oracle_pseudoinverse():
     e = np.ones(tree.n)
     dpe = dp @ e
     want = 0.5 * (dpe - (float(e @ dpe) / 4.0) * tree.tau)
-    u, _ = tree_u_and_reconstruction(tree)
+    u, _ = tree_u_and_reconstruction(tree, tree_pinv(tree))
     np.testing.assert_allclose(u, want, atol=1e-10)
 
 
@@ -327,7 +327,7 @@ def test_wheel_z_identities_reject_wrong_length():
 
 
 def test_wheel_pinv_n5_frozen_blocks():
-    inv134, dpinv = wheel_pinv(5)
+    inv134, dpinv = wheel_pinv(wheel_build(5))
     want_inv = np.array(
         [
             [-16, 4, 4, 4, 4],
@@ -356,7 +356,7 @@ def test_wheel_pinv_rim_is_z_minus_v():
     # the rim block of D^+ subtracts the alternating dyad block from circ(z)
     for n in (5, 9, 13):
         wheel = wheel_build(n)
-        inv134, dpinv = wheel_pinv(n)
+        inv134, dpinv = wheel_pinv(wheel)
         rim_gap = (inv134 - dpinv)[1:, 1:] * (n - 1) ** 2
         np.testing.assert_allclose(rim_gap[0], wheel.v, atol=1e-10)
 
@@ -364,7 +364,7 @@ def test_wheel_pinv_rim_is_z_minus_v():
 def test_wheel_pinv_is_134_and_penrose():
     for n in (5, 7, 11):
         wheel = wheel_build(n)
-        inv134, dpinv = wheel_pinv(n)
+        inv134, dpinv = wheel_pinv(wheel)
         assert is_134_inverse(wheel.D, inv134)
         assert penrose_residuals(wheel.D, dpinv).passed
 
@@ -372,13 +372,13 @@ def test_wheel_pinv_is_134_and_penrose():
 @pytest.mark.parametrize("n", [5, 7, 9, 15, 21, 25])
 def test_wheel_pinv_matches_oracle(n):
     wheel = wheel_build(n)
-    _, dpinv = wheel_pinv(n)
+    _, dpinv = wheel_pinv(wheel)
     assert np.abs(dpinv - pinv(wheel.D)).max() < 1e-9
 
 
 def test_wheel_pinv_projects_onto_range():
     wheel = wheel_build(9)
-    _, dpinv = wheel_pinv(9)
+    _, dpinv = wheel_pinv(wheel)
     proj = np.eye(9) - np.outer(wheel.a, wheel.a) / 8.0
     np.testing.assert_allclose(wheel.D @ dpinv, proj, atol=1e-9)
 
@@ -403,5 +403,5 @@ def test_wheel_properties_sweep(n):
 
 def test_wheel_eigvector_identity_direct():
     wheel = wheel_build(5)
-    inv134, _ = wheel_pinv(5)
+    inv134, _ = wheel_pinv(wheel)
     np.testing.assert_allclose(inv134 @ wheel.a, wheel.a / 4.0, atol=1e-12)

@@ -220,7 +220,7 @@ def test_completion_data_validation():
 def test_rank_completion_diagonal_example():
     e2 = np.array([[0.0], [1.0]], dtype=np.complex128)
     comp = CompletionData(e2, e2, np.array([1.0]))
-    got = rank_completion_pinv(diag(1, 0), comp, mode="inverse")
+    got = rank_completion_pinv(diag(1, 0), comp)
     np.testing.assert_allclose(got, diag(1, 0), atol=1e-14)
 
 
@@ -240,33 +240,24 @@ def test_rank_completion_auto_matches_oracle():
     assert frobenius(got - pinv(a)) <= 1e-9 * max(1.0, frobenius(pinv(a)))
 
 
-@pytest.mark.parametrize("rows,cols,rank,mode", [
+@pytest.mark.parametrize("rows,cols,rank,form", [
     (5, 5, 3, "inverse"),
     (6, 4, 2, "gram-left"),
     (4, 6, 2, "gram-right"),
     (6, 4, 2, "pinv"),
 ])
-def test_rank_completion_modes_match_oracle(rows, cols, rank, mode):
+def test_rank_completion_modes_match_oracle(rows, cols, rank, form):
+    # the shape picks the form of a full completion; a partial one takes pinv
     rng = np.random.default_rng(rows * 100 + cols * 10 + rank)
     left = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
     right = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
     a = left @ right
-    got = rank_completion_pinv(a, mode=mode)
+    comp = auto_completion(a)
+    if form == "pinv":
+        comp = CompletionData(comp.f_basis[:, :1], comp.g_basis[:, :1], comp.d[:1])
+    got = rank_completion_pinv(a, comp)
     want = pinv(a)
     assert frobenius(got - want) <= 1e-9 * max(1.0, frobenius(want))
-
-
-def test_rank_completion_mode_preconditions():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((6, 4)) + 0j
-    with pytest.raises(PreconditionError, match="square"):
-        rank_completion_pinv(a, mode="inverse")
-    with pytest.raises(PreconditionError, match="m >= n"):
-        rank_completion_pinv(dagger(a), mode="gram-left")
-    with pytest.raises(PreconditionError, match="n >= m"):
-        rank_completion_pinv(a, mode="gram-right")
-    with pytest.raises(PreconditionError, match="mode"):
-        rank_completion_pinv(a, mode="magic")
 
 
 def test_rank_completion_partial_completion():
@@ -274,7 +265,7 @@ def test_rank_completion_partial_completion():
     a = diag(3, 0, 0)
     e2 = np.zeros((3, 1), dtype=np.complex128)
     e2[1, 0] = 1.0
-    got = rank_completion_pinv(a, CompletionData(e2, e2, np.array([2.0])), mode="pinv")
+    got = rank_completion_pinv(a, CompletionData(e2, e2, np.array([2.0])))
     np.testing.assert_allclose(got, diag(1 / 3, 0, 0), atol=1e-12)
 
 
@@ -291,51 +282,46 @@ def test_rank_completion_invariant_under_weights_and_basis():
         )
         mix = random_unitary(rng, base.count)
         comp = CompletionData(base.f_basis @ mix, base.g_basis @ mix, d)
-        results.append(rank_completion_pinv(a, comp, mode="inverse"))
+        results.append(rank_completion_pinv(a, comp))
     assert frobenius(results[0] - results[1]) <= 1e-8 * max(1.0, frobenius(results[0]))
 
 
 def test_pair_completion_diagonal_both_modes():
     a, b = diag(1, 0), diag(0, 3)
-    for mode in ("gram", "invertible", "auto"):
-        np.testing.assert_allclose(
-            completion_pinv_pair(a, b, mode=mode), diag(1, 0), atol=1e-12
-        )
+    np.testing.assert_allclose(completion_pinv_pair(a, b), diag(1, 0), atol=1e-12)
 
 
 def test_pair_completion_signed_path_distances():
     d = np.array([[0, 1, 0], [1, 0, -1], [0, -1, 0]], dtype=np.complex128)
     tau = np.array([[1.0], [0.0], [1.0]], dtype=np.complex128)
     b = tau @ tau.T
-    for mode in ("gram-left", "invertible"):
-        got = completion_pinv_pair(d, b, mode=mode)
-        np.testing.assert_allclose(got, d / 2, atol=1e-12)
+    got = completion_pinv_pair(d, b)
+    np.testing.assert_allclose(got, d / 2, atol=1e-12)
 
 
 def test_pair_completion_circulant_ones_dyad():
     b = np.ones((3, 3), dtype=np.complex128)
-    got = completion_pinv_pair(CIRC_DIFF_3, b, mode="auto")
+    got = completion_pinv_pair(CIRC_DIFF_3, b)
     np.testing.assert_allclose(got, CIRC_DIFF_3_PINV, atol=1e-12)
 
 
 def test_pair_completion_gram_right():
     a = np.array([[1.0, 0.0, 0.0]], dtype=np.complex128)  # 1x3, N(A*) = 0
     b = np.zeros((1, 3), dtype=np.complex128)
-    got = completion_pinv_pair(a, b, mode="gram-right")
+    got = completion_pinv_pair(a, b)
     np.testing.assert_allclose(got, dagger(a), atol=1e-12)
 
 
 def test_pair_completion_named_errors():
     with pytest.raises(PreconditionError, match="same shape"):
         completion_pinv_pair(np.eye(2), np.eye(3))
-    with pytest.raises(PreconditionError, match="A B\\* is not zero"):
-        completion_pinv_pair(diag(1, 0), diag(1, 0), mode="gram-left")
-    with pytest.raises(PreconditionError, match="does not fill"):
-        completion_pinv_pair(diag(1, 0, 0), diag(0, 1, 0), mode="gram-left")
     with pytest.raises(PreconditionError, match="completes neither"):
-        completion_pinv_pair(diag(1, 0), diag(1, 0), mode="auto")
-    with pytest.raises(PreconditionError, match="mode"):
-        completion_pinv_pair(diag(1, 0), diag(0, 1), mode="sideways")
+        completion_pinv_pair(diag(1, 0), diag(1, 0))
+    # B lies in N(A) but is one rank short of filling it
+    with pytest.raises(
+        PreconditionError, match=r"rank\(B\) = 1, dim N\(A\) = 2, dim N\(A\*\) = 2"
+    ):
+        completion_pinv_pair(diag(1, 0, 0), diag(0, 1, 0))
 
 
 def test_pair_completion_oracle_random():
@@ -348,7 +334,7 @@ def test_pair_completion_oracle_random():
         db = rng.uniform(0.5, 2.0, size=6 - r)
         a = (u[:, :r] * da) @ dagger(w[:, :r])
         b = (u[:, r:] * db) @ dagger(w[:, r:])
-        got = completion_pinv_pair(a, b, mode="auto")
+        got = completion_pinv_pair(a, b)
         want = pinv(a)
         assert frobenius(got - want) <= 1e-9 * max(1.0, frobenius(want))
 
