@@ -8,15 +8,20 @@ It times, as the median of several repeats, on seeded complex inputs:
 - svd        linalg.svd: B and V as the rows of one array, each round's pairs
              as two contiguous halves, identity rotations for pairs that pass
              the stopping test, and a Gram certificate before each sweep
+- deflated   linalg.svd(a, deflate=True), as the pseudoinverse routes call it:
+             roundoff-level columns are zeroed at the deflation floor
   at every (rows, cols, rank) of the benchmark's dense-oracle workload, and at
   square 96 and tall 256 x 32 and 512 x 16, each at full and at half rank.
 
 For each kernel and shape it records the median milliseconds, the sweeps (the
 smallest max_sweeps with which the kernel returns, found by search), the
-rounds those sweeps run, and the microseconds per round. It checks that both
-kernels give the same rank and singular values within 1e-13 of sigma_1, and
-writes everything with the machine's description to a JSON file. Only the
-standard library, numpy and pinvkit are used.
+rounds those sweeps run, and the microseconds per round. It checks that svd
+gives the reference's rank and singular values within 1e-13 of sigma_1, and
+that the deflated kernel gives the reference's rank and, above the rank
+cutoff, singular values within its zeroed mass ||E||_F plus 1e-13 of
+sigma_1; it exits 1 if any check fails. Everything is written with the
+machine's description to a JSON file. Only the standard library, numpy and
+pinvkit are used.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 bench/svd_layers.py
     PYTHONPATH=src python3 bench/svd_layers.py --out x.json --repeats 3
@@ -123,7 +128,11 @@ def reference_svd(a: np.ndarray, tol: Tolerance = DEFAULT_TOL, max_sweeps: int =
     return SvdFactorization(u=u, sigma=sigma, v=v, rank=rank)
 
 
-KERNELS = {"reference": reference_svd, "svd": svd}
+def deflated_svd(a: np.ndarray, max_sweeps: int = 60) -> SvdFactorization:
+    return svd(a, max_sweeps=max_sweeps, deflate=True)
+
+
+KERNELS = {"reference": reference_svd, "svd": svd, "deflated": deflated_svd}
 
 
 def complex_gaussian(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
@@ -161,8 +170,11 @@ def fewest_sweeps(kernel, a: np.ndarray) -> int:
 
 def measure(m: int, n: int, r: int, repeats: int) -> dict:
     a = low_rank(np.random.default_rng(1000 * m + 10 * n + r), m, n, r)
-    ref, new = reference_svd(a), svd(a)
-    gap = float(np.max(np.abs(new.sigma - ref.sigma)) / ref.sigma[0])
+    ref, new, fast = reference_svd(a), svd(a), deflated_svd(a)
+    sigma_1 = float(ref.sigma[0])
+    gap = float(np.max(np.abs(new.sigma - ref.sigma))) / sigma_1
+    kept = ref.sigma > DEFAULT_TOL.rank_cutoff(sigma_1, m, n)
+    fast_gap = float(np.max(np.abs(fast.sigma - ref.sigma)[kept]))
     ms = median_ms({name: (lambda kernel=kernel: kernel(a)) for name, kernel in KERNELS.items()}, repeats)
     rounds_per_sweep = len(_round_robin(min(m, n)))
     kernels = {}
@@ -179,9 +191,13 @@ def measure(m: int, n: int, r: int, repeats: int) -> dict:
         "m": m, "n": n, "rank": r,
         "kernels": kernels,
         "checks": {
-            "ranks": [ref.rank, new.rank],
+            "ranks": [ref.rank, new.rank, fast.rank],
             "sigma_gap": gap,
+            "deflated_mass": fast.deflated,
+            "deflated_sigma_gap": fast_gap,
             "agree": ref.rank == new.rank and gap <= 1e-13,
+            "deflated_agree": ref.rank == fast.rank
+            and fast_gap <= fast.deflated + 1e-13 * sigma_1,
         },
     }
 
@@ -200,17 +216,18 @@ def main(argv=None) -> int:
         },
     )
     for row in rows:
-        ref, new = row["kernels"]["reference"], row["kernels"]["svd"]
         print(
             f"{row['m']:>3}x{row['n']:<3} r{row['rank']:<3}"
-            f"  reference {ref['median_ms']:8.2f} ms {ref['sweeps']:2d} sweeps"
-            f" {ref['us_per_round'] or 0:6.1f} us/round"
-            f"  svd {new['median_ms']:8.2f} ms {new['sweeps']:2d} sweeps"
-            f" {new['us_per_round'] or 0:6.1f} us/round"
+            + "".join(
+                f"  {name} {k['median_ms']:8.2f} ms {k['sweeps']:2d} sweeps"
+                f" {k['us_per_round'] or 0:6.1f} us/round"
+                for name, k in row["kernels"].items()
+            )
         )
     totals = payload["total_median_ms"]
     print("  ".join(f"{name} {value:.1f} ms" for name, value in totals.items()))
-    return 0 if all(row["checks"]["agree"] for row in rows) else 1
+    checks = [row["checks"] for row in rows]
+    return 0 if all(c["agree"] and c["deflated_agree"] for c in checks) else 1
 
 
 if __name__ == "__main__":

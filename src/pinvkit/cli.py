@@ -236,7 +236,7 @@ def _cmd_pinv(args, tol: Tolerance) -> RunReport:
     if not args.input:
         raise PreconditionError("pinv needs --input")
     a, in_digest = _load_matrix(args.input)
-    factorization = svd(a, tol)
+    factorization = svd(a, tol, deflate=True)
     if args.method == "svd":
         x = pinv(a, tol, factorization)
     elif args.method == "normal":
@@ -408,7 +408,7 @@ def _cmd_verify(args, tol: Tolerance) -> RunReport:
     a, in_digest = _load_matrix(args.input)
     x, _ = _load_matrix(args.aux)
     pen = penrose_residuals(a, x, tol)
-    factorization = svd(a, tol)
+    factorization = svd(a, tol, deflate=True)
     chars = characterization_residuals(a, x, tol, factorization)
     every = {**pen.residuals, **chars.residuals}
     return RunReport(

@@ -87,9 +87,9 @@ def pinv(
 
     Only singular values above the rank cutoff are inverted, so rank-deficient
     and zero matrices need no special-casing. A caller that already holds
-    svd(a, tol) passes it as factorization.
+    svd(a, tol, deflate=True) passes it as factorization.
     """
-    f = factorization if factorization is not None else svd(a, tol)
+    f = factorization if factorization is not None else svd(a, tol, deflate=True)
     ur, vr = f.cutoff_slices
     if f.rank == 0:
         return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128)
@@ -105,7 +105,7 @@ def projectors(
     P_range_adjoint + P_null = I on the domain.
     """
     m, n = a.shape
-    f = factorization if factorization is not None else svd(a, tol)
+    f = factorization if factorization is not None else svd(a, tol, deflate=True)
     ur, vr = f.cutoff_slices
     p_range = ur @ dagger(ur)
     p_range_adj = vr @ dagger(vr)
@@ -152,7 +152,7 @@ def characterization_residuals(
       (v)   XA = P_R(A*)           and N(X) = N(A*)
       (vi)  AX = P_R(A)            and XA = P_R(X)
 
-    factorization, if given, is svd(a, tol) and saves recomputing it.
+    factorization, if given, is svd(a, tol, deflate=True) and saves recomputing it.
     """
     _check_shapes(a, x)
     p_range_a, p_null_a_adj, p_range_a_adj, p_null_a = projectors(a, tol, factorization)
@@ -191,10 +191,10 @@ def pinv_normal_equations(
     Full column rank: (A*A)^-1 A* by a Cholesky solve. Full row rank:
     A* (AA*)^-1. Otherwise the general form (A*A)^+ A*, where
     (A*A)^+ = V_r Sigma_r^-2 V_r* comes from the same factorization,
-    svd(a, tol), computed here when the caller has none.
+    svd(a, tol, deflate=True), computed here when the caller has none.
     """
     m, n = a.shape
-    f = factorization if factorization is not None else svd(a, tol)
+    f = factorization if factorization is not None else svd(a, tol, deflate=True)
     a_adj = dagger(a)
     if f.rank == n:
         low = cholesky_factor(a_adj @ a)

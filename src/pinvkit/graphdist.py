@@ -247,8 +247,10 @@ def tree_pinv(
     serves two routes that are computed and compared: the explicit form
     M^-1 - tau tau^t / (alpha ||tau||^4), and the solution of
     M X = I - tau tau^t/||tau||^2. The result is independent of alpha. A
-    singular M (impossible for a genuine zero-sum tree) surfaces as a hard
-    error from the factorization.
+    singular M (impossible for a genuine zero-sum tree and the automatic
+    alpha) surfaces as a hard error from the factorization; for an alpha
+    the caller gave, whose shift drowns D or vanishes beside it at working
+    precision, that error names alpha and the automatic value.
 
     A normal return certifies rank(D) = n - 1 without an SVD: tree_build
     checked D tau = 0 for the zero-sum tree, and tau != 0 (e^t tau = 2), so
@@ -256,11 +258,20 @@ def tree_pinv(
     M is invertible and its rank-one downdate D has rank >= n - 1; and the
     result passed the four Penrose residuals.
     """
+    given = alpha is not None
     alpha = _shift_alpha(tree, alpha, tol)
     tau = tree.tau
     tau_sq = float(tau @ tau)
     shifted = tree.D + alpha * np.outer(tau, tau)
-    lu = lu_factor(shifted)
+    try:
+        lu = lu_factor(shifted)
+    except PreconditionError as exc:
+        if not given:
+            raise
+        raise PreconditionError(
+            f"D + alpha tau tau^t is singular at working precision for alpha = {alpha:.6g}; "
+            f"choose an alpha nearer the automatic {_auto_alpha(tree, tol):.6g}"
+        ) from exc
     inv = np.real(lu.inverse())
     explicit = inv - np.outer(tau, tau) / (alpha * tau_sq**2)
     equation = np.real(lu.solve(np.eye(tree.n) - np.outer(tau, tau) / tau_sq))

@@ -20,6 +20,16 @@ two, so squared norms neither overflow nor underflow at extreme scales.
 Missing columns of U, for rank-deficient or tall inputs, come from the
 Householder reflectors that reduce the accepted columns to triangular form.
 
+A column whose norm falls to the dead floor is frozen at zero. svd keeps
+that floor at u^3 ||A||_F, so tiny but genuine singular values, such as
+those of graded inputs, stay accurate (Demmel-Veselic 1992). Callers that
+read only the singular values above the rank cutoff, which are the
+pseudoinverse routes in core and sumdecomp and the CLI's pinv and verify,
+pass deflate=True: the floor rises to just below the rank cutoff, the
+roundoff block of a rank-deficient input is zeroed in a few sweeps instead
+of ground down, and SvdFactorization.deflated bounds how far that moved
+any singular value. hermitian_eigenvalues keeps the accurate kernel.
+
 The solvers (partial-pivot LU, Cholesky) are the plain textbook algorithms;
 they exist so the closed-form paths never have to fall back to an external
 linear-algebra backend.
@@ -53,12 +63,20 @@ class SvdFactorization:
 
     sigma has length min(m, n), sorted non-increasing; rank counts the
     singular values above cutoff = rank_rel * sigma[0] * max(m, n).
+
+    deflated is ||E||_F, in the units of A, for the columns of B = A V that
+    the kernel froze at zero: u @ diag(sigma) @ v* = A - E v* exactly in
+    exact arithmetic, so with v unitary every sigma lies within deflated of
+    the singular value of A it stands for (Weyl). It is roundoff far below
+    any cutoff for svd(a), and below the rank cutoff / 8 per column for
+    svd(a, deflate=True).
     """
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
     rank: int
+    deflated: float = 0.0
 
     @property
     def cutoff_slices(self) -> tuple[np.ndarray, np.ndarray]:
@@ -162,7 +180,9 @@ def _certified(bt: np.ndarray, norms2: np.ndarray, threshold: float) -> bool:
     return not np.any(gram > np.outer(threshold * root, root))
 
 
-def svd(a: np.ndarray, tol: Tolerance = DEFAULT_TOL, max_sweeps: int = 60) -> SvdFactorization:
+def svd(
+    a: np.ndarray, tol: Tolerance = DEFAULT_TOL, max_sweeps: int = 60, deflate: bool = False
+) -> SvdFactorization:
     """One-sided Jacobi SVD of a complex matrix, in round-robin order.
 
     The columns of B and V are the rows of one array [B | V], so one set of
@@ -178,12 +198,27 @@ def svd(a: np.ndarray, tol: Tolerance = DEFAULT_TOL, max_sweeps: int = 60) -> Sv
     after that many. U is b with its columns normalized, completed to a
     unitary by Householder reflectors. Raises PreconditionError on inf or
     nan entries.
+
+    A column is frozen at zero once its norm falls to the dead floor. By
+    default that floor is u^3 ||A||_F, so singular values far below the
+    rank cutoff, such as those of a graded D1 A D2, keep their relative
+    accuracy (Demmel-Veselic 1992). deflate=True raises it to
+    min(c_lo / 8, tau ||A||_F / sqrt(n)), with c_lo =
+    tol.rank_cutoff(||A||_F / sqrt(n), m, n) a lower bound on the rank
+    cutoff (sigma_1 >= ||A||_F / sqrt(n)) and tau = tol.residual_rel: the
+    roundoff-level columns of a rank-deficient input are zeroed instead of
+    ground down, which saves about half the sweeps, as LAPACK's xGEJSV
+    truncates its negligible part. The zeroed mass is returned as
+    deflated, and every sigma moves by at most that much. Callers that read
+    only the singular values above the rank cutoff (the pseudoinverse
+    routes and the CLI) turn it on; the tau cap keeps each zeroed column
+    within the Penrose bounds of AX and XA.
     """
     a = np.asarray(a, dtype=np.complex128)
     m, n = a.shape
     if m < n:
-        f = svd(dagger(a), tol, max_sweeps)
-        return SvdFactorization(u=f.v, sigma=f.sigma, v=f.u, rank=f.rank)
+        f = svd(dagger(a), tol, max_sweeps, deflate)
+        return SvdFactorization(u=f.v, sigma=f.sigma, v=f.u, rank=f.rank, deflated=f.deflated)
 
     # Squared column norms overflow for entries above ~1e154 and underflow
     # below ~1e-154, so the iteration runs on a copy scaled by a power of
@@ -207,13 +242,20 @@ def svd(a: np.ndarray, tol: Tolerance = DEFAULT_TOL, max_sweeps: int = 60) -> Sv
     # would otherwise shrink them without bound, toward denormal livelock.
     # The floor sits at u^3 ||A||_F, not u^2: a graded matrix (D1 A D2 with
     # scales over 1e-8..1e8) has genuine singular values near 1e-32 ||A||_F.
-    dead_floor = (UNIT_ROUNDOFF**3 * frobenius(w[:n, :m])) ** 2
+    norm = frobenius(w[:n, :m])
+    floor = UNIT_ROUNDOFF**3 * norm
+    if deflate and n:
+        typical = norm / np.sqrt(n)
+        floor = max(floor, min(tol.rank_cutoff(typical, m, n) / 8.0, tol.residual_rel * typical))
+    dead_floor = floor**2
+    zeroed2 = 0.0
     first, steps = _sweep_schedule(n)
     w = w[first]
     for sweep in itertools.count():
         norms2 = _squared_norms(w[:, :m])
         dead = norms2 <= dead_floor
         if np.any(dead):
+            zeroed2 += float(np.sum(norms2[dead]))
             w[dead, :m] = 0.0
         if _certified(w[:, :m], norms2, threshold):
             break
@@ -271,7 +313,8 @@ def svd(a: np.ndarray, tol: Tolerance = DEFAULT_TOL, max_sweeps: int = 60) -> Sv
     sigma_max = sigma[0] if sigma.size else 0.0
     cutoff = tol.rank_cutoff(sigma_max, m, n)
     rank = int(np.count_nonzero(sigma > cutoff))
-    return SvdFactorization(u=u, sigma=sigma, v=v, rank=rank)
+    deflated = float(np.sqrt(zeroed2) / scale)
+    return SvdFactorization(u=u, sigma=sigma, v=v, rank=rank, deflated=deflated)
 
 
 @dataclass(frozen=True)

@@ -247,10 +247,10 @@ def auto_completion(
     """Full null-space completion from the SVD, weights d_k = sigma_1.
 
     The scale-matched weight keeps the completed matrix's conditioning close
-    to that of A itself. factorization, if given, is svd(a, tol).
+    to that of A itself. factorization, if given, is svd(a, tol, deflate=True).
     """
     m, n = a.shape
-    f = factorization if factorization is not None else svd(a, tol)
+    f = factorization if factorization is not None else svd(a, tol, deflate=True)
     q = min(m, n)
     p = q - f.rank
     weight = f.sigma[0] if f.rank > 0 else 1.0
@@ -280,11 +280,11 @@ def rank_completion_pinv(
       partial completion       SVD pseudoinverse of M
 
     A is factored once, for the rank and the default completion;
-    factorization, if given, is svd(a, tol) and saves that too.
+    factorization, if given, is svd(a, tol, deflate=True) and saves that too.
     """
     a = as_matrix(a)
     m, n = a.shape
-    fa = factorization if factorization is not None else svd(a, tol)
+    fa = factorization if factorization is not None else svd(a, tol, deflate=True)
     if comp is None:
         comp = auto_completion(a, tol, fa)
     _validate_completion(a, comp, tol)
@@ -323,7 +323,7 @@ def completion_pinv_pair(
       else R(B*) = N(A): solve (A*A + B*B) X = A*
       else R(B) = N(A*): solve X (AA* + BB*) = A*
 
-    A and B are each factored once; factorization, if given, is svd(a, tol).
+    A and B are each factored once; factorization, if given, is svd(a, tol, deflate=True).
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -333,8 +333,8 @@ def completion_pinv_pair(
     # rounding, plus the singular values below A's rank cutoff that A B* keeps
     norm_a = frobenius(a)
     bound = (tol.bound(norm_a) + tol.rank_cutoff(norm_a, m, n)) * frobenius(b)
-    fa = factorization if factorization is not None else svd(a, tol)
-    fb = svd(b, tol)
+    fa = factorization if factorization is not None else svd(a, tol, deflate=True)
+    fb = svd(b, tol, deflate=True)
     range_bstar_in_null_a = frobenius(a @ dagger(b)) <= bound
     range_b_in_null_astar = frobenius(dagger(a) @ b) <= bound
     fills_null_a = range_bstar_in_null_a and fb.rank == n - fa.rank
@@ -375,7 +375,7 @@ def completion_pinv_pair(
 def _core_pinv(core: np.ndarray, n: int, tol: Tolerance) -> np.ndarray:
     """core^+ for the n x n product V core N* with orthonormal V and N: both have
     the same singular values, so the core keeps rank_cutoff(sigma_max, n, n)."""
-    f = svd(core, tol)
+    f = svd(core, tol, deflate=True)
     cutoff = tol.rank_cutoff(np.max(f.sigma, initial=0.0), n, n)
     return pinv(core, tol, replace(f, rank=int(np.count_nonzero(f.sigma > cutoff))))
 
@@ -387,7 +387,10 @@ def fill_fishkind_pinv(
 
     Requires rank(A1 + A2) = rank(A1) + rank(A2). Singular values within a
     factor of 4 of the rank cutoff make the numerical rank ambiguous; such
-    ties are rejected rather than guessed.
+    ties are rejected rather than guessed. The three matrices are factored
+    with deflate=True; if any of them zeroed a mass of cutoff / 4 or more,
+    which could carry a singular value past the tie band, all three are
+    factored again by the accurate kernel.
 
     L = (P_R(A2*) P_N(A1))^+ = N1 (V2* N1)^+ V2* and R = (P_N(A1*) P_R(A2))^+
     = U2 (M1* U2)^+ M1*, from the null-space columns N1, M1 of svd(A1) and the
@@ -398,10 +401,19 @@ def fill_fishkind_pinv(
     if a1.shape != a2.shape or a1.shape[0] != a1.shape[1]:
         raise PreconditionError("Fill-Fishkind needs same-shape square matrices")
     n = a1.shape[0]
-    f1, f2, fs = svd(a1, tol), svd(a2, tol), svd(a1 + a2, tol)
-    for f in (f1, f2, fs):
-        cutoff = tol.rank_cutoff(f.sigma[0] if f.sigma.size else 0.0, n, n)
-        if cutoff > 0 and np.any((f.sigma > cutoff / 4.0) & (f.sigma <= cutoff * 4.0)):
+
+    def cutoff(f: SvdFactorization) -> float:
+        return tol.rank_cutoff(f.sigma[0], n, n)
+
+    factors = [svd(m, tol, deflate=True) for m in (a1, a2, a1 + a2)]
+    # A sigma within deflated of the cutoff could sit on either side of it;
+    # below cutoff / 4 such a sigma still lands in the tie band checked next.
+    if any(cutoff(f) > 0 and f.deflated >= cutoff(f) / 4.0 for f in factors):
+        factors = [svd(m, tol) for m in (a1, a2, a1 + a2)]
+    f1, f2, fs = factors
+    for f in factors:
+        c = cutoff(f)
+        if c > 0 and np.any((f.sigma > c / 4.0) & (f.sigma <= c * 4.0)):
             raise PreconditionError(
                 "a singular value ties with the rank cutoff; rank additivity undecidable"
             )

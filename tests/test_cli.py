@@ -254,6 +254,23 @@ def test_tree_non_finite_alpha_exits_1_without_warnings(tmp_path, capsys, alpha)
     assert "not a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["1e-20", "1e300", "1e-300"])
+def test_tree_badly_scaled_alpha_names_alpha_and_the_automatic_value(tmp_path, capsys, alpha):
+    src = tmp_path / "t.csv"
+    src.write_text("1,2,1\n2,3,-1\n")
+    assert main(["tree", "--input", str(src), f"--alpha={alpha}"]) == 3
+    err = capsys.readouterr().err
+    assert f"alpha = {float(alpha):.6g}" in err
+    assert "automatic 1" in err
+
+
+def test_tree_small_negative_alpha_still_passes(tmp_path, capsys):
+    src = tmp_path / "t.csv"
+    src.write_text("1,2,1\n2,3,-1\n")
+    code, report = run(capsys, ["tree", "--input", str(src), "--alpha=-1e-12"])
+    assert code == 0 and report["passed"]
+
+
 def test_wheel_5_matches_module(tmp_path, capsys):
     out = tmp_path / "w.json"
     code, report = run(capsys, ["wheel", "--n", "5", "--output", str(out)])

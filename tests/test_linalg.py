@@ -434,6 +434,21 @@ def test_svd_matches_reference_at_dense_oracle_shapes(shape):
     _assert_matches_reference(_low_rank(np.random.default_rng(m * 1000 + n * 10 + r), m, n, r))
 
 
+@pytest.mark.parametrize("shape", DENSE_ORACLE_SHAPES, ids=lambda s: "%dx%d-r%d" % s)
+def test_deflated_svd_keeps_v_unitary_and_the_rank(shape):
+    # deflation zeroes columns of B and never touches V, so V is no further
+    # from unitary than the accurate kernel's own V, and every sigma is
+    # within the zeroed mass ||E||_F of the accurate one
+    m, n, r = shape
+    a = _low_rank(np.random.default_rng(m * 1000 + n * 10 + r), m, n, r)
+    f, accurate = svd(a, deflate=True), svd(a)
+    assert f.rank == accurate.rank == r
+    assert np.max(np.abs(f.sigma - accurate.sigma)) <= f.deflated + 1e-13 * accurate.sigma[0]
+    assert f.deflated < DEFAULT_TOL.rank_cutoff(accurate.sigma[0], m, n) / 4.0
+    v_gap, ref_v_gap = (frobenius(dagger(g.v) @ g.v - np.eye(n)) for g in (f, accurate))
+    assert v_gap <= max(10 * UNIT_ROUNDOFF * n, ref_v_gap)
+
+
 @pytest.mark.parametrize(
     "shape",
     [(1, 1), (3, 3), (5, 5), (9, 9), (33, 33), (7, 3), (3, 7), (40, 5), (5, 40),
