@@ -11,7 +11,11 @@ It times, as the median of several repeats, on seeded complex inputs:
 - deflated   linalg.svd(a, deflate=True), as the pseudoinverse routes call it:
              roundoff-level columns are zeroed at the deflation floor
   at every (rows, cols, rank) of the benchmark's dense-oracle workload, and at
-  square 96 and tall 256 x 32 and 512 x 16, each at full and at half rank.
+  square 96 and tall 256 x 32 and 512 x 16, each at full and at half rank;
+- separate   k svd(a, deflate=True) calls, one per member of a stack
+- batched    one svd_batch(stack, deflate=True) call, as the routes make it
+  on the closed-form workload's stacks: (A1, A2, A1 + A2) and the two cores
+  at each Fill-Fishkind slot, and (A, B) at each pair slot, n = 6 to 16.
 
 For each kernel and shape it records the median milliseconds, the sweeps (the
 smallest max_sweeps with which the kernel returns, found by search), the
@@ -19,9 +23,10 @@ rounds those sweeps run, and the microseconds per round. It checks that svd
 gives the reference's rank and singular values within 1e-13 of sigma_1, and
 that the deflated kernel gives the reference's rank and, above the rank
 cutoff, singular values within its zeroed mass ||E||_F plus 1e-13 of
-sigma_1; it exits 1 if any check fails. Everything is written with the
-machine's description to a JSON file. Only the standard library, numpy and
-pinvkit are used.
+sigma_1; that every member of a batched stack is bit-identical to its
+separate svd (rank, zeroed mass, sigma, U and V); and it exits 1 if any
+check fails. Everything is written with the machine's description to a
+JSON file. Only the standard library, numpy and pinvkit are used.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 bench/svd_layers.py
     PYTHONPATH=src python3 bench/svd_layers.py --out x.json --repeats 3
@@ -44,6 +49,7 @@ from pinvkit.linalg import (
     _round_robin,
     _squared_norms,
     svd,
+    svd_batch,
 )
 from pinvkit.matrix import (
     DEFAULT_TOL,
@@ -55,6 +61,9 @@ from pinvkit.matrix import (
     frobenius,
 )
 
+# (n, rank A1, rank A2) and (n, rank A) of the closed-form workload's slots
+FILL_FISHKIND_SLOTS = ((6, 2, 3), (8, 3, 4), (8, 2, 2), (10, 4, 5), (12, 3, 6))
+PAIR_SLOTS = ((6, 3), (8, 5), (8, 4), (10, 6), (12, 6), (16, 10))
 # (rows, cols, rank): the dense-oracle workload's slots, then the larger shapes
 SHAPES = (
     (64, 64, 64), (32, 32, 32), (32, 32, 16), (16, 16, 16), (16, 16, 12), (16, 16, 8),
@@ -202,17 +211,62 @@ def measure(m: int, n: int, r: int, repeats: int) -> dict:
     }
 
 
+def stacks() -> list[tuple[str, list[np.ndarray]]]:
+    """The stacks that fill_fishkind_pinv and pinv --method pair factor."""
+    out = []
+    for n, r1, r2 in FILL_FISHKIND_SLOTS:
+        rng = np.random.default_rng(100 * n + 10 * r1 + r2)
+        a1, a2 = low_rank(rng, n, n, r1), low_rank(rng, n, n, r2)
+        out.append((f"fill_fishkind n{n} r{r1}+{r2}", [a1, a2, a1 + a2]))
+        f1, f2 = svd(a1, deflate=True), svd(a2, deflate=True)
+        left = dagger(f1.v[:, f1.rank :]) @ f2.v[:, : f2.rank]  # the adjoint of V2* N1
+        right = dagger(f1.u[:, f1.rank :]) @ f2.u[:, : f2.rank]
+        out.append((f"fill_fishkind cores n{n} r{r1}+{r2}", [left, right]))
+    for n, r in PAIR_SLOTS:
+        rng = np.random.default_rng(1000 * n + r)
+        a = low_rank(rng, n, n, r)
+        null = svd(a).v[:, r:]
+        out.append((f"pair n{n} r{r}", [a, complex_gaussian(rng, n, n - r) @ dagger(null)]))
+    return out
+
+
+def same_bits(f: SvdFactorization, g: SvdFactorization) -> bool:
+    return (f.rank, f.deflated) == (g.rank, g.deflated) and all(
+        x.shape == y.shape and x.tobytes() == y.tobytes()
+        for x, y in ((f.sigma, g.sigma), (f.u, g.u), (f.v, g.v))
+    )
+
+
+def measure_stack(label: str, mats: list[np.ndarray], repeats: int) -> dict:
+    separate = [svd(a, deflate=True) for a in mats]
+    batched = svd_batch(mats, deflate=True)
+    ms = median_ms({
+        "separate": lambda: [svd(a, deflate=True) for a in mats],
+        "batched": lambda: svd_batch(mats, deflate=True),
+    }, repeats)
+    return {
+        "stack": label, "m": mats[0].shape[0], "n": mats[0].shape[1], "k": len(mats),
+        "median_ms": ms,
+        "checks": {"bit_identical": all(map(same_bits, batched, separate))},
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default="BENCH_svd.json")
     parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args(argv)
     rows = [measure(*shape, args.repeats) for shape in SHAPES]
+    batched = [measure_stack(label, mats, args.repeats) for label, mats in stacks()]
     payload = write_ledger(
         args.out, "svd", args.repeats,
         shapes=rows,
         total_median_ms={
             name: sum(row["kernels"][name]["median_ms"] for row in rows) for name in KERNELS
+        },
+        batched=batched,
+        batched_total_median_ms={
+            name: sum(row["median_ms"][name] for row in batched) for name in ("separate", "batched")
         },
     )
     for row in rows:
@@ -226,8 +280,16 @@ def main(argv=None) -> int:
         )
     totals = payload["total_median_ms"]
     print("  ".join(f"{name} {value:.1f} ms" for name, value in totals.items()))
-    checks = [row["checks"] for row in rows]
-    return 0 if all(c["agree"] and c["deflated_agree"] for c in checks) else 1
+    for row in batched:
+        ms = row["median_ms"]
+        print(
+            f"{row['stack']:<30} k={row['k']} {row['m']}x{row['n']}"
+            f"  separate {ms['separate']:6.2f} ms  batched {ms['batched']:6.2f} ms"
+            f"  bit-identical {row['checks']['bit_identical']}"
+        )
+    agree = all(row["checks"]["agree"] and row["checks"]["deflated_agree"] for row in rows)
+    identical = all(row["checks"]["bit_identical"] for row in batched)
+    return 0 if agree and identical else 1
 
 
 if __name__ == "__main__":

@@ -57,7 +57,7 @@ from .graphdist import (
     wheel_pinv,
     wheel_z_identities,
 )
-from .linalg import svd
+from .linalg import svd, svd_batch
 from .matrix import (
     DEFAULT_TOL,
     ConvergenceError,
@@ -236,7 +236,18 @@ def _cmd_pinv(args, tol: Tolerance) -> RunReport:
     if not args.input:
         raise PreconditionError("pinv needs --input")
     a, in_digest = _load_matrix(args.input)
-    factorization = svd(a, tol, deflate=True)
+    if args.method != "pair":
+        factorization = svd(a, tol, deflate=True)
+    else:
+        if not args.aux:
+            raise PreconditionError("pair method needs --aux with the completing matrix")
+        b, _ = _load_matrix(args.aux)
+        # A and B are factored together when they share a shape;
+        # completion_pinv_pair refuses a B of another shape
+        if b.shape == a.shape:
+            factorization, b_factorization = svd_batch((a, b), tol, deflate=True)
+        else:
+            factorization, b_factorization = svd(a, tol, deflate=True), None
     if args.method == "svd":
         x = pinv(a, tol, factorization)
     elif args.method == "normal":
@@ -244,10 +255,9 @@ def _cmd_pinv(args, tol: Tolerance) -> RunReport:
     elif args.method == "rank-completion":
         x = rank_completion_pinv(a, tol=tol, factorization=factorization)
     else:
-        if not args.aux:
-            raise PreconditionError("pair method needs --aux with the completing matrix")
-        b, _ = _load_matrix(args.aux)
-        x = completion_pinv_pair(a, b, tol=tol, factorization=factorization)
+        x = completion_pinv_pair(
+            a, b, tol=tol, factorization=factorization, b_factorization=b_factorization
+        )
     return RunReport(
         command="pinv",
         method=args.method,

@@ -20,6 +20,19 @@ two, so squared norms neither overflow nor underflow at extreme scales.
 Missing columns of U, for rank-deficient or tall inputs, come from the
 Householder reflectors that reduce the accepted columns to triangular form.
 
+There is one sweep loop, and it runs over a stack of same-shape matrices:
+svd_batch stacks the k members' [B | V] arrays with the p-rows of all
+members over all their q-rows, so a round is the one-member round with
+halves k times as tall, and svd is the stack of one. Each member keeps its
+own scale, dead floor, zeroed mass, certificate and exits, and leaves the
+stack as soon as it is certified; a member with no live pair in a round is
+left exactly as it was. Every member is therefore bit-identical to svd run
+alone, while at small n, where a round costs mostly numpy's call overhead,
+a round over the stack costs little more than one member's does (one-sided
+Jacobi over many small matrices at once, as in Boukaram, Turkiyyah,
+Ltaief and Keyes 2018). The routes that factor several matrices of one
+shape, Fill-Fishkind and the pair completion, factor them together.
+
 A column whose norm falls to the dead floor is frozen at zero. svd keeps
 that floor at u^3 ||A||_F, so tiny but genuine singular values, such as
 those of graded inputs, stay accurate (Demmel-Veselic 1992). Callers that
@@ -83,6 +96,10 @@ class SvdFactorization:
         """(u columns, v columns) spanning the range / co-range of A."""
         return self.u[:, : self.rank], self.v[:, : self.rank]
 
+    def adjoint(self) -> SvdFactorization:
+        """The factorization of A* = v @ diag(sigma) @ u*."""
+        return SvdFactorization(self.v, self.sigma, self.u, self.rank, self.deflated)
+
 
 def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Rounds (p, q) of one Jacobi sweep over the columns 0..n-1.
@@ -105,7 +122,6 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
-@functools.lru_cache(maxsize=64)
 def _sweep_schedule(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """The rounds of _round_robin(n) as row layouts and the moves between them.
 
@@ -116,8 +132,7 @@ def _sweep_schedule(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     first round's layout and, for each round, the row permutation that takes
     its layout to the next round's; the last one leads back to the first, so
     every sweep starts from the same layout. n = 0 has no rounds, and its
-    one empty layout keeps the sweep loop uniform. The arrays are read-only
-    and cached per n, since building them costs as much as a few rounds.
+    one empty layout keeps the sweep loop uniform.
     """
     layouts = []
     for p, q in _round_robin(n):
@@ -128,9 +143,43 @@ def _sweep_schedule(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         layouts.append(np.concatenate((p, q)))
     layouts = layouts or [np.arange(0)]
     steps = tuple(np.argsort(here)[after] for here, after in zip(layouts, layouts[1:] + layouts[:1]))
-    for table in (layouts[0], *steps):
-        table.flags.writeable = False
     return layouts[0], steps
+
+
+@functools.lru_cache(maxsize=64)
+def _stack_schedule(
+    n: int, k: int
+) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
+    """_sweep_schedule(n) for a stack of k members, p-rows over q-rows.
+
+    Row s of the first (half = 0) or second (half = 1) half of member j's own
+    layout sits at row (half k + j) h + s of the stack, h = (n + n%2) / 2, so
+    a round pairs row i of the first k h rows with row i + k h, just as one
+    member pairs row i with row i + h, and viewed as (2, k, h) the stack's
+    rows hold each member at [:, j]. Returns the first round's layout, as
+    rows of the k members' natural rows stacked one member after another;
+    the row moves between rounds, each member moved as if alone; and the
+    rows of a member's own first layout that hold its columns 0..n-1, in
+    order. The arrays are read-only and cached per (n, k), since building
+    them costs as much as a few rounds.
+    """
+    first, steps = _sweep_schedule(n)
+    size = n + n % 2
+    h = size // 2
+    place = (np.arange(2)[:, None, None] * k + np.arange(k)[:, None]) * h + np.arange(h)
+    rows = place.transpose(1, 0, 2).reshape(k, size)  # member j's rows, in its own layout
+
+    def lift(source: np.ndarray) -> np.ndarray:
+        table = np.empty(k * size, dtype=np.intp)
+        table[rows] = source
+        return table
+
+    first_k = lift(np.arange(k)[:, None] * size + first)
+    steps_k = tuple(lift(rows[:, step]) for step in steps)
+    natural = np.argsort(first)[:n]
+    for table in (first_k, *steps_k, natural):
+        table.flags.writeable = False
+    return first_k, steps_k, natural
 
 
 def _complete_orthonormal(cols: np.ndarray, total: int) -> np.ndarray:
@@ -175,9 +224,9 @@ def _certified(bt: np.ndarray, norms2: np.ndarray, threshold: float) -> bool:
     as dead give zero entries, which always pass.
     """
     gram = np.abs(bt @ bt.conj().T)
-    np.fill_diagonal(gram, 0.0)
+    gram.flat[:: gram.shape[0] + 1] = 0.0
     root = np.sqrt(norms2)
-    return not np.any(gram > np.outer(threshold * root, root))
+    return not (gram > np.multiply.outer(threshold * root, root)).any()
 
 
 def svd(
@@ -197,7 +246,10 @@ def svd(
     rotate, and ConvergenceError is raised if the columns are not certified
     after that many. U is b with its columns normalized, completed to a
     unitary by Householder reflectors. Raises PreconditionError on inf or
-    nan entries.
+    nan entries. The loop runs on a stack: svd_batch puts the p-rows of all
+    its members over all their q-rows, so each round is this round with
+    halves k times as tall, and svd is the stack of one member, with the
+    results svd_batch gives that member bit for bit.
 
     A column is frozen at zero once its norm falls to the dead floor. By
     default that floor is u^3 ||A||_F, so singular values far below the
@@ -217,63 +269,151 @@ def svd(
     a = np.asarray(a, dtype=np.complex128)
     m, n = a.shape
     if m < n:
-        f = svd(dagger(a), tol, max_sweeps, deflate)
-        return SvdFactorization(u=f.v, sigma=f.sigma, v=f.u, rank=f.rank, deflated=f.deflated)
+        return svd(dagger(a), tol, max_sweeps, deflate).adjoint()
+    return _jacobi_stack([a], tol, max_sweeps, deflate)[0]
 
-    # Squared column norms overflow for entries above ~1e154 and underflow
-    # below ~1e-154, so the iteration runs on a copy scaled by a power of
-    # two, which is exact, to entries below 1; sigma is scaled back at the end.
-    top = float(np.max(np.abs(a), initial=0.0))
-    if not np.isfinite(top):
-        raise PreconditionError("svd input has an inf or nan entry")
-    scale = 2.0 ** -np.frexp(top)[1] if top > 0.0 else 1.0
-    # Row j of w holds column j of b and of v; for odd n a zero phantom row
-    # pads the layout to an even size. Rows sit in the current round's
-    # layout, so a round acts on the halves w[:h] and w[h:] as views, and
-    # every sweep ends back in the first round's layout.
+
+def svd_batch(
+    mats, tol: Tolerance = DEFAULT_TOL, max_sweeps: int = 60, deflate: bool = False
+) -> list[SvdFactorization]:
+    """svd of each of several same-shape matrices, in one stacked sweep loop.
+
+    Member i of the result is bit-identical to svd(mats[i], tol, max_sweeps,
+    deflate): every member keeps its own scale, dead floor, zeroed mass,
+    certificate and exits, and the others only share its rounds. A round
+    over a small stack costs little more than a round over one member, since
+    at small n numpy's call overhead dominates. Wide members are factored
+    through their adjoints, as svd does. Raises PreconditionError on mixed
+    shapes or on an inf or nan entry, and ConvergenceError if a member is
+    not certified within max_sweeps; both name the member when there are
+    several. No members give an empty list.
+    """
+    mats = [np.asarray(a, dtype=np.complex128) for a in mats]
+    if not mats:
+        return []
+    if any(a.shape != mats[0].shape for a in mats):
+        raise PreconditionError("svd_batch needs matrices of one shape")
+    m, n = mats[0].shape
+    if m < n:
+        tall = [dagger(a) for a in mats]
+        return [f.adjoint() for f in _jacobi_stack(tall, tol, max_sweeps, deflate)]
+    return _jacobi_stack(mats, tol, max_sweeps, deflate)
+
+
+def _jacobi_stack(
+    mats: list[np.ndarray], tol: Tolerance, max_sweeps: int, deflate: bool
+) -> list[SvdFactorization]:
+    """The sweep loop of svd and svd_batch, on k >= 1 matrices of one m x n
+    shape with m >= n.
+
+    The k members' [B | V] arrays are stacked into one, p-rows of all members
+    over their q-rows (_stack_schedule), so a round is the one-member round
+    with its halves k times as tall. A member whose round has no live pair is
+    left exactly as it was, and a member that is certified, or whose sweep
+    rotated nothing, leaves the stack at once and is finished alone.
+    """
+    k = len(mats)
+    m, n = mats[0].shape
+    # Row j of a member's array holds column j of b and of v; for odd n a
+    # zero phantom row pads the layout to an even size. Rows sit in the
+    # current round's layout, so a round acts on the halves w[:half] and
+    # w[half:] as views, and every sweep ends back in the first round's layout.
     size = n + n % 2
     h = size // 2
-    w = np.zeros((size, m + n), dtype=np.complex128)
-    w[:n, :m] = a.T * scale
-    w[:n, m:] = eye(n)
+    natural = np.zeros((k, size, m + n), dtype=np.complex128)
+    scales, floors2 = [], np.empty(k)
+    for j, a in enumerate(mats):
+        # Squared column norms overflow for entries above ~1e154 and underflow
+        # below ~1e-154, so the iteration runs on a copy scaled by a power of
+        # two, which is exact, to entries below 1; sigma is scaled back at the end.
+        top = float(np.max(np.abs(a), initial=0.0))
+        if not np.isfinite(top):
+            raise PreconditionError(f"svd input has an inf or nan entry{_member(j, k)}")
+        scale = 2.0 ** -np.frexp(top)[1] if top > 0.0 else 1.0
+        natural[j, :n, :m] = a.T * scale
+        natural[j, :n, m:] = eye(n)
+        # Columns ground down to far below roundoff noise are frozen at zero;
+        # repeated rotations among members of a multiple zero singular value
+        # would otherwise shrink them without bound, toward denormal livelock.
+        # The floor sits at u^3 ||A||_F, not u^2: a graded matrix (D1 A D2 with
+        # scales over 1e-8..1e8) has genuine singular values near 1e-32 ||A||_F.
+        norm = frobenius(natural[j, :n, :m])
+        floor = UNIT_ROUNDOFF**3 * norm
+        if deflate and n:
+            typical = norm / np.sqrt(n)
+            floor = max(floor, min(tol.rank_cutoff(typical, m, n) / 8.0, tol.residual_rel * typical))
+        scales.append(scale)
+        floors2[j] = floor**2
     threshold = np.sqrt(m) * _EPS
-    # Columns ground down to far below roundoff noise are frozen at zero;
-    # repeated rotations among members of a multiple zero singular value
-    # would otherwise shrink them without bound, toward denormal livelock.
-    # The floor sits at u^3 ||A||_F, not u^2: a graded matrix (D1 A D2 with
-    # scales over 1e-8..1e8) has genuine singular values near 1e-32 ||A||_F.
-    norm = frobenius(w[:n, :m])
-    floor = UNIT_ROUNDOFF**3 * norm
-    if deflate and n:
-        typical = norm / np.sqrt(n)
-        floor = max(floor, min(tol.rank_cutoff(typical, m, n) / 8.0, tol.residual_rel * typical))
-    dead_floor = floor**2
-    zeroed2 = 0.0
-    first, steps = _sweep_schedule(n)
-    w = w[first]
+    zeroed2 = [0.0] * k
+    done: list[SvdFactorization | None] = [None] * k
+    members = list(range(k))  # the members still in the stack, in stack order
+    w = natural.reshape(k * size, m + n)[_stack_schedule(n, k)[0]]
+    del natural  # only the stack in round layout is kept
+
+    def own(stacked: np.ndarray, pos: int) -> np.ndarray:
+        """The member at stack position pos: its rows of stacked, in its own
+        layout; a view when the stack holds one member."""
+        if len(members) == 1:
+            return stacked
+        rest = stacked.shape[1:]
+        return stacked.reshape(2, len(members), h, *rest)[:, pos].reshape(size, *rest)
+
+    def leave(positions=()) -> tuple[int, tuple[np.ndarray, ...], np.ndarray]:
+        """Finish the members at these stack positions and drop their rows;
+        return the stack's size, row moves and per-row dead floors."""
+        nonlocal w, members
+        if positions:
+            columns = _stack_schedule(n, len(members))[2]
+            for pos in positions:
+                j = members[pos]
+                done[j] = _factorization(own(w, pos)[columns], m, n, scales[j], zeroed2[j], tol)
+            keep = [pos for pos in range(len(members)) if pos not in positions]
+            if not keep:
+                return 0, (), np.empty(0)
+            w = w.reshape(2, len(members), h, m + n)[:, keep].reshape(2 * len(keep) * h, m + n)
+            members = [members[pos] for pos in keep]
+        floors = np.repeat(floors2[members], h)
+        return len(members), _stack_schedule(n, len(members))[1], np.concatenate((floors, floors))
+
+    kk, steps, dead_floor = leave()
     for sweep in itertools.count():
         norms2 = _squared_norms(w[:, :m])
         dead = norms2 <= dead_floor
-        if np.any(dead):
-            zeroed2 += float(np.sum(norms2[dead]))
+        if dead.any():
+            for pos, j in enumerate(members):
+                mine = own(dead, pos)
+                if mine.any():
+                    zeroed2[j] += float(np.sum(own(norms2, pos)[mine]))
             w[dead, :m] = 0.0
-        if _certified(w[:, :m], norms2, threshold):
-            break
+        certified = [
+            pos for pos in range(kk) if _certified(own(w, pos)[:, :m], own(norms2, pos), threshold)
+        ]
+        if certified:
+            kk, steps, dead_floor = leave(certified)
+            if not kk:
+                break
         if sweep >= max_sweeps:
             raise ConvergenceError(
                 f"one-sided Jacobi SVD did not converge within {max_sweeps} sweeps"
+                f"{_member(members[0], k)}"
             )
-        rotated = False
+        half = kk * h
+        rotated = np.zeros(kk, dtype=bool)
         for step in steps:
             norms2 = _squared_norms(w[:, :m])
             root = np.sqrt(norms2)
             alive = norms2 > dead_floor
-            app, aqq = norms2[:h], norms2[h:]
-            apq = np.einsum("ij,ij->i", w[:h, :m].conj(), w[h:, :m])
+            app, aqq = norms2[:half], norms2[half:]
+            apq = np.einsum("ij,ij->i", w[:half, :m].conj(), w[half:, :m])
             gam = np.abs(apq)
-            live = alive[:h] & alive[h:] & (gam > threshold * root[:h] * root[h:])
+            live = alive[:half] & alive[half:] & (gam > threshold * root[:half] * root[half:])
             if live.any():
-                rotated = True
+                if kk == 1:
+                    rotated[0] = True
+                else:
+                    moved = live.reshape(kk, h).any(axis=1)
+                    rotated |= moved
                 # Real rotation (c, s) after the phase diag(1, conj(apq)/|apq|);
                 # together they zero b_p* b_q. Pairs that are not live get
                 # phase 1 and t = 0, so c = 1 and s = 0 leave them exactly.
@@ -287,17 +427,36 @@ def svd(
                 c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
                 s = c * t[:, None]
                 phase = phase[:, None]
-                wp, wq, w = w[:h], w[h:], np.empty_like(w)
-                np.subtract(c * wp, (s * phase) * wq, out=w[:h])
-                np.add(s * wp, (c * phase) * wq, out=w[h:])
+                wp, wq, turned = w[:half], w[half:], np.empty_like(w)
+                np.subtract(c * wp, (s * phase) * wq, out=turned[:half])
+                np.add(s * wp, (c * phase) * wq, out=turned[half:])
+                if kk > 1 and not moved.all():
+                    # the identity rotation can flip the sign of a zero, so a
+                    # member without a live pair keeps its rows as they were,
+                    # as it would skip the round alone
+                    still = ~moved
+                    turned.reshape(2, kk, h, m + n)[:, still] = w.reshape(2, kk, h, m + n)[:, still]
+                w = turned
             w = w[step]
-        if not rotated:
+        if not rotated.all():
             # Every round passed the test although the Gram product did not:
             # the two disagree only by rounding, and this sweep confirmed
             # convergence the way each round tests it.
-            break
+            kk, steps, dead_floor = leave(np.flatnonzero(~rotated).tolist())
+            if not kk:
+                break
+    return done
 
-    w = w[np.argsort(first)[:n]]
+
+def _member(j: int, k: int) -> str:
+    """Names member j in an error message when the stack has several."""
+    return f" (stack member {j})" if k > 1 else ""
+
+
+def _factorization(
+    w: np.ndarray, m: int, n: int, scale: float, zeroed2: float, tol: Tolerance
+) -> SvdFactorization:
+    """Finish one member from its rows of [B | V], columns 0..n-1 in order."""
     bt, vt = w[:, :m], w[:, m:]
     norms = np.sqrt(_squared_norms(bt))
     order = np.argsort(-norms, kind="stable")

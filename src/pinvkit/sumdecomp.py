@@ -23,6 +23,7 @@ from .linalg import (
     lu_solve,
     random_unitary,
     svd,
+    svd_batch,
 )
 from .matrix import (
     DEFAULT_TOL,
@@ -312,6 +313,7 @@ def completion_pinv_pair(
     b: np.ndarray,
     tol: Tolerance = DEFAULT_TOL,
     factorization: SvdFactorization | None = None,
+    b_factorization: SvdFactorization | None = None,
 ) -> np.ndarray:
     """Pseudoinverse of A from a single completing partner B.
 
@@ -319,11 +321,16 @@ def completion_pinv_pair(
 
       square, R(B*) = N(A) and R(B) <= N(A*) (or mirrored):
                      A^+ = (A+B)^-1 - B^+, checked against both projector
-                     equations (A+B) X = P_N(B*) and X (A+B) = P_N(B)
+                     equations (A+B) X = P_N(B*) and X (A+B) = P_N(B); their
+                     residuals are A B^+ and B^+ A, which keep the singular
+                     values of A that the rank rule drops, so the bound
+                     allows rho ||A||_F ||B^+||_F as penrose_bounds does
       else R(B*) = N(A): solve (A*A + B*B) X = A*
       else R(B) = N(A*): solve X (AA* + BB*) = A*
 
-    A and B are each factored once; factorization, if given, is svd(a, tol, deflate=True).
+    A and B are each factored once; factorization and b_factorization, if
+    given, are svd(a, tol, deflate=True) and svd(b, tol, deflate=True), as
+    svd_batch((a, b), tol, deflate=True) gives them.
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -334,7 +341,7 @@ def completion_pinv_pair(
     norm_a = frobenius(a)
     bound = (tol.bound(norm_a) + tol.rank_cutoff(norm_a, m, n)) * frobenius(b)
     fa = factorization if factorization is not None else svd(a, tol, deflate=True)
-    fb = svd(b, tol, deflate=True)
+    fb = b_factorization if b_factorization is not None else svd(b, tol, deflate=True)
     range_bstar_in_null_a = frobenius(a @ dagger(b)) <= bound
     range_b_in_null_astar = frobenius(dagger(a) @ b) <= bound
     fills_null_a = range_bstar_in_null_a and fb.rank == n - fa.rank
@@ -345,9 +352,11 @@ def completion_pinv_pair(
     ):
         total = a + b
         inv = inverse(total)
-        x = inv - pinv(b, tol, fb)
+        b_pinv = pinv(b, tol, fb)
+        x = inv - b_pinv
         _, p_null_b_adj, _, p_null_b = projectors(b, tol, fb)
-        bound = tol.bound(frobenius(total), frobenius(inv))
+        rho = np.sqrt(n) * tol.rank_cutoff(1.0, n, n)
+        bound = tol.bound(frobenius(total), frobenius(inv)) + rho * norm_a * frobenius(b_pinv)
         left = frobenius(total @ x - p_null_b_adj)
         right = frobenius(x @ total - p_null_b)
         if max(left, right) > bound:
@@ -372,10 +381,10 @@ def completion_pinv_pair(
     )
 
 
-def _core_pinv(core: np.ndarray, n: int, tol: Tolerance) -> np.ndarray:
-    """core^+ for the n x n product V core N* with orthonormal V and N: both have
-    the same singular values, so the core keeps rank_cutoff(sigma_max, n, n)."""
-    f = svd(core, tol, deflate=True)
+def _core_pinv(core: np.ndarray, f: SvdFactorization, n: int, tol: Tolerance) -> np.ndarray:
+    """core^+ from f = svd(core, tol, deflate=True), for the n x n product
+    V core N* with orthonormal V and N: both have the same singular values,
+    so the core keeps rank_cutoff(sigma_max, n, n)."""
     cutoff = tol.rank_cutoff(np.max(f.sigma, initial=0.0), n, n)
     return pinv(core, tol, replace(f, rank=int(np.count_nonzero(f.sigma > cutoff))))
 
@@ -388,13 +397,16 @@ def fill_fishkind_pinv(
     Requires rank(A1 + A2) = rank(A1) + rank(A2). Singular values within a
     factor of 4 of the rank cutoff make the numerical rank ambiguous; such
     ties are rejected rather than guessed. The three matrices are factored
-    with deflate=True; if any of them zeroed a mass of cutoff / 4 or more,
-    which could carry a singular value past the tie band, all three are
-    factored again by the accurate kernel.
+    together, by one svd_batch call with deflate=True; if any of them zeroed
+    a mass of cutoff / 4 or more, which could carry a singular value past
+    the tie band, all three are factored again by the accurate kernel.
 
     L = (P_R(A2*) P_N(A1))^+ = N1 (V2* N1)^+ V2* and R = (P_N(A1*) P_R(A2))^+
     = U2 (M1* U2)^+ M1*, from the null-space columns N1, M1 of svd(A1) and the
     range columns U2, V2 of svd(A2), so each core has rank(A2) rows or columns.
+    The cores are factored together too: V2* N1 is r2 x (n - r1) and M1* U2 is
+    (n - r1) x r2, so the first goes in as its adjoint, as svd would factor
+    it, unless r1 + r2 = n makes both square.
     """
     a1 = as_matrix(a1)
     a2 = as_matrix(a2)
@@ -405,11 +417,11 @@ def fill_fishkind_pinv(
     def cutoff(f: SvdFactorization) -> float:
         return tol.rank_cutoff(f.sigma[0], n, n)
 
-    factors = [svd(m, tol, deflate=True) for m in (a1, a2, a1 + a2)]
+    factors = svd_batch((a1, a2, a1 + a2), tol, deflate=True)
     # A sigma within deflated of the cutoff could sit on either side of it;
     # below cutoff / 4 such a sigma still lands in the tie band checked next.
     if any(cutoff(f) > 0 and f.deflated >= cutoff(f) / 4.0 for f in factors):
-        factors = [svd(m, tol) for m in (a1, a2, a1 + a2)]
+        factors = svd_batch((a1, a2, a1 + a2), tol)
     f1, f2, fs = factors
     for f in factors:
         c = cutoff(f)
@@ -424,8 +436,14 @@ def fill_fishkind_pinv(
         )
     u2, v2 = f2.cutoff_slices
     null1, conull1 = f1.v[:, f1.rank :], f1.u[:, f1.rank :]
-    left = null1 @ _core_pinv(dagger(v2) @ null1, n, tol) @ dagger(v2)
-    right = u2 @ _core_pinv(dagger(conull1) @ u2, n, tol) @ dagger(conull1)
+    left_core, right_core = dagger(v2) @ null1, dagger(conull1) @ u2
+    if left_core.shape[0] < left_core.shape[1]:
+        f_left_adj, f_right = svd_batch((dagger(left_core), right_core), tol, deflate=True)
+        f_left = f_left_adj.adjoint()
+    else:
+        f_left, f_right = svd_batch((left_core, right_core), tol, deflate=True)
+    left = null1 @ _core_pinv(left_core, f_left, n, tol) @ dagger(v2)
+    right = u2 @ _core_pinv(right_core, f_right, n, tol) @ dagger(conull1)
     x1 = pinv(a1, tol, f1)
     x2 = pinv(a2, tol, f2)
     return (eye(n) - left) @ x1 @ (eye(n) - right) + left @ x2 @ right
@@ -502,6 +520,7 @@ def gen_rank_additive_pair(
             return g @ h
 
         a1, a2 = low_rank(r1), low_rank(r2)
-        if svd(a1 + a2, tol).rank == svd(a1, tol).rank + svd(a2, tol).rank:
+        f_sum, f1, f2 = svd_batch((a1 + a2, a1, a2), tol)
+        if f_sum.rank == f1.rank + f2.rank:
             return a1, a2
     raise PreconditionError("could not sample a rank-additive pair")

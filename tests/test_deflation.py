@@ -17,7 +17,7 @@ import pytest
 import pinvkit.sumdecomp
 from pinvkit.cli import main
 from pinvkit.core import penrose_residuals, pinv, pinv_normal_equations
-from pinvkit.linalg import svd
+from pinvkit.linalg import svd, svd_batch
 from pinvkit.matrix import (
     DEFAULT_TOL,
     UNIT_ROUNDOFF,
@@ -138,20 +138,8 @@ def test_sigma_just_above_the_cutoff_keeps_its_rank_or_ties(above):
 
 @pytest.mark.parametrize(
     "method, dropped",
-    [
-        *[(method, dropped) for method in ("svd", "normal", "rank-completion", "pair-gram",
-                                           "pair-invertible") for dropped in (1e-11, 1e-9)
-          if (method, dropped) != ("pair-invertible", 1e-9)],
-        pytest.param(
-            "pair-invertible", 1e-9,
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="the (A+B)^-1 - B^+ form checks its projector equations "
-                "with no allowance for the singular value the rank rule drops; "
-                "it fails alike with the accurate kernel",
-            ),
-        ),
-    ],
+    [(method, dropped) for method in ("svd", "normal", "rank-completion", "pair-gram",
+                                      "pair-invertible") for dropped in (1e-11, 1e-9)],
 )
 def test_coarse_rank_cutoff_through_every_pinv_method(tmp_path, capsys, method, dropped):
     # the input of test_coarse_rank_cutoff_is_honoured_by_every_route; the
@@ -195,7 +183,8 @@ def test_graded_inputs_through_pinv_and_rank_completion(tmp_path, capsys, method
 
 
 def record_sumdecomp_svd(monkeypatch):
-    """Each svd call made inside sumdecomp, as (deflate, factorization, shape)."""
+    """Each svd call made inside sumdecomp, and each member of an svd_batch
+    call in call order, as (deflate, factorization, shape)."""
     seen = []
 
     def recording(a, tol=DEFAULT_TOL, deflate=False):
@@ -203,7 +192,13 @@ def record_sumdecomp_svd(monkeypatch):
         seen.append((deflate, f, np.shape(a)))
         return f
 
+    def recording_batch(mats, tol=DEFAULT_TOL, deflate=False):
+        fs = svd_batch(mats, tol, deflate=deflate)
+        seen.extend((deflate, f, np.shape(a)) for a, f in zip(mats, fs))
+        return fs
+
     monkeypatch.setattr(pinvkit.sumdecomp, "svd", recording)
+    monkeypatch.setattr(pinvkit.sumdecomp, "svd_batch", recording_batch)
     return seen
 
 

@@ -24,7 +24,7 @@ import pinvkit.sumdecomp
 from pinvkit.cli import main
 from pinvkit.core import gen_random_matrix, penrose_residuals, pinv
 from pinvkit.graphdist import gen_zero_sum_tree, wheel_build, wheel_z
-from pinvkit.linalg import cholesky_factor, inverse, lu_factor, svd
+from pinvkit.linalg import cholesky_factor, inverse, lu_factor, svd, svd_batch
 from pinvkit.matrix import (
     VerificationError,
     dagger,
@@ -55,17 +55,27 @@ MODULES = (
 
 
 def record_calls(monkeypatch, func) -> list[np.ndarray]:
-    """Record the first argument of every call to func, wherever it is bound."""
+    """Record the first argument of every call to func, wherever it is bound.
+
+    For svd, each member of an svd_batch call is recorded too, in call order,
+    as the svd call it stands for.
+    """
     seen = []
 
     def recording(first, *args, **kwargs):
         seen.append(np.array(first, copy=True))
         return func(first, *args, **kwargs)
 
+    def recording_batch(mats, *args, **kwargs):
+        seen.extend(np.array(a, copy=True) for a in mats)
+        return svd_batch(mats, *args, **kwargs)
+
     for module in MODULES:
         for attr, value in list(vars(module).items()):
             if value is func:
                 monkeypatch.setattr(module, attr, recording)
+            elif func is svd and value is svd_batch:
+                monkeypatch.setattr(module, attr, recording_batch)
     return seen
 
 
