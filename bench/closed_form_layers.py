@@ -13,12 +13,17 @@ It times, as the median of several repeats:
                           numpy scalar steps, kept here
 - tree.tree_build         tree_build as a whole: one BFS, the ancestor
                           product, the Laplacian and its two checks
+- tree.closed_form        tree_pinv(tree): D^+ = -L/2 + u tau^t + tau u^t,
+                          the D L rank margin and one Penrose check
+- tree.shift_inverse      tree_pinv at the automatic alpha passed
+                          explicitly: one LU inverse of D + alpha tau tau^t
   on zero-sum trees with n = 20 to 60 vertices;
 - parser.build            building the parser, as main did on every call
 - parser.parse            parse_args on the parser main now keeps, per subcommand.
 
-It checks that both Fill-Fishkind routes agree to 1e-12 relative and that
-both tree routes give the same distances to 1e-13 of max|D|, and writes the
+It checks that both Fill-Fishkind routes agree to 1e-12 relative, that
+both path-sum routes give the same distances to 1e-13 of max|D| and that
+both tree pseudoinverses agree to 1e-13 relative, and writes the
 medians in milliseconds with the machine's description to a JSON file.
 Only the standard library, numpy and pinvkit are used.
 
@@ -39,7 +44,7 @@ from ledger import median_ms, write_ledger
 
 from pinvkit.cli import build_parser
 from pinvkit.core import pinv, projectors
-from pinvkit.graphdist import gen_zero_sum_tree, tree_build
+from pinvkit.graphdist import _auto_alpha, gen_zero_sum_tree, tree_build, tree_pinv
 from pinvkit.linalg import svd
 from pinvkit.matrix import DEFAULT_TOL, PreconditionError, eye, frobenius
 from pinvkit.sumdecomp import fill_fishkind_pinv
@@ -117,16 +122,25 @@ def measure_fill_fishkind(n: int, r1: int, r2: int, repeats: int) -> dict:
 
 
 def measure_tree(n: int, repeats: int) -> dict:
-    edges = gen_zero_sum_tree(n, n).edges
-    before, after = per_root_path_sums(edges, n), tree_build(edges).D
-    gap = float(np.max(np.abs(after - before)) / np.max(np.abs(before)))
+    tree = gen_zero_sum_tree(n, n)
+    edges, alpha = tree.edges, _auto_alpha(tree, DEFAULT_TOL)
+    before = per_root_path_sums(edges, n)
+    gap = float(np.max(np.abs(tree.D - before)) / np.max(np.abs(before)))
+    shifted = tree_pinv(tree, alpha)
+    pinv_gap = frobenius(tree_pinv(tree) - shifted) / frobenius(shifted)
     return {
         "n": n,
         "median_ms": median_ms({
             "tree.per_root_bfs": lambda: per_root_path_sums(edges, n),
             "tree.tree_build": lambda: tree_build(edges),
+            "tree.closed_form": lambda: tree_pinv(tree),
+            "tree.shift_inverse": lambda: tree_pinv(tree, alpha),
         }, repeats),
-        "checks": {"relative_gap": gap, "agree": gap <= 1e-13},
+        "checks": {
+            "relative_gap": gap,
+            "pinv_relative_gap": pinv_gap,
+            "agree": gap <= 1e-13 and pinv_gap <= 1e-13,
+        },
     }
 
 

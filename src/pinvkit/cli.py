@@ -362,15 +362,14 @@ def _cmd_tree(args, tol: Tolerance) -> RunReport:
     text = _read_text(args.input)
     edges = loads_tree_csv(text)
     tree = tree_build(edges, tol)
-    # tree_pinv certifies rank n - 1 from D tau = 0 and the invertible
-    # shifted matrix, so the report needs no SVD of D
+    # tree_pinv certifies rank n - 1 from D tau = 0 and the D L margin, so
+    # the report needs no SVD of D
     x = tree_pinv(tree, alpha=args.alpha, tol=tol)
     u, rebuilt = tree_u_and_reconstruction(tree, tol=tol, dpinv=x)
     residuals = penrose_residuals(tree.D, x, tol)
-    dl_identity = np.outer(np.ones(tree.n), tree.tau) - 2.0 * np.eye(tree.n)
     return RunReport(
         command="tree",
-        method="shift-inverse",
+        method="closed-form" if args.alpha is None else "shift-inverse",
         rows=tree.n,
         cols=tree.n,
         rank=tree.n - 1,
@@ -382,7 +381,7 @@ def _cmd_tree(args, tol: Tolerance) -> RunReport:
             "weight_sum": tree.weight_sum,
             "u": [float(value) for value in u],
             "reconstruction_gap": frobenius(rebuilt - x),
-            "dl_identity_residual": frobenius(tree.D @ tree.L - dl_identity),
+            "dl_identity_residual": tree.dl_residual,
         },
     )
 

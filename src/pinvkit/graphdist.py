@@ -1,25 +1,26 @@
 """Distance matrices of zero-sum weighted trees and odd wheel graphs.
 
-Both families admit the same trick: the distance matrix D is singular with a
-known one-dimensional null space, and adding a rank-one completion on the
-null vector yields an invertible matrix whose ordinary inverse is a
-{1,3,4}-inverse of D. Subtracting the matching dyad from that inverse gives
-the Moore-Penrose inverse in closed form. For wheels the inverse itself is
-known entrywise through an integer vector z, checked here exactly.
+In both families the distance matrix D is singular with a known null vector,
+and the inverse of D plus a rank-one completion on it, less the matching
+dyad, is the Moore-Penrose inverse. For wheels that inverse is known
+entrywise through an integer vector z, checked here exactly. For zero-sum
+trees D^+ = -L/2 + u tau^t + tau u^t comes from the Laplacian directly.
 
-Neither family calls the dense SVD: the known null vector bounds rank(D)
-by n - 1 from above, and the invertible completion bounds it from below.
+Neither family calls the dense SVD: the null vector bounds rank(D) by n - 1
+from above; the wheel's invertible completion, or the tree's identity
+D L = e tau^t - 2I, bounds it from below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .circulant import circ_materialize, circ_mul
 from .core import penrose_residuals
-from .linalg import hermitian_eigenvalues, inverse, lu_factor
+from .linalg import hermitian_eigenvalues, inverse
 from .matrix import (
     DEFAULT_TOL,
     PreconditionError,
@@ -68,6 +69,12 @@ class TreeMatrices:
     @property
     def weight_sum(self) -> float:
         return float(sum(w for _, _, w in self.edges))
+
+    @cached_property
+    def dl_residual(self) -> float:
+        """||D L - (e tau^t - 2I)||_F, formed once per tree."""
+        identity = np.outer(np.ones(self.n), self.tau) - 2.0 * np.eye(self.n)
+        return frobenius(self.D @ self.L - identity)
 
 
 def _is_zero_sum(tree: TreeMatrices, tol: Tolerance) -> bool:
@@ -159,10 +166,8 @@ def tree_build(edges, tol: Tolerance = DEFAULT_TOL) -> TreeMatrices:
     tree = TreeMatrices(n=n, edges=tuple(triples), D=d, L=lap, delta=delta, tau=tau)
 
     norm_d = frobenius(d)
-    ones = np.ones(n)
-    dl_residual = frobenius(d @ lap - (np.outer(ones, tau) - 2.0 * np.eye(n)))
-    if dl_residual > tol.bound(norm_d, frobenius(lap)):
-        raise VerificationError(f"D L = e tau^t - 2I failed with residual {dl_residual:.3e}")
+    if tree.dl_residual > tol.bound(norm_d, frobenius(lap)):
+        raise VerificationError(f"D L = e tau^t - 2I failed with residual {tree.dl_residual:.3e}")
     if _is_zero_sum(tree, tol):
         dtau = frobenius(d @ tau)
         if dtau > tol.bound(norm_d, frobenius(tau)):
@@ -191,36 +196,18 @@ def gen_zero_sum_tree(seed: int, n: int) -> TreeMatrices:
         return tree_build(edges)
 
 
-def _tau_quad(tree: TreeMatrices, tol: Tolerance) -> float | None:
-    """tau^t L tau, or None when it is within tol.bound(||L||_F, ||tau||^2)
-    of zero."""
-    tau_sq = float(tree.tau @ tree.tau)
-    quad = float(tree.tau @ tree.L @ tree.tau)
-    if abs(quad) > tol.bound(frobenius(tree.L), tau_sq):
-        return quad
-    return None
-
-
 def _auto_alpha(tree: TreeMatrices, tol: Tolerance) -> float:
     """Shift weight for the rank-one completion D + alpha tau tau^t.
 
     Any nonzero alpha gives the same pseudoinverse; 2/(tau^t L tau) makes the
-    intermediate inverse best conditioned and matches the closed-form u
-    route. Falls back to 1 when tau^t L tau is negligible.
+    intermediate inverse best conditioned. Falls back to 1 when tau^t L tau
+    is within tol.bound(||L||_F, ||tau||^2) of zero.
     """
-    quad = _tau_quad(tree, tol)
-    return 1.0 if quad is None else 2.0 / quad
-
-
-def _shift_alpha(tree: TreeMatrices, alpha: float | None, tol: Tolerance) -> float:
-    """Validated shift weight: the tree is zero-sum and alpha is nonzero."""
-    _require_zero_sum(tree, tol)
-    if alpha is None:
-        alpha = _auto_alpha(tree, tol)
-    alpha = float(alpha)
-    if alpha == 0.0:
-        raise PreconditionError("alpha must be nonzero")
-    return alpha
+    tau = tree.tau
+    quad = float(tau @ tree.L @ tau)
+    if abs(quad) > tol.bound(frobenius(tree.L), float(tau @ tau)):
+        return 2.0 / quad
+    return 1.0
 
 
 def tree_shift_inverse(
@@ -232,39 +219,18 @@ def tree_shift_inverse(
     has M^-1 tau = tau/(alpha ||tau||^2), hence D M^-1 = I - tau tau^t/||tau||^2,
     which is symmetric and fixes D from either side. The shifted matrix M
     itself is not such an inverse; taking it for one confuses M with M^-1.
+
+    A singular M is an error from the LU factorization; for an alpha the
+    caller gave, it names alpha and the automatic value.
     """
-    alpha = _shift_alpha(tree, alpha, tol)
-    m = tree.D + alpha * np.outer(tree.tau, tree.tau)
-    return np.real(inverse(m))
-
-
-def tree_pinv(
-    tree: TreeMatrices, alpha: float | None = None, tol: Tolerance = DEFAULT_TOL
-) -> np.ndarray:
-    """Moore-Penrose inverse of a zero-sum tree distance matrix.
-
-    M = D + alpha tau tau^t is LU-factored once, and that factorization
-    serves two routes that are computed and compared: the explicit form
-    M^-1 - tau tau^t / (alpha ||tau||^4), and the solution of
-    M X = I - tau tau^t/||tau||^2. The result is independent of alpha. A
-    singular M (impossible for a genuine zero-sum tree and the automatic
-    alpha) surfaces as a hard error from the factorization; for an alpha
-    the caller gave, whose shift drowns D or vanishes beside it at working
-    precision, that error names alpha and the automatic value.
-
-    A normal return certifies rank(D) = n - 1 without an SVD: tree_build
-    checked D tau = 0 for the zero-sum tree, and tau != 0 (e^t tau = 2), so
-    rank(D) <= n - 1; every pivot of M cleared the singularity threshold, so
-    M is invertible and its rank-one downdate D has rank >= n - 1; and the
-    result passed the four Penrose residuals.
-    """
+    _require_zero_sum(tree, tol)
     given = alpha is not None
-    alpha = _shift_alpha(tree, alpha, tol)
-    tau = tree.tau
-    tau_sq = float(tau @ tau)
-    shifted = tree.D + alpha * np.outer(tau, tau)
+    alpha = float(_auto_alpha(tree, tol) if alpha is None else alpha)
+    if alpha == 0.0:
+        raise PreconditionError("alpha must be nonzero")
+    shifted = tree.D + alpha * np.outer(tree.tau, tree.tau)
     try:
-        lu = lu_factor(shifted)
+        return np.real(inverse(shifted))
     except PreconditionError as exc:
         if not given:
             raise
@@ -272,22 +238,57 @@ def tree_pinv(
             f"D + alpha tau tau^t is singular at working precision for alpha = {alpha:.6g}; "
             f"choose an alpha nearer the automatic {_auto_alpha(tree, tol):.6g}"
         ) from exc
-    inv = np.real(lu.inverse())
-    explicit = inv - np.outer(tau, tau) / (alpha * tau_sq**2)
-    equation = np.real(lu.solve(np.eye(tree.n) - np.outer(tau, tau) / tau_sq))
-    gap = frobenius(explicit - equation)
-    # each route carries the forward error of an LU inverse, cond(M) ||M^-1||
-    norm_inv = frobenius(inv)
-    bound = tol.bound(frobenius(shifted), norm_inv, norm_inv)
-    if gap > bound:
-        raise VerificationError(
-            f"inverse and equation routes disagree: {gap:.3e} > {bound:.3e}"
-        )
-    report = penrose_residuals(tree.D, explicit, tol)
+
+
+def _closed_form_u(tree: TreeMatrices) -> np.ndarray:
+    """u = (L tau / s - (q / (2 s^2)) tau) / 2, s = ||tau||^2, q = tau^t L tau.
+
+    Nothing divides by q, so the form holds at q = 0 too: D L = e tau^t - 2I
+    and D tau = 0 give D u = e/2 - tau/s, hence D X = I - tau tau^t/s for
+    X = -L/2 + u tau^t + tau u^t, and the q term makes X tau = 0.
+    """
+    tau = tree.tau
+    tau_sq = float(tau @ tau)
+    l_tau = tree.L @ tau
+    return 0.5 * (l_tau / tau_sq - (float(tau @ l_tau) / (2.0 * tau_sq**2)) * tau)
+
+
+def tree_pinv(
+    tree: TreeMatrices, alpha: float | None = None, tol: Tolerance = DEFAULT_TOL
+) -> np.ndarray:
+    """Moore-Penrose inverse of a zero-sum tree distance matrix.
+
+    Without alpha, D^+ = -L/2 + u tau^t + tau u^t with u in closed form (see
+    _closed_form_u); no matrix is factored. With alpha, the paper's
+    shift-inverse form (D + alpha tau tau^t)^-1 - tau tau^t / (alpha ||tau||^4)
+    is taken from one LU inverse (tree_shift_inverse). The result does not
+    depend on alpha.
+
+    A normal return certifies rank(D) = n - 1 without a factorization:
+    tree_build checked D tau = 0 for the zero-sum tree, and tau != 0
+    (e^t tau = 2), so rank(D) <= n - 1. With r = ||D L - (e tau^t - 2I)||_F,
+    D L x has norm at least (2 - r)||x|| on x orthogonal to tau, so
+    sigma_{n-1}(D) >= (2 - r)/||L||_F; that margin must clear
+    tol.rank_cutoff(||D||_F, n, n). The result then passes the four Penrose
+    residuals.
+    """
+    _require_zero_sum(tree, tol)
+    margin = (2.0 - tree.dl_residual) / frobenius(tree.L)
+    cutoff = tol.rank_cutoff(frobenius(tree.D), tree.n, tree.n)
+    if not margin > cutoff:
+        raise VerificationError(f"D L margin {margin:.3e} is below the rank cutoff {cutoff:.3e}")
+    tau = tree.tau
+    if alpha is None:
+        u = _closed_form_u(tree)
+        dpinv = -tree.L / 2.0 + np.outer(u, tau) + np.outer(tau, u)
+    else:
+        inv = tree_shift_inverse(tree, alpha, tol)
+        dpinv = inv - np.outer(tau, tau) / (float(alpha) * float(tau @ tau) ** 2)
+    report = penrose_residuals(tree.D, dpinv, tol)
     if not report.passed:
         name, value = report.worst
         raise VerificationError(f"tree pseudoinverse failed {name} with residual {value:.3e}")
-    return explicit
+    return dpinv
 
 
 def tree_u_and_reconstruction(
@@ -295,37 +296,31 @@ def tree_u_and_reconstruction(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Recover u with D^+ = -L/2 + u tau^t + tau u^t and rebuild D^+.
 
-    dpinv is the verified tree_pinv(tree, ...) that the caller holds. D^+ e
-    is read off it, which is the solve D^+ e = M^-1 e - 2 tau/(alpha ||tau||^4)
-    against the one factorization of M that tree_pinv made (tau^t e = 2). Then
-    u = (D^+ e - (e^t D^+ e / 4) tau) / 2; the minus sign is forced by
-    D^+ tau = 0, which pins tau^t u to tau^t L tau/(4 ||tau||^2). When
-    tau^t L tau is nonzero the closed form
+    dpinv is the verified tree_pinv(tree, ...) that the caller holds. u is
+    read off it as u = (D^+ e - (e^t D^+ e / 4) tau) / 2; the minus sign is
+    forced by D^+ tau = 0, which pins tau^t u to tau^t L tau/(4 ||tau||^2).
+    That u must agree with the closed form
 
-        u = (L tau / ||tau||^2 - (tau^t L tau / (2 ||tau||^4)) tau) / 2
+        u = (L tau / ||tau||^2 - (tau^t L tau / (2 ||tau||^4)) tau) / 2;
 
-    is evaluated as well and the two must agree; a mismatch on a valid tree
-    is reported as a verification failure rather than reconciled. Finally the
-    reconstruction -L/2 + u tau^t + tau u^t is checked against D^+. The rank
-    n - 1 is certified by tree_pinv, not recomputed.
+    a mismatch on a valid tree is reported as a verification failure rather
+    than reconciled. Finally the reconstruction -L/2 + u tau^t + tau u^t is
+    checked against D^+. The rank n - 1 is certified by tree_pinv, not
+    recomputed.
     """
     _require_zero_sum(tree, tol)
     tau = tree.tau
-    tau_sq = float(tau @ tau)
     ones = np.ones(tree.n)
     dpinv_e = dpinv @ ones
     u = 0.5 * (dpinv_e - (float(ones @ dpinv_e) / 4.0) * tau)
     # u and the rebuilt D^+ inherit the forward error of D^+, cond(D) ||D^+||
     norm_d, norm_x = frobenius(tree.D), frobenius(dpinv)
 
-    quad = _tau_quad(tree, tol)
-    if quad is not None:
-        closed = 0.5 * (tree.L @ tau / tau_sq - (quad / (2.0 * tau_sq**2)) * tau)
-        gap = frobenius(u - closed)
-        if gap > tol.bound(norm_d, norm_x, frobenius(dpinv_e)):
-            raise VerificationError(
-                f"definition and closed-form u disagree by {gap:.3e} on a valid tree"
-            )
+    gap = frobenius(u - _closed_form_u(tree))
+    if gap > tol.bound(norm_d, norm_x, frobenius(dpinv_e)):
+        raise VerificationError(
+            f"definition and closed-form u disagree by {gap:.3e} on a valid tree"
+        )
 
     rebuilt = -tree.L / 2.0 + np.outer(u, tau) + np.outer(tau, u)
     gap = frobenius(rebuilt - dpinv)

@@ -271,6 +271,18 @@ def test_tree_small_negative_alpha_still_passes(tmp_path, capsys):
     assert code == 0 and report["passed"]
 
 
+def test_tree_method_names_the_form_that_ran(tmp_path, capsys):
+    # the path on three vertices has tau^t L tau = 0
+    src = tmp_path / "t.csv"
+    src.write_text("1,2,1\n2,3,-1\n")
+    tree = tree_build(loads_tree_csv(src.read_text()))
+    assert float(tree.tau @ tree.L @ tree.tau) == 0.0
+    code, report = run(capsys, ["tree", "--input", str(src)])
+    assert code == 0 and report["method"] == "closed-form"
+    code, report = run(capsys, ["tree", "--input", str(src), "--alpha", "5"])
+    assert code == 0 and report["method"] == "shift-inverse"
+
+
 def test_wheel_5_matches_module(tmp_path, capsys):
     out = tmp_path / "w.json"
     code, report = run(capsys, ["wheel", "--n", "5", "--output", str(out)])

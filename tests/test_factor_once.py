@@ -8,6 +8,7 @@ too. The SVD oracle runs inside these tests only, never on a route's path.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -23,7 +24,7 @@ import pinvkit.matrix
 import pinvkit.sumdecomp
 from pinvkit.cli import main
 from pinvkit.core import gen_random_matrix, penrose_residuals, pinv
-from pinvkit.graphdist import gen_zero_sum_tree, wheel_build, wheel_z
+from pinvkit.graphdist import gen_zero_sum_tree, tree_build, tree_pinv, wheel_build, wheel_z
 from pinvkit.linalg import cholesky_factor, inverse, lu_factor, svd, svd_batch
 from pinvkit.matrix import (
     VerificationError,
@@ -32,6 +33,7 @@ from pinvkit.matrix import (
     dumps_matrix_json,
     dumps_tree_csv,
     frobenius,
+    loads_matrix_json,
 )
 from pinvkit.sumdecomp import (
     CompletionData,
@@ -131,7 +133,7 @@ def test_tree_command_factors_the_shifted_matrix_once(tmp_path, capsys, monkeypa
     np.testing.assert_array_equal(calls[0], tree.D + 0.5 * np.outer(tree.tau, tree.tau))
     calls.clear()
     code, _ = run(capsys, ["tree", "--input", src])
-    assert code == 0 and len(calls) == 1
+    assert code == 0 and len(calls) == 0
 
 
 def _pair_partner(a, rank, invertible, rng):
@@ -302,6 +304,44 @@ def test_certified_tree_rank_matches_the_oracle(tmp_path, capsys):
         code, report = run(capsys, ["tree", "--input", write_tree(tmp_path, tree)])
         assert code == 0
         assert report["rank"] == svd(tree.D).rank == n - 1
+
+
+def graded_zero_sum_tree(seed: int, n: int = 20, spread: float = 1e8):
+    """Random tree whose weight magnitudes are log-uniform over [1, spread],
+    with random signs and the last weight minus the sum of the others."""
+    rng = np.random.default_rng(seed)
+    shape = [(int(rng.integers(1, v)), v) for v in range(2, n + 1)]
+    weights = np.exp(rng.uniform(0.0, np.log(spread), size=n - 2))
+    weights *= rng.choice([-1.0, 1.0], size=n - 2)
+    edges = [(i, j, float(w)) for (i, j), w in zip(shape[:-1], weights)]
+    edges.append((shape[-1][0], shape[-1][1], -float(weights.sum())))
+    return tree_build(edges)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_graded_trees_certify_rank_without_lu(tmp_path, capsys, monkeypatch, seed):
+    # the former LU shift route failed penrose4 on seeds 0, 1, 2 and 5
+    tree = graded_zero_sum_tree(seed)
+    out = tmp_path / "x.json"
+    calls = record_calls(monkeypatch, lu_factor)
+    code, report = run(capsys, ["tree", "--input", write_tree(tmp_path, tree),
+                                "--output", str(out)])
+    assert code == 0 and len(calls) == 0
+    assert report["rank"] == svd(tree.D).rank == 19
+    x = loads_matrix_json(out.read_text()).real
+    assert penrose_residuals(tree.D, x).passed
+
+
+def test_perturbed_tree_laplacian_breaks_the_certificate(tmp_path, capsys, monkeypatch):
+    tree = gen_zero_sum_tree(4, 12)
+    broken = dataclasses.replace(tree, L=1.5 * tree.L)
+    assert broken.dl_residual > 2.0 > tree.dl_residual
+    with pytest.raises(VerificationError, match="margin .* cutoff"):
+        tree_pinv(broken)
+    src = write_tree(tmp_path, tree)
+    monkeypatch.setattr(pinvkit.cli, "tree_build", lambda edges, tol: broken)
+    assert main(["tree", "--input", src]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_perturbed_wheel_z_breaks_the_certificate(capsys, monkeypatch):

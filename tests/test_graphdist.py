@@ -218,11 +218,21 @@ def test_shift_inverse_is_134_on_random_trees():
 
 
 def test_u_path3_frozen():
-    # tau^t L tau = 0 here, so only the definitional route runs
+    # tau^t L tau = 0 here; the closed-form u needs no division by it
     tree = tree_build(PATH3_EDGES)
     u, rebuilt = tree_u_and_reconstruction(tree, tree_pinv(tree))
     np.testing.assert_allclose(u, [0.25, 0.0, -0.25], atol=1e-14)
     np.testing.assert_allclose(rebuilt, PATH3_D / 2.0, atol=1e-13)
+
+
+def test_u_is_checked_against_the_closed_form_where_q_is_zero():
+    # a candidate built from a wrong u rebuilds itself exactly, so only the
+    # closed-form u exposes it; the path on three vertices has tau^t L tau = 0
+    tree = tree_build(PATH3_EDGES)
+    wrong_u = np.array([0.25, 0.1, -0.25])
+    candidate = -tree.L / 2.0 + np.outer(wrong_u, tree.tau) + np.outer(tree.tau, wrong_u)
+    with pytest.raises(VerificationError, match="closed-form u"):
+        tree_u_and_reconstruction(tree, candidate)
 
 
 def test_u_dual_routes_agree_on_random_trees():
