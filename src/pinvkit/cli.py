@@ -43,7 +43,9 @@ from .circulant import (
 from .core import (
     ResidualReport,
     characterization_residuals,
+    full_rank_normal_pinv,
     gen_random_matrix,
+    inverse_certified,
     penrose_residuals,
     pinv,
     pinv_normal_equations,
@@ -81,6 +83,7 @@ from .matrix import (
 from .sumdecomp import (
     check_orthogonality,
     completion_pinv_pair,
+    full_rank_completion_pinv,
     gen_rank_additive_pair,
     gen_svd_block_family,
     rank_completion_pinv,
@@ -236,6 +239,23 @@ def _cmd_pinv(args, tol: Tolerance) -> RunReport:
     if not args.input:
         raise PreconditionError("pinv needs --input")
     a, in_digest = _load_matrix(args.input)
+    # the full-rank form of the route, or None when it cannot certify the rank
+    forms = {"normal": full_rank_normal_pinv, "rank-completion": full_rank_completion_pinv}
+    x = forms[args.method](a, tol) if args.method in forms else None
+    x, rank = (x, min(a.shape)) if x is not None else _factored_pinv(args, a, tol)
+    return RunReport(
+        command="pinv",
+        method=args.method,
+        rows=a.shape[0],
+        cols=a.shape[1],
+        rank=rank,
+        **_verdict(penrose_residuals(a, x, tol)),
+        input_digest=in_digest,
+        output_digest=_write_output(args.output, x, dumps_matrix_json, dumps_matrix_csv),
+    )
+
+
+def _factored_pinv(args, a: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, int]:
     if args.method != "pair":
         factorization = svd(a, tol, deflate=True)
     else:
@@ -258,16 +278,7 @@ def _cmd_pinv(args, tol: Tolerance) -> RunReport:
         x = completion_pinv_pair(
             a, b, tol=tol, factorization=factorization, b_factorization=b_factorization
         )
-    return RunReport(
-        command="pinv",
-        method=args.method,
-        rows=a.shape[0],
-        cols=a.shape[1],
-        rank=factorization.rank,
-        **_verdict(penrose_residuals(a, x, tol)),
-        input_digest=in_digest,
-        output_digest=_write_output(args.output, x, dumps_matrix_json, dumps_matrix_csv),
-    )
+    return x, factorization.rank
 
 
 def _two_term_from_generator(gen: np.ndarray) -> tuple[complex, complex, int]:
@@ -417,14 +428,14 @@ def _cmd_verify(args, tol: Tolerance) -> RunReport:
     a, in_digest = _load_matrix(args.input)
     x, _ = _load_matrix(args.aux)
     pen = penrose_residuals(a, x, tol)
-    factorization = svd(a, tol, deflate=True)
+    factorization = None if inverse_certified(a, x, tol) else svd(a, tol, deflate=True)
     chars = characterization_residuals(a, x, tol, factorization)
     every = {**pen.residuals, **chars.residuals}
     return RunReport(
         command="verify",
         rows=a.shape[0],
         cols=a.shape[1],
-        rank=factorization.rank,
+        rank=factorization.rank if factorization else a.shape[0],
         **_verdict(pen, chars.passed),
         input_digest=in_digest,
         extras={"residuals": {key: float(value) for key, value in every.items()}},

@@ -4,7 +4,8 @@ pinv is the SVD-backed reference implementation every closed-form path in
 the package is checked against. The residual reports cover the four Penrose
 equations and the six equivalent characterization systems; null-space
 equalities are evaluated as projector differences, since null-space bases
-are not unique.
+are not unique. full_rank_certified proves full rank from an approximate
+inverse X of A, so a route that holds one factors A only when that fails.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .linalg import SvdFactorization, cholesky_factor, cholesky_solve, random_unitary, svd
-from .matrix import DEFAULT_TOL, PreconditionError, Tolerance, dagger, eye, frobenius
+from .matrix import DEFAULT_TOL, UNIT_ROUNDOFF, PreconditionError, Tolerance, dagger, eye, frobenius
 
 PENROSE_KEYS = ("penrose1", "penrose2", "penrose3", "penrose4")
 CHARACTERIZATION_KEYS = ("char_i", "char_ii", "char_iii", "char_iv", "char_v", "char_vi")
@@ -47,8 +48,9 @@ class ResidualReport:
 
 
 def bound_ratio(residual: float, bound: float) -> float:
-    """residual / bound, where a zero bound admits only a zero residual."""
-    return residual / bound if bound > 0 else (math.inf if residual > 0 else 0.0)
+    """residual / bound; a zero bound admits only zero, and NaN or inf ranks first."""
+    ratio = residual / bound if bound > 0 and math.isfinite(residual) else math.inf
+    return 0.0 if residual == 0 else ratio
 
 
 def penrose_bounds(norm_a: float, norm_x: float, shape, tol: Tolerance) -> dict[str, float]:
@@ -112,6 +114,26 @@ def projectors(
     return p_range, eye(m) - p_range, p_range_adj, eye(n) - p_range_adj
 
 
+def full_rank_certified(a: np.ndarray, x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """True when x, an approximate inverse of the m x n a, proves that the SVD
+    rule gives a rank k = min(m, n). With P = XA (m >= n) or AX, and gamma =
+    N u / (1 - N u), N = max(m, n), the rounding bound of the product,
+    r = ||P - I_k||_F + gamma ||X||_F ||A||_F < 1 gives sigma_k(A) >= (1 - r) /
+    ||X||_F, which must clear tol.rank_cutoff(||A||_F, m, n): at least the
+    SVD's cutoff, as ||A||_F >= sigma_1. A NaN fails the test."""
+    m, n = a.shape
+    norm_a, norm_x = frobenius(a), frobenius(x)
+    gamma = max(m, n) * UNIT_ROUNDOFF / (1.0 - max(m, n) * UNIT_ROUNDOFF)
+    r = frobenius((x @ a if m >= n else a @ x) - eye(min(m, n))) + gamma * norm_x * norm_a
+    return r < 1.0 and (1.0 - r) / norm_x > tol.rank_cutoff(norm_a, m, n)
+
+
+def inverse_certified(a: np.ndarray, x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """True when square a and x certify each other's full rank: all their projectors are I or 0."""
+    square = a.shape[0] == a.shape[1]
+    return square and full_rank_certified(a, x, tol) and full_rank_certified(x, a, tol)
+
+
 def penrose_residuals(a: np.ndarray, x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> ResidualReport:
     """Residuals of the four Penrose equations for the candidate inverse x."""
     _check_shapes(a, x)
@@ -153,10 +175,15 @@ def characterization_residuals(
       (vi)  AX = P_R(A)            and XA = P_R(X)
 
     factorization, if given, is svd(a, tol, deflate=True) and saves recomputing it.
+    Without one, an X that passes inverse_certified needs no factorization.
     """
     _check_shapes(a, x)
-    p_range_a, p_null_a_adj, p_range_a_adj, p_null_a = projectors(a, tol, factorization)
-    p_range_x, p_null_x_adj, _, p_null_x = projectors(x, tol)
+    if factorization is None and inverse_certified(a, x, tol):
+        proj_a = proj_x = (eye(len(a)), 0 * eye(len(a))) * 2
+    else:
+        proj_a, proj_x = projectors(a, tol, factorization), projectors(x, tol)
+    p_range_a, p_null_a_adj, p_range_a_adj, p_null_a = proj_a
+    p_range_x, p_null_x_adj, _, p_null_x = proj_x
     ax = a @ x
     xa = x @ a
     a_adj = dagger(a)
@@ -169,7 +196,8 @@ def characterization_residuals(
         "char_ii": [ax_eq, xa_eq, (frobenius(xa @ x - x), by_kx)],
         "char_iii": [
             (frobenius(x @ a @ a_adj - a_adj), by_ka),
-            (frobenius(x @ dagger(x) @ a_adj - x), by_kx),
+            # X (X* A*): X X* alone leaves the float range at extreme scales
+            (frobenius(x @ (dagger(x) @ a_adj) - x), by_kx),
         ],
         "char_iv": [
             (frobenius(xa @ p_range_a_adj - p_range_a_adj), by_k),
@@ -183,6 +211,28 @@ def characterization_residuals(
     return ResidualReport(dict(zip(systems, residuals)), dict(zip(systems, bounds)))
 
 
+def _unit_scale(a: np.ndarray) -> float:
+    """The power of two (finite for subnormal entries) that brings max |a_ij| below 1."""
+    return math.ldexp(1.0, -max(math.frexp(float(np.max(np.abs(a), initial=0.0)))[1], -1000))
+
+
+def _gram_pinv(a: np.ndarray, left: bool) -> np.ndarray | None:
+    """(A*A)^-1 A* (left) or A* (AA*)^-1 by Cholesky on _unit_scale A; None on breakdown."""
+    scale = _unit_scale(a)
+    b = dagger(a * scale) if left else a * scale
+    low = cholesky_factor(b @ dagger(b))
+    x = None if low is None else cholesky_solve(low, b)
+    return None if x is None else (x if left else dagger(x)) * scale
+
+
+def full_rank_normal_pinv(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
+    """pinv_normal_equations' full-rank Gram form (left when m >= n) if
+    full_rank_certified proves rank min(m, n), else None, with no SVD; given
+    svd(a, tol, deflate=True), pinv_normal_equations returns the same X."""
+    x = _gram_pinv(a, a.shape[0] >= a.shape[1])
+    return x if x is not None and full_rank_certified(a, x, tol) else None
+
+
 def pinv_normal_equations(
     a: np.ndarray, tol: Tolerance = DEFAULT_TOL, factorization: SvdFactorization | None = None
 ) -> np.ndarray:
@@ -190,24 +240,20 @@ def pinv_normal_equations(
 
     Full column rank: (A*A)^-1 A* by a Cholesky solve. Full row rank:
     A* (AA*)^-1. Otherwise the general form (A*A)^+ A*, where
-    (A*A)^+ = V_r Sigma_r^-2 V_r* comes from the same factorization,
-    svd(a, tol, deflate=True), computed here when the caller has none.
+    (A*A)^+ = V_r Sigma_r^-2 V_r* comes from svd(a, tol, deflate=True).
+    Each form runs on A scaled by _unit_scale, so A*A and sigma^2 stay in
+    range. full_rank_normal_pinv gives the full-rank form without factoring A.
     """
     m, n = a.shape
     f = factorization if factorization is not None else svd(a, tol, deflate=True)
-    a_adj = dagger(a)
-    if f.rank == n:
-        low = cholesky_factor(a_adj @ a)
-        if low is not None:
-            return cholesky_solve(low, a_adj)
-    if f.rank == m:
-        low = cholesky_factor(a @ a_adj)
-        if low is not None:
-            return dagger(cholesky_solve(low, a))
+    for left, full in ((True, f.rank == n), (False, f.rank == m)):
+        x = _gram_pinv(a, left) if full else None
+        if x is not None:
+            return x
     if f.rank == 0:
         return np.zeros((n, m), dtype=np.complex128)
-    _, vr = f.cutoff_slices
-    return (vr / f.sigma[: f.rank] ** 2) @ (dagger(vr) @ a_adj)
+    scale, (_, vr) = _unit_scale(a), f.cutoff_slices
+    return (vr / (f.sigma[: f.rank] * scale) ** 2) @ (dagger(vr) @ dagger(a * scale)) * scale
 
 
 def gen_random_matrix(
@@ -240,6 +286,7 @@ __all__ = [
     "PENROSE_KEYS",
     "ResidualReport",
     "characterization_residuals",
+    "full_rank_certified",
     "gen_random_matrix",
     "is_134_inverse",
     "penrose_residuals",

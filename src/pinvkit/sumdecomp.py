@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import bound_ratio, pinv, projectors
+from .core import bound_ratio, full_rank_certified, pinv, projectors
 from .linalg import (
     SvdFactorization,
     cholesky_factor,
@@ -262,6 +262,41 @@ def auto_completion(
     )
 
 
+def _completion_pinv(a: np.ndarray, comp: CompletionData, full: bool, tol: Tolerance) -> np.ndarray:
+    """M^+ - sum_k (1/d_k) f_k g_k*, in the form rank_completion_pinv lists."""
+    m, n = a.shape
+    f, g, d = comp.f_basis, comp.g_basis, comp.d
+    dyads_back = (f / d) @ dagger(g)  # sum_k (1/d_k) f_k g_k*
+    completed = a + (g * d) @ dagger(f)
+
+    if not full:
+        return pinv(completed, tol) - dyads_back
+    if m == n:
+        return inverse(completed) - dyads_back
+    if m > n:
+        low = cholesky_factor(dagger(a) @ a + (f * (np.abs(d) ** 2)) @ dagger(f))
+    else:
+        low = cholesky_factor(a @ dagger(a) + (g * (np.abs(d) ** 2)) @ dagger(g))
+    if low is None:
+        raise PreconditionError("completed Gram matrix is not positive definite")
+    if m > n:
+        return cholesky_solve(low, dagger(completed)) - dyads_back
+    return dagger(cholesky_solve(low, completed)) - dyads_back
+
+
+def full_rank_completion_pinv(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
+    """The full completion with no dyads (one LU inverse, or the Gram solve) if
+    full_rank_certified proves rank min(m, n), else None, with no SVD; given
+    svd(a, tol, deflate=True), rank_completion_pinv returns the same X."""
+    a = as_matrix(a)
+    no_dyads = CompletionData(np.zeros((a.shape[1], 0)), np.zeros((a.shape[0], 0)), np.zeros(0))
+    try:
+        x = _completion_pinv(a, no_dyads, True, tol)
+    except PreconditionError:
+        return None
+    return x if full_rank_certified(a, x, tol) else None
+
+
 def rank_completion_pinv(
     a: np.ndarray,
     comp: CompletionData | None = None,
@@ -282,6 +317,7 @@ def rank_completion_pinv(
 
     A is factored once, for the rank and the default completion;
     factorization, if given, is svd(a, tol, deflate=True) and saves that too.
+    full_rank_completion_pinv gives the full-rank form without factoring A.
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -289,23 +325,7 @@ def rank_completion_pinv(
     if comp is None:
         comp = auto_completion(a, tol, fa)
     _validate_completion(a, comp, tol)
-    f, g, d = comp.f_basis, comp.g_basis, comp.d
-    dyads_back = (f / d) @ dagger(g)  # sum_k (1/d_k) f_k g_k*
-    completed = a + (g * d) @ dagger(f)
-
-    if comp.count != min(m, n) - fa.rank:
-        return pinv(completed, tol) - dyads_back
-    if m == n:
-        return inverse(completed) - dyads_back
-    if m > n:
-        low = cholesky_factor(dagger(a) @ a + (f * (np.abs(d) ** 2)) @ dagger(f))
-    else:
-        low = cholesky_factor(a @ dagger(a) + (g * (np.abs(d) ** 2)) @ dagger(g))
-    if low is None:
-        raise PreconditionError("completed Gram matrix is not positive definite")
-    if m > n:
-        return cholesky_solve(low, dagger(completed)) - dyads_back
-    return dagger(cholesky_solve(low, completed)) - dyads_back
+    return _completion_pinv(a, comp, comp.count == min(m, n) - fa.rank, tol)
 
 
 def completion_pinv_pair(

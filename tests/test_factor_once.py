@@ -178,6 +178,31 @@ def test_normal_method_on_rank_deficient_input_makes_one_svd(tmp_path, capsys, m
 
 
 @pytest.mark.parametrize(
+    "command,rows,cols",
+    [
+        ("normal", 12, 12),
+        ("rank-completion", 10, 10),
+        ("verify", 8, 8),
+        ("normal", 12, 5),
+        ("normal", 5, 12),
+        ("rank-completion", 12, 5),
+    ],
+)
+def test_full_rank_input_makes_no_svd(tmp_path, capsys, monkeypatch, command, rows, cols):
+    # the route's own inverse certifies the rank, so the dense oracle never runs
+    a = gen_random_matrix(29, rows, cols)
+    argv = ["--input", write_matrix(tmp_path / "a.json", a)]
+    if command == "verify":
+        argv = ["verify", *argv, "--aux", write_matrix(tmp_path / "x.json", pinv(a))]
+    else:
+        argv = ["pinv", "--method", command, *argv]
+    calls = record_calls(monkeypatch, svd)
+    code, report = run(capsys, argv)
+    assert code == 0 and report["passed"] and report["rank"] == min(rows, cols)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["--gen", "1.5,-0.25+2i,0.5,3,-1i,0.125"],
