@@ -6,7 +6,7 @@ Equivalently circ(c) = sum_k c[k] Pi^k for the one-step shift matrix Pi.
 Diagonalization by the unitary DFT turns every question about circ(c) into
 one about its eigenvalue vector, and the closed forms below (two-term,
 support splitting, zero-sum shift, block pattern) are checked against that
-spectral route.
+spectral route; circ_penrose_residuals checks a candidate on generators alone.
 """
 
 from __future__ import annotations
@@ -120,11 +120,11 @@ def circ_penrose_residuals(gen, xgen, tol: Tolerance = DEFAULT_TOL) -> ResidualR
 
     Sums, products and adjoints of circulants are circulant, and
     ||circ(h)||_F = sqrt(n) ||h||, so each residual is sqrt(n) times the
-    norm of a residual generator. The first row of circ(g) M is g @ M,
-    taken against the materialized matrix rather than through the spectrum,
-    so the check shares no arithmetic with the spectral route. In exact
-    arithmetic these are the dense residuals, held to the dense bounds of
-    penrose_bounds; the cost is O(n^2), not O(n^3).
+    norm of a residual generator. Each product is a cyclic convolution,
+    circ_mul on a strided view of one generator, with no n x n matrix built
+    and no use of the spectrum, so the check shares no arithmetic with the
+    spectral route. In exact arithmetic these are the dense residuals, held
+    to the dense bounds of penrose_bounds; the cost is O(n^2), not O(n^3).
     """
     gen = as_vector(gen, min_len=2)
     xgen = as_vector(xgen, min_len=2)
@@ -132,19 +132,18 @@ def circ_penrose_residuals(gen, xgen, tol: Tolerance = DEFAULT_TOL) -> ResidualR
         raise PreconditionError(
             f"generator lengths differ: {gen.shape[0]} vs {xgen.shape[0]}"
         )
-    c = circ_materialize(gen)
-    x = circ_materialize(xgen)
-    ax = gen @ x
-    xa = xgen @ c
-    scale = math.sqrt(gen.shape[0])
+    ax = circ_mul(gen, xgen)
+    xa = circ_mul(xgen, gen)
+    n = gen.shape[0]
+    scale = math.sqrt(n)
     return ResidualReport(
         {
-            "penrose1": scale * frobenius(ax @ c - gen),
-            "penrose2": scale * frobenius(xa @ x - xgen),
+            "penrose1": scale * frobenius(circ_mul(ax, gen) - gen),
+            "penrose2": scale * frobenius(circ_mul(xa, xgen) - xgen),
             "penrose3": scale * frobenius(_adjoint_generator(ax) - ax),
             "penrose4": scale * frobenius(_adjoint_generator(xa) - xa),
         },
-        penrose_bounds(scale * frobenius(gen), scale * frobenius(xgen), c.shape, tol),
+        penrose_bounds(scale * frobenius(gen), scale * frobenius(xgen), (n, n), tol),
     )
 
 

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .linalg import SvdFactorization, cholesky_factor, cholesky_solve, random_unitary, svd
+from .linalg import SvdFactorization, cholesky_factor, cholesky_solve, random_unitary, svd, unit_scale
 from .matrix import DEFAULT_TOL, UNIT_ROUNDOFF, PreconditionError, Tolerance, dagger, eye, frobenius
 
 PENROSE_KEYS = ("penrose1", "penrose2", "penrose3", "penrose4")
@@ -211,14 +211,9 @@ def characterization_residuals(
     return ResidualReport(dict(zip(systems, residuals)), dict(zip(systems, bounds)))
 
 
-def _unit_scale(a: np.ndarray) -> float:
-    """The power of two (finite for subnormal entries) that brings max |a_ij| below 1."""
-    return math.ldexp(1.0, -max(math.frexp(float(np.max(np.abs(a), initial=0.0)))[1], -1000))
-
-
 def _gram_pinv(a: np.ndarray, left: bool) -> np.ndarray | None:
-    """(A*A)^-1 A* (left) or A* (AA*)^-1 by Cholesky on _unit_scale A; None on breakdown."""
-    scale = _unit_scale(a)
+    """(A*A)^-1 A* (left) or A* (AA*)^-1 by Cholesky on unit_scale A; None on breakdown."""
+    scale = unit_scale(a)
     b = dagger(a * scale) if left else a * scale
     low = cholesky_factor(b @ dagger(b))
     x = None if low is None else cholesky_solve(low, b)
@@ -241,7 +236,7 @@ def pinv_normal_equations(
     Full column rank: (A*A)^-1 A* by a Cholesky solve. Full row rank:
     A* (AA*)^-1. Otherwise the general form (A*A)^+ A*, where
     (A*A)^+ = V_r Sigma_r^-2 V_r* comes from svd(a, tol, deflate=True).
-    Each form runs on A scaled by _unit_scale, so A*A and sigma^2 stay in
+    Each form runs on A scaled by unit_scale, so A*A and sigma^2 stay in
     range. full_rank_normal_pinv gives the full-rank form without factoring A.
     """
     m, n = a.shape
@@ -252,7 +247,7 @@ def pinv_normal_equations(
             return x
     if f.rank == 0:
         return np.zeros((n, m), dtype=np.complex128)
-    scale, (_, vr) = _unit_scale(a), f.cutoff_slices
+    scale, (_, vr) = unit_scale(a), f.cutoff_slices
     return (vr / (f.sigma[: f.rank] * scale) ** 2) @ (dagger(vr) @ dagger(a * scale)) * scale
 
 

@@ -89,6 +89,15 @@ def _require_zero_sum(tree: TreeMatrices, tol: Tolerance) -> None:
         )
 
 
+def _penrose_checked(d: np.ndarray, dpinv: np.ndarray, graph: str, tol: Tolerance) -> np.ndarray:
+    """dpinv once it passes the four Penrose residuals for d; else raise, naming the worst."""
+    report = penrose_residuals(d, dpinv, tol)
+    if not report.passed:
+        name, value = report.worst
+        raise VerificationError(f"{graph} pseudoinverse failed {name} with residual {value:.3e}")
+    return dpinv
+
+
 def tree_build(edges, tol: Tolerance = DEFAULT_TOL) -> TreeMatrices:
     """Build TreeMatrices from (i, j, w) triples with 1-based vertices.
 
@@ -284,11 +293,7 @@ def tree_pinv(
     else:
         inv = tree_shift_inverse(tree, alpha, tol)
         dpinv = inv - np.outer(tau, tau) / (float(alpha) * float(tau @ tau) ** 2)
-    report = penrose_residuals(tree.D, dpinv, tol)
-    if not report.passed:
-        name, value = report.worst
-        raise VerificationError(f"tree pseudoinverse failed {name} with residual {value:.3e}")
-    return dpinv
+    return _penrose_checked(tree.D, dpinv, "tree", tol)
 
 
 def tree_u_and_reconstruction(
@@ -500,11 +505,7 @@ def wheel_pinv(wheel: WheelGraph, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndar
     """
     m = wheel.n - 1
     dpinv = wheel.inv134 - np.outer(wheel.a, wheel.a) / m**2
-    report = penrose_residuals(wheel.D, dpinv, tol)
-    if not report.passed:
-        name, value = report.worst
-        raise VerificationError(f"wheel pseudoinverse failed {name} with residual {value:.3e}")
-    return wheel.inv134, dpinv
+    return wheel.inv134, _penrose_checked(wheel.D, dpinv, "wheel", tol)
 
 
 def wheel_properties(n: int, tol: Tolerance = DEFAULT_TOL) -> dict[str, bool]:

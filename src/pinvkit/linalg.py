@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,6 +211,12 @@ def _complete_orthonormal(cols: np.ndarray, total: int) -> np.ndarray:
     return np.hstack([cols, tail])
 
 
+def unit_scale(a: np.ndarray) -> float:
+    """The power of two that brings max |a_ij| below 1 (1 for a zero a); the
+    exponent is clamped at 1000, so it stays finite for subnormal entries."""
+    return math.ldexp(1.0, -max(math.frexp(float(np.max(np.abs(a), initial=0.0)))[1], -1000))
+
+
 def _squared_norms(rows: np.ndarray) -> np.ndarray:
     """Squared 2-norm of each row of a C-contiguous complex array."""
     flat = rows.view(np.float64)
@@ -245,8 +252,9 @@ def svd(
     no sweep is spent confirming it; max_sweeps bounds the sweeps that
     rotate, and ConvergenceError is raised if the columns are not certified
     after that many. U is b with its columns normalized, completed to a
-    unitary by Householder reflectors. Raises PreconditionError on inf or
-    nan entries. The loop runs on a stack: svd_batch puts the p-rows of all
+    unitary by Householder reflectors. The sweeps run on unit_scale(a) a, so
+    subnormal input keeps its rank. Raises PreconditionError on inf or nan
+    entries. The loop runs on a stack: svd_batch puts the p-rows of all
     its members over all their q-rows, so each round is this round with
     halves k times as tall, and svd is the stack of one member, with the
     results svd_batch gives that member bit for bit.
@@ -326,10 +334,9 @@ def _jacobi_stack(
         # Squared column norms overflow for entries above ~1e154 and underflow
         # below ~1e-154, so the iteration runs on a copy scaled by a power of
         # two, which is exact, to entries below 1; sigma is scaled back at the end.
-        top = float(np.max(np.abs(a), initial=0.0))
-        if not np.isfinite(top):
+        if not np.isfinite(a).all():
             raise PreconditionError(f"svd input has an inf or nan entry{_member(j, k)}")
-        scale = 2.0 ** -np.frexp(top)[1] if top > 0.0 else 1.0
+        scale = unit_scale(a)
         natural[j, :n, :m] = a.T * scale
         natural[j, :n, m:] = eye(n)
         # Columns ground down to far below roundoff noise are frozen at zero;

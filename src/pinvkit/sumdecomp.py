@@ -14,13 +14,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import bound_ratio, full_rank_certified, pinv, projectors
+from .core import _gram_pinv, bound_ratio, full_rank_certified, pinv, projectors
 from .linalg import (
     SvdFactorization,
     cholesky_factor,
     cholesky_solve,
     inverse,
-    lu_solve,
     random_unitary,
     svd,
     svd_batch,
@@ -166,8 +165,8 @@ def pinv_invertible_projector_eq(
 ) -> np.ndarray:
     """Member pseudoinverse by solving (sum A_k) X = P onto N(deflated sum*).
 
-    Requires a square, numerically invertible family sum. The dual equation
-    X (sum A_k) = P_N(deflated sum) is verified as a residual.
+    Requires a square family sum, invertible at tol; X = (sum A_k)^+ P from
+    its one SVD. The dual X (sum A_k) = P_N(deflated sum) is a checked residual.
     """
     _require_certificate(fam, tol)
     if not 0 <= k0 < len(fam):
@@ -181,7 +180,7 @@ def pinv_invertible_projector_eq(
         raise PreconditionError("family sum is not invertible at tolerance")
     rest = fam.deflated(k0)
     _, p_null_rest_adj, _, p_null_rest = projectors(rest, tol)
-    x = lu_solve(total, p_null_rest_adj)
+    x = pinv(total, tol, f) @ p_null_rest_adj
     # x carries the solve's forward error, cond(total) ||x||
     dual = frobenius(x @ total - p_null_rest)
     bound = tol.bound(f.sigma[0] / f.sigma[-1], frobenius(x), frobenius(total))
@@ -263,7 +262,8 @@ def auto_completion(
 
 
 def _completion_pinv(a: np.ndarray, comp: CompletionData, full: bool, tol: Tolerance) -> np.ndarray:
-    """M^+ - sum_k (1/d_k) f_k g_k*, in the form rank_completion_pinv lists."""
+    """M^+ - sum_k (1/d_k) f_k g_k*, in the form rank_completion_pinv lists; a
+    non-square full completion is one _gram_pinv(M), on M scaled by unit_scale."""
     m, n = a.shape
     f, g, d = comp.f_basis, comp.g_basis, comp.d
     dyads_back = (f / d) @ dagger(g)  # sum_k (1/d_k) f_k g_k*
@@ -273,15 +273,10 @@ def _completion_pinv(a: np.ndarray, comp: CompletionData, full: bool, tol: Toler
         return pinv(completed, tol) - dyads_back
     if m == n:
         return inverse(completed) - dyads_back
-    if m > n:
-        low = cholesky_factor(dagger(a) @ a + (f * (np.abs(d) ** 2)) @ dagger(f))
-    else:
-        low = cholesky_factor(a @ dagger(a) + (g * (np.abs(d) ** 2)) @ dagger(g))
-    if low is None:
+    x = _gram_pinv(completed, m > n)
+    if x is None:
         raise PreconditionError("completed Gram matrix is not positive definite")
-    if m > n:
-        return cholesky_solve(low, dagger(completed)) - dyads_back
-    return dagger(cholesky_solve(low, completed)) - dyads_back
+    return x - dyads_back
 
 
 def full_rank_completion_pinv(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
@@ -310,8 +305,8 @@ def rank_completion_pinv(
     weights. The input picks the form of M^+:
 
       square, full completion  one LU inverse of M
-      m > n, full completion   Hermitian solve of
-                               (A*A + sum |d_k|^2 f_k f_k*) X = M*
+      m > n, full completion   Hermitian solve of (M*M) X = M* on M scaled
+                               by unit_scale, M*M = A*A + sum |d_k|^2 f_k f_k*
       m < n, full completion   the mirrored solve
       partial completion       SVD pseudoinverse of M
 

@@ -13,11 +13,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import pinvkit
+import pinvkit.circulant
 from pinvkit.circulant import (
     block_pattern_generator,
     block_pattern_pinv,
@@ -246,6 +248,34 @@ def test_perturbed_generators_fail_the_structured_check():
             bumped_gen = gen.copy()
             bumped_gen[index] += 1e-6
             assert not circ_penrose_residuals(bumped_gen, xgen, tol).passed, (n, index)
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 97, 512])
+def test_structured_residuals_build_no_matrix(monkeypatch, n):
+    # the products are cyclic convolutions on the generators (circ_mul), so
+    # neither circulant is materialized and the peak stays far below n^2
+    rng = np.random.default_rng(900 + n)
+    gen = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    xgen = circ_pinv_spectral(gen).gen
+    dense = penrose_residuals(circ_materialize(gen), circ_materialize(xgen))
+    wrong = xgen.copy()
+    wrong[n // 2] += 1e-6 * np.max(np.abs(xgen))
+
+    def refuse(gen):
+        raise AssertionError("circ_penrose_residuals materialized a circulant")
+
+    monkeypatch.setattr(pinvkit.circulant, "circ_materialize", refuse)
+    tracemalloc.start()
+    try:
+        structured = circ_penrose_residuals(gen, xgen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dense.passed and structured.passed
+    for key, bound in dense.bounds.items():
+        assert abs(structured.residuals[key] - dense.residuals[key]) <= 1e-3 * bound, key
+    assert n < 64 or peak < 16 * n * n
+    assert not circ_penrose_residuals(gen, wrong).passed
 
 
 def test_structured_residuals_reject_mismatched_lengths():

@@ -25,7 +25,7 @@ import pinvkit.sumdecomp
 from pinvkit.cli import main
 from pinvkit.core import gen_random_matrix, penrose_residuals, pinv
 from pinvkit.graphdist import gen_zero_sum_tree, tree_build, tree_pinv, wheel_build, wheel_z
-from pinvkit.linalg import cholesky_factor, inverse, lu_factor, svd, svd_batch
+from pinvkit.linalg import cholesky_factor, inverse, lu_factor, svd, svd_batch, unit_scale
 from pinvkit.matrix import (
     VerificationError,
     dagger,
@@ -41,6 +41,8 @@ from pinvkit.sumdecomp import (
     completion_pinv_pair,
     fill_fishkind_pinv,
     gen_rank_additive_pair,
+    gen_svd_block_family,
+    pinv_invertible_projector_eq,
     rank_completion_pinv,
 )
 
@@ -239,6 +241,18 @@ def test_fill_fishkind_factors_each_matrix_once(monkeypatch):
     np.testing.assert_allclose(x, pinv(a1 + a2), atol=1e-9)
 
 
+def test_projector_equation_solves_with_the_svd_of_the_sum(monkeypatch):
+    # the SVD that proves the family sum invertible also solves for X
+    fam = gen_svd_block_family(seed=9, rows=6, cols=6, k=2, ranks=(4, 2))
+    wants = [pinv(m) for m in fam.members]
+    lu_calls = record_calls(monkeypatch, lu_factor)
+    svd_calls = record_calls(monkeypatch, svd)
+    for k0, want in enumerate(wants):
+        assert frobenius(pinv_invertible_projector_eq(fam, k0) - want) <= 1e-10
+        assert count_equal(svd_calls, fam.total()) == k0 + 1
+    assert lu_calls == []
+
+
 # --------------------------------------------------------------------------
 # completion forms: the input picks the factorization
 
@@ -281,9 +295,11 @@ def test_rank_completion_input_picks_its_form(monkeypatch, rows, cols, partial, 
         assert count_equal(calls["svd"], completed) == 1
         assert calls["inverse"] == [] and calls["cholesky"] == []
     else:
-        # the left Gram matrix is M*M (n x n), the right one MM* (m x m)
+        # the left Gram matrix is M*M (n x n), the right one MM* (m x m), both
+        # of M scaled by the power of two unit_scale(M)
         left = form == "gram-left"
         gram = dagger(completed) @ completed if left else completed @ dagger(completed)
+        gram = gram * unit_scale(completed) ** 2
         assert calls["inverse"] == [] and len(calls["cholesky"]) == 1
         got = calls["cholesky"][0]
         assert got.shape == gram.shape and frobenius(got - gram) <= 1e-9 * frobenius(gram)
