@@ -5,8 +5,12 @@ It times, as the median of several repeats:
 - fill_fishkind.five_svd  the former route, kept here: both projector
                           products formed n x n and inverted by their own
                           SVDs, five n x n SVDs in all
+- fill_fishkind.factored_cores
+                          the former route, kept here: fill_fishkind_pinv
+                          with both cores factored by one svd_batch call
 - fill_fishkind.cores     fill_fishkind_pinv, which inverts the products
-                          through cores with rank(A2) rows or columns
+                          through cores with rank(A2) rows or columns, each
+                          by one Gram solve that certifies its own rank
   at the closed-form workload's five (n, rank A1, rank A2) slots and at
   (32, 12, 14);
 - tree.per_root_bfs       the former path sums, a BFS from every root with
@@ -21,7 +25,8 @@ It times, as the median of several repeats:
 - parser.build            building the parser, as main did on every call
 - parser.parse            parse_args on the parser main now keeps, per subcommand.
 
-It checks that both Fill-Fishkind routes agree to 1e-12 relative, that
+It checks that the certified cores agree with both former Fill-Fishkind
+routes to 1e-12 relative, that
 both path-sum routes give the same distances to 1e-13 of max|D| and that
 both tree pseudoinverses agree to 1e-13 relative, and writes the
 medians in milliseconds with the machine's description to a JSON file.
@@ -38,10 +43,12 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import deque
+from unittest import mock
 
 import numpy as np
 from ledger import median_ms, write_ledger
 
+from pinvkit import sumdecomp
 from pinvkit.cli import build_parser
 from pinvkit.core import pinv, projectors
 from pinvkit.graphdist import _auto_alpha, gen_zero_sum_tree, tree_build, tree_pinv
@@ -79,6 +86,12 @@ def five_svd_fill_fishkind(a1: np.ndarray, a2: np.ndarray, tol=DEFAULT_TOL) -> n
     return (eye(n) - left) @ x1 @ (eye(n) - right) + left @ x2 @ right
 
 
+def factored_cores_fill_fishkind(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+    """The former fill_fishkind_pinv, which factored both cores."""
+    with mock.patch.object(sumdecomp, "_certified_core_pinv", lambda core, n, tol: None):
+        return fill_fishkind_pinv(a1, a2)
+
+
 def per_root_path_sums(edges, n: int) -> np.ndarray:
     """The former path sums of tree_build: one BFS from every root."""
     adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
@@ -109,15 +122,23 @@ def low_rank(rng: np.random.Generator, n: int, r: int) -> np.ndarray:
 def measure_fill_fishkind(n: int, r1: int, r2: int, repeats: int) -> dict:
     rng = np.random.default_rng(100 * n + 10 * r1 + r2)
     a1, a2 = low_rank(rng, n, r1), low_rank(rng, n, r2)
-    before, after = five_svd_fill_fishkind(a1, a2), fill_fishkind_pinv(a1, a2)
-    gap = frobenius(after - before) / frobenius(before)
+    after = fill_fishkind_pinv(a1, a2)
+    gaps = [
+        frobenius(after - before) / frobenius(before)
+        for before in (five_svd_fill_fishkind(a1, a2), factored_cores_fill_fishkind(a1, a2))
+    ]
     return {
         "n": n, "r1": r1, "r2": r2,
         "median_ms": median_ms({
             "fill_fishkind.five_svd": lambda: five_svd_fill_fishkind(a1, a2),
+            "fill_fishkind.factored_cores": lambda: factored_cores_fill_fishkind(a1, a2),
             "fill_fishkind.cores": lambda: fill_fishkind_pinv(a1, a2),
         }, repeats),
-        "checks": {"relative_gap": gap, "agree": gap <= 1e-12},
+        "checks": {
+            "relative_gap": gaps[0],
+            "factored_cores_relative_gap": gaps[1],
+            "agree": max(gaps) <= 1e-12,
+        },
     }
 
 

@@ -15,7 +15,8 @@ It times, as the median of several repeats, on seeded complex inputs:
 - separate   k svd(a, deflate=True) calls, one per member of a stack
 - batched    one svd_batch(stack, deflate=True) call, as the routes make it
   on the closed-form workload's stacks: (A1, A2, A1 + A2) and the two cores
-  at each Fill-Fishkind slot, and (A, B) at each pair slot, n = 6 to 16.
+  (factored only when their Gram inverses fail to certify themselves) at
+  each Fill-Fishkind slot, and (A, B) at each pair slot, n = 6 to 16.
 
 For each kernel and shape it records the median milliseconds, the sweeps (the
 smallest max_sweeps with which the kernel returns, found by search), the

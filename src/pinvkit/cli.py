@@ -51,12 +51,12 @@ from .core import (
     pinv_normal_equations,
 )
 from .graphdist import (
+    _tree_pinv_checked,
+    _wheel_pinv_checked,
     gen_zero_sum_tree,
     tree_build,
-    tree_pinv,
     tree_u_and_reconstruction,
     wheel_build,
-    wheel_pinv,
     wheel_z_identities,
 )
 from .linalg import svd, svd_batch
@@ -68,6 +68,7 @@ from .matrix import (
     Tolerance,
     VerificationError,
     circulant_csv_blocks,
+    dagger,
     dumps_generator_json,
     dumps_matrix_csv,
     dumps_matrix_json,
@@ -374,10 +375,9 @@ def _cmd_tree(args, tol: Tolerance) -> RunReport:
     edges = loads_tree_csv(text)
     tree = tree_build(edges, tol)
     # tree_pinv certifies rank n - 1 from D tau = 0 and the D L margin, so
-    # the report needs no SVD of D
-    x = tree_pinv(tree, alpha=args.alpha, tol=tol)
+    # the report needs no SVD of D, and its Penrose check is the report's
+    x, residuals = _tree_pinv_checked(tree, args.alpha, tol)
     u, rebuilt = tree_u_and_reconstruction(tree, tol=tol, dpinv=x)
-    residuals = penrose_residuals(tree.D, x, tol)
     return RunReport(
         command="tree",
         method="closed-form" if args.alpha is None else "shift-inverse",
@@ -399,12 +399,11 @@ def _cmd_tree(args, tol: Tolerance) -> RunReport:
 
 def _cmd_wheel(args, tol: Tolerance) -> RunReport:
     # wheel_build certifies rank n - 1 from D a = 0 and the verified
-    # inverse of D + a a^t
+    # inverse of D + a a^t; wheel_pinv's Penrose check is the report's
     wheel = wheel_build(args.n, tol)
-    inv134, dpinv = wheel_pinv(wheel, tol)
-    residuals = penrose_residuals(wheel.D, dpinv, tol)
+    dpinv, residuals = _wheel_pinv_checked(wheel, tol)
     identities = wheel_z_identities(args.n, wheel.z24)
-    eig_residual = float(np.max(np.abs(inv134 @ wheel.a - wheel.a / (args.n - 1))))
+    eig_residual = float(np.max(np.abs(wheel.inv134 @ wheel.a - wheel.a / (args.n - 1))))
     return RunReport(
         command="wheel",
         method="closed-form",
@@ -428,8 +427,14 @@ def _cmd_verify(args, tol: Tolerance) -> RunReport:
     a, in_digest = _load_matrix(args.input)
     x, _ = _load_matrix(args.aux)
     pen = penrose_residuals(a, x, tol)
-    factorization = None if inverse_certified(a, x, tol) else svd(a, tol, deflate=True)
-    chars = characterization_residuals(a, x, tol, factorization)
+    factorization = x_factorization = None
+    if not inverse_certified(a, x, tol):
+        # one stacked call; X goes in as X* unless it has A's shape, as svd
+        # would factor it, so each member is bit for bit svd's
+        same = x.shape == a.shape
+        factorization, fx = svd_batch((a, x if same else dagger(x)), tol, deflate=True)
+        x_factorization = fx if same else fx.adjoint()
+    chars = characterization_residuals(a, x, tol, factorization, x_factorization)
     every = {**pen.residuals, **chars.residuals}
     return RunReport(
         command="verify",

@@ -121,11 +121,16 @@ def full_rank_certified(a: np.ndarray, x: np.ndarray, tol: Tolerance = DEFAULT_T
     r = ||P - I_k||_F + gamma ||X||_F ||A||_F < 1 gives sigma_k(A) >= (1 - r) /
     ||X||_F, which must clear tol.rank_cutoff(||A||_F, m, n): at least the
     SVD's cutoff, as ||A||_F >= sigma_1. A NaN fails the test."""
+    r = _inverse_defect(a, x)
+    return r < 1.0 and (1.0 - r) / frobenius(x) > tol.rank_cutoff(frobenius(a), *a.shape)
+
+
+def _inverse_defect(a: np.ndarray, x: np.ndarray) -> float:
+    """The r of full_rank_certified: ||P - I_k||_F plus the product's rounding bound."""
     m, n = a.shape
-    norm_a, norm_x = frobenius(a), frobenius(x)
     gamma = max(m, n) * UNIT_ROUNDOFF / (1.0 - max(m, n) * UNIT_ROUNDOFF)
-    r = frobenius((x @ a if m >= n else a @ x) - eye(min(m, n))) + gamma * norm_x * norm_a
-    return r < 1.0 and (1.0 - r) / norm_x > tol.rank_cutoff(norm_a, m, n)
+    defect = frobenius((x @ a if m >= n else a @ x) - eye(min(m, n)))
+    return defect + gamma * frobenius(x) * frobenius(a)
 
 
 def inverse_certified(a: np.ndarray, x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -160,6 +165,7 @@ def characterization_residuals(
     x: np.ndarray,
     tol: Tolerance = DEFAULT_TOL,
     factorization: SvdFactorization | None = None,
+    x_factorization: SvdFactorization | None = None,
 ) -> ResidualReport:
     """Residuals of the six equivalent characterization systems.
 
@@ -174,14 +180,15 @@ def characterization_residuals(
       (v)   XA = P_R(A*)           and N(X) = N(A*)
       (vi)  AX = P_R(A)            and XA = P_R(X)
 
-    factorization, if given, is svd(a, tol, deflate=True) and saves recomputing it.
-    Without one, an X that passes inverse_certified needs no factorization.
+    factorization and x_factorization, if given, are svd(a, tol, deflate=True)
+    and svd(x, tol, deflate=True) and save recomputing them. Without the
+    first, an X that passes inverse_certified needs no factorization.
     """
     _check_shapes(a, x)
     if factorization is None and inverse_certified(a, x, tol):
         proj_a = proj_x = (eye(len(a)), 0 * eye(len(a))) * 2
     else:
-        proj_a, proj_x = projectors(a, tol, factorization), projectors(x, tol)
+        proj_a, proj_x = projectors(a, tol, factorization), projectors(x, tol, x_factorization)
     p_range_a, p_null_a_adj, p_range_a_adj, p_null_a = proj_a
     p_range_x, p_null_x_adj, _, p_null_x = proj_x
     ax = a @ x

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .circulant import circ_materialize, circ_mul
-from .core import penrose_residuals
+from .core import ResidualReport, penrose_residuals
 from .linalg import hermitian_eigenvalues, inverse
 from .matrix import (
     DEFAULT_TOL,
@@ -89,13 +89,13 @@ def _require_zero_sum(tree: TreeMatrices, tol: Tolerance) -> None:
         )
 
 
-def _penrose_checked(d: np.ndarray, dpinv: np.ndarray, graph: str, tol: Tolerance) -> np.ndarray:
-    """dpinv once it passes the four Penrose residuals for d; else raise, naming the worst."""
+def _penrose_checked(d: np.ndarray, dpinv: np.ndarray, graph: str, tol: Tolerance) -> ResidualReport:
+    """The four Penrose residuals of dpinv for d, once they pass; else raise, naming the worst."""
     report = penrose_residuals(d, dpinv, tol)
     if not report.passed:
         name, value = report.worst
         raise VerificationError(f"{graph} pseudoinverse failed {name} with residual {value:.3e}")
-    return dpinv
+    return report
 
 
 def tree_build(edges, tol: Tolerance = DEFAULT_TOL) -> TreeMatrices:
@@ -281,6 +281,13 @@ def tree_pinv(
     tol.rank_cutoff(||D||_F, n, n). The result then passes the four Penrose
     residuals.
     """
+    return _tree_pinv_checked(tree, alpha, tol)[0]
+
+
+def _tree_pinv_checked(
+    tree: TreeMatrices, alpha: float | None, tol: Tolerance
+) -> tuple[np.ndarray, ResidualReport]:
+    """tree_pinv and the Penrose report that passed it."""
     _require_zero_sum(tree, tol)
     margin = (2.0 - tree.dl_residual) / frobenius(tree.L)
     cutoff = tol.rank_cutoff(frobenius(tree.D), tree.n, tree.n)
@@ -293,7 +300,7 @@ def tree_pinv(
     else:
         inv = tree_shift_inverse(tree, alpha, tol)
         dpinv = inv - np.outer(tau, tau) / (float(alpha) * float(tau @ tau) ** 2)
-    return _penrose_checked(tree.D, dpinv, "tree", tol)
+    return dpinv, _penrose_checked(tree.D, dpinv, "tree", tol)
 
 
 def tree_u_and_reconstruction(
@@ -503,9 +510,14 @@ def wheel_pinv(wheel: WheelGraph, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndar
     whose rim block is circ(z - v)/(n-1)^2 since a a^t has rim block circ(v).
     D^+ must pass the Penrose residuals before it is returned.
     """
+    return wheel.inv134, _wheel_pinv_checked(wheel, tol)[0]
+
+
+def _wheel_pinv_checked(wheel: WheelGraph, tol: Tolerance) -> tuple[np.ndarray, ResidualReport]:
+    """wheel_pinv's D^+ and the Penrose report that passed it."""
     m = wheel.n - 1
     dpinv = wheel.inv134 - np.outer(wheel.a, wheel.a) / m**2
-    return wheel.inv134, _penrose_checked(wheel.D, dpinv, "wheel", tol)
+    return dpinv, _penrose_checked(wheel.D, dpinv, "wheel", tol)
 
 
 def wheel_properties(n: int, tol: Tolerance = DEFAULT_TOL) -> dict[str, bool]:

@@ -19,6 +19,8 @@ sweep that rotates nothing. The iteration runs on a copy scaled by a power of
 two, so squared norms neither overflow nor underflow at extreme scales.
 Missing columns of U, for rank-deficient or tall inputs, come from the
 Householder reflectors that reduce the accepted columns to triangular form.
+They are built on the first read of u (of v on the adjoint), at most once;
+pinv, projectors and the residual checks read only cutoff_slices.
 
 There is one sweep loop, and it runs over a stack of same-shape matrices:
 svd_batch stacks the k members' [B | V] arrays with the p-rows of all
@@ -71,7 +73,21 @@ from .matrix import (
 _EPS = 2.0 * UNIT_ROUNDOFF  # machine epsilon for float64
 
 
-@dataclass(frozen=True)
+@dataclass
+class _Basis:
+    """The first columns of a total x total unitary; the rest are filled in
+    by _complete_orthonormal on the first call of full(), and kept. A
+    factorization and its adjoint share one, so that runs at most once."""
+
+    cols: np.ndarray
+    total: int
+
+    def full(self) -> np.ndarray:
+        if self.cols.shape[1] < self.total:
+            self.cols = _complete_orthonormal(self.cols, self.total)
+        return self.cols
+
+
 class SvdFactorization:
     """A = u @ diag(sigma) @ v* with u (m,m) and v (n,n) unitary.
 
@@ -84,22 +100,38 @@ class SvdFactorization:
     the singular value of A it stands for (Weyl). It is roundoff far below
     any cutoff for svd(a), and below the rank cutoff / 8 per column for
     svd(a, deflate=True).
+
+    svd keeps only u's columns for the nonzero sigma and completes u on its
+    first read; cutoff_slices never needs the completion.
     """
 
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
-    rank: int
-    deflated: float = 0.0
+    __slots__ = ("_u", "sigma", "_v", "rank", "deflated")
+
+    def __init__(self, u, sigma: np.ndarray, v, rank: int, deflated: float = 0.0):
+        # an array given here reads back as it is; svd passes u as a _Basis
+        u, v = (b if isinstance(b, _Basis) else _Basis(b, np.shape(b)[1]) for b in (u, v))
+        for name, value in zip(self.__slots__, (u, sigma, v, rank, deflated)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SvdFactorization is immutable; cannot set {name}")
+
+    @property
+    def u(self) -> np.ndarray:
+        return self._u.full()
+
+    @property
+    def v(self) -> np.ndarray:
+        return self._v.full()
 
     @property
     def cutoff_slices(self) -> tuple[np.ndarray, np.ndarray]:
         """(u columns, v columns) spanning the range / co-range of A."""
-        return self.u[:, : self.rank], self.v[:, : self.rank]
+        return self._u.cols[:, : self.rank], self._v.cols[:, : self.rank]
 
     def adjoint(self) -> SvdFactorization:
         """The factorization of A* = v @ diag(sigma) @ u*."""
-        return SvdFactorization(self.v, self.sigma, self.u, self.rank, self.deflated)
+        return SvdFactorization(self._v, self.sigma, self._u, self.rank, self.deflated)
 
 
 def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -252,12 +284,13 @@ def svd(
     no sweep is spent confirming it; max_sweeps bounds the sweeps that
     rotate, and ConvergenceError is raised if the columns are not certified
     after that many. U is b with its columns normalized, completed to a
-    unitary by Householder reflectors. The sweeps run on unit_scale(a) a, so
-    subnormal input keeps its rank. Raises PreconditionError on inf or nan
-    entries. The loop runs on a stack: svd_batch puts the p-rows of all
-    its members over all their q-rows, so each round is this round with
-    halves k times as tall, and svd is the stack of one member, with the
-    results svd_batch gives that member bit for bit.
+    unitary by Householder reflectors when first read. The sweeps run on
+    unit_scale(a) a, so subnormal input keeps its rank. Raises
+    PreconditionError on inf or nan entries. The loop runs on a stack:
+    svd_batch puts the p-rows of all its members over all their q-rows, so
+    each round is this round with halves k times as tall, and svd is the
+    stack of one member, with the results svd_batch gives that member bit
+    for bit.
 
     A column is frozen at zero once its norm falls to the dead floor. By
     default that floor is u^3 ||A||_F, so singular values far below the
@@ -473,14 +506,13 @@ def _factorization(
 
     nonzero = norms > 0.0
     u_cols = b[:, nonzero] / norms[nonzero]
-    u = _complete_orthonormal(u_cols, m) if u_cols.shape[1] < m else u_cols
     sigma = norms / scale
 
     sigma_max = sigma[0] if sigma.size else 0.0
     cutoff = tol.rank_cutoff(sigma_max, m, n)
     rank = int(np.count_nonzero(sigma > cutoff))
     deflated = float(np.sqrt(zeroed2) / scale)
-    return SvdFactorization(u=u, sigma=sigma, v=v, rank=rank, deflated=deflated)
+    return SvdFactorization(_Basis(u_cols, m), sigma, v, rank, deflated)
 
 
 @dataclass(frozen=True)

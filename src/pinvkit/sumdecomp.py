@@ -10,11 +10,11 @@ Fill-Fishkind projector formula for rank-additive pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _gram_pinv, bound_ratio, full_rank_certified, pinv, projectors
+from .core import _gram_pinv, _inverse_defect, bound_ratio, full_rank_certified, pinv, projectors
 from .linalg import (
     SvdFactorization,
     cholesky_factor,
@@ -103,8 +103,9 @@ def check_orthogonality(
             ratio = bound_ratio(max(lhs, rhs), tol.bound(norms[kp], norms[k]))
             if ratio > worst_ratio:
                 worst, worst_ratio = (kp, k), ratio
-            left = max(left, lhs)
-            right = max(right, rhs)
+            # np.maximum, unlike max, keeps a NaN product
+            left = float(np.maximum(left, lhs))
+            right = float(np.maximum(right, rhs))
     return OrthogonalityCertificate(left, right, worst_ratio <= 1.0, worst)
 
 
@@ -112,9 +113,12 @@ def _require_certificate(fam: OperatorFamily, tol: Tolerance) -> None:
     cert = check_orthogonality(fam, tol)
     if not cert.holds:
         kp, k = cert.worst_pair
+        left, right = (
+            f"{v:.3e}" if np.isfinite(v) else "non-finite"
+            for v in (cert.pairwise_left, cert.pairwise_right)
+        )
         raise PreconditionError(
-            f"family members {kp} and {k} are not orthogonal "
-            f"(left {cert.pairwise_left:.3e}, right {cert.pairwise_right:.3e})"
+            f"family members {kp} and {k} are not orthogonal (left {left}, right {right})"
         )
 
 
@@ -396,12 +400,45 @@ def completion_pinv_pair(
     )
 
 
-def _core_pinv(core: np.ndarray, f: SvdFactorization, n: int, tol: Tolerance) -> np.ndarray:
+def _core_pinv(f: SvdFactorization, n: int, tol: Tolerance) -> np.ndarray:
     """core^+ from f = svd(core, tol, deflate=True), for the n x n product
     V core N* with orthonormal V and N: both have the same singular values,
-    so the core keeps rank_cutoff(sigma_max, n, n)."""
-    cutoff = tol.rank_cutoff(np.max(f.sigma, initial=0.0), n, n)
-    return pinv(core, tol, replace(f, rank=int(np.count_nonzero(f.sigma > cutoff))))
+    so the core keeps rank_cutoff(sigma_max, n, n), at most its own rank."""
+    rank = int(np.count_nonzero(f.sigma > tol.rank_cutoff(np.max(f.sigma, initial=0.0), n, n)))
+    ur, vr = (cols[:, :rank] for cols in f.cutoff_slices)
+    return (vr / f.sigma[:rank]) @ dagger(ur)
+
+
+def _certified_core_pinv(core: np.ndarray, n: int, tol: Tolerance) -> np.ndarray | None:
+    """core^+ by one _gram_pinv if, with r its _inverse_defect, (1 - r) / ||X||_F
+    proves full rank at _core_pinv's n x n cutoff and r <= tol.residual_rel;
+    else None. The Gram solve's error grows as cond^2 u, against cond u for the
+    SVD: at a principal-angle sine near 1e-6 a core passes the rank test, yet
+    its Gram inverse fails the Penrose check of the result."""
+    x = _gram_pinv(core, core.shape[0] >= core.shape[1])
+    r = np.inf if x is None else _inverse_defect(core, x)
+    proved = r < 1.0 and (1.0 - r) / frobenius(x) > tol.rank_cutoff(frobenius(core), n, n)
+    return x if proved and r <= tol.residual_rel else None
+
+
+def _core_pinvs(cores: tuple[np.ndarray, np.ndarray], n: int, tol: Tolerance) -> list[np.ndarray]:
+    """The pseudoinverses of the cores V2* N1 and M1* U2, which rank additivity
+    makes full rank r2: from _certified_core_pinv, or if either fails, both
+    from one svd_batch call, each member as svd would factor it (V2* N1 is
+    r2 x (n - r1) and goes in as its adjoint, unless r1 + r2 = n). Empty
+    cores (r2 = 0) give empty zeros."""
+    if not cores[0].size:
+        return [np.zeros(core.shape[::-1], dtype=np.complex128) for core in cores]
+    xs = [_certified_core_pinv(core, n, tol) for core in cores]
+    if all(x is not None for x in xs):
+        return xs
+    left_core, right_core = cores
+    if left_core.shape[0] < left_core.shape[1]:
+        f_left_adj, f_right = svd_batch((dagger(left_core), right_core), tol, deflate=True)
+        f_left = f_left_adj.adjoint()
+    else:
+        f_left, f_right = svd_batch(cores, tol, deflate=True)
+    return [_core_pinv(f_left, n, tol), _core_pinv(f_right, n, tol)]
 
 
 def fill_fishkind_pinv(
@@ -419,9 +456,10 @@ def fill_fishkind_pinv(
     L = (P_R(A2*) P_N(A1))^+ = N1 (V2* N1)^+ V2* and R = (P_N(A1*) P_R(A2))^+
     = U2 (M1* U2)^+ M1*, from the null-space columns N1, M1 of svd(A1) and the
     range columns U2, V2 of svd(A2), so each core has rank(A2) rows or columns.
-    The cores are factored together too: V2* N1 is r2 x (n - r1) and M1* U2 is
-    (n - r1) x r2, so the first goes in as its adjoint, as svd would factor
-    it, unless r1 + r2 = n makes both square.
+    Rank additivity makes both cores full rank, so each is inverted by one
+    Cholesky solve on its Gram matrix, and that inverse certifies the rank
+    and its own accuracy (_certified_core_pinv). Only when a core fails the
+    certificate are both cores factored, by one svd_batch call.
     """
     a1 = as_matrix(a1)
     a2 = as_matrix(a2)
@@ -451,14 +489,9 @@ def fill_fishkind_pinv(
         )
     u2, v2 = f2.cutoff_slices
     null1, conull1 = f1.v[:, f1.rank :], f1.u[:, f1.rank :]
-    left_core, right_core = dagger(v2) @ null1, dagger(conull1) @ u2
-    if left_core.shape[0] < left_core.shape[1]:
-        f_left_adj, f_right = svd_batch((dagger(left_core), right_core), tol, deflate=True)
-        f_left = f_left_adj.adjoint()
-    else:
-        f_left, f_right = svd_batch((left_core, right_core), tol, deflate=True)
-    left = null1 @ _core_pinv(left_core, f_left, n, tol) @ dagger(v2)
-    right = u2 @ _core_pinv(right_core, f_right, n, tol) @ dagger(conull1)
+    left_pinv, right_pinv = _core_pinvs((dagger(v2) @ null1, dagger(conull1) @ u2), n, tol)
+    left = null1 @ left_pinv @ dagger(v2)
+    right = u2 @ right_pinv @ dagger(conull1)
     x1 = pinv(a1, tol, f1)
     x2 = pinv(a2, tol, f2)
     return (eye(n) - left) @ x1 @ (eye(n) - right) + left @ x2 @ right

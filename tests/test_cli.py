@@ -19,7 +19,7 @@ from pinvkit.circulant import circ_materialize, circ_pinv_spectral, generator_fr
 from pinvkit.cli import _write_atomic, main
 from pinvkit.core import gen_random_matrix, penrose_residuals, pinv
 from pinvkit.graphdist import tree_build, wheel_build, wheel_pinv
-from pinvkit.linalg import svd
+from pinvkit.linalg import svd, svd_batch
 from pinvkit.matrix import (
     PreconditionError,
     Tolerance,
@@ -348,7 +348,13 @@ def test_dense_commands_factor_the_input_once(tmp_path, capsys, monkeypatch, com
         factored.append(np.array_equal(m, a))
         return svd(m, *args, **kwargs)
 
+    def counting_batch(mats, *args, **kwargs):
+        # verify factors A and X in one stacked call; each member counts
+        factored.extend(np.array_equal(m, a) for m in mats)
+        return svd_batch(mats, *args, **kwargs)
+
     monkeypatch.setattr(pinvkit.cli, "svd", counting_svd)
+    monkeypatch.setattr(pinvkit.cli, "svd_batch", counting_batch)
     monkeypatch.setattr(pinvkit.core, "svd", counting_svd)
     argv = ["pinv", "--input", src] if command == "pinv" else ["verify", "--input", src, "--aux", aux]
     code, report = run(capsys, argv)

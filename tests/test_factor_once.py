@@ -234,11 +234,56 @@ def test_fill_fishkind_factors_each_matrix_once(monkeypatch):
     assert count_equal(calls, a1) == 1
     assert count_equal(calls, a2) == 1
     assert count_equal(calls, a1 + a2) == 1
-    # the projector products are inverted through cores with r2 rows or columns
-    cores = [m for m in calls if not any(count_equal([m], b) for b in (a1, a2, a1 + a2))]
-    assert cores and r2 < 8
-    assert all(min(m.shape) <= r2 for m in cores)
+    # the cores with r2 rows or columns certify their own Gram inverses, so
+    # nothing but the three n x n matrices is factored
+    assert r2 < 8 and len(calls) == 3
     np.testing.assert_allclose(x, pinv(a1 + a2), atol=1e-9)
+
+
+def low_rank(rng, n, r):
+    g = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+    return g @ (rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fill_fishkind_factors_no_core_on_benchmark_shapes(monkeypatch, seed):
+    # the closed-form workload's (n, rank A1, rank A2) slots, drawn as its
+    # generator draws them
+    rng = np.random.default_rng(seed)
+    calls = record_calls(monkeypatch, svd)
+    for n, r1, r2 in [(6, 2, 3), (8, 3, 4), (8, 2, 2), (10, 4, 5), (12, 3, 6)]:
+        a1, a2 = low_rank(rng, n, r1), low_rank(rng, n, r2)
+        calls.clear()
+        x = fill_fishkind_pinv(a1, a2)
+        assert [m.shape for m in calls] == [(n, n)] * 3
+        assert penrose_residuals(a1 + a2, x).passed
+
+
+def tilted_pair(sine: float, n: int = 8):
+    """A rank-3 + rank-3 pair whose third co-range vector of A2 lies at a
+    principal angle with this sine from R(A1*): the core V2* N1 then has a
+    singular value of sine, and A1 + A2 stays rank-additive."""
+    rng = np.random.default_rng(5)
+    u, w = pinvkit.random_unitary(rng, n), pinvkit.random_unitary(rng, n)
+    v2 = w[:, 3:6].copy()
+    v2[:, 2] = np.sqrt(1.0 - sine**2) * w[:, 0] + sine * w[:, 5]
+    return u[:, :3] @ dagger(w[:, :3]), u[:, 3:6] @ dagger(v2)
+
+
+@pytest.mark.parametrize("sine,gap", [(1e-5, 1e-8), (1e-8, None)])
+def test_fill_fishkind_factors_the_cores_when_their_certificate_fails(monkeypatch, sine, gap):
+    # at 1e-5 the Gram inverse proves rank 3, but its residual, about
+    # cond^2 u = 1e-6, is above tau, and it would fail the Penrose check of
+    # X; at 1e-8 the Cholesky factor of the Gram matrix breaks down
+    a1, a2 = tilted_pair(sine)
+    calls = record_calls(monkeypatch, svd)
+    x = fill_fishkind_pinv(a1, a2)
+    cores = [m for m in calls if m.shape != (8, 8)]
+    assert len(calls) == 5 and sorted(m.shape for m in cores) == [(5, 3), (5, 3)]
+    assert penrose_residuals(a1 + a2, x).passed
+    if gap is not None:
+        want = np.linalg.pinv(a1 + a2)
+        assert frobenius(x - want) <= gap * frobenius(want)
 
 
 def test_projector_equation_solves_with_the_svd_of_the_sum(monkeypatch):

@@ -301,6 +301,52 @@ def test_svd_tall_rank_one_u_unitary():
     assert f.rank == 1
 
 
+def count_completions(monkeypatch) -> list[int]:
+    """Record the column count of every Householder completion of U."""
+    calls = []
+
+    def counting(cols, total):
+        calls.append(cols.shape[1])
+        return _complete_orthonormal(cols, total)
+
+    monkeypatch.setattr(pinvkit.linalg, "_complete_orthonormal", counting)
+    return calls
+
+
+@pytest.mark.parametrize("shape,rank", [((12, 12), 5), ((16, 4), 4), ((16, 4), 2), ((4, 16), 3)])
+def test_pinv_projectors_and_residuals_never_complete_u(monkeypatch, shape, rank):
+    a = pinvkit.gen_random_matrix(7, *shape, rank=rank)
+    calls = count_completions(monkeypatch)
+    x = pinvkit.pinv(a)
+    pinvkit.projectors(a)
+    assert pinvkit.penrose_residuals(a, x).passed
+    assert calls == []
+
+
+@pytest.mark.parametrize("shape,rank", [((12, 12), 5), ((16, 4), 4), ((4, 16), 3)])
+def test_u_is_completed_once_on_read_and_as_it_was_built(monkeypatch, shape, rank):
+    a = pinvkit.gen_random_matrix(8, *shape, rank=rank)
+    m, n = shape
+    f = svd(a, deflate=True)
+    # the lazy side is u for tall or square input and v for wide input
+    wide = m < n
+    lazy, total = (f.adjoint(), n) if wide else (f, m)
+    cols = lazy._u.cols.copy()
+    assert cols.shape[1] == np.count_nonzero(f.sigma > 0) < total
+    calls = count_completions(monkeypatch)
+    full = f.v if wide else f.u
+    assert calls == [cols.shape[1]]
+    # the eager kernel's U: the same reflectors on the same columns
+    np.testing.assert_array_equal(full, _complete_orthonormal(cols, total))
+    assert frobenius(dagger(full) @ full - np.eye(total)) <= 10 * UNIT_ROUNDOFF * total
+    np.testing.assert_array_equal(full[:, : f.rank], f.cutoff_slices[int(wide)])
+    # later reads, and reads through the adjoint, reuse it
+    assert (f.adjoint().u if wide else f.adjoint().v) is full
+    assert (f.v if wide else f.u) is full
+    assert calls == [cols.shape[1]]
+    _assert_factorization(a, f)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 31, 32])
 def test_round_robin_pairs_each_couple_once(n):
     rounds = _round_robin(n)

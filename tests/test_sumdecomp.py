@@ -121,6 +121,22 @@ def test_pinv_sum_refuses_without_certificate():
         pinv_sum(OperatorFamily((np.eye(2), np.eye(2))))
 
 
+@pytest.mark.parametrize("scale", [1e155, 1e200])
+def test_non_finite_orthogonality_products_are_named_in_the_refusal(scale):
+    # the products of this orthogonal family overflow to NaN at these scales;
+    # the certificate keeps the NaN instead of folding it away to 0, and the
+    # message names it (the scaling itself is not mended here, so numpy's
+    # overflow warnings are silenced)
+    fam = gen_svd_block_family(3, 6, 5, 2)
+    scaled = OperatorFamily(tuple(member * scale for member in fam.members))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cert = check_orthogonality(scaled)
+        assert not cert.holds
+        assert np.isnan(cert.pairwise_left) and np.isnan(cert.pairwise_right)
+        with pytest.raises(PreconditionError, match=r"left non-finite, right non-finite"):
+            pinv_sum(scaled)
+
+
 def test_pinv_sum_passes_penrose_against_total():
     fam = gen_svd_block_family(seed=11, rows=7, cols=7, k=2, ranks=(3, 2))
     total, _ = pinv_sum(fam)
