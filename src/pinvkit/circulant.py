@@ -6,7 +6,8 @@ Equivalently circ(c) = sum_k c[k] Pi^k for the one-step shift matrix Pi.
 Diagonalization by the unitary DFT turns every question about circ(c) into
 one about its eigenvalue vector, and the closed forms below (two-term,
 support splitting, zero-sum shift, block pattern) are checked against that
-spectral route; circ_penrose_residuals checks a candidate on generators alone.
+spectral route. circ_penrose_residuals checks a candidate on generators
+alone: each product is circ_mul, a direct cyclic convolution in O(n) memory.
 """
 
 from __future__ import annotations
@@ -92,10 +93,12 @@ def shift_power(n: int, l: int) -> np.ndarray:
 def circ_mul(a, b) -> np.ndarray:
     """Generator of circ(a) @ circ(b), the cyclic convolution of a and b.
 
-    The first row of circ(a) circ(b) is a @ circ(b): one numpy product in
-    the inputs' own dtype, so integer generators multiply exactly. Integer
-    inputs whose products could pass int64 are multiplied as Python
-    integers, which do not wrap.
+    The first row of circ(a) circ(b) is a @ circ(b), entry k the sum of
+    a[j] b[(k - j) mod n]. np.convolve gives the linear convolution, 2n - 1
+    direct sums in the inputs' own dtype, and folding its tail onto its head
+    (c[k] = full[k] + full[k + n]) makes it cyclic: no FFT, O(n) memory, and
+    integer generators multiply exactly. Integer inputs whose products could
+    pass int64 are multiplied as Python integers, which do not wrap.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -106,7 +109,9 @@ def circ_mul(a, b) -> np.ndarray:
         peak = n * max(map(abs, a.tolist())) * max(map(abs, b.tolist()))
         if peak > np.iinfo(np.int64).max:
             a, b = a.astype(object), b.astype(object)
-    return a @ _circ_rows(b)
+    full = np.convolve(a, b)
+    full[: n - 1] += full[n:]
+    return full[:n]
 
 
 def _adjoint_generator(gen: np.ndarray) -> np.ndarray:
@@ -121,7 +126,7 @@ def circ_penrose_residuals(gen, xgen, tol: Tolerance = DEFAULT_TOL) -> ResidualR
     Sums, products and adjoints of circulants are circulant, and
     ||circ(h)||_F = sqrt(n) ||h||, so each residual is sqrt(n) times the
     norm of a residual generator. Each product is a cyclic convolution,
-    circ_mul on a strided view of one generator, with no n x n matrix built
+    circ_mul's direct sums on the two generators, with no n x n matrix built
     and no use of the spectrum, so the check shares no arithmetic with the
     spectral route. In exact arithmetic these are the dense residuals, held
     to the dense bounds of penrose_bounds; the cost is O(n^2), not O(n^3).
@@ -163,7 +168,7 @@ def circ_spectrum(gen, tol: Tolerance = DEFAULT_TOL) -> Spectrum:
     values = fft.ifft(gen, norm="forward")
     magnitudes = np.abs(values)
     cutoff = tol.rank_cutoff(float(magnitudes.max(initial=0.0)), gen.shape[0], gen.shape[0])
-    support = tuple(int(i) for i in np.nonzero(magnitudes > cutoff)[0])
+    support = tuple(np.flatnonzero(magnitudes > cutoff).tolist())
     return Spectrum(values, support)
 
 

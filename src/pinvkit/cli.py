@@ -155,30 +155,56 @@ def _load_matrix(path: str) -> tuple[np.ndarray, str]:
     raise MatrixFormatError(f"unknown matrix format for {path}; use .json or .csv")
 
 
+# os.writev takes at most this many buffers in one call
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
+
+
+def _writev_all(fd: int, buffers: list) -> None:
+    """Write buffers to fd in order by os.writev, resuming after a short
+    write at the first byte not yet written."""
+    while buffers:
+        written = os.writev(fd, buffers)
+        if written == sum(map(len, buffers)):
+            return
+        for index, buffer in enumerate(buffers):
+            if written < len(buffer):
+                break
+            written -= len(buffer)
+        buffers = [memoryview(buffer)[written:], *buffers[index + 1 :]]
+
+
 def _write_atomic(path: str, data) -> str:
-    """Write data, a str or an iterable of bytes blocks, to path through a
-    uniquely named temporary file beside it; return the sha256 of the bytes
-    written.
+    """Write data, a str or an iterable of bytes-like buffers, to path through
+    a uniquely named temporary file beside it; return the sha256 of the
+    bytes written.
 
     Concurrent writers to the same path each rename a complete file into
-    place, so the last rename wins and no reader sees a partial file. Each
-    block goes to the file and to the digest as it comes, so a text built
-    in blocks is never held whole. If the blocks fail, the temporary file
-    is removed and the old file at path stays.
+    place, so the last rename wins and no reader sees a partial file. The
+    buffers go to the digest one by one and to the file in batches of at
+    most _IOV_MAX, one os.writev per batch, so none is joined or copied and
+    a text given in buffers is never held whole. If the buffers fail, the
+    temporary file is removed and the old file at path stays.
     """
-    blocks = (data.encode(),) if isinstance(data, str) else data
+    buffers = (data.encode(),) if isinstance(data, str) else data
     digest = hashlib.sha256()
     try:
         fd, tmp = tempfile.mkstemp(
             prefix=f".{os.path.basename(path)}.", suffix=".tmp", dir=os.path.dirname(path) or "."
         )
         try:
-            with os.fdopen(fd, "wb") as handle:
+            try:
                 # mkstemp creates 0600; give the mode open(path, "w") would
-                os.fchmod(handle.fileno(), 0o666 & ~_UMASK)
-                for block in blocks:
-                    handle.write(block)
-                    digest.update(block)
+                os.fchmod(fd, 0o666 & ~_UMASK)
+                batch = []
+                for buffer in buffers:
+                    digest.update(buffer)
+                    batch.append(buffer)
+                    if len(batch) == _IOV_MAX:
+                        _writev_all(fd, batch)
+                        batch = []
+                _writev_all(fd, batch)
+            finally:
+                os.close(fd)
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):
@@ -364,7 +390,7 @@ def _cmd_circ(args, tol: Tolerance) -> RunReport:
         output_digest=_write_output(
             args.output, result.gen, dumps_generator_json, circulant_csv_blocks
         ),
-        extras={"support": [int(i) for i in spectrum.support]},
+        extras={"support": list(spectrum.support)},
     )
 
 

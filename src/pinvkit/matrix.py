@@ -294,30 +294,24 @@ def dumps_circulant_csv(gen) -> str:
     return "\n".join([*(",".join(doubled[n - i : 2 * n - i]) for i in range(n)), ""])
 
 
-# circulant CSV rows go out in blocks of about this many bytes
-_BLOCK_BYTES = 1 << 20
-
-
 def circulant_csv_blocks(gen):
-    """Yield the bytes of dumps_circulant_csv(gen) as blocks of whole rows,
-    each about _BLOCK_BYTES long and at least one row.
+    """Yield the bytes of dumps_circulant_csv(gen) as buffers, each row
+    followed by its newline.
 
     Every row holds all n cells, so every row has the same length. Row i is
     the cells rotated right by i: a memoryview slice of the encoded first
-    row doubled, starting at cell n - i. A block joins its rows' slices, so
-    the text is neither built whole nor encoded.
+    row doubled, starting at cell n - i. No row is copied and no text is
+    joined, so the writer holds one doubled row at a time.
     """
     gen = as_vector(gen, min_len=2)
-    n = gen.shape[0]
     first = _format_rows(gen[None, :], _CSV_CELL, ",")[0].encode()
     doubled = memoryview(first + b"," + first)
     commas = np.flatnonzero(np.frombuffer(first, dtype=np.uint8) == ord(","))
-    # start of row i: cell 0 for i = 0, else the cell after comma n - 1 - i
-    starts = [0, *(commas[::-1] + 1).tolist()]
     width = len(first)
-    step = max(1, _BLOCK_BYTES // (width + 1))
-    for k in range(0, n, step):
-        yield b"\n".join([*(doubled[s : s + width] for s in starts[k : k + step]), b""])
+    # start of row i: cell 0 for i = 0, else the cell after comma n - 1 - i
+    for start in [0, *(commas[::-1] + 1).tolist()]:
+        yield doubled[start : start + width]
+        yield b"\n"
 
 
 def _loads_matrix_csv_per_cell(text: str) -> np.ndarray:

@@ -23,6 +23,7 @@ from .linalg import (
     random_unitary,
     svd,
     svd_batch,
+    unit_scale,
 )
 from .matrix import (
     DEFAULT_TOL,
@@ -267,7 +268,7 @@ def auto_completion(
 
 def _completion_pinv(a: np.ndarray, comp: CompletionData, full: bool, tol: Tolerance) -> np.ndarray:
     """M^+ - sum_k (1/d_k) f_k g_k*, in the form rank_completion_pinv lists; a
-    non-square full completion is one _gram_pinv(M), on M scaled by unit_scale."""
+    full completion is one LU inverse or _gram_pinv of M scaled by unit_scale."""
     m, n = a.shape
     f, g, d = comp.f_basis, comp.g_basis, comp.d
     dyads_back = (f / d) @ dagger(g)  # sum_k (1/d_k) f_k g_k*
@@ -276,7 +277,8 @@ def _completion_pinv(a: np.ndarray, comp: CompletionData, full: bool, tol: Toler
     if not full:
         return pinv(completed, tol) - dyads_back
     if m == n:
-        return inverse(completed) - dyads_back
+        scale = unit_scale(completed)
+        return inverse(completed * scale) * scale - dyads_back
     x = _gram_pinv(completed, m > n)
     if x is None:
         raise PreconditionError("completed Gram matrix is not positive definite")
@@ -308,7 +310,7 @@ def rank_completion_pinv(
     f_k g_k* holds for any orthonormal null-space subsets and nonzero
     weights. The input picks the form of M^+:
 
-      square, full completion  one LU inverse of M
+      square, full completion  one LU inverse of M scaled by unit_scale
       m > n, full completion   Hermitian solve of (M*M) X = M* on M scaled
                                by unit_scale, M*M = A*A + sum |d_k|^2 f_k f_k*
       m < n, full completion   the mirrored solve

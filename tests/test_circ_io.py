@@ -20,6 +20,7 @@ import pytest
 
 import pinvkit
 import pinvkit.circulant
+import pinvkit.cli
 from pinvkit.circulant import (
     block_pattern_generator,
     block_pattern_pinv,
@@ -134,12 +135,50 @@ def test_streamed_circulant_csv_equals_the_text_and_its_digest(tmp_path, n):
     blocks = [bytes(block) for block in circulant_csv_blocks(gen)]
     assert b"".join(blocks) == want
     row = len(want) // n
-    assert all(len(block) % row == 0 for block in blocks)  # whole rows
-    assert (len(blocks) > 1) == (n >= 511)  # a 10 MB text spans several blocks
+    # each row is its own buffer, a view that copies nothing, then its newline
+    assert len(blocks) == 2 * n
+    assert {len(block) for block in blocks[::2]} == {row - 1}
+    assert set(blocks[1::2]) == {b"\n"}
+    assert all(isinstance(block, memoryview) for block in list(circulant_csv_blocks(gen))[::2])
     path = tmp_path / "x.csv"
     digest = _write_atomic(str(path), circulant_csv_blocks(gen))
     assert path.read_bytes() == want
     assert digest == hashlib.sha256(want).hexdigest()
+
+
+def test_vectored_write_survives_short_writes_across_batches(tmp_path, monkeypatch):
+    # at most 1000 bytes per os.writev and 7 buffers per batch: rows of about
+    # 2.9 kB split inside a buffer, and 128 buffers span 19 batches
+    gen = special_generator(np.random.default_rng(5), 64)
+    want = dumps_circulant_csv(gen).encode()
+    batches = []
+
+    def short_writev(fd, buffers):
+        batches.append(len(buffers))
+        return os.write(fd, b"".join(buffers)[:1000])
+
+    monkeypatch.setattr(pinvkit.cli, "_IOV_MAX", 7)
+    monkeypatch.setattr(os, "writev", short_writev)
+    path = tmp_path / "x.csv"
+    digest = _write_atomic(str(path), circulant_csv_blocks(gen))
+    assert path.read_bytes() == want
+    assert digest == hashlib.sha256(want).hexdigest()
+    assert max(batches) == 7 and len(batches) > len(want) // 1000
+
+
+def test_streamed_write_holds_no_text(tmp_path):
+    # the n = 512 text is about 10 MB; the writer holds one doubled row and
+    # one batch of row views
+    gen = special_generator(np.random.default_rng(6), 512)
+    path = tmp_path / "x.csv"
+    tracemalloc.start()
+    try:
+        digest = _write_atomic(str(path), circulant_csv_blocks(gen))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == hashlib.sha256(dumps_circulant_csv(gen).encode()).hexdigest()
+    assert peak < 512 * 1024, peak
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (6, 5), (40, 33)])
@@ -337,6 +376,22 @@ def test_circ_mul_matches_the_dense_product_on_complex_generators():
         circ_materialize(a) @ circ_materialize(b),
         rtol=0,
         atol=1e-12,
+    )
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("n", [2, 3, 64, 97, 512])
+def test_circ_mul_matches_the_dense_product(n, kind):
+    rng = np.random.default_rng(60 + n)
+    a, b = rng.standard_normal(n), rng.standard_normal(n)
+    if kind == "complex":
+        a, b = a + 1j * rng.standard_normal(n), b + 1j * rng.standard_normal(n)
+    got = circ_mul(a, b)
+    assert got.shape == (n,) and got.dtype == a.dtype
+    # each entry sums n products: rounding stays within n u ||a|| ||b||
+    atol = 4 * n * np.finfo(float).eps * np.linalg.norm(a) * np.linalg.norm(b)
+    np.testing.assert_allclose(
+        circ_materialize(got), circ_materialize(a) @ circ_materialize(b), rtol=0, atol=atol
     )
 
 

@@ -335,7 +335,9 @@ def test_rank_completion_input_picks_its_form(monkeypatch, rows, cols, partial, 
     assert_matches_pinv(x, want)
     assert count_equal(calls["svd"], a) == 1
     if form == "inverse":
-        assert count_equal(calls["inverse"], completed) == 1 and calls["cholesky"] == []
+        # M scaled by the power of two unit_scale(M), as for the Gram forms
+        scaled = completed * unit_scale(completed)
+        assert count_equal(calls["inverse"], scaled) == 1 and calls["cholesky"] == []
     elif form == "pinv":
         assert count_equal(calls["svd"], completed) == 1
         assert calls["inverse"] == [] and calls["cholesky"] == []

@@ -2,7 +2,8 @@
 
 linalg.unit_scale is the one scale: the Jacobi SVD and the full-rank Gram
 solves (pinv --method normal, and rank-completion's full non-square
-completion) run on A times it and scale back, which is exact. Its exponent
+completion) and the LU inverse of rank-completion's full square completion
+run on A times it and scale back, which is exact. Its exponent
 is clamped, so it stays finite when the largest entry is subnormal. Every
 case runs with RuntimeWarnings raised as errors.
 """
@@ -57,6 +58,18 @@ def test_pinv_of_a_subnormal_matrix(tmp_path, capsys, method):
     # A = c e e^t gives A^+ = e e^t / (64^2 c), about 2.4e306 in each entry
     want = 1.0 / (64**2 * SUBNORMAL[0, 0])
     assert np.all(np.isfinite(x)) and np.max(np.abs(x - want)) <= 1e-12 * want
+
+
+def test_square_rank_completion_of_a_subnormal_matrix(tmp_path, capsys):
+    # the completed matrix is inverted at unit scale: unscaled, the LU's
+    # pivot test and solve ran at subnormal scale and overflowed
+    code, report, x = pinv_cli(tmp_path, capsys, SUBNORMAL, "rank-completion")
+    assert code == 0 and report["passed"] and report["rank"] == 1
+    code, _, want = pinv_cli(tmp_path, capsys, SUBNORMAL, "svd")
+    assert code == 0
+    # entries near 2.4e306: a 2-norm would overflow, so compare by max norm
+    peak = np.max(np.abs(want))
+    assert np.all(np.isfinite(x)) and np.max(np.abs(x - want)) <= 1e-12 * peak
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-170], ids=["1e200", "1e-170"])
