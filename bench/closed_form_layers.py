@@ -23,13 +23,27 @@ It times, as the median of several repeats:
                           explicitly: one LU inverse of D + alpha tau tau^t
   on zero-sum trees with n = 20 to 60 vertices;
 - parser.build            building the parser, as main did on every call
-- parser.parse            parse_args on the parser main now keeps, per subcommand.
+- parser.parse            parse_args on the parser main now keeps, per subcommand;
+- write.rows              the former _format_rows, kept here: one %-template
+                          per row, every cell formatted
+- write.distinct          matrix._format_rows, which formats each distinct
+                          real value once when at most half the cells are
+                          distinct, and else falls back to the row template
+  as CSV cells, on the wheel D^+ at n = 61, a tree D^+ at n = 60 and a real
+  60 x 60 whose cells are all distinct (where the fallback runs);
+- cli.wheel_61            main(["wheel", "--n", "61", "--output", "x.csv"])
+- cli.tree_40, cli.tree_60
+                          main(["tree", "--input", ..., "--output", "x.json"])
+                          on the zero-sum tree gen_zero_sum_tree(7, n)
+  each also with the former writer patched in (suffix .rows_writer).
 
 It checks that the certified cores agree with both former Fill-Fishkind
 routes to 1e-12 relative, that
 both path-sum routes give the same distances to 1e-13 of max|D| and that
-both tree pseudoinverses agree to 1e-13 relative, and writes the
-medians in milliseconds with the machine's description to a JSON file.
+both tree pseudoinverses agree to 1e-13 relative, that both writers give
+the same bytes (CSV and JSON cells, and every command's output file), and
+writes the medians in milliseconds with the machine's description to a JSON
+file. It exits 1 if any check fails.
 Only the standard library, numpy and pinvkit are used.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 bench/closed_form_layers.py
@@ -41,19 +55,40 @@ The first form writes BENCH_closed-form.json in the current directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
+import io
+import os
 import sys
+import tempfile
 from collections import deque
 from unittest import mock
 
 import numpy as np
 from ledger import median_ms, write_ledger
 
-from pinvkit import sumdecomp
-from pinvkit.cli import build_parser
+from pinvkit import matrix, sumdecomp
+from pinvkit.cli import build_parser, main as cli_main
 from pinvkit.core import pinv, projectors
-from pinvkit.graphdist import _auto_alpha, gen_zero_sum_tree, tree_build, tree_pinv
+from pinvkit.graphdist import (
+    _auto_alpha,
+    gen_zero_sum_tree,
+    tree_build,
+    tree_pinv,
+    wheel_build,
+    wheel_pinv,
+)
 from pinvkit.linalg import svd
-from pinvkit.matrix import DEFAULT_TOL, PreconditionError, eye, frobenius
+from pinvkit.matrix import (
+    _CSV_CELL,
+    _JSON_PAIR,
+    DEFAULT_TOL,
+    PreconditionError,
+    _format_rows,
+    dumps_tree_csv,
+    eye,
+    frobenius,
+)
 from pinvkit.sumdecomp import fill_fishkind_pinv
 
 # (n, rank A1, rank A2): the closed-form workload's slots, then one larger pair
@@ -111,6 +146,13 @@ def per_root_path_sums(edges, n: int) -> np.ndarray:
                     queue.append(nxt)
         d[root] = dist
     return d
+
+
+def rows_format(a: np.ndarray, cell: str, sep: str) -> list[str]:
+    """The former _format_rows: every row one %-format of its (re, im) pairs."""
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    template = sep.join([cell] * a.shape[1])
+    return [template % tuple(row) for row in a.view(np.float64).tolist()]
 
 
 def low_rank(rng: np.random.Generator, n: int, r: int) -> np.ndarray:
@@ -173,6 +215,58 @@ def measure_parser(repeats: int) -> dict:
     return {"median_ms": median_ms(funcs, repeats)}
 
 
+def measure_writer(repeats: int) -> list[dict]:
+    rng = np.random.default_rng(60)
+    cases = {
+        "wheel_61": wheel_pinv(wheel_build(61))[1],
+        "tree_60": tree_pinv(gen_zero_sum_tree(7, 60)),
+        "distinct_60": rng.standard_normal((60, 60)),
+    }
+    rows = []
+    for name, a in cases.items():
+        a = np.asarray(a, dtype=np.complex128)
+        agree = all(rows_format(a, cell, sep) == _format_rows(a, cell, sep)
+                    for cell, sep in ((_CSV_CELL, ","), (_JSON_PAIR, ", ")))
+        rows.append({
+            "case": name,
+            "distinct_share": np.unique(a.real.view(np.int64)).size / a.size,
+            "median_ms": median_ms({
+                "write.rows": lambda a=a: rows_format(a, _CSV_CELL, ","),
+                "write.distinct": lambda a=a: _format_rows(a, _CSV_CELL, ","),
+            }, repeats),
+            "checks": {"agree": agree},
+        })
+    return rows
+
+
+def measure_cli(repeats: int) -> dict:
+    """Each command end to end through main, with the writer as it is and
+    with the former one patched in; both must write the same bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        commands = {"cli.wheel_61": ["wheel", "--n", "61", "--output", os.path.join(tmp, "x.csv")]}
+        for n in (40, 60):
+            edges = os.path.join(tmp, f"t{n}.csv")
+            with open(edges, "w", encoding="utf-8") as handle:
+                handle.write(dumps_tree_csv(gen_zero_sum_tree(7, n).edges))
+            commands[f"cli.tree_{n}"] = ["tree", "--input", edges,
+                                         "--output", os.path.join(tmp, f"x{n}.json")]
+
+        def run(argv, writer=_format_rows):
+            with mock.patch.object(matrix, "_format_rows", writer), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = cli_main(argv)
+            with open(argv[-1], "rb") as handle:
+                return code, hashlib.sha256(handle.read()).hexdigest()
+
+        outcomes = [(run(argv), run(argv, rows_format)) for argv in commands.values()]
+        agree = all(new == old and new[0] == 0 for new, old in outcomes)
+        funcs = {}
+        for name, argv in commands.items():
+            funcs[name] = lambda argv=argv: run(argv)
+            funcs[f"{name}.rows_writer"] = lambda argv=argv: run(argv, rows_format)
+        return {"median_ms": median_ms(funcs, repeats), "checks": {"agree": agree}}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default="BENCH_closed-form.json")
@@ -180,16 +274,24 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     fill_fishkind = [measure_fill_fishkind(*slot, args.repeats) for slot in FILL_FISHKIND_SLOTS]
     trees = [measure_tree(n, args.repeats) for n in TREE_SIZES]
+    writer = measure_writer(args.repeats)
+    cli = measure_cli(args.repeats)
     payload = write_ledger(
         args.out, "closed-form", args.repeats,
         fill_fishkind=fill_fishkind, tree=trees, parser=measure_parser(args.repeats),
+        writer=writer, cli=cli,
     )
     for row in fill_fishkind + trees:
         label = f"n={row['n']:2d}" + (f" r={row['r1']}+{row['r2']}" if "r1" in row else "")
         ms = row["median_ms"]
         print(f"{label:<14}" + "  ".join(f"{key} {value:.2f}" for key, value in ms.items()))
     print("  ".join(f"{key} {value:.3f}" for key, value in payload["parser"]["median_ms"].items()))
-    return 0 if all(row["checks"]["agree"] for row in fill_fishkind + trees) else 1
+    for row in writer:
+        print(f"{row['case']:<14}" + "  ".join(
+            f"{key} {value:.2f}" for key, value in row["median_ms"].items()))
+    print("  ".join(f"{key} {value:.2f}" for key, value in cli["median_ms"].items()))
+    checks = [row["checks"]["agree"] for row in fill_fishkind + trees + writer]
+    return 0 if all(checks) and cli["checks"]["agree"] else 1
 
 
 if __name__ == "__main__":

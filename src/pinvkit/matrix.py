@@ -3,7 +3,9 @@
 Matrices are plain numpy complex128 arrays throughout the package; this
 module owns validation, the shared Tolerance knobs, and the JSON/CSV wire
 formats. All serialization is fixed at 17 significant digits, which is
-enough to round-trip any double exactly.
+enough to round-trip any double exactly. A real matrix that repeats its
+values has each distinct value formatted once; the bytes are unchanged, and
+`wheel --n 61` takes 2.2 ms against 5.8 ms (BENCH_closed-form.json, cli).
 """
 
 from __future__ import annotations
@@ -153,9 +155,22 @@ def _format_rows(a: np.ndarray, cell: str, sep: str) -> list[str]:
     """Each row of the complex 2-D array a as its cells joined by sep.
 
     A row is one %-format of the (re, im) pairs, so no Python code runs
-    per entry.
+    per entry. When every imaginary part is +0.0 (bit for bit) and at most
+    half the cells are distinct, each distinct real part (by bits, so -0.0
+    stays apart) is formatted once instead, and each row gathers its cells.
+    That breaks even near 80% distinct on 400 to 3600 cells and near 40% on
+    a 64-entry row, where the sort and gather outweigh the formatting saved.
     """
     a = np.ascontiguousarray(a, dtype=np.complex128)
+    bits = a.view(np.int64)
+    if not bits[:, 1::2].any():
+        values, where = np.unique(bits[:, ::2], return_inverse=True)
+        if 2 * values.size <= a.size:
+            pairs = np.zeros((values.size, 2))
+            pairs[:, 0] = values.view(np.float64)
+            cells = "\n".join([cell] * values.size) % tuple(pairs.ravel().tolist())
+            table = np.array(cells.split("\n"), dtype=object)
+            return [sep.join(row) for row in table[where.reshape(a.shape)].tolist()]
     template = sep.join([cell] * a.shape[1])
     return [template % tuple(row) for row in a.view(np.float64).tolist()]
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -18,13 +19,14 @@ import pinvkit.core
 from pinvkit.circulant import circ_materialize, circ_pinv_spectral, generator_from_spectrum
 from pinvkit.cli import _write_atomic, main
 from pinvkit.core import gen_random_matrix, penrose_residuals, pinv
-from pinvkit.graphdist import tree_build, wheel_build, wheel_pinv
+from pinvkit.graphdist import gen_zero_sum_tree, tree_build, wheel_build, wheel_pinv
 from pinvkit.linalg import svd, svd_batch
 from pinvkit.matrix import (
     PreconditionError,
     Tolerance,
     dumps_generator_json,
     dumps_matrix_json,
+    dumps_tree_csv,
     frobenius,
     loads_matrix_csv,
     loads_matrix_json,
@@ -296,6 +298,32 @@ def test_wheel_5_matches_module(tmp_path, capsys):
 
 def test_wheel_even_n_exits_3(capsys):
     assert main(["wheel", "--n", "4"]) == 3
+
+
+# sha256 of each output as the per-row writer formatted it, before the
+# writer formatted each distinct real value once
+GOLDEN_DIGESTS = {
+    ("wheel", "csv"): "d0d9b264bb7e6c97d329e35d27f657e4ddaffab9a58027421f8a7a6627323b7f",
+    ("wheel", "json"): "b48f1c0baaf3532fb7996eace72f8135fa11b0f1e8de64ba6c68901ac047952d",
+    ("tree", "csv"): "d22759fdbd5446bca182d4cd73e2b6f01d645194fd62692c50b7406e06e55d3d",
+    ("tree", "json"): "9322a0ec9508c3233a3db5b3dbb8fe2317c00e7d21e6202f06000e8e8ed1db70",
+}
+
+
+@pytest.mark.parametrize("command,ext", sorted(GOLDEN_DIGESTS))
+def test_wheel_61_and_tree_60_outputs_keep_their_bytes(tmp_path, capsys, command, ext):
+    if command == "wheel":
+        argv = ["wheel", "--n", "61"]
+    else:
+        edges = tmp_path / "t.csv"
+        edges.write_text(dumps_tree_csv(gen_zero_sum_tree(7, 60).edges))
+        argv = ["tree", "--input", str(edges)]
+    out = tmp_path / f"x.{ext}"
+    code, report = run(capsys, [*argv, "--output", str(out)])
+    assert code == 0
+    want = GOLDEN_DIGESTS[command, ext]
+    assert report["output_digest"] == want
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
 
 
 # --------------------------------------------------------------------------

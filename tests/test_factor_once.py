@@ -24,9 +24,17 @@ import pinvkit.matrix
 import pinvkit.sumdecomp
 from pinvkit.cli import main
 from pinvkit.core import gen_random_matrix, penrose_residuals, pinv
-from pinvkit.graphdist import gen_zero_sum_tree, tree_build, tree_pinv, wheel_build, wheel_z
+from pinvkit.graphdist import (
+    _auto_alpha,
+    gen_zero_sum_tree,
+    tree_build,
+    tree_pinv,
+    wheel_build,
+    wheel_z,
+)
 from pinvkit.linalg import cholesky_factor, inverse, lu_factor, svd, svd_batch, unit_scale
 from pinvkit.matrix import (
+    DEFAULT_TOL,
     VerificationError,
     dagger,
     dumps_matrix_csv,
@@ -418,6 +426,16 @@ def test_graded_trees_certify_rank_without_lu(tmp_path, capsys, monkeypatch, see
     assert report["rank"] == svd(tree.D).rank == 19
     x = loads_matrix_json(out.read_text()).real
     assert penrose_residuals(tree.D, x).passed
+
+
+@pytest.mark.xfail(raises=VerificationError, strict=True, reason=(
+    "known defect: the shift-inverse form loses the Penrose bound on graded trees; "
+    "cond(D + alpha tau tau^t) is 3.9e8 here while the LU's pivot growth is 1.2"))
+def test_explicit_auto_alpha_on_a_graded_tree_passes():
+    # the closed form passes on the same tree; the LU inverse of the shifted
+    # matrix fails penrose4 with a residual 20 times its bound
+    tree = graded_zero_sum_tree(0)
+    tree_pinv(tree, _auto_alpha(tree, DEFAULT_TOL))
 
 
 def test_perturbed_tree_laplacian_breaks_the_certificate(tmp_path, capsys, monkeypatch):

@@ -1,20 +1,26 @@
 """Carrier validation, literals, and file-format round trips."""
 
+import struct
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinvkit.matrix import (
     MatrixFormatError,
     PreconditionError,
     Tolerance,
     as_matrix,
+    circulant_csv_blocks,
+    dumps_circulant_csv,
     dumps_generator_json,
     dumps_matrix_csv,
     dumps_matrix_json,
     dumps_tree_csv,
     format_complex,
+    format_float,
     frobenius,
     loads_generator_json,
     loads_matrix_csv,
@@ -167,3 +173,72 @@ def test_frobenius_keeps_the_plain_sum_in_range():
     assert frobenius(np.zeros((0, 3))) == 0.0
     assert frobenius(np.array([[np.inf, 1.0]])) == np.inf
     assert np.isnan(frobenius(np.array([[np.nan, 1.0]])))
+
+
+# --------------------------------------------------------------------------
+# the writers against per-cell references built from format_complex
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+REALS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300]), st.integers(-3, 3).map(float), FINITE
+)
+IMAGS = st.one_of(st.sampled_from([0.0, -0.0]), FINITE.filter(bool))
+SHAPES = st.one_of(
+    st.tuples(st.just(1), st.integers(2, 12)),
+    st.tuples(st.integers(2, 12), st.just(1)),
+    st.tuples(st.integers(2, 6), st.integers(2, 6)),
+)
+
+
+@st.composite
+def matrices(draw, regime: str) -> np.ndarray:
+    """A matrix whose real parts repeat ("repeated": at most half the cells
+    distinct), or are all distinct ("distinct"), with every imaginary part
+    +0.0; or one with an imaginary part that is not +0.0 ("complex")."""
+    m, n = draw(SHAPES)
+    size = m * n
+    if regime == "distinct":
+        re = draw(st.lists(REALS, min_size=size, max_size=size, unique_by=bits))
+    else:
+        pool = draw(st.lists(REALS, min_size=1, max_size=size // 2))
+        re = [draw(st.sampled_from(pool)) for _ in range(size)]
+    im = [0.0] * size
+    if regime == "complex":
+        im = draw(st.lists(IMAGS, min_size=size, max_size=size).filter(
+            lambda parts: any(bits(x) != bits(0.0) for x in parts)))
+    return np.array([complex(x, y) for x, y in zip(re, im)]).reshape(m, n)
+
+
+def reference_csv(rows) -> str:
+    return "".join(",".join(format_complex(z) for z in row) + "\n" for row in rows)
+
+
+def reference_pairs(values) -> str:
+    return ", ".join(f"[{format_float(z.real)}, {format_float(z.imag)}]" for z in values)
+
+
+@pytest.mark.parametrize("regime", ["repeated", "distinct", "complex"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_writers_equal_the_per_cell_reference(regime, data):
+    a = data.draw(matrices(regime))
+    # the matrix lies on the side of the half-distinct rule its regime names
+    assert a.imag.view(np.int64).any() == (regime == "complex")
+    if regime != "complex":
+        distinct = len({bits(x) for x in a.real.ravel()})
+        assert (2 * distinct <= a.size) == (regime == "repeated")
+    m, n = a.shape
+    assert dumps_matrix_csv(a) == reference_csv(a)
+    assert dumps_matrix_json(a) == (
+        f'{{"rows": {m}, "cols": {n}, "data": [{reference_pairs(a.ravel())}]}}\n'
+    )
+    gen = a.ravel()
+    rotations = [np.roll(gen, i) for i in range(gen.size)]
+    assert dumps_generator_json(gen) == f'{{"n": {gen.size}, "gen": [{reference_pairs(gen)}]}}\n'
+    assert dumps_circulant_csv(gen) == reference_csv(rotations)
+    assert b"".join(circulant_csv_blocks(gen)) == reference_csv(rotations).encode()
