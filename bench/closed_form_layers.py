@@ -31,17 +31,25 @@ It times, as the median of several repeats:
                           distinct, and else falls back to the row template
   as CSV cells, on the wheel D^+ at n = 61, a tree D^+ at n = 60 and a real
   60 x 60 whose cells are all distinct (where the fallback runs);
+- norm.guarded            the former frobenius, kept here: |a|^2 summed
+                          inside np.errstate, for every input
+- norm.dot                matrix.frobenius, one BLAS dot when the sum of
+                          squares is normal and finite
+  in microseconds per call, on complex n x n inputs (n = 4, 16, 32, 64) and
+  a real 32 x 32;
 - cli.wheel_61            main(["wheel", "--n", "61", "--output", "x.csv"])
-- cli.tree_40, cli.tree_60
+- cli.tree_24, cli.tree_26, cli.tree_40, cli.tree_60
                           main(["tree", "--input", ..., "--output", "x.json"])
                           on the zero-sum tree gen_zero_sum_tree(7, n)
-  each also with the former writer patched in (suffix .rows_writer).
+  each also with the former writer patched in (suffix .rows_writer) and with
+  the former frobenius patched into every module (suffix .guarded_norm).
 
 It checks that the certified cores agree with both former Fill-Fishkind
 routes to 1e-12 relative, that
 both path-sum routes give the same distances to 1e-13 of max|D| and that
 both tree pseudoinverses agree to 1e-13 relative, that both writers give
-the same bytes (CSV and JSON cells, and every command's output file), and
+the same bytes (CSV and JSON cells, and every command's output file), that
+both norms agree to 2 ulps, and
 writes the medians in milliseconds with the machine's description to a JSON
 file. It exits 1 if any check fails.
 Only the standard library, numpy and pinvkit are used.
@@ -58,6 +66,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import math
 import os
 import sys
 import tempfile
@@ -67,7 +76,7 @@ from unittest import mock
 import numpy as np
 from ledger import median_ms, write_ledger
 
-from pinvkit import matrix, sumdecomp
+from pinvkit import circulant, cli, core, graphdist, linalg, matrix, sumdecomp
 from pinvkit.cli import build_parser, main as cli_main
 from pinvkit.core import pinv, projectors
 from pinvkit.graphdist import (
@@ -94,6 +103,10 @@ from pinvkit.sumdecomp import fill_fishkind_pinv
 # (n, rank A1, rank A2): the closed-form workload's slots, then one larger pair
 FILL_FISHKIND_SLOTS = ((6, 2, 3), (8, 3, 4), (8, 2, 2), (10, 4, 5), (12, 3, 6), (32, 12, 14))
 TREE_SIZES = (20, 30, 40, 50, 60)
+NORM_SIZES = (4, 16, 32, 64)
+NORM_LOOPS = 200
+# every module that binds frobenius by name
+NORM_USERS = (circulant, cli, core, graphdist, linalg, matrix, sumdecomp)
 ARGV = {
     "pinv": ["pinv", "--method", "pair", "--input", "a.json", "--aux", "b.json",
              "--output", "x.csv"],
@@ -153,6 +166,28 @@ def rows_format(a: np.ndarray, cell: str, sep: str) -> list[str]:
     a = np.ascontiguousarray(a, dtype=np.complex128)
     template = sep.join([cell] * a.shape[1])
     return [template % tuple(row) for row in a.view(np.float64).tolist()]
+
+
+def guarded_frobenius(a: np.ndarray) -> float:
+    """The former frobenius: the sum of |a_ij|^2 inside np.errstate, redone
+    on a / max|a_ij| only when that sum is not a normal finite number."""
+    mag = np.abs(np.asarray(a))
+    with np.errstate(over="ignore", under="ignore"):
+        total = np.sum(mag**2)
+        if matrix._SMALLEST_NORMAL <= total < np.inf or not mag.any():
+            return float(np.sqrt(total))
+        top = float(np.max(mag))
+        if not np.isfinite(top):
+            return top
+        return top * float(np.sqrt(np.sum((mag / top) ** 2)))
+
+
+def guarded_norm() -> contextlib.ExitStack:
+    """A context that patches the former frobenius into every module."""
+    stack = contextlib.ExitStack()
+    for module in NORM_USERS:
+        stack.enter_context(mock.patch.object(module, "frobenius", guarded_frobenius))
+    return stack
 
 
 def low_rank(rng: np.random.Generator, n: int, r: int) -> np.ndarray:
@@ -239,47 +274,75 @@ def measure_writer(repeats: int) -> list[dict]:
     return rows
 
 
+def measure_norm(repeats: int) -> list[dict]:
+    rng = np.random.default_rng(64)
+    cases = {f"complex_{n}": low_rank(rng, n, n) / n for n in NORM_SIZES}
+    cases["real_32"] = rng.standard_normal((32, 32))
+    rows = []
+    for name, a in cases.items():
+        new, old = frobenius(a), guarded_frobenius(a)
+
+        def loop(norm, a=a):
+            for _ in range(NORM_LOOPS):
+                norm(a)
+
+        ms = median_ms({"norm.guarded": lambda: loop(guarded_frobenius),
+                        "norm.dot": lambda: loop(frobenius)}, repeats)
+        rows.append({
+            "case": name,
+            "median_us": {key: 1e3 * value / NORM_LOOPS for key, value in ms.items()},
+            "checks": {"ulps": abs(new - old) / math.ulp(old), "agree": abs(new - old) <= 2 * math.ulp(old)},
+        })
+    return rows
+
+
 def measure_cli(repeats: int) -> dict:
-    """Each command end to end through main, with the writer as it is and
-    with the former one patched in; both must write the same bytes."""
+    """Each command end to end through main, with the writer and the norm as
+    they are and with the former ones patched in; all must write the same
+    bytes."""
     with tempfile.TemporaryDirectory() as tmp:
         commands = {"cli.wheel_61": ["wheel", "--n", "61", "--output", os.path.join(tmp, "x.csv")]}
-        for n in (40, 60):
+        for n in (24, 26, 40, 60):
             edges = os.path.join(tmp, f"t{n}.csv")
             with open(edges, "w", encoding="utf-8") as handle:
                 handle.write(dumps_tree_csv(gen_zero_sum_tree(7, n).edges))
             commands[f"cli.tree_{n}"] = ["tree", "--input", edges,
                                          "--output", os.path.join(tmp, f"x{n}.json")]
 
-        def run(argv, writer=_format_rows):
-            with mock.patch.object(matrix, "_format_rows", writer), \
-                    contextlib.redirect_stdout(io.StringIO()):
+        def run(argv, patch=contextlib.nullcontext):
+            with patch(), contextlib.redirect_stdout(io.StringIO()):
                 code = cli_main(argv)
             with open(argv[-1], "rb") as handle:
                 return code, hashlib.sha256(handle.read()).hexdigest()
 
-        outcomes = [(run(argv), run(argv, rows_format)) for argv in commands.values()]
-        agree = all(new == old and new[0] == 0 for new, old in outcomes)
+        variants = {
+            "": contextlib.nullcontext,
+            ".rows_writer": lambda: mock.patch.object(matrix, "_format_rows", rows_format),
+            ".guarded_norm": guarded_norm,
+        }
+        outcomes = [{run(argv, patch) for patch in variants.values()} for argv in commands.values()]
+        agree = all(len(seen) == 1 and next(iter(seen))[0] == 0 for seen in outcomes)
         funcs = {}
         for name, argv in commands.items():
-            funcs[name] = lambda argv=argv: run(argv)
-            funcs[f"{name}.rows_writer"] = lambda argv=argv: run(argv, rows_format)
+            for suffix, patch in variants.items():
+                funcs[name + suffix] = lambda argv=argv, patch=patch: run(argv, patch)
         return {"median_ms": median_ms(funcs, repeats), "checks": {"agree": agree}}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default="BENCH_closed-form.json")
-    parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--repeats", type=int, default=21)
     args = parser.parse_args(argv)
     fill_fishkind = [measure_fill_fishkind(*slot, args.repeats) for slot in FILL_FISHKIND_SLOTS]
     trees = [measure_tree(n, args.repeats) for n in TREE_SIZES]
     writer = measure_writer(args.repeats)
+    norm = measure_norm(args.repeats)
     cli = measure_cli(args.repeats)
     payload = write_ledger(
         args.out, "closed-form", args.repeats,
         fill_fishkind=fill_fishkind, tree=trees, parser=measure_parser(args.repeats),
-        writer=writer, cli=cli,
+        writer=writer, norm=norm, cli=cli,
     )
     for row in fill_fishkind + trees:
         label = f"n={row['n']:2d}" + (f" r={row['r1']}+{row['r2']}" if "r1" in row else "")
@@ -289,8 +352,11 @@ def main(argv=None) -> int:
     for row in writer:
         print(f"{row['case']:<14}" + "  ".join(
             f"{key} {value:.2f}" for key, value in row["median_ms"].items()))
+    for row in norm:
+        print(f"{row['case']:<14}" + "  ".join(
+            f"{key} {value:.2f} us" for key, value in row["median_us"].items()))
     print("  ".join(f"{key} {value:.2f}" for key, value in cli["median_ms"].items()))
-    checks = [row["checks"]["agree"] for row in fill_fishkind + trees + writer]
+    checks = [row["checks"]["agree"] for row in fill_fishkind + trees + writer + norm]
     return 0 if all(checks) and cli["checks"]["agree"] else 1
 
 

@@ -66,9 +66,13 @@ class TreeMatrices:
     delta: np.ndarray
     tau: np.ndarray
 
-    @property
+    @cached_property
     def weight_sum(self) -> float:
         return float(sum(w for _, _, w in self.edges))
+
+    @cached_property
+    def abs_weight_sum(self) -> float:
+        return float(sum(abs(w) for _, _, w in self.edges))
 
     @cached_property
     def dl_residual(self) -> float:
@@ -78,7 +82,7 @@ class TreeMatrices:
 
 
 def _is_zero_sum(tree: TreeMatrices, tol: Tolerance) -> bool:
-    return abs(tree.weight_sum) <= tol.bound(sum(abs(w) for _, _, w in tree.edges))
+    return abs(tree.weight_sum) <= tol.bound(tree.abs_weight_sum)
 
 
 def _require_zero_sum(tree: TreeMatrices, tol: Tolerance) -> None:

@@ -112,11 +112,22 @@ def dagger(a: np.ndarray) -> np.ndarray:
 def frobenius(a: np.ndarray) -> float:
     """Frobenius norm, safe for entries near the ends of the float range.
 
-    The plain sum of squares is kept whenever it is a normal finite number.
-    It overflows to inf for entries above ~1e154 and loses digits to
-    underflow below ~1e-154; only then is the sum redone on a / max|a_ij|.
+    Fast path: for float64 and complex128 input the sum of squares is one
+    BLAS dot, vdot(a, a).real, kept whenever it is a normal finite number;
+    the norm is then its square root. Every other case takes the guarded
+    path: other dtypes, empty input, and a dot that overflows to inf (entries
+    above ~1e154), underflows below the smallest normal (entries below
+    ~1e-154) or is NaN. The guarded path sums |a_ij|^2 with over- and
+    underflow ignored and keeps that sum when it is normal and finite or a is
+    zero; else it returns max|a_ij| when that is inf or NaN, and otherwise
+    redoes the sum on a / max|a_ij|.
     """
-    mag = np.abs(np.asarray(a))
+    a = np.asarray(a)
+    if a.dtype.char in "dD":
+        total = float(np.vdot(a, a).real)
+        if _SMALLEST_NORMAL <= total < math.inf:
+            return math.sqrt(total)
+    mag = np.abs(a)
     with np.errstate(over="ignore", under="ignore"):
         total = np.sum(mag**2)
         if _SMALLEST_NORMAL <= total < np.inf or not mag.any():

@@ -89,14 +89,20 @@ def check_orthogonality(
     """Certify R(A_k) <= N(A_k'*) and R(A_k*) <= N(A_k') for all k != k'.
 
     Both inclusions are tested in the equivalent product form
-    A_k'* A_k = 0 and A_k' A_k* = 0.
+    A_k'* A_k = 0 and A_k' A_k* = 0. Each member is first scaled by its own
+    unit_scale, which is exact: the test is homogeneous in each member, so
+    its verdict holds at any scale, and no product can underflow to a
+    vacuous zero or overflow. The product norms are reported in the
+    members' own units, inf where that overflows.
     """
-    norms = [frobenius(m) for m in fam.members]
+    scales = [unit_scale(m) for m in fam.members]
+    members = [m * s for m, s in zip(fam.members, scales)]
+    norms = [frobenius(m) for m in members]
     left = right = 0.0
     worst: tuple[int, int] | None = None
     worst_ratio = -1.0
-    for kp, a_kp in enumerate(fam.members):
-        for k, a_k in enumerate(fam.members):
+    for kp, a_kp in enumerate(members):
+        for k, a_k in enumerate(members):
             if k == kp:
                 continue
             lhs = frobenius(dagger(a_kp) @ a_k)
@@ -104,9 +110,8 @@ def check_orthogonality(
             ratio = bound_ratio(max(lhs, rhs), tol.bound(norms[kp], norms[k]))
             if ratio > worst_ratio:
                 worst, worst_ratio = (kp, k), ratio
-            # np.maximum, unlike max, keeps a NaN product
-            left = float(np.maximum(left, lhs))
-            right = float(np.maximum(right, rhs))
+            left = max(left, lhs / scales[kp] / scales[k])
+            right = max(right, rhs / scales[kp] / scales[k])
     return OrthogonalityCertificate(left, right, worst_ratio <= 1.0, worst)
 
 

@@ -1,5 +1,6 @@
 """Carrier validation, literals, and file-format round trips."""
 
+import math
 import struct
 import warnings
 
@@ -168,11 +169,110 @@ def test_frobenius_keeps_the_plain_sum_in_range():
     rng = np.random.default_rng(5)
     for shape in [(1, 1), (3, 7), (40, 40)]:
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        assert frobenius(a) == float(np.sqrt(np.sum(np.abs(a) ** 2)))
+        assert frobenius(a) == math.sqrt(np.vdot(a, a).real)
+        assert frobenius(a.real) == math.sqrt(np.vdot(a.real, a.real))
     assert frobenius(np.zeros((2, 3))) == 0.0
     assert frobenius(np.zeros((0, 3))) == 0.0
     assert frobenius(np.array([[np.inf, 1.0]])) == np.inf
     assert np.isnan(frobenius(np.array([[np.nan, 1.0]])))
+
+
+def guarded_frobenius(a) -> float:
+    """The former frobenius, every case on the guarded path."""
+    mag = np.abs(np.asarray(a))
+    with np.errstate(over="ignore", under="ignore"):
+        total = np.sum(mag**2)
+        if np.finfo(np.float64).tiny <= total < np.inf or not mag.any():
+            return float(np.sqrt(total))
+        top = float(np.max(mag))
+        if not np.isfinite(top):
+            return top
+        return top * float(np.sqrt(np.sum((mag / top) ** 2)))
+
+
+def exact_square(x: float) -> tuple[float, float]:
+    """x * x as hi + lo exactly (Dekker's split), barring over- and underflow."""
+    hi = x * x
+    c = 134217729.0 * x  # 2^27 + 1
+    xh = c - (c - x)
+    xl = x - xh
+    return hi, ((xh * xh - hi) + 2.0 * xh * xl) + xl * xl
+
+
+def fsum_frobenius(a) -> float:
+    """The norm from the correctly rounded sum of the exact squares."""
+    terms = []
+    for z in np.asarray(a, dtype=np.complex128).ravel().tolist():
+        terms += exact_square(z.real) + exact_square(z.imag)
+    return math.sqrt(math.fsum(terms))
+
+
+# entries with a normal square: zero, or +-[0.5, 1) * 2^e
+ENTRIES = st.one_of(
+    st.just(0.0),
+    st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-40, 40)),
+    st.builds(math.ldexp, st.floats(-1.0, -0.5, exclude_min=True), st.integers(-40, 40)),
+)
+
+
+@st.composite
+def norm_inputs(draw) -> np.ndarray:
+    """A real or complex matrix scaled by 2^k, |k| <= 450, of shape 0 x n,
+    1 x 1 or up to 6 x 6, given as itself, as its transpose or as a
+    column-strided view."""
+    m, n = draw(st.sampled_from([(0, 3), (1, 1), (3, 0)]) | st.tuples(
+        st.integers(1, 6), st.integers(1, 6)))
+    layout = draw(st.sampled_from(["contiguous", "transposed", "strided"]))
+    cols = 2 * n if layout == "strided" else n
+    re = np.array(draw(st.lists(ENTRIES, min_size=m * cols, max_size=m * cols)))
+    a = re.reshape(m, cols) * math.ldexp(1.0, draw(st.integers(-450, 450)))
+    if draw(st.booleans()):
+        im = np.array(draw(st.lists(ENTRIES, min_size=m * cols, max_size=m * cols)))
+        a = a + 1j * im.reshape(m, cols) * math.ldexp(1.0, draw(st.integers(-450, 450)))
+    if layout == "transposed":
+        return a.T
+    return a[:, ::2] if layout == "strided" else a
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(a=norm_inputs())
+def test_frobenius_in_range_is_one_dot(a):
+    total = np.vdot(a, a).real
+    if not a.any():  # empty or zero: the guarded path's exact 0
+        assert frobenius(a) == 0.0
+        return
+    assert np.finfo(np.float64).tiny <= total < np.inf
+    got = frobenius(a)
+    assert got == math.sqrt(total)
+    want = fsum_frobenius(a)
+    assert abs(got - want) <= 2 * math.ulp(want)
+
+
+def guarded_path_inputs() -> dict[str, np.ndarray]:
+    a = np.array([[3.0, 1.0], [0.0, -2.0]])
+    z = a + 1j * a[::-1]
+    cases = {f"real-{s:g}": a * s for s in (1e200, 1e-200, 1e-310, 5e-324)}
+    cases |= {f"complex-{s:g}": z * s for s in (1e200, 1e-200, 1e-310)}
+    cases |= {"all-5e-324": np.full((2, 3), 5e-324), "all-1e-160": np.full((3, 3), 1e-160)}
+    for bad in (np.inf, -np.inf, np.nan):
+        cases[f"real-{bad}"] = np.array([[bad, 1.0]])
+        cases[f"complex-{bad}j"] = np.array([[1.0, complex(0.0, bad)]])
+    cases |= {"zero": np.zeros((2, 3)), "empty": np.zeros((0, 4), dtype=np.complex128)}
+    cases |= {"int64": np.arange(12).reshape(3, 4), "int8": np.array([[3, -4]], dtype=np.int8)}
+    cases |= {"float32": a.astype(np.float32), "complex64": z.astype(np.complex64) * 1e30}
+    return cases
+
+
+GUARDED_PATH_INPUTS = guarded_path_inputs()
+
+
+@pytest.mark.parametrize("a", list(GUARDED_PATH_INPUTS.values()), ids=list(GUARDED_PATH_INPUTS))
+def test_frobenius_out_of_range_is_the_guarded_path(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want = frobenius(a), guarded_frobenius(a)
+    assert isinstance(got, float)
+    assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 # --------------------------------------------------------------------------

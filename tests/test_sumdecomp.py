@@ -121,20 +121,62 @@ def test_pinv_sum_refuses_without_certificate():
         pinv_sum(OperatorFamily((np.eye(2), np.eye(2))))
 
 
+NON_ORTHOGONAL_PAIR = (np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[1.0, 0.0], [1.0, 1.0]]))
+
+
+def scaled_pair(s1: float, s2: float) -> OperatorFamily:
+    first, second = NON_ORTHOGONAL_PAIR
+    return OperatorFamily((first * s1, second * s2))
+
+
 @pytest.mark.parametrize("scale", [1e155, 1e200])
-def test_non_finite_orthogonality_products_are_named_in_the_refusal(scale):
-    # the products of this orthogonal family overflow to NaN at these scales;
-    # the certificate keeps the NaN instead of folding it away to 0, and the
-    # message names it (the scaling itself is not mended here, so numpy's
-    # overflow warnings are silenced)
+def test_orthogonal_family_is_certified_at_large_scales(scale):
+    # unscaled, the products of this family overflow to NaN at these scales;
+    # scaled, they are rounding noise, which in the members' units is about
+    # 1e384 at 1e200 and so is reported as inf
     fam = gen_svd_block_family(3, 6, 5, 2)
     scaled = OperatorFamily(tuple(member * scale for member in fam.members))
-    with np.errstate(over="ignore", invalid="ignore"):
-        cert = check_orthogonality(scaled)
-        assert not cert.holds
-        assert np.isnan(cert.pairwise_left) and np.isnan(cert.pairwise_right)
-        with pytest.raises(PreconditionError, match=r"left non-finite, right non-finite"):
-            pinv_sum(scaled)
+    assert check_orthogonality(scaled).holds
+    total, _ = pinv_sum(scaled)
+    want, _ = pinv_sum(fam)
+    assert frobenius(total * scale - want) <= 1e-12 * frobenius(want)
+
+
+def test_non_orthogonal_pair_is_refused_at_tiny_scale():
+    # at 1e-170 both products underflow to 0 unless each member is scaled first
+    assert not check_orthogonality(scaled_pair(1.0, 1.0)).holds
+    fam = scaled_pair(1e-170, 1e-170)
+    assert not check_orthogonality(fam).holds
+    with pytest.raises(PreconditionError, match="0 and 1 are not orthogonal"):
+        pinv_sum(fam)
+
+
+@pytest.mark.parametrize("scales", [(1e200, 1e-200), (1e-200, 1e200)])
+def test_non_orthogonal_pair_is_refused_at_mixed_scales(scales):
+    # one scale for the whole family would underflow the 1e-200 member
+    fam = scaled_pair(*scales)
+    cert = check_orthogonality(fam)
+    assert not cert.holds
+    assert cert.pairwise_left == pytest.approx(np.sqrt(6.0))
+    with pytest.raises(PreconditionError, match="not orthogonal"):
+        pinv_sum(fam)
+
+
+def test_certificate_reports_products_in_the_members_units():
+    at_one = check_orthogonality(scaled_pair(1.0, 1.0))
+    at_power = check_orthogonality(scaled_pair(2.0**100, 2.0**-300))
+    assert at_power.pairwise_left == at_one.pairwise_left * 2.0**-200
+    assert at_power.pairwise_right == at_one.pairwise_right * 2.0**-200
+
+
+def test_overflowing_orthogonality_products_are_named_in_the_refusal():
+    # the products are about 1e400, past the float range, so they report inf
+    fam = scaled_pair(1e200, 1e200)
+    cert = check_orthogonality(fam)
+    assert not cert.holds
+    assert cert.pairwise_left == np.inf and cert.pairwise_right == np.inf
+    with pytest.raises(PreconditionError, match=r"left non-finite, right non-finite"):
+        pinv_sum(fam)
 
 
 def test_pinv_sum_passes_penrose_against_total():
