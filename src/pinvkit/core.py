@@ -219,7 +219,7 @@ def characterization_residuals(
 
 
 def _gram_pinv(a: np.ndarray, left: bool) -> np.ndarray | None:
-    """(A*A)^-1 A* (left) or A* (AA*)^-1 by Cholesky on unit_scale A; None on breakdown."""
+    """(A*A)^-1 A* (left) or A* (AA*)^-1 by Cholesky on unit_scale(a) a; None on breakdown."""
     scale = unit_scale(a)
     b = dagger(a * scale) if left else a * scale
     low = cholesky_factor(b @ dagger(b))

@@ -45,9 +45,10 @@ roundoff block of a rank-deficient input is zeroed in a few sweeps instead
 of ground down, and SvdFactorization.deflated bounds how far that moved
 any singular value. hermitian_eigenvalues keeps the accurate kernel.
 
-The solvers (partial-pivot LU, Cholesky) are the plain textbook algorithms;
-they exist so the closed-form paths never have to fall back to an external
-linear-algebra backend.
+The solvers (partial-pivot LU, Cholesky) are the plain textbook algorithms,
+so the closed-form paths never fall back to an external backend. svd,
+inverse and core._gram_pinv run on A times unit_scale and scale back, so
+a route that only calls them on its matrices holds at any scale.
 """
 
 from __future__ import annotations
@@ -579,7 +580,10 @@ def lu_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def inverse(a: np.ndarray) -> np.ndarray:
-    return lu_factor(a).inverse()
+    """A^-1 by LU on unit_scale(a) a, scaled back: exact, so the pivot test
+    and the solves stay in range at any scale of a."""
+    scale = unit_scale(a)
+    return lu_factor(a * scale).inverse() * scale
 
 
 def cholesky_factor(h: np.ndarray) -> np.ndarray | None:

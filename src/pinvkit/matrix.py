@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
-_SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
+_SUM_FLOOR = float(np.finfo(np.float64).tiny) / UNIT_ROUNDOFF  # 2^-969
 _LARGEST = float(np.finfo(np.float64).max)
 
 
@@ -113,24 +113,24 @@ def frobenius(a: np.ndarray) -> float:
     """Frobenius norm, safe for entries near the ends of the float range.
 
     Fast path: for float64 and complex128 input the sum of squares is one
-    BLAS dot, vdot(a, a).real, kept whenever it is a normal finite number;
-    the norm is then its square root. Every other case takes the guarded
-    path: other dtypes, empty input, and a dot that overflows to inf (entries
-    above ~1e154), underflows below the smallest normal (entries below
-    ~1e-154) or is NaN. The guarded path sums |a_ij|^2 with over- and
-    underflow ignored and keeps that sum when it is normal and finite or a is
-    zero; else it returns max|a_ij| when that is inf or NaN, and otherwise
-    redoes the sum on a / max|a_ij|.
+    BLAS dot, vdot(a, a).real, kept when it is finite and at least
+    _SUM_FLOOR = 2^-969, so subnormal squares cannot skew it; the norm is
+    its square root. Other dtypes, empty input, and a dot that overflows
+    (entries above ~1e154), falls below _SUM_FLOOR (below ~1e-146) or is
+    NaN take the guarded path: it sums |a_ij|^2 with over- and underflow
+    ignored and keeps that sum on the same test or when a is zero; else it
+    returns max|a_ij| when that is inf or NaN, and otherwise redoes the sum
+    on a / max|a_ij|.
     """
     a = np.asarray(a)
     if a.dtype.char in "dD":
         total = float(np.vdot(a, a).real)
-        if _SMALLEST_NORMAL <= total < math.inf:
+        if _SUM_FLOOR <= total < math.inf:
             return math.sqrt(total)
     mag = np.abs(a)
     with np.errstate(over="ignore", under="ignore"):
         total = np.sum(mag**2)
-        if _SMALLEST_NORMAL <= total < np.inf or not mag.any():
+        if _SUM_FLOOR <= total < np.inf or not mag.any():
             return float(np.sqrt(total))
         top = float(np.max(mag))
         if not np.isfinite(top):

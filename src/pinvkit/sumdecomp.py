@@ -17,8 +17,6 @@ import numpy as np
 from .core import _gram_pinv, _inverse_defect, bound_ratio, full_rank_certified, pinv, projectors
 from .linalg import (
     SvdFactorization,
-    cholesky_factor,
-    cholesky_solve,
     inverse,
     random_unitary,
     svd,
@@ -74,13 +72,15 @@ class OrthogonalityCertificate:
 
     holds is true when every pair's products are within
     tol.bound(||A_k'||_F, ||A_k||_F); worst_pair is the (k', k) index pair
-    with the largest product against that bound (None for K = 1).
+    with the largest product against that bound and worst_ratio that ratio,
+    which reads the same at any scale (None and -1.0 for K = 1).
     """
 
     pairwise_left: float
     pairwise_right: float
     holds: bool
     worst_pair: tuple[int, int] | None
+    worst_ratio: float
 
 
 def check_orthogonality(
@@ -112,7 +112,7 @@ def check_orthogonality(
                 worst, worst_ratio = (kp, k), ratio
             left = max(left, lhs / scales[kp] / scales[k])
             right = max(right, rhs / scales[kp] / scales[k])
-    return OrthogonalityCertificate(left, right, worst_ratio <= 1.0, worst)
+    return OrthogonalityCertificate(left, right, worst_ratio <= 1.0, worst, worst_ratio)
 
 
 def _require_certificate(fam: OperatorFamily, tol: Tolerance) -> None:
@@ -124,7 +124,8 @@ def _require_certificate(fam: OperatorFamily, tol: Tolerance) -> None:
             for v in (cert.pairwise_left, cert.pairwise_right)
         )
         raise PreconditionError(
-            f"family members {kp} and {k} are not orthogonal (left {left}, right {right})"
+            f"family members {kp} and {k} are not orthogonal (left {left}, right {right}, "
+            f"{cert.worst_ratio:.3e} times the bound)"
         )
 
 
@@ -146,28 +147,21 @@ def pinv_via_gram_equation(
 ) -> np.ndarray:
     """Member pseudoinverse from a single Gram-sum equation.
 
-    side="left" evaluates (sum A_k* A_k)^+ A_k0*; when the Gram sum is
-    numerically positive definite this is one Hermitian solve of
-    (sum A_k* A_k) X = A_k0* (the injective-family case). side="right"
-    uses A_k0* (sum A_k A_k*)^+ dually.
+    side="left" evaluates (sum A_k* A_k)^+ A_k0*, side="right" A_k0* (sum
+    A_k A_k*)^+: block k0 of S^+ for S = [A_1; ...; A_K] or [A_1 ... A_K],
+    whose Gram matrix is that sum. S^+ is one core._gram_pinv solve when the
+    sum is positive definite, else pinv(S); both kernels scale S themselves.
     """
     _require_certificate(fam, tol)
     if not 0 <= k0 < len(fam):
         raise PreconditionError(f"k0 must index a member, got {k0}")
-    a_k0 = fam.members[k0]
-    if side == "left":
-        gram = np.sum([dagger(m) @ m for m in fam.members], axis=0)
-        low = cholesky_factor(gram)
-        if low is not None:
-            return cholesky_solve(low, dagger(a_k0))
-        return pinv(gram, tol) @ dagger(a_k0)
-    if side == "right":
-        gram = np.sum([m @ dagger(m) for m in fam.members], axis=0)
-        low = cholesky_factor(gram)
-        if low is not None:
-            return dagger(cholesky_solve(low, a_k0))
-        return dagger(a_k0) @ pinv(gram, tol)
-    raise PreconditionError(f"side must be 'left' or 'right', got {side!r}")
+    if side not in ("left", "right"):
+        raise PreconditionError(f"side must be 'left' or 'right', got {side!r}")
+    left = side == "left"
+    stacked = np.concatenate(fam.members, axis=0 if left else 1)
+    x = _gram_pinv(stacked, left)
+    x = pinv(stacked, tol) if x is None else x
+    return np.split(x, len(fam), axis=1 if left else 0)[k0]
 
 
 def pinv_invertible_projector_eq(
@@ -273,7 +267,7 @@ def auto_completion(
 
 def _completion_pinv(a: np.ndarray, comp: CompletionData, full: bool, tol: Tolerance) -> np.ndarray:
     """M^+ - sum_k (1/d_k) f_k g_k*, in the form rank_completion_pinv lists; a
-    full completion is one LU inverse or _gram_pinv of M scaled by unit_scale."""
+    full completion is one linalg.inverse or _gram_pinv of M."""
     m, n = a.shape
     f, g, d = comp.f_basis, comp.g_basis, comp.d
     dyads_back = (f / d) @ dagger(g)  # sum_k (1/d_k) f_k g_k*
@@ -282,8 +276,7 @@ def _completion_pinv(a: np.ndarray, comp: CompletionData, full: bool, tol: Toler
     if not full:
         return pinv(completed, tol) - dyads_back
     if m == n:
-        scale = unit_scale(completed)
-        return inverse(completed * scale) * scale - dyads_back
+        return inverse(completed) - dyads_back
     x = _gram_pinv(completed, m > n)
     if x is None:
         raise PreconditionError("completed Gram matrix is not positive definite")
@@ -315,11 +308,13 @@ def rank_completion_pinv(
     f_k g_k* holds for any orthonormal null-space subsets and nonzero
     weights. The input picks the form of M^+:
 
-      square, full completion  one LU inverse of M scaled by unit_scale
-      m > n, full completion   Hermitian solve of (M*M) X = M* on M scaled
-                               by unit_scale, M*M = A*A + sum |d_k|^2 f_k f_k*
+      square, full completion  one LU inverse of M, by linalg.inverse
+      m > n, full completion   core._gram_pinv: (M*M) X = M*, where
+                               M*M = A*A + sum |d_k|^2 f_k f_k*
       m < n, full completion   the mirrored solve
       partial completion       SVD pseudoinverse of M
+
+    Each kernel scales M itself, so the route holds at any scale.
 
     A is factored once, for the rank and the default completion;
     factorization, if given, is svd(a, tol, deflate=True) and saves that too.
@@ -351,25 +346,29 @@ def completion_pinv_pair(
                      residuals are A B^+ and B^+ A, which keep the singular
                      values of A that the rank rule drops, so the bound
                      allows rho ||A||_F ||B^+||_F as penrose_bounds does
-      else R(B*) = N(A): solve (A*A + B*B) X = A*
-      else R(B) = N(A*): solve X (AA* + BB*) = A*
+      else R(B*) = N(A): (A*A + B*B)^-1 A*, the first m columns of [A; B]^+
+      else R(B) = N(A*): A* (AA* + BB*)^-1, the first n rows of [A B]^+
 
-    A and B are each factored once; factorization and b_factorization, if
-    given, are svd(a, tol, deflate=True) and svd(b, tol, deflate=True), as
-    svd_batch((a, b), tol, deflate=True) gives them.
+    The kernels (inverse, svd, _gram_pinv) scale their inputs themselves.
+    The range tests A B* and A* B, homogeneous in A and in B apart, run on
+    each times its own unit_scale, so no product over- or underflows into
+    a vacuous verdict. A and B are each factored once; factorization and
+    b_factorization, if given, are svd(a, tol, deflate=True) and svd(b,
+    tol, deflate=True), as svd_batch((a, b), tol, deflate=True) gives them.
     """
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.shape:
         raise PreconditionError("A and B must have the same shape")
     m, n = a.shape
+    a_unit, b_unit = a * unit_scale(a), b * unit_scale(b)
     # rounding, plus the singular values below A's rank cutoff that A B* keeps
-    norm_a = frobenius(a)
-    bound = (tol.bound(norm_a) + tol.rank_cutoff(norm_a, m, n)) * frobenius(b)
+    unit_a = frobenius(a_unit)
+    bound = (tol.bound(unit_a) + tol.rank_cutoff(unit_a, m, n)) * frobenius(b_unit)
     fa = factorization if factorization is not None else svd(a, tol, deflate=True)
     fb = b_factorization if b_factorization is not None else svd(b, tol, deflate=True)
-    range_bstar_in_null_a = frobenius(a @ dagger(b)) <= bound
-    range_b_in_null_astar = frobenius(dagger(a) @ b) <= bound
+    range_bstar_in_null_a = frobenius(a_unit @ dagger(b_unit)) <= bound
+    range_b_in_null_astar = frobenius(dagger(a_unit) @ b_unit) <= bound
     fills_null_a = range_bstar_in_null_a and fb.rank == n - fa.rank
     fills_null_astar = range_b_in_null_astar and fb.rank == m - fa.rank
 
@@ -381,8 +380,8 @@ def completion_pinv_pair(
         b_pinv = pinv(b, tol, fb)
         x = inv - b_pinv
         _, p_null_b_adj, _, p_null_b = projectors(b, tol, fb)
-        rho = np.sqrt(n) * tol.rank_cutoff(1.0, n, n)
-        bound = tol.bound(frobenius(total), frobenius(inv)) + rho * norm_a * frobenius(b_pinv)
+        rho_a = np.sqrt(n) * tol.rank_cutoff(frobenius(a), n, n)
+        bound = tol.bound(frobenius(total), frobenius(inv)) + rho_a * frobenius(b_pinv)
         left = frobenius(total @ x - p_null_b_adj)
         right = frobenius(x @ total - p_null_b)
         if max(left, right) > bound:
@@ -391,16 +390,12 @@ def completion_pinv_pair(
                 f"exceed {bound:.3e}"
             )
         return x
-    if fills_null_a:
-        low = cholesky_factor(dagger(a) @ a + dagger(b) @ b)
-        if low is None:
-            raise PreconditionError("A*A + B*B is not positive definite at tolerance")
-        return cholesky_solve(low, dagger(a))
-    if fills_null_astar:
-        low = cholesky_factor(a @ dagger(a) + b @ dagger(b))
-        if low is None:
-            raise PreconditionError("AA* + BB* is not positive definite at tolerance")
-        return dagger(cholesky_solve(low, a))
+    if fills_null_a or fills_null_astar:
+        x = _gram_pinv(np.concatenate((a, b), axis=0 if fills_null_a else 1), fills_null_a)
+        if x is None:
+            gram = "A*A + B*B" if fills_null_a else "AA* + BB*"
+            raise PreconditionError(f"{gram} is not positive definite at tolerance")
+        return x[:, :m] if fills_null_a else x[:n]
     raise PreconditionError(
         "B completes neither null space of A: need R(B*) = N(A) or R(B) = N(A*); "
         f"rank(B) = {fb.rank}, dim N(A) = {n - fa.rank}, dim N(A*) = {m - fa.rank}"

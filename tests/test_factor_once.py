@@ -140,7 +140,9 @@ def test_tree_command_factors_the_shifted_matrix_once(tmp_path, capsys, monkeypa
     code, _ = run(capsys, ["tree", "--input", src, "--alpha", "0.5"])
     assert code == 0
     assert len(calls) == 1
-    np.testing.assert_array_equal(calls[0], tree.D + 0.5 * np.outer(tree.tau, tree.tau))
+    # inverse factors M times the power of two unit_scale(M)
+    shifted = tree.D + 0.5 * np.outer(tree.tau, tree.tau)
+    np.testing.assert_array_equal(calls[0], shifted * unit_scale(shifted))
     calls.clear()
     code, _ = run(capsys, ["tree", "--input", src])
     assert code == 0 and len(calls) == 0
@@ -343,9 +345,8 @@ def test_rank_completion_input_picks_its_form(monkeypatch, rows, cols, partial, 
     assert_matches_pinv(x, want)
     assert count_equal(calls["svd"], a) == 1
     if form == "inverse":
-        # M scaled by the power of two unit_scale(M), as for the Gram forms
-        scaled = completed * unit_scale(completed)
-        assert count_equal(calls["inverse"], scaled) == 1 and calls["cholesky"] == []
+        # M as it is: inverse scales it by unit_scale(M) itself
+        assert count_equal(calls["inverse"], completed) == 1 and calls["cholesky"] == []
     elif form == "pinv":
         assert count_equal(calls["svd"], completed) == 1
         assert calls["inverse"] == [] and calls["cholesky"] == []
@@ -375,12 +376,15 @@ def test_pair_completion_input_picks_its_form(monkeypatch, form):
     assert_matches_pinv(x, want)
     if form == "invertible":
         assert count_equal(calls["inverse"], a + b) == 1 and calls["cholesky"] == []
-    elif form == "gram-left":
-        assert calls["inverse"] == []
-        assert count_equal(calls["cholesky"], dagger(a) @ a + dagger(b) @ b) == 1
     else:
+        # the Gram matrix S*S of S = [A; B] (or SS* of S = [A B]), formed as
+        # _gram_pinv forms it, on S times the power of two unit_scale(S)
+        left = form == "gram-left"
+        stacked = np.concatenate((a, b), axis=0 if left else 1)
+        scaled = stacked * unit_scale(stacked)
+        lhs = dagger(scaled) if left else scaled
         assert calls["inverse"] == []
-        assert count_equal(calls["cholesky"], a @ dagger(a) + b @ dagger(b)) == 1
+        assert count_equal(calls["cholesky"], lhs @ dagger(lhs)) == 1
 
 
 # --------------------------------------------------------------------------

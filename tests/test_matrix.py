@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinvkit.matrix import (
+    _SUM_FLOOR,
     MatrixFormatError,
     PreconditionError,
     Tolerance,
@@ -215,20 +216,24 @@ ENTRIES = st.one_of(
 )
 
 
+# 2^k with -443 <= k <= 450: every nonzero square above is then at least
+# 2^-969, the _SUM_FLOOR of the one-dot path, and none overflows
+SCALES = st.integers(-443, 450).map(lambda k: math.ldexp(1.0, k))
+
+
 @st.composite
 def norm_inputs(draw) -> np.ndarray:
-    """A real or complex matrix scaled by 2^k, |k| <= 450, of shape 0 x n,
-    1 x 1 or up to 6 x 6, given as itself, as its transpose or as a
-    column-strided view."""
+    """A real or complex matrix scaled by SCALES, of shape 0 x n, 1 x 1 or up
+    to 6 x 6, given as itself, as its transpose or as a column-strided view."""
     m, n = draw(st.sampled_from([(0, 3), (1, 1), (3, 0)]) | st.tuples(
         st.integers(1, 6), st.integers(1, 6)))
     layout = draw(st.sampled_from(["contiguous", "transposed", "strided"]))
     cols = 2 * n if layout == "strided" else n
     re = np.array(draw(st.lists(ENTRIES, min_size=m * cols, max_size=m * cols)))
-    a = re.reshape(m, cols) * math.ldexp(1.0, draw(st.integers(-450, 450)))
+    a = re.reshape(m, cols) * draw(SCALES)
     if draw(st.booleans()):
         im = np.array(draw(st.lists(ENTRIES, min_size=m * cols, max_size=m * cols)))
-        a = a + 1j * im.reshape(m, cols) * math.ldexp(1.0, draw(st.integers(-450, 450)))
+        a = a + 1j * im.reshape(m, cols) * draw(SCALES)
     if layout == "transposed":
         return a.T
     return a[:, ::2] if layout == "strided" else a
@@ -241,10 +246,23 @@ def test_frobenius_in_range_is_one_dot(a):
     if not a.any():  # empty or zero: the guarded path's exact 0
         assert frobenius(a) == 0.0
         return
-    assert np.finfo(np.float64).tiny <= total < np.inf
+    assert _SUM_FLOOR <= total < np.inf
     got = frobenius(a)
     assert got == math.sqrt(total)
     want = fsum_frobenius(a)
+    assert abs(got - want) <= 2 * math.ulp(want)
+
+
+@pytest.mark.parametrize("entry", [1.3e-155, 3.1e-158])
+def test_frobenius_of_a_sum_of_subnormal_squares(entry):
+    # each square is subnormal and keeps only some of its bits; at 1.3e-155
+    # their sum, 6.9e-307, is normal, and kept as it was it read 33 ulps off
+    a = np.full(4096, entry)
+    # the reference runs on a times 2^600, exact, where every square is normal
+    want = fsum_frobenius(a * 2.0**600) * 2.0**-600
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = frobenius(a)
     assert abs(got - want) <= 2 * math.ulp(want)
 
 

@@ -146,9 +146,16 @@ def test_non_orthogonal_pair_is_refused_at_tiny_scale():
     # at 1e-170 both products underflow to 0 unless each member is scaled first
     assert not check_orthogonality(scaled_pair(1.0, 1.0)).holds
     fam = scaled_pair(1e-170, 1e-170)
-    assert not check_orthogonality(fam).holds
-    with pytest.raises(PreconditionError, match="0 and 1 are not orthogonal"):
+    cert = check_orthogonality(fam)
+    assert not cert.holds
+    # the products underflow in the members' units, so the refusal also
+    # gives their ratio to the bound, which reads the same at any scale
+    assert cert.worst_ratio > 1e11
+    assert cert.worst_ratio == pytest.approx(check_orthogonality(scaled_pair(1.0, 1.0)).worst_ratio)
+    with pytest.raises(PreconditionError, match="0 and 1 are not orthogonal") as refusal:
         pinv_sum(fam)
+    assert "left 0.000e+00, right 0.000e+00" in str(refusal.value)
+    assert f"{cert.worst_ratio:.3e} times the bound" in str(refusal.value)
 
 
 @pytest.mark.parametrize("scales", [(1e200, 1e-200), (1e-200, 1e200)])
