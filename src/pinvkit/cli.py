@@ -68,7 +68,6 @@ from .matrix import (
     Tolerance,
     VerificationError,
     circulant_csv_blocks,
-    dagger,
     dumps_generator_json,
     dumps_matrix_csv,
     dumps_matrix_json,
@@ -215,27 +214,14 @@ def _write_atomic(path: str, data) -> str:
     return digest.hexdigest()
 
 
-def _write_output(path: str | None, value, to_json, to_csv) -> str | None:
+def _write_output(path: str, value, to_json, to_csv) -> str:
     """Write value in the format the path's extension names; return the
-    digest of the bytes written, or None when no path was given."""
-    if not path:
-        return None
+    digest of the bytes written."""
     if path.endswith(".json"):
         return _write_atomic(path, to_json(value))
     if path.endswith(".csv"):
         return _write_atomic(path, to_csv(value))
     raise PreconditionError(f"unknown output format for {path}; use .json or .csv")
-
-
-def _verdict(penrose: ResidualReport, also_passed: bool = True) -> dict:
-    """The report's verdict fields: the residual and bound of the Penrose
-    equation nearest its bound, and whether every check passed."""
-    name, residual = penrose.worst
-    return {
-        "max_penrose_residual": float(residual),
-        "residual_bound": float(penrose.bounds[name]),
-        "passed": bool(penrose.passed and also_passed),
-    }
 
 
 def _resolve_tolerance(args) -> Tolerance:
@@ -258,54 +244,63 @@ def _resolve_tolerance(args) -> Tolerance:
 
 
 # --------------------------------------------------------------------------
-# subcommands: each parses its inputs, computes, verifies and returns one
-# report; main times it and derives the exit code from report.passed
+# subcommands: each reads its inputs, calls its route and returns what it
+# computed; main writes --output, builds the report, times the run and
+# derives the exit code
 
 
-def _cmd_pinv(args, tol: Tolerance) -> RunReport:
+@dataclass(frozen=True)
+class _Outcome:
+    """What a handler computed: penrose is the check that certified value,
+    also_passed any further check, and a value that is not None goes to
+    --output through writers, (to_json, to_csv)."""
+
+    method: str | None = None
+    shape: tuple = (None, None)
+    rank: int | None = None
+    penrose: ResidualReport | None = None
+    also_passed: bool = True
+    value: object = None
+    # looked up on each call, so that a wrapped writer is the one called
+    writers: tuple = field(default_factory=lambda: (dumps_matrix_json, dumps_matrix_csv))
+    input_digest: str | None = None
+    extras: dict = field(default_factory=dict)
+
+
+def _cmd_pinv(args, tol: Tolerance) -> _Outcome:
     if not args.input:
         raise PreconditionError("pinv needs --input")
     a, in_digest = _load_matrix(args.input)
-    # the full-rank form of the route, or None when it cannot certify the rank
-    forms = {"normal": full_rank_normal_pinv, "rank-completion": full_rank_completion_pinv}
-    x = forms[args.method](a, tol) if args.method in forms else None
-    x, rank = (x, min(a.shape)) if x is not None else _factored_pinv(args, a, tol)
-    return RunReport(
-        command="pinv",
-        method=args.method,
-        rows=a.shape[0],
-        cols=a.shape[1],
-        rank=rank,
-        **_verdict(penrose_residuals(a, x, tol)),
-        input_digest=in_digest,
-        output_digest=_write_output(args.output, x, dumps_matrix_json, dumps_matrix_csv),
-    )
-
-
-def _factored_pinv(args, a: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, int]:
-    if args.method != "pair":
-        factorization = svd(a, tol, deflate=True)
-    else:
-        if not args.aux:
-            raise PreconditionError("pair method needs --aux with the completing matrix")
-        b, _ = _load_matrix(args.aux)
+    if args.method == "pair" and not args.aux:
+        raise PreconditionError("pair method needs --aux with the completing matrix")
+    b = _load_matrix(args.aux)[0] if args.aux else None  # only pair reads --aux
+    # per method: the full-rank form, which returns None when it cannot
+    # certify the rank, and the route given the factorizations of A and B
+    full_rank, route = {
+        "svd": (None, lambda f, fb: pinv(a, tol, f)),
+        "normal": (full_rank_normal_pinv, lambda f, fb: pinv_normal_equations(a, tol, f)),
+        "rank-completion": (
+            full_rank_completion_pinv, lambda f, fb: rank_completion_pinv(a, None, tol, f)
+        ),
+        "pair": (None, lambda f, fb: completion_pinv_pair(a, b, tol, f, fb)),
+    }[args.method]
+    x, rank = (full_rank(a, tol) if full_rank else None), min(a.shape)
+    if x is None:
         # A and B are factored together when they share a shape;
         # completion_pinv_pair refuses a B of another shape
-        if b.shape == a.shape:
-            factorization, b_factorization = svd_batch((a, b), tol, deflate=True)
+        if b is not None and b.shape == a.shape:
+            f, fb = svd_batch((a, b), tol, deflate=True)
         else:
-            factorization, b_factorization = svd(a, tol, deflate=True), None
-    if args.method == "svd":
-        x = pinv(a, tol, factorization)
-    elif args.method == "normal":
-        x = pinv_normal_equations(a, tol, factorization)
-    elif args.method == "rank-completion":
-        x = rank_completion_pinv(a, tol=tol, factorization=factorization)
-    else:
-        x = completion_pinv_pair(
-            a, b, tol=tol, factorization=factorization, b_factorization=b_factorization
-        )
-    return x, factorization.rank
+            f, fb = svd(a, tol, deflate=True), None
+        x, rank = route(f, fb), f.rank
+    return _Outcome(
+        method=args.method,
+        shape=a.shape,
+        rank=rank,
+        penrose=penrose_residuals(a, x, tol),
+        value=x,
+        input_digest=in_digest,
+    )
 
 
 def _two_term_from_generator(gen: np.ndarray) -> tuple[complex, complex, int]:
@@ -332,7 +327,7 @@ def _two_term_from_generator(gen: np.ndarray) -> tuple[complex, complex, int]:
     return complex(gen[p]), complex(gen[(p + 1) % n]), p + 1
 
 
-def _cmd_circ(args, tol: Tolerance) -> RunReport:
+def _cmd_circ(args, tol: Tolerance) -> _Outcome:
     if args.gen is not None and args.input:
         raise PreconditionError("give --gen or --input, not both")
     gen = None
@@ -345,9 +340,9 @@ def _cmd_circ(args, tol: Tolerance) -> RunReport:
         gen = loads_generator_json(text)
         in_digest = _digest(text.encode())
 
+    if gen is None and args.method in ("spectral", "zero-sum"):
+        raise PreconditionError(f"{args.method} method needs a generator (--gen or --input)")
     if args.method == "spectral":
-        if gen is None:
-            raise PreconditionError("spectral method needs a generator (--gen or --input)")
         result = circ_pinv_spectral(gen, tol)
     elif args.method == "two-term":
         if gen is not None:
@@ -365,8 +360,6 @@ def _cmd_circ(args, tol: Tolerance) -> RunReport:
             gen[k_pos - 1] = alpha
             gen[k_pos % n] = beta
     elif args.method == "zero-sum":
-        if gen is None:
-            raise PreconditionError("zero-sum method needs a generator (--gen or --input)")
         result = zero_sum_shift_pinv(gen, alpha=args.alpha, tol=tol)
     else:
         if args.alpha is None or args.beta is None or args.k is None or args.q is None:
@@ -376,25 +369,21 @@ def _cmd_circ(args, tol: Tolerance) -> RunReport:
         gen = args.alpha * np.ones(pattern.shape[0], dtype=np.complex128) + args.beta * pattern
 
     # verified and written from the generators
-    n = gen.shape[0]
     residuals = circ_penrose_residuals(gen, result.gen, tol)
     spectrum = circ_spectrum(gen, tol)
-    return RunReport(
-        command="circ",
+    return _Outcome(
         method=args.method,
-        rows=n,
-        cols=n,
+        shape=(gen.shape[0], gen.shape[0]),
         rank=len(spectrum.support),
-        **_verdict(residuals),
+        penrose=residuals,
+        value=result.gen,
+        writers=(dumps_generator_json, circulant_csv_blocks),
         input_digest=in_digest,
-        output_digest=_write_output(
-            args.output, result.gen, dumps_generator_json, circulant_csv_blocks
-        ),
         extras={"support": list(spectrum.support)},
     )
 
 
-def _cmd_tree(args, tol: Tolerance) -> RunReport:
+def _cmd_tree(args, tol: Tolerance) -> _Outcome:
     if not args.input:
         raise PreconditionError("tree needs --input with an edge CSV")
     text = _read_text(args.input)
@@ -404,15 +393,13 @@ def _cmd_tree(args, tol: Tolerance) -> RunReport:
     # the report needs no SVD of D, and its Penrose check is the report's
     x, residuals = _tree_pinv_checked(tree, args.alpha, tol)
     u, rebuilt = tree_u_and_reconstruction(tree, tol=tol, dpinv=x)
-    return RunReport(
-        command="tree",
+    return _Outcome(
         method="closed-form" if args.alpha is None else "shift-inverse",
-        rows=tree.n,
-        cols=tree.n,
+        shape=(tree.n, tree.n),
         rank=tree.n - 1,
-        **_verdict(residuals),
+        penrose=residuals,
+        value=x,
         input_digest=_digest(text.encode()),
-        output_digest=_write_output(args.output, x, dumps_matrix_json, dumps_matrix_csv),
         extras={
             "alpha": "auto" if args.alpha is None else float(args.alpha),
             "weight_sum": tree.weight_sum,
@@ -423,21 +410,20 @@ def _cmd_tree(args, tol: Tolerance) -> RunReport:
     )
 
 
-def _cmd_wheel(args, tol: Tolerance) -> RunReport:
+def _cmd_wheel(args, tol: Tolerance) -> _Outcome:
     # wheel_build certifies rank n - 1 from D a = 0 and the verified
     # inverse of D + a a^t; wheel_pinv's Penrose check is the report's
     wheel = wheel_build(args.n, tol)
     dpinv, residuals = _wheel_pinv_checked(wheel, tol)
     identities = wheel_z_identities(args.n, wheel.z24)
     eig_residual = float(np.max(np.abs(wheel.inv134 @ wheel.a - wheel.a / (args.n - 1))))
-    return RunReport(
-        command="wheel",
+    return _Outcome(
         method="closed-form",
-        rows=args.n,
-        cols=args.n,
+        shape=(args.n, args.n),
         rank=args.n - 1,
-        **_verdict(residuals, all(identities.values())),
-        output_digest=_write_output(args.output, dpinv, dumps_matrix_json, dumps_matrix_csv),
+        penrose=residuals,
+        also_passed=all(identities.values()),
+        value=dpinv,
         extras={
             "n": args.n,
             "z24": [int(value) for value in wheel.z24],
@@ -447,7 +433,7 @@ def _cmd_wheel(args, tol: Tolerance) -> RunReport:
     )
 
 
-def _cmd_verify(args, tol: Tolerance) -> RunReport:
+def _cmd_verify(args, tol: Tolerance) -> _Outcome:
     if not args.input or not args.aux:
         raise PreconditionError("verify needs --input (matrix) and --aux (candidate inverse)")
     a, in_digest = _load_matrix(args.input)
@@ -455,25 +441,21 @@ def _cmd_verify(args, tol: Tolerance) -> RunReport:
     pen = penrose_residuals(a, x, tol)
     factorization = x_factorization = None
     if not inverse_certified(a, x, tol):
-        # one stacked call; X goes in as X* unless it has A's shape, as svd
-        # would factor it, so each member is bit for bit svd's
-        same = x.shape == a.shape
-        factorization, fx = svd_batch((a, x if same else dagger(x)), tol, deflate=True)
-        x_factorization = fx if same else fx.adjoint()
+        # one stacked call, each member bit for bit svd's
+        factorization, x_factorization = svd_batch((a, x), tol, deflate=True)
     chars = characterization_residuals(a, x, tol, factorization, x_factorization)
     every = {**pen.residuals, **chars.residuals}
-    return RunReport(
-        command="verify",
-        rows=a.shape[0],
-        cols=a.shape[1],
+    return _Outcome(
+        shape=a.shape,
         rank=factorization.rank if factorization else a.shape[0],
-        **_verdict(pen, chars.passed),
+        penrose=pen,
+        also_passed=chars.passed,
         input_digest=in_digest,
         extras={"residuals": {key: float(value) for key, value in every.items()}},
     )
 
 
-def _cmd_gen(args, tol: Tolerance) -> RunReport:
+def _cmd_gen(args, tol: Tolerance) -> _Outcome:
     if args.seed < 0:
         raise PreconditionError(f"seed must be non-negative, got {args.seed}")
     prefix = args.output or "instance"
@@ -508,7 +490,7 @@ def _cmd_gen(args, tol: Tolerance) -> RunReport:
         emit(f"{prefix}.json", dumps_matrix_json(a))
 
     extras["files"] = files
-    return RunReport(command="gen", method=args.kind, extras=extras)
+    return _Outcome(method=args.kind, extras=extras)
 
 
 # --------------------------------------------------------------------------
@@ -552,7 +534,9 @@ def _check_reads(args) -> None:
         raise _UsageError(f"{args.command} {choice} does not read {', '.join(given)}")
 
 
-# the method-specific flags each method of circ, and each kind of gen, reads
+# the methods of pinv and circ and the kinds of gen, each with the flags
+# of its own that it reads
+PINV_READS = {"svd": set(), "normal": set(), "rank-completion": set(), "pair": {"aux"}}
 CIRC_READS = {
     "spectral": {"gen", "input"},
     "two-term": {"gen", "input", "alpha", "beta", "n", "k"},
@@ -577,20 +561,12 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     cmd = commands.add_parser("pinv", help="pseudoinverse of a dense matrix")
-    cmd.add_argument(
-        "--method",
-        choices=["svd", "normal", "rank-completion", "pair"],
-        default="svd",
-    )
+    cmd.add_argument("--method", choices=list(PINV_READS), default="svd")
     _add_common(cmd, input=MATRIX_IN, aux="completing matrix for --method pair", output=MATRIX_OUT)
-    cmd.set_defaults(handler=_cmd_pinv)
+    cmd.set_defaults(handler=_cmd_pinv, reads=("method", PINV_READS))
 
     cmd = commands.add_parser("circ", help="closed-form circulant pseudoinverse")
-    cmd.add_argument(
-        "--method",
-        choices=["spectral", "two-term", "zero-sum", "block"],
-        default="spectral",
-    )
+    cmd.add_argument("--method", choices=list(CIRC_READS), default="spectral")
     cmd.add_argument("--gen", help="comma-separated generator entries")
     cmd.add_argument("--alpha", type=parse_complex)
     cmd.add_argument("--beta", type=parse_complex)
@@ -619,10 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.set_defaults(handler=_cmd_verify)
 
     cmd = commands.add_parser("gen", help="write seeded test instances")
-    cmd.add_argument(
-        "kind",
-        choices=["sum-family", "zero-sum-tree", "rank-additive-pair", "random-matrix"],
-    )
+    cmd.add_argument("kind", choices=list(GEN_READS))
     cmd.add_argument("--rows", type=int)
     cmd.add_argument("--cols", type=int)
     cmd.add_argument("--k", type=int, help="family size, or rank for random-matrix")
@@ -667,7 +640,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
     started = time.perf_counter()
     try:
-        report = args.handler(args, _resolve_tolerance(args))
+        out = args.handler(args, _resolve_tolerance(args))
+        written = None
+        if out.value is not None and args.output:
+            written = _write_output(args.output, out.value, *out.writers)
     except MatrixFormatError as exc:
         print(f"pinvkit: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -677,7 +653,23 @@ def main(argv: list[str] | None = None) -> int:
     except (PreconditionError, ConvergenceError) as exc:
         print(f"pinvkit: precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    report.wall_time_s = time.perf_counter() - started
+    # the Penrose equation nearest its bound, and whether every check passed
+    pen = out.penrose
+    name, residual = pen.worst if pen is not None else (None, None)
+    report = RunReport(
+        command=args.command,
+        method=out.method,
+        rows=out.shape[0],
+        cols=out.shape[1],
+        rank=out.rank,
+        max_penrose_residual=None if pen is None else float(residual),
+        residual_bound=None if pen is None else float(pen.bounds[name]),
+        passed=pen is None or bool(pen.passed and out.also_passed),
+        wall_time_s=time.perf_counter() - started,
+        input_digest=out.input_digest,
+        output_digest=written,
+        extras=out.extras,
+    )
     _print_report(report, args.pretty)
     return EXIT_OK if report.passed else EXIT_RESIDUAL
 

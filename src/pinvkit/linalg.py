@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +68,7 @@ from .matrix import (
     dagger,
     eye,
     frobenius,
+    unit_scale,
 )
 
 _EPS = 2.0 * UNIT_ROUNDOFF  # machine epsilon for float64
@@ -244,12 +244,6 @@ def _complete_orthonormal(cols: np.ndarray, total: int) -> np.ndarray:
     return np.hstack([cols, tail])
 
 
-def unit_scale(a: np.ndarray) -> float:
-    """The power of two that brings max |a_ij| below 1 (1 for a zero a); the
-    exponent is clamped at 1000, so it stays finite for subnormal entries."""
-    return math.ldexp(1.0, -max(math.frexp(float(np.max(np.abs(a), initial=0.0)))[1], -1000))
-
-
 def _squared_norms(rows: np.ndarray) -> np.ndarray:
     """Squared 2-norm of each row of a C-contiguous complex array."""
     flat = rows.view(np.float64)
@@ -318,28 +312,27 @@ def svd(
 def svd_batch(
     mats, tol: Tolerance = DEFAULT_TOL, max_sweeps: int = 60, deflate: bool = False
 ) -> list[SvdFactorization]:
-    """svd of each of several same-shape matrices, in one stacked sweep loop.
+    """svd of each of several matrices of one shape up to the adjoint, in one
+    stacked sweep loop.
 
     Member i of the result is bit-identical to svd(mats[i], tol, max_sweeps,
     deflate): every member keeps its own scale, dead floor, zeroed mass,
     certificate and exits, and the others only share its rounds. A round
     over a small stack costs little more than a round over one member, since
-    at small n numpy's call overhead dominates. Wide members are factored
-    through their adjoints, as svd does. Raises PreconditionError on mixed
-    shapes or on an inf or nan entry, and ConvergenceError if a member is
-    not certified within max_sweeps; both name the member when there are
+    at small n numpy's call overhead dominates. Each wide member is factored
+    through its adjoint, as svd does, so an m x n and an n x m member share
+    the stack. Raises PreconditionError when the tall forms differ in shape
+    or on an inf or nan entry, and ConvergenceError if a member is not
+    certified within max_sweeps; both name the member when there are
     several. No members give an empty list.
     """
     mats = [np.asarray(a, dtype=np.complex128) for a in mats]
-    if not mats:
-        return []
-    if any(a.shape != mats[0].shape for a in mats):
-        raise PreconditionError("svd_batch needs matrices of one shape")
-    m, n = mats[0].shape
-    if m < n:
-        tall = [dagger(a) for a in mats]
-        return [f.adjoint() for f in _jacobi_stack(tall, tol, max_sweeps, deflate)]
-    return _jacobi_stack(mats, tol, max_sweeps, deflate)
+    wide = [a.shape[0] < a.shape[1] for a in mats]
+    tall = [dagger(a) if w else a for a, w in zip(mats, wide)]
+    if any(a.shape != tall[0].shape for a in tall):
+        raise PreconditionError("svd_batch needs matrices of one shape, up to the adjoint")
+    done = _jacobi_stack(tall, tol, max_sweeps, deflate) if tall else []
+    return [f.adjoint() if w else f for f, w in zip(done, wide)]
 
 
 def _jacobi_stack(

@@ -109,33 +109,38 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
+def unit_scale(a: np.ndarray) -> float:
+    """The power of two that brings max |a_ij| below 1 (1 for a zero a); the
+    exponent is clamped at 1000, so it stays finite for subnormal entries."""
+    return math.ldexp(1.0, -max(math.frexp(float(np.max(np.abs(a), initial=0.0)))[1], -1000))
+
+
 def frobenius(a: np.ndarray) -> float:
     """Frobenius norm, safe for entries near the ends of the float range.
 
-    Fast path: for float64 and complex128 input the sum of squares is one
-    BLAS dot, vdot(a, a).real, kept when it is finite and at least
-    _SUM_FLOOR = 2^-969, so subnormal squares cannot skew it; the norm is
-    its square root. Other dtypes, empty input, and a dot that overflows
-    (entries above ~1e154), falls below _SUM_FLOOR (below ~1e-146) or is
-    NaN take the guarded path: it sums |a_ij|^2 with over- and underflow
-    ignored and keeps that sum on the same test or when a is zero; else it
-    returns max|a_ij| when that is inf or NaN, and otherwise redoes the sum
-    on a / max|a_ij|.
+    Input other than float64 and complex128 is converted to one of them.
+    The sum of squares is one BLAS dot, vdot(a, a).real, kept when it is
+    finite and at least _SUM_FLOOR = 2^-969, so subnormal squares cannot
+    skew it; the norm is its square root. A dot that overflows (entries
+    above ~1e154), falls below _SUM_FLOOR (below ~1e-146) or is NaN is
+    redone on a times s = unit_scale(a), a power of two, so the scaling is
+    exact, and the norm is its square root divided by s; it stays within 2
+    ulps of the exact norm as the one dot does. Inf and NaN entries give inf
+    and NaN, and empty or zero input gives 0.
     """
     a = np.asarray(a)
-    if a.dtype.char in "dD":
-        total = float(np.vdot(a, a).real)
-        if _SUM_FLOOR <= total < math.inf:
-            return math.sqrt(total)
-    mag = np.abs(a)
-    with np.errstate(over="ignore", under="ignore"):
-        total = np.sum(mag**2)
-        if _SUM_FLOOR <= total < np.inf or not mag.any():
-            return float(np.sqrt(total))
-        top = float(np.max(mag))
-        if not np.isfinite(top):
-            return top
-        return top * float(np.sqrt(np.sum((mag / top) ** 2)))
+    if a.dtype.char not in "dD":
+        a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64)
+    total = float(np.vdot(a, a).real)
+    if _SUM_FLOOR <= total < math.inf:
+        return math.sqrt(total)
+    scale = unit_scale(a)
+    if scale == 1.0:
+        # the dot is out of range at scale 1 only when a is zero or has an
+        # inf or nan entry, and then the norm is max |a_ij|
+        return float(np.max(np.abs(a), initial=0.0))
+    scaled = a * scale
+    return math.sqrt(float(np.vdot(scaled, scaled).real)) / scale
 
 
 def eye(n: int) -> np.ndarray:

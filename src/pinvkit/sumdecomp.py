@@ -426,21 +426,14 @@ def _certified_core_pinv(core: np.ndarray, n: int, tol: Tolerance) -> np.ndarray
 def _core_pinvs(cores: tuple[np.ndarray, np.ndarray], n: int, tol: Tolerance) -> list[np.ndarray]:
     """The pseudoinverses of the cores V2* N1 and M1* U2, which rank additivity
     makes full rank r2: from _certified_core_pinv, or if either fails, both
-    from one svd_batch call, each member as svd would factor it (V2* N1 is
-    r2 x (n - r1) and goes in as its adjoint, unless r1 + r2 = n). Empty
-    cores (r2 = 0) give empty zeros."""
+    from one svd_batch call, which takes V2* N1 (r2 x (n - r1)) through its
+    adjoint, as svd would. Empty cores (r2 = 0) give empty zeros."""
     if not cores[0].size:
         return [np.zeros(core.shape[::-1], dtype=np.complex128) for core in cores]
     xs = [_certified_core_pinv(core, n, tol) for core in cores]
     if all(x is not None for x in xs):
         return xs
-    left_core, right_core = cores
-    if left_core.shape[0] < left_core.shape[1]:
-        f_left_adj, f_right = svd_batch((dagger(left_core), right_core), tol, deflate=True)
-        f_left = f_left_adj.adjoint()
-    else:
-        f_left, f_right = svd_batch(cores, tol, deflate=True)
-    return [_core_pinv(f_left, n, tol), _core_pinv(f_right, n, tol)]
+    return [_core_pinv(f, n, tol) for f in svd_batch(cores, tol, deflate=True)]
 
 
 def fill_fishkind_pinv(

@@ -465,9 +465,15 @@ def test_gen_random_matrix_with_rank(tmp_path, capsys):
         ["circ", "--method", "two-term", "--gen", "0,1,2,0",
          "--alpha", "5", "--n", "9", "--k", "3"],
         ["circ", "--method", "two-term", "--input", "g.json", "--beta", "2"],
+        # only pair reads --aux, though a.json is a valid input
+        ["pinv", "--method", "svd", "--input", "a.json", "--aux", "junk.json"],
+        ["pinv", "--method", "normal", "--input", "a.json", "--aux", "junk.json"],
+        ["pinv", "--method", "rank-completion", "--input", "a.json", "--aux", "junk.json"],
     ],
 )
-def test_parse_failures_exit_1(argv):
+def test_parse_failures_exit_1(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    write_matrix(tmp_path / "a.json", np.eye(2))
     assert main(argv) == 1
 
 

@@ -289,7 +289,8 @@ def test_fill_fishkind_factors_the_cores_when_their_certificate_fails(monkeypatc
     calls = record_calls(monkeypatch, svd)
     x = fill_fishkind_pinv(a1, a2)
     cores = [m for m in calls if m.shape != (8, 8)]
-    assert len(calls) == 5 and sorted(m.shape for m in cores) == [(5, 3), (5, 3)]
+    # V2* N1 is 3 x 5 and M1* U2 is 5 x 3; one svd_batch call takes both
+    assert len(calls) == 5 and sorted(m.shape for m in cores) == [(3, 5), (5, 3)]
     assert penrose_residuals(a1 + a2, x).passed
     if gap is not None:
         want = np.linalg.pinv(a1 + a2)

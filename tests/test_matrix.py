@@ -178,17 +178,18 @@ def test_frobenius_keeps_the_plain_sum_in_range():
     assert np.isnan(frobenius(np.array([[np.nan, 1.0]])))
 
 
-def guarded_frobenius(a) -> float:
-    """The former frobenius, every case on the guarded path."""
-    mag = np.abs(np.asarray(a))
-    with np.errstate(over="ignore", under="ignore"):
-        total = np.sum(mag**2)
-        if np.finfo(np.float64).tiny <= total < np.inf or not mag.any():
-            return float(np.sqrt(total))
-        top = float(np.max(mag))
-        if not np.isfinite(top):
-            return top
-        return top * float(np.sqrt(np.sum((mag / top) ** 2)))
+def rescaled_frobenius(a) -> float:
+    """frobenius off the one-dot path: the dot on a times the power of two s
+    that brings max |a_ij| below 1, divided by s; max |a_ij| for zero input
+    or an inf or nan entry. Other dtypes are first made float64 or complex128."""
+    a = np.asarray(a)
+    if a.dtype.char not in "dD":
+        a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64)
+    top = float(np.max(np.abs(a), initial=0.0))
+    if not 0.0 < top < math.inf:
+        return top
+    s = math.ldexp(1.0, -max(math.frexp(top)[1], -1000))
+    return math.sqrt(np.vdot(a * s, a * s).real) / s
 
 
 def exact_square(x: float) -> tuple[float, float]:
@@ -286,11 +287,53 @@ GUARDED_PATH_INPUTS = guarded_path_inputs()
 
 @pytest.mark.parametrize("a", list(GUARDED_PATH_INPUTS.values()), ids=list(GUARDED_PATH_INPUTS))
 def test_frobenius_out_of_range_is_the_guarded_path(a):
+    # the guarded path is one exact rescale; the int and float32 cases,
+    # converted to float64, and complex64 * 1e30 take the one dot, which the
+    # rescale equals bit for bit wherever neither leaves the float range
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got, want = frobenius(a), guarded_frobenius(a)
+        got, want = frobenius(a), rescaled_frobenius(a)
     assert isinstance(got, float)
     assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+# Inputs whose sums of squares lie in [2^-1022, 2^-969), below the one-dot
+# floor: the former guarded path, which divided by max |a_ij| and squared
+# the rounded |a_ij|, was 3.0 ulps off on each (found in 20000 random draws)
+BAND_INPUTS = [
+    [[3.3490616774946174e-149 + 3.790567665999521e-150j, 1.10158954739407e-150 + 4.298646293305379e-151j,
+      -3.8098387196748474e-150 + 4.001346704942008e-151j, 5.071296411252985e-151 + 4.160819782665034e-150j],
+     [-8.516284676030063e-151 + 1.8207143511826503e-150j, 2.746013885090915e-151 + 2.5526181161664084e-151j,
+      1.1895786546599445e-150 + 5.598520597842545e-151j, 1.7484918249336779e-149 + 8.04887046738212e-151j]],
+    [[-8.615453285327686e-153 + 6.84991610105135e-154j], [-1.0742414353146097e-154 + 2.1232518011984086e-154j],
+     [2.602485302049786e-154 + 4.717761530835329e-154j]],
+]
+
+
+def band_inputs(seed: int, count: int) -> list[np.ndarray]:
+    """Random real and complex inputs up to 6 x 6 with sums in the band."""
+    rng = np.random.default_rng(seed)
+    found = [np.array(a) for a in BAND_INPUTS]
+    while len(found) < count:
+        shape, e = tuple(rng.integers(1, 7, size=2)), int(rng.integers(-520, -486))
+        a = np.ldexp(rng.uniform(-1.0, 1.0, shape), e + rng.integers(-8, 1, shape))
+        if rng.random() < 0.5:
+            a = a + 1j * np.ldexp(rng.uniform(-1.0, 1.0, shape), e + rng.integers(-8, 1, shape))
+        # the sum of squares times 2^1200 in [2^-1022, _SUM_FLOOR) times 2^1200
+        if 2.0**178 <= fsum_frobenius(a * 2.0**600) ** 2 < 2.0**231:
+            found.append(a)
+    return found
+
+
+def test_frobenius_below_the_one_dot_floor_is_within_2_ulps():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in band_inputs(7, 400):
+            # the reference runs on a times 2^600, exact, where no square underflows
+            want = fsum_frobenius(a * 2.0**600) * 2.0**-600
+            assert abs(frobenius(a) - want) <= 2 * math.ulp(want), a.tolist()
+            # and equal to the one dot on a times 2^600, which is in range
+            assert frobenius(a) * 2.0**600 == frobenius(a * 2.0**600)
 
 
 # --------------------------------------------------------------------------
