@@ -19,9 +19,12 @@ It times, as the median of several repeats:
                           product, the Laplacian and its two checks
 - tree.closed_form        tree_pinv(tree): D^+ = -L/2 + u tau^t + tau u^t,
                           the D L rank margin and one Penrose check
-- tree.shift_inverse      tree_pinv at the automatic alpha passed
-                          explicitly: one LU inverse of D + alpha tau tau^t
-  on zero-sum trees with n = 20 to 60 vertices;
+- tree.lu_shift           the former route, kept here: the paper's
+                          (D + alpha tau tau^t)^-1 - tau tau^t/(alpha ||tau||^4)
+                          from one LU inverse, and one Penrose check
+- tree.shift_inverse      tree_shift_inverse(tree, alpha): tree_pinv plus
+                          the dyad, the inverse of D + alpha tau tau^t
+  at the automatic alpha, on zero-sum trees with n = 20 to 60 vertices;
 - parser.build            building the parser, as main did on every call
 - parser.parse            parse_args on the parser main now keeps, per subcommand;
 - write.rows              the former _format_rows, kept here: one %-template
@@ -47,7 +50,7 @@ It times, as the median of several repeats:
 It checks that the certified cores agree with both former Fill-Fishkind
 routes to 1e-12 relative, that
 both path-sum routes give the same distances to 1e-13 of max|D| and that
-both tree pseudoinverses agree to 1e-13 relative, that both writers give
+the closed form and the former LU route agree to 1e-13 relative, that both writers give
 the same bytes (CSV and JSON cells, and every command's output file), that
 both norms agree to 2 ulps, and
 writes the medians in milliseconds with the machine's description to a JSON
@@ -78,16 +81,17 @@ from ledger import median_ms, write_ledger
 
 from pinvkit import circulant, cli, core, graphdist, linalg, matrix, sumdecomp
 from pinvkit.cli import build_parser, main as cli_main
-from pinvkit.core import pinv, projectors
+from pinvkit.core import penrose_residuals, pinv, projectors
 from pinvkit.graphdist import (
     _auto_alpha,
     gen_zero_sum_tree,
     tree_build,
     tree_pinv,
+    tree_shift_inverse,
     wheel_build,
     wheel_pinv,
 )
-from pinvkit.linalg import svd
+from pinvkit.linalg import inverse, svd
 from pinvkit.matrix import (
     _CSV_CELL,
     _JSON_PAIR,
@@ -161,6 +165,16 @@ def per_root_path_sums(edges, n: int) -> np.ndarray:
     return d
 
 
+def lu_shift_pinv(tree, alpha: float) -> np.ndarray:
+    """The former tree_pinv given an alpha: one LU inverse of
+    D + alpha tau tau^t less the dyad, then its Penrose check."""
+    tau = tree.tau
+    dyad = np.outer(tau, tau) / (alpha * float(tau @ tau) ** 2)
+    dpinv = inverse(tree.D + alpha * np.outer(tau, tau)).real - dyad
+    penrose_residuals(tree.D, dpinv)
+    return dpinv
+
+
 def rows_format(a: np.ndarray, cell: str, sep: str) -> list[str]:
     """The former _format_rows: every row one %-format of its (re, im) pairs."""
     a = np.ascontiguousarray(a, dtype=np.complex128)
@@ -224,15 +238,16 @@ def measure_tree(n: int, repeats: int) -> dict:
     edges, alpha = tree.edges, _auto_alpha(tree, DEFAULT_TOL)
     before = per_root_path_sums(edges, n)
     gap = float(np.max(np.abs(tree.D - before)) / np.max(np.abs(before)))
-    shifted = tree_pinv(tree, alpha)
-    pinv_gap = frobenius(tree_pinv(tree) - shifted) / frobenius(shifted)
+    former = lu_shift_pinv(tree, alpha)
+    pinv_gap = frobenius(tree_pinv(tree) - former) / frobenius(former)
     return {
         "n": n,
         "median_ms": median_ms({
             "tree.per_root_bfs": lambda: per_root_path_sums(edges, n),
             "tree.tree_build": lambda: tree_build(edges),
             "tree.closed_form": lambda: tree_pinv(tree),
-            "tree.shift_inverse": lambda: tree_pinv(tree, alpha),
+            "tree.lu_shift": lambda: lu_shift_pinv(tree, alpha),
+            "tree.shift_inverse": lambda: tree_shift_inverse(tree, alpha),
         }, repeats),
         "checks": {
             "relative_gap": gap,

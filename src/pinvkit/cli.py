@@ -61,7 +61,6 @@ from .graphdist import (
 )
 from .linalg import svd, svd_batch
 from .matrix import (
-    DEFAULT_TOL,
     ConvergenceError,
     MatrixFormatError,
     PreconditionError,
@@ -274,6 +273,8 @@ def _cmd_pinv(args, tol: Tolerance) -> _Outcome:
     if args.method == "pair" and not args.aux:
         raise PreconditionError("pair method needs --aux with the completing matrix")
     b = _load_matrix(args.aux)[0] if args.aux else None  # only pair reads --aux
+    if b is not None and b.shape != a.shape:
+        raise PreconditionError("A and B must have the same shape")
     # per method: the full-rank form, which returns None when it cannot
     # certify the rank, and the route given the factorizations of A and B
     full_rank, route = {
@@ -286,12 +287,10 @@ def _cmd_pinv(args, tol: Tolerance) -> _Outcome:
     }[args.method]
     x, rank = (full_rank(a, tol) if full_rank else None), min(a.shape)
     if x is None:
-        # A and B are factored together when they share a shape;
-        # completion_pinv_pair refuses a B of another shape
-        if b is not None and b.shape == a.shape:
-            f, fb = svd_batch((a, b), tol, deflate=True)
-        else:
+        if b is None:
             f, fb = svd(a, tol, deflate=True), None
+        else:  # pair factors A and B together
+            f, fb = svd_batch((a, b), tol, deflate=True)
         x, rank = route(f, fb), f.rank
     return _Outcome(
         method=args.method,
@@ -394,7 +393,7 @@ def _cmd_tree(args, tol: Tolerance) -> _Outcome:
     x, residuals = _tree_pinv_checked(tree, args.alpha, tol)
     u, rebuilt = tree_u_and_reconstruction(tree, tol=tol, dpinv=x)
     return _Outcome(
-        method="closed-form" if args.alpha is None else "shift-inverse",
+        method="closed-form",
         shape=(tree.n, tree.n),
         rank=tree.n - 1,
         penrose=residuals,
@@ -581,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.set_defaults(handler=_cmd_circ, reads=("method", CIRC_READS))
 
     cmd = commands.add_parser("tree", help="zero-sum tree distance pseudoinverse")
-    cmd.add_argument("--alpha", type=_finite_float, help="completion weight (default: auto)")
+    cmd.add_argument("--alpha", type=_finite_float, help="nonzero completion weight, recorded only")
     _add_common(cmd, input="edge CSV file", output=MATRIX_OUT)
     cmd.set_defaults(handler=_cmd_tree)
 

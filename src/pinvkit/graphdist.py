@@ -4,9 +4,10 @@ In both families the distance matrix D is singular with a known null vector,
 and the inverse of D plus a rank-one completion on it, less the matching
 dyad, is the Moore-Penrose inverse. For wheels that inverse is known
 entrywise through an integer vector z, checked here exactly. For zero-sum
-trees D^+ = -L/2 + u tau^t + tau u^t comes from the Laplacian directly.
+trees D^+ = -L/2 + u tau^t + tau u^t comes from the Laplacian directly, and
+the inverse of the completion is D^+ plus the dyad.
 
-Neither family calls the dense SVD: the null vector bounds rank(D) by n - 1
+Neither family factors a matrix: the null vector bounds rank(D) by n - 1
 from above; the wheel's invertible completion, or the tree's identity
 D L = e tau^t - 2I, bounds it from below.
 """
@@ -20,7 +21,7 @@ import numpy as np
 
 from .circulant import circ_materialize, circ_mul
 from .core import ResidualReport, penrose_residuals
-from .linalg import hermitian_eigenvalues, inverse
+from .linalg import hermitian_eigenvalues
 from .matrix import (
     DEFAULT_TOL,
     PreconditionError,
@@ -233,24 +234,20 @@ def tree_shift_inverse(
     which is symmetric and fixes D from either side. The shifted matrix M
     itself is not such an inverse; taking it for one confuses M with M^-1.
 
-    A singular M is an error from the LU factorization; for an alpha the
-    caller gave, it names alpha and the automatic value.
+    No matrix is factored: D tau = 0 and D^+ tau = 0 make
+    M^-1 = D^+ + tau tau^t/(alpha ||tau||^4) exactly, with D^+ = tree_pinv(tree).
+    An alpha whose dyad overflows is refused, naming alpha.
     """
-    _require_zero_sum(tree, tol)
-    given = alpha is not None
     alpha = float(_auto_alpha(tree, tol) if alpha is None else alpha)
-    if alpha == 0.0:
-        raise PreconditionError("alpha must be nonzero")
-    shifted = tree.D + alpha * np.outer(tree.tau, tree.tau)
-    try:
-        return np.real(inverse(shifted))
-    except PreconditionError as exc:
-        if not given:
-            raise
+    dpinv = tree_pinv(tree, alpha, tol)
+    tau_sq = float(tree.tau @ tree.tau)
+    coef = 1.0 / (alpha * tau_sq**2)
+    # every |tau_i tau_j| is at most ||tau||^2
+    if not np.isfinite(coef * tau_sq):
         raise PreconditionError(
-            f"D + alpha tau tau^t is singular at working precision for alpha = {alpha:.6g}; "
-            f"choose an alpha nearer the automatic {_auto_alpha(tree, tol):.6g}"
-        ) from exc
+            f"the dyad tau tau^t/(alpha ||tau||^4) overflows for alpha = {alpha:.6g}"
+        )
+    return dpinv + coef * np.outer(tree.tau, tree.tau)
 
 
 def _closed_form_u(tree: TreeMatrices) -> np.ndarray:
@@ -271,11 +268,11 @@ def tree_pinv(
 ) -> np.ndarray:
     """Moore-Penrose inverse of a zero-sum tree distance matrix.
 
-    Without alpha, D^+ = -L/2 + u tau^t + tau u^t with u in closed form (see
-    _closed_form_u); no matrix is factored. With alpha, the paper's
-    shift-inverse form (D + alpha tau tau^t)^-1 - tau tau^t / (alpha ||tau||^4)
-    is taken from one LU inverse (tree_shift_inverse). The result does not
-    depend on alpha.
+    D^+ = -L/2 + u tau^t + tau u^t with u in closed form (see
+    _closed_form_u); no matrix is factored. The paper's shift-inverse form
+    (D + alpha tau tau^t)^-1 - tau tau^t / (alpha ||tau||^4) gives the same
+    D^+ for every nonzero alpha, so alpha, when given, must be nonzero and
+    selects no arithmetic.
 
     A normal return certifies rank(D) = n - 1 without a factorization:
     tree_build checked D tau = 0 for the zero-sum tree, and tau != 0
@@ -293,17 +290,14 @@ def _tree_pinv_checked(
 ) -> tuple[np.ndarray, ResidualReport]:
     """tree_pinv and the Penrose report that passed it."""
     _require_zero_sum(tree, tol)
+    if alpha is not None and float(alpha) == 0.0:
+        raise PreconditionError("alpha must be nonzero")
     margin = (2.0 - tree.dl_residual) / frobenius(tree.L)
     cutoff = tol.rank_cutoff(frobenius(tree.D), tree.n, tree.n)
     if not margin > cutoff:
         raise VerificationError(f"D L margin {margin:.3e} is below the rank cutoff {cutoff:.3e}")
-    tau = tree.tau
-    if alpha is None:
-        u = _closed_form_u(tree)
-        dpinv = -tree.L / 2.0 + np.outer(u, tau) + np.outer(tau, u)
-    else:
-        inv = tree_shift_inverse(tree, alpha, tol)
-        dpinv = inv - np.outer(tau, tau) / (float(alpha) * float(tau @ tau) ** 2)
+    u = _closed_form_u(tree)
+    dpinv = -tree.L / 2.0 + np.outer(u, tree.tau) + np.outer(tree.tau, u)
     return dpinv, _penrose_checked(tree.D, dpinv, "tree", tol)
 
 

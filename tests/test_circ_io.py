@@ -233,9 +233,8 @@ def route_cases(n, rng):
 
 
 def dense_and_structured(gen, xgen):
-    tol = DEFAULT_TOL.scaled_for(circ_materialize(gen))
-    dense = penrose_residuals(circ_materialize(gen), circ_materialize(xgen), tol)
-    return dense, circ_penrose_residuals(gen, xgen, tol)
+    dense = penrose_residuals(circ_materialize(gen), circ_materialize(xgen), DEFAULT_TOL)
+    return dense, circ_penrose_residuals(gen, xgen, DEFAULT_TOL)
 
 
 @pytest.mark.parametrize("n", [8, 64, 192, 512])
@@ -278,15 +277,14 @@ def test_perturbed_generators_fail_the_structured_check():
     for n in (16, 64, 512):
         gen = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         xgen = circ_pinv_spectral(gen).gen
-        tol = DEFAULT_TOL.scaled_for(circ_materialize(gen))
-        assert circ_penrose_residuals(gen, xgen, tol).passed
+        assert circ_penrose_residuals(gen, xgen, DEFAULT_TOL).passed
         for index in (0, n // 2, n - 1):
             bumped_x = xgen.copy()
             bumped_x[index] += 1e-6
-            assert not circ_penrose_residuals(gen, bumped_x, tol).passed, (n, index)
+            assert not circ_penrose_residuals(gen, bumped_x, DEFAULT_TOL).passed, (n, index)
             bumped_gen = gen.copy()
             bumped_gen[index] += 1e-6
-            assert not circ_penrose_residuals(bumped_gen, xgen, tol).passed, (n, index)
+            assert not circ_penrose_residuals(bumped_gen, xgen, DEFAULT_TOL).passed, (n, index)
 
 
 @pytest.mark.parametrize("n", [2, 3, 64, 97, 512])
@@ -334,7 +332,7 @@ def test_generic_csv_operation_verifies_like_the_dense_check(tmp_path, capsys, n
     x = loads_matrix_csv(out.read_text())
     np.testing.assert_array_equal(x, circ_materialize(circ_pinv_spectral(gen).gen))
     c = circ_materialize(gen)
-    dense = penrose_residuals(c, x, DEFAULT_TOL.scaled_for(c))
+    dense = penrose_residuals(c, x, DEFAULT_TOL)
     assert dense.passed
     # the report carries the structured check's worst key, residual and bound
     name, value = circ_penrose_residuals(gen, circ_pinv_spectral(gen).gen).worst

@@ -134,7 +134,7 @@ def test_spectral_pinv_passes_penrose():
         gen -= np.mean(gen)  # force singularity
         c = circ_materialize(gen)
         x = circ_materialize(circ_pinv_spectral(gen).gen)
-        assert penrose_residuals(c, x, DEFAULT_TOL.scaled_for(c)).passed
+        assert penrose_residuals(c, x, DEFAULT_TOL).passed
 
 
 def test_two_term_difference_n3():
@@ -164,7 +164,7 @@ def test_two_term_positions_follow_shift_law():
             got = circ_materialize(two_term_pinv(alpha, beta, n, k_pos=k_pos).gen)
             want = base @ shift_power(n, (n - (k_pos - 1)) % n)
             np.testing.assert_allclose(got, want, atol=1e-12)
-            assert penrose_residuals(c, got, DEFAULT_TOL.scaled_for(c)).passed
+            assert penrose_residuals(c, got, DEFAULT_TOL).passed
 
 
 def test_two_term_rejects_zero_coefficients():
@@ -180,7 +180,7 @@ def test_two_term_complex_singular_falls_back_to_spectral():
     # beta/alpha a primitive root: singular but outside both closed forms
     got = circ_materialize(two_term_pinv(1.0, 1j, 4).gen)
     c = circ_materialize([1.0, 1j, 0.0, 0.0])
-    assert penrose_residuals(c, got, DEFAULT_TOL.scaled_for(c)).passed
+    assert penrose_residuals(c, got, DEFAULT_TOL).passed
 
 
 def test_support_split_frozen_example():
@@ -275,7 +275,7 @@ def test_block_pattern_pinv_frozen_example():
     want = (np.ones(6) + np.array([2, -1, -1, 2, -1, -1])) / 36.0
     np.testing.assert_allclose(got.gen, want, atol=1e-14)
     c = circ_materialize(np.array([3.0, 0.0, 0.0, 3.0, 0.0, 0.0]))
-    assert penrose_residuals(c, circ_materialize(got.gen), DEFAULT_TOL.scaled_for(c)).passed
+    assert penrose_residuals(c, circ_materialize(got.gen), DEFAULT_TOL).passed
 
 
 def test_block_pattern_coefficient_mapping():

@@ -25,6 +25,7 @@ from pinvkit.matrix import (
     PreconditionError,
     Tolerance,
     dumps_generator_json,
+    dumps_matrix_csv,
     dumps_matrix_json,
     dumps_tree_csv,
     frobenius,
@@ -84,6 +85,22 @@ def test_pinv_pair_method(tmp_path, capsys):
     assert code == 0
     assert report["method"] == "pair"
     np.testing.assert_allclose(read_matrix(out), np.diag([1.0, 0.0]), atol=1e-12)
+
+
+def test_pinv_and_verify_read_csv_input(tmp_path, capsys):
+    a = gen_random_matrix(23, 5, 4, rank=3)
+    as_json = write_matrix(tmp_path / "a.json", a)
+    as_csv = tmp_path / "a.csv"
+    as_csv.write_text(dumps_matrix_csv(a))
+    x_json, x_csv = tmp_path / "x_json.csv", tmp_path / "x_csv.csv"
+    code, from_json = run(capsys, ["pinv", "--input", as_json, "--output", str(x_json)])
+    assert code == 0
+    code, from_csv = run(capsys, ["pinv", "--input", str(as_csv), "--output", str(x_csv)])
+    assert code == 0 and from_csv["rank"] == from_json["rank"] == 3
+    # the CSV cells carry every bit, so both inputs give the same pseudoinverse
+    assert x_csv.read_bytes() == x_json.read_bytes()
+    code, report = run(capsys, ["verify", "--input", str(as_csv), "--aux", str(x_csv)])
+    assert code == 0 and report["passed"] and report["rank"] == 3
 
 
 def test_pinv_reports_digests_and_writes_deterministically(tmp_path, capsys):
@@ -258,12 +275,16 @@ def test_tree_non_finite_alpha_exits_1_without_warnings(tmp_path, capsys, alpha)
 
 @pytest.mark.parametrize("alpha", ["1e-20", "1e300", "1e-300"])
 def test_tree_badly_scaled_alpha_names_alpha_and_the_automatic_value(tmp_path, capsys, alpha):
+    # D^+ does not depend on alpha, so any nonzero alpha is only recorded
     src = tmp_path / "t.csv"
     src.write_text("1,2,1\n2,3,-1\n")
-    assert main(["tree", "--input", str(src), f"--alpha={alpha}"]) == 3
-    err = capsys.readouterr().err
-    assert f"alpha = {float(alpha):.6g}" in err
-    assert "automatic 1" in err
+    plain, given = tmp_path / "plain.json", tmp_path / "given.json"
+    code, report = run(capsys, ["tree", "--input", str(src), "--output", str(plain)])
+    assert code == 0 and report["extras"]["alpha"] == "auto"
+    argv = ["tree", "--input", str(src), f"--alpha={alpha}", "--output", str(given)]
+    code, report = run(capsys, argv)
+    assert code == 0 and report["extras"]["alpha"] == float(alpha)
+    assert given.read_bytes() == plain.read_bytes()
 
 
 def test_tree_small_negative_alpha_still_passes(tmp_path, capsys):
@@ -282,7 +303,7 @@ def test_tree_method_names_the_form_that_ran(tmp_path, capsys):
     code, report = run(capsys, ["tree", "--input", str(src)])
     assert code == 0 and report["method"] == "closed-form"
     code, report = run(capsys, ["tree", "--input", str(src), "--alpha", "5"])
-    assert code == 0 and report["method"] == "shift-inverse"
+    assert code == 0 and report["method"] == "closed-form"
 
 
 def test_wheel_5_matches_module(tmp_path, capsys):
@@ -475,6 +496,35 @@ def test_parse_failures_exit_1(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     write_matrix(tmp_path / "a.json", np.eye(2))
     assert main(argv) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["pinv", "--input", "a.txt", "--output", "x.json"], 1, "unknown matrix format"),
+        (["pinv", "--input", "a.json", "--output", "x.txt"], 3, "unknown output format"),
+        (["pinv", "--output", "x.json"], 3, "pinv needs --input"),
+        (["pinv", "--method", "pair", "--input", "a.json", "--output", "x.json"], 3,
+         "pair method needs --aux"),
+        (["circ", "--method", "spectral", "--output", "x.json"], 3, "needs a generator"),
+        (["circ", "--method", "zero-sum", "--alpha", "2", "--output", "x.json"], 3,
+         "needs a generator"),
+        (["circ", "--method", "two-term", "--output", "x.json"], 3, "two-term without --gen"),
+        (["circ", "--method", "two-term", "--alpha", "1", "--beta", "2", "--output", "x.json"],
+         3, "two-term without --gen"),
+        (["tree", "--output", "x.json"], 3, "tree needs --input"),
+        (["verify", "--input", "a.json"], 3, "verify needs --input (matrix) and --aux"),
+    ],
+)
+def test_missing_inputs_and_unknown_formats_are_refused_and_write_nothing(
+    tmp_path, monkeypatch, capsys, argv, code, message
+):
+    monkeypatch.chdir(tmp_path)
+    write_matrix(tmp_path / "a.json", np.eye(2))
+    (tmp_path / "a.txt").write_text((tmp_path / "a.json").read_text())
+    assert main(argv) == code
+    assert message in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["a.json", "a.txt"]
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pinvkit import (
-    Tolerance,
     characterization_residuals,
     dagger,
     frobenius,
@@ -16,10 +15,6 @@ from pinvkit import (
     projectors,
 )
 from pinvkit.matrix import DEFAULT_TOL, PreconditionError
-
-
-def _scaled(a):
-    return DEFAULT_TOL.scaled_for(a)
 
 
 def test_pinv_identity():
@@ -79,7 +74,7 @@ def test_penrose_shape_mismatch():
 def test_penrose_oracle_self_consistency():
     rng = np.random.default_rng(42)
     a = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    rep = penrose_residuals(a, pinv(a), _scaled(a))
+    rep = penrose_residuals(a, pinv(a), DEFAULT_TOL)
     assert rep.passed
 
 
@@ -91,7 +86,7 @@ def test_characterizations_identity():
 def test_characterizations_full_column_rank():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-    rep = characterization_residuals(a, pinv(a), _scaled(a))
+    rep = characterization_residuals(a, pinv(a), DEFAULT_TOL)
     assert rep.passed
 
 
@@ -151,7 +146,7 @@ def test_projector_algebra(seed):
     m, n = int(rng.integers(1, 16)), int(rng.integers(1, 16))
     r = int(rng.integers(0, min(m, n) + 1))
     a = gen_random_matrix(300 + seed, m, n, rank=r)
-    tol = _scaled(a)
+    tol = DEFAULT_TOL
     bound = 1e-9 * max(1.0, frobenius(a))
     for p, dim in zip(projectors(a, tol), (m, m, n, n)):
         assert frobenius(p @ p - p) <= bound
@@ -191,5 +186,5 @@ def test_residual_report_worst():
 def test_scaled_tolerance_used_for_large_matrices():
     rng = np.random.default_rng(77)
     a = 1e6 * (rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20)))
-    rep = penrose_residuals(a, pinv(a), Tolerance().scaled_for(a))
+    rep = penrose_residuals(a, pinv(a), DEFAULT_TOL)
     assert rep.passed

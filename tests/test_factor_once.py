@@ -23,12 +23,13 @@ import pinvkit.linalg
 import pinvkit.matrix
 import pinvkit.sumdecomp
 from pinvkit.cli import main
-from pinvkit.core import gen_random_matrix, penrose_residuals, pinv
+from pinvkit.core import gen_random_matrix, is_134_inverse, penrose_residuals, pinv
 from pinvkit.graphdist import (
     _auto_alpha,
     gen_zero_sum_tree,
     tree_build,
     tree_pinv,
+    tree_shift_inverse,
     wheel_build,
     wheel_z,
 )
@@ -134,18 +135,13 @@ def test_wheel_command_builds_the_wheel_once(capsys, monkeypatch):
 
 
 def test_tree_command_factors_the_shifted_matrix_once(tmp_path, capsys, monkeypatch):
-    tree = gen_zero_sum_tree(11, 24)
-    src = write_tree(tmp_path, tree)
+    # D^+ comes from the closed form whatever alpha is given, so no LU runs
+    src = write_tree(tmp_path, gen_zero_sum_tree(11, 24))
     calls = record_calls(monkeypatch, lu_factor)
-    code, _ = run(capsys, ["tree", "--input", src, "--alpha", "0.5"])
-    assert code == 0
-    assert len(calls) == 1
-    # inverse factors M times the power of two unit_scale(M)
-    shifted = tree.D + 0.5 * np.outer(tree.tau, tree.tau)
-    np.testing.assert_array_equal(calls[0], shifted * unit_scale(shifted))
-    calls.clear()
-    code, _ = run(capsys, ["tree", "--input", src])
-    assert code == 0 and len(calls) == 0
+    for alpha in (["--alpha", "0.5"], []):
+        code, report = run(capsys, ["tree", "--input", src, *alpha])
+        assert code == 0 and report["method"] == "closed-form"
+    assert len(calls) == 0
 
 
 def _pair_partner(a, rank, invertible, rng):
@@ -176,6 +172,16 @@ def test_dense_methods_factor_each_input_once(tmp_path, capsys, monkeypatch, met
     assert count_equal(calls, a) == 1
     if b is not None:
         assert count_equal(calls, b) == 1
+
+
+def test_pair_of_two_shapes_is_refused_before_any_svd(tmp_path, capsys, monkeypatch):
+    argv = ["pinv", "--method", "pair",
+            "--input", write_matrix(tmp_path / "a.json", gen_random_matrix(3, 4, 4, rank=2)),
+            "--aux", write_matrix(tmp_path / "b.json", gen_random_matrix(5, 3, 3, rank=1))]
+    calls = record_calls(monkeypatch, svd)
+    assert main(argv) == 3
+    assert "same shape" in capsys.readouterr().err
+    assert len(calls) == 0
 
 
 def test_normal_method_on_rank_deficient_input_makes_one_svd(tmp_path, capsys, monkeypatch):
@@ -433,14 +439,32 @@ def test_graded_trees_certify_rank_without_lu(tmp_path, capsys, monkeypatch, see
     assert penrose_residuals(tree.D, x).passed
 
 
-@pytest.mark.xfail(raises=VerificationError, strict=True, reason=(
-    "known defect: the shift-inverse form loses the Penrose bound on graded trees; "
-    "cond(D + alpha tau tau^t) is 3.9e8 here while the LU's pivot growth is 1.2"))
 def test_explicit_auto_alpha_on_a_graded_tree_passes():
-    # the closed form passes on the same tree; the LU inverse of the shifted
-    # matrix fails penrose4 with a residual 20 times its bound
+    # an LU inverse of D + alpha tau tau^t misses penrose4 here by 20 times
+    # its bound, as cond(D + alpha tau tau^t) is 3.9e8
     tree = graded_zero_sum_tree(0)
     tree_pinv(tree, _auto_alpha(tree, DEFAULT_TOL))
+
+
+@pytest.mark.parametrize("spread", [1e6, 1e8])
+@pytest.mark.parametrize("seed", range(20))
+def test_tree_routes_at_an_explicit_auto_alpha_factor_nothing_on_graded_trees(
+    tmp_path, capsys, monkeypatch, seed, spread
+):
+    # an LU inverse of D + alpha tau tau^t misses penrose4 on 17 of these 20
+    # seeds at spread 1e8 and on 4 at 1e6
+    tree = graded_zero_sum_tree(seed, spread=spread)
+    alpha = _auto_alpha(tree, DEFAULT_TOL)
+    src = write_tree(tmp_path, tree)
+    calls = [record_calls(monkeypatch, f) for f in (lu_factor, svd, cholesky_factor)]
+    code, report = run(capsys, ["tree", "--input", src, f"--alpha={alpha!r}"])
+    assert code == 0 and report["extras"]["alpha"] == alpha
+    x = tree_shift_inverse(tree, alpha)
+    assert calls == [[], [], []]
+    assert is_134_inverse(tree.D, x)
+    shifted = tree.D + alpha * np.outer(tree.tau, tree.tau)
+    residual = frobenius(shifted @ x - np.eye(tree.n))
+    assert residual <= 1e-15 * frobenius(shifted) * frobenius(x)
 
 
 def test_perturbed_tree_laplacian_breaks_the_certificate(tmp_path, capsys, monkeypatch):

@@ -20,7 +20,8 @@ from pinvkit.graphdist import (
     wheel_z,
     wheel_z_identities,
 )
-from pinvkit.matrix import PreconditionError, VerificationError
+from pinvkit.linalg import inverse
+from pinvkit.matrix import PreconditionError, VerificationError, frobenius
 
 PATH3_EDGES = [(1, 2, 1.0), (2, 3, -1.0)]
 PATH3_D = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, -1.0], [0.0, -1.0, 0.0]])
@@ -211,6 +212,31 @@ def test_shift_inverse_is_134_on_random_trees():
     for seed in (2, 12, 22):
         tree = gen_zero_sum_tree(seed, 4 + seed)
         assert is_134_inverse(tree.D, tree_shift_inverse(tree))
+
+
+@pytest.mark.parametrize("alpha", [1e-320, -5e-324])
+def test_shift_inverse_refuses_an_alpha_whose_dyad_overflows(alpha):
+    # ||tau||^4 = 4 on the path, so 1/(alpha ||tau||^4) is not finite
+    tree = tree_build(PATH3_EDGES)
+    with pytest.raises(PreconditionError, match=f"alpha = {alpha:.6g}"):
+        tree_shift_inverse(tree, alpha)
+    np.testing.assert_array_equal(tree_pinv(tree, alpha), tree_pinv(tree))
+
+
+def test_shift_inverse_identity_holds_against_an_lu_inverse():
+    # criterion 6's trees: the paper's form (D + alpha tau tau^t)^-1 less the
+    # dyad, taken here from an LU inverse, is the closed-form D^+
+    rng = np.random.default_rng(77)
+    worst = 0.0
+    for case in range(100):
+        tree = gen_zero_sum_tree(30_000 + case, int(rng.integers(3, 21)))
+        dpinv = tree_pinv(tree)
+        tau, tau_sq = tree.tau, float(tree.tau @ tree.tau)
+        for alpha in (0.9, 2.3):
+            shifted = inverse(tree.D + alpha * np.outer(tau, tau)).real
+            gap = frobenius(shifted - np.outer(tau, tau) / (alpha * tau_sq**2) - dpinv)
+            worst = max(worst, gap)
+    assert worst <= 1e-8
 
 
 # --------------------------------------------------------------------------
