@@ -410,8 +410,8 @@ def _cmd_tree(args, tol: Tolerance) -> _Outcome:
 
 
 def _cmd_wheel(args, tol: Tolerance) -> _Outcome:
-    # wheel_build certifies rank n - 1 from D a = 0 and the verified
-    # inverse of D + a a^t; wheel_pinv's Penrose check is the report's
+    # wheel_build certifies rank n - 1 from D a = 0 and the full-rank
+    # margin of D + a a^t; wheel_pinv's Penrose check is the report's
     wheel = wheel_build(args.n, tol)
     dpinv, residuals = _wheel_pinv_checked(wheel, tol)
     identities = wheel_z_identities(args.n, wheel.z24)

@@ -121,16 +121,16 @@ def full_rank_certified(a: np.ndarray, x: np.ndarray, tol: Tolerance = DEFAULT_T
     r = ||P - I_k||_F + gamma ||X||_F ||A||_F < 1 gives sigma_k(A) >= (1 - r) /
     ||X||_F, which must clear tol.rank_cutoff(||A||_F, m, n): at least the
     SVD's cutoff, as ||A||_F >= sigma_1. A NaN fails the test."""
-    r = _inverse_defect(a, x)
-    return r < 1.0 and (1.0 - r) / frobenius(x) > tol.rank_cutoff(frobenius(a), *a.shape)
+    return _inverse_margin(a, x)[1] > tol.rank_cutoff(frobenius(a), *a.shape)
 
 
-def _inverse_defect(a: np.ndarray, x: np.ndarray) -> float:
-    """The r of full_rank_certified: ||P - I_k||_F plus the product's rounding bound."""
+def _inverse_margin(a: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+    """(r, margin) of full_rank_certified; the margin (1 - r) / ||X||_F is 0 unless r < 1."""
     m, n = a.shape
     gamma = max(m, n) * UNIT_ROUNDOFF / (1.0 - max(m, n) * UNIT_ROUNDOFF)
-    defect = frobenius((x @ a if m >= n else a @ x) - eye(min(m, n)))
-    return defect + gamma * frobenius(x) * frobenius(a)
+    norm_x = frobenius(x)
+    r = frobenius((x @ a if m >= n else a @ x) - eye(min(m, n))) + gamma * norm_x * frobenius(a)
+    return r, (1.0 - r) / norm_x if r < 1.0 else 0.0
 
 
 def inverse_certified(a: np.ndarray, x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:

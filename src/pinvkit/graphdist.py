@@ -8,8 +8,8 @@ trees D^+ = -L/2 + u tau^t + tau u^t comes from the Laplacian directly, and
 the inverse of the completion is D^+ plus the dyad.
 
 Neither family factors a matrix: the null vector bounds rank(D) by n - 1
-from above; the wheel's invertible completion, or the tree's identity
-D L = e tau^t - 2I, bounds it from below.
+from above; the full-rank margin of the wheel's D + a a^t, or the tree's
+D L = e tau^t - 2I, bounds it from below, against the rank cutoff of D.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .circulant import circ_materialize, circ_mul
-from .core import ResidualReport, penrose_residuals
+from .core import ResidualReport, _inverse_margin, penrose_residuals
 from .linalg import hermitian_eigenvalues
 from .matrix import (
     DEFAULT_TOL,
@@ -213,9 +213,9 @@ def gen_zero_sum_tree(seed: int, n: int) -> TreeMatrices:
 def _auto_alpha(tree: TreeMatrices, tol: Tolerance) -> float:
     """Shift weight for the rank-one completion D + alpha tau tau^t.
 
-    Any nonzero alpha gives the same pseudoinverse; 2/(tau^t L tau) makes the
-    intermediate inverse best conditioned. Falls back to 1 when tau^t L tau
-    is within tol.bound(||L||_F, ||tau||^2) of zero.
+    Any nonzero alpha gives the same pseudoinverse, and none is factored:
+    alpha picks only the inverse tree_shift_inverse returns. 2/(tau^t L tau),
+    or 1 when tau^t L tau is within tol.bound(||L||_F, ||tau||^2) of zero.
     """
     tau = tree.tau
     quad = float(tau @ tree.L @ tau)
@@ -236,16 +236,16 @@ def tree_shift_inverse(
 
     No matrix is factored: D tau = 0 and D^+ tau = 0 make
     M^-1 = D^+ + tau tau^t/(alpha ||tau||^4) exactly, with D^+ = tree_pinv(tree).
-    An alpha whose dyad overflows is refused, naming alpha.
+    A non-finite alpha, or one whose dyad overflows, is refused, naming alpha.
     """
     alpha = float(_auto_alpha(tree, tol) if alpha is None else alpha)
     dpinv = tree_pinv(tree, alpha, tol)
     tau_sq = float(tree.tau @ tree.tau)
     coef = 1.0 / (alpha * tau_sq**2)
     # every |tau_i tau_j| is at most ||tau||^2
-    if not np.isfinite(coef * tau_sq):
+    if not (np.isfinite(alpha) and np.isfinite(coef * tau_sq)):
         raise PreconditionError(
-            f"the dyad tau tau^t/(alpha ||tau||^4) overflows for alpha = {alpha:.6g}"
+            f"alpha = {alpha:.6g} must be finite with a finite dyad tau tau^t/(alpha ||tau||^4)"
         )
     return dpinv + coef * np.outer(tree.tau, tree.tau)
 
@@ -460,14 +460,14 @@ def wheel_build(n: int, tol: Tolerance = DEFAULT_TOL) -> WheelGraph:
 
     - D a = 0 holds exactly (all entries are small integers, so the float
       products are exact), hence rank(D) <= n - 1;
-    - the closed-form inverse of D + a a^t,
+    - the closed-form inverse of M = D + a a^t,
 
-        (D + a a^t)^-1 = [[-2(n-1)(n-3), (n-1) e^t], [(n-1) e, circ(z)]] / (n-1)^2,
+        M^-1 = [[-2(n-1)(n-3), (n-1) e^t], [(n-1) e, circ(z)]] / (n-1)^2,
 
-      built from the integer vector z24 = 24 z, must give a residual
-      ||(D + a a^t) X - I||_F within tol.bound(||D + a a^t||_F, ||X||_F)
-      and below 1. A residual below 1 makes D + a a^t invertible, so its
-      rank-one downdate D has rank >= n - 1.
+      built from the integer vector z24 = 24 z, must have the defect r of
+      core.full_rank_certified within tol.bound(||M||_F, ||X||_F) and the
+      margin (1 - r) / ||X||_F <= sigma_n(M) <= sigma_{n-1}(D) (a rank-one
+      downdate interlaces) above the tree's cutoff rank_cutoff(||D||_F, n, n).
 
     The verified inverse travels in the returned WheelGraph as inv134.
     """
@@ -490,9 +490,12 @@ def wheel_build(n: int, tol: Tolerance = DEFAULT_TOL) -> WheelGraph:
     inv134[1:, 0] = 1.0 / m
     inv134[1:, 1:] = circ_materialize(z24.astype(float) / 24.0).real / m**2
     completed = d + np.outer(a, a)
-    residual = frobenius(completed @ inv134 - np.eye(n))
-    if residual > tol.bound(frobenius(completed), frobenius(inv134)) or residual >= 1.0:
+    residual, margin = _inverse_margin(completed, inv134)
+    if not residual <= tol.bound(frobenius(completed), frobenius(inv134)):
         raise VerificationError(f"(D + a a^t) inverse check failed: residual {residual:.3e}")
+    cutoff = tol.rank_cutoff(frobenius(d), n, n)
+    if not margin > cutoff:
+        raise VerificationError(f"wheel margin {margin:.3e} is below the rank cutoff {cutoff:.3e}")
     return WheelGraph(n=n, D=d, a=a, z24=z24, v=v, inv134=inv134)
 
 

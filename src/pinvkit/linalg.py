@@ -45,10 +45,10 @@ roundoff block of a rank-deficient input is zeroed in a few sweeps instead
 of ground down, and SvdFactorization.deflated bounds how far that moved
 any singular value. hermitian_eigenvalues keeps the accurate kernel.
 
-The solvers (partial-pivot LU, Cholesky) are the plain textbook algorithms,
-so the closed-form paths never fall back to an external backend. svd,
-inverse and core._gram_pinv run on A times unit_scale and scale back, so
-a route that only calls them on its matrices holds at any scale.
+The solvers (partial-pivot LU, Cholesky) are the plain textbook algorithms;
+inverse and core._gram_pinv return None on a breakdown, and the caller takes
+the SVD of that matrix. svd, inverse and core._gram_pinv run on A times
+unit_scale and scale back, so a route that only calls them holds at any scale.
 """
 
 from __future__ import annotations
@@ -572,11 +572,15 @@ def lu_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return lu_factor(a).solve(rhs)
 
 
-def inverse(a: np.ndarray) -> np.ndarray:
-    """A^-1 by LU on unit_scale(a) a, scaled back: exact, so the pivot test
-    and the solves stay in range at any scale of a."""
+def inverse(a: np.ndarray) -> np.ndarray | None:
+    """A^-1 by LU on unit_scale(a) a, scaled back: exact, so it holds at any
+    scale of a. None when a is not square or a pivot breaks down."""
     scale = unit_scale(a)
-    return lu_factor(a * scale).inverse() * scale
+    try:
+        lu = lu_factor(a * scale)
+    except PreconditionError:
+        return None
+    return lu.inverse() * scale
 
 
 def cholesky_factor(h: np.ndarray) -> np.ndarray | None:
@@ -640,7 +644,7 @@ def hermitian_eigenvalues(h: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.nda
     h = np.asarray(h, dtype=np.complex128)
     n = h.shape[0]
     h = (h + dagger(h)) / 2.0
-    c = float(np.sqrt(np.sum(np.abs(h) ** 2)))
+    c = frobenius(h)
     if c == 0.0:
         return np.zeros(n)
     f = svd(h + c * eye(n), tol)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _gram_pinv, _inverse_defect, bound_ratio, full_rank_certified, pinv, projectors
+from .core import _gram_pinv, _inverse_margin, bound_ratio, full_rank_certified, pinv, projectors
 from .linalg import (
     SvdFactorization,
     inverse,
@@ -267,20 +267,13 @@ def auto_completion(
 
 def _completion_pinv(a: np.ndarray, comp: CompletionData, full: bool, tol: Tolerance) -> np.ndarray:
     """M^+ - sum_k (1/d_k) f_k g_k*, in the form rank_completion_pinv lists; a
-    full completion is one linalg.inverse or _gram_pinv of M."""
+    full completion is one linalg.inverse or _gram_pinv of M, else pinv(M)."""
     m, n = a.shape
     f, g, d = comp.f_basis, comp.g_basis, comp.d
     dyads_back = (f / d) @ dagger(g)  # sum_k (1/d_k) f_k g_k*
     completed = a + (g * d) @ dagger(f)
-
-    if not full:
-        return pinv(completed, tol) - dyads_back
-    if m == n:
-        return inverse(completed) - dyads_back
-    x = _gram_pinv(completed, m > n)
-    if x is None:
-        raise PreconditionError("completed Gram matrix is not positive definite")
-    return x - dyads_back
+    x = (inverse(completed) if m == n else _gram_pinv(completed, m > n)) if full else None
+    return (pinv(completed, tol) if x is None else x) - dyads_back
 
 
 def full_rank_completion_pinv(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
@@ -288,12 +281,9 @@ def full_rank_completion_pinv(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np
     full_rank_certified proves rank min(m, n), else None, with no SVD; given
     svd(a, tol, deflate=True), rank_completion_pinv returns the same X."""
     a = as_matrix(a)
-    no_dyads = CompletionData(np.zeros((a.shape[1], 0)), np.zeros((a.shape[0], 0)), np.zeros(0))
-    try:
-        x = _completion_pinv(a, no_dyads, True, tol)
-    except PreconditionError:
-        return None
-    return x if full_rank_certified(a, x, tol) else None
+    m, n = a.shape
+    x = inverse(a) if m == n else _gram_pinv(a, m > n)
+    return x if x is not None and full_rank_certified(a, x, tol) else None
 
 
 def rank_completion_pinv(
@@ -312,7 +302,8 @@ def rank_completion_pinv(
       m > n, full completion   core._gram_pinv: (M*M) X = M*, where
                                M*M = A*A + sum |d_k|^2 f_k f_k*
       m < n, full completion   the mirrored solve
-      partial completion       SVD pseudoinverse of M
+      partial completion, or   SVD pseudoinverse of M
+      a kernel breakdown
 
     Each kernel scales M itself, so the route holds at any scale.
 
@@ -349,7 +340,9 @@ def completion_pinv_pair(
       else R(B*) = N(A): (A*A + B*B)^-1 A*, the first m columns of [A; B]^+
       else R(B) = N(A*): A* (AA* + BB*)^-1, the first n rows of [A B]^+
 
-    The kernels (inverse, svd, _gram_pinv) scale their inputs themselves.
+    A kernel that breaks down hands over to the SVD of its matrix: pinv(A + B),
+    still gated by both equations, or pinv([A; B]) or pinv([A B]). The
+    kernels (inverse, svd, _gram_pinv) scale their inputs themselves.
     The range tests A B* and A* B, homogeneous in A and in B apart, run on
     each times its own unit_scale, so no product over- or underflows into
     a vacuous verdict. A and B are each factored once; factorization and
@@ -377,6 +370,7 @@ def completion_pinv_pair(
     ):
         total = a + b
         inv = inverse(total)
+        inv = pinv(total, tol) if inv is None else inv
         b_pinv = pinv(b, tol, fb)
         x = inv - b_pinv
         _, p_null_b_adj, _, p_null_b = projectors(b, tol, fb)
@@ -391,10 +385,9 @@ def completion_pinv_pair(
             )
         return x
     if fills_null_a or fills_null_astar:
-        x = _gram_pinv(np.concatenate((a, b), axis=0 if fills_null_a else 1), fills_null_a)
-        if x is None:
-            gram = "A*A + B*B" if fills_null_a else "AA* + BB*"
-            raise PreconditionError(f"{gram} is not positive definite at tolerance")
+        stacked = np.concatenate((a, b), axis=0 if fills_null_a else 1)
+        x = _gram_pinv(stacked, fills_null_a)
+        x = pinv(stacked, tol) if x is None else x
         return x[:, :m] if fills_null_a else x[:n]
     raise PreconditionError(
         "B completes neither null space of A: need R(B*) = N(A) or R(B) = N(A*); "
@@ -412,15 +405,14 @@ def _core_pinv(f: SvdFactorization, n: int, tol: Tolerance) -> np.ndarray:
 
 
 def _certified_core_pinv(core: np.ndarray, n: int, tol: Tolerance) -> np.ndarray | None:
-    """core^+ by one _gram_pinv if, with r its _inverse_defect, (1 - r) / ||X||_F
-    proves full rank at _core_pinv's n x n cutoff and r <= tol.residual_rel;
-    else None. The Gram solve's error grows as cond^2 u, against cond u for the
-    SVD: at a principal-angle sine near 1e-6 a core passes the rank test, yet
-    its Gram inverse fails the Penrose check of the result."""
+    """core^+ by one _gram_pinv if its core._inverse_margin proves full rank at
+    _core_pinv's n x n cutoff and its defect r <= tol.residual_rel; else None.
+    The Gram solve's error grows as cond^2 u, against cond u for the SVD: at
+    a principal-angle sine near 1e-6 a core passes the rank test, yet its
+    Gram inverse fails the Penrose check of the result."""
     x = _gram_pinv(core, core.shape[0] >= core.shape[1])
-    r = np.inf if x is None else _inverse_defect(core, x)
-    proved = r < 1.0 and (1.0 - r) / frobenius(x) > tol.rank_cutoff(frobenius(core), n, n)
-    return x if proved and r <= tol.residual_rel else None
+    r, margin = (np.inf, 0.0) if x is None else _inverse_margin(core, x)
+    return x if margin > tol.rank_cutoff(frobenius(core), n, n) and r <= tol.residual_rel else None
 
 
 def _core_pinvs(cores: tuple[np.ndarray, np.ndarray], n: int, tol: Tolerance) -> list[np.ndarray]:

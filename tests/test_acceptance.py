@@ -226,17 +226,24 @@ def test_criterion_6_zero_sum_tree_suite():
     # 100 seeded zero-sum trees, 3 <= n <= 20: defining equations at
     # 1e-8 * max(1, ||D||_F), alpha-invariance and reconstruction at 1e-8,
     # and the product identity D L = e tau^t - 2I at 1e-10 entrywise.
+    # Alpha-invariance is measured on (D + alpha tau tau^t)^-1 less the dyad,
+    # from LU inverses, since tree_pinv takes no arithmetic from alpha.
     rng = np.random.default_rng(77)
     worst_pen = worst_alpha = worst_rec = worst_dl = 0.0
     for case in range(100):
         n = int(rng.integers(3, 21))
         tree = gen_zero_sum_tree(30_000 + case, n)
         x1 = tree_pinv(tree, alpha=0.9)
-        x2 = tree_pinv(tree, alpha=2.3)
         pen = penrose_residuals(tree.D, x1)
         scale = max(1.0, frobenius(tree.D))
         worst_pen = max(worst_pen, max(pen.residuals.values()) / scale)
-        worst_alpha = max(worst_alpha, frobenius(x1 - x2))
+        tau, tau_sq = tree.tau, float(tree.tau @ tree.tau)
+        shifted = []
+        for alpha in (0.9, 2.3):
+            inv = inverse(tree.D + alpha * np.outer(tau, tau))
+            assert inv is not None
+            shifted.append(inv.real - np.outer(tau, tau) / (alpha * tau_sq**2))
+        worst_alpha = max(worst_alpha, frobenius(shifted[0] - shifted[1]))
         _, rebuilt = tree_u_and_reconstruction(tree, tree_pinv(tree))
         worst_rec = max(worst_rec, frobenius(rebuilt - x1))
         identity = np.outer(np.ones(tree.n), tree.tau) - 2.0 * np.eye(tree.n)

@@ -223,6 +223,14 @@ def test_shift_inverse_refuses_an_alpha_whose_dyad_overflows(alpha):
     np.testing.assert_array_equal(tree_pinv(tree, alpha), tree_pinv(tree))
 
 
+@pytest.mark.parametrize("alpha", [np.inf, -np.inf, np.nan])
+def test_shift_inverse_refuses_a_non_finite_alpha(alpha):
+    # alpha = inf returned tree_pinv(tree) itself, as the inverse of D + inf tau tau^t
+    tree = gen_zero_sum_tree(1, 8)
+    with pytest.raises(PreconditionError, match=f"alpha = {alpha:.6g} must be finite"):
+        tree_shift_inverse(tree, alpha)
+
+
 def test_shift_inverse_identity_holds_against_an_lu_inverse():
     # criterion 6's trees: the paper's form (D + alpha tau tau^t)^-1 less the
     # dyad, taken here from an LU inverse, is the closed-form D^+

@@ -167,6 +167,16 @@ def test_lu_factor_rejects_singular_and_mismatched_inputs():
         lu_factor(np.eye(3, dtype=complex)).solve(np.ones(2))
 
 
+def test_inverse_returns_none_where_lu_factor_raises():
+    # a breakdown only rules out the LU kernel, so the caller takes the SVD
+    singular = np.ones((3, 3), dtype=complex)
+    with pytest.raises(PreconditionError):
+        lu_factor(singular)
+    assert inverse(singular) is None
+    assert inverse(np.ones((2, 3), dtype=complex)) is None
+    assert inverse(np.zeros((2, 2), dtype=complex)) is None
+
+
 def test_cholesky_solves_hpd():
     rng = np.random.default_rng(9)
     for _ in range(8):
@@ -205,6 +215,22 @@ def test_hermitian_eigenvalues_match_diagonal():
 
 def test_hermitian_eigenvalues_zero():
     assert np.array_equal(hermitian_eigenvalues(np.zeros((3, 3))), np.zeros(3))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-100, 1.0, 1e100, 1e160, 1e200])
+def test_hermitian_eigenvalues_hold_at_any_scale(scale):
+    # the shift ||h||_F overflowed its own sum of squares at 1e160 and
+    # underflowed to 0 at 1e-170, where every eigenvalue came out 0
+    eig = hermitian_eigenvalues(np.diag([3.0, -1.0, 2.0]) * scale)
+    np.testing.assert_allclose(eig, np.array([3.0, 2.0, -1.0]) * scale, rtol=1e-12)
+
+
+def test_hermitian_eigenvalues_are_scale_equivariant():
+    rng = np.random.default_rng(5)
+    g = _random_complex(rng, 5, 5)
+    h = g + dagger(g)
+    big = 2.0**600
+    np.testing.assert_array_equal(hermitian_eigenvalues(h * big), hermitian_eigenvalues(h) * big)
 
 
 # --------------------------------------------------------------------------
