@@ -47,7 +47,7 @@ any singular value. hermitian_eigenvalues keeps the accurate kernel.
 
 The solvers (partial-pivot LU, Cholesky) are the plain textbook algorithms;
 inverse and core._gram_pinv return None on a breakdown, and the caller takes
-the SVD of that matrix. svd, inverse and core._gram_pinv run on A times
+an SVD pseudoinverse instead. svd, inverse and core._gram_pinv run on A times
 unit_scale and scale back, so a route that only calls them holds at any scale.
 """
 

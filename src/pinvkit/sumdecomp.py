@@ -265,15 +265,10 @@ def auto_completion(
     )
 
 
-def _completion_pinv(a: np.ndarray, comp: CompletionData, full: bool, tol: Tolerance) -> np.ndarray:
-    """M^+ - sum_k (1/d_k) f_k g_k*, in the form rank_completion_pinv lists; a
-    full completion is one linalg.inverse or _gram_pinv of M, else pinv(M)."""
+def _full_rank_kernel(a: np.ndarray) -> np.ndarray | None:
+    """linalg.inverse(a), or core._gram_pinv on a's long side; None on breakdown."""
     m, n = a.shape
-    f, g, d = comp.f_basis, comp.g_basis, comp.d
-    dyads_back = (f / d) @ dagger(g)  # sum_k (1/d_k) f_k g_k*
-    completed = a + (g * d) @ dagger(f)
-    x = (inverse(completed) if m == n else _gram_pinv(completed, m > n)) if full else None
-    return (pinv(completed, tol) if x is None else x) - dyads_back
+    return inverse(a) if m == n else _gram_pinv(a, m > n)
 
 
 def full_rank_completion_pinv(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
@@ -281,8 +276,7 @@ def full_rank_completion_pinv(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np
     full_rank_certified proves rank min(m, n), else None, with no SVD; given
     svd(a, tol, deflate=True), rank_completion_pinv returns the same X."""
     a = as_matrix(a)
-    m, n = a.shape
-    x = inverse(a) if m == n else _gram_pinv(a, m > n)
+    x = _full_rank_kernel(a)
     return x if x is not None and full_rank_certified(a, x, tol) else None
 
 
@@ -302,22 +296,28 @@ def rank_completion_pinv(
       m > n, full completion   core._gram_pinv: (M*M) X = M*, where
                                M*M = A*A + sum |d_k|^2 f_k f_k*
       m < n, full completion   the mirrored solve
-      partial completion, or   SVD pseudoinverse of M
-      a kernel breakdown
+      partial completion       SVD pseudoinverse of M
 
-    Each kernel scales M itself, so the route holds at any scale.
+    Each kernel scales M itself, so the route holds at any scale. A kernel
+    that breaks down hands over to pinv(A) from A's factorization; the SVD
+    of M would drop a weight below its cutoff yet subtract its dyad.
 
     A is factored once, for the rank and the default completion;
     factorization, if given, is svd(a, tol, deflate=True) and saves that too.
     full_rank_completion_pinv gives the full-rank form without factoring A.
     """
     a = as_matrix(a)
-    m, n = a.shape
     fa = factorization if factorization is not None else svd(a, tol, deflate=True)
     if comp is None:
         comp = auto_completion(a, tol, fa)
     _validate_completion(a, comp, tol)
-    return _completion_pinv(a, comp, comp.count == min(m, n) - fa.rank, tol)
+    f, g, d = comp.f_basis, comp.g_basis, comp.d
+    dyads_back = (f / d) @ dagger(g)  # sum_k (1/d_k) f_k g_k*
+    completed = a + (g * d) @ dagger(f)
+    if comp.count < min(a.shape) - fa.rank:
+        return pinv(completed, tol) - dyads_back
+    x = _full_rank_kernel(completed)
+    return pinv(a, tol, fa) if x is None else x - dyads_back
 
 
 def completion_pinv_pair(
@@ -340,8 +340,8 @@ def completion_pinv_pair(
       else R(B*) = N(A): (A*A + B*B)^-1 A*, the first m columns of [A; B]^+
       else R(B) = N(A*): A* (AA* + BB*)^-1, the first n rows of [A B]^+
 
-    A kernel that breaks down hands over to the SVD of its matrix: pinv(A + B),
-    still gated by both equations, or pinv([A; B]) or pinv([A B]). The
+    A kernel that breaks down hands over to pinv(A) from A's factorization,
+    as the SVD of A + B or of the stack cuts at the larger of A and B. The
     kernels (inverse, svd, _gram_pinv) scale their inputs themselves.
     The range tests A B* and A* B, homogeneous in A and in B apart, run on
     each times its own unit_scale, so no product over- or underflows into
@@ -370,7 +370,8 @@ def completion_pinv_pair(
     ):
         total = a + b
         inv = inverse(total)
-        inv = pinv(total, tol) if inv is None else inv
+        if inv is None:
+            return pinv(a, tol, fa)
         b_pinv = pinv(b, tol, fb)
         x = inv - b_pinv
         _, p_null_b_adj, _, p_null_b = projectors(b, tol, fb)
@@ -387,8 +388,7 @@ def completion_pinv_pair(
     if fills_null_a or fills_null_astar:
         stacked = np.concatenate((a, b), axis=0 if fills_null_a else 1)
         x = _gram_pinv(stacked, fills_null_a)
-        x = pinv(stacked, tol) if x is None else x
-        return x[:, :m] if fills_null_a else x[:n]
+        return pinv(a, tol, fa) if x is None else (x[:, :m] if fills_null_a else x[:n])
     raise PreconditionError(
         "B completes neither null space of A: need R(B*) = N(A) or R(B) = N(A*); "
         f"rank(B) = {fb.rank}, dim N(A) = {n - fa.rank}, dim N(A*) = {m - fa.rank}"

@@ -1,4 +1,4 @@
-"""One rank rule: a kernel that breaks down hands over to the SVD.
+"""One rank rule: a kernel that breaks down hands over to the SVD of A.
 
 The completion and pair expressions hold with pseudoinverses, so an LU or
 Cholesky breakdown only rules out the faster kernel. Inputs that the SVD
@@ -27,7 +27,12 @@ from pinvkit.matrix import (
     frobenius,
     loads_matrix_json,
 )
-from pinvkit.sumdecomp import completion_pinv_pair
+from pinvkit.sumdecomp import (
+    CompletionData,
+    auto_completion,
+    completion_pinv_pair,
+    rank_completion_pinv,
+)
 
 # just above the SVD rule's cutoff of a 6 x 6 matrix with sigma_1 = 1, and
 # below the LU pivot threshold 10 n u max |a_ij|
@@ -89,7 +94,7 @@ def assert_matches_svd_method(tmp_path, capsys, a, code, report, x, rank, rel=1e
 
 
 # --------------------------------------------------------------------------
-# rank completion: LU and Gram breakdowns take pinv(M)
+# rank completion: LU and Gram breakdowns take pinv(A)
 
 
 def test_rank_completion_past_an_lu_breakdown(tmp_path, capsys):
@@ -117,34 +122,49 @@ def test_rank_completion_past_a_gram_breakdown(tmp_path, capsys, shape, spread):
 @pytest.mark.parametrize("n,rank,spread", [(8, 4, 1e-9), (6, 3, 1e-12)])
 def test_gram_pair_past_a_cholesky_breakdown(tmp_path, capsys, n, rank, spread, adjoint):
     # refused with "A*A + B*B is not positive definite at tolerance"; the
-    # adjoint pair takes the mirrored form, A* (AA* + BB*)^-1. X comes from
-    # the SVD of the stack, not of A, so the two agree to cond(A) n u, the
-    # first-order gap of two backward-stable pseudoinverses (6e-5 to 9e-5
-    # relative at spread 1e-12)
+    # adjoint pair takes the mirrored form, A* (AA* + BB*)^-1
     a, b = pair(0, n, np.geomspace(1, spread, rank), invertible=False)
     if adjoint:
         a, b = dagger(a), dagger(b)
     code, report, x, _ = pinv_command(tmp_path, capsys, a, "pair", b)
-    rel = n * UNIT_ROUNDOFF / spread
-    assert_matches_svd_method(tmp_path, capsys, a, code, report, x, rank, rel)
+    assert_matches_svd_method(tmp_path, capsys, a, code, report, x, rank)
 
 
-def test_invertible_pair_past_an_lu_breakdown_meets_its_projector_check(tmp_path, capsys):
-    # A's smallest sigma sits below the cutoff of A + B, whose sigma_1 comes
-    # from B, so no form of the route keeps it; the check says so (exit 2)
-    # where the LU pivot test refused the input (exit 3)
+def test_invertible_pair_past_an_lu_breakdown(tmp_path, capsys):
+    # refused with "matrix is singular at working precision"; A's smallest
+    # sigma sits below the cutoff of A + B, whose sigma_1 comes from B, so
+    # only A's own factorization keeps it
     a, b = pair(0, 6, [1, 1, JUST_FULL], invertible=True)
-    code, _, _, err = pinv_command(tmp_path, capsys, a, "pair", b)
-    assert code == 2
-    assert "projector equation residuals left 1.000e+00" in err
-    svd_code, svd_report, _, _ = pinv_command(tmp_path, capsys, a, "svd")
-    assert svd_code == 0 and svd_report["rank"] == 3
+    code, report, x, _ = pinv_command(tmp_path, capsys, a, "pair", b)
+    assert_matches_svd_method(tmp_path, capsys, a, code, report, x, 3)
 
 
-def test_invertible_pair_falls_back_to_the_svd_of_the_sum(monkeypatch):
+def test_invertible_pair_falls_back_to_the_svd_of_a(monkeypatch):
     a, b = pair(5, 6, [2.0, 1.0, 0.5], invertible=True)
     monkeypatch.setattr(pinvkit.sumdecomp, "inverse", lambda m: None)
     x = completion_pinv_pair(a, b)
+    assert frobenius(x - pinv(a)) <= 1e-9 * frobenius(pinv(a))
+
+
+@pytest.mark.parametrize("invertible,scale", [(True, 1e-17), (False, 1e-17), (False, 1e-12)])
+def test_pair_with_a_tiny_partner_past_a_breakdown(invertible, scale):
+    # the SVD of A + B drops B's sigma below its cutoff while B^+ is still
+    # subtracted (X off by ||B^+||, yet inside the projector check's
+    # allowance), and B's small kept sigma spoil A's block of the stack's
+    # SVD (off by 6e5 relative at 1e-12); A's own factorization holds
+    a, b = pair(2, 6, [1.0, 0.5, 0.1], invertible)
+    x = completion_pinv_pair(a, scale * b)
+    assert frobenius(x - pinv(a)) <= 1e-9 * frobenius(pinv(a))
+
+
+@pytest.mark.parametrize("shape,weight", [((6, 6), 1e-17), ((8, 4), 1e-12), ((4, 8), 1e-17)])
+def test_full_completion_with_a_tiny_weight_past_a_breakdown(shape, weight):
+    # pinv(M) would drop the weight below M's cutoff and still subtract its
+    # dyad, leaving 1/d_k in X
+    a = with_singular_values(3, *shape, [1.0, 0.5, 0.1])
+    auto = auto_completion(a)
+    comp = CompletionData(auto.f_basis, auto.g_basis, np.full(auto.count, weight, complex))
+    x = rank_completion_pinv(a, comp)
     assert frobenius(x - pinv(a)) <= 1e-9 * frobenius(pinv(a))
 
 
