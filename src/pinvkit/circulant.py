@@ -179,13 +179,22 @@ def generator_from_spectrum(values) -> np.ndarray:
     return fft.fft(as_vector(values, min_len=2), norm="forward")
 
 
+def _in_float_range(values: np.ndarray) -> np.ndarray:
+    """values, refused unless finite: the routes form a pseudoinverse with numpy's
+    overflow warnings off, as a tiny eigenvalue or coefficient puts it past the float range."""
+    if not np.isfinite(values).all():
+        raise PreconditionError("the pseudoinverse leaves the float range")
+    return values
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def circ_pinv_spectral(gen, tol: Tolerance = DEFAULT_TOL) -> Circulant:
     """Pseudoinverse by inverting the nonzero eigenvalues."""
     spec = circ_spectrum(gen, tol)
     inverted = np.zeros_like(spec.values)
     idx = list(spec.support)
     inverted[idx] = 1.0 / spec.values[idx]
-    return Circulant(generator_from_spectrum(inverted))
+    return Circulant(_in_float_range(generator_from_spectrum(_in_float_range(inverted))))
 
 
 def _shift_generator(gen: np.ndarray, l: int) -> np.ndarray:
@@ -194,6 +203,7 @@ def _shift_generator(gen: np.ndarray, l: int) -> np.ndarray:
     return np.roll(gen, l % gen.shape[0])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def two_term_pinv(
     alpha: complex,
     beta: complex,
@@ -237,7 +247,7 @@ def two_term_pinv(
         head[0] = alpha
         head[1] = beta
         base = circ_pinv_spectral(head, tol).gen
-    return Circulant(_shift_generator(np.asarray(base, dtype=np.complex128), (n - l) % n))
+    return Circulant(_shift_generator(_in_float_range(base), (n - l) % n))
 
 
 def support_split_pinv(
@@ -275,6 +285,7 @@ def support_split_pinv(
     return Circulant(total), covered == set(range(n))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def zero_sum_shift_pinv(
     gen, alpha: complex | None = None, tol: Tolerance = DEFAULT_TOL
 ) -> Circulant:
@@ -296,17 +307,15 @@ def zero_sum_shift_pinv(
     total = complex(np.sum(gen))
     if 0 in spec.support:
         # eigenvalue 0 is the entry sum; nonzero here, so split off the mean
-        return Circulant(
-            circ_pinv_spectral(gen - (total / n) * ones, tol).gen + ones / (n * total)
-        )
+        mean_split = circ_pinv_spectral(gen - (total / n) * ones, tol).gen + ones / (n * total)
+        return Circulant(_in_float_range(mean_split))
     if alpha is None or complex(alpha) == 0:
         raise PreconditionError(
             "zero-sum generator needs a nonzero alpha for the shifted route"
         )
     alpha = complex(alpha)
-    return Circulant(
-        circ_pinv_spectral(gen + alpha * ones, tol).gen - ones / (n * n * alpha)
-    )
+    shifted = circ_pinv_spectral(gen + alpha * ones, tol).gen - ones / (n * n * alpha)
+    return Circulant(_in_float_range(shifted))
 
 
 def block_pattern_generator(k: int, q: int) -> np.ndarray:
@@ -317,6 +326,7 @@ def block_pattern_generator(k: int, q: int) -> np.ndarray:
     return np.asarray(([k] + [-1] * k) * q, dtype=np.int64)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def block_pattern_pinv(
     alpha: complex,
     beta: complex,
@@ -339,7 +349,7 @@ def block_pattern_pinv(
     if not np.array_equal(circ_mul(base, base), n * base):
         raise PreconditionError("block pattern failed its defining identity")
     ones = np.ones(n, dtype=np.complex128)
-    return Circulant(ones / (alpha * n * n) + base / (beta * n * n))
+    return Circulant(_in_float_range(ones / (alpha * n * n) + base / (beta * n * n)))
 
 
 def block_pattern_coefficients(a: complex, b: complex, k: int) -> tuple[complex, complex]:

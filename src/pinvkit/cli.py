@@ -7,7 +7,7 @@ exiting, and the exit code encodes the verdict:
 
     0  success, residuals within bound
     1  unparseable command line or input data
-    2  residual bound violated
+    2  residual bound violated; --output is then not written
     3  precondition violated (parity, zero-sum, orthogonality, ...)
 
 Reports go to stdout as single-line JSON, or as an aligned table with
@@ -27,7 +27,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,24 +102,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse would sys.exit(2) on bad flags; route through the parse code
     def error(self, message):
         raise _UsageError(message)
-
-
-@dataclass
-class RunReport:
-    """Machine-readable summary of one command execution."""
-
-    command: str
-    method: str | None = None
-    rows: int | None = None
-    cols: int | None = None
-    rank: int | None = None
-    max_penrose_residual: float | None = None
-    residual_bound: float | None = None
-    passed: bool = True
-    wall_time_s: float = 0.0
-    input_digest: str | None = None
-    output_digest: str | None = None
-    extras: dict = field(default_factory=dict)
 
 
 # --------------------------------------------------------------------------
@@ -244,8 +226,8 @@ def _resolve_tolerance(args) -> Tolerance:
 
 # --------------------------------------------------------------------------
 # subcommands: each reads its inputs, calls its route and returns what it
-# computed; main writes --output, builds the report, times the run and
-# derives the exit code
+# computed; main writes --output when every check passed, builds the report,
+# times the run and derives the exit code
 
 
 @dataclass(frozen=True)
@@ -617,13 +599,11 @@ def _flatten(payload: dict, prefix: str = "") -> list[tuple[str, str]]:
     return rows
 
 
-def _print_report(report: RunReport, pretty: bool) -> None:
-    # the fields as they are: json.dumps reads extras without a deep copy
-    payload = {item.name: getattr(report, item.name) for item in fields(report)}
+def _print_report(report: dict, pretty: bool) -> None:
     if not pretty:
-        print(json.dumps(payload))
+        print(json.dumps(report))
         return
-    rows = _flatten(payload)
+    rows = _flatten(report)
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
         print(f"{name:<{width}}  {value}")
@@ -640,8 +620,11 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         out = args.handler(args, _resolve_tolerance(args))
+        # whether every check passed; only a passing value goes to --output
+        pen = out.penrose
+        passed = pen is None or bool(pen.passed and out.also_passed)
         written = None
-        if out.value is not None and args.output:
+        if passed and out.value is not None and args.output:
             written = _write_output(args.output, out.value, *out.writers)
     except MatrixFormatError as exc:
         print(f"pinvkit: parse error: {exc}", file=sys.stderr)
@@ -652,25 +635,24 @@ def main(argv: list[str] | None = None) -> int:
     except (PreconditionError, ConvergenceError) as exc:
         print(f"pinvkit: precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    # the Penrose equation nearest its bound, and whether every check passed
-    pen = out.penrose
+    # the Penrose equation nearest its bound
     name, residual = pen.worst if pen is not None else (None, None)
-    report = RunReport(
-        command=args.command,
-        method=out.method,
-        rows=out.shape[0],
-        cols=out.shape[1],
-        rank=out.rank,
-        max_penrose_residual=None if pen is None else float(residual),
-        residual_bound=None if pen is None else float(pen.bounds[name]),
-        passed=pen is None or bool(pen.passed and out.also_passed),
-        wall_time_s=time.perf_counter() - started,
-        input_digest=out.input_digest,
-        output_digest=written,
-        extras=out.extras,
-    )
+    report = {
+        "command": args.command,
+        "method": out.method,
+        "rows": out.shape[0],
+        "cols": out.shape[1],
+        "rank": out.rank,
+        "max_penrose_residual": None if pen is None else float(residual),
+        "residual_bound": None if pen is None else float(pen.bounds[name]),
+        "passed": passed,
+        "wall_time_s": time.perf_counter() - started,
+        "input_digest": out.input_digest,
+        "output_digest": written,
+        "extras": out.extras,
+    }
     _print_report(report, args.pretty)
-    return EXIT_OK if report.passed else EXIT_RESIDUAL
+    return EXIT_OK if passed else EXIT_RESIDUAL
 
 
 def run() -> None:

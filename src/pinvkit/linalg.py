@@ -45,10 +45,12 @@ roundoff block of a rank-deficient input is zeroed in a few sweeps instead
 of ground down, and SvdFactorization.deflated bounds how far that moved
 any singular value. hermitian_eigenvalues keeps the accurate kernel.
 
-The solvers (partial-pivot LU, Cholesky) are the plain textbook algorithms;
-inverse and core._gram_pinv return None on a breakdown, and the caller takes
-an SVD pseudoinverse instead. svd, inverse and core._gram_pinv run on A times
-unit_scale and scale back, so a route that only calls them holds at any scale.
+The solvers are the plain textbook algorithms. lu_solve eliminates A and its
+right-hand sides in one partial-pivoting loop: every caller solves once per
+matrix, so no factorization is kept. inverse and core._gram_pinv return None
+on a breakdown, and the caller takes an SVD pseudoinverse instead. svd,
+inverse and core._gram_pinv run on A times unit_scale and scale back, so a
+route that only calls them holds at any scale.
 """
 
 from __future__ import annotations
@@ -509,78 +511,46 @@ def _factorization(
     return SvdFactorization(_Basis(u_cols, m), sigma, v, rank, deflated)
 
 
-@dataclass(frozen=True)
-class LuFactorization:
-    """P A = L U from partial pivoting, packed the LAPACK way.
+def lu_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a @ x = rhs for square a and a matrix of right-hand sides.
 
-    lu holds the unit lower factor L below its diagonal and U on and above
-    it; perm lists, for each row of P A, the row of A it came from. One
-    factorization serves any number of solves.
+    One partial-pivoting loop swaps and eliminates the rows of a and of rhs
+    together; back substitution follows. Raises PreconditionError when a is
+    not square, when rhs has the wrong number of rows, or when a pivot falls
+    below the numerical-zero threshold (a is singular at working precision).
     """
-
-    lu: np.ndarray
-    perm: np.ndarray
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A x = rhs for a vector or a matrix of right-hand sides."""
-        lu = self.lu
-        n = lu.shape[0]
-        x = np.array(rhs, dtype=np.complex128, copy=True)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[:, None]
-        if x.shape[0] != n:
-            raise PreconditionError("right-hand side has the wrong number of rows")
-        x = x[self.perm]
-        for k in range(n):
-            x[k + 1 :] -= np.outer(lu[k + 1 :, k], x[k])
-        for k in range(n - 1, -1, -1):
-            x[k] = (x[k] - lu[k, k + 1 :] @ x[k + 1 :]) / lu[k, k]
-        return x[:, 0] if squeeze else x
-
-    def inverse(self) -> np.ndarray:
-        return self.solve(eye(self.lu.shape[0]))
-
-
-def lu_factor(a: np.ndarray) -> LuFactorization:
-    """LU factorization of a square matrix with partial pivoting.
-
-    Raises PreconditionError when a pivot falls below the numerical-zero
-    threshold (the matrix is singular at working precision).
-    """
-    lu = np.array(a, dtype=np.complex128, copy=True)
-    n = lu.shape[0]
-    if lu.shape != (n, n):
+    a = np.array(a, dtype=np.complex128, copy=True)
+    x = np.array(rhs, dtype=np.complex128, copy=True)
+    n = a.shape[0]
+    if a.shape != (n, n):
         raise PreconditionError("LU factorization needs a square matrix")
-    perm = np.arange(n)
-    scale = float(np.max(np.abs(lu))) if n else 0.0
+    if x.shape[0] != n:
+        raise PreconditionError("right-hand side has the wrong number of rows")
+    scale = float(np.max(np.abs(a))) if n else 0.0
     tiny = 10.0 * n * UNIT_ROUNDOFF * max(scale, 1e-300)
     for k in range(n):
-        piv = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[piv, k]) <= tiny:
+        piv = k + int(np.argmax(np.abs(a[k:, k])))
+        if abs(a[piv, k]) <= tiny:
             raise PreconditionError("matrix is singular at working precision")
         if piv != k:
-            lu[[k, piv]] = lu[[piv, k]]
-            perm[[k, piv]] = perm[[piv, k]]
-        lu[k + 1 :, k] /= lu[k, k]
-        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return LuFactorization(lu=lu, perm=perm)
-
-
-def lu_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a @ x = rhs for square a by LU with partial pivoting."""
-    return lu_factor(a).solve(rhs)
+            a[[k, piv]] = a[[piv, k]]
+            x[[k, piv]] = x[[piv, k]]
+        mult = a[k + 1 :, k] / a[k, k]
+        a[k + 1 :, k + 1 :] -= np.outer(mult, a[k, k + 1 :])
+        x[k + 1 :] -= np.outer(mult, x[k])
+    for k in range(n - 1, -1, -1):
+        x[k] = (x[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
+    return x
 
 
 def inverse(a: np.ndarray) -> np.ndarray | None:
-    """A^-1 by LU on unit_scale(a) a, scaled back: exact, so it holds at any
-    scale of a. None when a is not square or a pivot breaks down."""
+    """A^-1 as lu_solve(a s, I) s, s = unit_scale(a): exact scaling, so it
+    holds at any scale of a. None when a is not square or a pivot breaks down."""
     scale = unit_scale(a)
     try:
-        lu = lu_factor(a * scale)
+        return lu_solve(a * scale, eye(len(a))) * scale
     except PreconditionError:
         return None
-    return lu.inverse() * scale
 
 
 def cholesky_factor(h: np.ndarray) -> np.ndarray | None:
@@ -611,15 +581,12 @@ def cholesky_solve(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (L L*) x = rhs given the lower factor from cholesky_factor."""
     n = low.shape[0]
     y = np.array(rhs, dtype=np.complex128, copy=True)
-    squeeze = y.ndim == 1
-    if squeeze:
-        y = y[:, None]
     for k in range(n):
         y[k] = (y[k] - low[k, :k] @ y[:k]) / low[k, k]
     up = dagger(low)
     for k in range(n - 1, -1, -1):
         y[k] = (y[k] - up[k, k + 1 :] @ y[k + 1 :]) / up[k, k]
-    return y[:, 0] if squeeze else y
+    return y
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -122,6 +122,21 @@ def test_pinv_tight_tolerance_fails_with_exit_2(tmp_path, capsys):
     assert report["passed"] is False
 
 
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("command", ["pinv", "circ"])
+def test_failed_check_leaves_the_output_path_as_it_was(tmp_path, capsys, command, existing):
+    # exit 2 still prints the report, but --output is not written
+    a = write_matrix(tmp_path / "a.json", gen_random_matrix(4, 5, 5))
+    out = tmp_path / "x.json"
+    if existing:
+        out.write_text("kept")
+    argv = {"pinv": ["pinv", "--input", a], "circ": ["circ", "--gen", "1,2,3"]}[command]
+    code, report = run(capsys, [*argv, "--tol-residual", "1e-30", "--output", str(out)])
+    assert code == 2 and report["passed"] is False and report["output_digest"] is None
+    assert sorted(os.listdir(tmp_path)) == ["a.json"] + ["x.json"] * existing
+    assert not existing or out.read_text() == "kept"
+
+
 # --------------------------------------------------------------------------
 # circ
 
@@ -225,6 +240,29 @@ def test_circ_block_runs(tmp_path, capsys):
     )
     assert code == 0
     assert report["rows"] == 6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--gen", "1e-320,0"],
+        # every 1/lambda is finite here, but their FFT sum is not
+        ["--gen", "6e-309,0"],
+        ["--method", "zero-sum", "--gen", "3e-320,1e-320"],
+        ["--method", "two-term", "--alpha=1e-320", "--beta=-1e-320", "--n", "4"],
+        ["--method", "block", "--alpha=1e-320", "--beta=1", "--k", "1", "--q", "2"],
+    ],
+)
+def test_circ_pinv_past_the_float_range_exits_3_without_warnings(
+    tmp_path, monkeypatch, capsys, argv
+):
+    # valid input whose pseudoinverse overflows is refused, not a parse error
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["circ", *argv, "--output", "g.json"]) == 3
+    assert "the pseudoinverse leaves the float range" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # --------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from pinvkit.graphdist import (
     wheel_build,
     wheel_z,
 )
-from pinvkit.linalg import cholesky_factor, inverse, lu_factor, svd, svd_batch, unit_scale
+from pinvkit.linalg import cholesky_factor, inverse, lu_solve, svd, svd_batch, unit_scale
 from pinvkit.matrix import (
     DEFAULT_TOL,
     VerificationError,
@@ -137,7 +137,7 @@ def test_wheel_command_builds_the_wheel_once(capsys, monkeypatch):
 def test_tree_command_factors_the_shifted_matrix_once(tmp_path, capsys, monkeypatch):
     # D^+ comes from the closed form whatever alpha is given, so no LU runs
     src = write_tree(tmp_path, gen_zero_sum_tree(11, 24))
-    calls = record_calls(monkeypatch, lu_factor)
+    calls = record_calls(monkeypatch, lu_solve)
     for alpha in (["--alpha", "0.5"], []):
         code, report = run(capsys, ["tree", "--input", src, *alpha])
         assert code == 0 and report["method"] == "closed-form"
@@ -307,7 +307,7 @@ def test_projector_equation_solves_with_the_svd_of_the_sum(monkeypatch):
     # the SVD that proves the family sum invertible also solves for X
     fam = gen_svd_block_family(seed=9, rows=6, cols=6, k=2, ranks=(4, 2))
     wants = [pinv(m) for m in fam.members]
-    lu_calls = record_calls(monkeypatch, lu_factor)
+    lu_calls = record_calls(monkeypatch, lu_solve)
     svd_calls = record_calls(monkeypatch, svd)
     for k0, want in enumerate(wants):
         assert frobenius(pinv_invertible_projector_eq(fam, k0) - want) <= 1e-10
@@ -430,7 +430,7 @@ def test_graded_trees_certify_rank_without_lu(tmp_path, capsys, monkeypatch, see
     # the former LU shift route failed penrose4 on seeds 0, 1, 2 and 5
     tree = graded_zero_sum_tree(seed)
     out = tmp_path / "x.json"
-    calls = record_calls(monkeypatch, lu_factor)
+    calls = record_calls(monkeypatch, lu_solve)
     code, report = run(capsys, ["tree", "--input", write_tree(tmp_path, tree),
                                 "--output", str(out)])
     assert code == 0 and len(calls) == 0
@@ -456,7 +456,7 @@ def test_tree_routes_at_an_explicit_auto_alpha_factor_nothing_on_graded_trees(
     tree = graded_zero_sum_tree(seed, spread=spread)
     alpha = _auto_alpha(tree, DEFAULT_TOL)
     src = write_tree(tmp_path, tree)
-    calls = [record_calls(monkeypatch, f) for f in (lu_factor, svd, cholesky_factor)]
+    calls = [record_calls(monkeypatch, f) for f in (lu_solve, svd, cholesky_factor)]
     code, report = run(capsys, ["tree", "--input", src, f"--alpha={alpha!r}"])
     assert code == 0 and report["extras"]["alpha"] == alpha
     x = tree_shift_inverse(tree, alpha)
