@@ -10,7 +10,7 @@ It times, as the median of several repeats:
                           with both cores factored by one svd_batch call
 - fill_fishkind.cores     fill_fishkind_pinv, which inverts the products
                           through cores with rank(A2) rows or columns, each
-                          by one Gram solve that certifies its own rank
+                          by one Gram solve that core._admitted keeps
   at the closed-form workload's five (n, rank A1, rank A2) slots and at
   (32, 12, 14);
 - tree.per_root_bfs       the former path sums, a BFS from every root with
@@ -140,7 +140,7 @@ def five_svd_fill_fishkind(a1: np.ndarray, a2: np.ndarray, tol=DEFAULT_TOL) -> n
 
 def factored_cores_fill_fishkind(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     """The former fill_fishkind_pinv, which factored both cores."""
-    with mock.patch.object(sumdecomp, "_certified_core_pinv", lambda core, n, tol: None):
+    with mock.patch.object(sumdecomp, "_gram_pinv", lambda core, left: None):
         return fill_fishkind_pinv(a1, a2)
 
 

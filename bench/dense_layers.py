@@ -1,5 +1,5 @@
 """Layer timings of the dense routes: one SVD plus the route, against the
-full-rank certificate.
+route's own full-rank kernel.
 
 At each full-rank square slot of the dense-oracle workload (normal at 32
 and 12, rank-completion at 16 and 10, verify at 32 and 8) and at one
@@ -8,16 +8,20 @@ rank-deficient control per command, it times, as interleaved medians:
 - factored   svd(a, tol, deflate=True), then the route given that
              factorization; for verify, the Penrose residuals and the
              characterization residuals given it
-- certified  what the CLI runs: the route's full-rank form with its
-             certificate (full_rank_normal_pinv, full_rank_completion_pinv),
-             or for verify inverse_certified and the characterization
-             residuals without a factorization; when the certificate fails,
-             the factored path follows, as in the CLI.
+- certified  what the CLI runs: the route's checked form with no
+             factorization (core._normal_checked,
+             sumdecomp._rank_completion_checked), which keeps its kernel's X
+             when core._admitted admits it and factors A only otherwise; or
+             for verify inverse_certified and the characterization residuals
+             without a factorization, the factored path following when the
+             certificate fails, as in the CLI.
 
 It exits 1 unless both paths give byte-identical X (pinv) or the same
-verdict (verify), and the same rank. The medians in milliseconds go to a
-JSON file with the machine's description. Only the standard library,
-numpy and pinvkit are used.
+verdict (verify), and the same rank. certificate_held says whether the
+kernel's X (the Gram solve, or the LU inverse for a square completion) was
+kept, or for verify whether inverse_certified held. The medians in
+milliseconds go to a JSON file with the machine's description. Only the
+standard library, numpy and pinvkit are used.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 bench/dense_layers.py
     PYTHONPATH=src python3 bench/dense_layers.py --out x.json --repeats 3
@@ -33,8 +37,9 @@ import sys
 from ledger import median_ms, write_ledger
 
 from pinvkit.core import (
+    _gram_pinv,
+    _normal_checked,
     characterization_residuals,
-    full_rank_normal_pinv,
     gen_random_matrix,
     inverse_certified,
     penrose_residuals,
@@ -43,7 +48,7 @@ from pinvkit.core import (
 )
 from pinvkit.linalg import svd
 from pinvkit.matrix import DEFAULT_TOL
-from pinvkit.sumdecomp import full_rank_completion_pinv, rank_completion_pinv
+from pinvkit.sumdecomp import _full_rank_kernel, _rank_completion_checked, rank_completion_pinv
 
 # (command, n, rank): the workload's full-rank square slots, then the controls
 SLOTS = (
@@ -57,7 +62,14 @@ SLOTS = (
     ("rank-completion", 16, 12),
     ("verify", 16, 8),
 )
-FULL_RANK_FORMS = {"normal": full_rank_normal_pinv, "rank-completion": full_rank_completion_pinv}
+CHECKED_FORMS = {
+    "normal": _normal_checked,
+    "rank-completion": lambda a, tol: _rank_completion_checked(a, None, tol),
+}
+KERNELS = {
+    "normal": lambda a: _gram_pinv(a, a.shape[0] >= a.shape[1]),
+    "rank-completion": _full_rank_kernel,
+}
 
 
 def factored(command: str, a, cand, tol=DEFAULT_TOL):
@@ -72,14 +84,13 @@ def factored(command: str, a, cand, tol=DEFAULT_TOL):
 
 
 def certified(command: str, a, cand, tol=DEFAULT_TOL):
-    """(X or verdict, rank) as the CLI runs now: certificate first."""
+    """(X or verdict, rank) as the CLI runs now: the kernel or certificate first."""
     if command == "verify":
         if not inverse_certified(a, cand, tol):
             return factored(command, a, cand, tol)
         passed = penrose_residuals(a, cand, tol).passed
         return passed and characterization_residuals(a, cand, tol).passed, a.shape[0]
-    x = FULL_RANK_FORMS[command](a, tol)
-    return (x, min(a.shape)) if x is not None else factored(command, a, cand, tol)
+    return CHECKED_FORMS[command](a, tol)[:2]
 
 
 def same(left, right) -> bool:
@@ -95,7 +106,8 @@ def measure(command: str, n: int, rank: int, repeats: int) -> dict:
     if command == "verify":
         held = inverse_certified(a, cand)
     else:
-        held = FULL_RANK_FORMS[command](a) is not None
+        kernel = KERNELS[command](a)
+        held = kernel is not None and kernel.tobytes() == x_new.tobytes()
     return {
         "command": command, "n": n, "rank": rank, "certificate_held": bool(held),
         "median_ms": median_ms({

@@ -23,6 +23,7 @@ from .matrix import (
     DEFAULT_TOL,
     PreconditionError,
     Tolerance,
+    _in_float_range,
     as_vector,
     frobenius,
 )
@@ -177,14 +178,6 @@ def generator_from_spectrum(values) -> np.ndarray:
     from numpy import fft
 
     return fft.fft(as_vector(values, min_len=2), norm="forward")
-
-
-def _in_float_range(values: np.ndarray) -> np.ndarray:
-    """values, refused unless finite: the routes form a pseudoinverse with numpy's
-    overflow warnings off, as a tiny eigenvalue or coefficient puts it past the float range."""
-    if not np.isfinite(values).all():
-        raise PreconditionError("the pseudoinverse leaves the float range")
-    return values
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -42,13 +42,12 @@ from .circulant import (
 )
 from .core import (
     ResidualReport,
+    _normal_checked,
+    _pinv_checked,
     characterization_residuals,
-    full_rank_normal_pinv,
     gen_random_matrix,
     inverse_certified,
     penrose_residuals,
-    pinv,
-    pinv_normal_equations,
 )
 from .graphdist import (
     _tree_pinv_checked,
@@ -80,12 +79,11 @@ from .matrix import (
     parse_generator,
 )
 from .sumdecomp import (
+    _pair_checked,
+    _rank_completion_checked,
     check_orthogonality,
-    completion_pinv_pair,
-    full_rank_completion_pinv,
     gen_rank_additive_pair,
     gen_svd_block_family,
-    rank_completion_pinv,
 )
 
 EXIT_OK = 0
@@ -257,31 +255,15 @@ def _cmd_pinv(args, tol: Tolerance) -> _Outcome:
     b = _load_matrix(args.aux)[0] if args.aux else None  # only pair reads --aux
     if b is not None and b.shape != a.shape:
         raise PreconditionError("A and B must have the same shape")
-    # per method: the full-rank form, which returns None when it cannot
-    # certify the rank, and the route given the factorizations of A and B
-    full_rank, route = {
-        "svd": (None, lambda f, fb: pinv(a, tol, f)),
-        "normal": (full_rank_normal_pinv, lambda f, fb: pinv_normal_equations(a, tol, f)),
-        "rank-completion": (
-            full_rank_completion_pinv, lambda f, fb: rank_completion_pinv(a, None, tol, f)
-        ),
-        "pair": (None, lambda f, fb: completion_pinv_pair(a, b, tol, f, fb)),
-    }[args.method]
-    x, rank = (full_rank(a, tol) if full_rank else None), min(a.shape)
-    if x is None:
-        if b is None:
-            f, fb = svd(a, tol, deflate=True), None
-        else:  # pair factors A and B together
-            f, fb = svd_batch((a, b), tol, deflate=True)
-        x, rank = route(f, fb), f.rank
-    return _Outcome(
-        method=args.method,
-        shape=a.shape,
-        rank=rank,
-        penrose=penrose_residuals(a, x, tol),
-        value=x,
-        input_digest=in_digest,
-    )
+    # each method's checked form gives X, its rank and its Penrose report;
+    # normal and rank-completion factor A only when their kernel's X is refused
+    x, rank, report = {
+        "svd": lambda: _pinv_checked(a, tol, svd(a, tol, deflate=True)),
+        "normal": lambda: _normal_checked(a, tol),
+        "rank-completion": lambda: _rank_completion_checked(a, None, tol),
+        "pair": lambda: _pair_checked(a, b, tol, *svd_batch((a, b), tol, deflate=True)),
+    }[args.method]()
+    return _Outcome(args.method, a.shape, rank, report, value=x, input_digest=in_digest)
 
 
 def _two_term_from_generator(gen: np.ndarray) -> tuple[complex, complex, int]:
@@ -425,12 +407,14 @@ def _cmd_verify(args, tol: Tolerance) -> _Outcome:
         # one stacked call, each member bit for bit svd's
         factorization, x_factorization = svd_batch((a, x), tol, deflate=True)
     chars = characterization_residuals(a, x, tol, factorization, x_factorization)
+    # X of another rank than A passes every bound once ||A||_F ||X||_F > 1/tau
+    same_rank = factorization is None or x_factorization.rank == factorization.rank
     every = {**pen.residuals, **chars.residuals}
     return _Outcome(
         shape=a.shape,
         rank=factorization.rank if factorization else a.shape[0],
         penrose=pen,
-        also_passed=chars.passed,
+        also_passed=chars.passed and same_rank,
         input_digest=in_digest,
         extras={"residuals": {key: float(value) for key, value in every.items()}},
     )
@@ -601,7 +585,9 @@ def _flatten(payload: dict, prefix: str = "") -> list[tuple[str, str]]:
 
 def _print_report(report: dict, pretty: bool) -> None:
     if not pretty:
-        print(json.dumps(report))
+        # strict JSON: NaN and the infinities, extras included, print as null
+        strict = json.loads(json.dumps(report), parse_constant=lambda _: None)
+        print(json.dumps(strict, allow_nan=False))
         return
     rows = _flatten(report)
     width = max(len(name) for name, _ in rows)

@@ -5,7 +5,7 @@ the package is checked against. The residual reports cover the four Penrose
 equations and the six equivalent characterization systems; null-space
 equalities are evaluated as projector differences, since null-space bases
 are not unique. full_rank_certified proves full rank from an approximate
-inverse X of A, so a route that holds one factors A only when that fails.
+inverse X of A; _admitted decides whether a route keeps a fast kernel's X.
 """
 
 from __future__ import annotations
@@ -17,10 +17,13 @@ from typing import Mapping
 import numpy as np
 
 from .linalg import SvdFactorization, cholesky_factor, cholesky_solve, random_unitary, svd, unit_scale
-from .matrix import DEFAULT_TOL, UNIT_ROUNDOFF, PreconditionError, Tolerance, dagger, eye, frobenius
+from .matrix import (
+    DEFAULT_TOL, UNIT_ROUNDOFF, PreconditionError, Tolerance, _in_float_range, dagger, eye, frobenius
+)
 
 PENROSE_KEYS = ("penrose1", "penrose2", "penrose3", "penrose4")
 CHARACTERIZATION_KEYS = ("char_i", "char_ii", "char_iii", "char_iv", "char_v", "char_vi")
+_Checked = tuple[np.ndarray, int, "ResidualReport"]  # a checked form's X, rank and Penrose report
 
 
 @dataclass(frozen=True)
@@ -88,14 +91,22 @@ def pinv(
     """Moore-Penrose inverse via the in-repo SVD.
 
     Only singular values above the rank cutoff are inverted, so rank-deficient
-    and zero matrices need no special-casing. A caller that already holds
-    svd(a, tol, deflate=True) passes it as factorization.
+    and zero matrices need no special-casing; A^+ past the float range is refused.
+    A caller that already holds svd(a, tol, deflate=True) passes it as factorization.
     """
     f = factorization if factorization is not None else svd(a, tol, deflate=True)
     ur, vr = f.cutoff_slices
     if f.rank == 0:
         return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128)
-    return (vr / f.sigma[: f.rank]) @ dagger(ur)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _in_float_range((vr / f.sigma[: f.rank]) @ dagger(ur))
+
+
+def _pinv_checked(a: np.ndarray, tol: Tolerance, f: SvdFactorization | None = None) -> _Checked:
+    """pinv, its rank and its Penrose report, also where _admitted refuses an X."""
+    f = f if f is not None else svd(a, tol, deflate=True)
+    x = pinv(a, tol, f)
+    return x, f.rank, penrose_residuals(a, x, tol)
 
 
 def projectors(
@@ -218,21 +229,37 @@ def characterization_residuals(
     return ResidualReport(dict(zip(systems, residuals)), dict(zip(systems, bounds)))
 
 
+def _admitted(
+    a: np.ndarray, x: np.ndarray | None, tol: Tolerance, inverted=None, filled=None, shape=None
+) -> ResidualReport | None:
+    """The passing Penrose report of x, an LU or Gram kernel's X for a, or None:
+    the one rule that keeps such an X. x (None on a breakdown) must be finite;
+    (1) inverted = (M, Y), the matrix inverted and its inverse, must show an
+    _inverse_margin above rank_cutoff(||M||_F, *shape), shape defaulting to M's;
+    (2) x must map filled, the N(A*) columns that subtracted dyads filled, to
+    zero within tol.bound(||X||_F, ||G||_F), as A^+ does: a cancelling X passes
+    every Penrose bound once ||A||_F ||X - A^+||_F > 1/tau; (3) x must pass
+    penrose_residuals(a, x, tol), the report returned."""
+    if x is None or not np.isfinite(x).all():
+        return None
+    if inverted is not None:
+        mat, y = inverted
+        if not _inverse_margin(mat, y)[1] > tol.rank_cutoff(frobenius(mat), *(shape or mat.shape)):
+            return None
+    if filled is not None and not frobenius(x @ filled) <= tol.bound(frobenius(x), frobenius(filled)):
+        return None
+    report = penrose_residuals(a, x, tol)
+    return report if report.passed else None
+
+
 def _gram_pinv(a: np.ndarray, left: bool) -> np.ndarray | None:
     """(A*A)^-1 A* (left) or A* (AA*)^-1 by Cholesky on unit_scale(a) a; None on breakdown."""
     scale = unit_scale(a)
     b = dagger(a * scale) if left else a * scale
     low = cholesky_factor(b @ dagger(b))
     x = None if low is None else cholesky_solve(low, b)
-    return None if x is None else (x if left else dagger(x)) * scale
-
-
-def full_rank_normal_pinv(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
-    """pinv_normal_equations' full-rank Gram form (left when m >= n) if
-    full_rank_certified proves rank min(m, n), else None, with no SVD; given
-    svd(a, tol, deflate=True), pinv_normal_equations returns the same X."""
-    x = _gram_pinv(a, a.shape[0] >= a.shape[1])
-    return x if x is not None and full_rank_certified(a, x, tol) else None
+    with np.errstate(over="ignore"):
+        return None if x is None else (x if left else dagger(x)) * scale
 
 
 def pinv_normal_equations(
@@ -241,21 +268,21 @@ def pinv_normal_equations(
     """Pseudoinverse through the Gram matrices.
 
     Full column rank: (A*A)^-1 A* by a Cholesky solve. Full row rank:
-    A* (AA*)^-1. Otherwise the general form (A*A)^+ A*, where
-    (A*A)^+ = V_r Sigma_r^-2 V_r* comes from svd(a, tol, deflate=True).
-    Each form runs on A scaled by unit_scale, so A*A and sigma^2 stay in
-    range. full_rank_normal_pinv gives the full-rank form without factoring A.
+    A* (AA*)^-1. Each runs on A scaled by unit_scale, so A*A stays in range.
+    The solve loses cond(A)^2 u, so _admitted decides whether its X is kept.
+    Else, and below full rank, where (A*A)^+ A* = V_r Sigma_r^-1 U_r*, X is
+    pinv(A) from svd(a, tol, deflate=True): factorization, if given, or one
+    computed only after the Gram form is refused.
     """
+    return _normal_checked(a, tol, factorization)[0]
+
+
+def _normal_checked(a: np.ndarray, tol: Tolerance, f: SvdFactorization | None = None) -> _Checked:
+    """pinv_normal_equations with its rank and its Penrose report."""
     m, n = a.shape
-    f = factorization if factorization is not None else svd(a, tol, deflate=True)
-    for left, full in ((True, f.rank == n), (False, f.rank == m)):
-        x = _gram_pinv(a, left) if full else None
-        if x is not None:
-            return x
-    if f.rank == 0:
-        return np.zeros((n, m), dtype=np.complex128)
-    scale, (_, vr) = unit_scale(a), f.cutoff_slices
-    return (vr / (f.sigma[: f.rank] * scale) ** 2) @ (dagger(vr) @ dagger(a * scale)) * scale
+    x = _gram_pinv(a, m >= n) if f is None or f.rank == min(m, n) else None
+    report = _admitted(a, x, tol, (a, x))
+    return (x, min(m, n), report) if report is not None else _pinv_checked(a, tol, f)
 
 
 def gen_random_matrix(

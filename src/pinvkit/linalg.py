@@ -48,8 +48,8 @@ any singular value. hermitian_eigenvalues keeps the accurate kernel.
 The solvers are the plain textbook algorithms. lu_solve eliminates A and its
 right-hand sides in one partial-pivoting loop: every caller solves once per
 matrix, so no factorization is kept. inverse and core._gram_pinv return None
-on a breakdown, and the caller takes an SVD pseudoinverse instead. svd,
-inverse and core._gram_pinv run on A times unit_scale and scale back, so a
+on a breakdown; core._admitted refuses that or an inaccurate X, and the route
+takes pinv(A). They and svd run on A times unit_scale and scale back, so a
 route that only calls them holds at any scale.
 """
 
@@ -544,11 +544,12 @@ def lu_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def inverse(a: np.ndarray) -> np.ndarray | None:
-    """A^-1 as lu_solve(a s, I) s, s = unit_scale(a): exact scaling, so it
-    holds at any scale of a. None when a is not square or a pivot breaks down."""
+    """A^-1 as lu_solve(a s, I) s, s = unit_scale(a): exact, so it holds at any
+    scale (inf past the float range). None when a is not square or a pivot breaks down."""
     scale = unit_scale(a)
     try:
-        return lu_solve(a * scale, eye(len(a))) * scale
+        with np.errstate(over="ignore"):
+            return lu_solve(a * scale, eye(len(a))) * scale
     except PreconditionError:
         return None
 

@@ -105,6 +105,14 @@ def as_vector(data, min_len: int = 1) -> np.ndarray:
     return v
 
 
+def _in_float_range(values: np.ndarray) -> np.ndarray:
+    """values, refused unless finite: the routes form a pseudoinverse with numpy's overflow
+    warnings off, as a tiny singular value, eigenvalue or coefficient puts it past the float range."""
+    if not np.isfinite(values).all():
+        raise PreconditionError("the pseudoinverse leaves the float range")
+    return values
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _gram_pinv, _inverse_margin, bound_ratio, full_rank_certified, pinv, projectors
+from .core import _admitted, _Checked, _gram_pinv, _pinv_checked, bound_ratio, pinv, projectors
 from .linalg import (
     SvdFactorization,
     inverse,
@@ -149,8 +149,8 @@ def pinv_via_gram_equation(
 
     side="left" evaluates (sum A_k* A_k)^+ A_k0*, side="right" A_k0* (sum
     A_k A_k*)^+: block k0 of S^+ for S = [A_1; ...; A_K] or [A_1 ... A_K],
-    whose Gram matrix is that sum. S^+ is one core._gram_pinv solve when the
-    sum is positive definite, else pinv(S); both kernels scale S themselves.
+    whose Gram matrix is that sum. S^+ is one core._gram_pinv solve; when
+    core._admitted refuses its block as A_k0^+, X is pinv(A_k0).
     """
     _require_certificate(fam, tol)
     if not 0 <= k0 < len(fam):
@@ -160,8 +160,9 @@ def pinv_via_gram_equation(
     left = side == "left"
     stacked = np.concatenate(fam.members, axis=0 if left else 1)
     x = _gram_pinv(stacked, left)
-    x = pinv(stacked, tol) if x is None else x
-    return np.split(x, len(fam), axis=1 if left else 0)[k0]
+    member = fam.members[k0]
+    block = None if x is None else np.split(x, len(fam), axis=1 if left else 0)[k0]
+    return block if _admitted(member, block, tol, (stacked, x)) is not None else pinv(member, tol)
 
 
 def pinv_invertible_projector_eq(
@@ -271,15 +272,6 @@ def _full_rank_kernel(a: np.ndarray) -> np.ndarray | None:
     return inverse(a) if m == n else _gram_pinv(a, m > n)
 
 
-def full_rank_completion_pinv(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
-    """The full completion with no dyads (one LU inverse, or the Gram solve) if
-    full_rank_certified proves rank min(m, n), else None, with no SVD; given
-    svd(a, tol, deflate=True), rank_completion_pinv returns the same X."""
-    a = as_matrix(a)
-    x = _full_rank_kernel(a)
-    return x if x is not None and full_rank_certified(a, x, tol) else None
-
-
 def rank_completion_pinv(
     a: np.ndarray,
     comp: CompletionData | None = None,
@@ -298,26 +290,39 @@ def rank_completion_pinv(
       m < n, full completion   the mirrored solve
       partial completion       SVD pseudoinverse of M
 
-    Each kernel scales M itself, so the route holds at any scale. A kernel
-    that breaks down hands over to pinv(A) from A's factorization; the SVD
-    of M would drop a weight below its cutoff yet subtract its dyad.
+    Each kernel scales M itself, so the route holds at any scale. When
+    core._admitted refuses X, with g_basis as the filled columns, the route
+    returns pinv(A) from A's factorization, as on a kernel breakdown.
 
-    A is factored once, for the rank and the default completion;
-    factorization, if given, is svd(a, tol, deflate=True) and saves that too.
-    full_rank_completion_pinv gives the full-rank form without factoring A.
+    A is factored once, by svd(a, tol, deflate=True), or not at all when,
+    given no comp, the kernel's X for A itself is kept; factorization, if
+    given, is that SVD.
     """
+    return _rank_completion_checked(a, comp, tol, factorization)[0]
+
+
+def _rank_completion_checked(a: np.ndarray, comp, tol: Tolerance, fa=None) -> _Checked:
+    """rank_completion_pinv with its rank and its Penrose report."""
     a = as_matrix(a)
-    fa = factorization if factorization is not None else svd(a, tol, deflate=True)
-    if comp is None:
-        comp = auto_completion(a, tol, fa)
+    if fa is None and comp is None:
+        x = _full_rank_kernel(a)
+        report = _admitted(a, x, tol, (a, x))
+        if report is not None:
+            return x, min(a.shape), report
+        fa = svd(a, tol, deflate=True)
+        if fa.rank == min(a.shape):  # its full completion is the X just refused
+            return _pinv_checked(a, tol, fa)
+    fa = fa if fa is not None else svd(a, tol, deflate=True)
+    comp = comp if comp is not None else auto_completion(a, tol, fa)
     _validate_completion(a, comp, tol)
     f, g, d = comp.f_basis, comp.g_basis, comp.d
     dyads_back = (f / d) @ dagger(g)  # sum_k (1/d_k) f_k g_k*
     completed = a + (g * d) @ dagger(f)
-    if comp.count < min(a.shape) - fa.rank:
-        return pinv(completed, tol) - dyads_back
-    x = _full_rank_kernel(completed)
-    return pinv(a, tol, fa) if x is None else x - dyads_back
+    partial = comp.count < min(a.shape) - fa.rank
+    inv = pinv(completed, tol) if partial else _full_rank_kernel(completed)
+    x = None if inv is None else inv - dyads_back
+    report = _admitted(a, x, tol, None if partial else (completed, inv), g)
+    return (x, fa.rank, report) if report is not None else _pinv_checked(a, tol, fa)
 
 
 def completion_pinv_pair(
@@ -332,23 +337,25 @@ def completion_pinv_pair(
     The geometry of B picks the form:
 
       square, R(B*) = N(A) and R(B) <= N(A*) (or mirrored):
-                     A^+ = (A+B)^-1 - B^+, checked against both projector
-                     equations (A+B) X = P_N(B*) and X (A+B) = P_N(B); their
-                     residuals are A B^+ and B^+ A, which keep the singular
-                     values of A that the rank rule drops, so the bound
-                     allows rho ||A||_F ||B^+||_F as penrose_bounds does
+                     A^+ = (A+B)^-1 - B^+, by one LU inverse
       else R(B*) = N(A): (A*A + B*B)^-1 A*, the first m columns of [A; B]^+
       else R(B) = N(A*): A* (AA* + BB*)^-1, the first n rows of [A B]^+
 
-    A kernel that breaks down hands over to pinv(A) from A's factorization,
-    as the SVD of A + B or of the stack cuts at the larger of A and B. The
-    kernels (inverse, svd, _gram_pinv) scale their inputs themselves.
+    When core._admitted refuses X, with B's range columns as the filled ones
+    of (A+B)^-1 - B^+, the route returns pinv(A) from A's factorization, as
+    on a breakdown: the SVD of A + B or of the stack cuts at the larger of A
+    and B. The kernels (inverse, svd, _gram_pinv) scale their inputs.
     The range tests A B* and A* B, homogeneous in A and in B apart, run on
     each times its own unit_scale, so no product over- or underflows into
     a vacuous verdict. A and B are each factored once; factorization and
     b_factorization, if given, are svd(a, tol, deflate=True) and svd(b,
     tol, deflate=True), as svd_batch((a, b), tol, deflate=True) gives them.
     """
+    return _pair_checked(a, b, tol, factorization, b_factorization)[0]
+
+
+def _pair_checked(a: np.ndarray, b: np.ndarray, tol: Tolerance, fa, fb) -> _Checked:
+    """completion_pinv_pair with its rank and its Penrose report, given fa and fb."""
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.shape:
@@ -358,41 +365,29 @@ def completion_pinv_pair(
     # rounding, plus the singular values below A's rank cutoff that A B* keeps
     unit_a = frobenius(a_unit)
     bound = (tol.bound(unit_a) + tol.rank_cutoff(unit_a, m, n)) * frobenius(b_unit)
-    fa = factorization if factorization is not None else svd(a, tol, deflate=True)
-    fb = b_factorization if b_factorization is not None else svd(b, tol, deflate=True)
+    fa = fa if fa is not None else svd(a, tol, deflate=True)
+    fb = fb if fb is not None else svd(b, tol, deflate=True)
     range_bstar_in_null_a = frobenius(a_unit @ dagger(b_unit)) <= bound
     range_b_in_null_astar = frobenius(dagger(a_unit) @ b_unit) <= bound
     fills_null_a = range_bstar_in_null_a and fb.rank == n - fa.rank
     fills_null_astar = range_b_in_null_astar and fb.rank == m - fa.rank
 
-    if m == n and (
-        (fills_null_a and range_b_in_null_astar) or (fills_null_astar and range_bstar_in_null_a)
-    ):
+    if m == n and fills_null_a and range_b_in_null_astar:  # square: the mirror is the same test
         total = a + b
         inv = inverse(total)
-        if inv is None:
-            return pinv(a, tol, fa)
-        b_pinv = pinv(b, tol, fb)
-        x = inv - b_pinv
-        _, p_null_b_adj, _, p_null_b = projectors(b, tol, fb)
-        rho_a = np.sqrt(n) * tol.rank_cutoff(frobenius(a), n, n)
-        bound = tol.bound(frobenius(total), frobenius(inv)) + rho_a * frobenius(b_pinv)
-        left = frobenius(total @ x - p_null_b_adj)
-        right = frobenius(x @ total - p_null_b)
-        if max(left, right) > bound:
-            raise VerificationError(
-                f"projector equation residuals left {left:.3e} / right {right:.3e} "
-                f"exceed {bound:.3e}"
-            )
-        return x
-    if fills_null_a or fills_null_astar:
+        x = None if inv is None else inv - pinv(b, tol, fb)
+        report = _admitted(a, x, tol, (total, inv), fb.cutoff_slices[0])
+    elif fills_null_a or fills_null_astar:
         stacked = np.concatenate((a, b), axis=0 if fills_null_a else 1)
-        x = _gram_pinv(stacked, fills_null_a)
-        return pinv(a, tol, fa) if x is None else (x[:, :m] if fills_null_a else x[:n])
-    raise PreconditionError(
-        "B completes neither null space of A: need R(B*) = N(A) or R(B) = N(A*); "
-        f"rank(B) = {fb.rank}, dim N(A) = {n - fa.rank}, dim N(A*) = {m - fa.rank}"
-    )
+        xs = _gram_pinv(stacked, fills_null_a)
+        x = None if xs is None else (xs[:, :m] if fills_null_a else xs[:n])
+        report = _admitted(a, x, tol, (stacked, xs))
+    else:
+        raise PreconditionError(
+            "B completes neither null space of A: need R(B*) = N(A) or R(B) = N(A*); "
+            f"rank(B) = {fb.rank}, dim N(A) = {n - fa.rank}, dim N(A*) = {m - fa.rank}"
+        )
+    return (x, fa.rank, report) if report is not None else _pinv_checked(a, tol, fa)
 
 
 def _core_pinv(f: SvdFactorization, n: int, tol: Tolerance) -> np.ndarray:
@@ -404,26 +399,16 @@ def _core_pinv(f: SvdFactorization, n: int, tol: Tolerance) -> np.ndarray:
     return (vr / f.sigma[:rank]) @ dagger(ur)
 
 
-def _certified_core_pinv(core: np.ndarray, n: int, tol: Tolerance) -> np.ndarray | None:
-    """core^+ by one _gram_pinv if its core._inverse_margin proves full rank at
-    _core_pinv's n x n cutoff and its defect r <= tol.residual_rel; else None.
-    The Gram solve's error grows as cond^2 u, against cond u for the SVD: at
-    a principal-angle sine near 1e-6 a core passes the rank test, yet its
-    Gram inverse fails the Penrose check of the result."""
-    x = _gram_pinv(core, core.shape[0] >= core.shape[1])
-    r, margin = (np.inf, 0.0) if x is None else _inverse_margin(core, x)
-    return x if margin > tol.rank_cutoff(frobenius(core), n, n) and r <= tol.residual_rel else None
-
-
 def _core_pinvs(cores: tuple[np.ndarray, np.ndarray], n: int, tol: Tolerance) -> list[np.ndarray]:
     """The pseudoinverses of the cores V2* N1 and M1* U2, which rank additivity
-    makes full rank r2: from _certified_core_pinv, or if either fails, both
-    from one svd_batch call, which takes V2* N1 (r2 x (n - r1)) through its
-    adjoint, as svd would. Empty cores (r2 = 0) give empty zeros."""
+    makes full rank r2: by _gram_pinv if core._admitted keeps both at
+    _core_pinv's n x n cutoff, else both from one svd_batch call, which takes
+    V2* N1 (r2 x (n - r1)) through its adjoint, as svd would. Empty cores
+    (r2 = 0) give empty zeros."""
     if not cores[0].size:
         return [np.zeros(core.shape[::-1], dtype=np.complex128) for core in cores]
-    xs = [_certified_core_pinv(core, n, tol) for core in cores]
-    if all(x is not None for x in xs):
+    xs = [_gram_pinv(core, core.shape[0] >= core.shape[1]) for core in cores]
+    if all(_admitted(core, x, tol, (core, x), shape=(n, n)) for core, x in zip(cores, xs)):
         return xs
     return [_core_pinv(f, n, tol) for f in svd_batch(cores, tol, deflate=True)]
 
@@ -444,9 +429,8 @@ def fill_fishkind_pinv(
     = U2 (M1* U2)^+ M1*, from the null-space columns N1, M1 of svd(A1) and the
     range columns U2, V2 of svd(A2), so each core has rank(A2) rows or columns.
     Rank additivity makes both cores full rank, so each is inverted by one
-    Cholesky solve on its Gram matrix, and that inverse certifies the rank
-    and its own accuracy (_certified_core_pinv). Only when a core fails the
-    certificate are both cores factored, by one svd_batch call.
+    Cholesky solve on its Gram matrix, kept under core._admitted's rule; only
+    when it refuses a core are both cores factored, by one svd_batch call.
     """
     a1 = as_matrix(a1)
     a2 = as_matrix(a2)

@@ -4,8 +4,8 @@ full_rank_certified(a, x) proves from an approximate inverse X that the SVD
 rule gives A rank min(m, n): r = ||P - I||_F + gamma ||X||_F ||A||_F < 1,
 with P = XA or AX and gamma the rounding bound of the product, and
 (1 - r) / ||X||_F above tol.rank_cutoff(||A||_F, m, n). pinv --method normal
-and rank-completion return their full-rank form when it certifies itself,
-and verify skips every factorization when X certifies a square A and A
+and rank-completion return their full-rank form when core._admitted keeps
+it, and verify skips every factorization when X certifies a square A and A
 certifies X. numpy.linalg is the oracle for rank and for the inverses here.
 """
 
@@ -24,16 +24,17 @@ import pinvkit.core
 from pinvkit.cli import main
 from pinvkit.core import (
     ResidualReport,
+    _gram_pinv,
+    _normal_checked,
     characterization_residuals,
     full_rank_certified,
-    full_rank_normal_pinv,
     inverse_certified,
     penrose_residuals,
     pinv_normal_equations,
 )
-from pinvkit.linalg import svd
+from pinvkit.linalg import inverse, svd
 from pinvkit.matrix import DEFAULT_TOL, UNIT_ROUNDOFF, dumps_matrix_json, loads_matrix_json
-from pinvkit.sumdecomp import full_rank_completion_pinv, rank_completion_pinv
+from pinvkit.sumdecomp import _rank_completion_checked, rank_completion_pinv
 
 RULE = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -89,23 +90,22 @@ def test_certified_rank_is_the_svd_rank_and_x_is_the_factored_x(seed, m, n, log_
     a = frame(seed, m, n, 10.0**log_kappa, 10.0**log_scale)
     k = min(m, n)
     f = svd(a, DEFAULT_TOL, deflate=True)
+    normal = _normal_checked(a, DEFAULT_TOL)
+    completion = _rank_completion_checked(a, None, DEFAULT_TOL)
     routes = (
-        (full_rank_normal_pinv, lambda: pinv_normal_equations(a, DEFAULT_TOL, f)),
-        (full_rank_completion_pinv, lambda: rank_completion_pinv(a, factorization=f)),
+        (normal, lambda: pinv_normal_equations(a, DEFAULT_TOL, f)),
+        (completion, lambda: rank_completion_pinv(a, factorization=f)),
     )
-    for full_rank_form, factored in routes:
-        x = full_rank_form(a, DEFAULT_TOL)
-        if x is None:
-            continue
-        assert f.rank == oracle_rank(a) == k
+    for (x, rank, _), factored in routes:
+        assert rank == f.rank == oracle_rank(a) == k
         assert x.tobytes() == factored().tobytes()
     if full_rank_certified(a, np.linalg.pinv(a)):
         assert f.rank == oracle_rank(a) == k
     if log_kappa <= 4.0:
         # the Gram form runs on A scaled by a power of two, so it holds at any scale
-        assert full_rank_normal_pinv(a) is not None
+        assert normal[0].tobytes() == _gram_pinv(a, m >= n).tobytes()
         if m == n:
-            assert full_rank_completion_pinv(a) is not None
+            assert completion[0].tobytes() == inverse(a).tobytes()
 
 
 def test_rounding_of_the_product_is_part_of_the_bound():
@@ -136,8 +136,8 @@ def test_rank_deficient_input_is_never_certified():
         u, s, vh = np.linalg.svd(a)
         s[rank:] = 0.0
         a = (u[:, : s.size] * s) @ vh[: s.size]
-        assert full_rank_normal_pinv(a) is None
-        assert full_rank_completion_pinv(a) is None
+        assert _normal_checked(a, DEFAULT_TOL)[1] == rank
+        assert _rank_completion_checked(a, None, DEFAULT_TOL)[1] == rank
         assert not full_rank_certified(a, np.linalg.pinv(a))
 
 

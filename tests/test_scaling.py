@@ -26,7 +26,6 @@ import pinvkit.sumdecomp
 from pinvkit.cli import main
 from pinvkit.core import (
     _gram_pinv,
-    full_rank_normal_pinv,
     gen_random_matrix,
     penrose_residuals,
     pinv,
@@ -38,7 +37,6 @@ from pinvkit.sumdecomp import (
     OperatorFamily,
     completion_pinv_pair,
     fill_fishkind_pinv,
-    full_rank_completion_pinv,
     gen_rank_additive_pair,
     gen_svd_block_family,
     pinv_invertible_projector_eq,
@@ -161,10 +159,11 @@ def route_cases() -> dict:
         "pinv": (pinv, first, (gen_random_matrix(5, 6, 4, rank=3),)),
         "normal-full": (pinv_normal_equations, first, (gen_random_matrix(6, 7, 5),)),
         "normal-deficient": (pinv_normal_equations, first, (deficient,)),
-        "full-rank-normal": (full_rank_normal_pinv, first, (gen_random_matrix(8, 5, 7),)),
+        # with no factorization the routes try their full-rank form first
+        "full-rank-normal": (pinv_normal_equations, first, (gen_random_matrix(8, 5, 7),)),
         "rank-completion-square": (rank_completion_pinv, first, (deficient,)),
         "rank-completion-tall": (rank_completion_pinv, first, (tall,)),
-        "full-rank-completion": (full_rank_completion_pinv, first, (gen_random_matrix(10, 5, 5),)),
+        "full-rank-completion": (rank_completion_pinv, first, (gen_random_matrix(10, 5, 5),)),
         "pair-invertible": (completion_pinv_pair, first, (pair_a, invertible_b)),
         "pair-gram": (completion_pinv_pair, first, (pair_a, gram_b)),
         # the left Gram sum is positive definite (the Cholesky form), the
