@@ -219,15 +219,8 @@ def two_term_pinv(
     Anything else goes through the spectral route, which also covers the
     remaining complex singular combinations.
     """
-    alpha = complex(alpha)
-    beta = complex(beta)
-    if alpha == 0 or beta == 0:
-        raise PreconditionError("two-term generator needs nonzero alpha and beta")
-    if n < 2:
-        raise PreconditionError(f"need n >= 2, got {n}")
-    if not 1 <= k_pos <= n:
-        raise PreconditionError(f"need 1 <= k_pos <= n, got {k_pos}")
-    l = k_pos - 1
+    gen = _two_term_generator(alpha, beta, n, k_pos)
+    alpha, beta, l = complex(alpha), complex(beta), k_pos - 1
     k = np.arange(n)
     if alpha == beta and n % 2 == 0:
         w = (-1.0) ** k * (n * n - (2 * k + 1) * n + 2)
@@ -236,11 +229,23 @@ def two_term_pinv(
     elif alpha == -beta:
         base = (n - 1.0 - 2.0 * k) / (2.0 * n * alpha)
     else:
-        head = np.zeros(n, dtype=np.complex128)
-        head[0] = alpha
-        head[1] = beta
-        base = circ_pinv_spectral(head, tol).gen
+        base = circ_pinv_spectral(np.roll(gen, -l), tol).gen  # alpha at 0, beta at 1
     return Circulant(_shift_generator(_in_float_range(base), (n - l) % n))
+
+
+def _two_term_generator(alpha: complex, beta: complex, n: int, k_pos: int) -> np.ndarray:
+    """The generator two_term_pinv inverts, its arguments validated first."""
+    alpha, beta = complex(alpha), complex(beta)
+    if alpha == 0 or beta == 0:
+        raise PreconditionError("two-term generator needs nonzero alpha and beta")
+    if n < 2:
+        raise PreconditionError(f"need n >= 2, got {n}")
+    if not 1 <= k_pos <= n:
+        raise PreconditionError(f"need 1 <= k_pos <= n, got {k_pos}")
+    gen = np.zeros(n, dtype=np.complex128)
+    gen[k_pos - 1] = alpha
+    gen[k_pos % n] = beta
+    return gen
 
 
 def support_split_pinv(

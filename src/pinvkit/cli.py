@@ -23,6 +23,7 @@ import contextlib
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -32,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circulant import (
+    _two_term_generator,
     block_pattern_generator,
     block_pattern_pinv,
     circ_penrose_residuals,
@@ -305,31 +307,29 @@ def _cmd_circ(args, tol: Tolerance) -> _Outcome:
 
     if gen is None and args.method in ("spectral", "zero-sum"):
         raise PreconditionError(f"{args.method} method needs a generator (--gen or --input)")
-    if args.method == "spectral":
-        result = circ_pinv_spectral(gen, tol)
-    elif args.method == "two-term":
+    if args.method == "two-term":
         if gen is not None:
             alpha, beta, k_pos = _two_term_from_generator(gen)
-            n = gen.shape[0]
         elif args.alpha is None or args.beta is None or args.n is None:
             raise PreconditionError("two-term without --gen needs --alpha, --beta and --n")
         else:
-            alpha, beta, n = args.alpha, args.beta, args.n
-            k_pos = args.k if args.k is not None else 1
-        # two_term_pinv validates n and k_pos before a generator is built from them
-        result = two_term_pinv(alpha, beta, n, k_pos, tol)
-        if gen is None:
-            gen = np.zeros(n, dtype=np.complex128)
-            gen[k_pos - 1] = alpha
-            gen[k_pos % n] = beta
-    elif args.method == "zero-sum":
-        result = zero_sum_shift_pinv(gen, alpha=args.alpha, tol=tol)
-    else:
+            alpha, beta, k_pos = args.alpha, args.beta, args.k if args.k is not None else 1
+            gen = _two_term_generator(alpha, beta, args.n, k_pos)
+    elif args.method == "block":
         if args.alpha is None or args.beta is None or args.k is None or args.q is None:
             raise PreconditionError("block method needs --alpha, --beta, --k and --q")
-        result = block_pattern_pinv(args.alpha, args.beta, args.k, args.q, tol)
         pattern = block_pattern_generator(args.k, args.q)
-        gen = args.alpha * np.ones(pattern.shape[0], dtype=np.complex128) + args.beta * pattern
+        with np.errstate(over="ignore", invalid="ignore"):
+            gen = args.alpha * np.ones(pattern.shape[0], dtype=np.complex128) + args.beta * pattern
+    # ||circ(gen)||_F = sqrt(n) ||gen||: every residual bound is built on it
+    if not math.isfinite(math.sqrt(gen.shape[0]) * frobenius(gen)):
+        raise PreconditionError("the circulant leaves the float range")
+    result = {
+        "spectral": lambda: circ_pinv_spectral(gen, tol),
+        "two-term": lambda: two_term_pinv(alpha, beta, gen.shape[0], k_pos, tol),
+        "zero-sum": lambda: zero_sum_shift_pinv(gen, alpha=args.alpha, tol=tol),
+        "block": lambda: block_pattern_pinv(args.alpha, args.beta, args.k, args.q, tol),
+    }[args.method]()
 
     # verified and written from the generators
     residuals = circ_penrose_residuals(gen, result.gen, tol)
@@ -620,6 +620,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_RESIDUAL
     except (PreconditionError, ConvergenceError) as exc:
         print(f"pinvkit: precondition failed: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except MemoryError as exc:  # the last resort for an input too large to hold
+        print(f"pinvkit: precondition failed: out of memory: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     # the Penrose equation nearest its bound
     name, residual = pen.worst if pen is not None else (None, None)

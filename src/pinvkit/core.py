@@ -236,9 +236,9 @@ def _admitted(
     the one rule that keeps such an X. x (None on a breakdown) must be finite;
     (1) inverted = (M, Y), the matrix inverted and its inverse, must show an
     _inverse_margin above rank_cutoff(||M||_F, *shape), shape defaulting to M's;
-    (2) x must map filled, the N(A*) columns that subtracted dyads filled, to
-    zero within tol.bound(||X||_F, ||G||_F), as A^+ does: a cancelling X passes
-    every Penrose bound once ||A||_F ||X - A^+||_F > 1/tau; (3) x must pass
+    (2) x must map filled, the N(A*) columns a rank completion's dyads filled,
+    to zero within tol.bound(||X||_F, ||G||_F), as A^+ does: a cancelling X
+    passes every Penrose bound once ||A||_F ||X - A^+||_F > 1/tau; (3) x must pass
     penrose_residuals(a, x, tol), the report returned."""
     if x is None or not np.isfinite(x).all():
         return None
@@ -256,9 +256,9 @@ def _gram_pinv(a: np.ndarray, left: bool) -> np.ndarray | None:
     """(A*A)^-1 A* (left) or A* (AA*)^-1 by Cholesky on unit_scale(a) a; None on breakdown."""
     scale = unit_scale(a)
     b = dagger(a * scale) if left else a * scale
-    low = cholesky_factor(b @ dagger(b))
-    x = None if low is None else cholesky_solve(low, b)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        low = cholesky_factor(b @ dagger(b))
+        x = None if low is None else cholesky_solve(low, b)
         return None if x is None else (x if left else dagger(x)) * scale
 
 

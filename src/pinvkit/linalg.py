@@ -47,10 +47,11 @@ any singular value. hermitian_eigenvalues keeps the accurate kernel.
 
 The solvers are the plain textbook algorithms. lu_solve eliminates A and its
 right-hand sides in one partial-pivoting loop: every caller solves once per
-matrix, so no factorization is kept. inverse and core._gram_pinv return None
-on a breakdown; core._admitted refuses that or an inaccurate X, and the route
-takes pinv(A). They and svd run on A times unit_scale and scale back, so a
-route that only calls them holds at any scale.
+matrix, so no factorization is kept. They hold no threshold: inverse and
+core._gram_pinv return None only on an exactly zero LU pivot or a Cholesky
+pivot that is not positive, core._admitted refuses that or a non-finite or
+inaccurate X, and the route takes pinv(A). They and svd run on A times
+unit_scale and scale back, so a route that only calls them holds at any scale.
 """
 
 from __future__ import annotations
@@ -516,8 +517,8 @@ def lu_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     One partial-pivoting loop swaps and eliminates the rows of a and of rhs
     together; back substitution follows. Raises PreconditionError when a is
-    not square, when rhs has the wrong number of rows, or when a pivot falls
-    below the numerical-zero threshold (a is singular at working precision).
+    not square, when rhs has the wrong number of rows, or on an exactly zero
+    pivot; whether a tiny pivot's X is kept is core._admitted's decision.
     """
     a = np.array(a, dtype=np.complex128, copy=True)
     x = np.array(rhs, dtype=np.complex128, copy=True)
@@ -526,12 +527,10 @@ def lu_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise PreconditionError("LU factorization needs a square matrix")
     if x.shape[0] != n:
         raise PreconditionError("right-hand side has the wrong number of rows")
-    scale = float(np.max(np.abs(a))) if n else 0.0
-    tiny = 10.0 * n * UNIT_ROUNDOFF * max(scale, 1e-300)
     for k in range(n):
         piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[piv, k]) <= tiny:
-            raise PreconditionError("matrix is singular at working precision")
+        if a[piv, k] == 0:
+            raise PreconditionError("matrix is singular: a pivot is exactly zero")
         if piv != k:
             a[[k, piv]] = a[[piv, k]]
             x[[k, piv]] = x[[piv, k]]
@@ -545,31 +544,28 @@ def lu_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def inverse(a: np.ndarray) -> np.ndarray | None:
     """A^-1 as lu_solve(a s, I) s, s = unit_scale(a): exact, so it holds at any
-    scale (inf past the float range). None when a is not square or a pivot breaks down."""
+    scale (inf past the float range, without a warning). None when a is not
+    square or a pivot is exactly zero."""
     scale = unit_scale(a)
     try:
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             return lu_solve(a * scale, eye(len(a))) * scale
     except PreconditionError:
         return None
 
 
 def cholesky_factor(h: np.ndarray) -> np.ndarray | None:
-    """Lower Cholesky factor of a Hermitian matrix, or None on breakdown.
-
-    Breakdown (a pivot at or below the relative threshold) is how callers
-    detect that the matrix is not positive definite at working precision.
-    """
+    """Lower Cholesky factor of a Hermitian matrix, or None on a pivot that
+    is not positive (NaN included); whether a small pivot's solve is kept is
+    core._admitted's decision."""
     h = np.array(h, dtype=np.complex128, copy=True)
     n = h.shape[0]
     if h.shape != (n, n):
         raise PreconditionError("cholesky needs a square matrix")
-    diag_scale = max(float(np.max(np.abs(np.diag(h).real))), 0.0)
-    tiny = 10.0 * n * UNIT_ROUNDOFF * max(diag_scale, 1e-300)
     low = np.zeros_like(h)
     for k in range(n):
         pivot = h[k, k].real - float(np.sum(np.abs(low[k, :k]) ** 2))
-        if pivot <= tiny:
+        if not pivot > 0.0:
             return None
         low[k, k] = np.sqrt(pivot)
         if k + 1 < n:

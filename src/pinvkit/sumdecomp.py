@@ -334,22 +334,22 @@ def completion_pinv_pair(
 ) -> np.ndarray:
     """Pseudoinverse of A from a single completing partner B.
 
-    The geometry of B picks the form:
+    The geometry of B picks the form, by one Gram solve (core._gram_pinv):
 
-      square, R(B*) = N(A) and R(B) <= N(A*) (or mirrored):
-                     A^+ = (A+B)^-1 - B^+, by one LU inverse
-      else R(B*) = N(A): (A*A + B*B)^-1 A*, the first m columns of [A; B]^+
+      R(B*) = N(A): (A*A + B*B)^-1 A*, the first m columns of [A; B]^+
       else R(B) = N(A*): A* (AA* + BB*)^-1, the first n rows of [A B]^+
 
-    When core._admitted refuses X, with B's range columns as the filled ones
-    of (A+B)^-1 - B^+, the route returns pinv(A) from A's factorization, as
-    on a breakdown: the SVD of A + B or of the stack cuts at the larger of A
-    and B. The kernels (inverse, svd, _gram_pinv) scale their inputs.
-    The range tests A B* and A* B, homogeneous in A and in B apart, run on
-    each times its own unit_scale, so no product over- or underflows into
-    a vacuous verdict. A and B are each factored once; factorization and
-    b_factorization, if given, are svd(a, tol, deflate=True) and svd(b,
-    tol, deflate=True), as svd_batch((a, b), tol, deflate=True) gives them.
+    Neither subtracts B^+, so X cannot cancel. The square form (A + B)^-1 -
+    B^+ holds for inputs that meet the first condition; it is
+    rank_completion_pinv(a, CompletionData(V_B, U_B, sigma_B)). When
+    core._admitted refuses X, the route returns pinv(A) from A's
+    factorization, not from the SVD of the stack, which cuts at the larger
+    of A and B. The range tests A B* and A* B, homogeneous in A and in B
+    apart, run on each times its own unit_scale, so no product over- or
+    underflows into a vacuous verdict. A and B are each factored once;
+    factorization and b_factorization, if given, are svd(a, tol,
+    deflate=True) and svd(b, tol, deflate=True), as svd_batch((a, b), tol,
+    deflate=True) gives them.
     """
     return _pair_checked(a, b, tol, factorization, b_factorization)[0]
 
@@ -367,26 +367,17 @@ def _pair_checked(a: np.ndarray, b: np.ndarray, tol: Tolerance, fa, fb) -> _Chec
     bound = (tol.bound(unit_a) + tol.rank_cutoff(unit_a, m, n)) * frobenius(b_unit)
     fa = fa if fa is not None else svd(a, tol, deflate=True)
     fb = fb if fb is not None else svd(b, tol, deflate=True)
-    range_bstar_in_null_a = frobenius(a_unit @ dagger(b_unit)) <= bound
-    range_b_in_null_astar = frobenius(dagger(a_unit) @ b_unit) <= bound
-    fills_null_a = range_bstar_in_null_a and fb.rank == n - fa.rank
-    fills_null_astar = range_b_in_null_astar and fb.rank == m - fa.rank
-
-    if m == n and fills_null_a and range_b_in_null_astar:  # square: the mirror is the same test
-        total = a + b
-        inv = inverse(total)
-        x = None if inv is None else inv - pinv(b, tol, fb)
-        report = _admitted(a, x, tol, (total, inv), fb.cutoff_slices[0])
-    elif fills_null_a or fills_null_astar:
-        stacked = np.concatenate((a, b), axis=0 if fills_null_a else 1)
-        xs = _gram_pinv(stacked, fills_null_a)
-        x = None if xs is None else (xs[:, :m] if fills_null_a else xs[:n])
-        report = _admitted(a, x, tol, (stacked, xs))
-    else:
+    fills_null_a = frobenius(a_unit @ dagger(b_unit)) <= bound and fb.rank == n - fa.rank
+    fills_null_astar = frobenius(dagger(a_unit) @ b_unit) <= bound and fb.rank == m - fa.rank
+    if not (fills_null_a or fills_null_astar):
         raise PreconditionError(
             "B completes neither null space of A: need R(B*) = N(A) or R(B) = N(A*); "
             f"rank(B) = {fb.rank}, dim N(A) = {n - fa.rank}, dim N(A*) = {m - fa.rank}"
         )
+    stacked = np.concatenate((a, b), axis=0 if fills_null_a else 1)
+    xs = _gram_pinv(stacked, fills_null_a)
+    x = None if xs is None else (xs[:, :m] if fills_null_a else xs[:n])
+    report = _admitted(a, x, tol, (stacked, xs))
     return (x, fa.rank, report) if report is not None else _pinv_checked(a, tol, fa)
 
 

@@ -2,7 +2,7 @@
 
 The completion, pair and Gram formulas are exact, but their LU and Cholesky
 kernels are not: the Gram solve loses cond^2 u, and a form that subtracts
-dyads, M^-1 - sum (1/d_k) f_k g_k* or (A + B)^-1 - B^+, can cancel.
+dyads, M^-1 - sum (1/d_k) f_k g_k*, can cancel.
 core._admitted keeps such an X only when the inverted matrix shows its
 full-rank margin, X maps the filled columns of N(A*) to zero, and X passes
 its Penrose check. Otherwise the route returns pinv(A) from A's own
@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -23,9 +24,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pinvkit.cli
+import pinvkit.sumdecomp
 from pinvkit.cli import main
-from pinvkit.core import pinv
-from pinvkit.linalg import random_unitary
+from pinvkit.core import PENROSE_KEYS, ResidualReport, gen_random_matrix, pinv
+from pinvkit.linalg import inverse, random_unitary, svd
 from pinvkit.matrix import UNIT_ROUNDOFF, dagger, dumps_matrix_json, frobenius, loads_matrix_json
 from pinvkit.sumdecomp import CompletionData, auto_completion, completion_pinv_pair, rank_completion_pinv
 
@@ -161,12 +164,55 @@ def assert_is_pinv(x, a):
 @pytest.mark.parametrize("scale", [1e-8, 1e-12, 1e-14])
 @pytest.mark.parametrize("seed", range(6))
 def test_invertible_pair_with_a_small_partner(seed, scale):
-    # (A + B)^-1 - B^+ cancelled to within the old projector check: off by
-    # 0.06 at 1e-8 and 4e6 relative at 1e-12. At 1e-14, seeds 3, 4 and 5
-    # pass the margin of A + B and all four Penrose bounds, off by 1e11 to
-    # 7e11 relative; only X U_B = 0, the filled columns' test, refuses them
+    # (A + B)^-1 - B^+, the pair's former form for these inputs, cancelled:
+    # off by 0.06 at 1e-8 and 4e6 relative at 1e-12, and at 1e-14 seeds 3, 4
+    # and 5 passed the margin of A + B and all four Penrose bounds, off by
+    # 1e11 to 7e11 relative. The Gram form subtracts nothing
     a, b = graded(seed, 6, 6, 3, 10.0, True, scale)
     assert_is_pinv(completion_pinv_pair(a, b), a)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-8, 1e-14])
+def test_an_invertible_pair_takes_the_gram_form(monkeypatch, scale):
+    # R(B*) = N(A) and R(B) = N(A*): one Gram solve of [A; B], no LU inverse
+    a, b = graded(0, 6, 6, 3, 10.0, True, scale)
+    gram, calls = pinvkit.sumdecomp._gram_pinv, []
+
+    def recorded(stacked, left):
+        calls.append((stacked.shape, left))
+        return gram(stacked, left)
+
+    monkeypatch.setattr(pinvkit.sumdecomp, "inverse", None)
+    monkeypatch.setattr(pinvkit.sumdecomp, "_gram_pinv", recorded)
+    assert_is_pinv(completion_pinv_pair(a, b), a)
+    assert calls == [((12, 6), True)]
+
+
+def test_the_papers_pair_form_is_a_rank_completion():
+    # (A + B)^-1 - B^+ is M^-1 less the dyads of B = U_B Sigma_B V_B*
+    a, b = graded(1, 6, 6, 3, 10.0, True, 1.0)
+    fb = svd(b, deflate=True)
+    ub, vb = fb.cutoff_slices
+    x = rank_completion_pinv(a, CompletionData(vb, ub, fb.sigma[: fb.rank]))
+    assert_is_pinv(x, a)
+    np.testing.assert_allclose(x, inverse(a + b) - pinv(b), rtol=0, atol=1e-9 * frobenius(x))
+
+
+@pytest.mark.parametrize("case,rank", [("16x16-r8", 8), ("int-8x8-r7", 7)])
+def test_rank_deficient_input_past_the_former_pivot_threshold(tmp_path, case, rank):
+    # LU meets pivots near 1e-16 on these and goes on, as the pivot threshold
+    # is gone; _admitted refuses the rank the kernel claims. normal writes
+    # svd's bytes, and rank-completion completes the null spaces of A
+    rng = np.random.default_rng(5)
+    integer = rng.integers(-3, 4, (8, 7)) @ rng.integers(-3, 4, (7, 8))
+    a = gen_random_matrix(2, 16, 16, rank=8) if case == "16x16-r8" else integer.astype(float)
+    code, report, x_svd = pinv_command(str(tmp_path), a, "svd")
+    assert code == 0 and report["rank"] == rank
+    code, report, x = pinv_command(str(tmp_path), a, "normal")
+    assert code == 0 and report["rank"] == rank and x == x_svd
+    code, report, x = pinv_command(str(tmp_path), a, "rank-completion")
+    assert code == 0 and report["rank"] == rank
+    np.testing.assert_array_equal(read_x(x), rank_completion_pinv(a, auto_completion(a)))
 
 
 @pytest.mark.parametrize("partial", [False, True])
@@ -237,12 +283,13 @@ def refuse(token):
     raise ValueError(f"non-standard JSON token {token}")
 
 
-# the spectrum's overflow warning and the reported rank 0 are the circulant
-# routes' own defect, left to a change that scales the generator
-@pytest.mark.filterwarnings("ignore:overflow encountered in ifft:RuntimeWarning")
-def test_the_report_line_is_strict_json(capsys):
-    # an overflowed circulant spectrum printed the bare tokens Infinity and NaN
-    code, out, _ = run_cli(capsys, ["circ", "--gen", "1e308,1e308,1e308"])
+def test_the_report_line_is_strict_json(capsys, monkeypatch):
+    # an overflowed circulant spectrum printed the bare tokens Infinity and NaN;
+    # circ now refuses such a generator before any route runs, so a check
+    # with NaN residuals and infinite bounds stands in for its report
+    nan_report = ResidualReport(dict.fromkeys(PENROSE_KEYS, math.nan), dict.fromkeys(PENROSE_KEYS, math.inf))
+    monkeypatch.setattr(pinvkit.cli, "circ_penrose_residuals", lambda gen, xgen, tol: nan_report)
+    code, out, _ = run_cli(capsys, ["circ", "--gen", "1,2,3"])
     assert code == 2
     report = json.loads(out, parse_constant=refuse)
     assert report["passed"] is False and report["max_penrose_residual"] is None

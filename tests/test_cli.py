@@ -265,6 +265,48 @@ def test_circ_pinv_past_the_float_range_exits_3_without_warnings(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--gen", "1e308,1e308,1e308"],
+        ["--method", "zero-sum", "--gen", "1e308,-1e308,0", "--alpha", "1"],
+        ["--method", "two-term", "--gen", "1e308,1e308,0"],
+        ["--method", "two-term", "--alpha", "1e308", "--beta", "1e308", "--n", "4"],
+        ["--method", "block", "--alpha=1e308", "--beta=1e308", "--k", "2", "--q", "1"],
+    ],
+)
+def test_circ_past_the_float_range_exits_3_before_any_route(tmp_path, monkeypatch, capsys, argv):
+    # sqrt(n) ||g|| = ||circ(g)||_F is inf, so every residual bound was 0: the
+    # first printed rank 0 after an ifft overflow warning, the second a null
+    # residual, and both exited 2
+    monkeypatch.chdir(tmp_path)
+    for route in ("circ_pinv_spectral", "two_term_pinv", "zero_sum_shift_pinv",
+                  "block_pattern_pinv", "circ_spectrum"):
+        monkeypatch.setattr(pinvkit.cli, route, None)
+    assert main(["circ", *argv, "--output", "g.json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "the circulant leaves the float range" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_circ_just_inside_the_float_range_keeps_its_rank(capsys):
+    code, report = run(capsys, ["circ", "--gen", "1e307,1e307,1e307"])
+    assert code == 0 and report["rank"] == 1 and report["extras"]["support"] == [0]
+
+
+def test_memory_error_exits_3_naming_memory(tmp_path, monkeypatch, capsys):
+    # wheel --n 1000001 escaped as numpy's _ArrayMemoryError with status 1
+    def no_memory(n, tol=None):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(pinvkit.cli, "wheel_build", no_memory)
+    assert main(["wheel", "--n", "1000001", "--output", "w.json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "out of memory" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 # --------------------------------------------------------------------------
 # tree and wheel
 

@@ -381,17 +381,15 @@ def test_pair_completion_input_picks_its_form(monkeypatch, form):
     calls = record_forms(monkeypatch)
     x = completion_pinv_pair(a, b)
     assert_matches_pinv(x, want)
-    if form == "invertible":
-        assert count_equal(calls["inverse"], a + b) == 1 and calls["cholesky"] == []
-    else:
-        # the Gram matrix S*S of S = [A; B] (or SS* of S = [A B]), formed as
-        # _gram_pinv forms it, on S times the power of two unit_scale(S)
-        left = form == "gram-left"
-        stacked = np.concatenate((a, b), axis=0 if left else 1)
-        scaled = stacked * unit_scale(stacked)
-        lhs = dagger(scaled) if left else scaled
-        assert calls["inverse"] == []
-        assert count_equal(calls["cholesky"], lhs @ dagger(lhs)) == 1
+    # the Gram matrix S*S of S = [A; B] (or SS* of S = [A B]), formed as
+    # _gram_pinv forms it, on S times the power of two unit_scale(S); an
+    # invertible A + B meets R(B*) = N(A) too and takes the left Gram form
+    left = form != "gram-right"
+    stacked = np.concatenate((a, b), axis=0 if left else 1)
+    scaled = stacked * unit_scale(stacked)
+    lhs = dagger(scaled) if left else scaled
+    assert calls["inverse"] == []
+    assert count_equal(calls["cholesky"], lhs @ dagger(lhs)) == 1
 
 
 # --------------------------------------------------------------------------

@@ -187,6 +187,28 @@ def test_cholesky_breakdown_on_singular():
     assert cholesky_factor(neg) is None
 
 
+def test_lu_solve_raises_only_on_an_exactly_zero_pivot():
+    # the second pivot is 2^-52, below the former threshold 10 n u max |a_ij|;
+    # the inverse [[2^52 + 1, -2^52], [-2^52, 2^52]] comes out exactly
+    a = np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-52]], dtype=complex)
+    want = np.array([[2.0**52 + 1, -(2.0**52)], [-(2.0**52), 2.0**52]])
+    np.testing.assert_array_equal(lu_solve(a, np.eye(2)), want)
+    np.testing.assert_array_equal(inverse(a), want)
+    for singular in (np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones((3, 3))):
+        with pytest.raises(PreconditionError, match="exactly zero"):
+            lu_solve(singular.astype(complex), np.eye(len(singular)))
+        assert inverse(singular) is None
+
+
+def test_cholesky_factor_breaks_down_only_on_a_pivot_not_above_zero():
+    # the second pivot is 2^-52, below the former threshold 10 n u max h_kk
+    h = np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-52]], dtype=complex)
+    low = cholesky_factor(h)
+    np.testing.assert_array_equal(low, [[1.0, 0.0], [1.0, 2.0**-26]])
+    for broken in ([[0.0]], [[1.0, 1.0], [1.0, 1.0]], [[-1e-300]], [[np.nan]]):
+        assert cholesky_factor(np.array(broken, dtype=complex)) is None
+
+
 def test_random_unitary_is_unitary():
     rng = np.random.default_rng(13)
     for n in (1, 2, 5, 16):

@@ -35,7 +35,7 @@ from pinvkit.sumdecomp import (
 )
 
 # just above the SVD rule's cutoff of a 6 x 6 matrix with sigma_1 = 1, and
-# below the LU pivot threshold 10 n u max |a_ij|
+# below the LU pivot threshold 10 n u max |a_ij| that lu_solve once held
 JUST_FULL = 1.5 * 6 * UNIT_ROUNDOFF
 
 
@@ -140,8 +140,9 @@ def test_invertible_pair_past_an_lu_breakdown(tmp_path, capsys):
 
 
 def test_invertible_pair_falls_back_to_the_svd_of_a(monkeypatch):
+    # an invertible A + B takes the Gram form; its breakdown hands over too
     a, b = pair(5, 6, [2.0, 1.0, 0.5], invertible=True)
-    monkeypatch.setattr(pinvkit.sumdecomp, "inverse", lambda m: None)
+    monkeypatch.setattr(pinvkit.sumdecomp, "_gram_pinv", lambda stacked, left: None)
     x = completion_pinv_pair(a, b)
     assert frobenius(x - pinv(a)) <= 1e-9 * frobenius(pinv(a))
 
