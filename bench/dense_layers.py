@@ -5,9 +5,12 @@ At each full-rank square slot of the dense-oracle workload (normal at 32
 and 12, rank-completion at 16 and 10, verify at 32 and 8) and at one
 rank-deficient control per command, it times, as interleaved medians:
 
-- factored   svd(a, tol, deflate=True), then the route given that
-             factorization; for verify, the Penrose residuals and the
-             characterization residuals given it
+- factored   svd(a, tol, deflate=True) first, then the route's own rule on
+             it: the kernel's X when that SVD shows full rank and
+             core._admitted keeps it, else pinv(a) from that SVD (normal,
+             or a full-rank completion) or the route given the completion
+             that SVD yields, which factors A again; for verify, the Penrose
+             residuals and the characterization residuals given it
 - certified  what the CLI runs: the route's checked form with no
              factorization (core._normal_checked,
              sumdecomp._rank_completion_checked), which keeps its kernel's X
@@ -37,6 +40,7 @@ import sys
 from ledger import median_ms, write_ledger
 
 from pinvkit.core import (
+    _admitted,
     _gram_pinv,
     _normal_checked,
     characterization_residuals,
@@ -44,11 +48,15 @@ from pinvkit.core import (
     inverse_certified,
     penrose_residuals,
     pinv,
-    pinv_normal_equations,
 )
 from pinvkit.linalg import svd
 from pinvkit.matrix import DEFAULT_TOL
-from pinvkit.sumdecomp import _full_rank_kernel, _rank_completion_checked, rank_completion_pinv
+from pinvkit.sumdecomp import (
+    _full_rank_kernel,
+    _rank_completion_checked,
+    auto_completion,
+    rank_completion_pinv,
+)
 
 # (command, n, rank): the workload's full-rank square slots, then the controls
 SLOTS = (
@@ -73,14 +81,18 @@ KERNELS = {
 
 
 def factored(command: str, a, cand, tol=DEFAULT_TOL):
-    """(X or verdict, rank) from one SVD of a, as the CLI ran before."""
+    """(X or verdict, rank) from one SVD of a first, then the route's rule."""
     f = svd(a, tol, deflate=True)
     if command == "verify":
         passed = penrose_residuals(a, cand, tol).passed
         return passed and characterization_residuals(a, cand, tol, f).passed, f.rank
-    if command == "normal":
-        return pinv_normal_equations(a, tol, f), f.rank
-    return rank_completion_pinv(a, tol=tol, factorization=f), f.rank
+    full = f.rank == min(a.shape)
+    x = KERNELS[command](a) if full else None
+    if _admitted(a, x, tol, (a, x)) is not None:
+        return x, f.rank
+    if command == "normal" or full:
+        return pinv(a, tol, f), f.rank
+    return rank_completion_pinv(a, auto_completion(a, tol, f), tol), f.rank
 
 
 def certified(command: str, a, cand, tol=DEFAULT_TOL):

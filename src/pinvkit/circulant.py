@@ -283,6 +283,17 @@ def support_split_pinv(
     return Circulant(total), covered == set(range(n))
 
 
+def _in_band(alpha: complex, n: int, top: float) -> complex:
+    """alpha times the power of two that brings n |alpha| within 2^4 of top,
+    when it lies outside and 0 < top < inf. alpha's larger part sets the
+    exponent, so |alpha| is formed in range."""
+    exp = math.frexp(max(abs(alpha.real), abs(alpha.imag)))[1]
+    unit = abs(complex(math.ldexp(alpha.real, -exp), math.ldexp(alpha.imag, -exp)))
+    gap = math.log2(n * unit) + exp - math.log2(top) if 0.0 < top < math.inf else 0.0
+    shift = -round(gap) if abs(gap) > 4.0 else 0  # gap = log2(n |alpha| / top)
+    return complex(math.ldexp(alpha.real, shift), math.ldexp(alpha.imag, shift))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def zero_sum_shift_pinv(
     gen, alpha: complex | None = None, tol: Tolerance = DEFAULT_TOL
@@ -296,7 +307,9 @@ def zero_sum_shift_pinv(
       entry sum t == 0: pinv(gen + alpha ones) - ones/(n^2 alpha),
                         any nonzero alpha
 
-    Both return the pseudoinverse of circ(gen) itself.
+    Both return the pseudoinverse of circ(gen) itself. So that the shift's
+    eigenvalue n alpha neither drops below the rank cutoff nor swamps the
+    spectrum, alpha is first scaled by a power of two (_in_band).
     """
     gen = as_vector(gen, min_len=2)
     n = gen.shape[0]
@@ -311,7 +324,7 @@ def zero_sum_shift_pinv(
         raise PreconditionError(
             "zero-sum generator needs a nonzero alpha for the shifted route"
         )
-    alpha = complex(alpha)
+    alpha = _in_band(complex(alpha), n, float(np.abs(spec.values).max()))
     shifted = circ_pinv_spectral(gen + alpha * ones, tol).gen - ones / (n * n * alpha)
     return Circulant(_in_float_range(shifted))
 

@@ -60,7 +60,7 @@ from .graphdist import (
     wheel_build,
     wheel_z_identities,
 )
-from .linalg import svd, svd_batch
+from .linalg import svd_batch
 from .matrix import (
     ConvergenceError,
     MatrixFormatError,
@@ -255,15 +255,13 @@ def _cmd_pinv(args, tol: Tolerance) -> _Outcome:
     if args.method == "pair" and not args.aux:
         raise PreconditionError("pair method needs --aux with the completing matrix")
     b = _load_matrix(args.aux)[0] if args.aux else None  # only pair reads --aux
-    if b is not None and b.shape != a.shape:
-        raise PreconditionError("A and B must have the same shape")
-    # each method's checked form gives X, its rank and its Penrose report;
-    # normal and rank-completion factor A only when their kernel's X is refused
+    # each checked form factors what it needs and gives X, its rank and its
+    # Penrose report; normal and rank-completion factor A only on a refused kernel
     x, rank, report = {
-        "svd": lambda: _pinv_checked(a, tol, svd(a, tol, deflate=True)),
+        "svd": lambda: _pinv_checked(a, tol),
         "normal": lambda: _normal_checked(a, tol),
         "rank-completion": lambda: _rank_completion_checked(a, None, tol),
-        "pair": lambda: _pair_checked(a, b, tol, *svd_batch((a, b), tol, deflate=True)),
+        "pair": lambda: _pair_checked(a, b, tol),
     }[args.method]()
     return _Outcome(args.method, a.shape, rank, report, value=x, input_digest=in_digest)
 
@@ -354,12 +352,12 @@ def _cmd_tree(args, tol: Tolerance) -> _Outcome:
     tree = tree_build(edges, tol)
     # tree_pinv certifies rank n - 1 from D tau = 0 and the D L margin, so
     # the report needs no SVD of D, and its Penrose check is the report's
-    x, residuals = _tree_pinv_checked(tree, args.alpha, tol)
+    x, rank, residuals = _tree_pinv_checked(tree, args.alpha, tol)
     u, rebuilt = tree_u_and_reconstruction(tree, tol=tol, dpinv=x)
     return _Outcome(
         method="closed-form",
         shape=(tree.n, tree.n),
-        rank=tree.n - 1,
+        rank=rank,
         penrose=residuals,
         value=x,
         input_digest=_digest(text.encode()),
@@ -377,13 +375,13 @@ def _cmd_wheel(args, tol: Tolerance) -> _Outcome:
     # wheel_build certifies rank n - 1 from D a = 0 and the full-rank
     # margin of D + a a^t; wheel_pinv's Penrose check is the report's
     wheel = wheel_build(args.n, tol)
-    dpinv, residuals = _wheel_pinv_checked(wheel, tol)
+    dpinv, rank, residuals = _wheel_pinv_checked(wheel, tol)
     identities = wheel_z_identities(args.n, wheel.z24)
     eig_residual = float(np.max(np.abs(wheel.inv134 @ wheel.a - wheel.a / (args.n - 1))))
     return _Outcome(
         method="closed-form",
         shape=(args.n, args.n),
-        rank=args.n - 1,
+        rank=rank,
         penrose=residuals,
         also_passed=all(identities.values()),
         value=dpinv,
@@ -402,17 +400,17 @@ def _cmd_verify(args, tol: Tolerance) -> _Outcome:
     a, in_digest = _load_matrix(args.input)
     x, _ = _load_matrix(args.aux)
     pen = penrose_residuals(a, x, tol)
-    factorization = x_factorization = None
+    fa = fx = None
     if not inverse_certified(a, x, tol):
         # one stacked call, each member bit for bit svd's
-        factorization, x_factorization = svd_batch((a, x), tol, deflate=True)
-    chars = characterization_residuals(a, x, tol, factorization, x_factorization)
+        fa, fx = svd_batch((a, x), tol, deflate=True)
+    chars = characterization_residuals(a, x, tol, fa, fx)
     # X of another rank than A passes every bound once ||A||_F ||X||_F > 1/tau
-    same_rank = factorization is None or x_factorization.rank == factorization.rank
+    same_rank = fa is None or fx.rank == fa.rank
     every = {**pen.residuals, **chars.residuals}
     return _Outcome(
         shape=a.shape,
-        rank=factorization.rank if factorization else a.shape[0],
+        rank=fa.rank if fa else a.shape[0],
         penrose=pen,
         also_passed=chars.passed and same_rank,
         input_digest=in_digest,

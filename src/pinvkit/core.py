@@ -18,7 +18,8 @@ import numpy as np
 
 from .linalg import SvdFactorization, cholesky_factor, cholesky_solve, random_unitary, svd, unit_scale
 from .matrix import (
-    DEFAULT_TOL, UNIT_ROUNDOFF, PreconditionError, Tolerance, _in_float_range, dagger, eye, frobenius
+    DEFAULT_TOL, UNIT_ROUNDOFF, PreconditionError, Tolerance, VerificationError, _in_float_range,
+    dagger, eye, frobenius,
 )
 
 PENROSE_KEYS = ("penrose1", "penrose2", "penrose3", "penrose4")
@@ -107,6 +108,15 @@ def _pinv_checked(a: np.ndarray, tol: Tolerance, f: SvdFactorization | None = No
     f = f if f is not None else svd(a, tol, deflate=True)
     x = pinv(a, tol, f)
     return x, f.rank, penrose_residuals(a, x, tol)
+
+
+def _returned(checked: _Checked, what: str) -> np.ndarray:
+    """The X of a checked form once its Penrose report passes; else raise, naming the worst."""
+    x, _, report = checked
+    if not report.passed:
+        name, value = report.worst
+        raise VerificationError(f"{what} pseudoinverse failed {name} with residual {value:.3e}")
+    return x
 
 
 def projectors(
@@ -262,27 +272,25 @@ def _gram_pinv(a: np.ndarray, left: bool) -> np.ndarray | None:
         return None if x is None else (x if left else dagger(x)) * scale
 
 
-def pinv_normal_equations(
-    a: np.ndarray, tol: Tolerance = DEFAULT_TOL, factorization: SvdFactorization | None = None
-) -> np.ndarray:
+def pinv_normal_equations(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Pseudoinverse through the Gram matrices.
 
     Full column rank: (A*A)^-1 A* by a Cholesky solve. Full row rank:
     A* (AA*)^-1. Each runs on A scaled by unit_scale, so A*A stays in range.
     The solve loses cond(A)^2 u, so _admitted decides whether its X is kept.
     Else, and below full rank, where (A*A)^+ A* = V_r Sigma_r^-1 U_r*, X is
-    pinv(A) from svd(a, tol, deflate=True): factorization, if given, or one
-    computed only after the Gram form is refused.
+    pinv(A) from svd(a, tol, deflate=True), computed only after the Gram
+    form is refused. X that fails its Penrose check raises VerificationError.
     """
-    return _normal_checked(a, tol, factorization)[0]
+    return _returned(_normal_checked(a, tol), "normal-equations")
 
 
-def _normal_checked(a: np.ndarray, tol: Tolerance, f: SvdFactorization | None = None) -> _Checked:
+def _normal_checked(a: np.ndarray, tol: Tolerance) -> _Checked:
     """pinv_normal_equations with its rank and its Penrose report."""
     m, n = a.shape
-    x = _gram_pinv(a, m >= n) if f is None or f.rank == min(m, n) else None
+    x = _gram_pinv(a, m >= n)
     report = _admitted(a, x, tol, (a, x))
-    return (x, min(m, n), report) if report is not None else _pinv_checked(a, tol, f)
+    return (x, min(m, n), report) if report is not None else _pinv_checked(a, tol)
 
 
 def gen_random_matrix(

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .circulant import circ_materialize, circ_mul
-from .core import ResidualReport, _inverse_margin, penrose_residuals
+from .core import _Checked, _inverse_margin, _returned, penrose_residuals
 from .linalg import hermitian_eigenvalues
 from .matrix import (
     DEFAULT_TOL,
@@ -92,15 +92,6 @@ def _require_zero_sum(tree: TreeMatrices, tol: Tolerance) -> None:
             f"edge weights sum to {tree.weight_sum:.6g}, not zero; "
             "the closed-form routes need a zero-sum tree"
         )
-
-
-def _penrose_checked(d: np.ndarray, dpinv: np.ndarray, graph: str, tol: Tolerance) -> ResidualReport:
-    """The four Penrose residuals of dpinv for d, once they pass; else raise, naming the worst."""
-    report = penrose_residuals(d, dpinv, tol)
-    if not report.passed:
-        name, value = report.worst
-        raise VerificationError(f"{graph} pseudoinverse failed {name} with residual {value:.3e}")
-    return report
 
 
 def tree_build(edges, tol: Tolerance = DEFAULT_TOL) -> TreeMatrices:
@@ -279,16 +270,14 @@ def tree_pinv(
     (e^t tau = 2), so rank(D) <= n - 1. With r = ||D L - (e tau^t - 2I)||_F,
     D L x has norm at least (2 - r)||x|| on x orthogonal to tau, so
     sigma_{n-1}(D) >= (2 - r)/||L||_F; that margin must clear
-    tol.rank_cutoff(||D||_F, n, n). The result then passes the four Penrose
-    residuals.
+    tol.rank_cutoff(||D||_F, n, n). The result must then pass the four
+    Penrose residuals, else VerificationError names the worst.
     """
-    return _tree_pinv_checked(tree, alpha, tol)[0]
+    return _returned(_tree_pinv_checked(tree, alpha, tol), "tree")
 
 
-def _tree_pinv_checked(
-    tree: TreeMatrices, alpha: float | None, tol: Tolerance
-) -> tuple[np.ndarray, ResidualReport]:
-    """tree_pinv and the Penrose report that passed it."""
+def _tree_pinv_checked(tree: TreeMatrices, alpha: float | None, tol: Tolerance) -> _Checked:
+    """tree_pinv, its certified rank n - 1 and its Penrose report."""
     _require_zero_sum(tree, tol)
     if alpha is not None and float(alpha) == 0.0:
         raise PreconditionError("alpha must be nonzero")
@@ -298,7 +287,7 @@ def _tree_pinv_checked(
         raise VerificationError(f"D L margin {margin:.3e} is below the rank cutoff {cutoff:.3e}")
     u = _closed_form_u(tree)
     dpinv = -tree.L / 2.0 + np.outer(u, tree.tau) + np.outer(tree.tau, u)
-    return dpinv, _penrose_checked(tree.D, dpinv, "tree", tol)
+    return dpinv, tree.n - 1, penrose_residuals(tree.D, dpinv, tol)
 
 
 def tree_u_and_reconstruction(
@@ -509,16 +498,16 @@ def wheel_pinv(wheel: WheelGraph, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndar
         D^+ = (D + a a^t)^-1 - a a^t / (n-1)^2,
 
     whose rim block is circ(z - v)/(n-1)^2 since a a^t has rim block circ(v).
-    D^+ must pass the Penrose residuals before it is returned.
+    D^+ must pass the Penrose residuals, else VerificationError names the worst.
     """
-    return wheel.inv134, _wheel_pinv_checked(wheel, tol)[0]
+    return wheel.inv134, _returned(_wheel_pinv_checked(wheel, tol), "wheel")
 
 
-def _wheel_pinv_checked(wheel: WheelGraph, tol: Tolerance) -> tuple[np.ndarray, ResidualReport]:
-    """wheel_pinv's D^+ and the Penrose report that passed it."""
+def _wheel_pinv_checked(wheel: WheelGraph, tol: Tolerance) -> _Checked:
+    """wheel_pinv's D^+, its certified rank n - 1 and its Penrose report."""
     m = wheel.n - 1
     dpinv = wheel.inv134 - np.outer(wheel.a, wheel.a) / m**2
-    return dpinv, _penrose_checked(wheel.D, dpinv, "wheel", tol)
+    return dpinv, m, penrose_residuals(wheel.D, dpinv, tol)
 
 
 def wheel_properties(n: int, tol: Tolerance = DEFAULT_TOL) -> dict[str, bool]:

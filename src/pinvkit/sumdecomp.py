@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _admitted, _Checked, _gram_pinv, _pinv_checked, bound_ratio, pinv, projectors
+from .core import (
+    _admitted, _Checked, _gram_pinv, _pinv_checked, _returned, bound_ratio, pinv, projectors
+)
 from .linalg import (
     SvdFactorization,
     inverse,
@@ -273,10 +275,7 @@ def _full_rank_kernel(a: np.ndarray) -> np.ndarray | None:
 
 
 def rank_completion_pinv(
-    a: np.ndarray,
-    comp: CompletionData | None = None,
-    tol: Tolerance = DEFAULT_TOL,
-    factorization: SvdFactorization | None = None,
+    a: np.ndarray, comp: CompletionData | None = None, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray:
     """Pseudoinverse by completing the null spaces with weighted dyads.
 
@@ -295,24 +294,23 @@ def rank_completion_pinv(
     returns pinv(A) from A's factorization, as on a kernel breakdown.
 
     A is factored once, by svd(a, tol, deflate=True), or not at all when,
-    given no comp, the kernel's X for A itself is kept; factorization, if
-    given, is that SVD.
+    given no comp, the kernel's X for A itself is kept. X that fails its
+    Penrose check raises VerificationError.
     """
-    return _rank_completion_checked(a, comp, tol, factorization)[0]
+    return _returned(_rank_completion_checked(a, comp, tol), "rank-completion")
 
 
-def _rank_completion_checked(a: np.ndarray, comp, tol: Tolerance, fa=None) -> _Checked:
+def _rank_completion_checked(a: np.ndarray, comp, tol: Tolerance) -> _Checked:
     """rank_completion_pinv with its rank and its Penrose report."""
     a = as_matrix(a)
-    if fa is None and comp is None:
+    if comp is None:
         x = _full_rank_kernel(a)
         report = _admitted(a, x, tol, (a, x))
         if report is not None:
             return x, min(a.shape), report
-        fa = svd(a, tol, deflate=True)
-        if fa.rank == min(a.shape):  # its full completion is the X just refused
-            return _pinv_checked(a, tol, fa)
-    fa = fa if fa is not None else svd(a, tol, deflate=True)
+    fa = svd(a, tol, deflate=True)
+    if comp is None and fa.rank == min(a.shape):  # its full completion is the X just refused
+        return _pinv_checked(a, tol, fa)
     comp = comp if comp is not None else auto_completion(a, tol, fa)
     _validate_completion(a, comp, tol)
     f, g, d = comp.f_basis, comp.g_basis, comp.d
@@ -325,13 +323,7 @@ def _rank_completion_checked(a: np.ndarray, comp, tol: Tolerance, fa=None) -> _C
     return (x, fa.rank, report) if report is not None else _pinv_checked(a, tol, fa)
 
 
-def completion_pinv_pair(
-    a: np.ndarray,
-    b: np.ndarray,
-    tol: Tolerance = DEFAULT_TOL,
-    factorization: SvdFactorization | None = None,
-    b_factorization: SvdFactorization | None = None,
-) -> np.ndarray:
+def completion_pinv_pair(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Pseudoinverse of A from a single completing partner B.
 
     The geometry of B picks the form, by one Gram solve (core._gram_pinv):
@@ -346,16 +338,15 @@ def completion_pinv_pair(
     factorization, not from the SVD of the stack, which cuts at the larger
     of A and B. The range tests A B* and A* B, homogeneous in A and in B
     apart, run on each times its own unit_scale, so no product over- or
-    underflows into a vacuous verdict. A and B are each factored once;
-    factorization and b_factorization, if given, are svd(a, tol,
-    deflate=True) and svd(b, tol, deflate=True), as svd_batch((a, b), tol,
-    deflate=True) gives them.
+    underflows into a vacuous verdict. A and B are factored once, together,
+    by svd_batch((a, b), tol, deflate=True), once their shapes agree. X that
+    fails its Penrose check raises VerificationError.
     """
-    return _pair_checked(a, b, tol, factorization, b_factorization)[0]
+    return _returned(_pair_checked(a, b, tol), "pair-completion")
 
 
-def _pair_checked(a: np.ndarray, b: np.ndarray, tol: Tolerance, fa, fb) -> _Checked:
-    """completion_pinv_pair with its rank and its Penrose report, given fa and fb."""
+def _pair_checked(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> _Checked:
+    """completion_pinv_pair with its rank and its Penrose report."""
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.shape:
@@ -365,8 +356,7 @@ def _pair_checked(a: np.ndarray, b: np.ndarray, tol: Tolerance, fa, fb) -> _Chec
     # rounding, plus the singular values below A's rank cutoff that A B* keeps
     unit_a = frobenius(a_unit)
     bound = (tol.bound(unit_a) + tol.rank_cutoff(unit_a, m, n)) * frobenius(b_unit)
-    fa = fa if fa is not None else svd(a, tol, deflate=True)
-    fb = fb if fb is not None else svd(b, tol, deflate=True)
+    fa, fb = svd_batch((a, b), tol, deflate=True)
     fills_null_a = frobenius(a_unit @ dagger(b_unit)) <= bound and fb.rank == n - fa.rank
     fills_null_astar = frobenius(dagger(a_unit) @ b_unit) <= bound and fb.rank == m - fa.rank
     if not (fills_null_a or fills_null_astar):

@@ -482,7 +482,6 @@ def test_dense_commands_factor_the_input_once(tmp_path, capsys, monkeypatch, com
         factored.extend(np.array_equal(m, a) for m in mats)
         return svd_batch(mats, *args, **kwargs)
 
-    monkeypatch.setattr(pinvkit.cli, "svd", counting_svd)
     monkeypatch.setattr(pinvkit.cli, "svd_batch", counting_batch)
     monkeypatch.setattr(pinvkit.core, "svd", counting_svd)
     argv = ["pinv", "--input", src] if command == "pinv" else ["verify", "--input", src, "--aux", aux]

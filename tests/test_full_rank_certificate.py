@@ -93,8 +93,8 @@ def test_certified_rank_is_the_svd_rank_and_x_is_the_factored_x(seed, m, n, log_
     normal = _normal_checked(a, DEFAULT_TOL)
     completion = _rank_completion_checked(a, None, DEFAULT_TOL)
     routes = (
-        (normal, lambda: pinv_normal_equations(a, DEFAULT_TOL, f)),
-        (completion, lambda: rank_completion_pinv(a, factorization=f)),
+        (normal, lambda: pinv_normal_equations(a, DEFAULT_TOL)),
+        (completion, lambda: rank_completion_pinv(a)),
     )
     for (x, rank, _), factored in routes:
         assert rank == f.rank == oracle_rank(a) == k
