@@ -26,6 +26,7 @@ from .matrix import (
     _in_float_range,
     as_vector,
     frobenius,
+    unit_scale,
 )
 
 
@@ -309,7 +310,8 @@ def zero_sum_shift_pinv(
 
     Both return the pseudoinverse of circ(gen) itself. So that the shift's
     eigenvalue n alpha neither drops below the rank cutoff nor swamps the
-    spectrum, alpha is first scaled by a power of two (_in_band).
+    spectrum, alpha is scaled by a power of two (_in_band); the shift runs
+    on s gen and s alpha, s = unit_scale(gen), and X is s times its result.
     """
     gen = as_vector(gen, min_len=2)
     n = gen.shape[0]
@@ -321,12 +323,11 @@ def zero_sum_shift_pinv(
         mean_split = circ_pinv_spectral(gen - (total / n) * ones, tol).gen + ones / (n * total)
         return Circulant(_in_float_range(mean_split))
     if alpha is None or complex(alpha) == 0:
-        raise PreconditionError(
-            "zero-sum generator needs a nonzero alpha for the shifted route"
-        )
-    alpha = _in_band(complex(alpha), n, float(np.abs(spec.values).max()))
-    shifted = circ_pinv_spectral(gen + alpha * ones, tol).gen - ones / (n * n * alpha)
-    return Circulant(_in_float_range(shifted))
+        raise PreconditionError("zero-sum generator needs a nonzero alpha for the shifted route")
+    s = unit_scale(gen)  # exact, so gen + alpha ones and n^2 alpha stay in range
+    alpha = s * _in_band(complex(alpha), n, float(np.abs(spec.values).max()))
+    shifted = circ_pinv_spectral(s * gen + alpha * ones, tol).gen - ones / (n * n * alpha)
+    return Circulant(_in_float_range(s * shifted))
 
 
 def block_pattern_generator(k: int, q: int) -> np.ndarray:

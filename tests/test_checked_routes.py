@@ -167,10 +167,13 @@ def zero_sum_generator(scale: float) -> np.ndarray:
     return (gen - gen.mean()) * scale
 
 
-@pytest.mark.parametrize("scale", [1e-200, 1e-50, 1.0, 1e100])
+@pytest.mark.parametrize("gen", [
+    *(zero_sum_generator(scale) for scale in (1e-200, 1e-50, 1.0, 1e100)),
+    # max |lambda| near the float limit, where n^2 alpha overflows
+    np.array([5e307, -5e307, 0.0], dtype=np.complex128),
+], ids=["1e-200", "1e-50", "1", "1e100", "5e307"])
 @pytest.mark.parametrize("alpha", ALPHAS)
-def test_zero_sum_shift_takes_any_alpha(scale, alpha):
-    gen = zero_sum_generator(scale)
+def test_zero_sum_shift_takes_any_alpha(gen, alpha):
     x = zero_sum_shift_pinv(gen, alpha=alpha).gen
     assert circ_penrose_residuals(gen, x).passed
     want = circ_pinv_spectral(gen).gen
@@ -189,11 +192,12 @@ def test_zero_sum_shift_alpha_moves_only_by_powers_of_two():
         assert x.tobytes() == zero_sum_shift_pinv(gen, alpha=alpha * 2.0**40).gen.tobytes()
 
 
-@pytest.mark.parametrize("alpha", ALPHAS)
-def test_zero_sum_command_takes_any_alpha(tmp_path, capsys, alpha):
+@pytest.mark.parametrize("scale", [1.0, 5e307])
+@pytest.mark.parametrize("alpha", [*ALPHAS, 1e308])
+def test_zero_sum_command_takes_any_alpha(tmp_path, capsys, scale, alpha):
     out = tmp_path / "x.json"
-    code, report = run(capsys, ["circ", "--method", "zero-sum", "--gen", "1,-1,0",
+    code, report = run(capsys, ["circ", "--method", "zero-sum", "--gen", f"{scale!r},{-scale!r},0",
                                 f"--alpha={alpha!r}", "--output", str(out)])
     assert code == 0 and report["passed"] is True and report["rank"] == 2
     x = loads_generator_json(out.read_text())
-    np.testing.assert_allclose(x, [1 / 3, 0.0, -1 / 3], atol=1e-13)
+    np.testing.assert_allclose(x, np.array([1 / 3, 0.0, -1 / 3]) / scale, atol=1e-13 / scale)

@@ -24,17 +24,18 @@ import pinvkit.core
 from pinvkit.cli import main
 from pinvkit.core import (
     ResidualReport,
+    _admitted,
     _gram_pinv,
     _normal_checked,
     characterization_residuals,
     full_rank_certified,
     inverse_certified,
     penrose_residuals,
-    pinv_normal_equations,
+    pinv,
 )
 from pinvkit.linalg import inverse, svd
 from pinvkit.matrix import DEFAULT_TOL, UNIT_ROUNDOFF, dumps_matrix_json, loads_matrix_json
-from pinvkit.sumdecomp import _rank_completion_checked, rank_completion_pinv
+from pinvkit.sumdecomp import _rank_completion_checked, auto_completion, rank_completion_pinv
 
 RULE = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -92,9 +93,13 @@ def test_certified_rank_is_the_svd_rank_and_x_is_the_factored_x(seed, m, n, log_
     f = svd(a, DEFAULT_TOL, deflate=True)
     normal = _normal_checked(a, DEFAULT_TOL)
     completion = _rank_completion_checked(a, None, DEFAULT_TOL)
+    gram = _gram_pinv(a, m >= n)
+    kept = _admitted(a, gram, DEFAULT_TOL, (a, gram)) is not None
     routes = (
-        (normal, lambda: pinv_normal_equations(a, DEFAULT_TOL)),
-        (completion, lambda: rank_completion_pinv(a)),
+        # the Gram X when _admitted keeps it, else pinv from svd(a)
+        (normal, lambda: gram if kept else pinv(a, DEFAULT_TOL, f)),
+        # the completion svd(a) yields, which takes the dyad form past the kernel
+        (completion, lambda: rank_completion_pinv(a, auto_completion(a, DEFAULT_TOL, f))),
     )
     for (x, rank, _), factored in routes:
         assert rank == f.rank == oracle_rank(a) == k
