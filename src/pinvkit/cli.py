@@ -103,6 +103,20 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def _parse_optional(self, arg_string):
+        # argparse reads only -12 and -1.5 as negative numbers, not -1e-3,
+        # -2i or -1-2i, and would take those for flags; any literal that
+        # parse_complex reads is a value here, as it is after --alpha=
+        single_dash = arg_string.startswith("-") and not arg_string.startswith("--")
+        if single_dash and arg_string not in self._option_string_actions:
+            try:
+                parse_complex(arg_string)
+            except MatrixFormatError:
+                pass
+            else:
+                return None
+        return super()._parse_optional(arg_string)
+
 
 # --------------------------------------------------------------------------
 # I/O helpers

@@ -32,8 +32,11 @@ left exactly as it was. Every member is therefore bit-identical to svd run
 alone, while at small n, where a round costs mostly numpy's call overhead,
 a round over the stack costs little more than one member's does (one-sided
 Jacobi over many small matrices at once, as in Boukaram, Turkiyyah,
-Ltaief and Keyes 2018). The routes that factor several matrices of one
-shape, Fill-Fishkind and the pair completion, factor them together.
+Ltaief and Keyes 2018). One batched Gram product per sweep certifies all
+the members at once. The rounds rotate into arrays that are allocated
+once per stack size, not per round. The routes that factor several
+matrices of one shape, Fill-Fishkind and the pair completion, factor them
+together.
 
 A column whose norm falls to the dead floor is frozen at zero. svd keeps
 that floor at u^3 ||A||_F, so tiny but genuine singular values, such as
@@ -253,17 +256,22 @@ def _squared_norms(rows: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", flat, flat)
 
 
-def _certified(bt: np.ndarray, norms2: np.ndarray, threshold: float) -> bool:
-    """Whether every pair of rows of bt passes the Jacobi stopping test.
+def _certified(bt: np.ndarray, norms2: np.ndarray, threshold: float) -> np.ndarray:
+    """Which members of a stack have every pair of rows pass the Jacobi
+    stopping test.
 
-    One Gram product B B* gives every b_p* b_q at once; the test is the one
-    a round applies, |b_p* b_q| <= threshold * ||b_p|| ||b_q||. Rows zeroed
-    as dead give zero entries, which always pass.
+    bt holds the members' rows as (k, size, m) and norms2 their squared
+    norms as (k, size). One batched Gram product B B* gives every b_p* b_q of
+    every member at once; the test is the one a round applies,
+    |b_p* b_q| <= threshold * ||b_p|| ||b_q||. Rows zeroed as dead give zero
+    entries, which always pass.
     """
-    gram = np.abs(bt @ bt.conj().T)
-    gram.flat[:: gram.shape[0] + 1] = 0.0
+    k, size = norms2.shape
+    gram = np.abs(bt @ bt.conj().swapaxes(1, 2))
+    gram.reshape(k, -1)[:, :: size + 1] = 0.0
     root = np.sqrt(norms2)
-    return not (gram > np.multiply.outer(threshold * root, root)).any()
+    over = gram > (threshold * root)[:, :, None] * root[:, None, :]
+    return ~over.reshape(k, -1).any(axis=1)
 
 
 def svd(
@@ -349,6 +357,16 @@ def _jacobi_stack(
     with its halves k times as tall. A member whose round has no live pair is
     left exactly as it was, and a member that is certified, or whose sweep
     rotated nothing, leaves the stack at once and is finished alone.
+
+    A round allocates nothing of the stack's size. It rotates the stack into
+    a spare array of the same shape through out= arguments, with one scratch
+    array half as tall, and the row move to the next round takes the rotated
+    rows back into the stack; these arrays are rebuilt only when a member
+    leaves. A round in which every pair is live skips the masks that give
+    idle pairs the identity. Writing through out= does the arithmetic of
+    forming each product in a new array, and c and s are kept as the complex
+    values that a real-by-complex product casts them to, so where a result
+    is written changes none of its bits.
     """
     k = len(mats)
     m, n = mats[0].shape
@@ -388,13 +406,13 @@ def _jacobi_stack(
     w = natural.reshape(k * size, m + n)[_stack_schedule(n, k)[0]]
     del natural  # only the stack in round layout is kept
 
-    def own(stacked: np.ndarray, pos: int) -> np.ndarray:
-        """The member at stack position pos: its rows of stacked, in its own
-        layout; a view when the stack holds one member."""
+    def by_member(stacked: np.ndarray) -> np.ndarray:
+        """The stack's rows as (members, size, ...), each member's rows in
+        its own layout; a view when the stack holds one member."""
         if len(members) == 1:
-            return stacked
-        rest = stacked.shape[1:]
-        return stacked.reshape(2, len(members), h, *rest)[:, pos].reshape(size, *rest)
+            return stacked[None]
+        kk, rest = len(members), stacked.shape[1:]
+        return stacked.reshape(2, kk, h, *rest).swapaxes(0, 1).reshape(kk, size, *rest)
 
     def leave(positions=()) -> tuple[int, tuple[np.ndarray, ...], np.ndarray]:
         """Finish the members at these stack positions and drop their rows;
@@ -402,9 +420,10 @@ def _jacobi_stack(
         nonlocal w, members
         if positions:
             columns = _stack_schedule(n, len(members))[2]
+            rows = by_member(w)
             for pos in positions:
                 j = members[pos]
-                done[j] = _factorization(own(w, pos)[columns], m, n, scales[j], zeroed2[j], tol)
+                done[j] = _factorization(rows[pos][columns], m, n, scales[j], zeroed2[j], tol)
             keep = [pos for pos in range(len(members)) if pos not in positions]
             if not keep:
                 return 0, (), np.empty(0)
@@ -414,20 +433,23 @@ def _jacobi_stack(
         return len(members), _stack_schedule(n, len(members))[1], np.concatenate((floors, floors))
 
     kk, steps, dead_floor = leave()
+    spare = None
     for sweep in itertools.count():
         norms2 = _squared_norms(w[:, :m])
         dead = norms2 <= dead_floor
-        if dead.any():
-            for pos, j in enumerate(members):
-                mine = own(dead, pos)
-                if mine.any():
-                    zeroed2[j] += float(np.sum(own(norms2, pos)[mine]))
+        if np.count_nonzero(dead):
+            if kk == 1:
+                zeroed2[members[0]] += float(np.sum(norms2[dead]))
+            else:
+                # one sum per member over its dead rows in its own layout,
+                # the order in which np.sum adds them for the member alone
+                mine, values = by_member(dead), by_member(norms2)
+                for pos in np.flatnonzero(mine.any(axis=1)):
+                    zeroed2[members[pos]] += float(np.sum(values[pos][mine[pos]]))
             w[dead, :m] = 0.0
-        certified = [
-            pos for pos in range(kk) if _certified(own(w, pos)[:, :m], own(norms2, pos), threshold)
-        ]
-        if certified:
-            kk, steps, dead_floor = leave(certified)
+        certified = _certified(by_member(w[:, :m]), by_member(norms2), threshold)
+        if np.count_nonzero(certified):
+            kk, steps, dead_floor = leave([pos for pos in range(kk) if certified[pos]])
             if not kk:
                 break
         if sweep >= max_sweeps:
@@ -436,50 +458,71 @@ def _jacobi_stack(
                 f"{_member(members[0], k)}"
             )
         half = kk * h
+        if spare is None or spare.shape != w.shape:
+            # The round's arrays and their views, made when the first sweep
+            # runs and again after members leave; the rounds keep the stack
+            # in w, so the views stay valid until then.
+            spare = np.empty_like(w)
+            scratch = np.empty((half, m + n), dtype=np.complex128)
+            cs = np.zeros((2, half, 1), dtype=np.complex128)  # c and s; imaginary parts stay 0
+            bt, wp, wq, lo, hi = w[:, :m], w[:half], w[half:], spare[:half], spare[half:]
+            bp, bq = bt[:half], bt[half:]
+            c, s, c_real, s_real = cs[0], cs[1], cs.real[0, :, 0], cs.real[1, :, 0]
+            conj = scratch.reshape(-1)[: half * m].reshape(half, m)  # conj(b_p) of a round
         rotated = np.zeros(kk, dtype=bool)
         for step in steps:
-            norms2 = _squared_norms(w[:, :m])
+            norms2 = _squared_norms(bt)
             root = np.sqrt(norms2)
             alive = norms2 > dead_floor
             app, aqq = norms2[:half], norms2[half:]
-            apq = np.einsum("ij,ij->i", w[:half, :m].conj(), w[half:, :m])
+            apq = np.einsum("ij,ij->i", np.conjugate(bp, out=conj), bq)
             gam = np.abs(apq)
             live = alive[:half] & alive[half:] & (gam > threshold * root[:half] * root[half:])
-            if live.any():
-                if kk == 1:
-                    rotated[0] = True
-                else:
-                    moved = live.reshape(kk, h).any(axis=1)
-                    rotated |= moved
-                # Real rotation (c, s) after the phase diag(1, conj(apq)/|apq|);
-                # together they zero b_p* b_q. Pairs that are not live get
-                # phase 1 and t = 0, so c = 1 and s = 0 leave them exactly.
-                idle = ~live
+            count = np.count_nonzero(live)
+            if not count:
+                w.take(step, axis=0, out=spare, mode="wrap")
+                np.copyto(w, spare)
+                continue
+            # Real rotation (c, s) after the phase diag(1, conj(apq)/|apq|);
+            # together they zero b_p* b_q. Pairs that are not live get phase
+            # 1 and t = 0, so c = 1 and s = 0 leave them exactly.
+            idle = None if count == half else ~live
+            if idle is not None:
                 gam[idle] = 1.0
-                phase = np.conj(apq / gam)
+            phase = np.conj(apq / gam)
+            zeta = (aqq - app) / (2.0 * gam)
+            t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
+            if idle is not None:
                 phase[idle] = 1.0
-                zeta = (aqq - app) / (2.0 * gam)
-                t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
                 t[idle] = 0.0
-                c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
-                s = c * t[:, None]
-                phase = phase[:, None]
-                wp, wq, turned = w[:half], w[half:], np.empty_like(w)
-                np.subtract(c * wp, (s * phase) * wq, out=turned[:half])
-                np.add(s * wp, (c * phase) * wq, out=turned[half:])
-                if kk > 1 and not moved.all():
+            # c and s go into the real parts of cs: the complex values that
+            # multiplying real c and s by the complex columns would cast them to
+            np.divide(1.0, np.sqrt(1.0 + t * t), out=c_real)
+            np.multiply(c_real, t, out=s_real)
+            turn = cs[::-1] * phase[:, None]  # s phase and c phase
+            np.multiply(c, wp, out=lo)
+            np.multiply(turn[0], wq, out=scratch)
+            np.subtract(lo, scratch, out=lo)
+            np.multiply(s, wp, out=hi)
+            np.multiply(turn[1], wq, out=scratch)
+            np.add(hi, scratch, out=hi)
+            if idle is None or kk == 1:
+                rotated[:] = True
+            else:
+                moved = live.reshape(kk, h).any(axis=1)
+                rotated |= moved
+                if not moved.all():
                     # the identity rotation can flip the sign of a zero, so a
                     # member without a live pair keeps its rows as they were,
                     # as it would skip the round alone
                     still = ~moved
-                    turned.reshape(2, kk, h, m + n)[:, still] = w.reshape(2, kk, h, m + n)[:, still]
-                w = turned
-            w = w[step]
+                    spare.reshape(2, kk, h, m + n)[:, still] = w.reshape(2, kk, h, m + n)[:, still]
+            spare.take(step, axis=0, out=w, mode="wrap")
         if not rotated.all():
             # Every round passed the test although the Gram product did not:
             # the two disagree only by rounding, and this sweep confirmed
             # convergence the way each round tests it.
-            kk, steps, dead_floor = leave(np.flatnonzero(~rotated).tolist())
+            kk, steps, dead_floor = leave([pos for pos in range(kk) if not rotated[pos]])
             if not kk:
                 break
     return done

@@ -32,6 +32,7 @@ from pinvkit.matrix import (
     loads_matrix_csv,
     loads_matrix_json,
     loads_tree_csv,
+    parse_complex,
 )
 
 
@@ -372,6 +373,59 @@ def test_tree_small_negative_alpha_still_passes(tmp_path, capsys):
     src.write_text("1,2,1\n2,3,-1\n")
     code, report = run(capsys, ["tree", "--input", str(src), "--alpha=-1e-12"])
     assert code == 0 and report["passed"]
+
+
+# argparse's own negative-number pattern has no exponent and no imaginary
+# unit, so these were taken for flags ("expected one argument")
+NEGATIVE_LITERALS = ["-1e-3", "-1E5", "-2.5e+2", "-2i", "-1-2i", "-.5e1"]
+
+
+@pytest.mark.parametrize("value", NEGATIVE_LITERALS)
+def test_tree_takes_a_negative_literal_as_alpha(tmp_path, capsys, value):
+    src = tmp_path / "t.csv"
+    src.write_text("1,2,1\n2,3,-1\n")
+    code = main(["tree", "--input", str(src), "--alpha", value])
+    captured = capsys.readouterr()
+    assert "expected one argument" not in captured.err
+    if parse_complex(value).imag:
+        # the value reaches --alpha's own check, which wants a real number
+        assert code == 1 and f"not a finite number: '{value}'" in captured.err
+    else:
+        assert code == 0 and json.loads(captured.out)["extras"]["alpha"] == float(value)
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+@pytest.mark.parametrize("value", NEGATIVE_LITERALS)
+def test_circ_takes_a_negative_literal_as_the_flags_value(tmp_path, capsys, flag, value):
+    other = "--beta" if flag == "--alpha" else "--alpha"
+    reports, outputs = [], []
+    for name, given in (("spaced.csv", [flag, value]), ("joined.csv", [f"{flag}={value}"])):
+        out = tmp_path / name
+        argv = ["circ", "--method", "two-term", *given, other, "1.5", "--n", "8", "--k", "1",
+                "--output", str(out)]
+        code, report = run(capsys, argv)
+        assert code == 0
+        del report["wall_time_s"]
+        reports.append(report)
+        outputs.append(out.read_bytes())
+    # "--flag value" reads the value as "--flag=value" always did
+    assert reports[0] == reports[1] and outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["circ", "--method", "two-term", "--alpha", "--beta", "1", "--n", "8", "--k", "1"],
+        ["circ", "--method", "two-term", "--alpha", "1", "--beta", "--n", "8", "--k", "1"],
+        ["tree", "--input", "t.csv", "--alpha", "--output", "d.json"],
+    ],
+)
+def test_flag_without_its_value_still_exits_1(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.csv").write_text("1,2,1\n2,3,-1\n")
+    assert main(argv) == 1
+    assert "expected one argument" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["t.csv"]
 
 
 def test_tree_method_names_the_form_that_ran(tmp_path, capsys):

@@ -112,6 +112,38 @@ def test_tall_wide_and_empty_stacks_match_svd(shape):
         assert_batch_matches_svd(mats, deflate=deflate)
 
 
+def reference_certified(bt, norms2, threshold):
+    """One member's stopping test, as a 2-D Gram product."""
+    gram = np.abs(bt @ bt.conj().T)
+    np.fill_diagonal(gram, 0.0)
+    root = np.sqrt(norms2)
+    return not (gram > np.multiply.outer(threshold * root, root)).any()
+
+
+@pytest.mark.parametrize("size, m", [(2, 1), (4, 4), (6, 9), (12, 12)])
+def test_batched_certificate_judges_each_member_as_alone(size, m):
+    # one member per kind: orthogonal rows, random rows, orthogonal rows
+    # perturbed by 0.1 and by 10 times the threshold, and orthogonal rows
+    # with zeroed (dead) ones among them
+    rng = np.random.default_rng(size * m)
+    threshold = np.sqrt(m) * pinvkit.linalg._EPS
+    diagonal = np.eye(size, m) * rng.uniform(0.5, 2.0, size)[:, None]
+    members = [diagonal.astype(complex), complex_gaussian(rng, size, m)]
+    for scale in (0.1, 10.0):
+        members.append(diagonal + scale * threshold * complex_gaussian(rng, size, m))
+    dead = diagonal.astype(complex)
+    dead[::2] = 0.0
+    members.append(dead)
+    bt = np.stack(members)
+    norms2 = np.sum(np.abs(bt) ** 2, axis=2)
+    got = pinvkit.linalg._certified(bt, norms2, threshold)
+    want = [reference_certified(b, n2, threshold) for b, n2 in zip(bt, norms2)]
+    assert got.tolist() == want
+    assert want[0] and not want[1] and want[-1]
+    for j in range(len(members)):
+        assert pinvkit.linalg._certified(bt[j : j + 1], norms2[j : j + 1], threshold)[0] == want[j]
+
+
 def test_member_without_a_live_pair_is_left_as_it_is(monkeypatch):
     # With the Gram certificate off, -diag(d) stays in the stack for one
     # sweep in which none of its pairs is live while the random member
@@ -158,6 +190,31 @@ def test_members_leave_at_their_own_sweeps():
     slowest = int(np.argmax(sweeps))
     with pytest.raises(ConvergenceError, match=rf"\(stack member {slowest}\)"):
         svd_batch(mats, max_sweeps=max(sweeps) - 1)
+
+
+@pytest.mark.parametrize("deflate", [False, True])
+def test_stack_arrays_never_reach_the_results(deflate):
+    # The sweep loop reuses its arrays from round to round and rebuilds them
+    # when a member leaves; here members leave at three different sweeps.
+    # No result may be one of those arrays or share memory with another
+    # result, of this call or of the next.
+    rng = np.random.default_rng(8)
+    n = 12
+    diagonal = np.diag(rng.uniform(0.5, 2.0, n)).astype(complex)
+    nearly = diagonal + 1e-6 * complex_gaussian(rng, n, n)
+    mats = [complex_gaussian(rng, n, n), diagonal, low_rank(rng, n, n, 5), nearly]
+    assert len({fewest_sweeps(a) for a in mats}) >= 3
+    before = [svd(a, deflate=deflate) for a in mats]
+    first, second = svd_batch(mats, deflate=deflate), svd_batch(mats, deflate=deflate)
+    for fs in (first, second):
+        for f, alone in zip(fs, before):
+            assert_same_bits(f, alone)
+        for a, f in zip(mats, fs):
+            assert_same_bits(f, svd(a, deflate=deflate))  # a lone call after the stack
+    arrays = [x for fs in (first, second) for f in fs for x in (f.u, f.v, f.sigma)]
+    for i, x in enumerate(arrays):
+        for y in arrays[i + 1 :]:
+            assert not np.shares_memory(x, y)
 
 
 @pytest.mark.parametrize("wide", [False, True])
