@@ -105,12 +105,14 @@ class _Parser(argparse.ArgumentParser):
 
     def _parse_optional(self, arg_string):
         # argparse reads only -12 and -1.5 as negative numbers, not -1e-3,
-        # -2i or -1-2i, and would take those for flags; any literal that
-        # parse_complex reads is a value here, as it is after --alpha=
+        # -2i, -1-2i or a list such as -1,1,0, and would take those for
+        # flags; a token whose comma-separated entries parse_complex all
+        # reads is a value here, as it is after --alpha= or --gen=
         single_dash = arg_string.startswith("-") and not arg_string.startswith("--")
         if single_dash and arg_string not in self._option_string_actions:
             try:
-                parse_complex(arg_string)
+                for part in arg_string.split(","):
+                    parse_complex(part)
             except MatrixFormatError:
                 pass
             else:

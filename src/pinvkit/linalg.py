@@ -438,14 +438,11 @@ def _jacobi_stack(
         norms2 = _squared_norms(w[:, :m])
         dead = norms2 <= dead_floor
         if np.count_nonzero(dead):
-            if kk == 1:
-                zeroed2[members[0]] += float(np.sum(norms2[dead]))
-            else:
-                # one sum per member over its dead rows in its own layout,
-                # the order in which np.sum adds them for the member alone
-                mine, values = by_member(dead), by_member(norms2)
-                for pos in np.flatnonzero(mine.any(axis=1)):
-                    zeroed2[members[pos]] += float(np.sum(values[pos][mine[pos]]))
+            # one sum per member over its dead rows in its own layout, the
+            # order in which np.sum adds them for the member alone; a member
+            # without one adds 0.0, which leaves its mass's bits as they are
+            for j, mine, values in zip(members, by_member(dead), by_member(norms2)):
+                zeroed2[j] += float(np.sum(values[mine]))
             w[dead, :m] = 0.0
         certified = _certified(by_member(w[:, :m]), by_member(norms2), threshold)
         if np.count_nonzero(certified):
@@ -515,8 +512,11 @@ def _jacobi_stack(
                     # the identity rotation can flip the sign of a zero, so a
                     # member without a live pair keeps its rows as they were,
                     # as it would skip the round alone
-                    still = ~moved
-                    spare.reshape(2, kk, h, m + n)[:, still] = w.reshape(2, kk, h, m + n)[:, still]
+                    np.copyto(
+                        spare.reshape(2, kk, h, m + n),
+                        w.reshape(2, kk, h, m + n),
+                        where=~moved[None, :, None, None],
+                    )
             spare.take(step, axis=0, out=w, mode="wrap")
         if not rotated.all():
             # Every round passed the test although the Gram product did not:

@@ -412,6 +412,19 @@ def test_circ_takes_a_negative_literal_as_the_flags_value(tmp_path, capsys, flag
     assert reports[0] == reports[1] and outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("gen", ["-1,1,0", "-2i,1,0", "-1e-3,2,-1-2i"])
+def test_circ_takes_a_generator_with_a_negative_first_entry(tmp_path, capsys, gen):
+    reports, outputs = [], []
+    for name, given in (("spaced.csv", ["--gen", gen]), ("joined.csv", [f"--gen={gen}"])):
+        out = tmp_path / name
+        code, report = run(capsys, ["circ", *given, "--output", str(out)])
+        assert code == 0
+        del report["wall_time_s"]
+        reports.append(report)
+        outputs.append(out.read_bytes())
+    assert reports[0] == reports[1] and outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
