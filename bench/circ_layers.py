@@ -181,7 +181,7 @@ def same_bits(a, b) -> bool:
 def measure(n: int, repeats: int, workdir: str) -> dict:
     rng = np.random.default_rng(n)
     gen = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    xgen = circ_pinv_spectral(gen).gen
+    xgen = circ_pinv_spectral(gen)
     c, x = circ_materialize(gen), circ_materialize(xgen)
     tol = DEFAULT_TOL
     pattern = block_pattern_generator(3, n // 4)

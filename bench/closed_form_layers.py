@@ -268,7 +268,7 @@ def measure_parser(repeats: int) -> dict:
 def measure_writer(repeats: int) -> list[dict]:
     rng = np.random.default_rng(60)
     cases = {
-        "wheel_61": wheel_pinv(wheel_build(61))[1],
+        "wheel_61": wheel_pinv(wheel_build(61)),
         "tree_60": tree_pinv(gen_zero_sum_tree(7, 60)),
         "distinct_60": rng.standard_normal((60, 60)),
     }

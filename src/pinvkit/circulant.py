@@ -6,8 +6,10 @@ Equivalently circ(c) = sum_k c[k] Pi^k for the one-step shift matrix Pi.
 Diagonalization by the unitary DFT turns every question about circ(c) into
 one about its eigenvalue vector, and the closed forms below (two-term,
 support splitting, zero-sum shift, block pattern) are checked against that
-spectral route. circ_penrose_residuals checks a candidate on generators
-alone: each product is circ_mul, a direct cyclic convolution in O(n) memory.
+spectral route. The pseudoinverse of a circulant is a circulant, so every
+route returns its generator as an array. circ_penrose_residuals checks a
+candidate on generators alone: each product is circ_mul, a direct cyclic
+convolution in O(n) memory.
 """
 
 from __future__ import annotations
@@ -28,26 +30,6 @@ from .matrix import (
     frobenius,
     unit_scale,
 )
-
-
-@dataclass(frozen=True)
-class Circulant:
-    """A circulant matrix held as its generator (first row), n >= 2."""
-
-    gen: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gen", as_vector(self.gen, min_len=2))
-
-    @property
-    def n(self) -> int:
-        return self.gen.shape[0]
-
-    def materialize(self) -> np.ndarray:
-        return circ_materialize(self.gen)
-
-    def transpose(self) -> "Circulant":
-        return Circulant(rho(self.gen))
 
 
 @dataclass(frozen=True)
@@ -182,13 +164,19 @@ def generator_from_spectrum(values) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def circ_pinv_spectral(gen, tol: Tolerance = DEFAULT_TOL) -> Circulant:
-    """Pseudoinverse by inverting the nonzero eigenvalues."""
-    spec = circ_spectrum(gen, tol)
+def circ_pinv_spectral(gen, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Pseudoinverse generator by inverting the nonzero eigenvalues."""
+    return _pinv_from_spectrum(circ_spectrum(gen, tol))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _pinv_from_spectrum(spec: Spectrum) -> np.ndarray:
+    """Generator of the pseudoinverse: the eigenvalues on the support
+    inverted, the others left at 0."""
     inverted = np.zeros_like(spec.values)
     idx = list(spec.support)
     inverted[idx] = 1.0 / spec.values[idx]
-    return Circulant(_in_float_range(generator_from_spectrum(_in_float_range(inverted))))
+    return _in_float_range(generator_from_spectrum(_in_float_range(inverted)))
 
 
 def _shift_generator(gen: np.ndarray, l: int) -> np.ndarray:
@@ -204,9 +192,9 @@ def two_term_pinv(
     n: int,
     k_pos: int = 1,
     tol: Tolerance = DEFAULT_TOL,
-) -> Circulant:
-    """Pseudoinverse of the two-entry circulant with alpha at position k_pos
-    (1-based) and beta cyclically next to it.
+) -> np.ndarray:
+    """Pseudoinverse generator of the two-entry circulant with alpha at
+    position k_pos (1-based) and beta cyclically next to it.
 
     The matrix is Pi^(k_pos-1) (alpha I + beta Pi), so the shift law
     (Pi^l C)^+ = C^+ Pi^(n-l) reduces everything to the k_pos = 1 case.
@@ -230,8 +218,8 @@ def two_term_pinv(
     elif alpha == -beta:
         base = (n - 1.0 - 2.0 * k) / (2.0 * n * alpha)
     else:
-        base = circ_pinv_spectral(np.roll(gen, -l), tol).gen  # alpha at 0, beta at 1
-    return Circulant(_shift_generator(_in_float_range(base), (n - l) % n))
+        base = circ_pinv_spectral(np.roll(gen, -l), tol)  # alpha at 0, beta at 1
+    return _shift_generator(_in_float_range(base), (n - l) % n)
 
 
 def _two_term_generator(alpha: complex, beta: complex, n: int, k_pos: int) -> np.ndarray:
@@ -251,7 +239,7 @@ def _two_term_generator(alpha: complex, beta: complex, n: int, k_pos: int) -> np
 
 def support_split_pinv(
     generators, tol: Tolerance = DEFAULT_TOL
-) -> tuple[Circulant, bool]:
+) -> tuple[np.ndarray, bool]:
     """Pseudoinverse of circ(sum c_k) as the sum of the per-term ones.
 
     Valid when the eigenvalue support of each c_k avoids the support of
@@ -265,7 +253,8 @@ def support_split_pinv(
     n = gens[0].shape[0]
     if any(g.shape[0] != n for g in gens):
         raise PreconditionError("generators must share one length")
-    supports = [set(circ_spectrum(g, tol).support) for g in gens]
+    spectra = [circ_spectrum(g, tol) for g in gens]
+    supports = [set(spec.support) for spec in spectra]
     transpose_supports = [set(circ_spectrum(rho(g), tol).support) for g in gens]
     for kp in range(len(gens)):
         for k in range(len(gens)):
@@ -278,10 +267,10 @@ def support_split_pinv(
                     f"at eigenvalue indices {collisions}"
                 )
     total = np.zeros(n, dtype=np.complex128)
-    for g in gens:
-        total = total + circ_pinv_spectral(g, tol).gen
+    for spec in spectra:
+        total = total + _pinv_from_spectrum(spec)
     covered = set().union(*supports)
-    return Circulant(total), covered == set(range(n))
+    return total, covered == set(range(n))
 
 
 def _in_band(alpha: complex, n: int, top: float) -> complex:
@@ -298,8 +287,8 @@ def _in_band(alpha: complex, n: int, top: float) -> complex:
 @np.errstate(over="ignore", invalid="ignore")
 def zero_sum_shift_pinv(
     gen, alpha: complex | None = None, tol: Tolerance = DEFAULT_TOL
-) -> Circulant:
-    """Pseudoinverse through the all-ones dyad split.
+) -> np.ndarray:
+    """Pseudoinverse generator through the all-ones dyad split.
 
     The mean part of the generator and its zero-sum remainder have disjoint
     eigenvalue supports, so they pseudo-invert independently:
@@ -320,14 +309,14 @@ def zero_sum_shift_pinv(
     total = complex(np.sum(gen))
     if 0 in spec.support:
         # eigenvalue 0 is the entry sum; nonzero here, so split off the mean
-        mean_split = circ_pinv_spectral(gen - (total / n) * ones, tol).gen + ones / (n * total)
-        return Circulant(_in_float_range(mean_split))
+        mean_split = circ_pinv_spectral(gen - (total / n) * ones, tol) + ones / (n * total)
+        return _in_float_range(mean_split)
     if alpha is None or complex(alpha) == 0:
         raise PreconditionError("zero-sum generator needs a nonzero alpha for the shifted route")
     s = unit_scale(gen)  # exact, so gen + alpha ones and n^2 alpha stay in range
     alpha = s * _in_band(complex(alpha), n, float(np.abs(spec.values).max()))
-    shifted = circ_pinv_spectral(s * gen + alpha * ones, tol).gen - ones / (n * n * alpha)
-    return Circulant(_in_float_range(s * shifted))
+    shifted = circ_pinv_spectral(s * gen + alpha * ones, tol) - ones / (n * n * alpha)
+    return _in_float_range(s * shifted)
 
 
 def block_pattern_generator(k: int, q: int) -> np.ndarray:
@@ -345,9 +334,9 @@ def block_pattern_pinv(
     k: int,
     q: int,
     tol: Tolerance = DEFAULT_TOL,
-) -> Circulant:
-    """Pseudoinverse of circ(alpha ones + beta pattern) for the block
-    pattern above: (1/(alpha n^2)) ones + (1/(beta n^2)) pattern.
+) -> np.ndarray:
+    """Pseudoinverse generator of circ(alpha ones + beta pattern) for the
+    block pattern above: (1/(alpha n^2)) ones + (1/(beta n^2)) pattern.
 
     The pattern's defining identity C^2 = n C is re-verified in exact
     integer arithmetic on every call.
@@ -361,7 +350,7 @@ def block_pattern_pinv(
     if not np.array_equal(circ_mul(base, base), n * base):
         raise PreconditionError("block pattern failed its defining identity")
     ones = np.ones(n, dtype=np.complex128)
-    return Circulant(_in_float_range(ones / (alpha * n * n) + base / (beta * n * n)))
+    return _in_float_range(ones / (alpha * n * n) + base / (beta * n * n))
 
 
 def block_pattern_coefficients(a: complex, b: complex, k: int) -> tuple[complex, complex]:

@@ -338,7 +338,7 @@ def _cmd_circ(args, tol: Tolerance) -> _Outcome:
     # ||circ(gen)||_F = sqrt(n) ||gen||: every residual bound is built on it
     if not math.isfinite(math.sqrt(gen.shape[0]) * frobenius(gen)):
         raise PreconditionError("the circulant leaves the float range")
-    result = {
+    xgen = {
         "spectral": lambda: circ_pinv_spectral(gen, tol),
         "two-term": lambda: two_term_pinv(alpha, beta, gen.shape[0], k_pos, tol),
         "zero-sum": lambda: zero_sum_shift_pinv(gen, alpha=args.alpha, tol=tol),
@@ -346,14 +346,14 @@ def _cmd_circ(args, tol: Tolerance) -> _Outcome:
     }[args.method]()
 
     # verified and written from the generators
-    residuals = circ_penrose_residuals(gen, result.gen, tol)
+    residuals = circ_penrose_residuals(gen, xgen, tol)
     spectrum = circ_spectrum(gen, tol)
     return _Outcome(
         method=args.method,
         shape=(gen.shape[0], gen.shape[0]),
         rank=len(spectrum.support),
         penrose=residuals,
-        value=result.gen,
+        value=xgen,
         writers=(dumps_generator_json, circulant_csv_blocks),
         input_digest=in_digest,
         extras={"support": list(spectrum.support)},

@@ -488,8 +488,8 @@ def wheel_build(n: int, tol: Tolerance = DEFAULT_TOL) -> WheelGraph:
     return WheelGraph(n=n, D=d, a=a, z24=z24, v=v, inv134=inv134)
 
 
-def wheel_pinv(wheel: WheelGraph, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form {1,3,4}-inverse and Moore-Penrose inverse of the wheel.
+def wheel_pinv(wheel: WheelGraph, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Closed-form Moore-Penrose inverse of the wheel.
 
     The wheel's inv134 = (D + a a^t)^-1, already verified by wheel_build
     (which thereby certified rank(D) = n - 1), is a {1,3,4}-inverse of D.
@@ -500,7 +500,7 @@ def wheel_pinv(wheel: WheelGraph, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndar
     whose rim block is circ(z - v)/(n-1)^2 since a a^t has rim block circ(v).
     D^+ must pass the Penrose residuals, else VerificationError names the worst.
     """
-    return wheel.inv134, _returned(_wheel_pinv_checked(wheel, tol), "wheel")
+    return _returned(_wheel_pinv_checked(wheel, tol), "wheel")
 
 
 def _wheel_pinv_checked(wheel: WheelGraph, tol: Tolerance) -> _Checked:
@@ -529,7 +529,7 @@ def wheel_properties(n: int, tol: Tolerance = DEFAULT_TOL) -> dict[str, bool]:
     its two sides are built from.
     """
     wheel = wheel_build(n, tol)
-    inv134, dpinv = wheel_pinv(wheel, tol)
+    inv134, dpinv = wheel.inv134, wheel_pinv(wheel, tol)
     m = n - 1
     proj = np.eye(n) - np.outer(wheel.a, wheel.a) / m
     w = np.full(n, 0.25)

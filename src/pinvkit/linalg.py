@@ -294,9 +294,9 @@ def svd(
     unit_scale(a) a, so subnormal input keeps its rank. Raises
     PreconditionError on inf or nan entries. The loop runs on a stack:
     svd_batch puts the p-rows of all its members over all their q-rows, so
-    each round is this round with halves k times as tall, and svd is the
-    stack of one member, with the results svd_batch gives that member bit
-    for bit.
+    each round is this round with halves k times as tall, and svd is
+    svd_batch on the stack of one member, a wide a factored through its
+    adjoint.
 
     A column is frozen at zero once its norm falls to the dead floor. By
     default that floor is u^3 ||A||_F, so singular values far below the
@@ -313,11 +313,7 @@ def svd(
     routes and the CLI) turn it on; the tau cap keeps each zeroed column
     within the Penrose bounds of AX and XA.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    m, n = a.shape
-    if m < n:
-        return svd(dagger(a), tol, max_sweeps, deflate).adjoint()
-    return _jacobi_stack([a], tol, max_sweeps, deflate)[0]
+    return svd_batch((a,), tol, max_sweeps, deflate)[0]
 
 
 def svd_batch(
@@ -331,7 +327,7 @@ def svd_batch(
     certificate and exits, and the others only share its rounds. A round
     over a small stack costs little more than a round over one member, since
     at small n numpy's call overhead dominates. Each wide member is factored
-    through its adjoint, as svd does, so an m x n and an n x m member share
+    through its adjoint, so an m x n and an n x m member share
     the stack. Raises PreconditionError when the tall forms differ in shape
     or on an inf or nan entry, and ConvergenceError if a member is not
     certified within max_sweeps; both name the member when there are

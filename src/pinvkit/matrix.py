@@ -4,8 +4,8 @@ Matrices are plain numpy complex128 arrays throughout the package; this
 module owns validation, the shared Tolerance knobs, and the JSON/CSV wire
 formats. All serialization is fixed at 17 significant digits, which is
 enough to round-trip any double exactly. A real matrix that repeats its
-values has each distinct value formatted once; the bytes are unchanged, and
-`wheel --n 61` takes 2.2 ms against 5.8 ms (BENCH_closed-form.json, cli).
+values has each distinct value formatted once, with the bytes of formatting
+every entry.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ class Tolerance:
             return _LARGEST
 
     def scaled_for(self, a: np.ndarray) -> "Tolerance":
-        """This tolerance: bound() scales every check. Kept for callers of
-        the former absolute bound, such as the benchmark's own check."""
+        """This tolerance: bound() scales every check. perfbench/worker.py
+        still calls it on the tolerance of its Fill-Fishkind check."""
         return self
 
 

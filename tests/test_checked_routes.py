@@ -1,5 +1,6 @@
 """Every checked route returns one shape, factors what it needs itself, and
 raises when its Penrose report fails; the zero-sum shift accepts any alpha.
+Every public pseudoinverse route returns its X as a numpy array.
 
 A route's checked form gives (X, rank, report). The CLI prints that report,
 so a failing one exits 2 with passed false and writes nothing; the public
@@ -19,7 +20,14 @@ import pytest
 import pinvkit.core
 import pinvkit.graphdist
 import pinvkit.sumdecomp
-from pinvkit.circulant import circ_penrose_residuals, circ_pinv_spectral, zero_sum_shift_pinv
+from pinvkit.circulant import (
+    block_pattern_pinv,
+    circ_penrose_residuals,
+    circ_pinv_spectral,
+    support_split_pinv,
+    two_term_pinv,
+    zero_sum_shift_pinv,
+)
 from pinvkit.cli import main
 from pinvkit.core import (
     ResidualReport,
@@ -39,7 +47,15 @@ from pinvkit.matrix import (
     frobenius,
     loads_generator_json,
 )
-from pinvkit.sumdecomp import completion_pinv_pair, rank_completion_pinv
+from pinvkit.sumdecomp import (
+    completion_pinv_pair,
+    fill_fishkind_pinv,
+    gen_rank_additive_pair,
+    gen_svd_block_family,
+    pinv_invertible_projector_eq,
+    pinv_via_gram_equation,
+    rank_completion_pinv,
+)
 
 
 def run(capsys, argv):
@@ -174,9 +190,9 @@ def zero_sum_generator(scale: float) -> np.ndarray:
 ], ids=["1e-200", "1e-50", "1", "1e100", "5e307"])
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_zero_sum_shift_takes_any_alpha(gen, alpha):
-    x = zero_sum_shift_pinv(gen, alpha=alpha).gen
+    x = zero_sum_shift_pinv(gen, alpha=alpha)
     assert circ_penrose_residuals(gen, x).passed
-    want = circ_pinv_spectral(gen).gen
+    want = circ_pinv_spectral(gen)
     assert frobenius((x - want)[None, :]) <= 1e-10 * frobenius(want[None, :])
 
 
@@ -184,12 +200,12 @@ def test_zero_sum_shift_alpha_moves_only_by_powers_of_two():
     gen = zero_sum_generator(1.0)
     ones = np.ones(6, dtype=np.complex128)
     # within 2^4 of the spectrum alpha is used as given
-    x = zero_sum_shift_pinv(gen, alpha=0.7).gen
-    assert x.tobytes() == (circ_pinv_spectral(gen + 0.7 * ones).gen - ones / (36 * 0.7)).tobytes()
+    x = zero_sum_shift_pinv(gen, alpha=0.7)
+    assert x.tobytes() == (circ_pinv_spectral(gen + 0.7 * ones) - ones / (36 * 0.7)).tobytes()
     # outside it, alphas that differ by a power of two give the same bytes
     for alpha in (1e-20, 1e20):
-        x = zero_sum_shift_pinv(gen, alpha=alpha).gen
-        assert x.tobytes() == zero_sum_shift_pinv(gen, alpha=alpha * 2.0**40).gen.tobytes()
+        x = zero_sum_shift_pinv(gen, alpha=alpha)
+        assert x.tobytes() == zero_sum_shift_pinv(gen, alpha=alpha * 2.0**40).tobytes()
 
 
 @pytest.mark.parametrize("scale", [1.0, 5e307])
@@ -201,3 +217,50 @@ def test_zero_sum_command_takes_any_alpha(tmp_path, capsys, scale, alpha):
     assert code == 0 and report["passed"] is True and report["rank"] == 2
     x = loads_generator_json(out.read_text())
     np.testing.assert_allclose(x, np.array([1 / 3, 0.0, -1 / 3]) / scale, atol=1e-13 / scale)
+
+
+# --------------------------------------------------------------------------
+# every public route returns X as an array
+
+
+def _dense_square():
+    return gen_random_matrix(41, 6, 6, rank=3)
+
+
+def _pair():
+    a = _dense_square()
+    return a, pair_partner(a, 3, np.random.default_rng(42))
+
+
+# route -> (call returning X, X's shape); a circulant route's X is its generator
+ROUTES = {
+    "circ_pinv_spectral": (lambda: circ_pinv_spectral([2.0, -1.0, 0.0, -1.0]), (4,)),
+    "two_term_pinv": (lambda: two_term_pinv(1.0, -1.0, 5), (5,)),
+    "zero_sum_shift_pinv": (lambda: zero_sum_shift_pinv([2.0, -1.0, -1.0, 0.0], alpha=1.5), (4,)),
+    "block_pattern_pinv": (lambda: block_pattern_pinv(1.0, 2.0, k=1, q=3), (6,)),
+    "support_split_pinv": (
+        lambda: support_split_pinv([np.ones(3), np.array([1.0, -1.0, 0.0])])[0], (3,)
+    ),
+    "wheel_pinv": (lambda: wheel_pinv(wheel_build(7)), (7, 7)),
+    "tree_pinv": (lambda: tree_pinv(tree_build(gen_zero_sum_tree(3, 6).edges)), (6, 6)),
+    "pinv": (lambda: pinv(gen_random_matrix(40, 5, 3)), (3, 5)),
+    "pinv_normal_equations": (lambda: pinv_normal_equations(gen_random_matrix(40, 5, 3)), (3, 5)),
+    "rank_completion_pinv": (lambda: rank_completion_pinv(_dense_square()), (6, 6)),
+    "completion_pinv_pair": (lambda: completion_pinv_pair(*_pair()), (6, 6)),
+    "fill_fishkind_pinv": (lambda: fill_fishkind_pinv(*gen_rank_additive_pair(5, 6)), (6, 6)),
+    "pinv_via_gram_equation": (
+        lambda: pinv_via_gram_equation(gen_svd_block_family(5, 5, 5, 2, ranks=(3, 2)), 0), (5, 5)
+    ),
+    "pinv_invertible_projector_eq": (
+        lambda: pinv_invertible_projector_eq(gen_svd_block_family(9, 6, 6, 2, ranks=(4, 2)), 0),
+        (6, 6),
+    ),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_every_route_returns_x_as_an_array(route):
+    call, shape = ROUTES[route]
+    x = call()
+    assert type(x) is np.ndarray
+    assert x.shape == shape

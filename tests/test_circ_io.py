@@ -209,26 +209,26 @@ def route_cases(n, rng):
     the singular ones included."""
     cases = []
     gen = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    cases.append(("spectral", gen, circ_pinv_spectral(gen).gen))
+    cases.append(("spectral", gen, circ_pinv_spectral(gen)))
     head = np.zeros(n, dtype=np.complex128)
     head[0], head[1] = 1.3, -1.3
-    cases.append(("two-term closed, singular", head, two_term_pinv(1.3, -1.3, n).gen))
+    cases.append(("two-term closed, singular", head, two_term_pinv(1.3, -1.3, n)))
     if n % 2 == 0:
         head = np.zeros(n, dtype=np.complex128)
         head[0] = head[1] = 1.3
-        cases.append(("two-term equal, singular", head, two_term_pinv(1.3, 1.3, n).gen))
+        cases.append(("two-term equal, singular", head, two_term_pinv(1.3, 1.3, n)))
     head = np.zeros(n, dtype=np.complex128)
     head[3], head[4] = 1.5 - 0.2j, 0.4 + 0.1j
-    cases.append(("two-term spectral", head, two_term_pinv(1.5 - 0.2j, 0.4 + 0.1j, n, 4).gen))
+    cases.append(("two-term spectral", head, two_term_pinv(1.5 - 0.2j, 0.4 + 0.1j, n, 4)))
     zero_sum = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     zero_sum -= zero_sum.mean()
-    cases.append(("zero-sum, singular", zero_sum, zero_sum_shift_pinv(zero_sum, alpha=0.7).gen))
-    cases.append(("zero-sum mean split", zero_sum + 0.5, zero_sum_shift_pinv(zero_sum + 0.5).gen))
+    cases.append(("zero-sum, singular", zero_sum, zero_sum_shift_pinv(zero_sum, alpha=0.7)))
+    cases.append(("zero-sum mean split", zero_sum + 0.5, zero_sum_shift_pinv(zero_sum + 0.5)))
     k = 3 if n % 4 == 0 else 1
     block = 1.5 * np.ones(n) - 0.7 * block_pattern_generator(k, n // (k + 1))
-    cases.append(("block, singular", block, block_pattern_pinv(1.5, -0.7, k, n // (k + 1)).gen))
+    cases.append(("block, singular", block, block_pattern_pinv(1.5, -0.7, k, n // (k + 1))))
     zeros = np.zeros(n, dtype=np.complex128)
-    cases.append(("zero", zeros, circ_pinv_spectral(zeros).gen))
+    cases.append(("zero", zeros, circ_pinv_spectral(zeros)))
     return cases
 
 
@@ -276,7 +276,7 @@ def test_perturbed_generators_fail_the_structured_check():
     rng = np.random.default_rng(5)
     for n in (16, 64, 512):
         gen = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        xgen = circ_pinv_spectral(gen).gen
+        xgen = circ_pinv_spectral(gen)
         assert circ_penrose_residuals(gen, xgen, DEFAULT_TOL).passed
         for index in (0, n // 2, n - 1):
             bumped_x = xgen.copy()
@@ -293,7 +293,7 @@ def test_structured_residuals_build_no_matrix(monkeypatch, n):
     # neither circulant is materialized and the peak stays far below n^2
     rng = np.random.default_rng(900 + n)
     gen = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    xgen = circ_pinv_spectral(gen).gen
+    xgen = circ_pinv_spectral(gen)
     dense = penrose_residuals(circ_materialize(gen), circ_materialize(xgen))
     wrong = xgen.copy()
     wrong[n // 2] += 1e-6 * np.max(np.abs(xgen))
@@ -330,12 +330,12 @@ def test_generic_csv_operation_verifies_like_the_dense_check(tmp_path, capsys, n
     report = json.loads(capsys.readouterr().out)
     assert code == 0 and report["passed"]
     x = loads_matrix_csv(out.read_text())
-    np.testing.assert_array_equal(x, circ_materialize(circ_pinv_spectral(gen).gen))
+    np.testing.assert_array_equal(x, circ_materialize(circ_pinv_spectral(gen)))
     c = circ_materialize(gen)
     dense = penrose_residuals(c, x, DEFAULT_TOL)
     assert dense.passed
     # the report carries the structured check's worst key, residual and bound
-    name, value = circ_penrose_residuals(gen, circ_pinv_spectral(gen).gen).worst
+    name, value = circ_penrose_residuals(gen, circ_pinv_spectral(gen)).worst
     assert report["max_penrose_residual"] == value
     assert report["residual_bound"] == pytest.approx(dense.bounds[name], rel=1e-12)
     gap = abs(report["max_penrose_residual"] - dense.residuals[name])

@@ -227,7 +227,7 @@ def test_circ_rank_follows_the_oracle_rule(tmp_path, capsys):
     c = circ_materialize(gen)
     assert report["rank"] == svd(c).rank == 8
     oracle = pinv(c)
-    x = circ_materialize(circ_pinv_spectral(gen).gen)
+    x = circ_materialize(circ_pinv_spectral(gen))
     # cond(c) is 3e11, so a first-order forward error of about 3e-5
     assert frobenius(x - oracle) <= 1e-4 * frobenius(oracle)
 
@@ -457,7 +457,7 @@ def test_wheel_5_matches_module(tmp_path, capsys):
     out = tmp_path / "w.json"
     code, report = run(capsys, ["wheel", "--n", "5", "--output", str(out)])
     assert code == 0
-    _, dpinv = wheel_pinv(wheel_build(5))
+    dpinv = wheel_pinv(wheel_build(5))
     np.testing.assert_allclose(read_matrix(out).real, dpinv, atol=1e-13)
     assert report["extras"]["z24"] == [-72, -24, 120, -24]
     assert all(report["extras"]["z_identities"].values())

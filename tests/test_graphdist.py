@@ -371,7 +371,8 @@ def test_wheel_z_identities_reject_wrong_length():
 
 
 def test_wheel_pinv_n5_frozen_blocks():
-    inv134, dpinv = wheel_pinv(wheel_build(5))
+    wheel = wheel_build(5)
+    inv134, dpinv = wheel.inv134, wheel_pinv(wheel)
     want_inv = np.array(
         [
             [-16, 4, 4, 4, 4],
@@ -400,7 +401,7 @@ def test_wheel_pinv_rim_is_z_minus_v():
     # the rim block of D^+ subtracts the alternating dyad block from circ(z)
     for n in (5, 9, 13):
         wheel = wheel_build(n)
-        inv134, dpinv = wheel_pinv(wheel)
+        inv134, dpinv = wheel.inv134, wheel_pinv(wheel)
         rim_gap = (inv134 - dpinv)[1:, 1:] * (n - 1) ** 2
         np.testing.assert_allclose(rim_gap[0], wheel.v, atol=1e-10)
 
@@ -408,7 +409,7 @@ def test_wheel_pinv_rim_is_z_minus_v():
 def test_wheel_pinv_is_134_and_penrose():
     for n in (5, 7, 11):
         wheel = wheel_build(n)
-        inv134, dpinv = wheel_pinv(wheel)
+        inv134, dpinv = wheel.inv134, wheel_pinv(wheel)
         assert is_134_inverse(wheel.D, inv134)
         assert penrose_residuals(wheel.D, dpinv).passed
 
@@ -416,13 +417,13 @@ def test_wheel_pinv_is_134_and_penrose():
 @pytest.mark.parametrize("n", [5, 7, 9, 15, 21, 25])
 def test_wheel_pinv_matches_oracle(n):
     wheel = wheel_build(n)
-    _, dpinv = wheel_pinv(wheel)
+    dpinv = wheel_pinv(wheel)
     assert np.abs(dpinv - pinv(wheel.D)).max() < 1e-9
 
 
 def test_wheel_pinv_projects_onto_range():
     wheel = wheel_build(9)
-    _, dpinv = wheel_pinv(wheel)
+    dpinv = wheel_pinv(wheel)
     proj = np.eye(9) - np.outer(wheel.a, wheel.a) / 8.0
     np.testing.assert_allclose(wheel.D @ dpinv, proj, atol=1e-9)
 
@@ -447,5 +448,5 @@ def test_wheel_properties_sweep(n):
 
 def test_wheel_eigvector_identity_direct():
     wheel = wheel_build(5)
-    inv134, _ = wheel_pinv(wheel)
+    inv134 = wheel.inv134
     np.testing.assert_allclose(inv134 @ wheel.a, wheel.a / 4.0, atol=1e-12)
