@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import ResidualReport, penrose_bounds
+from .core import ResidualReport, _penrose
 from .matrix import (
     DEFAULT_TOL,
     PreconditionError,
@@ -121,18 +121,10 @@ def circ_penrose_residuals(gen, xgen, tol: Tolerance = DEFAULT_TOL) -> ResidualR
         raise PreconditionError(
             f"generator lengths differ: {gen.shape[0]} vs {xgen.shape[0]}"
         )
-    ax = circ_mul(gen, xgen)
-    xa = circ_mul(xgen, gen)
     n = gen.shape[0]
     scale = math.sqrt(n)
-    return ResidualReport(
-        {
-            "penrose1": scale * frobenius(circ_mul(ax, gen) - gen),
-            "penrose2": scale * frobenius(circ_mul(xa, xgen) - xgen),
-            "penrose3": scale * frobenius(_adjoint_generator(ax) - ax),
-            "penrose4": scale * frobenius(_adjoint_generator(xa) - xa),
-        },
-        penrose_bounds(scale * frobenius(gen), scale * frobenius(xgen), (n, n), tol),
+    return _penrose(
+        gen, xgen, circ_mul, _adjoint_generator, lambda h: scale * frobenius(h), (n, n), tol
     )
 
 
@@ -328,13 +320,7 @@ def block_pattern_generator(k: int, q: int) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def block_pattern_pinv(
-    alpha: complex,
-    beta: complex,
-    k: int,
-    q: int,
-    tol: Tolerance = DEFAULT_TOL,
-) -> np.ndarray:
+def block_pattern_pinv(alpha: complex, beta: complex, k: int, q: int) -> np.ndarray:
     """Pseudoinverse generator of circ(alpha ones + beta pattern) for the
     block pattern above: (1/(alpha n^2)) ones + (1/(beta n^2)) pattern.
 

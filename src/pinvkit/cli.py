@@ -222,21 +222,11 @@ def _write_output(path: str, value, to_json, to_csv) -> str:
 
 
 def _resolve_tolerance(args) -> Tolerance:
-    residual = args.tol_residual
-    if residual is None:
-        env = os.environ.get("PINVKIT_TOL_RESIDUAL")
-        if env is not None:
-            try:
-                residual = float(env)
-            except ValueError:
-                raise MatrixFormatError(
-                    f"PINVKIT_TOL_RESIDUAL is not a float: {env!r}"
-                ) from None
     kwargs = {}
     if args.tol_rank is not None:
         kwargs["rank_rel"] = args.tol_rank
-    if residual is not None:
-        kwargs["residual_rel"] = residual
+    if args.tol_residual is not None:
+        kwargs["residual_rel"] = args.tol_residual
     return Tolerance(**kwargs)
 
 
@@ -342,7 +332,7 @@ def _cmd_circ(args, tol: Tolerance) -> _Outcome:
         "spectral": lambda: circ_pinv_spectral(gen, tol),
         "two-term": lambda: two_term_pinv(alpha, beta, gen.shape[0], k_pos, tol),
         "zero-sum": lambda: zero_sum_shift_pinv(gen, alpha=args.alpha, tol=tol),
-        "block": lambda: block_pattern_pinv(args.alpha, args.beta, args.k, args.q, tol),
+        "block": lambda: block_pattern_pinv(args.alpha, args.beta, args.k, args.q),
     }[args.method]()
 
     # verified and written from the generators
@@ -368,7 +358,7 @@ def _cmd_tree(args, tol: Tolerance) -> _Outcome:
     tree = tree_build(edges, tol)
     # tree_pinv certifies rank n - 1 from D tau = 0 and the D L margin, so
     # the report needs no SVD of D, and its Penrose check is the report's
-    x, rank, residuals = _tree_pinv_checked(tree, args.alpha, tol)
+    x, rank, residuals = _tree_pinv_checked(tree, tol)
     u, rebuilt = tree_u_and_reconstruction(tree, tol=tol, dpinv=x)
     return _Outcome(
         method="closed-form",
@@ -378,7 +368,6 @@ def _cmd_tree(args, tol: Tolerance) -> _Outcome:
         value=x,
         input_digest=_digest(text.encode()),
         extras={
-            "alpha": "auto" if args.alpha is None else float(args.alpha),
             "weight_sum": tree.weight_sum,
             "u": [float(value) for value in u],
             "reconstruction_gap": frobenius(rebuilt - x),
@@ -488,17 +477,6 @@ def _add_common(parser: argparse.ArgumentParser, **files: str) -> None:
     parser.add_argument("--pretty", action="store_true", help="aligned table instead of JSON")
 
 
-def _finite_float(text: str) -> float:
-    """A real flag value; nan and the infinities are refused like bad text."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = np.nan
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return value
-
-
 def _check_reads(args) -> None:
     """Refuse a flag that the chosen method (or gen kind) does not read."""
     choice_key, reads = args.reads
@@ -560,7 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.set_defaults(handler=_cmd_circ, reads=("method", CIRC_READS))
 
     cmd = commands.add_parser("tree", help="zero-sum tree distance pseudoinverse")
-    cmd.add_argument("--alpha", type=_finite_float, help="nonzero completion weight, recorded only")
     _add_common(cmd, input="edge CSV file", output=MATRIX_OUT)
     cmd.set_defaults(handler=_cmd_tree)
 

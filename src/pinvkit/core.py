@@ -163,16 +163,23 @@ def inverse_certified(a: np.ndarray, x: np.ndarray, tol: Tolerance = DEFAULT_TOL
 def penrose_residuals(a: np.ndarray, x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> ResidualReport:
     """Residuals of the four Penrose equations for the candidate inverse x."""
     _check_shapes(a, x)
-    ax = a @ x
-    xa = x @ a
+    return _penrose(a, x, np.matmul, dagger, frobenius, a.shape, tol)
+
+
+def _penrose(a, x, mul, adjoint, norm, shape, tol: Tolerance) -> ResidualReport:
+    """The four Penrose residuals of x for the m x n a of the given shape,
+    held to penrose_bounds: mul, adjoint and norm are the product, the
+    adjoint and the Frobenius norm of the matrices that a and x represent."""
+    ax = mul(a, x)
+    xa = mul(x, a)
     return ResidualReport(
         {
-            "penrose1": frobenius(ax @ a - a),
-            "penrose2": frobenius(xa @ x - x),
-            "penrose3": frobenius(dagger(ax) - ax),
-            "penrose4": frobenius(dagger(xa) - xa),
+            "penrose1": norm(mul(ax, a) - a),
+            "penrose2": norm(mul(xa, x) - x),
+            "penrose3": norm(adjoint(ax) - ax),
+            "penrose4": norm(adjoint(xa) - xa),
         },
-        penrose_bounds(frobenius(a), frobenius(x), a.shape, tol),
+        penrose_bounds(norm(a), norm(x), shape, tol),
     )
 
 

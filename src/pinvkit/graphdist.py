@@ -227,10 +227,13 @@ def tree_shift_inverse(
 
     No matrix is factored: D tau = 0 and D^+ tau = 0 make
     M^-1 = D^+ + tau tau^t/(alpha ||tau||^4) exactly, with D^+ = tree_pinv(tree).
-    A non-finite alpha, or one whose dyad overflows, is refused, naming alpha.
+    A zero or non-finite alpha, or one whose dyad overflows, is refused,
+    naming alpha.
     """
     alpha = float(_auto_alpha(tree, tol) if alpha is None else alpha)
-    dpinv = tree_pinv(tree, alpha, tol)
+    if alpha == 0.0:
+        raise PreconditionError("alpha must be nonzero")
+    dpinv = tree_pinv(tree, tol)
     tau_sq = float(tree.tau @ tree.tau)
     coef = 1.0 / (alpha * tau_sq**2)
     # every |tau_i tau_j| is at most ||tau||^2
@@ -254,16 +257,13 @@ def _closed_form_u(tree: TreeMatrices) -> np.ndarray:
     return 0.5 * (l_tau / tau_sq - (float(tau @ l_tau) / (2.0 * tau_sq**2)) * tau)
 
 
-def tree_pinv(
-    tree: TreeMatrices, alpha: float | None = None, tol: Tolerance = DEFAULT_TOL
-) -> np.ndarray:
+def tree_pinv(tree: TreeMatrices, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose inverse of a zero-sum tree distance matrix.
 
     D^+ = -L/2 + u tau^t + tau u^t with u in closed form (see
     _closed_form_u); no matrix is factored. The paper's shift-inverse form
     (D + alpha tau tau^t)^-1 - tau tau^t / (alpha ||tau||^4) gives the same
-    D^+ for every nonzero alpha, so alpha, when given, must be nonzero and
-    selects no arithmetic.
+    D^+ for every nonzero alpha, so no alpha is taken.
 
     A normal return certifies rank(D) = n - 1 without a factorization:
     tree_build checked D tau = 0 for the zero-sum tree, and tau != 0
@@ -273,14 +273,12 @@ def tree_pinv(
     tol.rank_cutoff(||D||_F, n, n). The result must then pass the four
     Penrose residuals, else VerificationError names the worst.
     """
-    return _returned(_tree_pinv_checked(tree, alpha, tol), "tree")
+    return _returned(_tree_pinv_checked(tree, tol), "tree")
 
 
-def _tree_pinv_checked(tree: TreeMatrices, alpha: float | None, tol: Tolerance) -> _Checked:
+def _tree_pinv_checked(tree: TreeMatrices, tol: Tolerance) -> _Checked:
     """tree_pinv, its certified rank n - 1 and its Penrose report."""
     _require_zero_sum(tree, tol)
-    if alpha is not None and float(alpha) == 0.0:
-        raise PreconditionError("alpha must be nonzero")
     margin = (2.0 - tree.dl_residual) / frobenius(tree.L)
     cutoff = tol.rank_cutoff(frobenius(tree.D), tree.n, tree.n)
     if not margin > cutoff:
@@ -295,7 +293,7 @@ def tree_u_and_reconstruction(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Recover u with D^+ = -L/2 + u tau^t + tau u^t and rebuild D^+.
 
-    dpinv is the verified tree_pinv(tree, ...) that the caller holds. u is
+    dpinv is the verified tree_pinv(tree) that the caller holds. u is
     read off it as u = (D^+ e - (e^t D^+ e / 4) tau) / 2; the minus sign is
     forced by D^+ tau = 0, which pins tau^t u to tau^t L tau/(4 ||tau||^2).
     That u must agree with the closed form
@@ -536,9 +534,9 @@ def wheel_properties(n: int, tol: Tolerance = DEFAULT_TOL) -> dict[str, bool]:
     w[0] = (5.0 - n) / 4.0
     shifted = inv134 - (4.0 / m) * np.outer(w, w)
     lap = -2.0 * shifted @ proj
-    lap_eigs = hermitian_eigenvalues(lap, tol)
+    lap_eigs = hermitian_eigenvalues(lap)
     projected = proj @ shifted @ proj
-    projected_eigs = hermitian_eigenvalues(projected, tol)
+    projected_eigs = hermitian_eigenvalues(projected)
     norm_inv, norm_proj = frobenius(inv134), frobenius(proj)
     # the rounding carried by lap = -2 S P, and by every identity built on it
     lap_noise = tol.bound(2.0 * frobenius(shifted), norm_proj)

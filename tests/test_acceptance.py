@@ -233,7 +233,7 @@ def test_criterion_6_zero_sum_tree_suite():
     for case in range(100):
         n = int(rng.integers(3, 21))
         tree = gen_zero_sum_tree(30_000 + case, n)
-        x1 = tree_pinv(tree, alpha=0.9)
+        x1 = tree_pinv(tree)
         pen = penrose_residuals(tree.D, x1)
         scale = max(1.0, frobenius(tree.D))
         worst_pen = max(worst_pen, max(pen.residuals.values()) / scale)

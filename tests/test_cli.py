@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,12 +19,11 @@ import pinvkit.cli
 import pinvkit.core
 from pinvkit.circulant import circ_materialize, circ_pinv_spectral, generator_from_spectrum
 from pinvkit.cli import _write_atomic, main
-from pinvkit.core import gen_random_matrix, penrose_residuals, pinv
+from pinvkit.core import gen_random_matrix, pinv
 from pinvkit.graphdist import gen_zero_sum_tree, tree_build, wheel_build, wheel_pinv
 from pinvkit.linalg import svd, svd_batch
 from pinvkit.matrix import (
     PreconditionError,
-    Tolerance,
     dumps_generator_json,
     dumps_matrix_csv,
     dumps_matrix_json,
@@ -324,14 +324,6 @@ def test_tree_path3(tmp_path, capsys):
     assert report["extras"]["dl_identity_residual"] < 1e-12
 
 
-def test_tree_explicit_alpha(tmp_path, capsys):
-    src = tmp_path / "t.csv"
-    src.write_text("1,2,1\n2,3,-1\n")
-    code, report = run(capsys, ["tree", "--input", str(src), "--alpha", "5"])
-    assert code == 0
-    assert report["extras"]["alpha"] == 5.0
-
-
 def test_tree_nonzero_sum_exits_3(tmp_path, capsys):
     src = tmp_path / "t.csv"
     src.write_text("1,2,1\n2,3,2\n")
@@ -344,54 +336,24 @@ def test_tree_bad_edge_file_exits_1(tmp_path):
     assert main(["tree", "--input", str(src)]) == 1
 
 
-@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "1e400"])
-def test_tree_non_finite_alpha_exits_1_without_warnings(tmp_path, capsys, alpha):
-    src = tmp_path / "t.csv"
-    src.write_text("1,2,1\n2,3,-1\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["tree", "--input", str(src), f"--alpha={alpha}"]) == 1
-    assert "not a finite number" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("alpha", ["1e-20", "1e300", "1e-300"])
-def test_tree_badly_scaled_alpha_names_alpha_and_the_automatic_value(tmp_path, capsys, alpha):
-    # D^+ does not depend on alpha, so any nonzero alpha is only recorded
-    src = tmp_path / "t.csv"
-    src.write_text("1,2,1\n2,3,-1\n")
-    plain, given = tmp_path / "plain.json", tmp_path / "given.json"
-    code, report = run(capsys, ["tree", "--input", str(src), "--output", str(plain)])
-    assert code == 0 and report["extras"]["alpha"] == "auto"
-    argv = ["tree", "--input", str(src), f"--alpha={alpha}", "--output", str(given)]
-    code, report = run(capsys, argv)
-    assert code == 0 and report["extras"]["alpha"] == float(alpha)
-    assert given.read_bytes() == plain.read_bytes()
-
-
-def test_tree_small_negative_alpha_still_passes(tmp_path, capsys):
-    src = tmp_path / "t.csv"
-    src.write_text("1,2,1\n2,3,-1\n")
-    code, report = run(capsys, ["tree", "--input", str(src), "--alpha=-1e-12"])
-    assert code == 0 and report["passed"]
-
-
 # argparse's own negative-number pattern has no exponent and no imaginary
 # unit, so these were taken for flags ("expected one argument")
 NEGATIVE_LITERALS = ["-1e-3", "-1E5", "-2.5e+2", "-2i", "-1-2i", "-.5e1"]
 
 
 @pytest.mark.parametrize("value", NEGATIVE_LITERALS)
-def test_tree_takes_a_negative_literal_as_alpha(tmp_path, capsys, value):
+def test_tree_takes_a_negative_literal_as_tol_residual(tmp_path, capsys, value):
     src = tmp_path / "t.csv"
     src.write_text("1,2,1\n2,3,-1\n")
-    code = main(["tree", "--input", str(src), "--alpha", value])
+    code = main(["tree", "--input", str(src), "--tol-residual", value])
     captured = capsys.readouterr()
     assert "expected one argument" not in captured.err
     if parse_complex(value).imag:
-        # the value reaches --alpha's own check, which wants a real number
-        assert code == 1 and f"not a finite number: '{value}'" in captured.err
+        # the value reaches the flag's float type, which wants a real number
+        assert code == 1 and f"invalid float value: '{value}'" in captured.err
     else:
-        assert code == 0 and json.loads(captured.out)["extras"]["alpha"] == float(value)
+        # a real value reaches Tolerance, which refuses a negative factor
+        assert code == 3 and "tolerances must be finite" in captured.err
 
 
 @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
@@ -430,7 +392,7 @@ def test_circ_takes_a_generator_with_a_negative_first_entry(tmp_path, capsys, ge
     [
         ["circ", "--method", "two-term", "--alpha", "--beta", "1", "--n", "8", "--k", "1"],
         ["circ", "--method", "two-term", "--alpha", "1", "--beta", "--n", "8", "--k", "1"],
-        ["tree", "--input", "t.csv", "--alpha", "--output", "d.json"],
+        ["tree", "--input", "t.csv", "--tol-residual", "--output", "d.json"],
     ],
 )
 def test_flag_without_its_value_still_exits_1(tmp_path, monkeypatch, capsys, argv):
@@ -448,8 +410,6 @@ def test_tree_method_names_the_form_that_ran(tmp_path, capsys):
     tree = tree_build(loads_tree_csv(src.read_text()))
     assert float(tree.tau @ tree.L @ tree.tau) == 0.0
     code, report = run(capsys, ["tree", "--input", str(src)])
-    assert code == 0 and report["method"] == "closed-form"
-    code, report = run(capsys, ["tree", "--input", str(src), "--alpha", "5"])
     assert code == 0 and report["method"] == "closed-form"
 
 
@@ -609,6 +569,103 @@ def test_gen_random_matrix_with_rank(tmp_path, capsys):
 
 
 # --------------------------------------------------------------------------
+# input branches: each refused input exits with its code and writes nothing
+
+
+def test_two_term_generator_that_wraps_around_gives_the_flags_bytes(tmp_path, capsys):
+    # alpha at index n - 1 is followed, cyclically, by beta at index 0
+    n = 7
+    flags, wrapped = tmp_path / "flags.json", tmp_path / "wrapped.json"
+    argv = ["circ", "--method", "two-term"]
+    code, report = run(capsys, [*argv, "--alpha=1.5", "--beta=-0.25", f"--n={n}", f"--k={n}",
+                                "--output", str(flags)])
+    assert code == 0 and report["rank"] == n
+    gen = ",".join(["-0.25", *["0"] * (n - 2), "1.5"])
+    code, report = run(capsys, [*argv, f"--gen={gen}", "--output", str(wrapped)])
+    assert code == 0 and report["rank"] == n
+    assert wrapped.read_bytes() == flags.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["circ", "--method", "two-term", "--gen", "1,1,1,0"], 3,
+         "exactly two nonzero entries, found 3"),
+        (["circ", "--method", "two-term", "--gen", "0,0,1,0"], 3,
+         "exactly two nonzero entries, found 1"),
+        # a single-dash token that is no literal is a flag, so --gen has no value
+        (["circ", "--gen", "-x"], 1, "expected one argument"),
+    ],
+)
+def test_refused_command_line_writes_nothing(tmp_path, monkeypatch, capsys, argv, code, message):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--output", "x.json"]) == code
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{", "invalid JSON"),
+        ("[1, 2]", 'generator JSON needs "n" and "gen"'),
+        ('{"gen": [[1, 0], [0, 0]]}', 'generator JSON needs "n" and "gen"'),
+        ('{"n": 1, "gen": [[1, 0]]}', "n must be an integer >= 2"),
+        ('{"n": true, "gen": [[1, 0], [0, 0]]}', "n must be an integer >= 2"),
+        ('{"n": 2.0, "gen": [[1, 0], [0, 0]]}', "n must be an integer >= 2"),
+        ('{"n": 3, "gen": [[1, 0], [0, 0]]}', "gen must hold n entries"),
+        ('{"n": 2, "gen": "1,0"}', "gen must hold n entries"),
+    ],
+)
+def test_malformed_generator_json_exits_1(tmp_path, monkeypatch, capsys, text, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.json").write_text(text)
+    assert main(["circ", "--input", "g.json", "--output", "x.json"]) == 1
+    assert message in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["g.json"]
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '{"rows": 1, "cols": 1}', '"a"'])
+def test_matrix_json_without_its_keys_exits_1(tmp_path, monkeypatch, capsys, text):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.json").write_text(text)
+    assert main(["pinv", "--input", "a.json", "--output", "x.json"]) == 1
+    assert 'matrix JSON needs "rows", "cols", "data"' in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["a.json"]
+
+
+def test_tree_csv_skips_blank_lines(tmp_path, capsys):
+    plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+    plain.write_text("1,2,1\n2,3,-1\n")
+    blank.write_text("\n1,2,1\n   \n2,3,-1\n\n")
+    outputs = []
+    for src in (plain, blank):
+        out = tmp_path / f"{src.stem}.json"
+        code, report = run(capsys, ["tree", "--input", str(src), "--output", str(out)])
+        assert code == 0 and report["rank"] == 2
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "text, code, message",
+    [
+        ("1,2,nan\n2,3,-1\n", 1, "line 1: non-finite weight"),
+        ("1,2,1\n2,3,-inf\n", 1, "line 2: non-finite weight"),
+        ("", 1, "empty tree file"),
+        ("\n  \n", 1, "empty tree file"),
+        ("0,1,1\n1,2,-1\n", 3, "edge (0, 1) uses a non-positive vertex label"),
+    ],
+)
+def test_refused_tree_file_writes_nothing(tmp_path, monkeypatch, capsys, text, code, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.csv").write_text(text)
+    assert main(["tree", "--input", "t.csv", "--output", "d.json"]) == code
+    assert message in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["t.csv"]
+
+
+# --------------------------------------------------------------------------
 # plumbing: exit codes, tolerance resolution, pretty output
 
 
@@ -698,6 +755,13 @@ def test_gen_negative_seed_exits_3_and_writes_nothing(tmp_path, monkeypatch, cap
     assert list(tmp_path.iterdir()) == []
 
 
+def help_flags(capsys, command: str) -> set[str]:
+    """The flags that command --help lists."""
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    return set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+
+
 SHARED_FLAGS = {"--help", "--tol-rank", "--tol-residual", "--pretty"}
 
 
@@ -707,16 +771,35 @@ SHARED_FLAGS = {"--help", "--tol-rank", "--tol-residual", "--pretty"}
         ("pinv", {"--method", "--input", "--aux", "--output"}),
         ("circ", {"--method", "--gen", "--alpha", "--beta", "--k", "--q", "--n",
                   "--input", "--output"}),
-        ("tree", {"--alpha", "--input", "--output"}),
+        ("tree", {"--input", "--output"}),
         ("wheel", {"--n", "--output"}),
         ("verify", {"--input", "--aux"}),
         ("gen", {"--rows", "--cols", "--k", "--n", "--seed", "--output"}),
     ],
 )
 def test_help_lists_only_the_flags_the_handler_reads(capsys, command, flags):
-    with pytest.raises(SystemExit):
-        main([command, "--help"])
-    assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == flags | SHARED_FLAGS
+    assert help_flags(capsys, command) == flags | SHARED_FLAGS
+
+
+def readme_flag_table() -> dict[str, set[str]]:
+    """README's per-subcommand table: each subcommand and the flags its row names."""
+    lines = (Path(__file__).parent.parent / "README.md").read_text().splitlines()
+    start = lines.index("| subcommand | flags |") + 2  # past the header and its rule
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        command, flags = re.fullmatch(r"\| `([a-z]+)` \| (.*) \|", line).groups()
+        table[command] = set(re.findall(r"--[a-z][a-z-]*", flags))
+    return table
+
+
+def test_readme_flag_table_matches_the_parser(capsys):
+    table = readme_flag_table()
+    assert sorted(table) == sorted(["pinv", "circ", "tree", "wheel", "verify", "gen"])
+    for command, flags in table.items():
+        # README says that every subcommand takes the shared flags as well
+        assert help_flags(capsys, command) == flags | SHARED_FLAGS, command
 
 
 REPORT_KEYS = [
@@ -730,7 +813,7 @@ REPORT_KEYS = [
     [
         ("pinv", []),
         ("circ", ["support"]),
-        ("tree", ["alpha", "weight_sum", "u", "reconstruction_gap", "dl_identity_residual"]),
+        ("tree", ["weight_sum", "u", "reconstruction_gap", "dl_identity_residual"]),
         ("wheel", ["n", "z24", "z_identities", "eigvector_residual"]),
         ("verify", ["residuals"]),
         ("gen", ["kind", "seed", "weight_sum", "files"]),
@@ -791,28 +874,6 @@ def test_json_part_beyond_float_range_or_bool_exits_1(tmp_path, capsys, command,
     assert "parse error" in capsys.readouterr().err
 
 
-def test_env_var_sets_residual_bound(tmp_path, capsys, monkeypatch):
-    a = write_matrix(tmp_path / "a.json", np.diag([2.0, 0.0]))
-    x = write_matrix(tmp_path / "x.json", np.diag([0.5 + 1e-5, 0.0]))
-    assert main(["verify", "--input", a, "--aux", x]) == 2
-    capsys.readouterr()
-    monkeypatch.setenv("PINVKIT_TOL_RESIDUAL", "0.1")
-    code, report = run(capsys, ["verify", "--input", a, "--aux", x])
-    assert code == 0
-    # the bound of the equation nearest its bound, relative factor 0.1
-    tol = Tolerance(residual_rel=0.1)
-    rep = penrose_residuals(np.diag([2.0, 0.0]), np.diag([0.5 + 1e-5, 0.0]), tol)
-    assert report["residual_bound"] == pytest.approx(rep.bounds[rep.worst[0]])
-    # explicit flag wins over the environment
-    assert main(["verify", "--input", a, "--aux", x, "--tol-residual", "1e-9"]) == 2
-
-
-def test_env_var_invalid_exits_1(tmp_path, monkeypatch):
-    a = write_matrix(tmp_path / "a.json", np.eye(2))
-    monkeypatch.setenv("PINVKIT_TOL_RESIDUAL", "not-a-float")
-    assert main(["verify", "--input", a, "--aux", a]) == 1
-
-
 def test_negative_tolerance_exits_3(tmp_path):
     a = write_matrix(tmp_path / "a.json", np.eye(2))
     assert main(["pinv", "--input", a, "--tol-residual", "-1"]) == 3
@@ -824,13 +885,6 @@ def test_infinite_tolerance_flag_exits_3(tmp_path, flag):
     a = write_matrix(tmp_path / "a.json", np.diag([2.0, 1.0]))
     x = write_matrix(tmp_path / "x.json", np.diag([3.0, -4.0]))
     assert main(["verify", "--input", a, "--aux", x, flag, "inf"]) == 3
-
-
-def test_infinite_tolerance_env_var_exits_3(tmp_path, monkeypatch):
-    a = write_matrix(tmp_path / "a.json", np.diag([2.0, 1.0]))
-    x = write_matrix(tmp_path / "x.json", np.diag([3.0, -4.0]))
-    monkeypatch.setenv("PINVKIT_TOL_RESIDUAL", "inf")
-    assert main(["verify", "--input", a, "--aux", x]) == 3
 
 
 def test_concurrent_writes_leave_one_complete_file(tmp_path):

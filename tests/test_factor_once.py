@@ -136,12 +136,11 @@ def test_wheel_command_builds_the_wheel_once(capsys, monkeypatch):
 
 
 def test_tree_command_factors_the_shifted_matrix_once(tmp_path, capsys, monkeypatch):
-    # D^+ comes from the closed form whatever alpha is given, so no LU runs
+    # D^+ comes from the closed form, so no LU runs
     src = write_tree(tmp_path, gen_zero_sum_tree(11, 24))
     calls = record_calls(monkeypatch, lu_solve)
-    for alpha in (["--alpha", "0.5"], []):
-        code, report = run(capsys, ["tree", "--input", src, *alpha])
-        assert code == 0 and report["method"] == "closed-form"
+    code, report = run(capsys, ["tree", "--input", src])
+    assert code == 0 and report["method"] == "closed-form"
     assert len(calls) == 0
 
 
@@ -442,7 +441,7 @@ def test_explicit_auto_alpha_on_a_graded_tree_passes():
     # an LU inverse of D + alpha tau tau^t misses penrose4 here by 20 times
     # its bound, as cond(D + alpha tau tau^t) is 3.9e8
     tree = graded_zero_sum_tree(0)
-    tree_pinv(tree, _auto_alpha(tree, DEFAULT_TOL))
+    tree_pinv(tree)
 
 
 @pytest.mark.parametrize("spread", [1e6, 1e8])
@@ -456,8 +455,8 @@ def test_tree_routes_at_an_explicit_auto_alpha_factor_nothing_on_graded_trees(
     alpha = _auto_alpha(tree, DEFAULT_TOL)
     src = write_tree(tmp_path, tree)
     calls = [record_calls(monkeypatch, f) for f in (lu_solve, svd, cholesky_factor)]
-    code, report = run(capsys, ["tree", "--input", src, f"--alpha={alpha!r}"])
-    assert code == 0 and report["extras"]["alpha"] == alpha
+    code, report = run(capsys, ["tree", "--input", src])
+    assert code == 0
     x = tree_shift_inverse(tree, alpha)
     assert calls == [[], [], []]
     assert is_134_inverse(tree.D, x)

@@ -158,16 +158,7 @@ def test_gen_zero_sum_tree_is_deterministic_and_zero_sum():
 
 def test_tree_pinv_path3_is_half_d():
     tree = tree_build(PATH3_EDGES)
-    np.testing.assert_allclose(tree_pinv(tree, alpha=1.0), PATH3_D / 2.0, atol=1e-14)
-
-
-def test_tree_pinv_alpha_invariance():
-    tree = tree_build(PATH3_EDGES)
-    np.testing.assert_allclose(tree_pinv(tree, 5.0), tree_pinv(tree, 1.0), atol=1e-12)
-    random_tree = gen_zero_sum_tree(3, 8)
-    np.testing.assert_allclose(
-        tree_pinv(random_tree, -2.5), tree_pinv(random_tree, 0.7), atol=1e-11
-    )
+    np.testing.assert_allclose(tree_pinv(tree), PATH3_D / 2.0, atol=1e-14)
 
 
 def test_tree_pinv_matches_oracle_on_random_tree():
@@ -194,7 +185,7 @@ def test_tree_pinv_refuses_nonzero_weight_sum():
 def test_tree_pinv_rejects_zero_alpha():
     tree = tree_build(PATH3_EDGES)
     with pytest.raises(PreconditionError, match="alpha"):
-        tree_pinv(tree, alpha=0.0)
+        tree_shift_inverse(tree, alpha=0.0)
 
 
 def test_shift_inverse_is_134_but_shift_itself_is_not():
@@ -220,7 +211,6 @@ def test_shift_inverse_refuses_an_alpha_whose_dyad_overflows(alpha):
     tree = tree_build(PATH3_EDGES)
     with pytest.raises(PreconditionError, match=f"alpha = {alpha:.6g}"):
         tree_shift_inverse(tree, alpha)
-    np.testing.assert_array_equal(tree_pinv(tree, alpha), tree_pinv(tree))
 
 
 @pytest.mark.parametrize("alpha", [np.inf, -np.inf, np.nan])

@@ -31,8 +31,16 @@ from pinvkit.core import (
     pinv,
     pinv_normal_equations,
 )
+from pinvkit.graphdist import gen_zero_sum_tree
 from pinvkit.linalg import inverse, svd, unit_scale
-from pinvkit.matrix import dagger, dumps_matrix_json, loads_matrix_json
+from pinvkit.matrix import (
+    dagger,
+    dumps_matrix_json,
+    dumps_tree_csv,
+    format_complex,
+    loads_generator_json,
+    loads_matrix_json,
+)
 from pinvkit.sumdecomp import (
     OperatorFamily,
     completion_pinv_pair,
@@ -202,6 +210,109 @@ def test_routes_are_scale_equivariant(name, k):
     assert passed0 and rank0 > 0
     assert x.shape == x0.shape and np.array_equal(x, x0 * 2.0**-k)
     assert rank == rank0 and passed == passed0
+
+
+# --------------------------------------------------------------------------
+# scale equivariance of the command line: every numeric input times 2^k
+
+
+SCALES = (-600, -3, 5, 600)
+MATRIX_CASES = {
+    "square": gen_random_matrix(31, 8, 8),
+    "square-rank-5": gen_random_matrix(32, 8, 8, rank=5),
+    "tall": gen_random_matrix(33, 12, 6),
+    "wide-rank-4": gen_random_matrix(34, 6, 12, rank=4),
+}
+
+
+def cli_run(tmp_path, capsys, argv, load):
+    """(exit code, rank, passed, X or None) of main(argv + --output), X read
+    back from the output file by load."""
+    out = tmp_path / "x.json"
+    out.unlink(missing_ok=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([*argv, "--output", str(out)])
+    report = json.loads(capsys.readouterr().out)
+    x = load(out.read_text()) if out.exists() else None
+    return code, report["rank"], report["passed"], x
+
+
+def assert_scale_equivariant(tmp_path, capsys, argv_at, load):
+    """argv_at(k) is the command on every numeric input times 2^k; each k in
+    SCALES gives the exit code, rank and verdict of k = 0, and 2^-k X."""
+    code0, rank0, passed0, x0 = cli_run(tmp_path, capsys, argv_at(0), load)
+    assert code0 == 0 and passed0 and rank0 > 0
+    for k in SCALES:
+        code, rank, passed, x = cli_run(tmp_path, capsys, argv_at(k), load)
+        assert (code, rank, passed) == (code0, rank0, passed0), k
+        assert x.shape == x0.shape and np.array_equal(x, x0 * 2.0**-k), k
+
+
+@pytest.mark.parametrize("method", ["svd", "normal", "rank-completion"])
+@pytest.mark.parametrize("name", list(MATRIX_CASES))
+def test_pinv_command_is_scale_equivariant(tmp_path, capsys, method, name):
+    a, path = MATRIX_CASES[name], tmp_path / "a.json"
+
+    def argv_at(k):
+        path.write_text(dumps_matrix_json(a * 2.0**k))
+        return ["pinv", "--method", method, "--input", str(path)]
+
+    assert_scale_equivariant(tmp_path, capsys, argv_at, loads_matrix_json)
+
+
+@pytest.mark.parametrize("name", ["pair-invertible", "pair-gram"])
+def test_pair_command_is_scale_equivariant(tmp_path, capsys, name):
+    a, b = ROUTES[name][2]
+    a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
+
+    def argv_at(k):
+        a_path.write_text(dumps_matrix_json(a * 2.0**k))
+        b_path.write_text(dumps_matrix_json(b * 2.0**k))
+        return ["pinv", "--method", "pair", "--input", str(a_path), "--aux", str(b_path)]
+
+    assert_scale_equivariant(tmp_path, capsys, argv_at, loads_matrix_json)
+
+
+GEN = np.array([1.5 - 0.5j, 0.25, -2.0 + 1.0j, 0.75j, 1.0, -0.5, 0.125, 3.0])
+ZERO_SUM_GEN = np.array([1.0, -2.0 + 0.5j, 0.5, 0.5 - 0.5j, 0.0, 0.0])
+CIRC_CASES = {
+    # (method, generator or None, scaled flags, fixed flags)
+    "spectral": ("spectral", GEN, {}, []),
+    "spectral-singular": ("spectral", ZERO_SUM_GEN, {}, []),
+    "two-term-flags": ("two-term", None, {"alpha": 1.5, "beta": -0.5 + 1j}, ["--n=8", "--k=3"]),
+    "two-term-singular": ("two-term", None, {"alpha": 1.25, "beta": -1.25}, ["--n=6", "--k=1"]),
+    "two-term-gen": ("two-term", np.array([0, 0, 2.0, 0.5j, 0, 0]), {}, []),
+    "zero-sum-shifted": ("zero-sum", ZERO_SUM_GEN, {"alpha": 0.7}, []),
+    "zero-sum-mean-split": ("zero-sum", GEN, {}, []),
+    "block": ("block", None, {"alpha": 1.5, "beta": -0.7 + 0.25j}, ["--k=2", "--q=3"]),
+}
+
+
+@pytest.mark.parametrize("name", list(CIRC_CASES))
+def test_circ_command_is_scale_equivariant(tmp_path, capsys, name):
+    method, gen, scaled, fixed = CIRC_CASES[name]
+
+    def argv_at(k):
+        argv = ["circ", "--method", method, *fixed]
+        if gen is not None:
+            argv.append("--gen=" + ",".join(format_complex(g * 2.0**k) for g in gen))
+        for flag, value in scaled.items():
+            argv.append(f"--{flag}={format_complex(value * 2.0**k)}")
+        return argv
+
+    assert_scale_equivariant(tmp_path, capsys, argv_at, loads_generator_json)
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_tree_command_is_scale_equivariant(tmp_path, capsys, seed):
+    edges, path = gen_zero_sum_tree(seed, 9).edges, tmp_path / "t.csv"
+
+    def argv_at(k):
+        path.write_text(dumps_tree_csv([(i, j, w * 2.0**k) for i, j, w in edges]))
+        return ["tree", "--input", str(path)]
+
+    assert_scale_equivariant(tmp_path, capsys, argv_at, loads_matrix_json)
 
 
 TALL_PAIR = (
