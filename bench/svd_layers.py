@@ -24,12 +24,21 @@ sigma, U and V); it exits 1 if any check fails. Everything is written with
 the machine's description to a JSON file. Only the standard library, numpy
 and pinvkit are used.
 
-The medians compare the variants inside one process. To compare two
-checkouts, alternate runs of each: a whole process's speed can move by 1.6x
-from run to run on a shared host.
+The medians compare the variants inside one process; a whole process's
+speed can move by 1.6x from run to run on a shared host, so two checkouts
+are compared in one process too. --against DIR imports DIR/src/pinvkit
+under the name pinvkit_against beside this checkout's pinvkit and, at every
+shape (both kernels) and every stack (svd_batch), alternates calls to the
+two, the side that goes first switching with each repeat. Its "against"
+section records each median, the median of the per-repeat ratios
+(this / DIR) and bit_identical: rank, zeroed mass, sigma, U and V of every
+factorization equal DIR's byte for byte. A markdown table of them ends the
+printout. A bit difference is reported, not failed on, since a change may
+move bits on purpose; the exit status comes from the checks above alone.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 bench/svd_layers.py
     PYTHONPATH=src python3 bench/svd_layers.py --out x.json --repeats 3
+    PYTHONPATH=src python3 bench/svd_layers.py --repeats 15 --against ../parent
 
 The first form writes BENCH_svd.json in the current directory.
 """
@@ -37,7 +46,11 @@ The first form writes BENCH_svd.json in the current directory.
 from __future__ import annotations
 
 import argparse
+import importlib.util
+import pathlib
+import statistics
 import sys
+import time
 
 import numpy as np
 from ledger import median_ms, write_ledger
@@ -168,13 +181,97 @@ def measure_stack(label: str, mats: list[np.ndarray], repeats: int) -> dict:
     }
 
 
+def load_checkout(path: str):
+    """The pinvkit package of the checkout at path, imported as
+    pinvkit_against beside this one; its modules import each other
+    relatively, so they resolve inside it."""
+    package = pathlib.Path(path, "src", "pinvkit")
+    spec = importlib.util.spec_from_file_location(
+        "pinvkit_against", package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def paired(this, other, repeats: int) -> dict:
+    """Median ms of this and of other over alternating calls, the side that
+    goes first switching each repeat, and the median of this / other."""
+    times = ([], [])
+    for repeat in range(repeats):
+        for side in ((0, 1), (1, 0))[repeat % 2]:
+            start = time.perf_counter()
+            (this, other)[side]()
+            times[side].append(time.perf_counter() - start)
+    return {
+        "median_ms": 1e3 * statistics.median(times[0]),
+        "against_ms": 1e3 * statistics.median(times[1]),
+        "ratio": statistics.median(a / b for a, b in zip(*times)),
+    }
+
+
+def against(path: str, repeats: int) -> dict:
+    """The "against" section: this checkout's kernels against path's, in
+    one process, at every shape and stack."""
+    other = load_checkout(path).linalg
+    shapes = []
+    for m, n, r in SHAPES:
+        a = low_rank(np.random.default_rng(1000 * m + 10 * n + r), m, n, r)
+        kernels, identical = {}, True
+        for name, deflate in (("svd", False), ("deflated", True)):
+            identical &= same_bits(svd(a, deflate=deflate), other.svd(a, deflate=deflate))
+            kernels[name] = paired(
+                lambda: svd(a, deflate=deflate), lambda: other.svd(a, deflate=deflate), repeats
+            )
+        shapes.append({"m": m, "n": n, "rank": r, "kernels": kernels, "bit_identical": bool(identical)})
+    batched = []
+    for label, mats in stacks():
+        identical = all(map(same_bits, svd_batch(mats, deflate=True), other.svd_batch(mats, deflate=True)))
+        batched.append({
+            "stack": label, "m": mats[0].shape[0], "n": mats[0].shape[1], "k": len(mats),
+            **paired(lambda: svd_batch(mats, deflate=True), lambda: other.svd_batch(mats, deflate=True), repeats),
+            "bit_identical": identical,
+        })
+    return {
+        "checkout": path,
+        "shapes": shapes,
+        "batched": batched,
+        "bit_identical": all(row["bit_identical"] for row in shapes + batched),
+    }
+
+
+def against_table(section: dict) -> str:
+    """The "against" section as a markdown table, one line per shape and kernel or stack."""
+    lines = [
+        f"Against {section['checkout']}: ratio is this / that, the median over alternating calls.",
+        "",
+        "| input | kernel | this ms | that ms | ratio | bit_identical |",
+        "|---|---|---:|---:|---:|---|",
+    ]
+    for row in section["shapes"]:
+        for name, k in row["kernels"].items():
+            lines.append(
+                f"| {row['m']}x{row['n']} r{row['rank']} | {name} | {k['median_ms']:.3f}"
+                f" | {k['against_ms']:.3f} | {k['ratio']:.3f} | {row['bit_identical']} |"
+            )
+    for row in section["batched"]:
+        lines.append(
+            f"| {row['stack']} (k={row['k']}) | batched | {row['median_ms']:.3f}"
+            f" | {row['against_ms']:.3f} | {row['ratio']:.3f} | {row['bit_identical']} |"
+        )
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default="BENCH_svd.json")
     parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--against", metavar="DIR", help="a checkout to compare with in this process")
     args = parser.parse_args(argv)
     rows = [measure(*shape, args.repeats) for shape in SHAPES]
     batched = [measure_stack(label, mats, args.repeats) for label, mats in stacks()]
+    extra = {"against": against(args.against, args.repeats)} if args.against else {}
     payload = write_ledger(
         args.out, "svd", args.repeats,
         shapes=rows,
@@ -185,6 +282,7 @@ def main(argv=None) -> int:
         batched_total_median_ms={
             name: sum(row["median_ms"][name] for row in batched) for name in ("separate", "batched")
         },
+        **extra,
     )
     for row in rows:
         print(
@@ -204,6 +302,8 @@ def main(argv=None) -> int:
             f"  separate {ms['separate']:6.2f} ms  batched {ms['batched']:6.2f} ms"
             f"  bit-identical {row['checks']['bit_identical']}"
         )
+    if args.against:
+        print(against_table(payload["against"]))
     agree = all(row["checks"]["agree"] for row in rows)
     identical = all(row["checks"]["bit_identical"] for row in batched)
     return 0 if agree and identical else 1

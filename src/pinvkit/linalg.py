@@ -33,10 +33,13 @@ alone, while at small n, where a round costs mostly numpy's call overhead,
 a round over the stack costs little more than one member's does (one-sided
 Jacobi over many small matrices at once, as in Boukaram, Turkiyyah,
 Ltaief and Keyes 2018). One batched Gram product per sweep certifies all
-the members at once. The rounds rotate into arrays that are allocated
-once per stack size, not per round. The routes that factor several
-matrices of one shape, Fill-Fishkind and the pair completion, factor them
-together.
+the members at once. Every array and view a round writes, the rotated
+stack and each per-pair vector, is made once per stack size, not per
+round, and the inner products call einsum's C function without
+np.einsum's Python wrapper, so a round costs about the numpy calls its
+formulas need, with the bits of the form that makes a new array per
+product. The routes that factor several matrices of one shape,
+Fill-Fishkind and the pair completion, factor them together.
 
 A column whose norm falls to the dead floor is frozen at zero. svd keeps
 that floor at u^3 ||A||_F, so tiny but genuine singular values, such as
@@ -78,6 +81,24 @@ from .matrix import (
 )
 
 _EPS = 2.0 * UNIT_ROUNDOFF  # machine epsilon for float64
+
+
+def _bind_einsum():
+    """einsum's C function, which np.einsum calls with the same arguments
+    when optimize is not given, without the Python wrapper's cost per call:
+    numpy 2 keeps it in numpy._core, numpy 1 in numpy.core, and np.einsum
+    itself stands in should neither hold it."""
+    try:
+        from numpy._core.multiarray import c_einsum
+    except ImportError:
+        try:
+            from numpy.core.multiarray import c_einsum
+        except ImportError:
+            return np.einsum
+    return c_einsum
+
+
+_einsum = _bind_einsum()
 
 
 @dataclass
@@ -253,7 +274,7 @@ def _complete_orthonormal(cols: np.ndarray, total: int) -> np.ndarray:
 def _squared_norms(rows: np.ndarray) -> np.ndarray:
     """Squared 2-norm of each row of a C-contiguous complex array."""
     flat = rows.view(np.float64)
-    return np.einsum("ij,ij->i", flat, flat)
+    return _einsum("ij,ij->i", flat, flat)
 
 
 def _certified(bt: np.ndarray, norms2: np.ndarray, threshold: float) -> np.ndarray:
@@ -294,9 +315,9 @@ def svd(
     unit_scale(a) a, so subnormal input keeps its rank. Raises
     PreconditionError on inf or nan entries. The loop runs on a stack:
     svd_batch puts the p-rows of all its members over all their q-rows, so
-    each round is this round with halves k times as tall, and svd is
-    svd_batch on the stack of one member, a wide a factored through its
-    adjoint.
+    each round is this round with halves k times as tall, and svd runs the
+    same loop on the stack of one member, a wide a factored through its
+    adjoint, so it is bit-identical to svd_batch((a,))[0].
 
     A column is frozen at zero once its norm falls to the dead floor. By
     default that floor is u^3 ||A||_F, so singular values far below the
@@ -313,7 +334,10 @@ def svd(
     routes and the CLI) turn it on; the tau cap keeps each zeroed column
     within the Penrose bounds of AX and XA.
     """
-    return svd_batch((a,), tol, max_sweeps, deflate)[0]
+    a = np.asarray(a, dtype=np.complex128)
+    if a.shape[0] < a.shape[1]:
+        return _jacobi_stack([dagger(a)], tol, max_sweeps, deflate)[0].adjoint()
+    return _jacobi_stack([a], tol, max_sweeps, deflate)[0]
 
 
 def svd_batch(
@@ -352,17 +376,13 @@ def _jacobi_stack(
     over their q-rows (_stack_schedule), so a round is the one-member round
     with its halves k times as tall. A member whose round has no live pair is
     left exactly as it was, and a member that is certified, or whose sweep
-    rotated nothing, leaves the stack at once and is finished alone.
-
-    A round allocates nothing of the stack's size. It rotates the stack into
-    a spare array of the same shape through out= arguments, with one scratch
-    array half as tall, and the row move to the next round takes the rotated
-    rows back into the stack; these arrays are rebuilt only when a member
-    leaves. A round in which every pair is live skips the masks that give
-    idle pairs the identity. Writing through out= does the arithmetic of
-    forming each product in a new array, and c and s are kept as the complex
-    values that a real-by-complex product casts them to, so where a result
-    is written changes none of its bits.
+    rotated nothing, leaves the stack at once and is finished alone. Every
+    array that the sweeps and rounds write into, and every view of one, is
+    made by _stack_round once per stack size, when the loop starts and again
+    after members leave; its docstring lists them, with the direct einsum
+    call, and says why none of them changes a bit. A stack of one compares
+    its norms with its dead floor as a scalar, so no per-row floors are
+    built for it.
     """
     k = len(mats)
     m, n = mats[0].shape
@@ -410,9 +430,10 @@ def _jacobi_stack(
         kk, rest = len(members), stacked.shape[1:]
         return stacked.reshape(2, kk, h, *rest).swapaxes(0, 1).reshape(kk, size, *rest)
 
-    def leave(positions=()) -> tuple[int, tuple[np.ndarray, ...], np.ndarray]:
+    def leave(positions=()) -> tuple[int, tuple[np.ndarray, ...], tuple]:
         """Finish the members at these stack positions and drop their rows;
-        return the stack's size, row moves and per-row dead floors."""
+        return the stack's size, its row moves, and its sweep start and round
+        (_stack_round)."""
         nonlocal w, members
         if positions:
             columns = _stack_schedule(n, len(members))[2]
@@ -422,17 +443,20 @@ def _jacobi_stack(
                 done[j] = _factorization(rows[pos][columns], m, n, scales[j], zeroed2[j], tol)
             keep = [pos for pos in range(len(members)) if pos not in positions]
             if not keep:
-                return 0, (), np.empty(0)
+                return 0, (), (None, None)
             w = w.reshape(2, len(members), h, m + n)[:, keep].reshape(2 * len(keep) * h, m + n)
             members = [members[pos] for pos in keep]
-        floors = np.repeat(floors2[members], h)
-        return len(members), _stack_schedule(n, len(members))[1], np.concatenate((floors, floors))
+        kk = len(members)
+        if kk == 1:
+            dead_floor = floors2[members[0]]
+        else:
+            floors = np.repeat(floors2[members], h)
+            dead_floor = np.concatenate((floors, floors))
+        return kk, _stack_schedule(n, kk)[1], _stack_round(w, kk, m, threshold, dead_floor)
 
-    kk, steps, dead_floor = leave()
-    spare = None
+    kk, steps, (sweep_start, rotate) = leave()
     for sweep in itertools.count():
-        norms2 = _squared_norms(w[:, :m])
-        dead = norms2 <= dead_floor
+        norms2, dead = sweep_start()
         if np.count_nonzero(dead):
             # one sum per member over its dead rows in its own layout, the
             # order in which np.sum adds them for the member alone; a member
@@ -442,7 +466,7 @@ def _jacobi_stack(
             w[dead, :m] = 0.0
         certified = _certified(by_member(w[:, :m]), by_member(norms2), threshold)
         if np.count_nonzero(certified):
-            kk, steps, dead_floor = leave([pos for pos in range(kk) if certified[pos]])
+            kk, steps, (sweep_start, rotate) = leave([pos for pos in range(kk) if certified[pos]])
             if not kk:
                 break
         if sweep >= max_sweeps:
@@ -450,78 +474,148 @@ def _jacobi_stack(
                 f"one-sided Jacobi SVD did not converge within {max_sweeps} sweeps"
                 f"{_member(members[0], k)}"
             )
-        half = kk * h
-        if spare is None or spare.shape != w.shape:
-            # The round's arrays and their views, made when the first sweep
-            # runs and again after members leave; the rounds keep the stack
-            # in w, so the views stay valid until then.
-            spare = np.empty_like(w)
-            scratch = np.empty((half, m + n), dtype=np.complex128)
-            cs = np.zeros((2, half, 1), dtype=np.complex128)  # c and s; imaginary parts stay 0
-            bt, wp, wq, lo, hi = w[:, :m], w[:half], w[half:], spare[:half], spare[half:]
-            bp, bq = bt[:half], bt[half:]
-            c, s, c_real, s_real = cs[0], cs[1], cs.real[0, :, 0], cs.real[1, :, 0]
-            conj = scratch.reshape(-1)[: half * m].reshape(half, m)  # conj(b_p) of a round
         rotated = np.zeros(kk, dtype=bool)
         for step in steps:
-            norms2 = _squared_norms(bt)
-            root = np.sqrt(norms2)
-            alive = norms2 > dead_floor
-            app, aqq = norms2[:half], norms2[half:]
-            apq = np.einsum("ij,ij->i", np.conjugate(bp, out=conj), bq)
-            gam = np.abs(apq)
-            live = alive[:half] & alive[half:] & (gam > threshold * root[:half] * root[half:])
-            count = np.count_nonzero(live)
-            if not count:
-                w.take(step, axis=0, out=spare, mode="wrap")
-                np.copyto(w, spare)
-                continue
-            # Real rotation (c, s) after the phase diag(1, conj(apq)/|apq|);
-            # together they zero b_p* b_q. Pairs that are not live get phase
-            # 1 and t = 0, so c = 1 and s = 0 leave them exactly.
-            idle = None if count == half else ~live
-            if idle is not None:
-                gam[idle] = 1.0
-            phase = np.conj(apq / gam)
-            zeta = (aqq - app) / (2.0 * gam)
-            t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
-            if idle is not None:
-                phase[idle] = 1.0
-                t[idle] = 0.0
-            # c and s go into the real parts of cs: the complex values that
-            # multiplying real c and s by the complex columns would cast them to
-            np.divide(1.0, np.sqrt(1.0 + t * t), out=c_real)
-            np.multiply(c_real, t, out=s_real)
-            turn = cs[::-1] * phase[:, None]  # s phase and c phase
-            np.multiply(c, wp, out=lo)
-            np.multiply(turn[0], wq, out=scratch)
-            np.subtract(lo, scratch, out=lo)
-            np.multiply(s, wp, out=hi)
-            np.multiply(turn[1], wq, out=scratch)
-            np.add(hi, scratch, out=hi)
-            if idle is None or kk == 1:
-                rotated[:] = True
-            else:
-                moved = live.reshape(kk, h).any(axis=1)
-                rotated |= moved
-                if not moved.all():
-                    # the identity rotation can flip the sign of a zero, so a
-                    # member without a live pair keeps its rows as they were,
-                    # as it would skip the round alone
-                    np.copyto(
-                        spare.reshape(2, kk, h, m + n),
-                        w.reshape(2, kk, h, m + n),
-                        where=~moved[None, :, None, None],
-                    )
-            spare.take(step, axis=0, out=w, mode="wrap")
+            rotate(step, rotated)
         if not rotated.all():
             # Every round passed the test although the Gram product did not:
             # the two disagree only by rounding, and this sweep confirmed
             # convergence the way each round tests it.
-            kk, steps, dead_floor = leave([pos for pos in range(kk) if not rotated[pos]])
+            kk, steps, (sweep_start, rotate) = leave([pos for pos in range(kk) if not rotated[pos]])
             if not kk:
                 break
     return done
+
+
+def _stack_round(w: np.ndarray, kk: int, m: int, threshold: float, dead_floor) -> tuple:
+    """The arrays of a stack of kk members, made once, and the two steps of
+    the sweep loop that write into them: (sweep_start, rotate).
+
+    w is the stack, its rows in the current round's layout; every round
+    rewrites it in place, so the views made here stay valid until members
+    leave and a smaller stack replaces it. dead_floor is the squared dead
+    floor, a scalar for one member or one value per row.
+
+    sweep_start() forms ||b||^2 of every row and the dead mask, and returns
+    those two arrays. rotate(step, rotated) runs one round: it computes
+    ||b_p||^2, ||b_q||^2 and b_p* b_q straight from the current columns,
+    rotates every live pair at once, marks in rotated the members that had
+    one, and moves the stack on by the row permutation step.
+
+    A round makes no array and no slice. Every per-pair vector (the norms,
+    their roots, the alive and live masks, b_p* b_q, its modulus, phase,
+    zeta, t, two temporaries, c and s and their products with the phase)
+    is written through out=, and the rotation goes into a spare array of the
+    stack's shape, with one scratch array half as tall; the row move takes
+    the rotated rows back into w. The inner products call einsum's C
+    function (_einsum). None of this changes a bit: writing through out=
+    does the arithmetic of forming each result in a new array, each formula
+    keeps its operand order ((threshold root_p) root_q, (aqq - app) /
+    (2 gam), copysign(1, zeta) / (|zeta| + hypot(1, zeta)), 1 / sqrt(1 + t
+    t), then c t), and c and s are kept as the complex values that a
+    real-by-complex product casts them to. np.einsum without optimize is
+    that same C call. A round in which every pair is live skips the masks
+    that give idle pairs the identity.
+    """
+    rows, cols = w.shape
+    half = rows // 2
+    spare = np.empty_like(w)
+    scratch = np.empty((half, cols), dtype=np.complex128)
+    conj = scratch.reshape(-1)[: half * m].reshape(half, m)  # conj(b_p) of a round
+    bt = w[:, :m]
+    flat, bp, bq = bt.view(np.float64), bt[:half], bt[half:]
+    wp, wq, lo, hi = w[:half], w[half:], spare[:half], spare[half:]
+    cs = np.zeros((2, half, 1), dtype=np.complex128)  # c and s; imaginary parts stay 0
+    c, s, sc = cs[0], cs[1], cs[::-1]
+    c_real = cs.real[0, :, 0]
+    s_real = cs.real[1, :, 0]
+    turn = np.empty((2, half, 1), dtype=np.complex128)  # s phase and c phase
+    s_phase, c_phase = turn[0], turn[1]
+    norms2, root = np.empty(rows), np.empty(rows)
+    app, aqq, root_p, root_q = norms2[:half], norms2[half:], root[:half], root[half:]
+    alive, dead = np.empty(rows, dtype=bool), np.empty(rows, dtype=bool)
+    alive_p, alive_q = alive[:half], alive[half:]
+    apq, phase = np.empty(half, dtype=np.complex128), np.empty(half, dtype=np.complex128)
+    phase_col = phase[:, None]
+    gam, zeta, t, tmp, tmp2 = (np.empty(half) for _ in range(5))
+    live, idle = np.empty(half, dtype=bool), np.empty(half, dtype=bool)
+    if kk > 1:
+        h = half // kk
+        moved, still = np.empty(kk, dtype=bool), np.empty(kk, dtype=bool)
+        live_by_member = live.reshape(kk, h)
+        spare_by_member, w_by_member = spare.reshape(2, kk, h, cols), w.reshape(2, kk, h, cols)
+        still_by_member = still[None, :, None, None]
+
+    def sweep_start() -> tuple[np.ndarray, np.ndarray]:
+        _einsum("ij,ij->i", flat, flat, out=norms2)
+        np.less_equal(norms2, dead_floor, out=dead)
+        return norms2, dead
+
+    def rotate(step: np.ndarray, rotated: np.ndarray) -> None:
+        _einsum("ij,ij->i", flat, flat, out=norms2)
+        np.sqrt(norms2, out=root)
+        np.greater(norms2, dead_floor, out=alive)
+        np.conjugate(bp, out=conj)
+        _einsum("ij,ij->i", conj, bq, out=apq)
+        np.abs(apq, out=gam)
+        np.multiply(threshold, root_p, out=tmp)
+        np.multiply(tmp, root_q, out=tmp)
+        np.greater(gam, tmp, out=live)
+        np.logical_and(live, alive_p, out=live)
+        np.logical_and(live, alive_q, out=live)
+        count = np.count_nonzero(live)
+        if not count:
+            w.take(step, axis=0, out=spare, mode="wrap")
+            np.copyto(w, spare)
+            return
+        # Real rotation (c, s) after the phase diag(1, conj(apq)/|apq|);
+        # together they zero b_p* b_q. Pairs that are not live get phase
+        # 1 and t = 0, so c = 1 and s = 0 leave them exactly.
+        every = count == half
+        if not every:
+            np.logical_not(live, out=idle)
+            np.copyto(gam, 1.0, where=idle)
+        np.divide(apq, gam, out=phase)
+        np.conjugate(phase, out=phase)
+        np.subtract(aqq, app, out=zeta)
+        np.multiply(2.0, gam, out=tmp)
+        np.divide(zeta, tmp, out=zeta)
+        np.copysign(1.0, zeta, out=t)
+        np.abs(zeta, out=tmp)
+        np.hypot(1.0, zeta, out=tmp2)
+        np.add(tmp, tmp2, out=tmp)
+        np.divide(t, tmp, out=t)
+        if not every:
+            np.copyto(phase, 1.0, where=idle)
+            np.copyto(t, 0.0, where=idle)
+        # c and s go into the real parts of cs: the complex values that
+        # multiplying real c and s by the complex columns would cast them to
+        np.multiply(t, t, out=tmp)
+        np.add(1.0, tmp, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        np.divide(1.0, tmp, out=c_real)
+        np.multiply(c_real, t, out=s_real)
+        np.multiply(sc, phase_col, out=turn)
+        np.multiply(c, wp, out=lo)
+        np.multiply(s_phase, wq, out=scratch)
+        np.subtract(lo, scratch, out=lo)
+        np.multiply(s, wp, out=hi)
+        np.multiply(c_phase, wq, out=scratch)
+        np.add(hi, scratch, out=hi)
+        if every or kk == 1:
+            rotated.fill(True)
+        else:
+            np.logical_or.reduce(live_by_member, axis=1, out=moved)
+            rotated |= moved
+            if np.count_nonzero(moved) < kk:
+                # the identity rotation can flip the sign of a zero, so a
+                # member without a live pair keeps its rows as they were,
+                # as it would skip the round alone
+                np.logical_not(moved, out=still)
+                np.copyto(spare_by_member, w_by_member, where=still_by_member)
+        spare.take(step, axis=0, out=w, mode="wrap")
+
+    return sweep_start, rotate
 
 
 def _member(j: int, k: int) -> str:

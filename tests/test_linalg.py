@@ -550,6 +550,30 @@ def test_v_stays_unitary_within_a_bound_per_sweep_at_benchmark_shapes(shape, def
     assert frobenius(dagger(v) @ v - np.eye(n)) <= 2 * UNIT_ROUNDOFF * n * sweeps
 
 
+@pytest.mark.parametrize("deflate", [False, True], ids=["accurate", "deflated"])
+@pytest.mark.parametrize(
+    "shape", DENSE_ORACLE_SHAPES + [(64, 64, 32)], ids=lambda s: "%dx%d-r%d" % s
+)
+def test_factorization_holds_at_every_dense_oracle_shape(shape, deflate):
+    # The bounds are twice the largest measured over seeds 0-19 at these
+    # shapes, both kernels: ||U*U - I||_F reached 3.6 u m, ||V*V - I||_F
+    # 18.9 u n (64 x 64 rank 32, accurate kernel; 13.1 u n at full rank)
+    # and ||U S V* - A||_F 3.7 u ||A||_F max(m, n). V's departure grows
+    # with the sweeps, so past n = 32 it leaves the 10 u n that
+    # _assert_factorization holds smaller inputs to. Seeds 0-2 run here.
+    m, n, r = shape
+    for seed in range(3):
+        a = _low_rank(np.random.default_rng([seed, m, n, r]), m, n, r)
+        f = svd(a, deflate=deflate)
+        assert frobenius(dagger(f.u) @ f.u - np.eye(m)) <= 8 * UNIT_ROUNDOFF * m
+        assert frobenius(dagger(f.v) @ f.v - np.eye(n)) <= 40 * UNIT_ROUNDOFF * n
+        q = min(m, n)
+        recon = f.u[:, :q] @ np.diag(f.sigma) @ dagger(f.v[:, :q])
+        assert frobenius(recon - a) <= 8 * UNIT_ROUNDOFF * frobenius(a) * max(m, n)
+        assert np.all(np.diff(f.sigma) <= 0) and np.all(f.sigma >= 0)
+        assert f.rank == r
+
+
 @pytest.mark.parametrize(
     "shape",
     [(1, 1), (3, 3), (5, 5), (9, 9), (33, 33), (7, 3), (3, 7), (40, 5), (5, 40),
