@@ -12,29 +12,37 @@ It times, as the median of several repeats, on seeded complex inputs:
 - batched    one svd_batch(stack, deflate=True) call, as the routes make it
   on the closed-form workload's stacks: (A1, A2, A1 + A2) and the two cores
   (factored only when their Gram inverses fail to certify themselves) at
-  each Fill-Fishkind slot, and (A, B) at each pair slot, n = 6 to 16.
+  each Fill-Fishkind slot, and (A, B) at each pair slot, n = 6 to 16;
+- fixed      the kernel's cost per call alone: svd(d, deflate=True) on a
+  diagonal d with distinct entries at every (rows, cols) above, and
+  svd_batch on a stack of such diagonals at every stack's shape and size.
+  The Gram product certifies them before the first sweep, so no round runs:
+  the call is the entry, the stack build, one _stack_round, one _certified
+  and a _factorization per member.
 
 For each kernel and shape it records the median milliseconds, the sweeps (the
 smallest max_sweeps with which the kernel returns, found by search), the
 rounds those sweeps run, and the microseconds per round. It checks that the
 deflated kernel gives svd's rank and, above the rank cutoff, singular values
-within its zeroed mass ||E||_F plus 1e-13 of sigma_1, and that every member
+within its zeroed mass ||E||_F plus 1e-13 of sigma_1, that every member
 of a batched stack is bit-identical to its separate svd (rank, zeroed mass,
-sigma, U and V); it exits 1 if any check fails. Everything is written with
-the machine's description to a JSON file. Only the standard library, numpy
-and pinvkit are used.
+sigma, U and V), and that every fixed-cost input returns with max_sweeps=0,
+so none runs a round; it exits 1 if any check fails. Everything is written
+with the machine's description to a JSON file. Only the standard library,
+numpy and pinvkit are used.
 
 The medians compare the variants inside one process; a whole process's
 speed can move by 1.6x from run to run on a shared host, so two checkouts
 are compared in one process too. --against DIR imports DIR/src/pinvkit
 under the name pinvkit_against beside this checkout's pinvkit and, at every
-shape (both kernels) and every stack (svd_batch), alternates calls to the
-two, the side that goes first switching with each repeat. Its "against"
-section records each median, the median of the per-repeat ratios
-(this / DIR) and bit_identical: rank, zeroed mass, sigma, U and V of every
-factorization equal DIR's byte for byte. A markdown table of them ends the
-printout. A bit difference is reported, not failed on, since a change may
-move bits on purpose; the exit status comes from the checks above alone.
+shape (both kernels), every stack (svd_batch) and every fixed-cost input,
+alternates calls to the two, the side that goes first switching with each
+repeat. Its "against" section records each median, the median of the
+per-repeat ratios (this / DIR) and bit_identical: rank, zeroed mass, sigma,
+U and V of every factorization equal DIR's byte for byte. A markdown table
+of them ends the printout. A bit difference is reported, not failed on,
+since a change may move bits on purpose; the exit status comes from the
+checks above alone.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 bench/svd_layers.py
     PYTHONPATH=src python3 bench/svd_layers.py --out x.json --repeats 3
@@ -55,6 +63,7 @@ import time
 import numpy as np
 from ledger import median_ms, write_ledger
 
+from pinvkit import linalg
 from pinvkit.linalg import SvdFactorization, _round_robin, svd, svd_batch
 from pinvkit.matrix import DEFAULT_TOL, ConvergenceError, dagger
 
@@ -160,6 +169,45 @@ def stacks() -> list[tuple[str, list[np.ndarray]]]:
     return out
 
 
+def fixed_inputs() -> list[tuple[str, list[np.ndarray]]]:
+    """Diagonal members with distinct entries, which the Gram product
+    certifies before the first sweep: one per (rows, cols) of SHAPES, and a
+    stack of as many, of the same shape, per stack of stacks()."""
+    def diagonal(m: int, n: int, j: int = 0) -> np.ndarray:
+        d = np.zeros((m, n), dtype=np.complex128)
+        np.fill_diagonal(d, np.arange(1.0, min(m, n) + 1) + 0.25 * j)
+        return d
+
+    shapes = dict.fromkeys((m, n) for m, n, _ in SHAPES)
+    out = [(f"{m}x{n}", [diagonal(m, n)]) for m, n in shapes]
+    for label, mats in stacks():
+        m, n = mats[0].shape
+        out.append((label, [diagonal(m, n, j) for j in range(len(mats))]))
+    return out
+
+
+def factor(kernels, mats: list[np.ndarray]) -> list[SvdFactorization]:
+    """kernels.svd(a, deflate=True) on a lone matrix, as svd is called, and
+    kernels.svd_batch(mats, deflate=True) on a stack; kernels is a linalg
+    module."""
+    if len(mats) == 1:
+        return [kernels.svd(mats[0], deflate=True)]
+    return kernels.svd_batch(mats, deflate=True)
+
+
+def measure_fixed(label: str, mats: list[np.ndarray], repeats: int) -> dict:
+    try:
+        svd_batch(mats, max_sweeps=0, deflate=True)
+        no_round = True
+    except ConvergenceError:
+        no_round = False
+    return {
+        "input": label, "m": mats[0].shape[0], "n": mats[0].shape[1], "k": len(mats),
+        "median_ms": median_ms({"fixed": lambda: factor(linalg, mats)}, repeats)["fixed"],
+        "checks": {"no_round": no_round},
+    }
+
+
 def same_bits(f: SvdFactorization, g: SvdFactorization) -> bool:
     return (f.rank, f.deflated) == (g.rank, g.deflated) and all(
         x.shape == y.shape and x.tobytes() == y.tobytes()
@@ -233,11 +281,19 @@ def against(path: str, repeats: int) -> dict:
             **paired(lambda: svd_batch(mats, deflate=True), lambda: other.svd_batch(mats, deflate=True), repeats),
             "bit_identical": identical,
         })
+    fixed = []
+    for label, mats in fixed_inputs():
+        fixed.append({
+            "input": label, "m": mats[0].shape[0], "n": mats[0].shape[1], "k": len(mats),
+            **paired(lambda: factor(linalg, mats), lambda: factor(other, mats), repeats),
+            "bit_identical": all(map(same_bits, factor(linalg, mats), factor(other, mats))),
+        })
     return {
         "checkout": path,
         "shapes": shapes,
         "batched": batched,
-        "bit_identical": all(row["bit_identical"] for row in shapes + batched),
+        "fixed": fixed,
+        "bit_identical": all(row["bit_identical"] for row in shapes + batched + fixed),
     }
 
 
@@ -260,6 +316,11 @@ def against_table(section: dict) -> str:
             f"| {row['stack']} (k={row['k']}) | batched | {row['median_ms']:.3f}"
             f" | {row['against_ms']:.3f} | {row['ratio']:.3f} | {row['bit_identical']} |"
         )
+    for row in section["fixed"]:
+        lines.append(
+            f"| {row['input']} (k={row['k']}) | fixed | {row['median_ms']:.3f}"
+            f" | {row['against_ms']:.3f} | {row['ratio']:.3f} | {row['bit_identical']} |"
+        )
     return "\n".join(lines)
 
 
@@ -271,6 +332,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     rows = [measure(*shape, args.repeats) for shape in SHAPES]
     batched = [measure_stack(label, mats, args.repeats) for label, mats in stacks()]
+    fixed = [measure_fixed(label, mats, args.repeats) for label, mats in fixed_inputs()]
     extra = {"against": against(args.against, args.repeats)} if args.against else {}
     payload = write_ledger(
         args.out, "svd", args.repeats,
@@ -282,6 +344,7 @@ def main(argv=None) -> int:
         batched_total_median_ms={
             name: sum(row["median_ms"][name] for row in batched) for name in ("separate", "batched")
         },
+        fixed=fixed,
         **extra,
     )
     for row in rows:
@@ -302,11 +365,17 @@ def main(argv=None) -> int:
             f"  separate {ms['separate']:6.2f} ms  batched {ms['batched']:6.2f} ms"
             f"  bit-identical {row['checks']['bit_identical']}"
         )
+    for row in fixed:
+        print(
+            f"fixed {row['input']:<30} k={row['k']} {row['m']}x{row['n']}"
+            f"  {1e3 * row['median_ms']:7.1f} us  no round {row['checks']['no_round']}"
+        )
     if args.against:
         print(against_table(payload["against"]))
     agree = all(row["checks"]["agree"] for row in rows)
     identical = all(row["checks"]["bit_identical"] for row in batched)
-    return 0 if agree and identical else 1
+    no_round = all(row["checks"]["no_round"] for row in fixed)
+    return 0 if agree and identical and no_round else 1
 
 
 if __name__ == "__main__":

@@ -35,10 +35,13 @@ Jacobi over many small matrices at once, as in Boukaram, Turkiyyah,
 Ltaief and Keyes 2018). One batched Gram product per sweep certifies all
 the members at once. Every array and view a round writes, the rotated
 stack and each per-pair vector, is made once per stack size, not per
-round, and the inner products call einsum's C function without
-np.einsum's Python wrapper, so a round costs about the numpy calls its
-formulas need, with the bits of the form that makes a new array per
-product. The routes that factor several matrices of one shape,
+round; the inner products call einsum's C function without np.einsum's
+Python wrapper, every scalar operand is a 0-d float64 array, every ufunc
+is bound to a local and every output is passed positionally. A round
+therefore costs about numpy's dispatch floor for the calls its formulas
+need, with the bits of the form that makes a new array per product and
+takes Python floats. Nothing is kept from call to call, so threads may
+factor at once. The routes that factor several matrices of one shape,
 Fill-Fishkind and the pair completion, factor them together.
 
 A column whose norm falls to the dead floor is frozen at zero. svd keeps
@@ -64,6 +67,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -380,9 +384,11 @@ def _jacobi_stack(
     array that the sweeps and rounds write into, and every view of one, is
     made by _stack_round once per stack size, when the loop starts and again
     after members leave; its docstring lists them, with the direct einsum
-    call, and says why none of them changes a bit. A stack of one compares
-    its norms with its dead floor as a scalar, so no per-row floors are
-    built for it.
+    call, the 0-d operands and the bound ufuncs, and says why none of them
+    changes a bit. A stack of one compares its norms with its dead floor as
+    a scalar, so no per-row floors are built for it. All of these belong to
+    the call: nothing is kept at module level, so calls from several threads
+    share no array.
     """
     k = len(mats)
     m, n = mats[0].shape
@@ -402,7 +408,6 @@ def _jacobi_stack(
             raise PreconditionError(f"svd input has an inf or nan entry{_member(j, k)}")
         scale = unit_scale(a)
         natural[j, :n, :m] = a.T * scale
-        natural[j, :n, m:] = eye(n)
         # Columns ground down to far below roundoff noise are frozen at zero;
         # repeated rotations among members of a multiple zero singular value
         # would otherwise shrink them without bound, toward denormal livelock.
@@ -411,11 +416,13 @@ def _jacobi_stack(
         norm = frobenius(natural[j, :n, :m])
         floor = UNIT_ROUNDOFF**3 * norm
         if deflate and n:
-            typical = norm / np.sqrt(n)
+            typical = norm / math.sqrt(n)
             floor = max(floor, min(tol.rank_cutoff(typical, m, n) / 8.0, tol.residual_rel * typical))
         scales.append(scale)
         floors2[j] = floor**2
-    threshold = np.sqrt(m) * _EPS
+    # V starts as the identity: entry m + i of row i, in every member at once
+    natural.reshape(k, -1)[:, m : n * (m + n + 1) : m + n + 1] = 1.0
+    threshold = math.sqrt(m) * _EPS
     zeroed2 = [0.0] * k
     done: list[SvdFactorization | None] = [None] * k
     members = list(range(k))  # the members still in the stack, in stack order
@@ -459,10 +466,11 @@ def _jacobi_stack(
         norms2, dead = sweep_start()
         if np.count_nonzero(dead):
             # one sum per member over its dead rows in its own layout, the
-            # order in which np.sum adds them for the member alone; a member
-            # without one adds 0.0, which leaves its mass's bits as they are
+            # order in which np.add.reduce (np.sum's reduction) adds them for
+            # the member alone; a member without one adds 0.0, which leaves
+            # its mass's bits as they are
             for j, mine, values in zip(members, by_member(dead), by_member(norms2)):
-                zeroed2[j] += float(np.sum(values[mine]))
+                zeroed2[j] += float(np.add.reduce(values[mine]))
             w[dead, :m] = 0.0
         certified = _certified(by_member(w[:, :m]), by_member(norms2), threshold)
         if np.count_nonzero(certified):
@@ -477,7 +485,7 @@ def _jacobi_stack(
         rotated = np.zeros(kk, dtype=bool)
         for step in steps:
             rotate(step, rotated)
-        if not rotated.all():
+        if np.count_nonzero(rotated) < kk:
             # Every round passed the test although the Gram product did not:
             # the two disagree only by rounding, and this sweep confirmed
             # convergence the way each round tests it.
@@ -516,6 +524,17 @@ def _stack_round(w: np.ndarray, kk: int, m: int, threshold: float, dead_floor) -
     real-by-complex product casts them to. np.einsum without optimize is
     that same C call. A round in which every pair is live skips the masks
     that give idle pairs the identity.
+
+    What is left of a round's cost is numpy's dispatch, about 36 calls on
+    vectors of a few entries at small n, and three parts of it are skipped.
+    Each scalar operand (threshold, a one-member stack's dead floor, and
+    the 0, 1 and 2 of the formulas) is a 0-d float64 array made here, where
+    a Python float or np.float64 would be converted to one on every call;
+    each ufunc and method is a local, not a module attribute; and each
+    output is passed positionally, not parsed from out=. A 0-d array holds
+    the same float64 value as the float it replaces, so each ufunc runs the
+    same loop on the same operands and every bit stays. They are made per
+    call, like the arrays, so nothing is shared between threads.
     """
     rows, cols = w.shape
     half = rows // 2
@@ -546,74 +565,83 @@ def _stack_round(w: np.ndarray, kk: int, m: int, threshold: float, dead_floor) -
         spare_by_member, w_by_member = spare.reshape(2, kk, h, cols), w.reshape(2, kk, h, cols)
         still_by_member = still[None, :, None, None]
 
+    # the 0-d operands and the bound ufuncs and methods (see above)
+    threshold, dead_floor = np.array(threshold), np.asarray(dead_floor)
+    zero, one, two = np.array(0.0), np.array(1.0), np.array(2.0)
+    mul, div, add, sub, sqrt = np.multiply, np.divide, np.add, np.subtract, np.sqrt
+    absolute, conjugate, copysign, hypot = np.abs, np.conjugate, np.copysign, np.hypot
+    greater, less_equal = np.greater, np.less_equal
+    logical_and, logical_not, any_member = np.logical_and, np.logical_not, np.logical_or.reduce
+    count_nonzero, copyto, take, take_back = np.count_nonzero, np.copyto, w.take, spare.take
+
     def sweep_start() -> tuple[np.ndarray, np.ndarray]:
         _einsum("ij,ij->i", flat, flat, out=norms2)
-        np.less_equal(norms2, dead_floor, out=dead)
+        less_equal(norms2, dead_floor, dead)
         return norms2, dead
 
     def rotate(step: np.ndarray, rotated: np.ndarray) -> None:
         _einsum("ij,ij->i", flat, flat, out=norms2)
-        np.sqrt(norms2, out=root)
-        np.greater(norms2, dead_floor, out=alive)
-        np.conjugate(bp, out=conj)
+        sqrt(norms2, root)
+        greater(norms2, dead_floor, alive)
+        conjugate(bp, conj)
         _einsum("ij,ij->i", conj, bq, out=apq)
-        np.abs(apq, out=gam)
-        np.multiply(threshold, root_p, out=tmp)
-        np.multiply(tmp, root_q, out=tmp)
-        np.greater(gam, tmp, out=live)
-        np.logical_and(live, alive_p, out=live)
-        np.logical_and(live, alive_q, out=live)
-        count = np.count_nonzero(live)
+        absolute(apq, gam)
+        mul(threshold, root_p, tmp)
+        mul(tmp, root_q, tmp)
+        greater(gam, tmp, live)
+        logical_and(live, alive_p, live)
+        logical_and(live, alive_q, live)
+        count = count_nonzero(live)
         if not count:
-            w.take(step, axis=0, out=spare, mode="wrap")
-            np.copyto(w, spare)
+            take(step, 0, spare, "wrap")
+            copyto(w, spare)
             return
         # Real rotation (c, s) after the phase diag(1, conj(apq)/|apq|);
         # together they zero b_p* b_q. Pairs that are not live get phase
         # 1 and t = 0, so c = 1 and s = 0 leave them exactly.
         every = count == half
         if not every:
-            np.logical_not(live, out=idle)
-            np.copyto(gam, 1.0, where=idle)
-        np.divide(apq, gam, out=phase)
-        np.conjugate(phase, out=phase)
-        np.subtract(aqq, app, out=zeta)
-        np.multiply(2.0, gam, out=tmp)
-        np.divide(zeta, tmp, out=zeta)
-        np.copysign(1.0, zeta, out=t)
-        np.abs(zeta, out=tmp)
-        np.hypot(1.0, zeta, out=tmp2)
-        np.add(tmp, tmp2, out=tmp)
-        np.divide(t, tmp, out=t)
+            logical_not(live, idle)
+            copyto(gam, one, "same_kind", idle)
+        div(apq, gam, phase)
+        conjugate(phase, phase)
+        sub(aqq, app, zeta)
+        mul(two, gam, tmp)
+        div(zeta, tmp, zeta)
+        copysign(one, zeta, t)
+        absolute(zeta, tmp)
+        hypot(one, zeta, tmp2)
+        add(tmp, tmp2, tmp)
+        div(t, tmp, t)
         if not every:
-            np.copyto(phase, 1.0, where=idle)
-            np.copyto(t, 0.0, where=idle)
+            copyto(phase, one, "same_kind", idle)
+            copyto(t, zero, "same_kind", idle)
         # c and s go into the real parts of cs: the complex values that
         # multiplying real c and s by the complex columns would cast them to
-        np.multiply(t, t, out=tmp)
-        np.add(1.0, tmp, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        np.divide(1.0, tmp, out=c_real)
-        np.multiply(c_real, t, out=s_real)
-        np.multiply(sc, phase_col, out=turn)
-        np.multiply(c, wp, out=lo)
-        np.multiply(s_phase, wq, out=scratch)
-        np.subtract(lo, scratch, out=lo)
-        np.multiply(s, wp, out=hi)
-        np.multiply(c_phase, wq, out=scratch)
-        np.add(hi, scratch, out=hi)
+        mul(t, t, tmp)
+        add(one, tmp, tmp)
+        sqrt(tmp, tmp)
+        div(one, tmp, c_real)
+        mul(c_real, t, s_real)
+        mul(sc, phase_col, turn)
+        mul(c, wp, lo)
+        mul(s_phase, wq, scratch)
+        sub(lo, scratch, lo)
+        mul(s, wp, hi)
+        mul(c_phase, wq, scratch)
+        add(hi, scratch, hi)
         if every or kk == 1:
             rotated.fill(True)
         else:
-            np.logical_or.reduce(live_by_member, axis=1, out=moved)
+            any_member(live_by_member, 1, None, moved)
             rotated |= moved
-            if np.count_nonzero(moved) < kk:
+            if count_nonzero(moved) < kk:
                 # the identity rotation can flip the sign of a zero, so a
                 # member without a live pair keeps its rows as they were,
                 # as it would skip the round alone
-                np.logical_not(moved, out=still)
-                np.copyto(spare_by_member, w_by_member, where=still_by_member)
-        spare.take(step, axis=0, out=w, mode="wrap")
+                logical_not(moved, still)
+                copyto(spare_by_member, w_by_member, "same_kind", still_by_member)
+        take_back(step, 0, w, "wrap")
 
     return sweep_start, rotate
 
@@ -629,19 +657,19 @@ def _factorization(
     """Finish one member from its rows of [B | V], columns 0..n-1 in order."""
     bt, vt = w[:, :m], w[:, m:]
     norms = np.sqrt(_squared_norms(bt))
-    order = np.argsort(-norms, kind="stable")
+    order = (-norms).argsort(kind="stable")
     norms = norms[order]
     b = bt[order].T
     v = vt[order].T
 
-    nonzero = norms > 0.0
-    u_cols = b[:, nonzero] / norms[nonzero]
+    nonzero = np.count_nonzero(norms)  # the sorted norms' nonzero prefix
+    u_cols = b[:, :nonzero] / norms[:nonzero]
     sigma = norms / scale
 
     sigma_max = sigma[0] if sigma.size else 0.0
     cutoff = tol.rank_cutoff(sigma_max, m, n)
     rank = int(np.count_nonzero(sigma > cutoff))
-    deflated = float(np.sqrt(zeroed2) / scale)
+    deflated = math.sqrt(zeroed2) / scale
     return SvdFactorization(_Basis(u_cols, m), sigma, v, rank, deflated)
 
 

@@ -74,7 +74,7 @@ def assert_matches_numpy(a, x, rank):
     the oracle's relative gap is at most kappa times that."""
     m, n = a.shape
     sigma = np.linalg.svd(a, compute_uv=False)
-    ref = np.linalg.pinv(a, rtol=DEFAULT_TOL.rank_rel * max(m, n))
+    ref = np.linalg.pinv(a, rcond=DEFAULT_TOL.rank_rel * max(m, n))
     kappa = sigma[0] / sigma[rank - 1]
     assert frobenius(x - ref) <= 10 * UNIT_ROUNDOFF * max(m, n) * kappa * frobenius(ref)
 

@@ -136,7 +136,7 @@ def _interleaved_lu_solve(a, rhs):
     return x
 
 
-def test_lu_factor_serves_many_solves_bit_for_bit():
+def test_lu_solve_and_inverse_match_the_reference_loop_bit_for_bit():
     # lu_solve is the reference's loop; inverse is it on a s, scaled back by s
     rng = np.random.default_rng(31)
     for n in (1, 2, 7, 24):
@@ -149,7 +149,7 @@ def test_lu_factor_serves_many_solves_bit_for_bit():
         np.testing.assert_array_equal(inverse(a), want)
 
 
-def test_lu_factor_rejects_singular_and_mismatched_inputs():
+def test_lu_solve_rejects_singular_and_mismatched_inputs():
     with pytest.raises(PreconditionError, match="singular"):
         lu_solve(np.ones((3, 3), dtype=complex), np.eye(3))
     with pytest.raises(PreconditionError, match="square"):
@@ -158,7 +158,7 @@ def test_lu_factor_rejects_singular_and_mismatched_inputs():
         lu_solve(np.eye(3, dtype=complex), np.ones((2, 1)))
 
 
-def test_inverse_returns_none_where_lu_factor_raises():
+def test_inverse_returns_none_where_lu_solve_raises():
     # a breakdown only rules out the LU kernel, so the caller takes the SVD
     singular = np.ones((3, 3), dtype=complex)
     with pytest.raises(PreconditionError):
