@@ -9,6 +9,9 @@ For each size n it times, as the median of several repeats:
 - mul.int            circ_mul (np.convolve folded once), integer generators
 - mul.complex        circ_mul on the complex generators of the check
 - spectrum           circ_spectrum
+- route.block_k1     block_pattern_pinv at k = 1 and k = 3 with q = n / (k + 1),
+- route.block_k3     the block sizes of the benchmark's circulant-io workload;
+                     each re-proves C^2 = n C on one period of k + 1 entries
 - cli.circ_csv       pinvkit circ --gen ... --output x.csv, in process
 - write.streamed     _write_atomic on circulant_csv_blocks: each row a slice
                      of one encoded buffer, hashed and written by os.writev
@@ -16,6 +19,11 @@ For each size n it times, as the median of several repeats:
                      by entry (per_entry, the fallback of parse_generator
                      and of _pairs) and in bulk (parse_generator,
                      loads_generator_json)
+
+at n = 64, 256 and 512:
+
+- report.line        _print_report on a circ report, whose extras hold the
+                     n support indices, as main prints it without --pretty
 
 and, for square matrices of order 8 to 64 (the dense-oracle inputs):
 
@@ -25,7 +33,8 @@ and, for square matrices of order 8 to 64 (the dense-oracle inputs):
 It checks that both CSV writers, the circ command's file and the streamed
 writer give the same bytes, that the streamed writer's digest is the
 sha256 of those bytes, that the dense and the generator Penrose checks give
-the same verdict and that each pair of parsers gives the same bits. It
+the same verdict, that each pair of parsers gives the same bits and that the
+report line is the strict JSON of a dump, load and dump of the report. It
 exits 1 if any check fails, and writes the medians in milliseconds with the
 machine's description to a JSON file. Only the standard library, numpy and
 pinvkit are used.
@@ -56,13 +65,14 @@ from ledger import median_ms, write_ledger
 
 from pinvkit.circulant import (
     block_pattern_generator,
+    block_pattern_pinv,
     circ_materialize,
     circ_mul,
     circ_penrose_residuals,
     circ_pinv_spectral,
     circ_spectrum,
 )
-from pinvkit.cli import _write_atomic
+from pinvkit.cli import _print_report, _write_atomic
 from pinvkit.cli import main as cli_main
 from pinvkit.core import penrose_residuals
 from pinvkit.matrix import (
@@ -85,6 +95,7 @@ from pinvkit.matrix import (
 )
 
 SIZES = (64, 192, 512)
+REPORT_SIZES = (64, 256, 512)
 MATRIX_SIZES = (8, 16, 32, 64)
 
 
@@ -141,6 +152,8 @@ def measure(n: int, repeats: int, workdir: str) -> dict:
         "mul.int": lambda: circ_mul(pattern, pattern),
         "mul.complex": lambda: circ_mul(gen, xgen),
         "spectrum": lambda: circ_spectrum(gen),
+        "route.block_k1": lambda: block_pattern_pinv(1.5, -0.7, 1, n // 2),
+        "route.block_k3": lambda: block_pattern_pinv(1.5, -0.7, 3, n // 4),
         "cli.circ_csv": cli_circ_csv,
         "write.streamed": lambda: _write_atomic(out, circulant_csv_blocks(xgen)),
         "parse.gen_per_entry": lambda: per_entry_generator(gen_text),
@@ -170,6 +183,30 @@ def measure(n: int, repeats: int, workdir: str) -> dict:
             "checks": checks}
 
 
+def report_line(report: dict) -> str:
+    """What _print_report(report, False) prints."""
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        _print_report(report, False)
+    return printed.getvalue()
+
+
+def measure_report(n: int, repeats: int) -> dict:
+    rng = np.random.default_rng(2000 + n)
+    gen = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        if cli_main(["circ", "--gen=" + ",".join(format_complex(z) for z in gen)]) != 0:
+            raise RuntimeError("circ command failed")
+    report = json.loads(printed.getvalue())
+    line = report_line(report)
+    strict = json.loads(json.dumps(report), parse_constant=lambda _: None)
+    return {
+        "n": n,
+        "line_bytes": len(line),
+        "median_ms": median_ms({"report.line": lambda: report_line(report)}, repeats),
+        "checks": {"report_identical": line == json.dumps(strict, allow_nan=False) + "\n"},
+    }
+
+
 def measure_matrix_parse(n: int, repeats: int) -> dict:
     rng = np.random.default_rng(1000 + n)
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -195,14 +232,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as workdir:
         rows = [measure(n, args.repeats, workdir) for n in SIZES]
+    report_rows = [measure_report(n, args.repeats) for n in REPORT_SIZES]
     parse_rows = [measure_matrix_parse(n, args.repeats) for n in MATRIX_SIZES]
-    write_ledger(args.out, "circ-io", args.repeats, sizes=rows, matrix_parse=parse_rows)
-    for row in rows + parse_rows:
+    write_ledger(args.out, "circ-io", args.repeats, sizes=rows, report_line=report_rows,
+                 matrix_parse=parse_rows)
+    for row in rows + report_rows + parse_rows:
         ms = row["median_ms"]
         print(f"n={row['n']:4d}  " + "  ".join(f"{key} {value:.2f}" for key, value in ms.items()))
     flags = ("csv_identical", "cli_csv_identical", "same_verdict", "write_identical",
-             "parse_identical", "json_identical")
-    ok = all(row["checks"][flag] for row in rows + parse_rows for flag in flags
+             "parse_identical", "report_identical", "json_identical")
+    ok = all(row["checks"][flag] for row in rows + report_rows + parse_rows for flag in flags
              if flag in row["checks"])
     return 0 if ok else 1
 

@@ -37,12 +37,13 @@ are compared in one process too. --against DIR imports DIR/src/pinvkit
 under the name pinvkit_against beside this checkout's pinvkit and, at every
 shape (both kernels), every stack (svd_batch) and every fixed-cost input,
 alternates calls to the two, the side that goes first switching with each
-repeat. Its "against" section records each median, the median of the
-per-repeat ratios (this / DIR) and bit_identical: rank, zeroed mass, sigma,
-U and V of every factorization equal DIR's byte for byte. A markdown table
-of them ends the printout. A bit difference is reported, not failed on,
-since a change may move bits on purpose; the exit status comes from the
-checks above alone.
+repeat. Its "against" section records the repeat count and, per row, each
+median, the median of the per-repeat ratios (this / DIR) with their least
+and greatest, and bit_identical: rank, zeroed mass, sigma, U and V of every
+factorization equal DIR's byte for byte. A markdown table of them, headed
+by the repeat count and giving each row's ratio range, ends the printout.
+A bit difference is reported, not failed on, since a change may move bits
+on purpose; the exit status comes from the checks above alone.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 bench/svd_layers.py
     PYTHONPATH=src python3 bench/svd_layers.py --out x.json --repeats 3
@@ -245,17 +246,21 @@ def load_checkout(path: str):
 
 def paired(this, other, repeats: int) -> dict:
     """Median ms of this and of other over alternating calls, the side that
-    goes first switching each repeat, and the median of this / other."""
+    goes first switching each repeat, and the median, least and greatest of
+    the per-repeat ratios this / other."""
     times = ([], [])
     for repeat in range(repeats):
         for side in ((0, 1), (1, 0))[repeat % 2]:
             start = time.perf_counter()
             (this, other)[side]()
             times[side].append(time.perf_counter() - start)
+    ratios = [a / b for a, b in zip(*times)]
     return {
         "median_ms": 1e3 * statistics.median(times[0]),
         "against_ms": 1e3 * statistics.median(times[1]),
-        "ratio": statistics.median(a / b for a, b in zip(*times)),
+        "ratio": statistics.median(ratios),
+        "ratio_min": min(ratios),
+        "ratio_max": max(ratios),
     }
 
 
@@ -290,6 +295,7 @@ def against(path: str, repeats: int) -> dict:
         })
     return {
         "checkout": path,
+        "repeats": repeats,
         "shapes": shapes,
         "batched": batched,
         "fixed": fixed,
@@ -299,28 +305,29 @@ def against(path: str, repeats: int) -> dict:
 
 def against_table(section: dict) -> str:
     """The "against" section as a markdown table, one line per shape and kernel or stack."""
+    repeats = section["repeats"]
     lines = [
-        f"Against {section['checkout']}: ratio is this / that, the median over alternating calls.",
+        f"Against {section['checkout']}: ratio is this / that, the median over {repeats}"
+        f" alternating call{'s' if repeats != 1 else ''} per side; range is the least and"
+        " greatest per-call ratio.",
         "",
-        "| input | kernel | this ms | that ms | ratio | bit_identical |",
-        "|---|---|---:|---:|---:|---|",
+        "| input | kernel | this ms | that ms | ratio | range | bit_identical |",
+        "|---|---|---:|---:|---:|---:|---|",
     ]
+
+    def line(label: str, kernel: str, t: dict, identical: bool) -> str:
+        return (
+            f"| {label} | {kernel} | {t['median_ms']:.3f} | {t['against_ms']:.3f}"
+            f" | {t['ratio']:.3f} | {t['ratio_min']:.3f}–{t['ratio_max']:.3f} | {identical} |"
+        )
+
     for row in section["shapes"]:
         for name, k in row["kernels"].items():
-            lines.append(
-                f"| {row['m']}x{row['n']} r{row['rank']} | {name} | {k['median_ms']:.3f}"
-                f" | {k['against_ms']:.3f} | {k['ratio']:.3f} | {row['bit_identical']} |"
-            )
+            lines.append(line(f"{row['m']}x{row['n']} r{row['rank']}", name, k, row["bit_identical"]))
     for row in section["batched"]:
-        lines.append(
-            f"| {row['stack']} (k={row['k']}) | batched | {row['median_ms']:.3f}"
-            f" | {row['against_ms']:.3f} | {row['ratio']:.3f} | {row['bit_identical']} |"
-        )
+        lines.append(line(f"{row['stack']} (k={row['k']})", "batched", row, row["bit_identical"]))
     for row in section["fixed"]:
-        lines.append(
-            f"| {row['input']} (k={row['k']}) | fixed | {row['median_ms']:.3f}"
-            f" | {row['against_ms']:.3f} | {row['ratio']:.3f} | {row['bit_identical']} |"
-        )
+        lines.append(line(f"{row['input']} (k={row['k']})", "fixed", row, row["bit_identical"]))
     return "\n".join(lines)
 
 

@@ -9,7 +9,9 @@ support splitting, zero-sum shift, block pattern) are checked against that
 spectral route. The pseudoinverse of a circulant is a circulant, so every
 route returns its generator as an array. circ_penrose_residuals checks a
 candidate on generators alone: each product is circ_mul, a direct cyclic
-convolution in O(n) memory.
+convolution in O(n) memory, and circulants commute, so three products
+(AX, AXA and AXX) make the four residuals. block_pattern_pinv re-proves its
+pattern's identity on one period of k + 1 entries.
 """
 
 from __future__ import annotations
@@ -112,8 +114,10 @@ def circ_penrose_residuals(gen, xgen, tol: Tolerance = DEFAULT_TOL) -> ResidualR
     norm of a residual generator. Each product is a cyclic convolution,
     circ_mul's direct sums on the two generators, with no n x n matrix built
     and no use of the spectrum, so the check shares no arithmetic with the
-    spectral route. In exact arithmetic these are the dense residuals, held
-    to the dense bounds of penrose_bounds; the cost is O(n^2), not O(n^3).
+    spectral route. Circulants commute, so XA is AX: Penrose 3 and 4 are one
+    equation, XAX is (AX) X, and the check makes three products, AX, (AX) A
+    and (AX) X. In exact arithmetic these are the dense residuals, held to
+    the dense bounds of penrose_bounds; the cost is O(n^2), not O(n^3).
     """
     gen = as_vector(gen, min_len=2)
     xgen = as_vector(xgen, min_len=2)
@@ -124,7 +128,8 @@ def circ_penrose_residuals(gen, xgen, tol: Tolerance = DEFAULT_TOL) -> ResidualR
     n = gen.shape[0]
     scale = math.sqrt(n)
     return _penrose(
-        gen, xgen, circ_mul, _adjoint_generator, lambda h: scale * frobenius(h), (n, n), tol
+        gen, xgen, circ_mul, _adjoint_generator, lambda h: scale * frobenius(h), (n, n), tol,
+        commuting=True,
     )
 
 
@@ -325,7 +330,11 @@ def block_pattern_pinv(alpha: complex, beta: complex, k: int, q: int) -> np.ndar
     block pattern above: (1/(alpha n^2)) ones + (1/(beta n^2)) pattern.
 
     The pattern's defining identity C^2 = n C is re-verified in exact
-    integer arithmetic on every call.
+    integer arithmetic on every call, on one period: the generator must be
+    its first k + 1 entries p tiled q times, and p * p = (k + 1) p must hold
+    for the cyclic convolution of length k + 1. A generator of period k + 1
+    has q times p * p, tiled, as its own cyclic square, so the two together
+    are exactly C^2 = n C, at O(n + (k + 1)^2) cost in place of O(n^2).
     """
     alpha = complex(alpha)
     beta = complex(beta)
@@ -333,7 +342,9 @@ def block_pattern_pinv(alpha: complex, beta: complex, k: int, q: int) -> np.ndar
         raise PreconditionError("block pattern needs nonzero alpha and beta")
     base = block_pattern_generator(k, q)
     n = base.shape[0]
-    if not np.array_equal(circ_mul(base, base), n * base):
+    period = base[: k + 1]
+    tiled = np.array_equal(base, np.tile(period, q))
+    if not (tiled and np.array_equal(circ_mul(period, period), (k + 1) * period)):
         raise PreconditionError("block pattern failed its defining identity")
     ones = np.ones(n, dtype=np.complex128)
     return _in_float_range(ones / (alpha * n * n) + base / (beta * n * n))

@@ -44,9 +44,9 @@ from .circulant import (
 )
 from .core import (
     ResidualReport,
+    _characterization,
     _normal_checked,
     _pinv_checked,
-    characterization_residuals,
     gen_random_matrix,
     inverse_certified,
     penrose_residuals,
@@ -405,13 +405,12 @@ def _cmd_verify(args, tol: Tolerance) -> _Outcome:
     a, in_digest = _load_matrix(args.input)
     x, _ = _load_matrix(args.aux)
     pen = penrose_residuals(a, x, tol)
-    fa = fx = None
-    if not inverse_certified(a, x, tol):
-        # one stacked call, each member bit for bit svd's
-        fa, fx = svd_batch((a, x), tol, deflate=True)
-    chars = characterization_residuals(a, x, tol, fa, fx)
+    certified = inverse_certified(a, x, tol)
+    # else one stacked call, each member bit for bit svd's
+    fa, fx = (None, None) if certified else svd_batch((a, x), tol, deflate=True)
+    chars = _characterization(a, x, tol, certified, fa, fx)
     # X of another rank than A passes every bound once ||A||_F ||X||_F > 1/tau
-    same_rank = fa is None or fx.rank == fa.rank
+    same_rank = certified or fx.rank == fa.rank
     every = {**pen.residuals, **chars.residuals}
     return _Outcome(
         shape=a.shape,
@@ -576,9 +575,15 @@ def _flatten(payload: dict, prefix: str = "") -> list[tuple[str, str]]:
 
 def _print_report(report: dict, pretty: bool) -> None:
     if not pretty:
-        # strict JSON: NaN and the infinities, extras included, print as null
-        strict = json.loads(json.dumps(report), parse_constant=lambda _: None)
-        print(json.dumps(strict, allow_nan=False))
+        # strict JSON: NaN and the infinities, extras included, print as null.
+        # A report without them is encoded once; a round trip gives the same
+        # bytes, so only a report that holds one takes it.
+        try:
+            line = json.dumps(report, allow_nan=False)
+        except ValueError:
+            strict = json.loads(json.dumps(report), parse_constant=lambda _: None)
+            line = json.dumps(strict, allow_nan=False)
+        print(line)
         return
     rows = _flatten(report)
     width = max(len(name) for name, _ in rows)

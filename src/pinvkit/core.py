@@ -166,12 +166,16 @@ def penrose_residuals(a: np.ndarray, x: np.ndarray, tol: Tolerance = DEFAULT_TOL
     return _penrose(a, x, np.matmul, dagger, frobenius, a.shape, tol)
 
 
-def _penrose(a, x, mul, adjoint, norm, shape, tol: Tolerance) -> ResidualReport:
+def _penrose(
+    a, x, mul, adjoint, norm, shape, tol: Tolerance, commuting: bool = False
+) -> ResidualReport:
     """The four Penrose residuals of x for the m x n a of the given shape,
     held to penrose_bounds: mul, adjoint and norm are the product, the
-    adjoint and the Frobenius norm of the matrices that a and x represent."""
+    adjoint and the Frobenius norm of the matrices that a and x represent.
+    commuting says that XA = AX, as for two circulants: AX then stands for
+    XA, so XAX is (AX)X and three products make the report."""
     ax = mul(a, x)
-    xa = mul(x, a)
+    xa = ax if commuting else mul(x, a)
     return ResidualReport(
         {
             "penrose1": norm(mul(ax, a) - a),
@@ -213,7 +217,22 @@ def characterization_residuals(
     first, an X that passes inverse_certified needs no factorization.
     """
     _check_shapes(a, x)
-    if factorization is None and inverse_certified(a, x, tol):
+    certified = factorization is None and inverse_certified(a, x, tol)
+    return _characterization(a, x, tol, certified, factorization, x_factorization)
+
+
+def _characterization(
+    a: np.ndarray,
+    x: np.ndarray,
+    tol: Tolerance,
+    certified: bool,
+    factorization: SvdFactorization | None,
+    x_factorization: SvdFactorization | None,
+) -> ResidualReport:
+    """characterization_residuals once the caller knows whether
+    inverse_certified(a, x, tol) holds: then every projector is I or 0 and
+    neither factorization is read, else each missing one is computed."""
+    if certified:
         proj_a = proj_x = (eye(len(a)), 0 * eye(len(a))) * 2
     else:
         proj_a, proj_x = projectors(a, tol, factorization), projectors(x, tol, x_factorization)

@@ -1,0 +1,216 @@
+"""Checks that do their work once, with the verdicts and bytes of the
+longer forms they replace.
+
+circ_penrose_residuals makes three products, since circulants commute;
+block_pattern_pinv proves C^2 = n C on one period of its generator; the
+report line is encoded once when it holds no NaN or infinity; and verify
+certifies a full-rank pair once.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import pinvkit.circulant
+import pinvkit.core
+from pinvkit.circulant import (
+    block_pattern_generator,
+    block_pattern_pinv,
+    circ_mul,
+    circ_penrose_residuals,
+    circ_pinv_spectral,
+    two_term_pinv,
+    zero_sum_shift_pinv,
+)
+from pinvkit.cli import _print_report, main
+from pinvkit.matrix import DEFAULT_TOL, PreconditionError, dumps_matrix_json
+
+RULE = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+
+
+def counted(monkeypatch, module, name):
+    """Patch module.name with a wrapper that counts its calls; return the count list."""
+    calls = []
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+# --------------------------------------------------------------------------
+# the generator check: AX once, for XA too
+
+
+def checked_cases(n):
+    """(label, generator, pseudoinverse generator): a generic circulant and
+    the singular two-term, zero-sum and block routes."""
+    rng = np.random.default_rng(3100 + n)
+    gen = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    two_term = np.zeros(n, dtype=np.complex128)
+    two_term[0], two_term[1] = 1.3, -1.3
+    zero_sum = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    zero_sum -= zero_sum.mean()
+    block = 1.5 * np.ones(n) - 0.7 * block_pattern_generator(3, n // 4)
+    return [
+        ("spectral", gen, circ_pinv_spectral(gen)),
+        ("two-term, singular", two_term, two_term_pinv(1.3, -1.3, n)),
+        ("zero-sum, singular", zero_sum, zero_sum_shift_pinv(zero_sum, alpha=0.7)),
+        ("block, singular", block, block_pattern_pinv(1.5, -0.7, 3, n // 4)),
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 64, 512])
+def test_circ_check_makes_three_products_and_one_symmetry_residual(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    gen = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    xgen = circ_pinv_spectral(gen)
+    calls = counted(monkeypatch, pinvkit.circulant, "circ_mul")
+    report = circ_penrose_residuals(gen, xgen, DEFAULT_TOL)
+    assert len(calls) == 3
+    assert report.passed
+    assert report.residuals["penrose3"] == report.residuals["penrose4"]
+    assert report.bounds["penrose3"] == report.bounds["penrose4"]
+
+
+@pytest.mark.parametrize("n", [64, 512])
+def test_one_entry_off_by_1e_8_of_the_norm_fails_the_check(n):
+    for label, gen, xgen in checked_cases(n):
+        assert circ_penrose_residuals(gen, xgen, DEFAULT_TOL).passed, label
+        step = 1e-8 * float(np.linalg.norm(xgen))
+        for index in (0, 1, n // 2, n - 1):
+            for direction in (1.0, -1.0, 1j):
+                off = xgen.copy()
+                off[index] += direction * step
+                report = circ_penrose_residuals(gen, off, DEFAULT_TOL)
+                assert not report.passed, (label, index, direction)
+
+
+# --------------------------------------------------------------------------
+# the block identity on one period
+
+
+def full_identity(gen) -> bool:
+    """C^2 = n C on the whole generator, as an exact integer convolution."""
+    return np.array_equal(circ_mul(gen, gen), gen.shape[0] * gen)
+
+
+def one_period_holds(monkeypatch, gen, k, q) -> bool:
+    """Whether block_pattern_pinv accepts gen as the pattern of (k, q)."""
+    with monkeypatch.context() as patch:
+        patch.setattr(pinvkit.circulant, "block_pattern_generator", lambda k_, q_: gen)
+        try:
+            block_pattern_pinv(1.5, -0.7, k, q)
+        except PreconditionError as exc:
+            assert "defining identity" in str(exc)
+            return False
+    return True
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_one_period_verdict_equals_the_full_identity(monkeypatch, k):
+    for q in range(1, 9):
+        base = block_pattern_generator(k, q)
+        n = base.shape[0]
+        assert full_identity(base) and one_period_holds(monkeypatch, base, k, q), q
+        for index in range(n):
+            for delta in (1, -1, n):
+                patched = base.copy()
+                patched[index] += delta
+                verdict = one_period_holds(monkeypatch, patched, k, q)
+                assert verdict == full_identity(patched), (q, index, delta)
+                if delta == 1:
+                    assert not verdict, (q, index)
+
+
+# --------------------------------------------------------------------------
+# the report line, encoded once
+
+
+def three_pass_line(report) -> str:
+    """The report line as it was printed before: dumped, loaded with NaN and
+    the infinities as None, dumped again strictly."""
+    strict = json.loads(json.dumps(report), parse_constant=lambda _: None)
+    return json.dumps(strict, allow_nan=False) + "\n"
+
+
+def circ_report(capsys, n):
+    rng = np.random.default_rng(n)
+    gen = ",".join(repr(float(v)) for v in rng.standard_normal(n))
+    assert main(["circ", f"--gen={gen}"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+REPORTS = {
+    "finite": {"command": "verify", "rank": 3, "max_penrose_residual": 1.25e-15, "passed": True,
+               "input_digest": None, "extras": {"residuals": {"penrose1": 0.1, "char_i": 2e-300}}},
+    "nan-in-extras": {"passed": False, "extras": {"residual": math.nan, "u": [1.0, math.nan]}},
+    "infinities": {"residual_bound": math.inf, "extras": {"u": [-math.inf, 0.5, math.inf]}},
+    "negative-zero": {"max_penrose_residual": -0.0, "extras": {"u": [-0.0, 0.0], "gap": -0.0}},
+    "nested": {"extras": {"a": {"b": {"c": [1, {"d": math.nan}, "text é"]}}, "e": {}}},
+}
+
+
+@pytest.mark.parametrize("name", list(REPORTS))
+def test_report_line_keeps_the_three_pass_bytes(capsys, name):
+    report = REPORTS[name]
+    _print_report(report, False)
+    assert capsys.readouterr().out == three_pass_line(report)
+
+
+@pytest.mark.parametrize("n", [2, 64, 512])
+def test_circ_report_line_keeps_the_three_pass_bytes(capsys, n):
+    report = circ_report(capsys, n)
+    assert len(report["extras"]["support"]) == n
+    _print_report(report, False)
+    assert capsys.readouterr().out == three_pass_line(report)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@RULE
+@given(st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=6))
+def test_any_report_keeps_the_three_pass_bytes(report):
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        _print_report(report, False)
+    assert printed.getvalue() == three_pass_line(report)
+
+
+# --------------------------------------------------------------------------
+# verify certifies a full-rank pair once
+
+
+def test_verify_certifies_a_full_rank_pair_with_two_margin_products(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(41)
+    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    x = np.linalg.inv(a)
+    a_path, x_path = tmp_path / "a.json", tmp_path / "x.json"
+    a_path.write_text(dumps_matrix_json(a))
+    x_path.write_text(dumps_matrix_json(x))
+    assert pinvkit.core.inverse_certified(a, x)
+    calls = counted(monkeypatch, pinvkit.core, "_inverse_margin")
+    assert main(["verify", "--input", str(a_path), "--aux", str(x_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(calls) == 2
+    assert report["passed"] and report["rank"] == 8
+    chars = pinvkit.core.characterization_residuals(a, x)
+    for key, value in chars.residuals.items():
+        assert report["extras"]["residuals"][key] == value, key
