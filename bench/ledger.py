@@ -30,19 +30,15 @@ def median_ms(funcs: dict, repeats: int) -> dict:
 
 def machine() -> dict:
     """The host and the BLAS build. Output bits depend on the OpenBLAS kernel,
-    which OPENBLAS_CORETYPE can force, so both are recorded. A numpy whose
-    show_config takes no mode cannot report its BLAS as data: "unknown"."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except TypeError:
-        blas = None
+    which OPENBLAS_CORETYPE can force, so both are recorded."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "blas": f"{blas.get('name')} {blas.get('version')}" if blas else "unknown",
+        "blas": f"{blas.get('name')} {blas.get('version')}",
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default"),
         "blas_coretype": os.environ.get("OPENBLAS_CORETYPE", "default"),
     }

@@ -26,7 +26,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, field
 
@@ -124,12 +123,6 @@ class _Parser(argparse.ArgumentParser):
 # I/O helpers
 
 
-# Read once at import: os.umask can only be read by setting it, which would
-# race between threads writing files at the same time.
-_UMASK = os.umask(0o077)
-os.umask(_UMASK)
-
-
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -172,7 +165,8 @@ def _writev_all(fd: int, buffers: list) -> None:
 def _write_atomic(path: str, data) -> str:
     """Write data, a str or an iterable of bytes-like buffers, to path through
     a uniquely named temporary file beside it; return the sha256 of the
-    bytes written.
+    bytes written. The file gets the mode open(path, "w") would give it
+    under the umask in force at the call.
 
     Concurrent writers to the same path each rename a complete file into
     place, so the last rename wins and no reader sees a partial file. The
@@ -183,14 +177,15 @@ def _write_atomic(path: str, data) -> str:
     """
     buffers = (data.encode(),) if isinstance(data, str) else data
     digest = hashlib.sha256()
+    directory, name = os.path.split(path)
     try:
-        fd, tmp = tempfile.mkstemp(
-            prefix=f".{os.path.basename(path)}.", suffix=".tmp", dir=os.path.dirname(path) or "."
-        )
+        while True:  # a fresh random name whenever one is taken
+            tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+            with contextlib.suppress(FileExistsError):
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                break
         try:
             try:
-                # mkstemp creates 0600; give the mode open(path, "w") would
-                os.fchmod(fd, 0o666 & ~_UMASK)
                 batch = []
                 for buffer in buffers:
                     digest.update(buffer)
@@ -432,28 +427,26 @@ def _cmd_gen(args, tol: Tolerance) -> _Outcome:
     def emit(path: str, text: str) -> None:
         files.append({"path": path, "sha256": _write_atomic(path, text)})
 
+    # each flag the kind reads, at its default where it is not given
+    size = {
+        name: default if getattr(args, name) is None else getattr(args, name)
+        for name, default in GEN_READS[args.kind].items()
+    }
     if args.kind == "sum-family":
-        rows = args.rows if args.rows is not None else 6
-        cols = args.cols if args.cols is not None else 5
-        k = args.k if args.k is not None else 2
-        family = gen_svd_block_family(args.seed, rows, cols, k)
+        family = gen_svd_block_family(args.seed, size["rows"], size["cols"], size["k"])
         for index, member in enumerate(family.members, start=1):
             emit(f"{prefix}_{index}.json", dumps_matrix_json(member))
         extras["certificate_holds"] = bool(check_orthogonality(family, tol).holds)
     elif args.kind == "zero-sum-tree":
-        n = args.n if args.n is not None else 8
-        tree = gen_zero_sum_tree(args.seed, n)
+        tree = gen_zero_sum_tree(args.seed, size["n"])
         emit(f"{prefix}.csv", dumps_tree_csv(tree.edges))
         extras["weight_sum"] = tree.weight_sum
     elif args.kind == "rank-additive-pair":
-        n = args.n if args.n is not None else 6
-        first, second = gen_rank_additive_pair(args.seed, n, tol)
+        first, second = gen_rank_additive_pair(args.seed, size["n"], tol)
         emit(f"{prefix}_a.json", dumps_matrix_json(first))
         emit(f"{prefix}_b.json", dumps_matrix_json(second))
     else:
-        rows = args.rows if args.rows is not None else 8
-        cols = args.cols if args.cols is not None else 8
-        a = gen_random_matrix(args.seed, rows, cols, rank=args.k)
+        a = gen_random_matrix(args.seed, size["rows"], size["cols"], rank=size["k"])
         emit(f"{prefix}.json", dumps_matrix_json(a))
 
     extras["files"] = files
@@ -484,14 +477,14 @@ def _check_reads(args) -> None:
     if choice == "two-term" and (args.gen is not None or args.input):
         # the generator fixes alpha, beta, n and k
         allowed = {"gen", "input"}
-    unread = set().union(*reads.values()) - allowed
+    unread = set().union(*reads.values()).difference(allowed)
     given = sorted(f"--{name}" for name in unread if getattr(args, name) is not None)
     if given:
         raise _UsageError(f"{args.command} {choice} does not read {', '.join(given)}")
 
 
 # the methods of pinv and circ and the kinds of gen, each with the flags
-# of its own that it reads
+# of its own that it reads; a kind of gen maps each to its default
 PINV_READS = {"svd": set(), "normal": set(), "rank-completion": set(), "pair": {"aux"}}
 CIRC_READS = {
     "spectral": {"gen", "input"},
@@ -500,10 +493,10 @@ CIRC_READS = {
     "block": {"alpha", "beta", "k", "q"},
 }
 GEN_READS = {
-    "sum-family": {"rows", "cols", "k"},
-    "zero-sum-tree": {"n"},
-    "rank-additive-pair": {"n"},
-    "random-matrix": {"rows", "cols", "k"},
+    "sum-family": {"rows": 6, "cols": 5, "k": 2},
+    "zero-sum-tree": {"n": 8},
+    "rank-additive-pair": {"n": 6},
+    "random-matrix": {"rows": 8, "cols": 8, "k": None},
 }
 MATRIX_IN = "matrix file (.json or .csv)"
 MATRIX_OUT = "write the pseudoinverse here (.json or .csv)"

@@ -89,16 +89,13 @@ _EPS = 2.0 * UNIT_ROUNDOFF  # machine epsilon for float64
 
 def _bind_einsum():
     """einsum's C function, which np.einsum calls with the same arguments
-    when optimize is not given, without the Python wrapper's cost per call:
-    numpy 2 keeps it in numpy._core, numpy 1 in numpy.core, and np.einsum
-    itself stands in should neither hold it."""
+    when optimize is not given, without the Python wrapper's cost per call.
+    numpy 2 keeps it in numpy._core; np.einsum itself stands in should that
+    not hold it."""
     try:
         from numpy._core.multiarray import c_einsum
     except ImportError:
-        try:
-            from numpy.core.multiarray import c_einsum
-        except ImportError:
-            return np.einsum
+        return np.einsum
     return c_einsum
 
 

@@ -930,6 +930,49 @@ def test_failed_write_removes_temp_file(tmp_path):
     assert os.listdir(tmp_path) == ["x.json"]
 
 
+def test_output_takes_the_umask_in_force_at_the_write(tmp_path, capsys):
+    # a umask other than the one in force when pinvkit.cli was imported
+    at_import = os.umask(0o027)
+    mask = 0o077 if at_import == 0o027 else 0o027
+    os.umask(mask)
+    try:
+        assert main(["wheel", "--n", "5", "--output", str(tmp_path / "x.json")]) == 0
+        with open(tmp_path / "reference.json", "w"):
+            pass
+    finally:
+        os.umask(at_import)
+    want = os.stat(tmp_path / "reference.json").st_mode & 0o777
+    assert want == 0o666 & ~mask
+    assert os.stat(tmp_path / "x.json").st_mode & 0o777 == want
+
+
+def test_importing_the_cli_leaves_the_umask_alone():
+    package_root = os.path.dirname(os.path.dirname(pinvkit.cli.__file__))
+    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import os; os.umask = None; import pinvkit.cli"
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_a_taken_temp_name_is_left_alone_and_another_drawn(tmp_path, monkeypatch):
+    taken = tmp_path / f".x.json.{'01' * 6}.tmp"
+    taken.write_bytes(b"someone else's\n")
+    draws = iter([b"\x01" * 6, b"\x02" * 6])
+    calls = []
+
+    def urandom(size):
+        calls.append(size)
+        return next(draws)
+
+    monkeypatch.setattr(os, "urandom", urandom)
+    digest = _write_atomic(str(tmp_path / "x.json"), "{}\n")
+    assert calls == [6, 6]
+    assert digest == hashlib.sha256(b"{}\n").hexdigest()
+    assert (tmp_path / "x.json").read_bytes() == b"{}\n"
+    assert taken.read_bytes() == b"someone else's\n"
+    assert sorted(os.listdir(tmp_path)) == [taken.name, "x.json"]
+
+
 def test_failing_block_source_keeps_the_old_file(tmp_path):
     target = tmp_path / "x.csv"
     target.write_bytes(b"old\n")
