@@ -9,12 +9,21 @@ For each size n it times, as the median of several repeats:
 - mul.int            circ_mul (np.convolve folded once), integer generators
 - mul.complex        circ_mul on the complex generators of the check
 - spectrum           circ_spectrum
+- spectrum.real      circ_spectrum of a real generator: the real FFT, mirrored
+- route.zero_sum     zero_sum_shift_pinv on a real zero-sum generator (the
+                     shifted branch), whose X is real
+- penrose.circulant_real
+                     circ_penrose_residuals on a real generator and its real
+                     X: the convolutions on the float64 parts
 - route.block_k1     block_pattern_pinv at k = 1 and k = 3 with q = n / (k + 1),
 - route.block_k3     the block sizes of the benchmark's circulant-io workload;
                      each re-proves C^2 = n C on one period of k + 1 entries
 - cli.circ_csv       pinvkit circ --gen ... --output x.csv, in process
 - write.streamed     _write_atomic on circulant_csv_blocks: each row a slice
                      of one encoded buffer, hashed and written by os.writev
+- write.streamed_real
+                     the same for the real X of route.zero_sum, whose cells
+                     end in "+0i"
 - parse.gen_*        a --gen argument and a generator JSON file, read entry
                      by entry (per_entry, the fallback of parse_generator
                      and of _pairs) and in bulk (parse_generator,
@@ -32,7 +41,8 @@ and, for square matrices of order 8 to 64 (the dense-oracle inputs):
 
 It checks that both CSV writers, the circ command's file and the streamed
 writer give the same bytes, that the streamed writer's digest is the
-sha256 of those bytes, that the dense and the generator Penrose checks give
+sha256 of those bytes, that the real X's imaginary parts are +0.0 and its
+streamed CSV equals dumps_matrix_csv(circ_materialize(x)), that the dense and the generator Penrose checks give
 the same verdict, that each pair of parsers gives the same bits and that the
 report line is the strict JSON of a dump, load and dump of the report. It
 exits 1 if any check fails, and writes the medians in milliseconds with the
@@ -71,6 +81,7 @@ from pinvkit.circulant import (
     circ_penrose_residuals,
     circ_pinv_spectral,
     circ_spectrum,
+    zero_sum_shift_pinv,
 )
 from pinvkit.cli import _print_report, _write_atomic
 from pinvkit.cli import main as cli_main
@@ -132,6 +143,9 @@ def measure(n: int, repeats: int, workdir: str) -> dict:
     gen = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     xgen = circ_pinv_spectral(gen)
     c, x = circ_materialize(gen), circ_materialize(xgen)
+    real = rng.standard_normal(n)
+    real -= real.mean()
+    xreal = zero_sum_shift_pinv(real, alpha=1.5)
     tol = DEFAULT_TOL
     pattern = block_pattern_generator(3, n // 4)
     gen_text = ",".join(format_complex(z) for z in gen)
@@ -152,10 +166,14 @@ def measure(n: int, repeats: int, workdir: str) -> dict:
         "mul.int": lambda: circ_mul(pattern, pattern),
         "mul.complex": lambda: circ_mul(gen, xgen),
         "spectrum": lambda: circ_spectrum(gen),
+        "spectrum.real": lambda: circ_spectrum(real),
+        "route.zero_sum": lambda: zero_sum_shift_pinv(real, alpha=1.5),
+        "penrose.circulant_real": lambda: circ_penrose_residuals(real, xreal, tol),
         "route.block_k1": lambda: block_pattern_pinv(1.5, -0.7, 1, n // 2),
         "route.block_k3": lambda: block_pattern_pinv(1.5, -0.7, 3, n // 4),
         "cli.circ_csv": cli_circ_csv,
         "write.streamed": lambda: _write_atomic(out, circulant_csv_blocks(xgen)),
+        "write.streamed_real": lambda: _write_atomic(out, circulant_csv_blocks(xreal)),
         "parse.gen_per_entry": lambda: per_entry_generator(gen_text),
         "parse.gen_bulk": lambda: parse_generator(gen_text),
         "parse.gen_json_per_entry": lambda: per_entry_generator_json(gen_json),
@@ -176,10 +194,14 @@ def measure(n: int, repeats: int, workdir: str) -> dict:
         "same_verdict": dense.passed == structured.passed,
         "write_identical": written(out, lambda: _write_atomic(out, circulant_csv_blocks(xgen)))
         == (hashlib.sha256(text.encode()).hexdigest(), text.encode()),
+        "real_csv_identical": not xreal.imag.any() and not np.signbit(xreal.imag).any()
+        and written(out, lambda: _write_atomic(out, circulant_csv_blocks(xreal)))[1]
+        == dumps_matrix_csv(circ_materialize(xreal)).encode(),
         "parse_identical": same_bits(per_entry_generator(gen_text), parse_generator(gen_text))
         and same_bits(per_entry_generator_json(gen_json), loads_generator_json(gen_json)),
     }
-    return {"n": n, "csv_bytes": len(text), "median_ms": timings,
+    return {"n": n, "csv_bytes": len(text),
+            "csv_bytes_real": len(dumps_circulant_csv(xreal)), "median_ms": timings,
             "checks": checks}
 
 
@@ -240,6 +262,7 @@ def main(argv=None) -> int:
         ms = row["median_ms"]
         print(f"n={row['n']:4d}  " + "  ".join(f"{key} {value:.2f}" for key, value in ms.items()))
     flags = ("csv_identical", "cli_csv_identical", "same_verdict", "write_identical",
+             "real_csv_identical",
              "parse_identical", "report_identical", "json_identical")
     ok = all(row["checks"][flag] for row in rows + report_rows + parse_rows for flag in flags
              if flag in row["checks"])

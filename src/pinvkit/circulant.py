@@ -7,11 +7,15 @@ Diagonalization by the unitary DFT turns every question about circ(c) into
 one about its eigenvalue vector, and the closed forms below (two-term,
 support splitting, zero-sum shift, block pattern) are checked against that
 spectral route. The pseudoinverse of a circulant is a circulant, so every
-route returns its generator as an array. circ_penrose_residuals checks a
+route returns its generator as an array. A real generator (every imaginary
+part +-0.0) stays real from end to end: its spectrum comes from the real FFT
+and is conjugate-symmetric bit for bit, and every route returns its X as
+complex128 with imaginary parts +0.0. circ_penrose_residuals checks a
 candidate on generators alone: each product is circ_mul, a direct cyclic
-convolution in O(n) memory, and circulants commute, so three products
-(AX, AXA and AXX) make the four residuals. block_pattern_pinv re-proves its
-pattern's identity on one period of k + 1 entries.
+convolution in O(n) memory, on the float64 parts when both generators are
+real, and circulants commute, so three products (AX, AXA and AXX) make the
+four residuals. block_pattern_pinv re-proves its pattern's identity on one
+period of k + 1 entries.
 """
 
 from __future__ import annotations
@@ -40,6 +44,17 @@ class Spectrum:
 
     values: np.ndarray
     support: tuple[int, ...]
+
+
+def _real_parts(gen: np.ndarray) -> np.ndarray:
+    """gen's float64 real parts when every imaginary part is +-0.0, else gen."""
+    return gen if gen.imag.any() else gen.real
+
+
+def _exactly_real(x: np.ndarray) -> np.ndarray:
+    """x's real parts as complex128 with imaginary parts +0.0: the X of a real
+    circulant, whose arithmetic left at most +-0.0 in them."""
+    return x.real.astype(np.complex128)
 
 
 def _circ_rows(gen: np.ndarray) -> np.ndarray:
@@ -116,8 +131,10 @@ def circ_penrose_residuals(gen, xgen, tol: Tolerance = DEFAULT_TOL) -> ResidualR
     and no use of the spectrum, so the check shares no arithmetic with the
     spectral route. Circulants commute, so XA is AX: Penrose 3 and 4 are one
     equation, XAX is (AX) X, and the check makes three products, AX, (AX) A
-    and (AX) X. In exact arithmetic these are the dense residuals, held to
-    the dense bounds of penrose_bounds; the cost is O(n^2), not O(n^3).
+    and (AX) X. When both generators are real, the products convolve their
+    float64 parts, a quarter of the flops. In exact arithmetic these are the
+    dense residuals, held to the dense bounds of penrose_bounds; the cost is
+    O(n^2), not O(n^3).
     """
     gen = as_vector(gen, min_len=2)
     xgen = as_vector(xgen, min_len=2)
@@ -125,6 +142,8 @@ def circ_penrose_residuals(gen, xgen, tol: Tolerance = DEFAULT_TOL) -> ResidualR
         raise PreconditionError(
             f"generator lengths differ: {gen.shape[0]} vs {xgen.shape[0]}"
         )
+    if not (gen.imag.any() or xgen.imag.any()):
+        gen, xgen = gen.real, xgen.real
     n = gen.shape[0]
     scale = math.sqrt(n)
     return _penrose(
@@ -140,15 +159,22 @@ def circ_spectrum(gen, tol: Tolerance = DEFAULT_TOL) -> Spectrum:
     lambda is the unnormalized inverse FFT of gen. circ(gen) is normal, so
     |lambda| are its singular values, and the support collects the indices
     with |lambda_k| above tol.rank_cutoff(max |lambda|, n, n): the rank rule
-    of the SVD oracle.
+    of the SVD oracle. For a real generator lambda_k = conj(rfft(gen)_k) for
+    k <= n/2, and the rest is their mirror, lambda_(n-k) = conj(lambda_k) bit
+    for bit, so the magnitudes and the support are symmetric too.
     """
     # imported on first use: numpy does not load numpy.fft on import
     from numpy import fft
 
-    gen = as_vector(gen, min_len=2)
-    values = fft.ifft(gen, norm="forward")
+    gen = _real_parts(as_vector(gen, min_len=2))
+    n = gen.shape[0]
+    if np.isrealobj(gen):
+        half = fft.rfft(gen)
+        values = np.concatenate((half.conj(), half[1 : (n + 1) // 2][::-1]))
+    else:
+        values = fft.ifft(gen, norm="forward")
     magnitudes = np.abs(values)
-    cutoff = tol.rank_cutoff(float(magnitudes.max(initial=0.0)), gen.shape[0], gen.shape[0])
+    cutoff = tol.rank_cutoff(float(magnitudes.max(initial=0.0)), n, n)
     support = tuple(np.flatnonzero(magnitudes > cutoff).tolist())
     return Spectrum(values, support)
 
@@ -163,17 +189,26 @@ def generator_from_spectrum(values) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def circ_pinv_spectral(gen, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Pseudoinverse generator by inverting the nonzero eigenvalues."""
-    return _pinv_from_spectrum(circ_spectrum(gen, tol))
+    gen = as_vector(gen, min_len=2)
+    return _pinv_from_spectrum(circ_spectrum(gen, tol), not gen.imag.any())
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _pinv_from_spectrum(spec: Spectrum) -> np.ndarray:
+def _pinv_from_spectrum(spec: Spectrum, real: bool) -> np.ndarray:
     """Generator of the pseudoinverse: the eigenvalues on the support
-    inverted, the others left at 0."""
+    inverted, the others left at 0. For the spectrum of a real generator it
+    is the inverse real FFT of the first half, exactly real."""
+    from numpy import fft
+
     inverted = np.zeros_like(spec.values)
     idx = list(spec.support)
     inverted[idx] = 1.0 / spec.values[idx]
-    return _in_float_range(generator_from_spectrum(_in_float_range(inverted)))
+    _in_float_range(inverted)
+    if real:
+        # generator_from_spectrum of a conjugate-symmetric spectrum, in real arithmetic
+        n = inverted.shape[0]
+        return _exactly_real(_in_float_range(fft.irfft(inverted[: n // 2 + 1].conj(), n)))
+    return _in_float_range(generator_from_spectrum(inverted))
 
 
 def _shift_generator(gen: np.ndarray, l: int) -> np.ndarray:
@@ -203,7 +238,8 @@ def two_term_pinv(
       alpha = -beta:        generator (n - 1 - 2k) / (2 n alpha)
 
     Anything else goes through the spectral route, which also covers the
-    remaining complex singular combinations.
+    remaining complex singular combinations. A real pair gives a real X,
+    with imaginary parts +0.0.
     """
     gen = _two_term_generator(alpha, beta, n, k_pos)
     alpha, beta, l = complex(alpha), complex(beta), k_pos - 1
@@ -216,6 +252,8 @@ def two_term_pinv(
         base = (n - 1.0 - 2.0 * k) / (2.0 * n * alpha)
     else:
         base = circ_pinv_spectral(np.roll(gen, -l), tol)  # alpha at 0, beta at 1
+    if not (alpha.imag or beta.imag):
+        base = _exactly_real(base)
     return _shift_generator(_in_float_range(base), (n - l) % n)
 
 
@@ -264,8 +302,8 @@ def support_split_pinv(
                     f"at eigenvalue indices {collisions}"
                 )
     total = np.zeros(n, dtype=np.complex128)
-    for spec in spectra:
-        total = total + _pinv_from_spectrum(spec)
+    for g, spec in zip(gens, spectra):
+        total = total + _pinv_from_spectrum(spec, not g.imag.any())
     covered = set().union(*supports)
     return total, covered == set(range(n))
 
@@ -298,20 +336,26 @@ def zero_sum_shift_pinv(
     eigenvalue n alpha neither drops below the rank cutoff nor swamps the
     spectrum, alpha is scaled by a power of two (_in_band); the shift runs
     on s gen and s alpha, s = unit_scale(gen), and X is s times its result.
+    A real generator stays real on both branches: X does not depend on
+    alpha, so its shift is alpha's real part, or its imaginary part when
+    that is all it has.
     """
-    gen = as_vector(gen, min_len=2)
+    gen = _real_parts(as_vector(gen, min_len=2))
     n = gen.shape[0]
     spec = circ_spectrum(gen, tol)
-    ones = np.ones(n, dtype=np.complex128)
-    total = complex(np.sum(gen))
+    ones = np.ones(n, dtype=gen.dtype)
+    total = np.sum(gen).item()
     if 0 in spec.support:
         # eigenvalue 0 is the entry sum; nonzero here, so split off the mean
         mean_split = circ_pinv_spectral(gen - (total / n) * ones, tol) + ones / (n * total)
         return _in_float_range(mean_split)
     if alpha is None or complex(alpha) == 0:
         raise PreconditionError("zero-sum generator needs a nonzero alpha for the shifted route")
+    alpha = complex(alpha)
+    if np.isrealobj(gen):
+        alpha = complex(alpha.real or alpha.imag)
     s = unit_scale(gen)  # exact, so gen + alpha ones and n^2 alpha stay in range
-    alpha = s * _in_band(complex(alpha), n, float(np.abs(spec.values).max()))
+    alpha = s * _in_band(alpha, n, float(np.abs(spec.values).max()))
     shifted = circ_pinv_spectral(s * gen + alpha * ones, tol) - ones / (n * n * alpha)
     return _in_float_range(s * shifted)
 
@@ -335,6 +379,7 @@ def block_pattern_pinv(alpha: complex, beta: complex, k: int, q: int) -> np.ndar
     for the cyclic convolution of length k + 1. A generator of period k + 1
     has q times p * p, tiled, as its own cyclic square, so the two together
     are exactly C^2 = n C, at O(n + (k + 1)^2) cost in place of O(n^2).
+    Real alpha and beta give a real X, with imaginary parts +0.0.
     """
     alpha = complex(alpha)
     beta = complex(beta)
@@ -347,7 +392,8 @@ def block_pattern_pinv(alpha: complex, beta: complex, k: int, q: int) -> np.ndar
     if not (tiled and np.array_equal(circ_mul(period, period), (k + 1) * period)):
         raise PreconditionError("block pattern failed its defining identity")
     ones = np.ones(n, dtype=np.complex128)
-    return _in_float_range(ones / (alpha * n * n) + base / (beta * n * n))
+    x = ones / (alpha * n * n) + base / (beta * n * n)
+    return _in_float_range(x if alpha.imag or beta.imag else _exactly_real(x))
 
 
 def block_pattern_coefficients(a: complex, b: complex, k: int) -> tuple[complex, complex]:

@@ -274,7 +274,7 @@ def _two_term_from_generator(gen: np.ndarray) -> tuple[complex, complex, int]:
     the one whose successor is the other.
     """
     n = gen.shape[0]
-    nonzero = [k for k in range(n) if gen[k] != 0]
+    nonzero = np.flatnonzero(gen).tolist()
     if len(nonzero) != 2:
         raise PreconditionError(
             f"two-term method needs exactly two nonzero entries, found {len(nonzero)}"

@@ -587,6 +587,35 @@ def test_two_term_generator_that_wraps_around_gives_the_flags_bytes(tmp_path, ca
 
 
 @pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([0, 0, 1.5, 0], "two-term method needs exactly two nonzero entries, found 1"),
+        ([1, 2j, 0, -3], "two-term method needs exactly two nonzero entries, found 3"),
+        ([1, 0, 2, 0, 0], "two-term entries at 0 and 2 are not cyclically adjacent"),
+        # -0.0 is zero, in either part
+        ([-0.0, 1, complex(-0.0, -0.0), 2], "two-term entries at 1 and 3 are not cyclically adjacent"),
+    ],
+)
+def test_two_term_split_refusals_name_the_entries(entries, message):
+    gen = np.array(entries, dtype=np.complex128)
+    with pytest.raises(PreconditionError) as raised:
+        pinvkit.cli._two_term_from_generator(gen)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "entries, split",
+    [
+        ([0, 2, 3j, 0], (2, 3j, 2)),
+        ([5, -0.0, 0, 4], (4, 5, 4)),  # the pair wraps around: alpha at n - 1
+        ([-0.0, 1.5, -0.25], (1.5, -0.25, 2)),
+    ],
+)
+def test_two_term_split_finds_alpha_beta_and_position(entries, split):
+    assert pinvkit.cli._two_term_from_generator(np.array(entries, dtype=np.complex128)) == split
+
+
+@pytest.mark.parametrize(
     "argv, code, message",
     [
         (["circ", "--method", "two-term", "--gen", "1,1,1,0"], 3,
