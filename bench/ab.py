@@ -1,13 +1,15 @@
 """Paired perfbench runs of a base revision against this checkout.
 
-    python3 bench/ab.py --base HEAD~1 --workload circulant-io --seeds 7,23 --pairs 10 --seconds 10
+    python3 bench/ab.py --base HEAD~1 --workload circulant-io --pairs 10
 
 It checks REV out with `git worktree add --detach` in a temporary directory,
 which it removes afterwards, and runs perfbench/run.py there and in this
-checkout, one after the other, --pairs times. Pair i runs at seed
-seeds[i mod len(seeds)], and the side that goes first switches from pair to
+checkout, one after the other, --pairs times, each run --seconds long
+(BENCHMARK.json's run_seconds unless given). Pair i runs at seed
+SEEDS[i mod len(SEEDS)], and the side that goes first switches from pair to
 pair, so drift in the host's speed reaches both sides alike. Each run's last
-stdout line is its JSON summary.
+stdout line is its JSON summary. Every run, and the machine description,
+has the BLAS settings that perfbench/run.py gives its workers.
 
 It writes BENCH_ab-<workload>.json (or --out) with ledger.machine(), every
 run's metrics and, per end-to-end metric of BENCHMARK.json:
@@ -39,6 +41,10 @@ from ledger import machine
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
+SEEDS = (7, 23)  # the seeds of the benchmark's recorded runs, taken in turn
+
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from run import BLAS_ENV  # noqa: E402  the BLAS settings of perfbench's workers
 
 
 def git(*args: str) -> str:
@@ -60,7 +66,7 @@ def run_bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
 
 def op_digests(tree: str, seed: int) -> list[str]:
     """This checkout's op_digests listing, run on tree's src."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     done = subprocess.run([sys.executable, os.path.join(HERE, "op_digests.py"), "--seed", str(seed)],
                           cwd=tree, env=env, capture_output=True, text=True)
     if done.returncode != 0:
@@ -103,14 +109,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", default="7,23", help="comma-separated, used in turn")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--seconds", type=float, help="default BENCHMARK.json's run_seconds")
     parser.add_argument("--out", help="default BENCH_ab-<workload>.json")
     args = parser.parse_args(argv)
-    seeds = [int(seed) for seed in args.seeds.split(",")]
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
-        specs = json.load(handle)["end_to_end"]
+        benchmark = json.load(handle)
+    specs = benchmark["end_to_end"]
+    seconds = benchmark["run_seconds"] if args.seconds is None else args.seconds
+    os.environ.update(BLAS_ENV)
     base_sha = git("rev-parse", "--verify", args.base + "^{commit}")
     runs, digests = [], {}
     with tempfile.TemporaryDirectory(prefix="pinvkit-ab-") as scratch:
@@ -118,17 +125,17 @@ def main(argv=None) -> int:
         git("worktree", "add", "--detach", tree, base_sha)
         try:
             for index in range(args.pairs):
-                seed = seeds[index % len(seeds)]
+                seed = SEEDS[index % len(SEEDS)]
                 order = ("base", "change") if index % 2 == 0 else ("change", "base")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
                     pair[side] = run_bench(tree if side == "base" else ROOT, args.workload, seed,
-                                           args.seconds)
+                                           seconds)
                 runs.append(pair)
                 print(f"pair {index + 1}/{args.pairs} seed {seed}: " + ", ".join(
                     f"{side} {pair[side]['metrics']['latency_p90_ms']['value']:.4g}"
                     for side in ("base", "change")) + " latency_p90_ms", flush=True)
-            for seed in seeds:
+            for seed in SEEDS:
                 base_lines, change_lines = op_digests(tree, seed), op_digests(ROOT, seed)
                 digests[str(seed)] = {
                     "operations": len(change_lines),
@@ -146,9 +153,9 @@ def main(argv=None) -> int:
         "base": {"rev": args.base, "commit": base_sha},
         "change": {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))},
         "workload": args.workload,
-        "seeds": seeds,
+        "seeds": list(SEEDS),
         "pairs": args.pairs,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "machine": machine(),
         "metrics": table,
         "op_digests": digests,

@@ -12,9 +12,6 @@ For each size n it times, as the median of several repeats:
 - spectrum.real      circ_spectrum of a real generator: the real FFT, mirrored
 - route.zero_sum     zero_sum_shift_pinv on a real zero-sum generator (the
                      shifted branch), whose X is real
-- penrose.circulant_real
-                     circ_penrose_residuals on a real generator and its real
-                     X: the convolutions on the float64 parts
 - route.block_k1     block_pattern_pinv at k = 1 and k = 3 with q = n / (k + 1),
 - route.block_k3     the block sizes of the benchmark's circulant-io workload;
                      each re-proves C^2 = n C on one period of k + 1 entries
@@ -168,7 +165,6 @@ def measure(n: int, repeats: int, workdir: str) -> dict:
         "spectrum": lambda: circ_spectrum(gen),
         "spectrum.real": lambda: circ_spectrum(real),
         "route.zero_sum": lambda: zero_sum_shift_pinv(real, alpha=1.5),
-        "penrose.circulant_real": lambda: circ_penrose_residuals(real, xreal, tol),
         "route.block_k1": lambda: block_pattern_pinv(1.5, -0.7, 1, n // 2),
         "route.block_k3": lambda: block_pattern_pinv(1.5, -0.7, 3, n // 4),
         "cli.circ_csv": cli_circ_csv,

@@ -12,9 +12,8 @@ part +-0.0) stays real from end to end: its spectrum comes from the real FFT
 and is conjugate-symmetric bit for bit, and every route returns its X as
 complex128 with imaginary parts +0.0. circ_penrose_residuals checks a
 candidate on generators alone: each product is circ_mul, a direct cyclic
-convolution in O(n) memory, on the float64 parts when both generators are
-real, and circulants commute, so three products (AX, AXA and AXX) make the
-four residuals. block_pattern_pinv re-proves its pattern's identity on one
+convolution in O(n) memory, and circulants commute, so three products
+(AX, AXA and AXX) make the four residuals. block_pattern_pinv re-proves its pattern's identity on one
 period of k + 1 entries.
 """
 
@@ -44,11 +43,6 @@ class Spectrum:
 
     values: np.ndarray
     support: tuple[int, ...]
-
-
-def _real_parts(gen: np.ndarray) -> np.ndarray:
-    """gen's float64 real parts when every imaginary part is +-0.0, else gen."""
-    return gen if gen.imag.any() else gen.real
 
 
 def _exactly_real(x: np.ndarray) -> np.ndarray:
@@ -131,10 +125,8 @@ def circ_penrose_residuals(gen, xgen, tol: Tolerance = DEFAULT_TOL) -> ResidualR
     and no use of the spectrum, so the check shares no arithmetic with the
     spectral route. Circulants commute, so XA is AX: Penrose 3 and 4 are one
     equation, XAX is (AX) X, and the check makes three products, AX, (AX) A
-    and (AX) X. When both generators are real, the products convolve their
-    float64 parts, a quarter of the flops. In exact arithmetic these are the
-    dense residuals, held to the dense bounds of penrose_bounds; the cost is
-    O(n^2), not O(n^3).
+    and (AX) X. In exact arithmetic these are the dense residuals, held to
+    the dense bounds of penrose_bounds; the cost is O(n^2), not O(n^3).
     """
     gen = as_vector(gen, min_len=2)
     xgen = as_vector(xgen, min_len=2)
@@ -142,8 +134,6 @@ def circ_penrose_residuals(gen, xgen, tol: Tolerance = DEFAULT_TOL) -> ResidualR
         raise PreconditionError(
             f"generator lengths differ: {gen.shape[0]} vs {xgen.shape[0]}"
         )
-    if not (gen.imag.any() or xgen.imag.any()):
-        gen, xgen = gen.real, xgen.real
     n = gen.shape[0]
     scale = math.sqrt(n)
     return _penrose(
@@ -163,12 +153,20 @@ def circ_spectrum(gen, tol: Tolerance = DEFAULT_TOL) -> Spectrum:
     k <= n/2, and the rest is their mirror, lambda_(n-k) = conj(lambda_k) bit
     for bit, so the magnitudes and the support are symmetric too.
     """
+    return _vector_and_spectrum(gen, tol)[1]
+
+
+def _vector_and_spectrum(gen, tol: Tolerance) -> tuple[np.ndarray, Spectrum]:
+    """gen as a vector and circ_spectrum(gen). The one place that decides
+    whether gen is real: when every imaginary part is +-0.0 the vector is
+    its float64 real parts, else complex128."""
     # imported on first use: numpy does not load numpy.fft on import
     from numpy import fft
 
-    gen = _real_parts(as_vector(gen, min_len=2))
+    gen = as_vector(gen, min_len=2)
     n = gen.shape[0]
-    if np.isrealobj(gen):
+    if not gen.imag.any():
+        gen = gen.real
         half = fft.rfft(gen)
         values = np.concatenate((half.conj(), half[1 : (n + 1) // 2][::-1]))
     else:
@@ -176,7 +174,7 @@ def circ_spectrum(gen, tol: Tolerance = DEFAULT_TOL) -> Spectrum:
     magnitudes = np.abs(values)
     cutoff = tol.rank_cutoff(float(magnitudes.max(initial=0.0)), n, n)
     support = tuple(np.flatnonzero(magnitudes > cutoff).tolist())
-    return Spectrum(values, support)
+    return gen, Spectrum(values, support)
 
 
 def generator_from_spectrum(values) -> np.ndarray:
@@ -189,8 +187,8 @@ def generator_from_spectrum(values) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def circ_pinv_spectral(gen, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Pseudoinverse generator by inverting the nonzero eigenvalues."""
-    gen = as_vector(gen, min_len=2)
-    return _pinv_from_spectrum(circ_spectrum(gen, tol), not gen.imag.any())
+    gen, spec = _vector_and_spectrum(gen, tol)
+    return _pinv_from_spectrum(spec, np.isrealobj(gen))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -288,8 +286,8 @@ def support_split_pinv(
     n = gens[0].shape[0]
     if any(g.shape[0] != n for g in gens):
         raise PreconditionError("generators must share one length")
-    spectra = [circ_spectrum(g, tol) for g in gens]
-    supports = [set(spec.support) for spec in spectra]
+    spectra = [_vector_and_spectrum(g, tol) for g in gens]
+    supports = [set(spec.support) for _, spec in spectra]
     transpose_supports = [set(circ_spectrum(rho(g), tol).support) for g in gens]
     for kp in range(len(gens)):
         for k in range(len(gens)):
@@ -302,8 +300,8 @@ def support_split_pinv(
                     f"at eigenvalue indices {collisions}"
                 )
     total = np.zeros(n, dtype=np.complex128)
-    for g, spec in zip(gens, spectra):
-        total = total + _pinv_from_spectrum(spec, not g.imag.any())
+    for g, spec in spectra:
+        total = total + _pinv_from_spectrum(spec, np.isrealobj(g))
     covered = set().union(*supports)
     return total, covered == set(range(n))
 
@@ -340,9 +338,8 @@ def zero_sum_shift_pinv(
     alpha, so its shift is alpha's real part, or its imaginary part when
     that is all it has.
     """
-    gen = _real_parts(as_vector(gen, min_len=2))
+    gen, spec = _vector_and_spectrum(gen, tol)
     n = gen.shape[0]
-    spec = circ_spectrum(gen, tol)
     ones = np.ones(n, dtype=gen.dtype)
     total = np.sum(gen).item()
     if 0 in spec.support:
