@@ -16,6 +16,9 @@ For each size n it times, as the median of several repeats:
 - route.block_k3     the block sizes of the benchmark's circulant-io workload;
                      each re-proves C^2 = n C on one period of k + 1 entries
 - cli.circ_csv       pinvkit circ --gen ... --output x.csv, in process
+- cli.circ_json      pinvkit circ --input g.json --output x.json, in process:
+                     the spectral method on a generator JSON file, the
+                     circulant-io workload's typical operation at n = 192
 - write.streamed     _write_atomic on circulant_csv_blocks: each row a slice
                      of one encoded buffer, hashed and written by os.writev
 - write.streamed_real
@@ -37,7 +40,8 @@ and, for square matrices of order 8 to 64 (the dense-oracle inputs):
 - parse.json_*       a matrix JSON, read entry by entry and by loads_matrix_json
 
 It checks that both CSV writers, the circ command's file and the streamed
-writer give the same bytes, that the streamed writer's digest is the
+writer give the same bytes, that the JSON command's report gives the
+support of circ_spectrum, that the streamed writer's digest is the
 sha256 of those bytes, that the real X's imaginary parts are +0.0 and its
 streamed CSV equals dumps_matrix_csv(circ_materialize(x)), that the dense and the generator Penrose checks give
 the same verdict, that each pair of parsers gives the same bits and that the
@@ -149,11 +153,21 @@ def measure(n: int, repeats: int, workdir: str) -> dict:
     arg = "--gen=" + gen_text
     out = os.path.join(workdir, "x.csv")
     gen_json = dumps_generator_json(gen)
+    gen_path = os.path.join(workdir, "g.json")
+    with open(gen_path, "w", encoding="utf-8") as handle:
+        handle.write(gen_json)
+
+    def cli_circ(argv) -> str:
+        with contextlib.redirect_stdout(io.StringIO()) as printed:
+            if cli_main(["circ", *argv]) != 0:
+                raise RuntimeError("circ command failed")
+        return printed.getvalue()
 
     def cli_circ_csv():
-        with contextlib.redirect_stdout(io.StringIO()):
-            if cli_main(["circ", arg, "--output", out]) != 0:
-                raise RuntimeError("circ command failed")
+        cli_circ([arg, "--output", out])
+
+    def cli_circ_json():
+        return cli_circ(["--input", gen_path, "--output", os.path.join(workdir, "x.json")])
 
     timings = median_ms({
         "csv.dense": lambda: dumps_matrix_csv(circ_materialize(xgen)),
@@ -168,6 +182,7 @@ def measure(n: int, repeats: int, workdir: str) -> dict:
         "route.block_k1": lambda: block_pattern_pinv(1.5, -0.7, 1, n // 2),
         "route.block_k3": lambda: block_pattern_pinv(1.5, -0.7, 3, n // 4),
         "cli.circ_csv": cli_circ_csv,
+        "cli.circ_json": cli_circ_json,
         "write.streamed": lambda: _write_atomic(out, circulant_csv_blocks(xgen)),
         "write.streamed_real": lambda: _write_atomic(out, circulant_csv_blocks(xreal)),
         "parse.gen_per_entry": lambda: per_entry_generator(gen_text),
@@ -184,6 +199,8 @@ def measure(n: int, repeats: int, workdir: str) -> dict:
     checks = {
         "csv_identical": dumps_matrix_csv(x) == text,
         "cli_csv_identical": cli_text == text,
+        "support_identical": json.loads(cli_circ_json())["extras"]["support"]
+        == list(circ_spectrum(gen).support),
         "penrose_dense_max": max(dense.residuals.values()),
         "penrose_circulant_max": max(structured.residuals.values()),
         "penrose_bounds": dict(dense.bounds),
@@ -257,7 +274,8 @@ def main(argv=None) -> int:
     for row in rows + report_rows + parse_rows:
         ms = row["median_ms"]
         print(f"n={row['n']:4d}  " + "  ".join(f"{key} {value:.2f}" for key, value in ms.items()))
-    flags = ("csv_identical", "cli_csv_identical", "same_verdict", "write_identical",
+    flags = ("csv_identical", "cli_csv_identical", "support_identical", "same_verdict",
+             "write_identical",
              "real_csv_identical",
              "parse_identical", "report_identical", "json_identical")
     ok = all(row["checks"][flag] for row in rows + report_rows + parse_rows for flag in flags

@@ -19,7 +19,8 @@ It times, as the median of several repeats:
                           the dyad, the inverse of D + alpha tau tau^t
   at the automatic alpha, on zero-sum trees with n = 20 to 60 vertices;
 - parser.build            building the parser, as main did on every call
-- parser.parse            parse_args on the parser main now keeps, per subcommand;
+- parser.parse            cli._parse_command_line, the parse main makes, per
+                          subcommand: the subcommand's own parser only;
 - write.format_rows       matrix._format_rows as CSV cells, which formats
                           each distinct real value once when at most half
                           the cells are distinct, and else falls back to one
@@ -64,7 +65,7 @@ import numpy as np
 from ledger import median_ms, write_ledger
 
 from pinvkit import sumdecomp
-from pinvkit.cli import build_parser, main as cli_main
+from pinvkit.cli import _parse_command_line, build_parser, main as cli_main
 from pinvkit.graphdist import (
     _auto_alpha,
     gen_zero_sum_tree,
@@ -133,10 +134,9 @@ def measure_tree(n: int, repeats: int) -> dict:
 
 
 def measure_parser(repeats: int) -> dict:
-    parser = build_parser()
     funcs = {"parser.build": build_parser.__wrapped__}
     for command, argv in ARGV.items():
-        funcs[f"parser.parse.{command}"] = lambda argv=argv: parser.parse_args(argv)
+        funcs[f"parser.parse.{command}"] = lambda argv=argv: _parse_command_line(argv)
     return {"median_ms": median_ms(funcs, repeats)}
 
 

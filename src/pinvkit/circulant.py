@@ -71,7 +71,7 @@ def circ_materialize(gen) -> np.ndarray:
 def rho(gen) -> np.ndarray:
     """Generator of the transpose: index 0 fixed, the rest reversed."""
     gen = as_vector(gen, min_len=2)
-    return np.roll(gen[::-1], 1)
+    return np.concatenate((gen[:1], gen[:0:-1]))
 
 
 def shift_power(n: int, l: int) -> np.ndarray:
@@ -111,7 +111,7 @@ def circ_mul(a, b) -> np.ndarray:
 
 def _adjoint_generator(gen: np.ndarray) -> np.ndarray:
     """Generator of circ(gen)*, which is circ(conj(rho(gen)))."""
-    return np.conj(np.roll(gen[::-1], 1))
+    return np.conj(np.concatenate((gen[:1], gen[:0:-1])))
 
 
 def circ_penrose_residuals(gen, xgen, tol: Tolerance = DEFAULT_TOL) -> ResidualReport:
@@ -212,7 +212,8 @@ def _pinv_from_spectrum(spec: Spectrum, real: bool) -> np.ndarray:
 def _shift_generator(gen: np.ndarray, l: int) -> np.ndarray:
     """Generator of circ(gen) @ Pi^l."""
     # circ(x) Pi^l = sum_k x[k] Pi^(k+l), so the generator rolls right by l
-    return np.roll(gen, l % gen.shape[0])
+    cut = gen.shape[0] - l % gen.shape[0]
+    return np.concatenate((gen[cut:], gen[:cut]))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -317,7 +318,6 @@ def _in_band(alpha: complex, n: int, top: float) -> complex:
     return complex(math.ldexp(alpha.real, shift), math.ldexp(alpha.imag, shift))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def zero_sum_shift_pinv(
     gen, alpha: complex | None = None, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray:
@@ -338,7 +338,12 @@ def zero_sum_shift_pinv(
     alpha, so its shift is alpha's real part, or its imaginary part when
     that is all it has.
     """
-    gen, spec = _vector_and_spectrum(gen, tol)
+    return _zero_sum_shift(*_vector_and_spectrum(gen, tol), alpha, tol)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _zero_sum_shift(gen: np.ndarray, spec: Spectrum, alpha, tol: Tolerance) -> np.ndarray:
+    """zero_sum_shift_pinv from gen and spec, _vector_and_spectrum's pair."""
     n = gen.shape[0]
     ones = np.ones(n, dtype=gen.dtype)
     total = np.sum(gen).item()

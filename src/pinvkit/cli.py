@@ -32,14 +32,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circulant import (
+    _pinv_from_spectrum,
     _two_term_generator,
+    _vector_and_spectrum,
+    _zero_sum_shift,
     block_pattern_generator,
     block_pattern_pinv,
     circ_penrose_residuals,
-    circ_pinv_spectral,
-    circ_spectrum,
     two_term_pinv,
-    zero_sum_shift_pinv,
 )
 from .core import (
     ResidualReport,
@@ -323,16 +323,18 @@ def _cmd_circ(args, tol: Tolerance) -> _Outcome:
     # ||circ(gen)||_F = sqrt(n) ||gen||: every residual bound is built on it
     if not math.isfinite(math.sqrt(gen.shape[0]) * frobenius(gen)):
         raise PreconditionError("the circulant leaves the float range")
+    # the one spectrum of the operation: the spectral and zero-sum routes
+    # start from it, and it gives the report's rank and support
+    vector, spectrum = _vector_and_spectrum(gen, tol)
     xgen = {
-        "spectral": lambda: circ_pinv_spectral(gen, tol),
+        "spectral": lambda: _pinv_from_spectrum(spectrum, np.isrealobj(vector)),
         "two-term": lambda: two_term_pinv(alpha, beta, gen.shape[0], k_pos, tol),
-        "zero-sum": lambda: zero_sum_shift_pinv(gen, alpha=args.alpha, tol=tol),
+        "zero-sum": lambda: _zero_sum_shift(vector, spectrum, args.alpha, tol),
         "block": lambda: block_pattern_pinv(args.alpha, args.beta, args.k, args.q),
     }[args.method]()
 
     # verified and written from the generators
     residuals = circ_penrose_residuals(gen, xgen, tol)
-    spectrum = circ_spectrum(gen, tol)
     return _Outcome(
         method=args.method,
         shape=(gen.shape[0], gen.shape[0]),
@@ -552,7 +554,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(cmd, output="filename prefix (default: instance)")
     cmd.set_defaults(handler=_cmd_gen, reads=("kind", GEN_READS))
 
+    parser.commands = commands.choices  # name -> subcommand parser, for _parse_command_line
     return parser
+
+
+def _parse_command_line(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as build_parser() parses it, tokens scanned once.
+
+    The full parser hands every token after the subcommand's name to that
+    subcommand's parser and sets command, so a command line that starts with
+    a name goes straight there. Any other (none, help, an unknown name or a
+    flag before the name) takes the full parser, with its messages.
+    """
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
 
 
 def _flatten(payload: dict, prefix: str = "") -> list[tuple[str, str]]:
@@ -586,7 +604,7 @@ def _print_report(report: dict, pretty: bool) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_command_line(sys.argv[1:] if argv is None else list(argv))
         if hasattr(args, "reads"):
             _check_reads(args)
     except _UsageError as exc:

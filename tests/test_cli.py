@@ -281,8 +281,8 @@ def test_circ_past_the_float_range_exits_3_before_any_route(tmp_path, monkeypatc
     # first printed rank 0 after an ifft overflow warning, the second a null
     # residual, and both exited 2
     monkeypatch.chdir(tmp_path)
-    for route in ("circ_pinv_spectral", "two_term_pinv", "zero_sum_shift_pinv",
-                  "block_pattern_pinv", "circ_spectrum"):
+    for route in ("_vector_and_spectrum", "_pinv_from_spectrum", "two_term_pinv",
+                  "_zero_sum_shift", "block_pattern_pinv"):
         monkeypatch.setattr(pinvkit.cli, route, None)
     assert main(["circ", *argv, "--output", "g.json"]) == 3
     captured = capsys.readouterr()
@@ -1090,6 +1090,61 @@ def test_usage_errors_exit_1_with_the_parser_cached(capsys):
     assert main(["wheel", "--n", "5", "--input", "a.json"]) == 1
     assert main(["pinv", "--method", "qr"]) == 1
     assert main(["wheel", "--n", "5"]) == 0
+
+
+def full_parse(argv):
+    """What main parsed with before it dispatched on the command name."""
+    return pinvkit.cli.build_parser().parse_args(argv)
+
+
+def printed_outcome(capsys, argv):
+    """(exit code or ("SystemExit", code), stdout without the wall time, stderr)."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, re.sub(r'"wall_time_s": [^,]+', '"wall_time_s": 0', captured.out), captured.err
+
+
+HELP = ("SystemExit", 0)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ([], 1),
+        (["--help"], HELP),
+        (["-h"], HELP),
+        (["nosuch"], 1),
+        (["wh"], 1),  # a prefix of a name
+        (["--pretty", "wheel", "--n", "5"], 1),  # a flag before the name
+        (["circ", "--help"], HELP),
+        (["circ", "--bogus"], 1),
+        (["circ", "--method", "nope"], 1),
+        (["wheel", "--n", "5", "extra"], 1),
+        (["tree", "--input"], 1),
+        (["wheel", "--n", "x"], 1),
+        (["circ", "-1,2", "--gen", "1,2"], 1),
+        (["wheel", "--n=5", "--out", "f.txt"], 3),  # --out abbreviates --output
+        (["wheel", "--n", "5", "--n", "7"], 0),  # the last value wins
+        (["circ", "--meth", "block"], 3),
+    ],
+)
+def test_every_command_line_prints_what_the_full_parser_prints(
+    tmp_path, monkeypatch, capsys, argv, code
+):
+    monkeypatch.chdir(tmp_path)
+    got = printed_outcome(capsys, argv)
+    with monkeypatch.context() as patch:
+        patch.setattr(pinvkit.cli, "_parse_command_line", full_parse)
+        assert printed_outcome(capsys, argv) == got
+    assert got[0] == code
+    if code == HELP:
+        assert got[1].startswith("usage: pinvkit") and got[2] == ""
+    elif code == 1:
+        assert got[1] == "" and got[2].startswith("pinvkit: error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 class _StdoutPerThread:

@@ -1,10 +1,11 @@
 """Checks that do their work once, with the verdicts and bytes of the
 longer forms they replace.
 
-circ_penrose_residuals makes three products, since circulants commute;
-block_pattern_pinv proves C^2 = n C on one period of its generator; the
-report line is encoded once when it holds no NaN or infinity; and verify
-certifies a full-rank pair once.
+circ_penrose_residuals makes three products and one adjoint, since
+circulants commute; block_pattern_pinv proves C^2 = n C on one period of its
+generator; the circ command takes its generator's spectrum once; main parses
+a command line once; the report line is encoded once when it holds no NaN or
+infinity; and verify certifies a full-rank pair once.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pinvkit.circulant
+import pinvkit.cli
 import pinvkit.core
 from pinvkit.circulant import (
     block_pattern_generator,
@@ -77,8 +79,10 @@ def test_circ_check_makes_three_products_and_one_symmetry_residual(monkeypatch, 
     gen = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     xgen = circ_pinv_spectral(gen)
     calls = counted(monkeypatch, pinvkit.circulant, "circ_mul")
+    adjoints = counted(monkeypatch, pinvkit.circulant, "_adjoint_generator")
     report = circ_penrose_residuals(gen, xgen, DEFAULT_TOL)
     assert len(calls) == 3
+    assert len(adjoints) == 1
     assert report.passed
     assert report.residuals["penrose3"] == report.residuals["penrose4"]
     assert report.bounds["penrose3"] == report.bounds["penrose4"]
@@ -95,6 +99,74 @@ def test_one_entry_off_by_1e_8_of_the_norm_fails_the_check(n):
                 off[index] += direction * step
                 report = circ_penrose_residuals(gen, off, DEFAULT_TOL)
                 assert not report.passed, (label, index, direction)
+
+
+# --------------------------------------------------------------------------
+# one spectrum per circ operation
+
+
+def gen_arg(values) -> str:
+    return "--gen=" + ",".join(repr(complex(v)) for v in values)
+
+
+def spectra_argv(n):
+    """(label, circ argv, spectra the operation takes): the input generator's,
+    plus the shifted generator's for zero-sum and the fallback's own for a
+    generic two-term."""
+    rng = np.random.default_rng(3300 + n)
+    complex_gen = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    real_gen = rng.standard_normal(n)
+    zero_sum = real_gen - real_gen.mean()
+    return [
+        ("spectral, complex", ["circ", gen_arg(complex_gen)], 1),
+        ("spectral, real", ["circ", gen_arg(real_gen)], 1),
+        ("zero-sum, shifted", ["circ", "--method", "zero-sum", gen_arg(zero_sum), "--alpha=1.5"], 2),
+        ("zero-sum, shifted, complex",
+         ["circ", "--method", "zero-sum", gen_arg(complex_gen - complex_gen.mean()), "--alpha=1.5"], 2),
+        ("zero-sum, mean split", ["circ", "--method", "zero-sum", gen_arg(zero_sum + 0.5)], 2),
+        ("two-term, closed form",
+         ["circ", "--method", "two-term", "--alpha=1.3", "--beta=-1.3", f"--n={n}", "--k=2"], 1),
+        ("two-term, generic",
+         ["circ", "--method", "two-term", "--alpha=2", "--beta=0.5-0.25i", f"--n={n}"], 2),
+        ("block", ["circ", "--method", "block", "--alpha=1.5", "--beta=-0.7", "--k=3",
+                   f"--q={n // 4}"], 1),
+    ]
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_each_circ_method_takes_the_spectra_it_needs(monkeypatch, capsys, n):
+    # a spectrum is a forward transform: rfft for a real generator, ifft else
+    import numpy.fft
+
+    for label, argv, want in spectra_argv(n):
+        with monkeypatch.context() as patch:
+            rfft, ifft = counted(patch, numpy.fft, "rfft"), counted(patch, numpy.fft, "ifft")
+            assert main(argv) == 0, label
+        report = json.loads(capsys.readouterr().out)
+        assert len(rfft) + len(ifft) == want, label
+        assert report["passed"] and report["rank"] == len(report["extras"]["support"]), label
+
+
+def test_a_command_line_that_names_its_command_is_parsed_once(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    full = pinvkit.cli.build_parser()
+    seen = []
+
+    def refused(*args, **kwargs):
+        seen.append(args)
+        raise AssertionError("the full parser ran")
+
+    monkeypatch.setattr(full, "parse_args", refused)
+    for argv in (["wheel", "--n", "5"], ["circ", "--gen", "1,2,3", "--method", "spectral"],
+                 ["circ", "--method", "zero-sum", "--gen", "1,-1,0", "--alpha", "2"],
+                 ["gen", "random-matrix", "--rows", "3", "--cols", "2"],
+                 ["tree", "--input", "missing.csv"]):
+        main(argv)
+    assert seen == []
+    capsys.readouterr()
+    # the full parser still takes a command line that does not start with a name
+    with pytest.raises(AssertionError, match="the full parser ran"):
+        main(["--pretty", "wheel", "--n", "5"])
 
 
 # --------------------------------------------------------------------------
