@@ -3,7 +3,6 @@
 For each size n it times, as the median of several repeats:
 
 - csv.dense          dumps_matrix_csv(circ_materialize(gen))
-- csv.circulant      dumps_circulant_csv(gen)
 - penrose.dense      penrose_residuals on the two materialized matrices
 - penrose.circulant  circ_penrose_residuals on the two generators
 - mul.int            circ_mul (np.convolve folded once), integer generators
@@ -12,6 +11,9 @@ For each size n it times, as the median of several repeats:
 - spectrum.real      circ_spectrum of a real generator: the real FFT, mirrored
 - route.zero_sum     zero_sum_shift_pinv on a real zero-sum generator (the
                      shifted branch), whose X is real
+- route.two_term_generic
+                     two_term_pinv on a complex pair in neither singular
+                     family, which inverts its own generator's spectrum
 - route.block_k1     block_pattern_pinv at k = 1 and k = 3 with q = n / (k + 1),
 - route.block_k3     the block sizes of the benchmark's circulant-io workload;
                      each re-proves C^2 = n C on one period of k + 1 entries
@@ -39,9 +41,10 @@ and, for square matrices of order 8 to 64 (the dense-oracle inputs):
 - parse.csv_*        a matrix CSV, read cell by cell and by loads_matrix_csv
 - parse.json_*       a matrix JSON, read entry by entry and by loads_matrix_json
 
-It checks that both CSV writers, the circ command's file and the streamed
-writer give the same bytes, that the JSON command's report gives the
-support of circ_spectrum, that the streamed writer's digest is the
+It checks that the dense CSV writer, the circ command's file and the
+streamed writer give the same bytes, that the JSON command's report gives
+the support of circ_spectrum, that the generic two-term X has the bytes of
+circ_pinv_spectral on its generator, that the streamed writer's digest is the
 sha256 of those bytes, that the real X's imaginary parts are +0.0 and its
 streamed CSV equals dumps_matrix_csv(circ_materialize(x)), that the dense and the generator Penrose checks give
 the same verdict, that each pair of parsers gives the same bits and that the
@@ -75,6 +78,7 @@ import numpy as np
 from ledger import median_ms, write_ledger
 
 from pinvkit.circulant import (
+    _two_term_generator,
     block_pattern_generator,
     block_pattern_pinv,
     circ_materialize,
@@ -82,6 +86,7 @@ from pinvkit.circulant import (
     circ_penrose_residuals,
     circ_pinv_spectral,
     circ_spectrum,
+    two_term_pinv,
     zero_sum_shift_pinv,
 )
 from pinvkit.cli import _print_report, _write_atomic
@@ -94,7 +99,6 @@ from pinvkit.matrix import (
     as_matrix,
     as_vector,
     circulant_csv_blocks,
-    dumps_circulant_csv,
     dumps_generator_json,
     dumps_matrix_csv,
     dumps_matrix_json,
@@ -149,6 +153,7 @@ def measure(n: int, repeats: int, workdir: str) -> dict:
     xreal = zero_sum_shift_pinv(real, alpha=1.5)
     tol = DEFAULT_TOL
     pattern = block_pattern_generator(3, n // 4)
+    pair = (2.0, 0.5 - 0.25j, n, 3)  # alpha, beta, n, k_pos
     gen_text = ",".join(format_complex(z) for z in gen)
     arg = "--gen=" + gen_text
     out = os.path.join(workdir, "x.csv")
@@ -171,7 +176,6 @@ def measure(n: int, repeats: int, workdir: str) -> dict:
 
     timings = median_ms({
         "csv.dense": lambda: dumps_matrix_csv(circ_materialize(xgen)),
-        "csv.circulant": lambda: dumps_circulant_csv(xgen),
         "penrose.dense": lambda: penrose_residuals(c, x, tol),
         "penrose.circulant": lambda: circ_penrose_residuals(gen, xgen, tol),
         "mul.int": lambda: circ_mul(pattern, pattern),
@@ -179,6 +183,7 @@ def measure(n: int, repeats: int, workdir: str) -> dict:
         "spectrum": lambda: circ_spectrum(gen),
         "spectrum.real": lambda: circ_spectrum(real),
         "route.zero_sum": lambda: zero_sum_shift_pinv(real, alpha=1.5),
+        "route.two_term_generic": lambda: two_term_pinv(*pair),
         "route.block_k1": lambda: block_pattern_pinv(1.5, -0.7, 1, n // 2),
         "route.block_k3": lambda: block_pattern_pinv(1.5, -0.7, 3, n // 4),
         "cli.circ_csv": cli_circ_csv,
@@ -192,7 +197,7 @@ def measure(n: int, repeats: int, workdir: str) -> dict:
     }, repeats)
     dense = penrose_residuals(c, x, tol)
     structured = circ_penrose_residuals(gen, xgen, tol)
-    text = dumps_circulant_csv(xgen)
+    text = b"".join(circulant_csv_blocks(xgen)).decode()
     cli_circ_csv()  # the timed writer ran last; check the command's own file
     with open(out, encoding="utf-8") as handle:
         cli_text = handle.read()
@@ -201,6 +206,8 @@ def measure(n: int, repeats: int, workdir: str) -> dict:
         "cli_csv_identical": cli_text == text,
         "support_identical": json.loads(cli_circ_json())["extras"]["support"]
         == list(circ_spectrum(gen).support),
+        "two_term_identical": same_bits(two_term_pinv(*pair),
+                                        circ_pinv_spectral(_two_term_generator(*pair))),
         "penrose_dense_max": max(dense.residuals.values()),
         "penrose_circulant_max": max(structured.residuals.values()),
         "penrose_bounds": dict(dense.bounds),
@@ -214,7 +221,7 @@ def measure(n: int, repeats: int, workdir: str) -> dict:
         and same_bits(per_entry_generator_json(gen_json), loads_generator_json(gen_json)),
     }
     return {"n": n, "csv_bytes": len(text),
-            "csv_bytes_real": len(dumps_circulant_csv(xreal)), "median_ms": timings,
+            "csv_bytes_real": sum(map(len, circulant_csv_blocks(xreal))), "median_ms": timings,
             "checks": checks}
 
 
@@ -274,8 +281,8 @@ def main(argv=None) -> int:
     for row in rows + report_rows + parse_rows:
         ms = row["median_ms"]
         print(f"n={row['n']:4d}  " + "  ".join(f"{key} {value:.2f}" for key, value in ms.items()))
-    flags = ("csv_identical", "cli_csv_identical", "support_identical", "same_verdict",
-             "write_identical",
+    flags = ("csv_identical", "cli_csv_identical", "support_identical", "two_term_identical",
+             "same_verdict", "write_identical",
              "real_csv_identical",
              "parse_identical", "report_identical", "json_identical")
     ok = all(row["checks"][flag] for row in rows + report_rows + parse_rows for flag in flags

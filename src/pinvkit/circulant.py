@@ -7,10 +7,15 @@ Diagonalization by the unitary DFT turns every question about circ(c) into
 one about its eigenvalue vector, and the closed forms below (two-term,
 support splitting, zero-sum shift, block pattern) are checked against that
 spectral route. The pseudoinverse of a circulant is a circulant, so every
-route returns its generator as an array. A real generator (every imaginary
-part +-0.0) stays real from end to end: its spectrum comes from the real FFT
-and is conjugate-symmetric bit for bit, and every route returns its X as
-complex128 with imaginary parts +0.0. circ_penrose_residuals checks a
+route returns its generator as an array. circ_spectrum takes a generator's
+spectrum, and the Spectrum it returns carries that generator too: the
+spectral route, zero_sum_shift_pinv and the generic two-term pair invert
+it, and support_split_pinv reads each member's transposed support off it,
+so no route takes a second transform of the same generator. circ_spectrum
+is also the one place that decides realness. A real generator (every
+imaginary part +-0.0) stays real from end to end: its spectrum comes from
+the real FFT and is conjugate-symmetric bit for bit, and every route returns
+its X as complex128 with imaginary parts +0.0. circ_penrose_residuals checks a
 candidate on generators alone: each product is circ_mul, a direct cyclic
 convolution in O(n) memory, and circulants commute, so three products
 (AX, AXA and AXX) make the four residuals. block_pattern_pinv re-proves its pattern's identity on one
@@ -39,10 +44,13 @@ from .matrix import (
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues of a circulant and the index set of its nonzero ones."""
+    """Eigenvalues of a circulant, the index set of its nonzero ones and the
+    generator they were taken from: its float64 real parts when every
+    imaginary part is +-0.0, else complex128."""
 
     values: np.ndarray
     support: tuple[int, ...]
+    gen: np.ndarray
 
 
 def _exactly_real(x: np.ndarray) -> np.ndarray:
@@ -149,17 +157,12 @@ def circ_spectrum(gen, tol: Tolerance = DEFAULT_TOL) -> Spectrum:
     lambda is the unnormalized inverse FFT of gen. circ(gen) is normal, so
     |lambda| are its singular values, and the support collects the indices
     with |lambda_k| above tol.rank_cutoff(max |lambda|, n, n): the rank rule
-    of the SVD oracle. For a real generator lambda_k = conj(rfft(gen)_k) for
-    k <= n/2, and the rest is their mirror, lambda_(n-k) = conj(lambda_k) bit
-    for bit, so the magnitudes and the support are symmetric too.
+    of the SVD oracle. The one place that decides whether gen is real: when
+    every imaginary part is +-0.0 the spectrum keeps its float64 real parts,
+    lambda_k = conj(rfft(gen)_k) for k <= n/2, and the rest is their mirror,
+    lambda_(n-k) = conj(lambda_k) bit for bit, so the magnitudes and the
+    support are symmetric too.
     """
-    return _vector_and_spectrum(gen, tol)[1]
-
-
-def _vector_and_spectrum(gen, tol: Tolerance) -> tuple[np.ndarray, Spectrum]:
-    """gen as a vector and circ_spectrum(gen). The one place that decides
-    whether gen is real: when every imaginary part is +-0.0 the vector is
-    its float64 real parts, else complex128."""
     # imported on first use: numpy does not load numpy.fft on import
     from numpy import fft
 
@@ -174,7 +177,7 @@ def _vector_and_spectrum(gen, tol: Tolerance) -> tuple[np.ndarray, Spectrum]:
     magnitudes = np.abs(values)
     cutoff = tol.rank_cutoff(float(magnitudes.max(initial=0.0)), n, n)
     support = tuple(np.flatnonzero(magnitudes > cutoff).tolist())
-    return gen, Spectrum(values, support)
+    return Spectrum(values, support, gen)
 
 
 def generator_from_spectrum(values) -> np.ndarray:
@@ -187,12 +190,11 @@ def generator_from_spectrum(values) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def circ_pinv_spectral(gen, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Pseudoinverse generator by inverting the nonzero eigenvalues."""
-    gen, spec = _vector_and_spectrum(gen, tol)
-    return _pinv_from_spectrum(spec, np.isrealobj(gen))
+    return _pinv_from_spectrum(circ_spectrum(gen, tol))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _pinv_from_spectrum(spec: Spectrum, real: bool) -> np.ndarray:
+def _pinv_from_spectrum(spec: Spectrum) -> np.ndarray:
     """Generator of the pseudoinverse: the eigenvalues on the support
     inverted, the others left at 0. For the spectrum of a real generator it
     is the inverse real FFT of the first half, exactly real."""
@@ -202,7 +204,7 @@ def _pinv_from_spectrum(spec: Spectrum, real: bool) -> np.ndarray:
     idx = list(spec.support)
     inverted[idx] = 1.0 / spec.values[idx]
     _in_float_range(inverted)
-    if real:
+    if np.isrealobj(spec.gen):
         # generator_from_spectrum of a conjugate-symmetric spectrum, in real arithmetic
         n = inverted.shape[0]
         return _exactly_real(_in_float_range(fft.irfft(inverted[: n // 2 + 1].conj(), n)))
@@ -228,19 +230,27 @@ def two_term_pinv(
     position k_pos (1-based) and beta cyclically next to it.
 
     The matrix is Pi^(k_pos-1) (alpha I + beta Pi), so the shift law
-    (Pi^l C)^+ = C^+ Pi^(n-l) reduces everything to the k_pos = 1 case.
-    That matrix is singular exactly when beta^n = (-1)^n alpha^n; the two
-    real-coefficient singular families have closed forms:
+    (Pi^l C)^+ = C^+ Pi^(n-l) reduces the closed forms to the k_pos = 1
+    case. That matrix is singular exactly when beta^n = (-1)^n alpha^n; the
+    two real-coefficient singular families have closed forms:
 
       alpha = beta, n even: generator ((-1)^k (n^2 - (2k+1) n + 2) / 2
                             - (-1)^k) / (alpha n^2) at index k
       alpha = -beta:        generator (n - 1 - 2k) / (2 n alpha)
 
-    Anything else goes through the spectral route, which also covers the
-    remaining complex singular combinations. A real pair gives a real X,
-    with imaginary parts +0.0.
+    Any other pair inverts the spectrum of its own generator, which also
+    covers the remaining complex singular combinations. A real pair gives a
+    real X, with imaginary parts +0.0.
     """
     gen = _two_term_generator(alpha, beta, n, k_pos)
+    closed = _two_term_closed(alpha, beta, n, k_pos)
+    return _pinv_from_spectrum(circ_spectrum(gen, tol)) if closed is None else closed
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _two_term_closed(alpha: complex, beta: complex, n: int, k_pos: int) -> np.ndarray | None:
+    """two_term_pinv's closed form for validated arguments, None for a pair
+    in neither singular family."""
     alpha, beta, l = complex(alpha), complex(beta), k_pos - 1
     k = np.arange(n)
     if alpha == beta and n % 2 == 0:
@@ -250,7 +260,7 @@ def two_term_pinv(
     elif alpha == -beta:
         base = (n - 1.0 - 2.0 * k) / (2.0 * n * alpha)
     else:
-        base = circ_pinv_spectral(np.roll(gen, -l), tol)  # alpha at 0, beta at 1
+        return None
     if not (alpha.imag or beta.imag):
         base = _exactly_real(base)
     return _shift_generator(_in_float_range(base), (n - l) % n)
@@ -281,17 +291,17 @@ def support_split_pinv(
     pseudoinverse generator and whether the supports cover all indices
     (which makes the summed circulant invertible).
     """
-    gens = [as_vector(g, min_len=2) for g in generators]
-    if not gens:
+    spectra = [circ_spectrum(g, tol) for g in generators]
+    if not spectra:
         raise PreconditionError("need at least one generator")
-    n = gens[0].shape[0]
-    if any(g.shape[0] != n for g in gens):
+    n = spectra[0].gen.shape[0]
+    if any(spec.gen.shape[0] != n for spec in spectra):
         raise PreconditionError("generators must share one length")
-    spectra = [_vector_and_spectrum(g, tol) for g in gens]
-    supports = [set(spec.support) for _, spec in spectra]
-    transpose_supports = [set(circ_spectrum(rho(g), tol).support) for g in gens]
-    for kp in range(len(gens)):
-        for k in range(len(gens)):
+    supports = [set(spec.support) for spec in spectra]
+    # circ(rho(g)) has eigenvalue lambda_(-k) where circ(g) has lambda_k
+    transpose_supports = [{-k % n for k in support} for support in supports]
+    for kp in range(len(spectra)):
+        for k in range(len(spectra)):
             if k == kp:
                 continue
             collisions = sorted(supports[k] & transpose_supports[kp])
@@ -301,8 +311,8 @@ def support_split_pinv(
                     f"at eigenvalue indices {collisions}"
                 )
     total = np.zeros(n, dtype=np.complex128)
-    for g, spec in spectra:
-        total = total + _pinv_from_spectrum(spec, np.isrealobj(g))
+    for spec in spectra:
+        total = total + _pinv_from_spectrum(spec)
     covered = set().union(*supports)
     return total, covered == set(range(n))
 
@@ -338,12 +348,13 @@ def zero_sum_shift_pinv(
     alpha, so its shift is alpha's real part, or its imaginary part when
     that is all it has.
     """
-    return _zero_sum_shift(*_vector_and_spectrum(gen, tol), alpha, tol)
+    return _zero_sum_shift(circ_spectrum(gen, tol), alpha, tol)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _zero_sum_shift(gen: np.ndarray, spec: Spectrum, alpha, tol: Tolerance) -> np.ndarray:
-    """zero_sum_shift_pinv from gen and spec, _vector_and_spectrum's pair."""
+def _zero_sum_shift(spec: Spectrum, alpha, tol: Tolerance) -> np.ndarray:
+    """zero_sum_shift_pinv from the spectrum of its generator."""
+    gen = spec.gen
     n = gen.shape[0]
     ones = np.ones(n, dtype=gen.dtype)
     total = np.sum(gen).item()

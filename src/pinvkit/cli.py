@@ -33,13 +33,13 @@ import numpy as np
 
 from .circulant import (
     _pinv_from_spectrum,
+    _two_term_closed,
     _two_term_generator,
-    _vector_and_spectrum,
     _zero_sum_shift,
     block_pattern_generator,
     block_pattern_pinv,
     circ_penrose_residuals,
-    two_term_pinv,
+    circ_spectrum,
 )
 from .core import (
     ResidualReport,
@@ -323,15 +323,16 @@ def _cmd_circ(args, tol: Tolerance) -> _Outcome:
     # ||circ(gen)||_F = sqrt(n) ||gen||: every residual bound is built on it
     if not math.isfinite(math.sqrt(gen.shape[0]) * frobenius(gen)):
         raise PreconditionError("the circulant leaves the float range")
-    # the one spectrum of the operation: the spectral and zero-sum routes
-    # start from it, and it gives the report's rank and support
-    vector, spectrum = _vector_and_spectrum(gen, tol)
+    # the one spectrum of the operation: the spectral, zero-sum and generic
+    # two-term routes start from it, and it gives the report's rank and support
+    spectrum = circ_spectrum(gen, tol)
     xgen = {
-        "spectral": lambda: _pinv_from_spectrum(spectrum, np.isrealobj(vector)),
-        "two-term": lambda: two_term_pinv(alpha, beta, gen.shape[0], k_pos, tol),
-        "zero-sum": lambda: _zero_sum_shift(vector, spectrum, args.alpha, tol),
+        "two-term": lambda: _two_term_closed(alpha, beta, gen.shape[0], k_pos),
+        "zero-sum": lambda: _zero_sum_shift(spectrum, args.alpha, tol),
         "block": lambda: block_pattern_pinv(args.alpha, args.beta, args.k, args.q),
-    }[args.method]()
+    }.get(args.method, lambda: None)()
+    if xgen is None:  # spectral, or a two-term pair with no closed form
+        xgen = _pinv_from_spectrum(spectrum)
 
     # verified and written from the generators
     residuals = circ_penrose_residuals(gen, xgen, tol)

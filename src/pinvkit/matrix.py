@@ -319,23 +319,9 @@ def dumps_matrix_csv(a: np.ndarray) -> str:
     return "\n".join([*_format_rows(a, _CSV_CELL, ","), ""])
 
 
-def dumps_circulant_csv(gen) -> str:
-    """CSV of the circulant with first row gen, from its n formatted cells.
-
-    Row i is the cells rotated right by i, a slice of the doubled list, so
-    the text equals dumps_matrix_csv(circ_materialize(gen)) byte for byte.
-    The str form of circulant_csv_blocks, and the reference for its bytes.
-    """
-    gen = as_vector(gen, min_len=2)
-    n = gen.shape[0]
-    cells = _format_rows(gen[None, :], _CSV_CELL, ",")[0].split(",")
-    doubled = cells + cells
-    return "\n".join([*(",".join(doubled[n - i : 2 * n - i]) for i in range(n)), ""])
-
-
 def circulant_csv_blocks(gen):
-    """Yield the bytes of dumps_circulant_csv(gen) as buffers, each row
-    followed by its newline.
+    """Yield the bytes of dumps_matrix_csv(circ_materialize(gen)) as
+    buffers, each row followed by its newline.
 
     Every row holds all n cells, so every row has the same length. Row i is
     the cells rotated right by i: a memoryview slice of the encoded first

@@ -39,7 +39,6 @@ from pinvkit.matrix import (
     DEFAULT_TOL,
     PreconditionError,
     circulant_csv_blocks,
-    dumps_circulant_csv,
     dumps_generator_json,
     dumps_matrix_csv,
     dumps_matrix_json,
@@ -61,6 +60,10 @@ SPECIAL = [
 
 def entrywise_csv(a) -> str:
     return "\n".join(",".join(format_complex(z) for z in row) for row in a) + "\n"
+
+
+def streamed_csv(gen) -> bytes:
+    return b"".join(circulant_csv_blocks(gen))
 
 
 def entrywise_pairs(values) -> str:
@@ -90,7 +93,7 @@ def special_generator(rng, n) -> np.ndarray:
 
 def test_special_values_cover_signed_zeros_and_subnormals():
     gen = np.array([complex(r, i) for r in SPECIAL for i in SPECIAL])
-    cells = dumps_circulant_csv(gen).split("\n", 1)[0].split(",")
+    cells = streamed_csv(gen).decode().split("\n", 1)[0].split(",")
     assert cells == [format_complex(z) for z in gen]
     assert "-0-0i" in cells and "0+0i" in cells and "-0+0i" in cells and "0-0i" in cells
     assert "4.9406564584124654e-324-4.9406564584124654e-324i" in cells
@@ -105,17 +108,17 @@ def test_circulant_csv_equals_the_materialized_csv(n):
         special_generator(rng, n) if n >= 16 else np.full(n, -0.0 - 0.0j),
     ):
         want = entrywise_csv(circ_materialize(gen))
-        assert dumps_circulant_csv(gen) == want
+        assert streamed_csv(gen) == want.encode()
         assert dumps_matrix_csv(circ_materialize(gen)) == want
 
 
 def test_circulant_csv_accepts_integer_generators():
     gen = block_pattern_generator(3, 4)
-    assert dumps_circulant_csv(gen) == entrywise_csv(circ_materialize(gen))
+    assert streamed_csv(gen) == entrywise_csv(circ_materialize(gen)).encode()
 
 
 def test_circulant_csv_rows_are_right_rotations():
-    text = dumps_circulant_csv(np.array([1, 2, 3, 4j]))
+    text = streamed_csv(np.array([1, 2, 3, 4j])).decode()
     assert text == "1+0i,2+0i,3+0i,0+4i\n0+4i,1+0i,2+0i,3+0i\n3+0i,0+4i,1+0i,2+0i\n2+0i,3+0i,0+4i,1+0i\n"
     np.testing.assert_array_equal(loads_matrix_csv(text), circ_materialize([1, 2, 3, 4j]))
 
@@ -128,7 +131,7 @@ def test_streamed_circulant_csv_equals_the_text_and_its_digest(tmp_path, n):
     else:
         gen = np.array([complex(-0.0, -0.0), complex(1.7976931348623157e308, -5e-324),
                         complex(5e-324, -0.0)])[:n]
-    want = dumps_circulant_csv(gen).encode()
+    want = streamed_csv(gen)
     assert want == dumps_matrix_csv(circ_materialize(gen)).encode()
     if n <= 64:
         assert want == entrywise_csv(circ_materialize(gen)).encode()
@@ -150,7 +153,7 @@ def test_vectored_write_survives_short_writes_across_batches(tmp_path, monkeypat
     # at most 1000 bytes per os.writev and 7 buffers per batch: rows of about
     # 2.9 kB split inside a buffer, and 128 buffers span 19 batches
     gen = special_generator(np.random.default_rng(5), 64)
-    want = dumps_circulant_csv(gen).encode()
+    want = streamed_csv(gen)
     batches = []
 
     def short_writev(fd, buffers):
@@ -177,7 +180,7 @@ def test_streamed_write_holds_no_text(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert digest == hashlib.sha256(dumps_circulant_csv(gen).encode()).hexdigest()
+    assert digest == hashlib.sha256(streamed_csv(gen)).hexdigest()
     assert peak < 512 * 1024, peak
 
 

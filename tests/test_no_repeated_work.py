@@ -3,7 +3,8 @@ longer forms they replace.
 
 circ_penrose_residuals makes three products and one adjoint, since
 circulants commute; block_pattern_pinv proves C^2 = n C on one period of its
-generator; the circ command takes its generator's spectrum once; main parses
+generator; the circ command takes its generator's spectrum once, and
+support_split_pinv one spectrum per member; main parses
 a command line once; the report line is encoded once when it holds no NaN or
 infinity; and verify certifies a full-rank pair once.
 """
@@ -24,16 +25,21 @@ import pinvkit.circulant
 import pinvkit.cli
 import pinvkit.core
 from pinvkit.circulant import (
+    _two_term_generator,
     block_pattern_generator,
     block_pattern_pinv,
     circ_mul,
     circ_penrose_residuals,
     circ_pinv_spectral,
+    circ_spectrum,
+    generator_from_spectrum,
+    rho,
+    support_split_pinv,
     two_term_pinv,
     zero_sum_shift_pinv,
 )
 from pinvkit.cli import _print_report, main
-from pinvkit.matrix import DEFAULT_TOL, PreconditionError, dumps_matrix_json
+from pinvkit.matrix import DEFAULT_TOL, PreconditionError, dumps_matrix_json, loads_generator_json
 
 RULE = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -111,8 +117,8 @@ def gen_arg(values) -> str:
 
 def spectra_argv(n):
     """(label, circ argv, spectra the operation takes): the input generator's,
-    plus the shifted generator's for zero-sum and the fallback's own for a
-    generic two-term."""
+    which a generic two-term pair inverts, plus the shifted generator's for
+    zero-sum."""
     rng = np.random.default_rng(3300 + n)
     complex_gen = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     real_gen = rng.standard_normal(n)
@@ -127,7 +133,7 @@ def spectra_argv(n):
         ("two-term, closed form",
          ["circ", "--method", "two-term", "--alpha=1.3", "--beta=-1.3", f"--n={n}", "--k=2"], 1),
         ("two-term, generic",
-         ["circ", "--method", "two-term", "--alpha=2", "--beta=0.5-0.25i", f"--n={n}"], 2),
+         ["circ", "--method", "two-term", "--alpha=2", "--beta=0.5-0.25i", f"--n={n}"], 1),
         ("block", ["circ", "--method", "block", "--alpha=1.5", "--beta=-0.7", "--k=3",
                    f"--q={n // 4}"], 1),
     ]
@@ -145,6 +151,122 @@ def test_each_circ_method_takes_the_spectra_it_needs(monkeypatch, capsys, n):
         report = json.loads(capsys.readouterr().out)
         assert len(rfft) + len(ifft) == want, label
         assert report["passed"] and report["rank"] == len(report["extras"]["support"]), label
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_generic_two_term_x_has_the_reported_support(tmp_path, monkeypatch, capsys, n):
+    # X inverts the spectrum that gives the report's support, so X's own
+    # spectrum is nonzero exactly there: invertible complex and real pairs, a
+    # singular complex pair (i^n = (-1)^n for n = 0 mod 4) and a --gen pair
+    # with alpha at index 5
+    monkeypatch.chdir(tmp_path)
+    gen = np.zeros(n, dtype=np.complex128)
+    gen[5], gen[6] = 0.75 - 2j, 1.25
+    ranks = []
+    for argv in (["--alpha=2", "--beta=0.5-0.25i", f"--n={n}", "--k=3"],
+                 ["--alpha=2", "--beta=0.5", f"--n={n}", f"--k={n}"],
+                 ["--alpha=1.5", "--beta=1.5i", f"--n={n}", "--k=2"],
+                 [gen_arg(gen)]):
+        assert main(["circ", "--method", "two-term", *argv, "--output", "x.json"]) == 0, argv
+        report = json.loads(capsys.readouterr().out)
+        with open("x.json", encoding="utf-8") as handle:
+            xgen = loads_generator_json(handle.read())
+        assert report["passed"], argv
+        assert list(circ_spectrum(xgen).support) == report["extras"]["support"], argv
+        assert report["rank"] == len(report["extras"]["support"]), argv
+        ranks.append(report["rank"])
+    assert ranks[2] < n == ranks[0] == ranks[1] == ranks[3]
+
+
+def test_two_term_closed_forms_take_no_transform(monkeypatch):
+    import numpy.fft
+
+    for alpha, beta, n, k_pos in ((1.3, -1.3, 7, 3), (2.0, 2.0, 8, 5), (1 + 1j, -1 - 1j, 9, 1),
+                                  (0.5j, 0.5j, 6, 6), (-4.0, 4.0, 64, 64)):
+        with monkeypatch.context() as patch:
+            calls = [counted(patch, numpy.fft, name) for name in ("rfft", "ifft", "irfft", "fft")]
+            xgen = two_term_pinv(alpha, beta, n, k_pos)
+        assert calls == [[], [], [], []], (alpha, beta, n)
+        gen = _two_term_generator(alpha, beta, n, k_pos)
+        assert circ_penrose_residuals(gen, xgen, DEFAULT_TOL).passed, (alpha, beta, n)
+
+
+def split_members(rng, n):
+    """A real, a complex, a real zero-sum and a complex rank-deficient generator."""
+    real = rng.standard_normal(n)
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    values[rng.random(n) < 0.5] = 0.0
+    return [real, real + 1j * rng.standard_normal(n), real - real.mean(),
+            generator_from_spectrum(values)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 64, 65, 512])
+def test_transposed_support_is_the_negated_support(n):
+    # circ(rho(g)) = circ(g)^T has eigenvalue lambda_(-k) where circ(g) has lambda_k
+    rng = np.random.default_rng(3500 + n)
+    for _ in range(10):
+        for gen in split_members(rng, n):
+            negated = {-k % n for k in circ_spectrum(gen, DEFAULT_TOL).support}
+            assert negated == set(circ_spectrum(rho(gen), DEFAULT_TOL).support)
+
+
+def transposed_rule(gens) -> str | None:
+    """The first refusal of the splitting rule written with rho: a member's
+    support against the support of another member's transpose."""
+    supports = [set(circ_spectrum(g, DEFAULT_TOL).support) for g in gens]
+    transposed = [set(circ_spectrum(rho(g), DEFAULT_TOL).support) for g in gens]
+    for kp in range(len(gens)):
+        for k in range(len(gens)):
+            hits = sorted(supports[k] & transposed[kp]) if k != kp else []
+            if hits:
+                return (f"supports of members {k} and {kp} (transposed) collide "
+                        f"at eigenvalue indices {hits}")
+    return None
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 64, 65])
+def test_support_split_refuses_what_the_transposed_rule_refuses(monkeypatch, n):
+    import numpy.fft
+
+    rng = np.random.default_rng(3600 + n)
+    for _ in range(20):
+        members = []
+        for _ in range(int(rng.integers(1, 4))):
+            values = np.zeros(n, dtype=np.complex128)
+            # supports near index 0, so that the transposes land on them
+            picks = rng.integers(-2, 3, int(rng.integers(1, 3))) % n
+            values[picks] = rng.standard_normal(2) @ (1, 1j)
+            members.append(generator_from_spectrum(values))
+        want = transposed_rule(members)
+        with monkeypatch.context() as patch:
+            ifft = counted(patch, numpy.fft, "ifft")
+            if want is None:
+                support_split_pinv(members)
+            else:
+                with pytest.raises(PreconditionError) as refused:
+                    support_split_pinv(members)
+                assert str(refused.value) == want
+        # one forward transform per member, none for the transposes
+        assert len(ifft) == len(members)
+
+
+def test_support_split_keeps_its_refusal_and_takes_one_transform_per_member(monkeypatch):
+    import numpy.fft
+
+    unit = np.eye(4)
+    with pytest.raises(PreconditionError) as refused:
+        support_split_pinv([generator_from_spectrum(unit[1]), generator_from_spectrum(unit[3])])
+    assert str(refused.value) == (
+        "supports of members 1 and 0 (transposed) collide at eigenvalue indices [3]"
+    )
+    l = np.arange(8)
+    members = [np.ones(8), np.cos(2 * np.pi * l / 8), np.cos(4 * np.pi * l / 8)]
+    for k in (1, 2, 3):
+        with monkeypatch.context() as patch:
+            rfft, ifft = counted(patch, numpy.fft, "rfft"), counted(patch, numpy.fft, "ifft")
+            xgen, _ = support_split_pinv(members[:k])
+        assert (len(rfft), len(ifft)) == (k, 0)
+        assert circ_penrose_residuals(sum(members[:k]), xgen, DEFAULT_TOL).passed
 
 
 def test_a_command_line_that_names_its_command_is_parsed_once(tmp_path, monkeypatch, capsys):
