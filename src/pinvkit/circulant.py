@@ -8,11 +8,11 @@ one about its eigenvalue vector, and the closed forms below (two-term,
 support splitting, zero-sum shift, block pattern) are checked against that
 spectral route. The pseudoinverse of a circulant is a circulant, so every
 route returns its generator as an array. circ_spectrum takes a generator's
-spectrum, and the Spectrum it returns carries that generator too: the
-spectral route, zero_sum_shift_pinv and the generic two-term pair invert
-it, and support_split_pinv reads each member's transposed support off it,
-so no route takes a second transform of the same generator. circ_spectrum
-is also the one place that decides realness. A real generator (every
+spectrum, and the Spectrum it returns carries that generator too:
+circ_pinv_spectral and zero_sum_shift_pinv take a generator or its
+Spectrum, so a caller that holds the spectrum (the circ command, two-term's
+generic pair, support_split_pinv) takes no second transform of the same
+generator. circ_spectrum is also the one place that decides realness. A real generator (every
 imaginary part +-0.0) stays real from end to end: its spectrum comes from
 the real FFT and is conjugate-symmetric bit for bit, and every route returns
 its X as complex128 with imaginary parts +0.0. circ_penrose_residuals checks a
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import ResidualReport, _penrose
+from .core import ResidualReport, _penrose, _returned
 from .matrix import (
     DEFAULT_TOL,
     PreconditionError,
@@ -187,19 +187,23 @@ def generator_from_spectrum(values) -> np.ndarray:
     return fft.fft(as_vector(values, min_len=2), norm="forward")
 
 
+def _spectrum(gen, tol: Tolerance) -> Spectrum:
+    """gen itself when it is a Spectrum, else circ_spectrum(gen, tol): what a
+    route starts from."""
+    return gen if isinstance(gen, Spectrum) else circ_spectrum(gen, tol)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def circ_pinv_spectral(gen, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Pseudoinverse generator by inverting the nonzero eigenvalues."""
-    return _pinv_from_spectrum(circ_spectrum(gen, tol))
+    """Pseudoinverse generator by inverting the nonzero eigenvalues.
 
-
-@np.errstate(over="ignore", invalid="ignore")
-def _pinv_from_spectrum(spec: Spectrum) -> np.ndarray:
-    """Generator of the pseudoinverse: the eigenvalues on the support
-    inverted, the others left at 0. For the spectrum of a real generator it
-    is the inverse real FFT of the first half, exactly real."""
+    gen is a generator or the Spectrum circ_spectrum took of it. The
+    eigenvalues on the support are inverted and the others left at 0; for
+    the spectrum of a real generator X is the inverse real FFT of the first
+    half, exactly real."""
     from numpy import fft
 
+    spec = _spectrum(gen, tol)
     inverted = np.zeros_like(spec.values)
     idx = list(spec.support)
     inverted[idx] = 1.0 / spec.values[idx]
@@ -244,7 +248,7 @@ def two_term_pinv(
     """
     gen = _two_term_generator(alpha, beta, n, k_pos)
     closed = _two_term_closed(alpha, beta, n, k_pos)
-    return _pinv_from_spectrum(circ_spectrum(gen, tol)) if closed is None else closed
+    return circ_pinv_spectral(gen, tol) if closed is None else closed
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -286,10 +290,14 @@ def support_split_pinv(
 ) -> tuple[np.ndarray, bool]:
     """Pseudoinverse of circ(sum c_k) as the sum of the per-term ones.
 
-    Valid when the eigenvalue support of each c_k avoids the support of
-    every other member's transpose generator rho(c_k'). Returns the summed
-    pseudoinverse generator and whether the supports cover all indices
-    (which makes the summed circulant invertible).
+    Valid when A_k* A_k' = 0 = A_k A_k'* for every pair of members. circ(c)*
+    has eigenvalue conj(lambda_k) at index k, so that holds exactly when the
+    eigenvalue supports are pairwise disjoint; for real members, whose
+    supports are symmetric, this is the rule with transposed supports. Each
+    support is cut at tol.rank_cutoff of the largest member eigenvalue, the
+    sum's rank rule, and X is returned only once circ_penrose_residuals on
+    the summed generator passes. Returns X and whether the supports cover all
+    indices (which makes the summed circulant invertible).
     """
     spectra = [circ_spectrum(g, tol) for g in generators]
     if not spectra:
@@ -297,24 +305,23 @@ def support_split_pinv(
     n = spectra[0].gen.shape[0]
     if any(spec.gen.shape[0] != n for spec in spectra):
         raise PreconditionError("generators must share one length")
-    supports = [set(spec.support) for spec in spectra]
-    # circ(rho(g)) has eigenvalue lambda_(-k) where circ(g) has lambda_k
-    transpose_supports = [{-k % n for k in support} for support in supports]
-    for kp in range(len(spectra)):
-        for k in range(len(spectra)):
-            if k == kp:
-                continue
-            collisions = sorted(supports[k] & transpose_supports[kp])
+    magnitudes = [np.abs(spec.values) for spec in spectra]
+    cutoff = tol.rank_cutoff(max(float(m.max()) for m in magnitudes), n, n)
+    spectra = [Spectrum(spec.values, tuple(np.flatnonzero(m > cutoff).tolist()), spec.gen)
+               for spec, m in zip(spectra, magnitudes)]
+    for k in range(len(spectra)):
+        for kp in range(k + 1, len(spectra)):
+            collisions = sorted(set(spectra[k].support) & set(spectra[kp].support))
             if collisions:
                 raise PreconditionError(
-                    f"supports of members {k} and {kp} (transposed) collide "
-                    f"at eigenvalue indices {collisions}"
+                    f"supports of members {k} and {kp} collide at eigenvalue indices {collisions}"
                 )
     total = np.zeros(n, dtype=np.complex128)
     for spec in spectra:
-        total = total + _pinv_from_spectrum(spec)
-    covered = set().union(*supports)
-    return total, covered == set(range(n))
+        total = total + circ_pinv_spectral(spec)
+    report = circ_penrose_residuals(sum(spec.gen for spec in spectra), total, tol)
+    covered = set().union(*(spec.support for spec in spectra))
+    return _returned((total, None, report), "support-split"), covered == set(range(n))
 
 
 def _in_band(alpha: complex, n: int, top: float) -> complex:
@@ -328,6 +335,7 @@ def _in_band(alpha: complex, n: int, top: float) -> complex:
     return complex(math.ldexp(alpha.real, shift), math.ldexp(alpha.imag, shift))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def zero_sum_shift_pinv(
     gen, alpha: complex | None = None, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray:
@@ -340,7 +348,8 @@ def zero_sum_shift_pinv(
       entry sum t == 0: pinv(gen + alpha ones) - ones/(n^2 alpha),
                         any nonzero alpha
 
-    Both return the pseudoinverse of circ(gen) itself. So that the shift's
+    Both return the pseudoinverse of circ(gen) itself; gen is a generator or
+    the Spectrum circ_spectrum took of it. So that the shift's
     eigenvalue n alpha neither drops below the rank cutoff nor swamps the
     spectrum, alpha is scaled by a power of two (_in_band); the shift runs
     on s gen and s alpha, s = unit_scale(gen), and X is s times its result.
@@ -348,12 +357,7 @@ def zero_sum_shift_pinv(
     alpha, so its shift is alpha's real part, or its imaginary part when
     that is all it has.
     """
-    return _zero_sum_shift(circ_spectrum(gen, tol), alpha, tol)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _zero_sum_shift(spec: Spectrum, alpha, tol: Tolerance) -> np.ndarray:
-    """zero_sum_shift_pinv from the spectrum of its generator."""
+    spec = _spectrum(gen, tol)
     gen = spec.gen
     n = gen.shape[0]
     ones = np.ones(n, dtype=gen.dtype)

@@ -32,14 +32,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circulant import (
-    _pinv_from_spectrum,
     _two_term_closed,
     _two_term_generator,
-    _zero_sum_shift,
     block_pattern_generator,
     block_pattern_pinv,
     circ_penrose_residuals,
+    circ_pinv_spectral,
     circ_spectrum,
+    zero_sum_shift_pinv,
 )
 from .core import (
     ResidualReport,
@@ -328,11 +328,11 @@ def _cmd_circ(args, tol: Tolerance) -> _Outcome:
     spectrum = circ_spectrum(gen, tol)
     xgen = {
         "two-term": lambda: _two_term_closed(alpha, beta, gen.shape[0], k_pos),
-        "zero-sum": lambda: _zero_sum_shift(spectrum, args.alpha, tol),
+        "zero-sum": lambda: zero_sum_shift_pinv(spectrum, args.alpha, tol),
         "block": lambda: block_pattern_pinv(args.alpha, args.beta, args.k, args.q),
     }.get(args.method, lambda: None)()
     if xgen is None:  # spectral, or a two-term pair with no closed form
-        xgen = _pinv_from_spectrum(spectrum)
+        xgen = circ_pinv_spectral(spectrum, tol)
 
     # verified and written from the generators
     residuals = circ_penrose_residuals(gen, xgen, tol)

@@ -196,7 +196,6 @@ def characterization_residuals(
     x: np.ndarray,
     tol: Tolerance = DEFAULT_TOL,
     factorization: SvdFactorization | None = None,
-    x_factorization: SvdFactorization | None = None,
 ) -> ResidualReport:
     """Residuals of the six equivalent characterization systems.
 
@@ -211,13 +210,13 @@ def characterization_residuals(
       (v)   XA = P_R(A*)           and N(X) = N(A*)
       (vi)  AX = P_R(A)            and XA = P_R(X)
 
-    factorization and x_factorization, if given, are svd(a, tol, deflate=True)
-    and svd(x, tol, deflate=True) and save recomputing them. Without the
-    first, an X that passes inverse_certified needs no factorization.
+    factorization, if given, is svd(a, tol, deflate=True) and saves
+    recomputing it. Without it, an X that passes inverse_certified needs no
+    factorization.
     """
     _check_shapes(a, x)
     certified = factorization is None and inverse_certified(a, x, tol)
-    return _characterization(a, x, tol, certified, factorization, x_factorization)
+    return _characterization(a, x, tol, certified, factorization, None)
 
 
 def _characterization(

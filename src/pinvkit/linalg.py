@@ -316,9 +316,8 @@ def svd(
     unit_scale(a) a, so subnormal input keeps its rank. Raises
     PreconditionError on inf or nan entries. The loop runs on a stack:
     svd_batch puts the p-rows of all its members over all their q-rows, so
-    each round is this round with halves k times as tall, and svd runs the
-    same loop on the stack of one member, a wide a factored through its
-    adjoint, so it is bit-identical to svd_batch((a,))[0].
+    each round is this round with halves k times as tall, and svd is
+    svd_batch((a,))[0], a wide a factored through its adjoint.
 
     A column is frozen at zero once its norm falls to the dead floor. By
     default that floor is u^3 ||A||_F, so singular values far below the
@@ -335,10 +334,7 @@ def svd(
     routes and the CLI) turn it on; the tau cap keeps each zeroed column
     within the Penrose bounds of AX and XA.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    if a.shape[0] < a.shape[1]:
-        return _jacobi_stack([dagger(a)], tol, max_sweeps, deflate)[0].adjoint()
-    return _jacobi_stack([a], tol, max_sweeps, deflate)[0]
+    return svd_batch((a,), tol, max_sweeps, deflate)[0]
 
 
 def svd_batch(

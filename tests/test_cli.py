@@ -281,8 +281,8 @@ def test_circ_past_the_float_range_exits_3_before_any_route(tmp_path, monkeypatc
     # first printed rank 0 after an ifft overflow warning, the second a null
     # residual, and both exited 2
     monkeypatch.chdir(tmp_path)
-    for route in ("circ_spectrum", "_pinv_from_spectrum", "_two_term_closed",
-                  "_zero_sum_shift", "block_pattern_pinv"):
+    for route in ("circ_spectrum", "circ_pinv_spectral", "_two_term_closed",
+                  "zero_sum_shift_pinv", "block_pattern_pinv"):
         monkeypatch.setattr(pinvkit.cli, route, None)
     assert main(["circ", *argv, "--output", "g.json"]) == 3
     captured = capsys.readouterr()

@@ -3,8 +3,9 @@ longer forms they replace.
 
 circ_penrose_residuals makes three products and one adjoint, since
 circulants commute; block_pattern_pinv proves C^2 = n C on one period of its
-generator; the circ command takes its generator's spectrum once, and
-support_split_pinv one spectrum per member; main parses
+generator; the circ command takes its generator's spectrum once and hands
+it to the public routes, and support_split_pinv one spectrum per member,
+checked on the sum; main parses
 a command line once; the report line is encoded once when it holds no NaN or
 infinity; and verify certifies a full-rank pair once.
 """
@@ -39,7 +40,13 @@ from pinvkit.circulant import (
     zero_sum_shift_pinv,
 )
 from pinvkit.cli import _print_report, main
-from pinvkit.matrix import DEFAULT_TOL, PreconditionError, dumps_matrix_json, loads_generator_json
+from pinvkit.matrix import (
+    DEFAULT_TOL,
+    PreconditionError,
+    VerificationError,
+    dumps_matrix_json,
+    loads_generator_json,
+)
 
 RULE = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -153,6 +160,27 @@ def test_each_circ_method_takes_the_spectra_it_needs(monkeypatch, capsys, n):
         assert report["passed"] and report["rank"] == len(report["extras"]["support"]), label
 
 
+# (circ_pinv_spectral, zero_sum_shift_pinv) calls each circ method makes through main
+PUBLIC_ROUTE_CALLS = {
+    "spectral, complex": (1, 0), "spectral, real": (1, 0),
+    "zero-sum, shifted": (0, 1), "zero-sum, shifted, complex": (0, 1),
+    "zero-sum, mean split": (0, 1), "two-term, closed form": (0, 0),
+    "two-term, generic": (1, 0), "block": (0, 0),
+}
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_circ_runs_the_public_routes(monkeypatch, capsys, n):
+    # circ hands its one spectrum to the functions a library caller gets
+    for label, argv, _ in spectra_argv(n):
+        with monkeypatch.context() as patch:
+            spectral = counted(patch, pinvkit.cli, "circ_pinv_spectral")
+            zero_sum = counted(patch, pinvkit.cli, "zero_sum_shift_pinv")
+            assert main(argv) == 0, label
+        assert json.loads(capsys.readouterr().out)["passed"], label
+        assert (len(spectral), len(zero_sum)) == PUBLIC_ROUTE_CALLS[label], label
+
+
 @pytest.mark.parametrize("n", [8, 64])
 def test_generic_two_term_x_has_the_reported_support(tmp_path, monkeypatch, capsys, n):
     # X inverts the spectrum that gives the report's support, so X's own
@@ -210,55 +238,69 @@ def test_transposed_support_is_the_negated_support(n):
             assert negated == set(circ_spectrum(rho(gen), DEFAULT_TOL).support)
 
 
-def transposed_rule(gens) -> str | None:
-    """The first refusal of the splitting rule written with rho: a member's
-    support against the support of another member's transpose."""
-    supports = [set(circ_spectrum(g, DEFAULT_TOL).support) for g in gens]
-    transposed = [set(circ_spectrum(rho(g), DEFAULT_TOL).support) for g in gens]
-    for kp in range(len(gens)):
-        for k in range(len(gens)):
-            hits = sorted(supports[k] & transposed[kp]) if k != kp else []
-            if hits:
-                return (f"supports of members {k} and {kp} (transposed) collide "
-                        f"at eigenvalue indices {hits}")
-    return None
+def test_support_split_refuses_members_whose_supports_overlap():
+    # circ(g) with g = exp(-2 pi i l / 4) / 4 has spectrum e_1; its transpose
+    # has e_3, so the transposed rule let [g, g] through and returned 4 times
+    # the pseudoinverse of circ(2 g)
+    g = np.exp(-2j * np.pi * np.arange(4) / 4) / 4
+    with pytest.raises(PreconditionError) as refused:
+        support_split_pinv([g, g])
+    assert str(refused.value) == "supports of members 0 and 1 collide at eigenvalue indices [1]"
+    with pytest.raises(PreconditionError, match="members 1 and 2 collide at eigenvalue indices"):
+        support_split_pinv([np.ones(4), g, 2 * g])
 
 
-@pytest.mark.parametrize("n", [2, 3, 7, 8, 64, 65])
-def test_support_split_refuses_what_the_transposed_rule_refuses(monkeypatch, n):
+def test_support_split_takes_members_the_transposed_rule_refused():
+    # spectra e_1 and e_3: disjoint, though each is the other's transpose
+    unit = np.eye(4)
+    members = [generator_from_spectrum(unit[1]), generator_from_spectrum(unit[3])]
+    xgen, invertible = support_split_pinv(members)
+    assert xgen.tobytes() == circ_pinv_spectral(members[0] + members[1]).tobytes()
+    assert not invertible
+
+
+def test_support_split_cuts_each_member_at_the_sums_rank_rule():
+    # the second member is 1e-20 times the first's scale: its own cutoff kept
+    # it, and X read 5e19; under the sum's cutoff it drops out
+    members = [np.full(4, 0.25), 1e-20 * np.array([0.0, 0.5, 0.0, -0.5])]
+    xgen, invertible = support_split_pinv(members)
+    assert float(np.max(np.abs(xgen))) == 0.25
+    assert xgen.tobytes() == circ_pinv_spectral(members[0] + members[1]).tobytes()
+    assert circ_penrose_residuals(members[0] + members[1], xgen, DEFAULT_TOL).passed
+    assert not invertible
+
+
+def test_support_split_returns_x_only_when_the_sums_check_passes(monkeypatch):
+    inner = pinvkit.circulant.circ_pinv_spectral
+    monkeypatch.setattr(pinvkit.circulant, "circ_pinv_spectral", lambda spec: 2 * inner(spec))
+    with pytest.raises(VerificationError, match="support-split pseudoinverse failed penrose"):
+        support_split_pinv([np.ones(3), np.array([1.0, -1.0, 0.0])])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 16])
+def test_support_split_of_disjoint_complex_members_is_the_sums(monkeypatch, n):
     import numpy.fft
 
     rng = np.random.default_rng(3600 + n)
-    for _ in range(20):
-        members = []
-        for _ in range(int(rng.integers(1, 4))):
-            values = np.zeros(n, dtype=np.complex128)
-            # supports near index 0, so that the transposes land on them
-            picks = rng.integers(-2, 3, int(rng.integers(1, 3))) % n
-            values[picks] = rng.standard_normal(2) @ (1, 1j)
-            members.append(generator_from_spectrum(values))
-        want = transposed_rule(members)
+    for _ in range(350):
+        owner = rng.integers(0, int(rng.integers(1, 4)), n)
+        values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        values[rng.random(n) < 0.25] = 0.0
+        members = [generator_from_spectrum(np.where(owner == k, values, 0.0))
+                   for k in range(owner.max() + 1)]
         with monkeypatch.context() as patch:
-            ifft = counted(patch, numpy.fft, "ifft")
-            if want is None:
-                support_split_pinv(members)
-            else:
-                with pytest.raises(PreconditionError) as refused:
-                    support_split_pinv(members)
-                assert str(refused.value) == want
-        # one forward transform per member, none for the transposes
-        assert len(ifft) == len(members)
+            rfft, ifft = counted(patch, numpy.fft, "rfft"), counted(patch, numpy.fft, "ifft")
+            xgen, invertible = support_split_pinv(members)
+        # one forward transform per member (rfft for a member left at zero)
+        assert len(rfft) + len(ifft) == len(members)
+        want = circ_pinv_spectral(sum(members))
+        assert np.max(np.abs(xgen - want)) <= 1e-13 * np.max(np.abs(want))
+        assert invertible == bool(np.all(values != 0))
 
 
-def test_support_split_keeps_its_refusal_and_takes_one_transform_per_member(monkeypatch):
+def test_support_split_takes_one_transform_per_member(monkeypatch):
     import numpy.fft
 
-    unit = np.eye(4)
-    with pytest.raises(PreconditionError) as refused:
-        support_split_pinv([generator_from_spectrum(unit[1]), generator_from_spectrum(unit[3])])
-    assert str(refused.value) == (
-        "supports of members 1 and 0 (transposed) collide at eigenvalue indices [3]"
-    )
     l = np.arange(8)
     members = [np.ones(8), np.cos(2 * np.pi * l / 8), np.cos(4 * np.pi * l / 8)]
     for k in (1, 2, 3):
