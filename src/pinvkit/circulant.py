@@ -10,16 +10,26 @@ spectral route. The pseudoinverse of a circulant is a circulant, so every
 route returns its generator as an array. circ_spectrum takes a generator's
 spectrum, and the Spectrum it returns carries that generator too:
 circ_pinv_spectral and zero_sum_shift_pinv take a generator or its
-Spectrum, so a caller that holds the spectrum (the circ command, two-term's
-generic pair, support_split_pinv) takes no second transform of the same
-generator. circ_spectrum is also the one place that decides realness. A real generator (every
-imaginary part +-0.0) stays real from end to end: its spectrum comes from
-the real FFT and is conjugate-symmetric bit for bit, and every route returns
-its X as complex128 with imaginary parts +0.0. circ_penrose_residuals checks a
-candidate on generators alone: each product is circ_mul, a direct cyclic
-convolution in O(n) memory, and circulants commute, so three products
-(AX, AXA and AXX) make the four residuals. block_pattern_pinv re-proves its pattern's identity on one
+Spectrum, so a caller that holds the spectrum takes no second transform of
+the same generator. circ_spectrum is also the one place that decides
+realness. A real generator (every imaginary part +-0.0) stays real from end
+to end: its spectrum comes from the real FFT and is conjugate-symmetric bit
+for bit, and every route returns its X as complex128 with imaginary parts
++0.0. circ_penrose_residuals checks a candidate on generators alone: each
+product is circ_mul, a direct cyclic convolution in O(n) memory, and
+circulants commute, so three products (AX, AXA and AXX) make the four
+residuals. block_pattern_pinv re-proves its pattern's identity on one
 period of k + 1 entries.
+
+Each decision lives here once. _cut is the support rule, the indices with
+|lambda_k| above a cutoff: circ_spectrum, support_split_pinv and the zero-sum
+mean split call it, the last two at the whole input's cutoff. The two-term
+format is _two_term_generator and its inverse _two_term_from_generator, and
+_two_term_inverse is the one choice between a closed form and the inverted
+spectrum. The circ command runs the checked forms at the end of the module,
+each from the operation's one Spectrum, so every circ operation takes one
+forward transform (the shifted zero-sum route a second, of the shifted
+generator) and one circ_penrose_residuals check.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import ResidualReport, _penrose, _returned
+from .core import ResidualReport, _Checked, _penrose, _returned
 from .matrix import (
     DEFAULT_TOL,
     PreconditionError,
@@ -174,10 +184,15 @@ def circ_spectrum(gen, tol: Tolerance = DEFAULT_TOL) -> Spectrum:
         values = np.concatenate((half.conj(), half[1 : (n + 1) // 2][::-1]))
     else:
         values = fft.ifft(gen, norm="forward")
-    magnitudes = np.abs(values)
-    cutoff = tol.rank_cutoff(float(magnitudes.max(initial=0.0)), n, n)
-    support = tuple(np.flatnonzero(magnitudes > cutoff).tolist())
-    return Spectrum(values, support, gen)
+    return _cut(values, gen, tol.rank_cutoff(float(np.abs(values).max(initial=0.0)), n, n))
+
+
+def _cut(values: np.ndarray, gen: np.ndarray, cutoff: float) -> Spectrum:
+    """The Spectrum of gen with eigenvalues values, its support the indices k
+    with |lambda_k| above cutoff: the one support rule of the circulant
+    routes. A route that splits its input passes the whole input's cutoff,
+    so no part is cut at a rule of its own."""
+    return Spectrum(values, tuple(np.flatnonzero(np.abs(values) > cutoff).tolist()), gen)
 
 
 def generator_from_spectrum(values) -> np.ndarray:
@@ -222,7 +237,6 @@ def _shift_generator(gen: np.ndarray, l: int) -> np.ndarray:
     return np.concatenate((gen[cut:], gen[:cut]))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def two_term_pinv(
     alpha: complex,
     beta: complex,
@@ -246,16 +260,18 @@ def two_term_pinv(
     covers the remaining complex singular combinations. A real pair gives a
     real X, with imaginary parts +0.0.
     """
-    gen = _two_term_generator(alpha, beta, n, k_pos)
-    closed = _two_term_closed(alpha, beta, n, k_pos)
-    return circ_pinv_spectral(gen, tol) if closed is None else closed
+    return _two_term_inverse(_two_term_generator(alpha, beta, n, k_pos), tol)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _two_term_closed(alpha: complex, beta: complex, n: int, k_pos: int) -> np.ndarray | None:
-    """two_term_pinv's closed form for validated arguments, None for a pair
-    in neither singular family."""
-    alpha, beta, l = complex(alpha), complex(beta), k_pos - 1
+def _two_term_inverse(gen, tol: Tolerance) -> np.ndarray:
+    """X of a two-entry generator, or of the Spectrum circ_spectrum took of
+    it: two_term_pinv's closed form for a pair in a singular family, else the
+    inverted spectrum, which only then is taken of a generator. The one
+    choice of two_term_pinv and of circ's two-term method."""
+    entries = gen.gen if isinstance(gen, Spectrum) else gen
+    alpha, beta, k_pos = _two_term_from_generator(entries)
+    n, l = entries.shape[0], k_pos - 1
     k = np.arange(n)
     if alpha == beta and n % 2 == 0:
         w = (-1.0) ** k * (n * n - (2 * k + 1) * n + 2)
@@ -264,7 +280,7 @@ def _two_term_closed(alpha: complex, beta: complex, n: int, k_pos: int) -> np.nd
     elif alpha == -beta:
         base = (n - 1.0 - 2.0 * k) / (2.0 * n * alpha)
     else:
-        return None
+        return circ_pinv_spectral(gen, tol)
     if not (alpha.imag or beta.imag):
         base = _exactly_real(base)
     return _shift_generator(_in_float_range(base), (n - l) % n)
@@ -283,6 +299,31 @@ def _two_term_generator(alpha: complex, beta: complex, n: int, k_pos: int) -> np
     gen[k_pos - 1] = alpha
     gen[k_pos % n] = beta
     return gen
+
+
+def _two_term_from_generator(gen: np.ndarray) -> tuple[complex, complex, int]:
+    """Split a two-entry generator into (alpha, beta, k_pos), the inverse of
+    _two_term_generator.
+
+    The two nonzero entries must sit at cyclically adjacent indices; alpha is
+    the one whose successor is the other.
+    """
+    n = gen.shape[0]
+    nonzero = np.flatnonzero(gen).tolist()
+    if len(nonzero) != 2:
+        raise PreconditionError(
+            f"two-term method needs exactly two nonzero entries, found {len(nonzero)}"
+        )
+    first, second = nonzero
+    if (first + 1) % n == second:
+        p = first
+    elif (second + 1) % n == first:
+        p = second
+    else:
+        raise PreconditionError(
+            f"two-term entries at {first} and {second} are not cyclically adjacent"
+        )
+    return complex(gen[p]), complex(gen[(p + 1) % n]), p + 1
 
 
 def support_split_pinv(
@@ -305,10 +346,8 @@ def support_split_pinv(
     n = spectra[0].gen.shape[0]
     if any(spec.gen.shape[0] != n for spec in spectra):
         raise PreconditionError("generators must share one length")
-    magnitudes = [np.abs(spec.values) for spec in spectra]
-    cutoff = tol.rank_cutoff(max(float(m.max()) for m in magnitudes), n, n)
-    spectra = [Spectrum(spec.values, tuple(np.flatnonzero(m > cutoff).tolist()), spec.gen)
-               for spec, m in zip(spectra, magnitudes)]
+    cutoff = tol.rank_cutoff(max(float(np.abs(spec.values).max()) for spec in spectra), n, n)
+    spectra = [_cut(spec.values, spec.gen, cutoff) for spec in spectra]
     for k in range(len(spectra)):
         for kp in range(k + 1, len(spectra)):
             collisions = sorted(set(spectra[k].support) & set(spectra[kp].support))
@@ -320,8 +359,8 @@ def support_split_pinv(
     for spec in spectra:
         total = total + circ_pinv_spectral(spec)
     report = circ_penrose_residuals(sum(spec.gen for spec in spectra), total, tol)
-    covered = set().union(*(spec.support for spec in spectra))
-    return _returned((total, None, report), "support-split"), covered == set(range(n))
+    covered = set().union(*(spec.support for spec in spectra))  # the sum's support
+    return _returned((total, len(covered), report), "support-split"), covered == set(range(n))
 
 
 def _in_band(alpha: complex, n: int, top: float) -> complex:
@@ -349,7 +388,11 @@ def zero_sum_shift_pinv(
                         any nonzero alpha
 
     Both return the pseudoinverse of circ(gen) itself; gen is a generator or
-    the Spectrum circ_spectrum took of it. So that the shift's
+    the Spectrum circ_spectrum took of it. Both cut at the whole's rank rule:
+    the mean split reads the remainder's spectrum off the whole's, and the
+    shifted branch inverts the spectrum of its shifted generator, its one
+    further transform, on the whole's support and index 0, and refuses a
+    support that its own rank rule does not keep. So that the shift's
     eigenvalue n alpha neither drops below the rank cutoff nor swamps the
     spectrum, alpha is scaled by a power of two (_in_band); the shift runs
     on s gen and s alpha, s = unit_scale(gen), and X is s times its result.
@@ -362,19 +405,33 @@ def zero_sum_shift_pinv(
     n = gen.shape[0]
     ones = np.ones(n, dtype=gen.dtype)
     total = np.sum(gen).item()
+    top = float(np.abs(spec.values).max())
     if 0 in spec.support:
-        # eigenvalue 0 is the entry sum; nonzero here, so split off the mean
-        mean_split = circ_pinv_spectral(gen - (total / n) * ones, tol) + ones / (n * total)
-        return _in_float_range(mean_split)
+        # eigenvalue 0 is the entry sum; nonzero here, so split off the mean.
+        # The remainder's spectrum is the whole's with lambda_0 = 0, cut at the
+        # whole's cutoff: no second transform, and no cutoff of its own
+        values = spec.values.copy()
+        values[0] = 0.0
+        rest = _cut(values, gen - (total / n) * ones, tol.rank_cutoff(top, n, n))
+        return _in_float_range(circ_pinv_spectral(rest, tol) + ones / (n * total))
     if alpha is None or complex(alpha) == 0:
         raise PreconditionError("zero-sum generator needs a nonzero alpha for the shifted route")
     alpha = complex(alpha)
     if np.isrealobj(gen):
         alpha = complex(alpha.real or alpha.imag)
     s = unit_scale(gen)  # exact, so gen + alpha ones and n^2 alpha stay in range
-    alpha = s * _in_band(alpha, n, float(np.abs(spec.values).max()))
-    shifted = circ_pinv_spectral(s * gen + alpha * ones, tol) - ones / (n * n * alpha)
-    return _in_float_range(s * shifted)
+    alpha = s * _in_band(alpha, n, top)
+    # lambda_k(s gen + alpha ones) = s lambda_k for k != 0 and n alpha at 0,
+    # so the shifted spectrum is inverted on the whole's support plus index 0;
+    # its own rule, at the scale of n alpha, must keep all of that support
+    shifted = circ_spectrum(s * gen + alpha * ones, tol)
+    unresolved = sorted(set(spec.support) - set(shifted.support))
+    if unresolved:
+        raise PreconditionError(
+            f"eigenvalues {unresolved} sit within the shifted spectrum's rounding"
+        )
+    shifted = Spectrum(shifted.values, (0, *spec.support), shifted.gen)
+    return _in_float_range(s * (circ_pinv_spectral(shifted, tol) - ones / (n * n * alpha)))
 
 
 def block_pattern_generator(k: int, q: int) -> np.ndarray:
@@ -421,3 +478,27 @@ def block_pattern_coefficients(a: complex, b: complex, k: int) -> tuple[complex,
     a = complex(a)
     b = complex(b)
     return (a + k * b) / (k + 1), (a - b) / (k + 1)
+
+
+def _circ_checked(spec: Spectrum, x: np.ndarray, tol: Tolerance) -> _Checked:
+    """x, a route's X for circ(spec.gen), with the support size as its rank
+    and circ_penrose_residuals on the two generators as its report."""
+    return x, len(spec.support), circ_penrose_residuals(spec.gen, x, tol)
+
+
+# the checked form of each circ method, from the operation's one Spectrum
+def _spectral_checked(spec: Spectrum, tol: Tolerance) -> _Checked:
+    return _circ_checked(spec, circ_pinv_spectral(spec, tol), tol)
+
+
+def _two_term_checked(spec: Spectrum, tol: Tolerance) -> _Checked:
+    return _circ_checked(spec, _two_term_inverse(spec, tol), tol)
+
+
+def _zero_sum_checked(spec: Spectrum, alpha: complex | None, tol: Tolerance) -> _Checked:
+    return _circ_checked(spec, zero_sum_shift_pinv(spec, alpha, tol), tol)
+
+
+def _block_checked(spec: Spectrum, alpha: complex, beta: complex, k: int, q: int,
+                   tol: Tolerance) -> _Checked:
+    return _circ_checked(spec, block_pattern_pinv(alpha, beta, k, q), tol)

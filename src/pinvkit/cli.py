@@ -32,14 +32,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circulant import (
-    _two_term_closed,
+    _block_checked,
+    _spectral_checked,
+    _two_term_checked,
     _two_term_generator,
+    _zero_sum_checked,
     block_pattern_generator,
-    block_pattern_pinv,
-    circ_penrose_residuals,
-    circ_pinv_spectral,
     circ_spectrum,
-    zero_sum_shift_pinv,
 )
 from .core import (
     ResidualReport,
@@ -267,34 +266,9 @@ def _cmd_pinv(args, tol: Tolerance) -> _Outcome:
     return _Outcome(args.method, a.shape, rank, report, value=x, input_digest=in_digest)
 
 
-def _two_term_from_generator(gen: np.ndarray) -> tuple[complex, complex, int]:
-    """Split a two-entry generator into (alpha, beta, k_pos).
-
-    The two nonzero entries must sit at cyclically adjacent indices; alpha is
-    the one whose successor is the other.
-    """
-    n = gen.shape[0]
-    nonzero = np.flatnonzero(gen).tolist()
-    if len(nonzero) != 2:
-        raise PreconditionError(
-            f"two-term method needs exactly two nonzero entries, found {len(nonzero)}"
-        )
-    first, second = nonzero
-    if (first + 1) % n == second:
-        p = first
-    elif (second + 1) % n == first:
-        p = second
-    else:
-        raise PreconditionError(
-            f"two-term entries at {first} and {second} are not cyclically adjacent"
-        )
-    return complex(gen[p]), complex(gen[(p + 1) % n]), p + 1
-
-
 def _cmd_circ(args, tol: Tolerance) -> _Outcome:
     if args.gen is not None and args.input:
         raise PreconditionError("give --gen or --input, not both")
-    gen = None
     in_digest = None
     if args.gen is not None:
         gen = parse_generator(args.gen)
@@ -303,43 +277,30 @@ def _cmd_circ(args, tol: Tolerance) -> _Outcome:
         text = _read_text(args.input)
         gen = loads_generator_json(text)
         in_digest = _digest(text.encode())
-
-    if gen is None and args.method in ("spectral", "zero-sum"):
-        raise PreconditionError(f"{args.method} method needs a generator (--gen or --input)")
-    if args.method == "two-term":
-        if gen is not None:
-            alpha, beta, k_pos = _two_term_from_generator(gen)
-        elif args.alpha is None or args.beta is None or args.n is None:
+    elif args.method == "two-term":
+        if args.alpha is None or args.beta is None or args.n is None:
             raise PreconditionError("two-term without --gen needs --alpha, --beta and --n")
-        else:
-            alpha, beta, k_pos = args.alpha, args.beta, args.k if args.k is not None else 1
-            gen = _two_term_generator(alpha, beta, args.n, k_pos)
+        gen = _two_term_generator(args.alpha, args.beta, args.n, 1 if args.k is None else args.k)
     elif args.method == "block":
         if args.alpha is None or args.beta is None or args.k is None or args.q is None:
             raise PreconditionError("block method needs --alpha, --beta, --k and --q")
         pattern = block_pattern_generator(args.k, args.q)
         with np.errstate(over="ignore", invalid="ignore"):
             gen = args.alpha * np.ones(pattern.shape[0], dtype=np.complex128) + args.beta * pattern
+    else:
+        raise PreconditionError(f"{args.method} method needs a generator (--gen or --input)")
     # ||circ(gen)||_F = sqrt(n) ||gen||: every residual bound is built on it
     if not math.isfinite(math.sqrt(gen.shape[0]) * frobenius(gen)):
         raise PreconditionError("the circulant leaves the float range")
-    # the one spectrum of the operation: the spectral, zero-sum and generic
-    # two-term routes start from it, and it gives the report's rank and support
+    # the one spectrum of the operation: the method's checked form starts from
+    # it, and it gives the report's support; X is verified and written from
+    # the generators
     spectrum = circ_spectrum(gen, tol)
-    xgen = {
-        "two-term": lambda: _two_term_closed(alpha, beta, gen.shape[0], k_pos),
-        "zero-sum": lambda: zero_sum_shift_pinv(spectrum, args.alpha, tol),
-        "block": lambda: block_pattern_pinv(args.alpha, args.beta, args.k, args.q),
-    }.get(args.method, lambda: None)()
-    if xgen is None:  # spectral, or a two-term pair with no closed form
-        xgen = circ_pinv_spectral(spectrum, tol)
-
-    # verified and written from the generators
-    residuals = circ_penrose_residuals(gen, xgen, tol)
+    xgen, rank, residuals = CIRC_METHODS[args.method][1](spectrum, args, tol)
     return _Outcome(
         method=args.method,
         shape=(gen.shape[0], gen.shape[0]),
-        rank=len(spectrum.support),
+        rank=rank,
         penrose=residuals,
         value=xgen,
         writers=(dumps_generator_json, circulant_csv_blocks),
@@ -486,15 +447,20 @@ def _check_reads(args) -> None:
         raise _UsageError(f"{args.command} {choice} does not read {', '.join(given)}")
 
 
-# the methods of pinv and circ and the kinds of gen, each with the flags
-# of its own that it reads; a kind of gen maps each to its default
+# each method of pinv, with the flags of its own that it reads
 PINV_READS = {"svd": set(), "normal": set(), "rank-completion": set(), "pair": {"aux"}}
-CIRC_READS = {
-    "spectral": {"gen", "input"},
-    "two-term": {"gen", "input", "alpha", "beta", "n", "k"},
-    "zero-sum": {"gen", "input", "alpha"},
-    "block": {"alpha", "beta", "k", "q"},
+# each method of circ: the flags of its own that it reads, and its checked
+# form of (the operation's one Spectrum, the parsed flags, tol)
+CIRC_METHODS = {
+    "spectral": ({"gen", "input"}, lambda spec, _, tol: _spectral_checked(spec, tol)),
+    "two-term": ({"gen", "input", "alpha", "beta", "n", "k"},
+                 lambda spec, _, tol: _two_term_checked(spec, tol)),
+    "zero-sum": ({"gen", "input", "alpha"},
+                 lambda spec, args, tol: _zero_sum_checked(spec, args.alpha, tol)),
+    "block": ({"alpha", "beta", "k", "q"}, lambda spec, args, tol: _block_checked(
+        spec, args.alpha, args.beta, args.k, args.q, tol)),
 }
+# each kind of gen, with the flags of its own that it reads and their defaults
 GEN_READS = {
     "sum-family": {"rows": 6, "cols": 5, "k": 2},
     "zero-sum-tree": {"n": 8},
@@ -518,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.set_defaults(handler=_cmd_pinv, reads=("method", PINV_READS))
 
     cmd = commands.add_parser("circ", help="closed-form circulant pseudoinverse")
-    cmd.add_argument("--method", choices=list(CIRC_READS), default="spectral")
+    cmd.add_argument("--method", choices=list(CIRC_METHODS), default="spectral")
     cmd.add_argument("--gen", help="comma-separated generator entries")
     cmd.add_argument("--alpha", type=parse_complex)
     cmd.add_argument("--beta", type=parse_complex)
@@ -530,7 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
         input="generator JSON file",
         output="write the pseudoinverse as a generator (.json) or a matrix (.csv)",
     )
-    cmd.set_defaults(handler=_cmd_circ, reads=("method", CIRC_READS))
+    reads = {method: flags for method, (flags, _) in CIRC_METHODS.items()}
+    cmd.set_defaults(handler=_cmd_circ, reads=("method", reads))
 
     cmd = commands.add_parser("tree", help="zero-sum tree distance pseudoinverse")
     _add_common(cmd, input="edge CSV file", output=MATRIX_OUT)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    _admitted, _Checked, _gram_pinv, _pinv_checked, _returned, bound_ratio, pinv, projectors
+    _admitted, _Checked, _gram_pinv, _pinv_checked, _returned, bound_ratio, penrose_residuals, pinv,
+    projectors,
 )
 from .linalg import (
     SvdFactorization,
@@ -30,6 +31,7 @@ from .matrix import (
     PreconditionError,
     Tolerance,
     VerificationError,
+    _in_float_range,
     as_matrix,
     dagger,
     eye,
@@ -137,11 +139,27 @@ def pinv_sum(
     """Pseudoinverse of sum A_k as the sum of member pseudoinverses.
 
     Requires the orthogonality certificate; refuses with the offending pair
-    otherwise. Returns (sum of pinvs, per-member pinvs).
+    otherwise. The members are factored together, by one svd_batch call with
+    deflate=True, and each is cut at tol.rank_cutoff(max_k sigma_1(A_k), m,
+    n): under the certificate the sum's sigma_1 is the largest member's, so
+    that is the sum's rank rule, and a member far below the others drops out
+    as its singular values drop out of the sum's. Returns (sum of pinvs,
+    per-member pinvs) once penrose_residuals on the summed matrix passes;
+    else raises VerificationError.
     """
+    checked, terms = _pinv_sum_checked(fam, tol)
+    return _returned(checked, "orthogonal-sum"), terms
+
+
+def _pinv_sum_checked(fam: OperatorFamily, tol: Tolerance) -> tuple[_Checked, list[np.ndarray]]:
+    """pinv_sum's X with the sum's rank and its Penrose report, and the terms."""
     _require_certificate(fam, tol)
-    terms = [pinv(m, tol) for m in fam.members]
-    return np.sum(terms, axis=0), terms
+    factors = svd_batch(fam.members, tol, deflate=True)
+    cutoff = tol.rank_cutoff(max(float(f.sigma[0]) for f in factors), *fam.shape)
+    terms = [_cut_pinv(f, cutoff) for f in factors]
+    x = np.sum(terms, axis=0)
+    rank = sum(int(np.count_nonzero(f.sigma > cutoff)) for f in factors)
+    return (x, rank, penrose_residuals(fam.total(), x, tol)), terms
 
 
 def pinv_via_gram_equation(
@@ -371,27 +389,31 @@ def _pair_checked(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> _Checked:
     return (x, fa.rank, report) if report is not None else _pinv_checked(a, tol, fa)
 
 
-def _core_pinv(f: SvdFactorization, n: int, tol: Tolerance) -> np.ndarray:
-    """core^+ from f = svd(core, tol, deflate=True), for the n x n product
-    V core N* with orthonormal V and N: both have the same singular values,
-    so the core keeps rank_cutoff(sigma_max, n, n), at most its own rank."""
-    rank = int(np.count_nonzero(f.sigma > tol.rank_cutoff(np.max(f.sigma, initial=0.0), n, n)))
+@np.errstate(over="ignore", invalid="ignore")
+def _cut_pinv(f: SvdFactorization, cutoff: float) -> np.ndarray:
+    """The pseudoinverse from f = svd(a, tol, deflate=True), keeping the
+    singular values above cutoff, at least a's own rank cutoff: the cutoff of
+    a larger matrix that a is part of. One past the float range is refused."""
+    rank = int(np.count_nonzero(f.sigma > cutoff))
     ur, vr = (cols[:, :rank] for cols in f.cutoff_slices)
-    return (vr / f.sigma[:rank]) @ dagger(ur)
+    return _in_float_range((vr / f.sigma[:rank]) @ dagger(ur))
 
 
 def _core_pinvs(cores: tuple[np.ndarray, np.ndarray], n: int, tol: Tolerance) -> list[np.ndarray]:
     """The pseudoinverses of the cores V2* N1 and M1* U2, which rank additivity
-    makes full rank r2: by _gram_pinv if core._admitted keeps both at
-    _core_pinv's n x n cutoff, else both from one svd_batch call, which takes
-    V2* N1 (r2 x (n - r1)) through its adjoint, as svd would. Empty cores
-    (r2 = 0) give empty zeros."""
+    makes full rank r2: by _gram_pinv if core._admitted keeps both at the
+    n x n cutoff, else both from one svd_batch call, which takes V2* N1
+    (r2 x (n - r1)) through its adjoint, as svd would. V core N*, with
+    orthonormal V and N, has the core's singular values, so each core keeps
+    rank_cutoff(sigma_max, n, n), at most its own rank. Empty cores (r2 = 0)
+    give empty zeros."""
     if not cores[0].size:
         return [np.zeros(core.shape[::-1], dtype=np.complex128) for core in cores]
     xs = [_gram_pinv(core, core.shape[0] >= core.shape[1]) for core in cores]
     if all(_admitted(core, x, tol, (core, x), shape=(n, n)) for core, x in zip(cores, xs)):
         return xs
-    return [_core_pinv(f, n, tol) for f in svd_batch(cores, tol, deflate=True)]
+    factors = svd_batch(cores, tol, deflate=True)
+    return [_cut_pinv(f, tol.rank_cutoff(np.max(f.sigma, initial=0.0), n, n)) for f in factors]
 
 
 def fill_fishkind_pinv(

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pinvkit.circulant
 import pinvkit.cli
 import pinvkit.sumdecomp
 from pinvkit.cli import main
@@ -303,7 +304,7 @@ def test_the_report_line_is_strict_json(capsys, monkeypatch):
     # circ now refuses such a generator before any route runs, so a check
     # with NaN residuals and infinite bounds stands in for its report
     nan_report = ResidualReport(dict.fromkeys(PENROSE_KEYS, math.nan), dict.fromkeys(PENROSE_KEYS, math.inf))
-    monkeypatch.setattr(pinvkit.cli, "circ_penrose_residuals", lambda gen, xgen, tol: nan_report)
+    monkeypatch.setattr(pinvkit.circulant, "circ_penrose_residuals", lambda gen, xgen, tol: nan_report)
     code, out, _ = run_cli(capsys, ["circ", "--gen", "1,2,3"])
     assert code == 2
     report = json.loads(out, parse_constant=refuse)

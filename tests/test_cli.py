@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pinvkit.circulant
 import pinvkit.cli
 import pinvkit.core
 from pinvkit.circulant import circ_materialize, circ_pinv_spectral, generator_from_spectrum
@@ -281,9 +282,10 @@ def test_circ_past_the_float_range_exits_3_before_any_route(tmp_path, monkeypatc
     # first printed rank 0 after an ifft overflow warning, the second a null
     # residual, and both exited 2
     monkeypatch.chdir(tmp_path)
-    for route in ("circ_spectrum", "circ_pinv_spectral", "_two_term_closed",
-                  "zero_sum_shift_pinv", "block_pattern_pinv"):
-        monkeypatch.setattr(pinvkit.cli, route, None)
+    monkeypatch.setattr(pinvkit.cli, "circ_spectrum", None)
+    for route in ("circ_spectrum", "circ_pinv_spectral", "_two_term_inverse",
+                  "zero_sum_shift_pinv", "block_pattern_pinv", "circ_penrose_residuals"):
+        monkeypatch.setattr(pinvkit.circulant, route, None)
     assert main(["circ", *argv, "--output", "g.json"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "the circulant leaves the float range" in captured.err
@@ -599,7 +601,7 @@ def test_two_term_generator_that_wraps_around_gives_the_flags_bytes(tmp_path, ca
 def test_two_term_split_refusals_name_the_entries(entries, message):
     gen = np.array(entries, dtype=np.complex128)
     with pytest.raises(PreconditionError) as raised:
-        pinvkit.cli._two_term_from_generator(gen)
+        pinvkit.circulant._two_term_from_generator(gen)
     assert str(raised.value) == message
 
 
@@ -612,7 +614,7 @@ def test_two_term_split_refusals_name_the_entries(entries, message):
     ],
 )
 def test_two_term_split_finds_alpha_beta_and_position(entries, split):
-    assert pinvkit.cli._two_term_from_generator(np.array(entries, dtype=np.complex128)) == split
+    assert pinvkit.circulant._two_term_from_generator(np.array(entries, dtype=np.complex128)) == split
 
 
 @pytest.mark.parametrize(
