@@ -96,11 +96,16 @@ def pinv(
     A caller that already holds svd(a, tol, deflate=True) passes it as factorization.
     """
     f = factorization if factorization is not None else svd(a, tol, deflate=True)
-    ur, vr = f.cutoff_slices
-    if f.rank == 0:
-        return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _in_float_range((vr / f.sigma[: f.rank]) @ dagger(ur))
+    return _cut_pinv(f, f.rank)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _cut_pinv(f: SvdFactorization, rank: int) -> np.ndarray:
+    """V_r Sigma_r^-1 U_r* of f = svd(a, tol, deflate=True) at rank r <= f.rank, the one
+    place an SVD is inverted: pinv cuts at f.rank, a part at what the whole's rule
+    keeps. One past the float range is refused."""
+    ur, vr = (cols[:, :rank] for cols in f.cutoff_slices)
+    return _in_float_range((vr / f.sigma[:rank]) @ dagger(ur))
 
 
 def _pinv_checked(a: np.ndarray, tol: Tolerance, f: SvdFactorization | None = None) -> _Checked:
@@ -311,10 +316,20 @@ def pinv_normal_equations(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.nda
 
 def _normal_checked(a: np.ndarray, tol: Tolerance) -> _Checked:
     """pinv_normal_equations with its rank and its Penrose report."""
-    m, n = a.shape
-    x = _gram_pinv(a, m >= n)
-    report = _admitted(a, x, tol, (a, x))
-    return (x, min(m, n), report) if report is not None else _pinv_checked(a, tol)
+    return _gram_block_checked((a,), 0, a.shape[0] >= a.shape[1], min(a.shape), tol)
+
+
+def _gram_block_checked(members, k0: int, left: bool, rank, tol: Tolerance, f=None) -> _Checked:
+    """Block k0 of S^+, (sum_j A_j* A_j)^-1 A_k0* for S = [A_1; ...; A_K] (left) or
+    A_k0* (sum_j A_j A_j*)^-1 for [A_1 ... A_K], by one _gram_pinv solve of S: the
+    normal equations stack one member, a pair completion A and its partner. The
+    block, kept by _admitted, has the rank its caller knows (None if X alone is
+    returned); else X is _pinv_checked(A_k0, tol, f)."""
+    stacked = np.concatenate(members, axis=0 if left else 1)
+    xs = _gram_pinv(stacked, left)
+    x = None if xs is None else np.split(xs, len(members), axis=1 if left else 0)[k0]
+    report = _admitted(members[k0], x, tol, (stacked, xs))
+    return (x, rank, report) if report is not None else _pinv_checked(members[k0], tol, f)
 
 
 def gen_random_matrix(

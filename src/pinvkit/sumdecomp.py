@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    _admitted, _Checked, _gram_pinv, _pinv_checked, _returned, bound_ratio, penrose_residuals, pinv,
-    projectors,
+    _admitted, _Checked, _cut_pinv, _gram_block_checked, _gram_pinv, _pinv_checked, _returned,
+    bound_ratio, penrose_residuals, pinv, projectors,
 )
 from .linalg import (
     SvdFactorization,
@@ -31,7 +31,6 @@ from .matrix import (
     PreconditionError,
     Tolerance,
     VerificationError,
-    _in_float_range,
     as_matrix,
     dagger,
     eye,
@@ -156,10 +155,10 @@ def _pinv_sum_checked(fam: OperatorFamily, tol: Tolerance) -> tuple[_Checked, li
     _require_certificate(fam, tol)
     factors = svd_batch(fam.members, tol, deflate=True)
     cutoff = tol.rank_cutoff(max(float(f.sigma[0]) for f in factors), *fam.shape)
-    terms = [_cut_pinv(f, cutoff) for f in factors]
+    ranks = [int(np.count_nonzero(f.sigma > cutoff)) for f in factors]
+    terms = [_cut_pinv(f, rank) for f, rank in zip(factors, ranks)]
     x = np.sum(terms, axis=0)
-    rank = sum(int(np.count_nonzero(f.sigma > cutoff)) for f in factors)
-    return (x, rank, penrose_residuals(fam.total(), x, tol)), terms
+    return (x, sum(ranks), penrose_residuals(fam.total(), x, tol)), terms
 
 
 def pinv_via_gram_equation(
@@ -169,20 +168,16 @@ def pinv_via_gram_equation(
 
     side="left" evaluates (sum A_k* A_k)^+ A_k0*, side="right" A_k0* (sum
     A_k A_k*)^+: block k0 of S^+ for S = [A_1; ...; A_K] or [A_1 ... A_K],
-    whose Gram matrix is that sum. S^+ is one core._gram_pinv solve; when
-    core._admitted refuses its block as A_k0^+, X is pinv(A_k0).
+    whose Gram matrix is that sum: core._gram_block_checked, one Gram solve
+    of S. When core._admitted refuses its block as A_k0^+, X is pinv(A_k0).
+    X that fails its Penrose check raises VerificationError.
     """
     _require_certificate(fam, tol)
     if not 0 <= k0 < len(fam):
         raise PreconditionError(f"k0 must index a member, got {k0}")
     if side not in ("left", "right"):
         raise PreconditionError(f"side must be 'left' or 'right', got {side!r}")
-    left = side == "left"
-    stacked = np.concatenate(fam.members, axis=0 if left else 1)
-    x = _gram_pinv(stacked, left)
-    member = fam.members[k0]
-    block = None if x is None else np.split(x, len(fam), axis=1 if left else 0)[k0]
-    return block if _admitted(member, block, tol, (stacked, x)) is not None else pinv(member, tol)
+    return _returned(_gram_block_checked(fam.members, k0, side == "left", None, tol), "gram-sum")
 
 
 def pinv_invertible_projector_eq(
@@ -382,21 +377,7 @@ def _pair_checked(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> _Checked:
             "B completes neither null space of A: need R(B*) = N(A) or R(B) = N(A*); "
             f"rank(B) = {fb.rank}, dim N(A) = {n - fa.rank}, dim N(A*) = {m - fa.rank}"
         )
-    stacked = np.concatenate((a, b), axis=0 if fills_null_a else 1)
-    xs = _gram_pinv(stacked, fills_null_a)
-    x = None if xs is None else (xs[:, :m] if fills_null_a else xs[:n])
-    report = _admitted(a, x, tol, (stacked, xs))
-    return (x, fa.rank, report) if report is not None else _pinv_checked(a, tol, fa)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _cut_pinv(f: SvdFactorization, cutoff: float) -> np.ndarray:
-    """The pseudoinverse from f = svd(a, tol, deflate=True), keeping the
-    singular values above cutoff, at least a's own rank cutoff: the cutoff of
-    a larger matrix that a is part of. One past the float range is refused."""
-    rank = int(np.count_nonzero(f.sigma > cutoff))
-    ur, vr = (cols[:, :rank] for cols in f.cutoff_slices)
-    return _in_float_range((vr / f.sigma[:rank]) @ dagger(ur))
+    return _gram_block_checked((a, b), 0, fills_null_a, fa.rank, tol, fa)
 
 
 def _core_pinvs(cores: tuple[np.ndarray, np.ndarray], n: int, tol: Tolerance) -> list[np.ndarray]:
@@ -413,7 +394,8 @@ def _core_pinvs(cores: tuple[np.ndarray, np.ndarray], n: int, tol: Tolerance) ->
     if all(_admitted(core, x, tol, (core, x), shape=(n, n)) for core, x in zip(cores, xs)):
         return xs
     factors = svd_batch(cores, tol, deflate=True)
-    return [_cut_pinv(f, tol.rank_cutoff(np.max(f.sigma, initial=0.0), n, n)) for f in factors]
+    cutoffs = [tol.rank_cutoff(np.max(f.sigma, initial=0.0), n, n) for f in factors]
+    return [_cut_pinv(f, int(np.count_nonzero(f.sigma > c))) for f, c in zip(factors, cutoffs)]
 
 
 def fill_fishkind_pinv(

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 import pinvkit.circulant
 import pinvkit.cli
+import pinvkit.core
 import pinvkit.sumdecomp
 from pinvkit.cli import main
 from pinvkit.core import PENROSE_KEYS, ResidualReport, gen_random_matrix, pinv
@@ -177,14 +178,14 @@ def test_invertible_pair_with_a_small_partner(seed, scale):
 def test_an_invertible_pair_takes_the_gram_form(monkeypatch, scale):
     # R(B*) = N(A) and R(B) = N(A*): one Gram solve of [A; B], no LU inverse
     a, b = graded(0, 6, 6, 3, 10.0, True, scale)
-    gram, calls = pinvkit.sumdecomp._gram_pinv, []
+    gram, calls = pinvkit.core._gram_pinv, []
 
     def recorded(stacked, left):
         calls.append((stacked.shape, left))
         return gram(stacked, left)
 
     monkeypatch.setattr(pinvkit.sumdecomp, "inverse", None)
-    monkeypatch.setattr(pinvkit.sumdecomp, "_gram_pinv", recorded)
+    monkeypatch.setattr(pinvkit.core, "_gram_pinv", recorded)
     assert_is_pinv(completion_pinv_pair(a, b), a)
     assert calls == [((12, 6), True)]
 

@@ -252,7 +252,7 @@ def test_circ_block_runs(tmp_path, capsys):
         ["--gen", "6e-309,0"],
         ["--method", "zero-sum", "--gen", "3e-320,1e-320"],
         ["--method", "two-term", "--alpha=1e-320", "--beta=-1e-320", "--n", "4"],
-        ["--method", "block", "--alpha=1e-320", "--beta=1", "--k", "1", "--q", "2"],
+        ["--method", "block", "--alpha=1e-320", "--beta=1e-320", "--k", "1", "--q", "2"],
     ],
 )
 def test_circ_pinv_past_the_float_range_exits_3_without_warnings(

@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+import pinvkit.core
 import pinvkit.sumdecomp
 from pinvkit.cli import main
 from pinvkit.core import pinv
@@ -142,7 +143,7 @@ def test_invertible_pair_past_an_lu_breakdown(tmp_path, capsys):
 def test_invertible_pair_falls_back_to_the_svd_of_a(monkeypatch):
     # an invertible A + B takes the Gram form; its breakdown hands over too
     a, b = pair(5, 6, [2.0, 1.0, 0.5], invertible=True)
-    monkeypatch.setattr(pinvkit.sumdecomp, "_gram_pinv", lambda stacked, left: None)
+    monkeypatch.setattr(pinvkit.core, "_gram_pinv", lambda stacked, left: None)
     x = completion_pinv_pair(a, b)
     assert frobenius(x - pinv(a)) <= 1e-9 * frobenius(pinv(a))
 

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pinvkit.core
 import pinvkit.sumdecomp
 from pinvkit.cli import main
 from pinvkit.core import (
@@ -351,7 +352,7 @@ def test_gram_pair_keeps_its_form_at_a_tiny_scale(monkeypatch):
         return _gram_pinv(m, left)
 
     monkeypatch.setattr(pinvkit.sumdecomp, "inverse", no_inverse)
-    monkeypatch.setattr(pinvkit.sumdecomp, "_gram_pinv", gram)
+    monkeypatch.setattr(pinvkit.core, "_gram_pinv", gram)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         x = completion_pinv_pair(a * scale, b * scale)
