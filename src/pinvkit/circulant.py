@@ -26,10 +26,12 @@ Each decision lives here once. _cut is the support rule, the indices with
 mean split call it, the last two at the whole input's cutoff. The two-term
 format is _two_term_generator and its inverse _two_term_from_generator, and
 _two_term_inverse is the one choice between a closed form and the inverted
-spectrum. The circ command runs the checked forms at the end of the module,
-each from the operation's one Spectrum, so every circ operation takes one
-forward transform (the shifted zero-sum route a second, of the shifted
-generator) and one circ_penrose_residuals check.
+spectrum. block_pattern_pinv keeps each of its two terms by the rule that
+circ_spectrum applies to their eigenvalues n alpha and n beta. The circ
+command runs the checked forms at the end of the module, each from the
+operation's one Spectrum, so every circ operation takes one forward
+transform (the shifted zero-sum route a second, of the shifted generator)
+and one circ_penrose_residuals check.
 """
 
 from __future__ import annotations
@@ -443,9 +445,17 @@ def block_pattern_generator(k: int, q: int) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def block_pattern_pinv(alpha: complex, beta: complex, k: int, q: int) -> np.ndarray:
+def block_pattern_pinv(
+    alpha: complex, beta: complex, k: int, q: int, tol: Tolerance = DEFAULT_TOL
+) -> np.ndarray:
     """Pseudoinverse generator of circ(alpha ones + beta pattern) for the
     block pattern above: (1/(alpha n^2)) ones + (1/(beta n^2)) pattern.
+
+    The circulant has eigenvalue n alpha at index 0 and n beta at the
+    pattern's k nonzero ones, so each term is kept only when n |coefficient|
+    exceeds tol.rank_cutoff(n max(|alpha|, |beta|), n, n), circ_spectrum's
+    rule. The rule is linear, so it is applied to the coefficients and
+    n max(|alpha|, |beta|) is never formed.
 
     The pattern's defining identity C^2 = n C is re-verified in exact
     integer arithmetic on every call, on one period: the generator must be
@@ -465,8 +475,14 @@ def block_pattern_pinv(alpha: complex, beta: complex, k: int, q: int) -> np.ndar
     tiled = np.array_equal(base, np.tile(period, q))
     if not (tiled and np.array_equal(circ_mul(period, period), (k + 1) * period)):
         raise PreconditionError("block pattern failed its defining identity")
+    sizes = [math.hypot(c.real, c.imag) for c in (alpha, beta)]  # inf, not OverflowError
+    if not all(map(math.isfinite, sizes)):
+        raise PreconditionError("the circulant leaves the float range")
+    cutoff = tol.rank_cutoff(max(sizes), n, n)
     ones = np.ones(n, dtype=np.complex128)
-    x = ones / (alpha * n * n) + base / (beta * n * n)
+    terms = ((alpha, ones), (beta, base))
+    kept = [term / (c * n * n) for (c, term), size in zip(terms, sizes) if size > cutoff]
+    x = sum(kept[1:], kept[0])
     return _in_float_range(x if alpha.imag or beta.imag else _exactly_real(x))
 
 
@@ -501,4 +517,4 @@ def _zero_sum_checked(spec: Spectrum, alpha: complex | None, tol: Tolerance) -> 
 
 def _block_checked(spec: Spectrum, alpha: complex, beta: complex, k: int, q: int,
                    tol: Tolerance) -> _Checked:
-    return _circ_checked(spec, block_pattern_pinv(alpha, beta, k, q), tol)
+    return _circ_checked(spec, block_pattern_pinv(alpha, beta, k, q, tol), tol)

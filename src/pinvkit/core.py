@@ -6,6 +6,9 @@ equations and the six equivalent characterization systems; null-space
 equalities are evaluated as projector differences, since null-space bases
 are not unique. full_rank_certified proves full rank from an approximate
 inverse X of A; _admitted decides whether a route keeps a fast kernel's X.
+Two steps serve every dense route: _cut_pinv is the one V_r Sigma_r^-1 U_r*,
+and _gram_block_checked the one stacked Gram solve, of the normal
+equations, the pair completion and the Gram-sum member route.
 """
 
 from __future__ import annotations

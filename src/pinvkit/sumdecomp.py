@@ -5,7 +5,9 @@ A family {A_k} whose members have mutually orthogonal ranges and co-ranges
 sum's pseudoinverse is a {1,3,4}-inverse of every member. The same geometry
 yields single-equation characterizations through Gram sums, rank-completion
 inversion by null-space dyads, the pair-completion solves, and the
-Fill-Fishkind projector formula for rank-additive pairs.
+Fill-Fishkind projector formula for rank-additive pairs. The Gram-sum and
+pair routes take block k0 of one stacked Gram solve, core._gram_block_checked,
+and every route returns X only once its Penrose check passes.
 """
 
 from __future__ import annotations
@@ -186,7 +188,9 @@ def pinv_invertible_projector_eq(
     """Member pseudoinverse by solving (sum A_k) X = P onto N(deflated sum*).
 
     Requires a square family sum, invertible at tol; X = (sum A_k)^+ P from
-    its one SVD. The dual X (sum A_k) = P_N(deflated sum) is a checked residual.
+    its one SVD. The dual X (sum A_k) = P_N(deflated sum) is a checked
+    residual, and X is returned once penrose_residuals(A_k0, X) passes; X
+    that fails either check raises VerificationError.
     """
     _require_certificate(fam, tol)
     if not 0 <= k0 < len(fam):
@@ -199,14 +203,17 @@ def pinv_invertible_projector_eq(
     if f.rank != n:
         raise PreconditionError("family sum is not invertible at tolerance")
     rest = fam.deflated(k0)
-    _, p_null_rest_adj, _, p_null_rest = projectors(rest, tol)
+    f_rest = svd(rest, tol, deflate=True)
+    _, p_null_rest_adj, _, p_null_rest = projectors(rest, tol, f_rest)
     x = pinv(total, tol, f) @ p_null_rest_adj
     # x carries the solve's forward error, cond(total) ||x||
     dual = frobenius(x @ total - p_null_rest)
     bound = tol.bound(f.sigma[0] / f.sigma[-1], frobenius(x), frobenius(total))
     if dual > bound:
         raise VerificationError(f"dual projector equation residual {dual:.3e} exceeds {bound:.3e}")
-    return x
+    # the family's ranks add up to n, so A_k0 has the rank the rest leaves
+    checked = (x, n - f_rest.rank, penrose_residuals(fam.members[k0], x, tol))
+    return _returned(checked, "projector-equation")
 
 
 @dataclass(frozen=True)
@@ -416,7 +423,14 @@ def fill_fishkind_pinv(
     Rank additivity makes both cores full rank, so each is inverted by one
     Cholesky solve on its Gram matrix, kept under core._admitted's rule; only
     when it refuses a core are both cores factored, by one svd_batch call.
+    X is returned once penrose_residuals on A1 + A2 passes; else
+    VerificationError is raised.
     """
+    return _returned(_fill_fishkind_checked(a1, a2, tol), "fill-fishkind")
+
+
+def _fill_fishkind_checked(a1: np.ndarray, a2: np.ndarray, tol: Tolerance) -> _Checked:
+    """fill_fishkind_pinv with rank(A1 + A2) and the Penrose report on A1 + A2."""
     a1 = as_matrix(a1)
     a2 = as_matrix(a2)
     if a1.shape != a2.shape or a1.shape[0] != a1.shape[1]:
@@ -426,11 +440,12 @@ def fill_fishkind_pinv(
     def cutoff(f: SvdFactorization) -> float:
         return tol.rank_cutoff(f.sigma[0], n, n)
 
-    factors = svd_batch((a1, a2, a1 + a2), tol, deflate=True)
+    total = a1 + a2
+    factors = svd_batch((a1, a2, total), tol, deflate=True)
     # A sigma within deflated of the cutoff could sit on either side of it;
     # below cutoff / 4 such a sigma still lands in the tie band checked next.
     if any(cutoff(f) > 0 and f.deflated >= cutoff(f) / 4.0 for f in factors):
-        factors = svd_batch((a1, a2, a1 + a2), tol)
+        factors = svd_batch((a1, a2, total), tol)
     f1, f2, fs = factors
     for f in factors:
         c = cutoff(f)
@@ -450,7 +465,8 @@ def fill_fishkind_pinv(
     right = u2 @ right_pinv @ dagger(conull1)
     x1 = pinv(a1, tol, f1)
     x2 = pinv(a2, tol, f2)
-    return (eye(n) - left) @ x1 @ (eye(n) - right) + left @ x2 @ right
+    x = (eye(n) - left) @ x1 @ (eye(n) - right) + left @ x2 @ right
+    return x, fs.rank, penrose_residuals(total, x, tol)
 
 
 def gen_svd_block_family(

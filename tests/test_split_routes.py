@@ -41,6 +41,8 @@ from hypothesis import strategies as st
 
 import pinvkit.sumdecomp
 from pinvkit.circulant import (
+    block_pattern_generator,
+    block_pattern_pinv,
     circ_materialize,
     circ_pinv_spectral,
     generator_from_spectrum,
@@ -58,7 +60,7 @@ from pinvkit.matrix import (
     dagger,
     frobenius,
 )
-from pinvkit.sumdecomp import OperatorFamily, fill_fishkind_pinv, pinv_sum
+from pinvkit.sumdecomp import OperatorFamily, fill_fishkind_pinv, gen_rank_additive_pair, pinv_sum
 
 C = 64.0
 ALPHA = 3.5  # n alpha = 14 TOP: the shifted spectrum's own cutoff is 14 times the whole's
@@ -196,8 +198,8 @@ def test_circulant_split_follows_the_wholes_rule(route, k, seed, real):
 
 
 # --------------------------------------------------------------------------
-# through main: no circ method that takes a generator exits 2 where
-# --method spectral exits 0 (block takes its flags, not a generator)
+# through main: no circ method exits 2 where --method spectral exits 0 on
+# the same generator
 
 
 def circ_exit(argv: list[str]) -> int:
@@ -221,6 +223,15 @@ def test_no_circ_method_fails_where_spectral_passes(k, seed, real, zero_sum):
     pair[seed % N], pair[(seed + 1) % N] = TOP / 2, 2.0**k * CUTOFF - TOP / 2
     if circ_exit([gen_arg(pair)]) == 0:
         assert circ_exit(["--method", "two-term", gen_arg(pair)]) != 2
+    # a block circulant whose term alpha ones or beta pattern has eigenvalue
+    # n |coefficient| = 2^k CUTOFF, and the other TOP
+    k_pattern = (1, 3, 7)[seed % 3]
+    q = N // (k_pattern + 1)
+    small, big = (-1.0) ** (seed // 6) * 2.0**k * CUTOFF / N, TOP / N
+    alpha, beta = (small, big) if seed % 2 else (big, small)
+    if circ_exit([gen_arg(alpha + beta * block_pattern_generator(k_pattern, q))]) == 0:
+        flags = [f"--alpha={alpha!r}", f"--beta={beta!r}", f"--k={k_pattern}", f"--q={q}"]
+        assert circ_exit(["--method", "block", *flags]) != 2
 
 
 # --------------------------------------------------------------------------
@@ -254,6 +265,39 @@ def test_pinv_sum_returns_x_only_when_the_sums_check_passes(monkeypatch):
     a1, a2 = orthogonal_pair(0, 8)
     with pytest.raises(VerificationError, match="orthogonal-sum pseudoinverse failed penrose"):
         pinv_sum(OperatorFamily((a1, a2)))
+
+
+@pytest.mark.parametrize("alpha", [1e-17, 3e-16])
+def test_block_keeps_only_the_terms_the_rank_rule_keeps(alpha, capsys):
+    # n alpha sits below the cutoff of n beta = 8: the ones term was inverted
+    # anyway, so at 1e-17 X failed its check (exit 2), and at 3e-16 X read
+    # 5.2e13 where circ_pinv_spectral gives 0.047, yet passed it
+    argv = ["circ", "--method", "block", f"--alpha={alpha!r}", "--beta=1", "--k", "3", "--q", "2"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["rank"] == 3 and report["passed"]
+    gen = alpha + block_pattern_generator(3, 2)
+    x, want = block_pattern_pinv(alpha, 1.0, 3, 2), circ_pinv_spectral(gen)
+    # both are circulants of rank 3 with kappa = 1
+    assert frobenius(x - want) <= C * UNIT_ROUNDOFF * frobenius(want)
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.5e308 + 1.5e308j, 1.0), (np.inf, 1.0), (1.0, np.nan)])
+def test_block_past_the_float_range_is_refused(alpha, beta):
+    # |alpha| past the float range leaves the rank rule no finite cutoff, and
+    # a NaN beta must not be dropped as a term below it
+    with pytest.raises(PreconditionError, match="the circulant leaves the float range"):
+        block_pattern_pinv(alpha, beta, 3, 2)
+
+
+def test_fill_fishkind_returns_x_only_when_the_sums_check_passes(monkeypatch):
+    inner = pinvkit.sumdecomp._core_pinvs
+    monkeypatch.setattr(
+        pinvkit.sumdecomp, "_core_pinvs", lambda *args: [2 * x for x in inner(*args)]
+    )
+    a1, a2 = gen_rank_additive_pair(0, 8)
+    with pytest.raises(VerificationError, match="fill-fishkind pseudoinverse failed penrose"):
+        fill_fishkind_pinv(a1, a2)
 
 
 def test_zero_sum_mean_split_of_a_near_constant_generator(capsys):
